@@ -10,6 +10,7 @@ evaluations are scaled by their parameter-count ratio.
 
 import csv
 import math
+import multiprocessing
 import os
 import re
 import time
@@ -351,14 +352,41 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
                      failed=failed, reason=reason)
 
 
-def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
-    try:
-        from threadpoolctl import threadpool_limits
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-        with threadpool_limits(limits=1):
-            return run_seed(cfg, seed, read_dataset(cfg.dataset))
-    except ImportError:
-        return run_seed(cfg, seed, read_dataset(cfg.dataset))
+
+def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
+    return run_seed(cfg, seed, read_dataset(cfg.dataset))
+
+
+def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
+    """Run each seed in a fresh process whose BLAS uses one thread.
+
+    The BLAS libraries read their thread count when numpy loads, so the
+    variables are set in this process's environment while the spawned
+    workers start, then restored.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(_run_seed_from_path, cfg, seed) for seed in cfg.seeds]
+            return [f.result() for f in futures]
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
+    if parallel:
+        blas = "1 per worker (" + ", ".join(f"{v}=1" for v in _BLAS_THREAD_VARS) + ")"
+        return f"# workers: {cfg.workers} spawned processes; BLAS threads: {blas}\n"
+    blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
+    return f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
 
 
 def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -> list[RunResult]:
@@ -369,12 +397,11 @@ def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -
     """
     if ds is None:
         ds = read_dataset(cfg.dataset)
-    if cfg.workers > 1 and len(cfg.seeds) > 1:
+    parallel = cfg.workers > 1 and len(cfg.seeds) > 1
+    if parallel:
         if not cfg.dataset:
             raise ConfigError("parallel runs need a dataset path")
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_run_seed_from_path, cfg, seed) for seed in cfg.seeds]
-            results = [f.result() for f in futures]
+        results = _run_seeds_in_workers(cfg)
     else:
         results = [run_seed(cfg, seed, ds) for seed in cfg.seeds]
     if cfg.out_dir:
@@ -389,6 +416,7 @@ def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -
                 "# work unit: one fine-level minibatch gradient evaluation;"
                 " coarser levels scaled by parameter-count ratio\n"
             )
+            fh.write(_parallelism_text(cfg, parallel))
     return results
 
 

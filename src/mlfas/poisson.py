@@ -5,7 +5,9 @@ the unit square, solves -div(kappa grad u) = f with a fixed Gaussian forcing
 and homogeneous Dirichlet boundary, and packages (kappa + mesh coordinates)
 as input channels with the solution grid as the target.  The solver is a
 cell-centered 5-point finite-difference scheme with harmonic-mean face
-coefficients, solved by conjugate gradients.
+coefficients, solved by matrix-free conjugate gradients over stacks of
+samples; ``assemble_operator`` builds the same operator as a sparse matrix
+for reference.
 """
 
 import math
@@ -18,10 +20,19 @@ import scipy.sparse as sp
 DATASET_MAGIC = b"MLFASDAT"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIIq")  # magic, version, count, n, channels, n_val, seed
+_CHUNK_CELLS = 2**14  # grid cells per batched solve in generate_dataset
 
 
 class SolverError(RuntimeError):
-    """Conjugate gradients failed to reach the requested residual."""
+    """Conjugate gradients failed to reach the requested residual.
+
+    ``index`` is the position in the solved stack of the first sample that
+    did not converge.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class DatasetFormatError(ValueError):
@@ -147,44 +158,118 @@ def assemble_operator(kappa: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((vals / h2, (rows, cols)), shape=(n * n, n * n))
 
 
+def _stencil(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of ``assemble_operator`` for a (B, n, n) stack of kappa.
+
+    Returns (diag, cx, cy), each (B, n, n): ``cx[b, i, j]`` couples cell
+    (i, j) with (i + 1, j) and ``cy[b, i, j]`` couples it with (i, j + 1),
+    both zero where that neighbour is off the grid.  The values are the CSR
+    entries with the off-diagonal signs left positive.
+    """
+    n = kappa.shape[-1]
+    h2 = (1.0 / n) ** 2
+    tx = 2.0 * kappa[:, :-1, :] * kappa[:, 1:, :] / (kappa[:, :-1, :] + kappa[:, 1:, :])
+    ty = 2.0 * kappa[:, :, :-1] * kappa[:, :, 1:] / (kappa[:, :, :-1] + kappa[:, :, 1:])
+    diag = np.zeros(kappa.shape)
+    diag[:, :-1, :] += tx
+    diag[:, 1:, :] += tx
+    diag[:, :, :-1] += ty
+    diag[:, :, 1:] += ty
+    diag[:, 0, :] += 2.0 * kappa[:, 0, :]
+    diag[:, -1, :] += 2.0 * kappa[:, -1, :]
+    diag[:, :, 0] += 2.0 * kappa[:, :, 0]
+    diag[:, :, -1] += 2.0 * kappa[:, :, -1]
+    cx = np.zeros(kappa.shape)
+    cy = np.zeros(kappa.shape)
+    cx[:, :-1, :] = tx / h2
+    cy[:, :, :-1] = ty / h2
+    return diag / h2, cx, cy
+
+
+def _apply_stencil(diag, cx, cy, p, out, tmp) -> np.ndarray:
+    """out = A p for every sample of a C-contiguous stack, without forming A.
+
+    On the flattened stack the x and y neighbours sit n and 1 entries away.
+    The zero coefficients at each grid edge cancel the terms that would
+    reach into the next row or sample, so every product is one contiguous
+    slice; ``tmp`` is scratch of the stack's size.
+    """
+    d, fx, fy, fp, fo, ft = (a.reshape(-1) for a in (diag, cx, cy, p, out, tmp))
+    np.multiply(d, fp, out=fo)
+    for c, k in ((fx, p.shape[-1]), (fy, 1)):
+        np.multiply(c[:-k], fp[k:], out=ft[:-k])
+        fo[:-k] -= ft[:-k]
+        np.multiply(c[:-k], fp[:-k], out=ft[:-k])
+        fo[k:] -= ft[:-k]
+    return out
+
+
 def solve_poisson(
     kappa: np.ndarray,
     f: np.ndarray,
     rtol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Solve the discrete problem by conjugate gradients.
+    """Solve the discrete problem by conjugate gradients for one or many kappa.
 
-    Converges when ||b - A u|| <= rtol * ||b||; raises SolverError with the
-    achieved residual otherwise.
+    ``kappa`` is (n, n) or a stack (B, n, n) sharing the forcing ``f``; the
+    result has kappa's shape.  Each sample stops on its own once
+    ||b - A u|| <= rtol * ||b||, and converged samples leave the working
+    arrays while the rest run on.  Raises SolverError naming the first
+    sample still above the target after ``max_iter`` iterations.
     """
-    a = assemble_operator(kappa)
-    n = kappa.shape[0]
-    b = np.asarray(f, dtype=np.float64).ravel()
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if kappa.ndim not in (2, 3) or kappa.shape[-2] != kappa.shape[-1]:
+        raise ValueError(f"kappa must be square, got shape {kappa.shape}")
+    n = kappa.shape[-1]
+    stack = kappa.reshape(-1, n, n)
+    if np.any(stack <= 0):
+        raise ValueError("kappa must be positive everywhere")
+    b = np.asarray(f, dtype=np.float64)
     if b.size != n * n:
         raise ValueError(f"forcing has {b.size} entries, expected {n * n}")
+    b = b.reshape(n, n)
+    u = np.zeros(stack.shape)
     bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x.reshape(n, n)
+        return u.reshape(kappa.shape)
     if max_iter is None:
         max_iter = max(1000, 10 * n * n)
-    r = b.copy()
+    tol = rtol * bnorm
+
+    diag, cx, cy = _stencil(stack)
+    # working arrays are C-contiguous, so the stencil sees them as flat views
+    active = np.arange(stack.shape[0])
+    x = np.zeros(stack.shape)
+    r = np.broadcast_to(b, stack.shape).copy()
     p = r.copy()
-    rs = float(r @ r)
+    ap = np.empty(stack.shape)
+    tmp = np.empty(stack.shape)
+    rs = np.einsum("bij,bij->b", r, r)
     for _ in range(max_iter):
-        ap = a @ p
-        alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= rtol * bnorm:
-            return x.reshape(n, n)
-        p = r + (rs_new / rs) * p
+        _apply_stencil(diag, cx, cy, p, ap, tmp)
+        alpha = (rs / np.einsum("bij,bij->b", p, ap))[:, None, None]
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, ap, out=tmp)
+        rs_new = np.einsum("bij,bij->b", r, r)
+        done = np.sqrt(rs_new) <= tol
+        if done.any():
+            u[active[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return u.reshape(kappa.shape)
+            active, x, r, p = active[keep], x[keep], r[keep], p[keep]
+            diag, cx, cy = diag[keep], cx[keep], cy[keep]
+            ap, tmp = ap[: active.size], tmp[: active.size]
+            rs, rs_new = rs[keep], rs_new[keep]
+        p *= (rs_new / rs)[:, None, None]
+        p += r
         rs = rs_new
     raise SolverError(
-        f"conjugate gradients stalled at relative residual "
-        f"{math.sqrt(rs) / bnorm:.3e} after {max_iter} iterations (target {rtol:.1e})"
+        f"conjugate gradients stalled on sample {active[0]} of {stack.shape[0]} at relative "
+        f"residual {math.sqrt(rs[0]) / bnorm:.3e} after {max_iter} iterations "
+        f"(target {rtol:.1e}); {active.size} samples unconverged",
+        index=int(active[0]),
     )
 
 
@@ -207,6 +292,22 @@ def generate_sample(seed: int, index: int, n: int, f: np.ndarray | None = None) 
         f = forcing(n)
     u = solve_poisson(kappa, f)
     return PoissonSample(params=params, kappa=kappa, u=u, f=f)
+
+
+def _solve_in_chunks(kappa: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+    """Solve a (count, n, n) kappa stack into ``out``, one CG call per chunk.
+
+    A chunk holds about ``_CHUNK_CELLS`` grid cells, which keeps the working
+    arrays of a batched solve small while amortising its per-iteration
+    overhead over many samples.
+    """
+    n = kappa.shape[-1]
+    chunk = max(1, _CHUNK_CELLS // (n * n))
+    for lo in range(0, kappa.shape[0], chunk):
+        try:
+            out[lo : lo + chunk] = solve_poisson(kappa[lo : lo + chunk], f)
+        except SolverError as e:
+            raise SolverError(f"sample {lo + e.index}: {e}", index=lo + e.index) from e
 
 
 def _split_sizes(count: int, val_fraction: float) -> int:
@@ -238,15 +339,9 @@ def generate_dataset(
     inputs = np.empty((count, channels, n, n))
     outputs = np.empty((count, n, n))
     for i in range(count):
-        try:
-            sample = generate_sample(seed, i, n, f=f)
-        except SolverError as e:
-            raise SolverError(f"sample {i}: {e}") from e
-        if channels == 3:
-            inputs[i] = np.stack([sample.kappa, x, y])
-        else:
-            inputs[i] = np.stack([sample.kappa, f, x, y])
-        outputs[i] = sample.u
+        inputs[i, 0] = sample_kappa(draw_params(seed, i), n)
+    inputs[:, 1:] = [x, y] if channels == 3 else [f, x, y]
+    _solve_in_chunks(inputs[:, 0], f, outputs)
     return RegressionDataset(
         inputs=inputs,
         outputs=outputs,

@@ -146,10 +146,6 @@ class MinibatchScheduler:
         return [self.next_batch() for _ in range(m)]
 
 
-def next_tau_group(scheduler: MinibatchScheduler, m: int) -> list[Minibatch]:
-    return scheduler.next_tau_group(m)
-
-
 def sgd_smooth(
     net: Network,
     momentum: ParamVector,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -233,6 +234,20 @@ class TestRunExperiment:
         with open(tmp_path / "summary.csv") as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 4
+
+    def test_parallel_seeds_record_single_threaded_blas(self, tiny_dataset, tmp_path):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, seeds=(0, 1), workers=2, out_dir=str(tmp_path))
+        env = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        parallel = run_experiment(cfg, ds)
+        assert {v: os.environ.get(v) for v in env} == env
+        serial = run_experiment(tiny_config(path, seeds=(0, 1)), ds)
+        strip = lambda r: (r.work_units, r.cycle, r.level, r.train_l2, r.val_l2)
+        for a, b in zip(parallel, serial):
+            assert [strip(r) for r in a.records] == [strip(r) for r in b.records]
+        meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
+        assert ("# workers: 2 spawned processes; BLAS threads: 1 per worker "
+                "(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1)") in meta
 
     def test_batch_size_guard(self, tiny_dataset):
         ds, path = tiny_dataset

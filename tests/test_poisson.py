@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlfas.poisson as poisson
 from mlfas.poisson import (
     DatasetFormatError,
     FieldParams,
     RegressionDataset,
+    SolverError,
     assemble_operator,
     cell_centers,
     forcing,
@@ -114,6 +116,84 @@ class TestSolver:
     def test_nonpositive_kappa_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             assemble_operator(np.zeros((4, 4)))
+
+
+class TestBatchedSolver:
+    RTOL = 1e-10
+    # CG stops on its recursively updated residual, which drifts from
+    # f - A u by about 1e-4 of the target (1.0001e-10 was seen at rtol 1e-10)
+    DRIFT = 1e-3
+
+    def test_stencil_matches_reference_operator(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 4, 7, 16):
+            k = rng.uniform(0.1, 2.1, size=(3, n, n))
+            p = rng.normal(size=(3, n, n))
+            out = poisson._apply_stencil(*poisson._stencil(k), p, np.empty_like(p),
+                                         np.empty_like(p))
+            for i in range(3):
+                ref = assemble_operator(k[i]) @ p[i].ravel()
+                assert np.linalg.norm(out[i].ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from((4, 7, 16)),
+           batch=st.sampled_from(("one", "two", "straddle")))
+    def test_batched_solve_matches_reference(self, data, n, batch):
+        chunk = poisson._CHUNK_CELLS // (n * n)
+        count = {"one": 1, "two": 2, "straddle": chunk + 1}[batch]
+        params = data.draw(st.lists(field_params, min_size=min(count, 3), max_size=3))
+        kappa = np.stack([sample_kappa(params[i % len(params)], n) for i in range(count)])
+        f = forcing(n)
+        u = np.empty_like(kappa)
+        poisson._solve_in_chunks(kappa, f, u)
+        fnorm = np.linalg.norm(f)
+        for i in range(count):
+            res = np.linalg.norm(f.ravel() - assemble_operator(kappa[i]) @ u[i].ravel())
+            assert res <= (1 + self.DRIFT) * self.RTOL * fnorm
+        # the last sample of the first chunk and the lone sample of the second
+        for i in sorted({0, count - 2, count - 1} - {-1}):
+            alone = solve_poisson(kappa[i], f)
+            assert np.linalg.norm(alone - u[i]) <= 1e-12 * np.linalg.norm(alone)
+
+    def test_stall_names_first_unconverged_sample(self):
+        # a constant-kappa 2x2 grid with a constant load converges in one
+        # step; the asymmetric kappa needs all four
+        hard = np.array([[0.1, 1.0], [2.0, 0.5]])
+        easy = np.ones((2, 2))
+        stack = np.stack([easy, easy, hard, easy, hard])
+        with pytest.raises(SolverError, match="sample 2 of 5 ") as info:
+            solve_poisson(stack, np.ones((2, 2)), max_iter=3)
+        assert info.value.index == 2
+        assert solve_poisson(stack, np.ones((2, 2)), max_iter=4).shape == stack.shape
+
+    def test_stall_in_later_chunk_names_dataset_index(self, monkeypatch):
+        reference = poisson.solve_poisson
+
+        def stall_on_second_chunk(kappa, f):
+            if kappa.shape[0] == 2:
+                return reference(kappa, f, max_iter=0)
+            return reference(kappa, f)
+
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 3 * 4 * 4)
+        monkeypatch.setattr(poisson, "solve_poisson", stall_on_second_chunk)
+        with pytest.raises(SolverError, match="^sample 3: ") as info:
+            generate_dataset(5, 4, seed=1)
+        assert info.value.index == 3
+
+    def test_one_nonpositive_kappa_in_stack_rejected(self):
+        stack = np.ones((3, 4, 4))
+        stack[1, 2, 3] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            solve_poisson(stack, forcing(4))
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_poisson(np.ones((2, 4, 5)), np.ones(20))
+
+    def test_zero_forcing_gives_zero_stack(self):
+        stack = np.ones((3, 5, 5))
+        u = solve_poisson(stack, np.zeros((5, 5)))
+        assert u.shape == stack.shape and np.all(u == 0.0)
 
 
 class TestGenerate:
