@@ -26,13 +26,15 @@ _CHUNK_CELLS = 2**14  # grid cells per batched solve in generate_dataset
 class SolverError(RuntimeError):
     """Conjugate gradients failed to reach the requested residual.
 
-    ``index`` is the position in the solved stack of the first sample that
-    did not converge.
+    ``index`` is the position of the first sample that did not converge
+    among the ``count`` samples named in the message; ``detail`` says how
+    far the solve got.
     """
 
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
+    def __init__(self, index: int, count: int, detail: str):
+        super().__init__(f"conjugate gradients stalled on sample {index} of {count}: {detail}")
         self.index = index
+        self.detail = detail
 
 
 class DatasetFormatError(ValueError):
@@ -48,16 +50,6 @@ class FieldParams:
     ax: float
     ay: float
     alpha_rot: float
-
-
-@dataclass
-class PoissonSample:
-    """One generated problem instance on an n x n cell-centered grid."""
-
-    params: FieldParams
-    kappa: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
 
 
 @dataclass
@@ -213,10 +205,11 @@ def solve_poisson(
     """Solve the discrete problem by conjugate gradients for one or many kappa.
 
     ``kappa`` is (n, n) or a stack (B, n, n) sharing the forcing ``f``; the
-    result has kappa's shape.  Each sample stops on its own once
-    ||b - A u|| <= rtol * ||b||, and converged samples leave the working
-    arrays while the rest run on.  Raises SolverError naming the first
-    sample still above the target after ``max_iter`` iterations.
+    result has kappa's shape.  Each sample stops on its own once both its
+    updated residual and its true residual b - A u are at most rtol * ||b||;
+    converged samples leave the working arrays while the rest run on.
+    Raises SolverError naming the first sample still above the target after
+    ``max_iter`` iterations.
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     if kappa.ndim not in (2, 3) or kappa.shape[-2] != kappa.shape[-1]:
@@ -254,6 +247,14 @@ def solve_poisson(
         rs_new = np.einsum("bij,bij->b", r, r)
         done = np.sqrt(rs_new) <= tol
         if done.any():
+            # the updated r drifts from b - A x, so confirm on the true residual
+            cand = np.flatnonzero(done)
+            xc = x[cand]
+            res = _apply_stencil(diag[cand], cx[cand], cy[cand], xc, np.empty_like(xc),
+                                 np.empty_like(xc))
+            np.subtract(b, res, out=res)
+            done[cand] = np.sqrt(np.einsum("bij,bij->b", res, res)) <= tol
+        if done.any():
             u[active[done]] = x[done]
             keep = ~done
             if not keep.any():
@@ -266,10 +267,10 @@ def solve_poisson(
         p += r
         rs = rs_new
     raise SolverError(
-        f"conjugate gradients stalled on sample {active[0]} of {stack.shape[0]} at relative "
-        f"residual {math.sqrt(rs[0]) / bnorm:.3e} after {max_iter} iterations "
+        int(active[0]),
+        stack.shape[0],
+        f"relative residual {math.sqrt(rs[0]) / bnorm:.3e} after {max_iter} iterations "
         f"(target {rtol:.1e}); {active.size} samples unconverged",
-        index=int(active[0]),
     )
 
 
@@ -285,15 +286,6 @@ def draw_params(seed: int, index: int) -> FieldParams:
     )
 
 
-def generate_sample(seed: int, index: int, n: int, f: np.ndarray | None = None) -> PoissonSample:
-    params = draw_params(seed, index)
-    kappa = sample_kappa(params, n)
-    if f is None:
-        f = forcing(n)
-    u = solve_poisson(kappa, f)
-    return PoissonSample(params=params, kappa=kappa, u=u, f=f)
-
-
 def _solve_in_chunks(kappa: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     """Solve a (count, n, n) kappa stack into ``out``, one CG call per chunk.
 
@@ -303,11 +295,15 @@ def _solve_in_chunks(kappa: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     """
     n = kappa.shape[-1]
     chunk = max(1, _CHUNK_CELLS // (n * n))
-    for lo in range(0, kappa.shape[0], chunk):
+    count = kappa.shape[0]
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
         try:
-            out[lo : lo + chunk] = solve_poisson(kappa[lo : lo + chunk], f)
+            out[lo:hi] = solve_poisson(kappa[lo:hi], f)
         except SolverError as e:
-            raise SolverError(f"sample {lo + e.index}: {e}", index=lo + e.index) from e
+            raise SolverError(
+                lo + e.index, count, f"{e.detail} among samples {lo}..{hi - 1}"
+            ) from e
 
 
 def _split_sizes(count: int, val_fraction: float) -> int:
