@@ -83,7 +83,8 @@ class _Reader:
         return out
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * 8), dtype="<f8").astype(np.float64)
+        # a read-only view of the file bytes; the network copies it into its buffer
+        return np.frombuffer(self.take(count * 8), dtype="<f8")
 
 
 def load_network(path) -> Network:

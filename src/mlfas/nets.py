@@ -2,12 +2,14 @@
 
 A network is an ordered list of dense and/or convolutional layers sharing a
 componentwise activation.  Convolutional layers, when present, must precede
-the dense layers; the interface flattens channel-major.  All learnable
-parameters can be viewed as one flat vector whose segment order is all
-weight blocks (by layer) followed by all bias blocks (by layer); momentum
-vectors reuse the same layout.
+the dense layers; the interface flattens channel-major.  Each network keeps
+all learnable parameters in one flat float64 buffer whose segment order is
+all weight blocks (by layer) followed by all bias blocks (by layer); the
+layers' arrays are views into it, and gradients and momentum vectors reuse
+the same layout.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +98,14 @@ class Network:
     the final layer; regression setups normally keep a linear output head.
     ``input_shape`` is an int for flat inputs or (channels, height, width)
     when the first layer is convolutional.
+
+    The network owns two flat buffers in unroll order, allocated once:
+    ``params`` holds the parameters and ``grad`` is the scratch gradient
+    that ``backward(net, batch, out=net.grad)`` fills.  The constructor
+    copies the given layers' values into ``params`` and keeps layer objects
+    of its own whose weight (or kernel) and bias arrays are views into it;
+    the layers passed in are left untouched, so a layer that belongs to
+    another network is copied, never shared.
     """
 
     def __init__(
@@ -126,6 +136,10 @@ class Network:
         else:
             self.input_shape = int(input_shape)
         self.interfaces = self._trace_shapes()
+        layout = param_layout(self)
+        self.params = ParamVector.zeros(layout)
+        self.grad = ParamVector.zeros(layout)
+        self.layers = [_adopt(layer, self.params, k) for k, layer in enumerate(self.layers)]
 
     def _trace_shapes(self):
         """Per-interface descriptors ('flat', n) or ('chan', c, h, w)."""
@@ -195,29 +209,23 @@ class Network:
         return desc[2] * desc[3]
 
     def param_count(self) -> int:
-        total = 0
-        for layer in self.layers:
-            if isinstance(layer, ConvLayer):
-                total += layer.kernels.size + layer.bias.size
-            else:
-                total += layer.weights.size + layer.bias.size
-        return total
+        return self.params.total_len
 
     def copy(self) -> "Network":
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, ConvLayer):
-                layers.append(
-                    ConvLayer(layer.kernels.copy(), layer.bias.copy(), layer.stride, layer.padding)
-                )
-            else:
-                layers.append(DenseLayer(layer.weights.copy(), layer.bias.copy()))
         return Network(
-            layers,
+            self.layers,
             activation=self.activation,
             leak=self.leak,
             output_activation=self.output_activation,
             input_shape=self.input_shape,
+        )
+
+    def __reduce__(self):
+        # pickling or deep-copying the arrays one by one would detach the
+        # layers from the parameter buffer; rebuild through the constructor
+        return (
+            Network,
+            (self.layers, self.activation, self.leak, self.output_activation, self.input_shape),
         )
 
 
@@ -228,10 +236,20 @@ def _act(net: Network, z: np.ndarray) -> np.ndarray:
 
 
 def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is taken on the inactive branch
+    """Activation derivative at z, as a factor for the upstream gradient.
+
+    The subgradient at exactly 0 is taken on the inactive branch.  For relu
+    on a C-ordered z (dense layers) the factor is the boolean mask, which
+    multiplies exactly like 1.0/0.0.  A conv layer's z is channels-last in
+    memory, and there the factor stays a float array: numpy reuses a large
+    float temporary (not a boolean one) as the product's output, so the
+    product keeps z's layout, and the conv bias gradient is summed in that
+    layout's order.
+    """
+    active = z > 0.0
     if net.activation == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
-    return np.where(z > 0.0, 1.0, net.leak)
+        return active if z.flags.c_contiguous else np.where(active, 1.0, 0.0)
+    return np.where(active, 1.0, net.leak)
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -246,7 +264,8 @@ def _forward_cached(net: Network, x: np.ndarray):
             z = conv_forward_batch(layer, a)
         else:
             a = a.reshape(a.shape[0], -1)
-            z = a @ layer.weights.T + layer.bias
+            z = a @ layer.weights.T
+            z += layer.bias
         caches.append((a, z))
         if k < n_last or net.output_activation:
             a = _act(net, z)
@@ -285,18 +304,26 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=l2, linf=linf)
 
 
-def backward(net: Network, batch: Minibatch) -> "ParamVector":
-    """Gradient of the batch-mean squared loss, as a flat parameter vector."""
+def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -> "ParamVector":
+    """Gradient of the batch-mean squared loss, as a flat parameter vector.
+
+    The gradient is written into ``out`` when given (the smoother passes the
+    network's scratch buffer ``net.grad``) and otherwise into a new vector
+    that the caller owns and no later call changes.
+    """
     x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
     if x.shape[1] != net.input_size:
         raise NetworkShapeError(
             f"input size {x.shape[1]} does not match network input {net.input_size}"
         )
+    if out is None:
+        out = net.params.zeros_like()
+    elif out.segments != net.params.segments:
+        raise ParamLayoutError("gradient buffer layout does not match the network")
     preds, caches = _forward_cached(net, x)
     b = x.shape[0]
     g = (2.0 / b) * (preds - batch.targets)
 
-    grads = [None] * net.n_layers
     for k in range(net.n_layers - 1, -1, -1):
         layer = net.layers[k]
         a_k, z_k = caches[k]
@@ -304,18 +331,16 @@ def backward(net: Network, batch: Minibatch) -> "ParamVector":
             dz = g.reshape(z_k.shape) * _act_grad(net, z_k)
         else:
             dz = g.reshape(z_k.shape)
+        gw, gb = out.view(k, "weight"), out.view(k, "bias")
         if isinstance(layer, ConvLayer):
-            gk, gb, g = conv_backward_batch(layer, a_k, dz)
-            grads[k] = (gk, gb)
+            gk, gbias, g = conv_backward_batch(layer, a_k, dz)
+            gw[...] = gk
+            gb[...] = gbias
         else:
-            grads[k] = (dz.T @ a_k, dz.sum(axis=0))
+            np.matmul(dz.T, a_k, out=gw)
+            np.sum(dz, axis=0, out=gb)
             if k > 0:
                 g = dz @ layer.weights
-
-    out = ParamVector.zeros(param_layout(net))
-    for k, (gw, gb) in enumerate(grads):
-        out.view(k, "weight")[...] = gw
-        out.view(k, "bias")[...] = gb
     return out
 
 
@@ -330,7 +355,7 @@ class Segment:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 class ParamVector:
@@ -388,28 +413,33 @@ def param_layout(net: Network) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
+def _adopt(layer, params: ParamVector, k: int):
+    """A copy of layer ``k`` whose arrays are views into ``params``."""
+    w, b = params.view(k, "weight"), params.view(k, "bias")
+    b[...] = layer.bias
+    if isinstance(layer, ConvLayer):
+        w[...] = layer.kernels
+        return ConvLayer(w, b, layer.stride, layer.padding)
+    w[...] = layer.weights
+    return DenseLayer(w, b)
+
+
 def flatten(net: Network) -> ParamVector:
-    """Copy all parameters into one flat vector in unroll order."""
-    pv = ParamVector.zeros(param_layout(net))
-    for k, layer in enumerate(net.layers):
-        w = layer.kernels if isinstance(layer, ConvLayer) else layer.weights
-        pv.view(k, "weight")[...] = w
-        pv.view(k, "bias")[...] = layer.bias
-    return pv
+    """Copy of all parameters as one flat vector in unroll order.
+
+    The copy is a snapshot: later training does not change it.
+    """
+    return net.params.copy()
 
 
 def unflatten(net: Network, x: ParamVector) -> None:
-    """Install the flat vector's values back into the network's layers."""
-    expected = param_layout(net)
-    if x.segments != expected:
+    """Copy the flat vector's values into the network's parameter buffer."""
+    if x.segments != net.params.segments:
         raise ParamLayoutError(
             f"parameter vector layout (total {x.total_len}) does not match "
-            f"network layout (total {sum(s.size for s in expected)})"
+            f"network layout (total {net.params.total_len})"
         )
-    for k, layer in enumerate(net.layers):
-        w = layer.kernels if isinstance(layer, ConvLayer) else layer.weights
-        w[...] = x.view(k, "weight")
-        layer.bias[...] = x.view(k, "bias")
+    net.params.data[...] = x.data
 
 
 def axpy_params(x: ParamVector, alpha: float, d: ParamVector) -> ParamVector:

@@ -10,6 +10,7 @@ samples; ``assemble_operator`` builds the same operator as a sparse matrix
 for reference.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -87,9 +88,17 @@ def cell_centers(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+@functools.lru_cache(maxsize=8)
 def coordinate_grids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center x and y grids (ij indexing), built once per n.
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
     c = cell_centers(n)
-    return np.meshgrid(c, c, indexing="ij")
+    x, y = np.meshgrid(c, c, indexing="ij")
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
 
 
 def sample_kappa(params: FieldParams, n: int) -> np.ndarray:

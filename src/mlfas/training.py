@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# flatten and unflatten are not called here; perfbench/tracer.py rebinds them at this module
 from .nets import Minibatch, Network, ParamVector, backward, flatten, unflatten
 from .transfer import (
     TransferLevel,
@@ -159,21 +160,23 @@ def sgd_smooth(
     Per step: grad = batch gradient + weight_decay * x - gamma * tau (the
     tau tilt is linear, so its gradient contribution is constant), then
     momentum = momentum_coeff * momentum + grad and x = x - lr * momentum.
-    The network and momentum are updated in place.
+    The network's parameter buffer and the momentum are updated in place;
+    the network's gradient buffer is scratch.
     """
     batch_iter = iter(batches)
-    x = flatten(net)
+    x, grad, m = net.params.data, net.grad.data, momentum.data
+    tilt = gamma * tau.vec.data if tau is not None and gamma != 0.0 else None
     for _ in range(cfg.steps_per_smooth):
-        batch = next(batch_iter)
-        grad = backward(net, batch).data
+        backward(net, next(batch_iter), out=net.grad)
         if cfg.weight_decay:
-            grad += cfg.weight_decay * x.data
-        if tau is not None and gamma != 0.0:
-            grad -= gamma * tau.vec.data
-        momentum.data *= cfg.momentum_coeff
-        momentum.data += grad
-        x.data -= cfg.learning_rate * momentum.data
-        unflatten(net, x)
+            grad += cfg.weight_decay * x
+        if tilt is not None:
+            grad -= tilt
+        m *= cfg.momentum_coeff
+        m += grad
+        # the gradient is spent; its buffer takes lr * momentum
+        np.multiply(m, cfg.learning_rate, out=grad)
+        x -= grad
     return net, momentum
 
 
@@ -193,19 +196,15 @@ def compute_tau(
     """
     if not tau_batches:
         raise ValueError("tau correction needs at least one minibatch")
-    fine_acc = None
-    coarse_acc = None
-    for batch in tau_batches:
-        gf = backward(fine, batch)
-        gc = backward(coarse, batch)
-        if fine_acc is None:
-            fine_acc, coarse_acc = gf, gc
-        else:
-            fine_acc.data += gf.data
-            coarse_acc.data += gc.data
-    restricted = restrict_gradient(t, fine_acc)
-    scale = n_total_minibatches / len(tau_batches)
-    vec = ParamVector(scale * (coarse_acc.data - restricted.data), coarse_acc.segments)
+    # the accumulators are new vectors; later batches go through the
+    # networks' own gradient buffers
+    fine_acc = backward(fine, tau_batches[0])
+    vec = backward(coarse, tau_batches[0])
+    for batch in tau_batches[1:]:
+        fine_acc.data += backward(fine, batch, out=fine.grad).data
+        vec.data += backward(coarse, batch, out=coarse.grad).data
+    vec.data -= restrict_gradient(t, fine_acc).data
+    vec.data *= n_total_minibatches / len(tau_batches)
     if not np.isfinite(vec.data).all():
         raise DivergenceError("non-finite tau correction")
     return TauCorrection(vec=vec)
@@ -279,7 +278,7 @@ class Hierarchy:
         weighted: bool = True,
         match_rng: np.random.Generator | None = None,
     ) -> "Hierarchy":
-        levels = [LevelState(net=net, momentum=flatten(net).zeros_like())]
+        levels = [LevelState(net=net, momentum=net.params.zeros_like())]
         h = cls(
             levels,
             depth,
@@ -301,7 +300,7 @@ class Hierarchy:
             )
             state.transfer = t
             coarse = restrict_network(state.net, t)
-            coarse_state = LevelState(net=coarse, momentum=flatten(coarse).zeros_like())
+            coarse_state = LevelState(net=coarse, momentum=coarse.params.zeros_like())
             if lvl + 1 < len(self.levels):
                 self.levels[lvl + 1] = coarse_state
             else:
@@ -327,7 +326,7 @@ def _effective_cfg(cfgs, level: int, stab: StabilityConfig) -> SmootherConfig:
 
 def _check_finite(h: Hierarchy, level: int, stage: str) -> None:
     state = h.levels[level]
-    for arr, name in ((flatten(state.net).data, "parameters"), (state.momentum.data, "momentum")):
+    for arr, name in ((state.net.params.data, "parameters"), (state.momentum.data, "momentum")):
         if not np.isfinite(arr).all():
             raise DivergenceError(
                 f"non-finite {name} at level {level} after {stage} "
@@ -376,9 +375,8 @@ def v_cycle(
             state.transfer = refresh_weights(state.transfer, state.net, weighted=True)
         t = state.transfer
         coarse = h.levels[level + 1]
-        x_c = restrict_params(t, flatten(state.net))
-        unflatten(coarse.net, x_c)
-        coarse.momentum = restrict_params(t, state.momentum)
+        restrict_params(t, state.net.params, out=coarse.net.params)
+        restrict_params(t, state.momentum, out=coarse.momentum)
 
         group = scheduler.next_tau_group(h.tau_batches)
         try:
@@ -395,12 +393,11 @@ def v_cycle(
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
 
-        x_new = coarse_grid_correction(
-            flatten(state.net), flatten(coarse.net), t, alpha=stab.alpha_p
+        coarse_grid_correction(
+            state.net.params, coarse.net.params, t, alpha=stab.alpha_p, out=state.net.params
         )
-        unflatten(state.net, x_new)
-        state.momentum = coarse_grid_correction(
-            state.momentum, coarse.momentum, t, alpha=stab.alpha_m
+        coarse_grid_correction(
+            state.momentum, coarse.momentum, t, alpha=stab.alpha_m, out=state.momentum
         )
         _check_finite(h, level, "coarse-grid correction")
 

@@ -28,10 +28,10 @@ from .nets import (
     DenseLayer,
     Network,
     NetworkShapeError,
+    ParamLayoutError,
     ParamVector,
     Segment,
-    flatten,
-    param_layout,
+    flatten,  # not called here; perfbench/tracer.py rebinds it at this module
 )
 
 
@@ -51,13 +51,18 @@ class InterfaceTransfer:
 
 
 class TransferLevel:
-    """One coarsening step: per-interface operators plus shape bookkeeping."""
+    """One coarsening step: per-interface operators plus shape bookkeeping.
+
+    ``layouts`` holds the (fine, coarse) parameter layouts once a transfer
+    has been applied; they are checked and built on first use, not per call.
+    """
 
     def __init__(self, interfaces: list[InterfaceTransfer], layer_kinds: list[str]):
         self.interfaces = interfaces
         self.layer_kinds = layer_kinds
         self.fine_units = [i.op.n_fine for i in interfaces]
         self.coarse_units = [i.op.n_coarse for i in interfaces]
+        self.layouts = None
 
     @property
     def n_layers(self) -> int:
@@ -126,7 +131,9 @@ def refresh_weights(t: TransferLevel, net: Network, weighted: bool = True) -> Tr
     """
     units = net.unit_counts()
     matchings = [i.matching for i in t.interfaces]
-    return _assemble(net, units, matchings, weighted)
+    refreshed = _assemble(net, units, matchings, weighted)
+    refreshed.layouts = t.layouts  # same matchings, so the same shapes
+    return refreshed
 
 
 def _rmul(dense: np.ndarray, sparse_mat) -> np.ndarray:
@@ -174,11 +181,52 @@ def _check_fine(seg: Segment, t: TransferLevel) -> None:
         )
 
 
-def restrict_params(t: TransferLevel, x: ParamVector) -> ParamVector:
-    """Map a fine parameter vector to the coarse space (iterate restriction)."""
-    for seg in x.segments:
-        _check_fine(seg, t)
-    out = ParamVector.zeros(_coarse_layout(x.segments, t))
+def _fine_layout(segments: tuple[Segment, ...], t: TransferLevel) -> tuple[Segment, ...]:
+    fine = []
+    offset = 0
+    for seg in segments:
+        k = seg.layer
+        if seg.kind == "bias":
+            shape = (t.interfaces[k + 1].op.n_fine,)
+        elif len(seg.shape) == 4:
+            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].op.n_fine) + seg.shape[2:]
+        else:
+            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].input_op.n_fine)
+        fseg = Segment(layer=k, kind=seg.kind, offset=offset, shape=shape)
+        fine.append(fseg)
+        offset += fseg.size
+    return tuple(fine)
+
+
+def _coarse_of(t: TransferLevel, fine: tuple[Segment, ...]) -> tuple[Segment, ...]:
+    """Coarse layout for vectors laid out as ``fine``, cached on the level."""
+    if t.layouts is None or t.layouts[0] != fine:
+        for seg in fine:
+            _check_fine(seg, t)
+        t.layouts = (fine, _coarse_layout(fine, t))
+    return t.layouts[1]
+
+
+def _fine_of(t: TransferLevel, coarse: tuple[Segment, ...]) -> tuple[Segment, ...]:
+    """Fine layout for vectors laid out as ``coarse``, cached on the level."""
+    if t.layouts is None or t.layouts[1] != coarse:
+        t.layouts = (_fine_layout(coarse, t), coarse)
+    return t.layouts[0]
+
+
+def restrict_params(
+    t: TransferLevel, x: ParamVector, out: ParamVector | None = None
+) -> ParamVector:
+    """Map a fine parameter vector to the coarse space (iterate restriction).
+
+    The result is written into ``out`` when given (for example a coarse
+    network's ``params``) and into a new vector otherwise.
+    """
+    coarse = _coarse_of(t, x.segments)
+    if out is None:
+        out = ParamVector.zeros(coarse)
+    elif out.segments != coarse:
+        raise ParamLayoutError("output vector layout does not match the transfer level")
     for k in range(t.n_layers):
         pi_out = t.interfaces[k + 1].op
         w = x.view(k, "weight")
@@ -195,20 +243,7 @@ def restrict_params(t: TransferLevel, x: ParamVector) -> ParamVector:
 
 def prolong_params(t: TransferLevel, x_c: ParamVector) -> ParamVector:
     """Interpolate a coarse parameter vector back to the fine space."""
-    fine = []
-    offset = 0
-    for seg in x_c.segments:
-        k = seg.layer
-        if seg.kind == "bias":
-            shape = (t.interfaces[k + 1].op.n_fine,)
-        elif len(seg.shape) == 4:
-            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].op.n_fine) + seg.shape[2:]
-        else:
-            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].input_op.n_fine)
-        fseg = Segment(layer=k, kind=seg.kind, offset=offset, shape=shape)
-        fine.append(fseg)
-        offset += fseg.size
-    out = ParamVector.zeros(tuple(fine))
+    out = ParamVector.zeros(_fine_of(t, x_c.segments))
     for k in range(t.n_layers):
         p_out = t.interfaces[k + 1].op
         wc = x_c.view(k, "weight")
@@ -225,9 +260,7 @@ def prolong_params(t: TransferLevel, x_c: ParamVector) -> ParamVector:
 
 def restrict_gradient(t: TransferLevel, grad: ParamVector) -> ParamVector:
     """Apply the transpose of the interpolation to a fine gradient."""
-    for seg in grad.segments:
-        _check_fine(seg, t)
-    out = ParamVector.zeros(_coarse_layout(grad.segments, t))
+    out = ParamVector.zeros(_coarse_of(t, grad.segments))
     for k in range(t.n_layers):
         p_out = t.interfaces[k + 1].op
         g = grad.view(k, "weight")
@@ -243,14 +276,30 @@ def restrict_gradient(t: TransferLevel, grad: ParamVector) -> ParamVector:
 
 
 def coarse_grid_correction(
-    x: ParamVector, x_c_new: ParamVector, t: TransferLevel, alpha: float = 1.0
+    x: ParamVector,
+    x_c_new: ParamVector,
+    t: TransferLevel,
+    alpha: float = 1.0,
+    out: ParamVector | None = None,
 ) -> ParamVector:
-    """FAS update x + alpha * P(x_c_new - Pi x)."""
-    x_c0 = restrict_params(t, x)
-    if x_c_new.segments != x_c0.segments:
+    """FAS update x + alpha * P(x_c_new - Pi x).
+
+    The result is written into ``out`` when given, which may be ``x`` itself
+    (the V-cycle corrects a network's ``params`` in place), and into a new
+    vector otherwise.
+    """
+    delta = restrict_params(t, x)
+    if x_c_new.segments != delta.segments:
         raise NetworkShapeError("coarse vector layout does not match the transfer level")
-    delta = ParamVector(x_c_new.data - x_c0.data, x_c0.segments)
-    return ParamVector(x.data + alpha * prolong_params(t, delta).data, x.segments)
+    np.subtract(x_c_new.data, delta.data, out=delta.data)
+    step = prolong_params(t, delta)
+    step.data *= alpha
+    if out is None:
+        out = x.zeros_like()
+    elif out.segments != x.segments:
+        raise ParamLayoutError("output vector layout does not match the fine vector")
+    np.add(x.data, step.data, out=out.data)
+    return out
 
 
 def restrict_network(net: Network, t: TransferLevel) -> Network:
@@ -259,20 +308,15 @@ def restrict_network(net: Network, t: TransferLevel) -> Network:
     Layer kinds, activation, strides and paddings are preserved; hidden
     widths and channel counts shrink per the matchings.
     """
-    x_c = restrict_params(t, flatten(net))
+    x_c = restrict_params(t, net.params)
     layers = []
     for k, layer in enumerate(net.layers):
+        w, b = x_c.view(k, "weight"), x_c.view(k, "bias")
         if isinstance(layer, ConvLayer):
-            layers.append(
-                ConvLayer(
-                    x_c.view(k, "weight").copy(),
-                    x_c.view(k, "bias").copy(),
-                    stride=layer.stride,
-                    padding=layer.padding,
-                )
-            )
+            layers.append(ConvLayer(w, b, stride=layer.stride, padding=layer.padding))
         else:
-            layers.append(DenseLayer(x_c.view(k, "weight").copy(), x_c.view(k, "bias").copy()))
+            layers.append(DenseLayer(w, b))
+    # the network copies the restricted values into a buffer of its own
     return Network(
         layers,
         activation=net.activation,

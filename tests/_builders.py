@@ -84,3 +84,96 @@ def explicit_transfer_matrices(t, segments):
     big_pi = sp.block_diag(pi_blocks, format="csr")
     big_p = sp.block_diag(p_blocks, format="csr")
     return big_pi, big_p, big_p.T.tocsr()
+
+
+# Reference smoother: the allocate-per-call backward and flatten/unflatten
+# SGD step that the in-place versions replaced.  Kept verbatim in arithmetic
+# (operand orientation, summation order, float activation masks) so the
+# in-place code can be required to match it bit for bit.
+
+
+def _reference_act(net, z):
+    if net.activation == "relu":
+        return np.maximum(z, 0.0)
+    return np.where(z > 0.0, z, net.leak * z)
+
+
+def _reference_act_grad(net, z):
+    if net.activation == "relu":
+        return np.where(z > 0.0, 1.0, 0.0)
+    return np.where(z > 0.0, 1.0, net.leak)
+
+
+def _reference_forward_cached(net, x):
+    from mlfas.conv import conv_forward_batch
+
+    a = x
+    caches = []
+    n_last = net.n_layers - 1
+    for k, layer in enumerate(net.layers):
+        desc = net.interfaces[k]
+        if isinstance(layer, ConvLayer):
+            a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])
+            z = conv_forward_batch(layer, a)
+        else:
+            a = a.reshape(a.shape[0], -1)
+            z = a @ layer.weights.T + layer.bias
+        caches.append((a, z))
+        if k < n_last or net.output_activation:
+            a = _reference_act(net, z)
+        else:
+            a = z
+    return a.reshape(a.shape[0], -1), caches
+
+
+def reference_backward(net, batch):
+    """Batch-mean squared-loss gradient, one fresh array per block."""
+    from mlfas.conv import conv_backward_batch
+    from mlfas.nets import ParamVector, param_layout
+
+    x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
+    preds, caches = _reference_forward_cached(net, x)
+    b = x.shape[0]
+    g = (2.0 / b) * (preds - batch.targets)
+
+    grads = [None] * net.n_layers
+    for k in range(net.n_layers - 1, -1, -1):
+        layer = net.layers[k]
+        a_k, z_k = caches[k]
+        if k < net.n_layers - 1 or net.output_activation:
+            dz = g.reshape(z_k.shape) * _reference_act_grad(net, z_k)
+        else:
+            dz = g.reshape(z_k.shape)
+        if isinstance(layer, ConvLayer):
+            gk, gb, g = conv_backward_batch(layer, a_k, dz)
+            grads[k] = (gk, gb)
+        else:
+            grads[k] = (dz.T @ a_k, dz.sum(axis=0))
+            if k > 0:
+                g = dz @ layer.weights
+
+    out = ParamVector.zeros(param_layout(net))
+    for k, (gw, gb) in enumerate(grads):
+        out.view(k, "weight")[...] = gw
+        out.view(k, "bias")[...] = gb
+    return out
+
+
+def reference_sgd_smooth(net, momentum, cfg, batches, tau=None, gamma=0.0):
+    """SGD with momentum through flatten/unflatten copies, one per step."""
+    from mlfas.nets import flatten, unflatten
+
+    batch_iter = iter(batches)
+    x = flatten(net)
+    for _ in range(cfg.steps_per_smooth):
+        batch = next(batch_iter)
+        grad = reference_backward(net, batch).data
+        if cfg.weight_decay:
+            grad += cfg.weight_decay * x.data
+        if tau is not None and gamma != 0.0:
+            grad -= gamma * tau.vec.data
+        momentum.data *= cfg.momentum_coeff
+        momentum.data += grad
+        x.data -= cfg.learning_rate * momentum.data
+        unflatten(net, x)
+    return net, momentum
