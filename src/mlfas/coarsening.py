@@ -3,18 +3,18 @@
 Neurons (rows of a dense weight matrix) or convolution channels (vectorized
 per-output-channel kernels) are paired by greedy heavy-edge matching on a
 cosine strength-of-connection matrix.  Each matching induces a pair of
-sparse transfer operators per layer interface: an averaging map ``pi``
-(fine -> coarse) and a piecewise-constant interpolation ``p``
-(coarse -> fine) with ``pi @ p = I``.  The optional weighted variant scales
-the interpolation by per-unit row norms so that exactly parallel units are
-reproduced by the induced projector ``p @ pi``.
+transfer maps per layer interface: an averaging map ``pi`` (fine -> coarse)
+and a piecewise-constant interpolation ``p`` (coarse -> fine) with
+``pi @ p = I``.  Both are pairwise index maps with one weight per unit,
+applied along one array axis and never formed as matrices.  The optional
+weighted variant scales the interpolation by per-unit row norms so that
+exactly parallel units are reproduced by the induced projector ``p @ pi``.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -49,33 +49,76 @@ class Matching:
         return np.bincount(self.aggregate, minlength=self.num_aggregates)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerTransfer:
-    """Interpolation/averaging pair for one layer interface.
+    """Averaging ``pi`` and interpolation ``p`` at one layer interface.
 
-    ``p`` is (n x n_c), ``pi`` is (n_c x n), and ``pi @ p = I`` holds by
-    construction.  In weighted form ``p`` carries the row norms ``d`` and
-    ``pi`` the reciprocal aggregate norm sums.
+    A pairwise matching leaves one entry per fine unit in each map: row i of
+    the (n x n_c) interpolation holds ``p[i]`` at column ``aggregate[i]``,
+    and column i of the (n_c x n) averaging holds ``pi[i]`` at row
+    ``aggregate[i]``.  Aggregate a consists of units ``rep[a]`` and
+    ``mate[a]``, which are equal for a singleton.  ``pi @ p = I`` holds by
+    construction.  In weighted form ``p`` carries the row norms and ``pi``
+    the reciprocal aggregate norm sums.
     """
 
-    p: sp.csr_matrix
-    pi: sp.csr_matrix
+    aggregate: np.ndarray
+    rep: np.ndarray
+    mate: np.ndarray
+    p: np.ndarray
+    pi: np.ndarray
     weighted: bool = False
-    d: np.ndarray | None = None
 
     @property
     def n_fine(self) -> int:
-        return self.p.shape[0]
+        return self.aggregate.shape[0]
 
     @property
     def n_coarse(self) -> int:
-        return self.p.shape[1]
+        return self.rep.shape[0]
 
-    def p_dense(self) -> np.ndarray:
-        return self.p.toarray()
+    @property
+    def is_identity(self) -> bool:
+        """All units are singletons of weight 1, so both maps are the identity."""
+        return self.n_coarse == self.n_fine and not self.weighted
 
-    def pi_dense(self) -> np.ndarray:
-        return self.pi.toarray()
+    def pair_sum(self, a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+        """Sum ``w * a`` over each aggregate along ``axis`` (fine -> coarse).
+
+        Aggregate a gets ``w[r] a[r] + w[s] a[s]`` with r, s its two units;
+        a singleton's second term is zero.  With ``w = pi`` this applies the
+        averaging, with ``w = p`` the transposed interpolation.
+        """
+        _check_length(a, axis, self.n_fine)
+        out = np.take(a, self.rep, axis)
+        out *= _along(w[self.rep], out.ndim, axis)
+        second = np.take(a, self.mate, axis)
+        second *= _along(np.where(self.mate == self.rep, 0.0, w[self.mate]), out.ndim, axis)
+        out += second
+        return out
+
+    def gather(self, a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+        """Unit i gets ``w[i] * a[aggregate[i]]`` along ``axis`` (coarse -> fine).
+
+        With ``w = p`` this applies the interpolation, with ``w = pi`` the
+        transposed averaging.
+        """
+        _check_length(a, axis, self.n_coarse)
+        out = np.take(a, self.aggregate, axis)
+        out *= _along(w, out.ndim, axis)
+        return out
+
+
+def _check_length(a: np.ndarray, axis: int, expected: int) -> None:
+    if a.shape[axis] != expected:
+        raise ValueError(
+            f"transfer expects length {expected} along axis {axis}, got shape {a.shape}"
+        )
+
+
+def _along(w: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    # per-unit weights shaped to broadcast along ``axis`` of an ndim-d array
+    return w.reshape(w.shape + (1,) * (ndim - 1 - axis))
 
 
 def strength_from_rows(rows, absolute: bool = False) -> StrengthMatrix:
@@ -151,62 +194,42 @@ def identity_matching(n: int) -> Matching:
 
 
 def build_transfer(matching: Matching, w_rows=None, weighted: bool = False) -> LayerTransfer:
-    """Construct the (pi, p) operator pair for a matching.
+    """Construct the (pi, p) pair for a matching.
 
-    Plain form: p columns are 0/1 aggregate indicators and pi averages
-    within each aggregate.  Weighted form scales p by the row norms d_i and
-    sets pi rows to 1 / (sum of d over the aggregate), so pi @ p = I still
-    holds and parallel matched rows are fixed points of p @ pi.
+    Plain form: p is 1 on every unit and pi averages within each aggregate.
+    The weighted form is ``reweight`` of the plain one.
     """
-    n = matching.n
-    n_c = matching.num_aggregates
-    cols = matching.aggregate
-    if weighted:
-        if w_rows is None:
-            raise ValueError("weighted transfer requires the weight rows")
-        rows = np.asarray(w_rows, dtype=np.float64).reshape(n, -1)
-        d = np.linalg.norm(rows, axis=1)
-        if np.any(d == 0.0):
-            warnings.warn(
-                "zero-norm rows in weighted transfer; falling back to weight 1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            d = np.where(d == 0.0, 1.0, d)
-        p_vals = d
-    else:
-        d = None
-        p_vals = np.ones(n)
-    p = sp.csr_matrix((p_vals, (np.arange(n), cols)), shape=(n, n_c))
-    agg_totals = np.bincount(cols, weights=p_vals, minlength=n_c)
-    pi_vals = 1.0 / agg_totals[cols]
-    pi = sp.csr_matrix((pi_vals, (cols, np.arange(n))), shape=(n_c, n))
-    return LayerTransfer(p=p, pi=pi, weighted=weighted, d=d)
+    agg = matching.aggregate
+    rep = np.unique(agg, return_index=True)[1]  # first unit of each aggregate
+    plain = LayerTransfer(
+        agg, rep, matching.partner[rep], np.ones(matching.n), 1.0 / matching.aggregate_sizes()[agg]
+    )
+    if not weighted:
+        return plain
+    if w_rows is None:
+        raise ValueError("weighted transfer requires the weight rows")
+    return reweight(plain, w_rows)
+
+
+def reweight(t: LayerTransfer, w_rows) -> LayerTransfer:
+    """Weighted form of ``t`` for the current rows ``w_rows`` of its fine units.
+
+    p carries the row norms d_i and pi the reciprocal of d summed over the
+    aggregate, so pi @ p = I still holds and parallel matched rows are fixed
+    points of p @ pi.
+    """
+    rows = np.asarray(w_rows, dtype=np.float64).reshape(t.n_fine, -1)
+    d = np.linalg.norm(rows, axis=1)
+    if np.any(d == 0.0):
+        warnings.warn(
+            "zero-norm rows in weighted transfer; falling back to weight 1",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        d = np.where(d == 0.0, 1.0, d)
+    totals = np.bincount(t.aggregate, weights=d, minlength=t.n_coarse)
+    return replace(t, p=d, pi=1.0 / totals[t.aggregate], weighted=True)
 
 
 def identity_transfer(n: int) -> LayerTransfer:
-    eye = sp.identity(n, format="csr")
-    return LayerTransfer(p=eye, pi=eye.copy(), weighted=False, d=None)
-
-
-def _check_length(name: str, v: np.ndarray, expected: int) -> None:
-    if v.shape != (expected,):
-        raise ValueError(f"{name} expects a vector of length {expected}, got shape {v.shape}")
-
-
-def apply_pi(t: LayerTransfer, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    _check_length("apply_pi", v, t.n_fine)
-    return t.pi @ v
-
-
-def apply_p(t: LayerTransfer, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    _check_length("apply_p", v, t.n_coarse)
-    return t.p @ v
-
-
-def apply_p_transpose(t: LayerTransfer, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    _check_length("apply_p_transpose", v, t.n_fine)
-    return t.p.T @ v
+    return build_transfer(identity_matching(n))

@@ -7,12 +7,9 @@ the convolution code), so the two routes verify each other: block rows of
 the matrix are output channels, block columns are input channels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
-from .coarsening import LayerTransfer, Matching, build_transfer
 
 MATRIX_ENTRY_GUARD = 10**6
 
@@ -164,7 +161,7 @@ def conv_backward_batch(layer: ConvLayer, x: np.ndarray, upstream: np.ndarray):
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
     up_cols = upstream.transpose(0, 2, 3, 1).reshape(b * oh * ow, layer.out_channels)
 
-    grad_bias = upstream.sum(axis=(0, 2, 3))
+    grad_bias = up_cols.sum(axis=0)  # C-ordered, so the summation order is fixed
     grad_kernels = (up_cols.T @ cols).reshape(layer.kernels.shape)
 
     # input gradient: scatter kernel-weighted upstream back over the windows
@@ -239,40 +236,3 @@ def to_matrix(layer: ConvLayer, in_shape: tuple[int, int, int]) -> np.ndarray:
                                 continue
                             m[row, (c * h + iy) * w + ix] = layer.kernels[a, c, p, q]
     return m
-
-
-def expand_interface(channel_op: LayerTransfer, spatial_size: int) -> LayerTransfer:
-    """Expand a channel-level (pi, p) pair over spatial positions.
-
-    The flattened interface vector is channel-major, so the expanded
-    operators are Kronecker products with the spatial identity.
-    """
-    eye = sp.identity(spatial_size, format="csr")
-    return LayerTransfer(
-        p=sp.kron(channel_op.p, eye, format="csr"),
-        pi=sp.kron(channel_op.pi, eye, format="csr"),
-        weighted=channel_op.weighted,
-        d=None if channel_op.d is None else np.repeat(channel_op.d, spatial_size),
-    )
-
-
-def flatten_interface(
-    conv_out_shape: tuple[int, int, int],
-    matching: Matching,
-    w_rows=None,
-    weighted: bool = False,
-) -> LayerTransfer:
-    """Transfer operators for the flattened conv -> dense interface.
-
-    ``conv_out_shape`` is the (channels, height, width) of the convolutional
-    output feeding the first dense layer; the channel-level operators from
-    ``matching`` are expanded with the spatial identity so that coarsening
-    channels consistently reshapes the dense layer's input dimension.
-    """
-    channels, h, w = conv_out_shape
-    if matching.n != channels:
-        raise ConvShapeError(
-            f"channel axis: matching covers {matching.n} units, interface has {channels}"
-        )
-    channel_op = build_transfer(matching, w_rows=w_rows, weighted=weighted)
-    return expand_interface(channel_op, h * w)

@@ -67,7 +67,6 @@ class ExperimentConfig:
     max_work_units: float = 5000.0
     eval_every: float = 25.0
     seeds: tuple = (0,)
-    smoothing_window: int = 33
     out_dir: str = ""
     checkpoint_every: int = 0
     workers: int = 1
@@ -75,8 +74,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
-            raise ConfigError("smoothing_window must be odd and positive")
         if self.eval_every <= 0:
             raise ConfigError("eval_every must be positive")
         if self.max_work_units <= 0:
@@ -418,21 +415,6 @@ def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -
             )
             fh.write(_parallelism_text(cfg, parallel))
     return results
-
-
-def smooth_series(values, window: int) -> np.ndarray:
-    """Centered moving arithmetic mean; edges use truncated windows."""
-    v = np.asarray(values, dtype=np.float64)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if window > v.size:
-        raise ValueError(f"window {window} exceeds series length {v.size}")
-    half = window // 2
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    i = np.arange(v.size)
-    lo = np.maximum(0, i - half)
-    hi = np.minimum(v.size, i + half + 1)
-    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def emit_csv(records: list, path) -> None:

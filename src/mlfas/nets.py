@@ -238,17 +238,12 @@ def _act(net: Network, z: np.ndarray) -> np.ndarray:
 def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
     """Activation derivative at z, as a factor for the upstream gradient.
 
-    The subgradient at exactly 0 is taken on the inactive branch.  For relu
-    on a C-ordered z (dense layers) the factor is the boolean mask, which
-    multiplies exactly like 1.0/0.0.  A conv layer's z is channels-last in
-    memory, and there the factor stays a float array: numpy reuses a large
-    float temporary (not a boolean one) as the product's output, so the
-    product keeps z's layout, and the conv bias gradient is summed in that
-    layout's order.
+    The subgradient at exactly 0 is taken on the inactive branch; for relu
+    the factor is the boolean mask, which multiplies exactly like 1.0/0.0.
     """
     active = z > 0.0
     if net.activation == "relu":
-        return active if z.flags.c_contiguous else np.where(active, 1.0, 0.0)
+        return active
     return np.where(active, 1.0, net.leak)
 
 

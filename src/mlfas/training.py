@@ -372,7 +372,7 @@ def v_cycle(
 
     if level < h.depth - 1:
         if h.weighted:
-            state.transfer = refresh_weights(state.transfer, state.net, weighted=True)
+            state.transfer = refresh_weights(state.transfer, state.net)
         t = state.transfer
         coarse = h.levels[level + 1]
         restrict_params(t, state.net.params, out=coarse.net.params)

@@ -1,12 +1,14 @@
 """Whole-network transfer operators.
 
-Per-interface (pi, p) pairs from the coarsening module are assembled into
-three linear maps on the full parameter space: the iterate restriction
-(coarse weights pi_{k+1} W_k p_k, coarse biases pi_{k+1} b_k), the
-interpolation (p_{k+1} W_k^c pi_k, p_{k+1} b_k^c), and the gradient
+Per-interface pairwise maps from the coarsening module are applied blockwise
+to give three linear maps on the full parameter space: the iterate
+restriction (coarse weights pi_{k+1} W_k p_k, coarse biases pi_{k+1} b_k),
+the interpolation (p_{k+1} W_k^c pi_k, p_{k+1} b_k^c), and the gradient
 restriction, which is exactly the transpose of the interpolation (bias
-blocks therefore map by p_{k+1}^T).  None of the maps is formed as one big
-matrix; everything happens blockwise through the sparse layer operators.
+blocks therefore map by p_{k+1}^T).  One routine serves all three: it maps
+axis 1 of each weight block by the input interface, then axis 0 and the bias
+by the output interface.  A dense layer reading a flattened (C, H, W) tensor
+is mapped as a (out, C, H*W) array, so each channel's columns move together.
 Input and output interfaces are pinned to the identity, so only hidden
 widths (or channel counts) change.
 """
@@ -21,9 +23,10 @@ from .coarsening import (
     build_transfer,
     greedy_hem,
     identity_transfer,
+    reweight,
     strength_from_rows,
 )
-from .conv import ConvLayer, expand_interface
+from .conv import ConvLayer
 from .nets import (
     DenseLayer,
     Network,
@@ -37,36 +40,38 @@ from .nets import (
 
 @dataclass
 class InterfaceTransfer:
-    """Operators at one layer interface.
+    """The pairwise map at one layer interface.
 
-    ``op`` acts at neuron/channel granularity; ``input_op`` is its spatial
-    expansion where a dense layer reads a flattened channel tensor, and is
-    the same object everywhere else.  ``matching`` is None at the identity
-    end interfaces.
+    ``matching`` is None at the identity end interfaces.
     """
 
     op: LayerTransfer
-    input_op: LayerTransfer
     matching: Matching | None = None
 
 
 class TransferLevel:
-    """One coarsening step: per-interface operators plus shape bookkeeping.
+    """One coarsening step: per-interface maps plus shape bookkeeping.
 
-    ``layouts`` holds the (fine, coarse) parameter layouts once a transfer
-    has been applied; they are checked and built on first use, not per call.
+    ``units`` holds the (fine, coarse) unit counts per interface and
+    ``spatial[k]`` the spatial size of interface k
+    (``Network.interface_spatial``); a dense layer reading it has that many
+    columns per channel.  ``layouts`` holds the (fine, coarse) parameter
+    layouts once a transfer has been applied; they are checked and built on
+    first use, not per call.
     """
 
-    def __init__(self, interfaces: list[InterfaceTransfer], layer_kinds: list[str]):
+    def __init__(self, interfaces: list[InterfaceTransfer], spatial: list[int]):
         self.interfaces = interfaces
-        self.layer_kinds = layer_kinds
-        self.fine_units = [i.op.n_fine for i in interfaces]
-        self.coarse_units = [i.op.n_coarse for i in interfaces]
+        self.spatial = spatial
+        self.units = (
+            [i.op.n_fine for i in interfaces],
+            [i.op.n_coarse for i in interfaces],
+        )
         self.layouts = None
 
     @property
     def n_layers(self) -> int:
-        return len(self.layer_kinds)
+        return len(self.interfaces) - 1
 
 
 def similarity_rows(layer) -> np.ndarray:
@@ -93,125 +98,93 @@ def coarsen_network(
     given, randomizes the matching visit order.
     """
     units = net.unit_counts()
-    n_l = net.n_layers
-    interfaces = [None] * (n_l + 1)
-    matchings = [None] * (n_l + 1)
-    for k in range(1, n_l):
+    interfaces = [InterfaceTransfer(identity_transfer(units[0]))]
+    for k in range(1, net.n_layers):
         rows = similarity_rows(net.layers[k - 1])
         s = strength_from_rows(rows)
         order = None if order_rng is None else order_rng.permutation(s.n)
-        matchings[k] = greedy_hem(s, theta, order=order)
-    return _assemble(net, units, matchings, weighted)
+        m = greedy_hem(s, theta, order=order)
+        op = build_transfer(m, w_rows=rows if weighted else None, weighted=weighted)
+        interfaces.append(InterfaceTransfer(op, m))
+    interfaces.append(InterfaceTransfer(identity_transfer(units[-1])))
+    return TransferLevel(interfaces, [net.interface_spatial(k) for k in range(net.n_layers)])
 
 
-def _assemble(net, units, matchings, weighted) -> TransferLevel:
-    n_l = net.n_layers
-    interfaces = []
-    for k in range(n_l + 1):
-        if matchings[k] is None:
-            op = identity_transfer(units[k])
-        else:
-            rows = similarity_rows(net.layers[k - 1])
-            op = build_transfer(matchings[k], w_rows=rows if weighted else None, weighted=weighted)
-        input_op = op
-        if k < n_l and isinstance(net.layers[k], DenseLayer):
-            spatial = net.interface_spatial(k)
-            if spatial > 1:
-                input_op = expand_interface(op, spatial)
-        interfaces.append(InterfaceTransfer(op=op, input_op=input_op, matching=matchings[k]))
-    kinds = ["conv" if isinstance(l, ConvLayer) else "dense" for l in net.layers]
-    return TransferLevel(interfaces, kinds)
+def refresh_weights(t: TransferLevel, net: Network) -> TransferLevel:
+    """Recompute the weighted interfaces' row norms from current parameters.
 
-
-def refresh_weights(t: TransferLevel, net: Network, weighted: bool = True) -> TransferLevel:
-    """Rebuild the operators from current parameters, keeping the matchings.
-
-    The weighted form carries current row norms, so it is refreshed from
-    the live network between re-matchings; the pairing itself is reused.
+    The weighted form carries the live row norms, so it is refreshed from
+    the network between re-matchings; the pairing and every plain interface
+    are reused as they are.
     """
-    units = net.unit_counts()
-    matchings = [i.matching for i in t.interfaces]
-    refreshed = _assemble(net, units, matchings, weighted)
+    interfaces = [
+        InterfaceTransfer(reweight(i.op, similarity_rows(net.layers[k - 1])), i.matching)
+        if i.op.weighted
+        else i
+        for k, i in enumerate(t.interfaces)
+    ]
+    refreshed = TransferLevel(interfaces, t.spatial)
     refreshed.layouts = t.layouts  # same matchings, so the same shapes
     return refreshed
 
 
-def _rmul(dense: np.ndarray, sparse_mat) -> np.ndarray:
-    # dense @ sparse via the sparse operand's transpose, keeping ndarray output
-    return (sparse_mat.T @ dense.T).T
-
-
-def _coarse_layout(segments: tuple[Segment, ...], t: TransferLevel) -> tuple[Segment, ...]:
-    coarse = []
-    offset = 0
-    for seg in segments:
-        k = seg.layer
-        if seg.kind == "weight":
-            if len(seg.shape) == 4:
-                shape = (
-                    t.interfaces[k + 1].op.n_coarse,
-                    t.interfaces[k].op.n_coarse,
-                    seg.shape[2],
-                    seg.shape[3],
-                )
-            else:
-                shape = (
-                    t.interfaces[k + 1].op.n_coarse,
-                    t.interfaces[k].input_op.n_coarse,
-                )
-        else:
-            shape = (t.interfaces[k + 1].op.n_coarse,)
-        cseg = Segment(layer=k, kind=seg.kind, offset=offset, shape=shape)
-        coarse.append(cseg)
-        offset += cseg.size
-    return tuple(coarse)
-
-
-def _check_fine(seg: Segment, t: TransferLevel) -> None:
+def _shape(t: TransferLevel, seg: Segment, side: int) -> tuple[int, ...]:
+    """Shape of ``seg``'s block on one side of the level (0 fine, 1 coarse)."""
+    units = t.units[side]
     k = seg.layer
     if seg.kind == "bias":
-        expected = (t.interfaces[k + 1].op.n_fine,)
-    elif len(seg.shape) == 4:
-        expected = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].op.n_fine) + seg.shape[2:]
-    else:
-        expected = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].input_op.n_fine)
-    if seg.shape != expected:
-        raise NetworkShapeError(
-            f"layer {k} {seg.kind} shape {seg.shape} does not match transfer shape {expected}"
-        )
+        return (units[k + 1],)
+    if len(seg.shape) == 4:
+        return (units[k + 1], units[k]) + seg.shape[2:]
+    return (units[k + 1], units[k] * t.spatial[k])
 
 
-def _fine_layout(segments: tuple[Segment, ...], t: TransferLevel) -> tuple[Segment, ...]:
-    fine = []
-    offset = 0
-    for seg in segments:
-        k = seg.layer
-        if seg.kind == "bias":
-            shape = (t.interfaces[k + 1].op.n_fine,)
-        elif len(seg.shape) == 4:
-            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].op.n_fine) + seg.shape[2:]
-        else:
-            shape = (t.interfaces[k + 1].op.n_fine, t.interfaces[k].input_op.n_fine)
-        fseg = Segment(layer=k, kind=seg.kind, offset=offset, shape=shape)
-        fine.append(fseg)
-        offset += fseg.size
-    return tuple(fine)
+def _layouts(t: TransferLevel, segments: tuple[Segment, ...], side: int):
+    """(fine, coarse) layouts for vectors laid out as ``segments`` on ``side``.
+
+    The pair is checked, built and cached on the level on first use.
+    """
+    if t.layouts is None or t.layouts[side] != segments:
+        other, offset = [], 0
+        for seg in segments:
+            if seg.shape != _shape(t, seg, side):
+                raise NetworkShapeError(
+                    f"layer {seg.layer} {seg.kind} shape {seg.shape} does not match "
+                    f"transfer shape {_shape(t, seg, side)}"
+                )
+            other.append(Segment(seg.layer, seg.kind, offset, _shape(t, seg, 1 - side)))
+            offset += other[-1].size
+        t.layouts = (segments, tuple(other)) if side == 0 else (tuple(other), segments)
+    return t.layouts
 
 
-def _coarse_of(t: TransferLevel, fine: tuple[Segment, ...]) -> tuple[Segment, ...]:
-    """Coarse layout for vectors laid out as ``fine``, cached on the level."""
-    if t.layouts is None or t.layouts[0] != fine:
-        for seg in fine:
-            _check_fine(seg, t)
-        t.layouts = (fine, _coarse_layout(fine, t))
-    return t.layouts[1]
+def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
+    """Apply a whole-network map blockwise, into ``out`` or a new vector.
 
+    ``primitive`` is ``LayerTransfer.pair_sum`` (fine -> coarse) or
+    ``LayerTransfer.gather`` (coarse -> fine); ``w_out`` and ``w_in`` name
+    the unit weights ("p" or "pi") used at each block's output and input
+    interface.
+    """
+    side = 1 if primitive is LayerTransfer.gather else 0
+    target = _layouts(t, x.segments, side)[1 - side]
+    if out is None:
+        out = ParamVector.zeros(target)
+    elif out.segments != target:
+        raise ParamLayoutError("output vector layout does not match the transfer level")
 
-def _fine_of(t: TransferLevel, coarse: tuple[Segment, ...]) -> tuple[Segment, ...]:
-    """Fine layout for vectors laid out as ``coarse``, cached on the level."""
-    if t.layouts is None or t.layouts[1] != coarse:
-        t.layouts = (_fine_layout(coarse, t), coarse)
-    return t.layouts[0]
+    def along(op, a, w, axis):
+        # the identity end interfaces (and unmatched plain ones) leave ``a`` as it is
+        return a if op.is_identity else primitive(op, a, getattr(op, w), axis)
+
+    for k in range(t.n_layers):
+        op_out, op_in = t.interfaces[k + 1].op, t.interfaces[k].op
+        w = x.view(k, "weight")
+        w = along(op_in, w.reshape(w.shape[0], t.units[side][k], -1), w_in, 1)
+        res = out.view(k, "weight")
+        res[...] = along(op_out, w, w_out, 0).reshape(res.shape)
+        out.view(k, "bias")[...] = along(op_out, x.view(k, "bias"), w_out, 0)
+    return out
 
 
 def restrict_params(
@@ -222,57 +195,17 @@ def restrict_params(
     The result is written into ``out`` when given (for example a coarse
     network's ``params``) and into a new vector otherwise.
     """
-    coarse = _coarse_of(t, x.segments)
-    if out is None:
-        out = ParamVector.zeros(coarse)
-    elif out.segments != coarse:
-        raise ParamLayoutError("output vector layout does not match the transfer level")
-    for k in range(t.n_layers):
-        pi_out = t.interfaces[k + 1].op
-        w = x.view(k, "weight")
-        if t.layer_kinds[k] == "conv":
-            p_in = t.interfaces[k].op.p_dense()
-            out.view(k, "weight")[...] = np.einsum(
-                "ao,oipq,ib->abpq", pi_out.pi_dense(), w, p_in
-            )
-        else:
-            out.view(k, "weight")[...] = pi_out.pi @ _rmul(w, t.interfaces[k].input_op.p)
-        out.view(k, "bias")[...] = pi_out.pi @ x.view(k, "bias")
-    return out
+    return _map_params(t, x, out, LayerTransfer.pair_sum, "pi", "p")
 
 
 def prolong_params(t: TransferLevel, x_c: ParamVector) -> ParamVector:
     """Interpolate a coarse parameter vector back to the fine space."""
-    out = ParamVector.zeros(_fine_of(t, x_c.segments))
-    for k in range(t.n_layers):
-        p_out = t.interfaces[k + 1].op
-        wc = x_c.view(k, "weight")
-        if t.layer_kinds[k] == "conv":
-            pi_in = t.interfaces[k].op.pi_dense()
-            out.view(k, "weight")[...] = np.einsum(
-                "oa,abpq,bi->oipq", p_out.p_dense(), wc, pi_in
-            )
-        else:
-            out.view(k, "weight")[...] = p_out.p @ _rmul(wc, t.interfaces[k].input_op.pi)
-        out.view(k, "bias")[...] = p_out.p @ x_c.view(k, "bias")
-    return out
+    return _map_params(t, x_c, None, LayerTransfer.gather, "p", "pi")
 
 
 def restrict_gradient(t: TransferLevel, grad: ParamVector) -> ParamVector:
     """Apply the transpose of the interpolation to a fine gradient."""
-    out = ParamVector.zeros(_coarse_of(t, grad.segments))
-    for k in range(t.n_layers):
-        p_out = t.interfaces[k + 1].op
-        g = grad.view(k, "weight")
-        if t.layer_kinds[k] == "conv":
-            pi_in = t.interfaces[k].op.pi_dense()
-            out.view(k, "weight")[...] = np.einsum(
-                "oa,oipq,bi->abpq", p_out.p_dense(), g, pi_in
-            )
-        else:
-            out.view(k, "weight")[...] = p_out.p.T @ _rmul(g, t.interfaces[k].input_op.pi.T)
-        out.view(k, "bias")[...] = p_out.p.T @ grad.view(k, "bias")
-    return out
+    return _map_params(t, grad, None, LayerTransfer.pair_sum, "p", "pi")
 
 
 def coarse_grid_correction(

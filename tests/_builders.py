@@ -55,32 +55,51 @@ def random_batch(rng, net, size=5):
     )
 
 
+def interface_matrices(op):
+    """Sparse (P, Pi) of one interface, assembled from ``aggregate`` and the unit weights.
+
+    Row i of P holds ``op.p[i]`` at column ``aggregate[i]``; column i of Pi
+    holds ``op.pi[i]`` at row ``aggregate[i]``.
+    """
+    import scipy.sparse as sp
+
+    units = np.arange(op.n_fine)
+    shape = (op.n_fine, op.n_coarse)
+    p = sp.csr_matrix((op.p, (units, op.aggregate)), shape=shape)
+    pi = sp.csr_matrix((op.pi, (op.aggregate, units)), shape=shape[::-1])
+    return p, pi
+
+
 def explicit_transfer_matrices(t, segments):
-    """Assemble full restriction/interpolation matrices from the layer ops.
+    """Assemble full restriction/interpolation matrices from the interface maps.
 
     Independent assembly route (kron + block-diag over the segment order)
     used as an oracle against the blockwise implementation.  Row-major vec
     of A X B is (A kron B^T) vec(X); conv kernels carry an extra identity
-    over the kernel taps.
+    over the kernel taps, and a dense layer reading a flattened channel
+    tensor sees its input interface expanded by kron with the spatial
+    identity.  ``segments`` is the fine layout.
     """
     import scipy.sparse as sp
 
     pi_blocks, p_blocks = [], []
     for seg in segments:
         k = seg.layer
-        out_op = t.interfaces[k + 1].op
+        p_out, pi_out = interface_matrices(t.interfaces[k + 1].op)
         if seg.kind == "bias":
-            pi_blocks.append(out_op.pi)
-            p_blocks.append(out_op.p)
-        elif len(seg.shape) == 4:
+            pi_blocks.append(pi_out)
+            p_blocks.append(p_out)
+            continue
+        in_op = t.interfaces[k].op
+        p_in, pi_in = interface_matrices(in_op)
+        if len(seg.shape) == 4:
             taps = sp.identity(seg.shape[2] * seg.shape[3])
-            in_op = t.interfaces[k].op
-            pi_blocks.append(sp.kron(out_op.pi, sp.kron(in_op.p.T, taps)))
-            p_blocks.append(sp.kron(out_op.p, sp.kron(in_op.pi.T, taps)))
+            pi_blocks.append(sp.kron(pi_out, sp.kron(p_in.T, taps)))
+            p_blocks.append(sp.kron(p_out, sp.kron(pi_in.T, taps)))
         else:
-            in_op = t.interfaces[k].input_op
-            pi_blocks.append(sp.kron(out_op.pi, in_op.p.T))
-            p_blocks.append(sp.kron(out_op.p, in_op.pi.T))
+            spatial = sp.identity(seg.shape[1] // in_op.n_fine)
+            pi_blocks.append(sp.kron(pi_out, sp.kron(p_in, spatial).T))
+            p_blocks.append(sp.kron(p_out, sp.kron(pi_in, spatial).T))
     big_pi = sp.block_diag(pi_blocks, format="csr")
     big_p = sp.block_diag(p_blocks, format="csr")
     return big_pi, big_p, big_p.T.tocsr()

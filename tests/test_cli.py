@@ -41,7 +41,6 @@ def test_train_eval_inspect_pipeline(workspace, capsys):
                 "max_work_units = 30",
                 "eval_every = 10",
                 "seeds = 0",
-                "smoothing_window = 3",
                 f"out_dir = {root / 'run'}",
             ]
         )
@@ -85,7 +84,7 @@ def test_train_seed_override(workspace, capsys):
     cfg = root / "exp2.cfg"
     cfg.write_text(
         f"dataset = {ds_path}\narch = dense:6\nbatch_size = 5\n"
-        "max_work_units = 10\neval_every = 5\nsmoothing_window = 3\n"
+        "max_work_units = 10\neval_every = 5\n"
     )
     assert main(["train", "--config", str(cfg), "--seeds", "7", "--depth", "1"]) == 0
     out = capsys.readouterr().out

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _builders import interface_matrices
 from mlfas.coarsening import (
     Matching,
     StrengthMatrix,
-    apply_p,
-    apply_p_transpose,
-    apply_pi,
     build_transfer,
     greedy_hem,
     identity_matching,
@@ -24,6 +22,16 @@ def symmetric_strength(rng, n):
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 1.0)
     return StrengthMatrix(m)
+
+
+def applied_matrices(t):
+    """Dense (P, Pi) as the index-map primitives apply them, checked against the oracle."""
+    p = t.gather(np.eye(t.n_coarse), t.p, axis=0)
+    pi = t.pair_sum(np.eye(t.n_fine), t.pi, axis=0)
+    p_ref, pi_ref = interface_matrices(t)
+    np.testing.assert_array_equal(p, p_ref.toarray())
+    np.testing.assert_array_equal(pi, pi_ref.toarray())
+    return p, pi
 
 
 class TestStrength:
@@ -128,22 +136,22 @@ class TestBuildTransfer:
     def test_plain_pair_and_singleton(self):
         m = Matching(partner=np.array([1, 0, 2]), aggregate=np.array([0, 0, 1]),
                      num_aggregates=2)
-        t = build_transfer(m)
-        np.testing.assert_array_equal(t.p_dense(), [[1, 0], [1, 0], [0, 1]])
-        np.testing.assert_array_equal(t.pi_dense(), [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose((t.pi @ t.p).toarray(), np.eye(2), atol=1e-15)
+        p, pi = applied_matrices(build_transfer(m))
+        np.testing.assert_array_equal(p, [[1, 0], [1, 0], [0, 1]])
+        np.testing.assert_array_equal(pi, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(pi @ p, np.eye(2), atol=1e-15)
 
     def test_weighted_norms_two_and_four(self):
         m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
-        t = build_transfer(m, w_rows=[[2.0, 0.0], [0.0, 4.0]], weighted=True)
-        np.testing.assert_allclose(t.p_dense(), [[2.0], [4.0]], atol=0)
-        np.testing.assert_allclose(t.pi_dense(), [[1 / 6, 1 / 6]], rtol=1e-15)
-        assert (t.pi @ t.p).toarray()[0, 0] == pytest.approx(1.0, abs=1e-15)
+        p, pi = applied_matrices(build_transfer(m, w_rows=[[2.0, 0.0], [0.0, 4.0]], weighted=True))
+        np.testing.assert_allclose(p, [[2.0], [4.0]], atol=0)
+        np.testing.assert_allclose(pi, [[1 / 6, 1 / 6]], rtol=1e-15)
+        assert (pi @ p)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_matching_gives_identity(self):
-        t = build_transfer(identity_matching(4))
-        np.testing.assert_array_equal(t.p_dense(), np.eye(4))
-        np.testing.assert_array_equal(t.pi_dense(), np.eye(4))
+        p, pi = applied_matrices(build_transfer(identity_matching(4)))
+        np.testing.assert_array_equal(p, np.eye(4))
+        np.testing.assert_array_equal(pi, np.eye(4))
 
     def test_weighted_requires_rows(self):
         with pytest.raises(ValueError, match="rows"):
@@ -153,7 +161,8 @@ class TestBuildTransfer:
         m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
         with pytest.warns(RuntimeWarning, match="zero-norm"):
             t = build_transfer(m, w_rows=[[0.0, 0.0], [3.0, 0.0]], weighted=True)
-        np.testing.assert_allclose(t.p_dense(), [[1.0], [3.0]])
+        p, _ = applied_matrices(t)
+        np.testing.assert_allclose(p, [[1.0], [3.0]])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16),
@@ -163,11 +172,11 @@ class TestBuildTransfer:
         m = greedy_hem(symmetric_strength(rng, n), theta=0.0)
         rows = rng.normal(size=(n, 3)) + 0.1
         t = build_transfer(m, w_rows=rows if weighted else None, weighted=weighted)
-        pip = (t.pi @ t.p).toarray()
-        assert np.abs(pip - np.eye(m.num_aggregates)).max() < 1e-14
+        p, pi = applied_matrices(t)
+        assert np.abs(pi @ p - np.eye(m.num_aggregates)).max() < 1e-14
         # q = p pi is a projection
         v = rng.normal(size=n)
-        q = lambda u: t.p @ (t.pi @ u)
+        q = lambda u: t.gather(t.pair_sum(u, t.pi, 0), t.p, 0)
         assert np.abs(q(q(v)) - q(v)).max() < 1e-12
 
     def test_weighted_parallel_rows_invariant_under_q(self):
@@ -179,27 +188,31 @@ class TestBuildTransfer:
         t = build_transfer(m, w_rows=rows, weighted=True)
         for j in range(5):
             v = rows[:, j]
-            qv = t.p @ (t.pi @ v)
+            qv = t.gather(t.pair_sum(v, t.pi, 0), t.p, 0)
             assert np.abs(qv - v).max() < 1e-12
 
 
 class TestApply:
+    """The two primitives: pair sums (Pi, P^T) and gathers (P, Pi^T) along one axis."""
+
     def test_aggregate_constant_fixed_points(self):
         m = Matching(partner=np.array([1, 0, 3, 2]), aggregate=np.array([0, 0, 1, 1]),
                      num_aggregates=2)
         t = build_transfer(m)
         v = np.array([3.0, 3.0, -1.5, -1.5])
-        np.testing.assert_array_equal(apply_p(t, apply_pi(t, v)), v)
+        np.testing.assert_array_equal(t.gather(t.pair_sum(v, t.pi, 0), t.p, 0), v)
 
     def test_against_sparse_product_oracle(self):
         rng = np.random.default_rng(21)
         m = greedy_hem(symmetric_strength(rng, 9), theta=0.0)
         t = build_transfer(m, w_rows=rng.normal(size=(9, 4)), weighted=True)
+        p, pi = interface_matrices(t)
         v = rng.normal(size=9)
         vc = rng.normal(size=m.num_aggregates)
-        assert np.abs(apply_pi(t, v) - t.pi_dense() @ v).max() < 1e-14
-        assert np.abs(apply_p(t, vc) - t.p_dense() @ vc).max() < 1e-14
-        assert np.abs(apply_p_transpose(t, v) - t.p_dense().T @ v).max() < 1e-14
+        assert np.abs(t.pair_sum(v, t.pi, 0) - pi @ v).max() < 1e-14
+        assert np.abs(t.gather(vc, t.p, 0) - p @ vc).max() < 1e-14
+        assert np.abs(t.pair_sum(v, t.p, 0) - p.T @ v).max() < 1e-14
+        assert np.abs(t.gather(vc, t.pi, 0) - pi.T @ vc).max() < 1e-14
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(23)
@@ -208,11 +221,13 @@ class TestApply:
         for _ in range(5):
             vc = rng.normal(size=m.num_aggregates)
             w = rng.normal(size=8)
-            lhs = apply_p(t, vc) @ w
-            rhs = vc @ apply_p_transpose(t, w)
+            lhs = t.gather(vc, t.p, 0) @ w
+            rhs = vc @ t.pair_sum(w, t.p, 0)
             assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
     def test_length_mismatch(self):
         t = identity_transfer(3)
         with pytest.raises(ValueError, match="length"):
-            apply_pi(t, np.zeros(4))
+            t.pair_sum(np.zeros(4), t.pi, 0)
+        with pytest.raises(ValueError, match="length"):
+            t.gather(np.zeros((2, 4)), t.p, 1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlfas.coarsening import Matching, build_transfer, identity_matching
+from _builders import interface_matrices
+from mlfas.coarsening import Matching, build_transfer
 from mlfas.conv import (
     ChannelTensorView,
     ConvLayer,
@@ -13,8 +14,6 @@ from mlfas.conv import (
     conv_backward_batch,
     conv_forward,
     conv_forward_batch,
-    expand_interface,
-    flatten_interface,
     to_matrix,
 )
 
@@ -184,35 +183,6 @@ class TestBackward:
             conv_backward_batch(layer, np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 9, 9)))
 
 
-class TestFlattenInterface:
-    def test_two_channels_into_one_spatial_three(self):
-        m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
-        t = flatten_interface((2, 1, 3), m)
-        p = t.p.toarray()
-        assert p.shape == (6, 3)
-        for j in range(3):
-            col = p[:, j]
-            assert col[j] == 1.0 and col[3 + j] == 1.0
-            assert col.sum() == 2.0
-
-    def test_identity_matching_gives_identity(self):
-        t = flatten_interface((3, 2, 2), identity_matching(3))
-        np.testing.assert_array_equal(t.p.toarray(), np.eye(12))
-        np.testing.assert_array_equal(t.pi.toarray(), np.eye(12))
-
-    def test_projection_at_interface(self):
-        rng = np.random.default_rng(19)
-        m = Matching(partner=np.array([1, 0, 2]), aggregate=np.array([0, 0, 1]),
-                     num_aggregates=2)
-        t = flatten_interface((3, 2, 2), m, w_rows=rng.normal(size=(3, 5)), weighted=True)
-        pip = (t.pi @ t.p).toarray()
-        assert np.abs(pip - np.eye(8)).max() < 1e-14
-
-    def test_channel_count_mismatch(self):
-        with pytest.raises(ConvShapeError, match="channel"):
-            flatten_interface((4, 2, 2), identity_matching(3))
-
-
 class TestCoarseningCommutation:
     def test_coarse_matrix_equals_projected_fine_matrix(self):
         # restricting kernels by channel ops then assembling the matrix equals
@@ -231,24 +201,11 @@ class TestCoarseningCommutation:
             t_out = build_transfer(m_out, w_rows=rows if weighted else None, weighted=weighted)
             t_in = build_transfer(m_in, w_rows=rng.normal(size=(4, 3)) if weighted else None,
                                   weighted=weighted)
-            kc = np.einsum("ao,oipq,ib->abpq", t_out.pi_dense(), layer.kernels,
-                           t_in.p_dense())
+            kc = t_in.pair_sum(t_out.pair_sum(layer.kernels, t_out.pi, 0), t_in.p, 1)
             coarse = ConvLayer(kc, np.zeros(2), layer.stride, layer.padding)
             lhs = to_matrix(coarse, (3, 4, 4))
             fine = to_matrix(layer, in_shape)
-            pi_exp = sp.kron(t_out.pi, sp.identity(oh * ow)).toarray()
-            p_exp = sp.kron(t_in.p, sp.identity(16)).toarray()
+            pi_exp = sp.kron(interface_matrices(t_out)[1], sp.identity(oh * ow)).toarray()
+            p_exp = sp.kron(interface_matrices(t_in)[0], sp.identity(16)).toarray()
             rhs = pi_exp @ fine @ p_exp
             assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_expand_interface_matches_kron(self):
-        m = Matching(partner=np.array([1, 0, 2]), aggregate=np.array([0, 0, 1]),
-                     num_aggregates=2)
-        op = build_transfer(m)
-        t = expand_interface(op, 4)
-        np.testing.assert_array_equal(
-            t.p.toarray(), sp.kron(op.p, sp.identity(4)).toarray()
-        )
-        np.testing.assert_array_equal(
-            t.pi.toarray(), sp.kron(op.pi, sp.identity(4)).toarray()
-        )

@@ -1,8 +1,10 @@
 """Config parsing, the experiment runner, metric emission, and inspection."""
 
 import csv
+import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from mlfas.harness import (
     parse_config,
     run_experiment,
     run_seed,
-    smooth_series,
 )
 from mlfas.nets import DenseLayer, Minibatch, Network, dense_network, flatten, loss
 from mlfas.poisson import generate_dataset, write_dataset
@@ -50,40 +51,9 @@ def tiny_config(path, **overrides):
         max_work_units=60.0,
         eval_every=10.0,
         seeds=(0,),
-        smoothing_window=3,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestSmoothSeries:
-    def test_window_one_is_identity(self):
-        v = [3.0, 1.0, 4.0, 1.0]
-        np.testing.assert_array_equal(smooth_series(v, 1), v)
-
-    def test_constant_series_unchanged(self):
-        np.testing.assert_array_equal(smooth_series([2.5] * 7, 5), [2.5] * 7)
-
-    def test_truncated_edges_hand_example(self):
-        got = smooth_series([1.0, 2.0, 3.0, 4.0, 5.0], 3)
-        np.testing.assert_allclose(got, [1.5, 2.0, 3.0, 4.0, 4.5], atol=0)
-
-    def test_interior_full_windows_preserve_mean(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=50)
-        w = 7
-        sm = smooth_series(v, w)
-        half = w // 2
-        for i in range(half, 50 - half):
-            assert sm[i] == pytest.approx(v[i - half : i + half + 1].mean(), rel=1e-12)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            smooth_series([1.0, 2.0, 3.0], 2)
-
-    def test_window_longer_than_series_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            smooth_series([1.0, 2.0], 5)
 
 
 class TestConfig:
@@ -100,15 +70,17 @@ class TestConfig:
         assert cfg.dataset == "d.bin"
         assert cfg.seeds == (1, 2)
 
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment config", 1)[1].split("\n#", 1)[0]
+        keys = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("no_such_knob = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
-
-    def test_even_smoothing_window_rejected(self):
-        with pytest.raises(ConfigError, match="odd"):
-            tiny_config("d", smoothing_window=4)
 
     def test_bad_bool(self, tmp_path):
         path = tmp_path / "exp.cfg"

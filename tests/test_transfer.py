@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
-from _builders import explicit_transfer_matrices, random_conv_net, random_dense_net
-from mlfas.coarsening import Matching, build_transfer, identity_transfer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _builders import (
+    explicit_transfer_matrices,
+    interface_matrices,
+    random_conv_net,
+    random_dense_net,
+)
+from mlfas.coarsening import Matching, build_transfer, identity_matching, identity_transfer
 from mlfas.conv import ConvLayer
 from mlfas.nets import (
     DenseLayer,
     Network,
+    NetworkShapeError,
     dense_network,
     flatten,
     forward,
@@ -24,21 +33,26 @@ from mlfas.transfer import (
     restrict_gradient,
     restrict_network,
     restrict_params,
+    similarity_rows,
 )
 
 
+def level_with(net, matchings=None, weighted=False):
+    """Transfer level with the given matchings ({interface: Matching}), identity elsewhere."""
+    matchings = matchings or {}
+    interfaces = []
+    for k, n in enumerate(net.unit_counts()):
+        m = matchings.get(k)
+        if m is None:
+            interfaces.append(InterfaceTransfer(identity_transfer(n)))
+        else:
+            rows = similarity_rows(net.layers[k - 1]) if weighted else None
+            interfaces.append(InterfaceTransfer(build_transfer(m, rows, weighted), m))
+    return TransferLevel(interfaces, [net.interface_spatial(k) for k in range(net.n_layers)])
+
+
 def identity_level(net):
-    counts = net.unit_counts()
-    interfaces = [
-        InterfaceTransfer(op=identity_transfer(c), input_op=identity_transfer(c))
-        for c in counts
-    ]
-    # dense layers reading a flattened channel tensor need the expanded size
-    for k, layer in enumerate(net.layers):
-        if not isinstance(layer, ConvLayer):
-            interfaces[k].input_op = identity_transfer(layer.n_in)
-    kinds = ["conv" if isinstance(l, ConvLayer) else "dense" for l in net.layers]
-    return TransferLevel(interfaces, kinds)
+    return level_with(net)
 
 
 def random_coarsened(rng, conv=False):
@@ -50,6 +64,45 @@ def random_coarsened(rng, conv=False):
 def random_coarse_vec(rng, t, x):
     xc = restrict_params(t, x)
     return type(xc)(rng.normal(size=xc.total_len), xc.segments)
+
+
+def check_against_oracle(rng, t, x):
+    """All three maps equal the kron oracle's matrices, and Pi P = I."""
+    import scipy.sparse as sp
+
+    big_pi, big_p, big_r = explicit_transfer_matrices(t, x.segments)
+    v = type(x)(rng.normal(size=x.total_len), x.segments)
+    vc = random_coarse_vec(rng, t, x)
+    for got, ref in (
+        (restrict_params(t, v).data, big_pi @ v.data),
+        (prolong_params(t, vc).data, big_p @ vc.data),
+        (restrict_gradient(t, v).data, big_r @ v.data),
+    ):
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    defect = big_pi @ big_p - sp.identity(vc.total_len)
+    assert abs(defect).max() <= 1e-12
+
+
+def flattened_interface(conv_out_shape, matching, rows=None):
+    """Level, vector and expanded (P, Pi) at a conv -> dense flattened interface.
+
+    A 1x1 conv produces the (C, H, W) tensor (its kernels are ``rows``, which
+    also weight the transfer when given) and a dense layer holding the
+    identity reads it.  Its output interface is the identity, so restricting
+    the dense block gives P and restricting it as a gradient gives Pi^T.
+    """
+    c, h, w = conv_out_shape
+    kernels = np.ones((c, 1)) if rows is None else np.asarray(rows)
+    n = c * h * w
+    net = Network(
+        [ConvLayer(kernels.reshape(c, -1, 1, 1), np.zeros(c)), DenseLayer(np.eye(n), np.zeros(n))],
+        input_shape=(kernels.shape[1], h, w),
+    )
+    t = level_with(net, {1: matching}, weighted=rows is not None)
+    x = flatten(net)
+    p = restrict_params(t, x).view(1, "weight")
+    pi = restrict_gradient(t, x).view(1, "weight").T
+    return t, x, p, pi
 
 
 class TestRestrict:
@@ -66,13 +119,7 @@ class TestRestrict:
         net = Network([DenseLayer(w0, np.zeros(2)), DenseLayer(w1, np.zeros(1))])
         pair = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]),
                         num_aggregates=1)
-        interfaces = [
-            InterfaceTransfer(op=identity_transfer(2), input_op=identity_transfer(2)),
-            InterfaceTransfer(op=build_transfer(pair), input_op=build_transfer(pair),
-                              matching=pair),
-            InterfaceTransfer(op=identity_transfer(1), input_op=identity_transfer(1)),
-        ]
-        t = TransferLevel(interfaces, ["dense", "dense"])
+        t = level_with(net, {1: pair})
         xc = restrict_params(t, flatten(net))
         np.testing.assert_allclose(xc.view(0, "weight"), [[1.0, 0.0]], atol=0)
         np.testing.assert_allclose(xc.view(1, "weight"), [[5.0]], atol=0)  # columns summed
@@ -150,7 +197,8 @@ class TestRestrictGradient:
         g = flatten(net)
         out = restrict_gradient(t, g)
         for k in range(net.n_layers):
-            ref = t.interfaces[k + 1].op.p.T @ g.view(k, "bias")
+            p_out, _ = interface_matrices(t.interfaces[k + 1].op)
+            ref = p_out.T @ g.view(k, "bias")
             np.testing.assert_allclose(out.view(k, "bias"), ref, atol=1e-14)
 
 
@@ -258,7 +306,7 @@ class TestLevelProperties:
         net, t = random_coarsened(rng)
         for layer in net.layers:
             layer.weights += rng.normal(size=layer.weights.shape) * 0.1
-        t2 = refresh_weights(t, net, weighted=True)
+        t2 = refresh_weights(t, net)
         for a, b in zip(t.interfaces, t2.interfaces):
             if a.matching is not None:
                 np.testing.assert_array_equal(a.matching.partner, b.matching.partner)
@@ -266,3 +314,87 @@ class TestLevelProperties:
         xc = random_coarse_vec(rng, t2, x)
         back = restrict_params(t2, prolong_params(t2, xc))
         assert np.abs(back.data - xc.data).max() < 1e-12
+
+
+PAIR_AND_SINGLETON = Matching(partner=np.array([1, 0, 2]), aggregate=np.array([0, 0, 1]),
+                              num_aggregates=2)
+ONE_PAIR = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
+
+
+def hand_dense_level(rows, matching, weighted):
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    net = Network([DenseLayer(rows, np.arange(n, dtype=np.float64)),
+                   DenseLayer(np.arange(2.0 * n).reshape(2, n), np.ones(2))])
+    return level_with(net, {1: matching}, weighted=weighted), flatten(net)
+
+
+# the hand-built interfaces of tests/test_coarsening.py::TestBuildTransfer
+# and of TestFlattenInterface below, fed to the oracle check
+HAND_CASES = {
+    "plain_pair_and_singleton": lambda: hand_dense_level(np.eye(3), PAIR_AND_SINGLETON, False),
+    "weighted_norms_two_and_four": lambda: hand_dense_level(
+        [[2.0, 0.0], [0.0, 4.0]], ONE_PAIR, True),
+    "identity_matching": lambda: hand_dense_level(np.ones((4, 3)), identity_matching(4), False),
+    "zero_norm_row_fallback": lambda: hand_dense_level(
+        [[0.0, 0.0], [3.0, 0.0]], ONE_PAIR, True),
+    "flattened_two_channels_spatial_three": lambda: flattened_interface((2, 1, 3), ONE_PAIR)[:2],
+    "flattened_identity": lambda: flattened_interface((3, 2, 2), identity_matching(3))[:2],
+    "flattened_weighted": lambda: flattened_interface(
+        (3, 2, 2), PAIR_AND_SINGLETON, rows=np.random.default_rng(19).normal(size=(3, 5)))[:2],
+    "flattened_plain": lambda: flattened_interface((3, 2, 2), PAIR_AND_SINGLETON)[:2],
+}
+
+
+class TestOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), conv=st.booleans(), weighted=st.booleans(),
+           theta=st.floats(-1.0, 0.5, allow_nan=False))
+    def test_random_levels_match_kron_oracle(self, seed, conv, weighted, theta):
+        rng = np.random.default_rng(seed)
+        net = random_conv_net(rng) if conv else random_dense_net(rng, widths=(4, 20))
+        t = coarsen_network(net, theta=theta, weighted=weighted)
+        check_against_oracle(rng, t, flatten(net))
+
+    @pytest.mark.filterwarnings("ignore:zero-norm rows")
+    @pytest.mark.parametrize("case", sorted(HAND_CASES))
+    def test_hand_levels_match_kron_oracle(self, case):
+        t, x = HAND_CASES[case]()
+        check_against_oracle(np.random.default_rng(83), t, x)
+
+
+class TestFlattenInterface:
+    """A dense layer reading a flattened conv output is mapped as (out, C, H*W)."""
+
+    def test_two_channels_into_one_spatial_three(self):
+        _, _, p, _ = flattened_interface((2, 1, 3), ONE_PAIR)
+        assert p.shape == (6, 3)
+        for j in range(3):
+            col = p[:, j]
+            assert col[j] == 1.0 and col[3 + j] == 1.0
+            assert col.sum() == 2.0
+
+    def test_identity_matching_gives_identity(self):
+        _, _, p, pi = flattened_interface((3, 2, 2), identity_matching(3))
+        np.testing.assert_array_equal(p, np.eye(12))
+        np.testing.assert_array_equal(pi, np.eye(12))
+
+    def test_projection_at_interface(self):
+        rng = np.random.default_rng(19)
+        _, _, p, pi = flattened_interface((3, 2, 2), PAIR_AND_SINGLETON,
+                                          rows=rng.normal(size=(3, 5)))
+        assert np.abs(pi @ p - np.eye(8)).max() < 1e-14
+
+    def test_channel_count_mismatch(self):
+        t, _, _, _ = flattened_interface((3, 2, 2), identity_matching(3))
+        _, x, _, _ = flattened_interface((4, 2, 2), identity_matching(4))
+        with pytest.raises(NetworkShapeError, match="shape"):
+            restrict_params(t, x)
+
+    def test_expanded_maps_match_kron(self):
+        import scipy.sparse as sp
+
+        t, _, p, pi = flattened_interface((3, 2, 2), PAIR_AND_SINGLETON)
+        p_c, pi_c = interface_matrices(t.interfaces[1].op)
+        np.testing.assert_array_equal(p, sp.kron(p_c, sp.identity(4)).toarray())
+        np.testing.assert_array_equal(pi, sp.kron(pi_c, sp.identity(4)).toarray())
