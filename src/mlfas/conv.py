@@ -1,10 +1,12 @@
 """Multi-channel convolutional layers.
 
-Cross-correlation forward/backward passes written directly against numpy,
-plus an explicitly assembled banded block-Toeplitz matrix form of the same
-layer.  The matrix form is built by index arithmetic alone (never by probing
-the convolution code), so the two routes verify each other: block rows of
-the matrix are output channels, block columns are input channels.
+Cross-correlation forward/backward passes written directly against numpy
+as matrix products with a per-sample patch matrix (im2col), which the
+forward pass hands on to the backward pass, plus an explicitly assembled
+banded block-Toeplitz matrix form of the same layer.  The matrix form is
+built by index arithmetic alone (never by probing the convolution code), so
+the two routes verify each other: block rows of the matrix are output
+channels, block columns are input channels.
 """
 
 from dataclasses import dataclass
@@ -103,79 +105,108 @@ class ChannelTensorView:
         return self.data.reshape(self.channels, self.height, self.width)
 
 
-def _windows(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Strided sliding windows of a padded (B, C, H, W) batch.
-
-    Returns (B, C, oh, ow, kh, kw); a view except for the padding copy.
-    """
-    ph, pw = layer.padding
-    sh, sw = layer.stride
-    kh, kw = layer.kernel_size
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
-
-
 def _check_input(layer: ConvLayer, x: np.ndarray) -> None:
-    if x.shape[1] != layer.in_channels:
+    if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise ConvShapeError(
-            f"input channel axis: expected {layer.in_channels}, got {x.shape[1]}"
+            f"input channel axis: expected (B, {layer.in_channels}, H, W), got {x.shape}"
         )
     layer.out_spatial(x.shape[2], x.shape[3])
 
 
-def conv_forward_batch(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Cross-correlate a (B, C, H, W) batch; returns (B, out_c, oh, ow)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(layer, x)
-    win = _windows(layer, x)
-    b, _, oh, ow = win.shape[0], win.shape[1], win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
-    kflat = layer.kernels.reshape(layer.out_channels, -1)
-    out = cols @ kflat.T
-    out = out.reshape(b, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
-    return out + layer.bias[None, :, None, None]
+def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
+    """Patch matrix of a (B, C, H, W) batch, shape (B, C*kh*kw, oh*ow).
 
-
-def conv_backward_batch(layer: ConvLayer, x: np.ndarray, upstream: np.ndarray):
-    """Gradients of a scalar loss wrt kernels, bias, and input.
-
-    ``upstream`` is dLoss/d(output), shape (B, out_c, oh, ow).
+    Row ``(c*kh + p)*kw + q`` of sample b holds input channel c under kernel
+    tap (p, q) at every output position, so that
+    ``kernels.reshape(out_c, -1) @ patches[b]`` is sample b's output.  One
+    strided slice is copied per tap.
     """
     x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
     _check_input(layer, x)
-    oh, ow = layer.out_spatial(x.shape[2], x.shape[3])
-    if upstream.shape != (x.shape[0], layer.out_channels, oh, ow):
-        raise ConvShapeError(
-            f"upstream axes: expected {(x.shape[0], layer.out_channels, oh, ow)}, "
-            f"got {upstream.shape}"
-        )
-    b = x.shape[0]
+    b, c, h, w = x.shape
     kh, kw = layer.kernel_size
     sh, sw = layer.stride
     ph, pw = layer.padding
-
-    win = _windows(layer, x)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
-    up_cols = upstream.transpose(0, 2, 3, 1).reshape(b * oh * ow, layer.out_channels)
-
-    grad_bias = up_cols.sum(axis=0)  # C-ordered, so the summation order is fixed
-    grad_kernels = (up_cols.T @ cols).reshape(layer.kernels.shape)
-
-    # input gradient: scatter kernel-weighted upstream back over the windows
-    dcols = up_cols @ layer.kernels.reshape(layer.out_channels, -1)
-    dwin = dcols.reshape(b, oh, ow, layer.in_channels, kh, kw)
-    hp, wp = x.shape[2] + 2 * ph, x.shape[3] + 2 * pw
-    dx_pad = np.zeros((b, layer.in_channels, hp, wp))
+    oh, ow = layer.out_spatial(h, w)
+    if ph or pw:
+        padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        x = padded
+    cols = np.empty((b, c, kh, kw, oh, ow))
     for p in range(kh):
         for q in range(kw):
-            dx_pad[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += dwin[
-                :, :, :, :, p, q
-            ].transpose(0, 3, 1, 2)
-    dx = dx_pad[:, :, ph : hp - ph, pw : wp - pw]
-    return grad_kernels, grad_bias, dx
+            cols[:, :, p, q] = x[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw]
+    return cols.reshape(b, c * kh * kw, oh * ow)
+
+
+def conv_forward_batch(layer: ConvLayer, x: np.ndarray, return_patches: bool = False):
+    """Cross-correlate a (B, C, H, W) batch; returns (B, out_c, oh, ow), C-ordered.
+
+    With ``return_patches`` the result is ``(out, patches)``, the patch
+    matrix being the one ``conv_backward_batch`` takes.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    patches = conv_patches(layer, x)
+    oh, ow = layer.out_spatial(x.shape[2], x.shape[3])
+    out = np.matmul(layer.kernels.reshape(layer.out_channels, -1), patches)
+    out += layer.bias[:, None]
+    out = out.reshape(x.shape[0], layer.out_channels, oh, ow)
+    return (out, patches) if return_patches else out
+
+
+def conv_backward_batch(
+    layer: ConvLayer,
+    patches: np.ndarray,
+    upstream: np.ndarray,
+    in_hw: tuple[int, int] | None = None,
+):
+    """Gradients of a scalar loss wrt kernels, bias and, if asked, input.
+
+    ``patches`` is the input's patch matrix (``conv_patches``) and
+    ``upstream`` is dLoss/d(output), shape (B, out_c, oh, ow).  The input
+    gradient is computed only when the input's spatial size ``in_hw`` is
+    given; otherwise (a first layer has no use for it) it is returned as None.
+    """
+    b = patches.shape[0]
+    n_taps = layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]
+    if patches.ndim != 3 or patches.shape[1] != n_taps:
+        raise ConvShapeError(
+            f"patch axes: expected (B, {n_taps}, oh*ow), got {patches.shape}"
+        )
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if (
+        upstream.ndim != 4
+        or upstream.shape[:2] != (b, layer.out_channels)
+        or upstream.shape[2] * upstream.shape[3] != patches.shape[2]
+        or (in_hw is not None and upstream.shape[2:] != layer.out_spatial(*in_hw))
+    ):
+        raise ConvShapeError(
+            f"upstream axes: got {upstream.shape} for {b} samples, "
+            f"{layer.out_channels} output channels and {patches.shape[2]} output positions"
+            + ("" if in_hw is None else f" of a {in_hw[0]}x{in_hw[1]} input")
+        )
+    oh, ow = upstream.shape[2:]
+    # a C-ordered (B, out_c, oh*ow) view or copy, so the summation order is fixed
+    up = upstream.reshape(b, layer.out_channels, oh * ow)
+    grad_bias = up.sum(axis=(0, 2))
+    grad_kernels = np.matmul(up, patches.transpose(0, 2, 1)).sum(axis=0)
+    grad_kernels = grad_kernels.reshape(layer.kernels.shape)
+    if in_hw is None:
+        return grad_kernels, grad_bias, None
+
+    # input gradient: scatter kernel-weighted upstream back over the taps
+    c = layer.in_channels
+    kh, kw = layer.kernel_size
+    sh, sw = layer.stride
+    ph, pw = layer.padding
+    h, w = in_hw
+    dcols = np.matmul(layer.kernels.reshape(layer.out_channels, -1).T, up)
+    dcols = dcols.reshape(b, c, kh, kw, oh, ow)
+    dx_pad = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    for p in range(kh):
+        for q in range(kw):
+            dx_pad[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += dcols[:, :, p, q]
+    return grad_kernels, grad_bias, dx_pad[:, :, ph : ph + h, pw : pw + w]
 
 
 def conv_forward(layer: ConvLayer, y_in: ChannelTensorView) -> ChannelTensorView:
@@ -190,8 +221,9 @@ def conv_forward(layer: ConvLayer, y_in: ChannelTensorView) -> ChannelTensorView
 
 def conv_backward(layer: ConvLayer, y_in: ChannelTensorView, upstream: ChannelTensorView):
     """Single-sample gradients (kernels, bias, input view)."""
+    x = y_in.to_array()[None]
     gk, gb, dx = conv_backward_batch(
-        layer, y_in.to_array()[None], upstream.to_array()[None]
+        layer, conv_patches(layer, x), upstream.to_array()[None], x.shape[2:]
     )
     return gk, gb, ChannelTensorView.from_array(dx[0])
 

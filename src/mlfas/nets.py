@@ -247,26 +247,40 @@ def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
     return np.where(active, 1.0, net.leak)
 
 
-def _forward_cached(net: Network, x: np.ndarray):
-    """Batched forward pass keeping per-layer (input, pre-activation) caches."""
+def _forward(net: Network, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Batched forward pass; returns (B, output_size).
+
+    When a list ``caches`` is given, each layer appends its (input,
+    pre-activation) pair, a conv layer its input's patch matrix in place of
+    the input; without it nothing outlives the layer that made it.
+    """
     a = x
-    caches = []
     n_last = net.n_layers - 1
     for k, layer in enumerate(net.layers):
         desc = net.interfaces[k]
         if isinstance(layer, ConvLayer):
             a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])
-            z = conv_forward_batch(layer, a)
+            if caches is None:
+                z = conv_forward_batch(layer, a)
+            else:
+                z, a = conv_forward_batch(layer, a, return_patches=True)
         else:
             a = a.reshape(a.shape[0], -1)
             z = a @ layer.weights.T
             z += layer.bias
-        caches.append((a, z))
+        if caches is not None:
+            caches.append((a, z))
         if k < n_last or net.output_activation:
             a = _act(net, z)
         else:
             a = z
-    return a.reshape(a.shape[0], -1), caches
+    return a.reshape(a.shape[0], -1)
+
+
+def _forward_cached(net: Network, x: np.ndarray):
+    """Batched forward pass keeping per-layer (input or patches, pre-activation) caches."""
+    caches = []
+    return _forward(net, x, caches), caches
 
 
 def forward_batch(net: Network, x) -> np.ndarray:
@@ -276,8 +290,7 @@ def forward_batch(net: Network, x) -> np.ndarray:
         raise NetworkShapeError(
             f"input size {x.shape[1]} does not match network input {net.input_size}"
         )
-    out, _ = _forward_cached(net, x)
-    return out
+    return _forward(net, x)
 
 
 def forward(net: Network, y_in) -> np.ndarray:
@@ -328,7 +341,9 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
             dz = g.reshape(z_k.shape)
         gw, gb = out.view(k, "weight"), out.view(k, "bias")
         if isinstance(layer, ConvLayer):
-            gk, gbias, g = conv_backward_batch(layer, a_k, dz)
+            # a_k is the patch matrix; the first layer's input gradient is never used
+            in_hw = net.interfaces[k][2:] if k > 0 else None
+            gk, gbias, g = conv_backward_batch(layer, a_k, dz, in_hw)
             gw[...] = gk
             gb[...] = gbias
         else:

@@ -203,7 +203,8 @@ def compute_tau(
     for batch in tau_batches[1:]:
         fine_acc.data += backward(fine, batch, out=fine.grad).data
         vec.data += backward(coarse, batch, out=coarse.grad).data
-    vec.data -= restrict_gradient(t, fine_acc).data
+    # the coarse gradient buffer is free again once the batch loop is done
+    vec.data -= restrict_gradient(t, fine_acc, out=coarse.grad).data
     vec.data *= n_total_minibatches / len(tau_batches)
     if not np.isfinite(vec.data).all():
         raise DivergenceError("non-finite tau correction")

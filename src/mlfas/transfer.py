@@ -203,9 +203,15 @@ def prolong_params(t: TransferLevel, x_c: ParamVector) -> ParamVector:
     return _map_params(t, x_c, None, LayerTransfer.gather, "p", "pi")
 
 
-def restrict_gradient(t: TransferLevel, grad: ParamVector) -> ParamVector:
-    """Apply the transpose of the interpolation to a fine gradient."""
-    return _map_params(t, grad, None, LayerTransfer.pair_sum, "p", "pi")
+def restrict_gradient(
+    t: TransferLevel, grad: ParamVector, out: ParamVector | None = None
+) -> ParamVector:
+    """Apply the transpose of the interpolation to a fine gradient.
+
+    The result is written into ``out`` when given (for example a coarse
+    network's ``grad``) and into a new vector otherwise.
+    """
+    return _map_params(t, grad, out, LayerTransfer.pair_sum, "p", "pi")
 
 
 def coarse_grid_correction(

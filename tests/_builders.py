@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mlfas.conv import ConvLayer
+from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_patches
 from mlfas.nets import DenseLayer, Network, dense_network, uniform_init
 
 
@@ -16,13 +16,15 @@ def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12), **kwargs):
     return dense_network(sizes, rng=rng, **kwargs)
 
 
-def random_conv_net(rng, max_channels=8, spatial=6, **kwargs):
-    """Random conv+dense net: 1-2 conv layers then 1-2 dense layers."""
+def random_conv_net(rng, max_channels=8, spatial=6, n_conv=None, **kwargs):
+    """Random conv+dense net: 1-2 conv layers (or ``n_conv``) then 2 dense layers."""
     c_in = int(rng.integers(1, 4))
     h = w = spatial
     layers = []
     shape = (c_in, h, w)
-    for _ in range(int(rng.integers(1, 3))):
+    if n_conv is None:
+        n_conv = int(rng.integers(1, 3))
+    for _ in range(n_conv):
         out_c = int(rng.integers(2, max_channels + 1))
         k = int(rng.integers(1, 4))
         pad = int(rng.integers(0, 2))
@@ -123,9 +125,14 @@ def _reference_act_grad(net, z):
     return np.where(z > 0.0, 1.0, net.leak)
 
 
-def _reference_forward_cached(net, x):
-    from mlfas.conv import conv_forward_batch
+def _current_conv_backward(layer, x, upstream):
+    return conv_backward_batch(layer, conv_patches(layer, x), upstream, x.shape[2:])
 
+
+CURRENT_CONV = (conv_forward_batch, _current_conv_backward)
+
+
+def _reference_forward_cached(net, x, conv):
     a = x
     caches = []
     n_last = net.n_layers - 1
@@ -133,7 +140,7 @@ def _reference_forward_cached(net, x):
         desc = net.interfaces[k]
         if isinstance(layer, ConvLayer):
             a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])
-            z = conv_forward_batch(layer, a)
+            z = conv[0](layer, a)
         else:
             a = a.reshape(a.shape[0], -1)
             z = a @ layer.weights.T + layer.bias
@@ -145,13 +152,18 @@ def _reference_forward_cached(net, x):
     return a.reshape(a.shape[0], -1), caches
 
 
-def reference_backward(net, batch):
-    """Batch-mean squared-loss gradient, one fresh array per block."""
-    from mlfas.conv import conv_backward_batch
+def reference_backward(net, batch, conv=CURRENT_CONV):
+    """Batch-mean squared-loss gradient, one fresh array per block.
+
+    ``conv`` is the (forward, backward) pair used for conv layers, called as
+    ``forward(layer, x)`` and ``backward(layer, x, upstream)``; the default
+    runs the package's conv code, ``REFERENCE_CONV`` the im2col code it
+    replaced.
+    """
     from mlfas.nets import ParamVector, param_layout
 
     x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
-    preds, caches = _reference_forward_cached(net, x)
+    preds, caches = _reference_forward_cached(net, x, conv)
     b = x.shape[0]
     g = (2.0 / b) * (preds - batch.targets)
 
@@ -164,7 +176,7 @@ def reference_backward(net, batch):
         else:
             dz = g.reshape(z_k.shape)
         if isinstance(layer, ConvLayer):
-            gk, gb, g = conv_backward_batch(layer, a_k, dz)
+            gk, gb, g = conv[1](layer, a_k, dz)
             grads[k] = (gk, gb)
         else:
             grads[k] = (dz.T @ a_k, dz.sum(axis=0))
@@ -176,6 +188,66 @@ def reference_backward(net, batch):
         out.view(k, "weight")[...] = gw
         out.view(k, "bias")[...] = gb
     return out
+
+
+# Reference conv layer: the im2col code the channel-major patch matrix
+# replaced.  It pads with np.pad, gathers (B*oh*ow, C*kh*kw) rows from a
+# 6-d transposed window view, and rebuilds the rows in the backward pass.
+
+
+def _reference_windows(layer, x):
+    ph, pw = layer.padding
+    sh, sw = layer.stride
+    kh, kw = layer.kernel_size
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return win[:, :, ::sh, ::sw]
+
+
+def reference_conv_forward_batch(layer, x):
+    """Cross-correlate a (B, C, H, W) batch; returns (B, out_c, oh, ow)."""
+    x = np.asarray(x, dtype=np.float64)
+    win = _reference_windows(layer, x)
+    b, _, oh, ow = win.shape[0], win.shape[1], win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
+    kflat = layer.kernels.reshape(layer.out_channels, -1)
+    out = cols @ kflat.T
+    out = out.reshape(b, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
+    return out + layer.bias[None, :, None, None]
+
+
+def reference_conv_backward_batch(layer, x, upstream):
+    """Gradients wrt kernels, bias and input; ``upstream`` is (B, out_c, oh, ow)."""
+    x = np.asarray(x, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    oh, ow = layer.out_spatial(x.shape[2], x.shape[3])
+    b = x.shape[0]
+    kh, kw = layer.kernel_size
+    sh, sw = layer.stride
+    ph, pw = layer.padding
+
+    win = _reference_windows(layer, x)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
+    up_cols = upstream.transpose(0, 2, 3, 1).reshape(b * oh * ow, layer.out_channels)
+
+    grad_bias = up_cols.sum(axis=0)
+    grad_kernels = (up_cols.T @ cols).reshape(layer.kernels.shape)
+
+    dcols = up_cols @ layer.kernels.reshape(layer.out_channels, -1)
+    dwin = dcols.reshape(b, oh, ow, layer.in_channels, kh, kw)
+    hp, wp = x.shape[2] + 2 * ph, x.shape[3] + 2 * pw
+    dx_pad = np.zeros((b, layer.in_channels, hp, wp))
+    for p in range(kh):
+        for q in range(kw):
+            dx_pad[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += dwin[
+                :, :, :, :, p, q
+            ].transpose(0, 3, 1, 2)
+    dx = dx_pad[:, :, ph : hp - ph, pw : wp - pw]
+    return grad_kernels, grad_bias, dx
+
+
+REFERENCE_CONV = (reference_conv_forward_batch, reference_conv_backward_batch)
 
 
 def reference_sgd_smooth(net, momentum, cfg, batches, tau=None, gamma=0.0):

@@ -93,8 +93,8 @@ class TestMatchesReference:
 
     def test_large_conv_batch_bitwise(self):
         # numpy reuses float temporaries of at least 256 KiB as a product's
-        # output, which changes the layout the conv bias gradient is summed
-        # in; the small nets above stay under that size
+        # output, which once changed the layout the conv bias gradient was
+        # summed in; the small nets above stay under that size
         rng = np.random.default_rng(2)
         net = build_network("conv:8k3s2p1,dense:16", (3, 32, 32), 8, rng=rng)
         for activation in ("relu", "leaky_relu"):
@@ -173,6 +173,7 @@ class TestOwnership:
         expected = (10 / 3) * (gc[0] + gc[1] + gc[2] - restrict_gradient(t, fine_sum).data)
         tau = compute_tau(fine, coarse, t, batches, n_total_minibatches=10)
         assert np.array_equal(tau.vec.data, expected)
+        assert not np.shares_memory(tau.vec.data, coarse.grad.data)
         backward(coarse, batches[0], out=coarse.grad)
         backward(fine, batches[0], out=fine.grad)
         assert np.array_equal(tau.vec.data, expected)
@@ -208,5 +209,7 @@ class TestOwnership:
             backward(net, random_batch(rng, net), out=coarse.grad)
         with pytest.raises(ParamLayoutError):
             restrict_params(t, net.params, out=net.grad)
+        with pytest.raises(ParamLayoutError):
+            restrict_gradient(t, net.grad, out=net.grad)
         with pytest.raises(ParamLayoutError):
             coarse_grid_correction(net.params, coarse.params, t, out=coarse.params)

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _builders import interface_matrices
+import mlfas.nets as nets
+from _builders import (
+    REFERENCE_CONV,
+    interface_matrices,
+    random_batch,
+    random_conv_net,
+    reference_backward,
+)
 from mlfas.coarsening import Matching, build_transfer
 from mlfas.conv import (
     ChannelTensorView,
@@ -14,8 +23,11 @@ from mlfas.conv import (
     conv_backward_batch,
     conv_forward,
     conv_forward_batch,
+    conv_patches,
     to_matrix,
 )
+from mlfas.harness import build_network
+from mlfas.nets import backward
 
 
 def random_layer(rng, max_channels=3, max_kernel=3):
@@ -128,7 +140,9 @@ class TestBackward:
                 out = conv_forward_batch(lay, arr[None])[0]
                 return float((out * up).sum())
 
-            gk, gb, gx = conv_backward_batch(layer, x[None], up[None])
+            gk, gb, gx = conv_backward_batch(
+                layer, conv_patches(layer, x[None]), up[None], x.shape[1:]
+            )
             eps = 1e-6
             for _ in range(6):
                 i = tuple(rng.integers(0, s) for s in layer.kernels.shape)
@@ -163,7 +177,7 @@ class TestBackward:
         x = rng.normal(size=(2, 5, 6))
         oh, ow = layer.out_spatial(5, 6)
         up = rng.normal(size=(2, oh, ow))
-        gk, _, gx = conv_backward_batch(layer, x[None], up[None])
+        gk, _, gx = conv_backward_batch(layer, conv_patches(layer, x[None]), up[None], (5, 6))
         ref = np.zeros_like(layer.kernels)
         for tap in np.ndindex(*layer.kernels.shape):
             onehot = np.zeros_like(layer.kernels)
@@ -180,7 +194,126 @@ class TestBackward:
     def test_upstream_shape_mismatch(self):
         layer = ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ConvShapeError, match="upstream"):
-            conv_backward_batch(layer, np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 9, 9)))
+            conv_backward_batch(layer, np.zeros((1, 4, 9)), np.zeros((1, 1, 9, 9)))
+        with pytest.raises(ConvShapeError, match="upstream"):
+            conv_backward_batch(layer, np.zeros((1, 4, 9)), np.zeros((1, 1, 3, 3)), (5, 4))
+        with pytest.raises(ConvShapeError, match="patch axes"):
+            conv_backward_batch(layer, np.zeros((1, 3, 9)), np.zeros((1, 1, 3, 3)))
+
+
+def assert_rel(got, ref, tol=1e-12):
+    """Entrywise agreement to ``tol`` relative to the reference's largest entry."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
+
+
+@st.composite
+def layer_and_batch(draw):
+    """A conv layer and an input batch within the oracle's reach."""
+    in_c, out_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ph, pw = draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1))
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, kh - 2 * ph), 9))
+    w = draw(st.integers(max(1, kw - 2 * pw), 9))
+    b = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    layer = ConvLayer(rng.normal(size=(out_c, in_c, kh, kw)), rng.normal(size=out_c),
+                      stride=(sh, sw), padding=(ph, pw))
+    x = rng.normal(size=(b, in_c, h, w))
+    up = rng.normal(size=(b, out_c) + layer.out_spatial(h, w))
+    return layer, x, up
+
+
+def _case(in_c, out_c, kernel, stride, padding, hw, b, seed=0):
+    rng = np.random.default_rng(seed)
+    layer = ConvLayer(rng.normal(size=(out_c, in_c) + kernel), rng.normal(size=out_c),
+                      stride=stride, padding=padding)
+    x = rng.normal(size=(b, in_c) + hw)
+    return layer, x, rng.normal(size=(b, out_c) + layer.out_spatial(*hw))
+
+
+class TestBatchedOracle:
+    """Batched passes against the Toeplitz matrix, one sample at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=layer_and_batch())
+    @example(case=_case(2, 3, (1, 2), (3, 3), (0, 1), (9, 8), 5))  # stride > kernel
+    @example(case=_case(1, 2, (4, 1), (2, 3), (3, 0), (1, 9), 2))  # all-padding rows
+    def test_passes_match_matrix(self, case):
+        layer, x, up = case
+        b, c, h, w = x.shape
+        m = to_matrix(layer, (c, h, w))
+        # the same matrix with tap index + 1 in place of each kernel entry
+        taps = np.arange(1.0, layer.kernels.size + 1).reshape(layer.kernels.shape)
+        tap_of = to_matrix(ConvLayer(taps, layer.bias, layer.stride, layer.padding),
+                           (c, h, w)).astype(int)
+        oh, ow = up.shape[2:]
+
+        out = conv_forward_batch(layer, x)
+        assert out.flags.c_contiguous
+        ref_out = np.stack([m @ xb.ravel() for xb in x]) + np.repeat(layer.bias, oh * ow)
+        assert_rel(out.reshape(b, -1), ref_out)
+
+        patches = conv_patches(layer, x)
+        gk, gb, dx = conv_backward_batch(layer, patches, up, (h, w))
+        # dL/dK[tap] sums up_b[row] * x_b[col] over the matrix entries holding that tap
+        outer = sum(np.outer(ub.ravel(), xb.ravel()) for ub, xb in zip(up, x))
+        ref_gk = np.bincount(tap_of.ravel(), weights=outer.ravel(),
+                             minlength=layer.kernels.size + 1)[1:]
+        assert_rel(gk, ref_gk.reshape(layer.kernels.shape))
+        assert_rel(gb, sum(ub.sum(axis=(1, 2)) for ub in up))
+        assert_rel(dx.reshape(b, -1), np.stack([m.T @ ub.ravel() for ub in up]))
+
+        gk_only, gb_only, none = conv_backward_batch(layer, patches, up)
+        assert none is None
+        assert np.array_equal(gk_only, gk) and np.array_equal(gb_only, gb)
+
+
+class TestNetworkReference:
+    """``nets.backward`` against the im2col code the patch matrix replaced."""
+
+    @staticmethod
+    def assert_matches_reference(net, batch):
+        got = backward(net, batch)
+        ref = reference_backward(net, batch, conv=REFERENCE_CONV)
+        for seg in got.segments:
+            assert_rel(got.view(seg.layer, seg.kind), ref.view(seg.layer, seg.kind))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_conv=st.sampled_from([1, 2]),
+        activation=st.sampled_from(["relu", "leaky_relu"]),
+        output_activation=st.booleans(),
+        batch_size=st.sampled_from([1, 2, 5]),
+    )
+    def test_random_conv_nets(self, seed, n_conv, activation, output_activation, batch_size):
+        rng = np.random.default_rng(seed)
+        net = random_conv_net(rng, n_conv=n_conv, activation=activation,
+                              output_activation=output_activation)
+        self.assert_matches_reference(net, random_batch(rng, net, size=batch_size))
+
+    def test_benchmark_shape_at_full_batch(self):
+        rng = np.random.default_rng(41)
+        net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 16, rng=rng)
+        self.assert_matches_reference(net, random_batch(rng, net, size=200))
+
+    def test_first_layer_input_gradient_is_never_requested(self, monkeypatch):
+        calls = []
+        original = nets.conv_backward_batch
+
+        def spy(layer, patches, upstream, in_hw=None):
+            calls.append((layer, in_hw))
+            return original(layer, patches, upstream, in_hw)
+
+        monkeypatch.setattr(nets, "conv_backward_batch", spy)
+        rng = np.random.default_rng(43)
+        net = random_conv_net(rng, n_conv=2)
+        self.assert_matches_reference(net, random_batch(rng, net))
+        (second, second_hw), (first, first_hw) = calls
+        assert second is net.layers[1] and second_hw == net.interfaces[1][2:]
+        assert first is net.layers[0] and first_hw is None
 
 
 class TestCoarseningCommutation:

@@ -201,6 +201,18 @@ class TestRestrictGradient:
             ref = p_out.T @ g.view(k, "bias")
             np.testing.assert_allclose(out.view(k, "bias"), ref, atol=1e-14)
 
+    def test_out_buffer_gets_the_fresh_result(self):
+        rng = np.random.default_rng(32)
+        for conv in (False, True):
+            net, t = random_coarsened(rng, conv=conv)
+            coarse = restrict_network(net, t)
+            g = flatten(net)
+            g.data[...] = rng.normal(size=g.total_len)
+            coarse.grad.data[...] = np.nan
+            out = restrict_gradient(t, g, out=coarse.grad)
+            assert out is coarse.grad
+            assert np.array_equal(out.data, restrict_gradient(t, g).data)
+
 
 class TestCoarseGridCorrection:
     def test_zero_coarse_movement(self):
