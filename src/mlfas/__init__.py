@@ -22,7 +22,6 @@ from .nets import (
     Minibatch,
     Network,
     ParamVector,
-    axpy_params,
     backward,
     dense_network,
     flatten,

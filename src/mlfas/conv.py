@@ -113,13 +113,25 @@ def _check_input(layer: ConvLayer, x: np.ndarray) -> None:
     layer.out_spatial(x.shape[2], x.shape[3])
 
 
+def _tap_range(offset: int, pad: int, stride: int, n_in: int, n_out: int):
+    """One axis of a kernel tap: (lo, hi, first input index).
+
+    Output positions ``o`` in [lo, hi) read input index
+    ``o*stride + offset - pad`` inside ``[0, n_in)``; the others read padding.
+    """
+    lo = min(n_out, max(0, -(-(pad - offset) // stride)))
+    hi = max(lo, min(n_out, (n_in - 1 + pad - offset) // stride + 1))
+    return lo, hi, lo * stride + offset - pad
+
+
 def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     """Patch matrix of a (B, C, H, W) batch, shape (B, C*kh*kw, oh*ow).
 
     Row ``(c*kh + p)*kw + q`` of sample b holds input channel c under kernel
     tap (p, q) at every output position, so that
-    ``kernels.reshape(out_c, -1) @ patches[b]`` is sample b's output.  One
-    strided slice is copied per tap.
+    ``kernels.reshape(out_c, -1) @ patches[b]`` is sample b's output.  Per
+    tap, the in-range rows and columns are one strided copy of the input
+    and the border that falls in the zero padding is zeroed.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(layer, x)
@@ -128,14 +140,19 @@ def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     sh, sw = layer.stride
     ph, pw = layer.padding
     oh, ow = layer.out_spatial(h, w)
-    if ph or pw:
-        padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-        x = padded
     cols = np.empty((b, c, kh, kw, oh, ow))
     for p in range(kh):
+        y0, y1, iy = _tap_range(p, ph, sh, h, oh)
         for q in range(kw):
-            cols[:, :, p, q] = x[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw]
+            x0, x1, ix = _tap_range(q, pw, sw, w, ow)
+            tap = cols[:, :, p, q]
+            tap[:, :, :y0] = 0.0
+            tap[:, :, y1:] = 0.0
+            tap[:, :, y0:y1, :x0] = 0.0
+            tap[:, :, y0:y1, x1:] = 0.0
+            tap[:, :, y0:y1, x0:x1] = x[
+                :, :, iy : iy + sh * (y1 - y0) : sh, ix : ix + sw * (x1 - x0) : sw
+            ]
     return cols.reshape(b, c * kh * kw, oh * ow)
 
 

@@ -394,11 +394,15 @@ def v_cycle(
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
 
+        # both gradient buffers are free until the post-smoothing
+        scratch = (coarse.net.grad, state.net.grad)
         coarse_grid_correction(
-            state.net.params, coarse.net.params, t, alpha=stab.alpha_p, out=state.net.params
+            state.net.params, coarse.net.params, t, alpha=stab.alpha_p,
+            out=state.net.params, scratch=scratch,
         )
         coarse_grid_correction(
-            state.momentum, coarse.momentum, t, alpha=stab.alpha_m, out=state.momentum
+            state.momentum, coarse.momentum, t, alpha=stab.alpha_m,
+            out=state.momentum, scratch=scratch,
         )
         _check_finite(h, level, "coarse-grid correction")
 

@@ -198,9 +198,15 @@ def restrict_params(
     return _map_params(t, x, out, LayerTransfer.pair_sum, "pi", "p")
 
 
-def prolong_params(t: TransferLevel, x_c: ParamVector) -> ParamVector:
-    """Interpolate a coarse parameter vector back to the fine space."""
-    return _map_params(t, x_c, None, LayerTransfer.gather, "p", "pi")
+def prolong_params(
+    t: TransferLevel, x_c: ParamVector, out: ParamVector | None = None
+) -> ParamVector:
+    """Interpolate a coarse parameter vector back to the fine space.
+
+    The result is written into ``out`` when given (for example a fine
+    network's ``grad``) and into a new vector otherwise.
+    """
+    return _map_params(t, x_c, out, LayerTransfer.gather, "p", "pi")
 
 
 def restrict_gradient(
@@ -220,18 +226,24 @@ def coarse_grid_correction(
     t: TransferLevel,
     alpha: float = 1.0,
     out: ParamVector | None = None,
+    scratch: tuple[ParamVector, ParamVector] | None = None,
 ) -> ParamVector:
     """FAS update x + alpha * P(x_c_new - Pi x).
 
     The result is written into ``out`` when given, which may be ``x`` itself
     (the V-cycle corrects a network's ``params`` in place), and into a new
-    vector otherwise.
+    vector otherwise.  ``scratch`` is a (coarse, fine) pair of vectors that
+    the call may overwrite with the restricted difference and the prolonged
+    step (the V-cycle passes the two networks' ``grad``); they must not
+    share memory with ``x``, ``x_c_new`` or ``out``.  Without it the two
+    are new vectors.
     """
-    delta = restrict_params(t, x)
+    delta, step = (None, None) if scratch is None else scratch
+    delta = restrict_params(t, x, out=delta)
     if x_c_new.segments != delta.segments:
         raise NetworkShapeError("coarse vector layout does not match the transfer level")
     np.subtract(x_c_new.data, delta.data, out=delta.data)
-    step = prolong_params(t, delta)
+    step = prolong_params(t, delta, out=step)
     step.data *= alpha
     if out is None:
         out = x.zeros_like()

@@ -6,6 +6,12 @@ from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_
 from mlfas.nets import DenseLayer, Network, dense_network, uniform_init
 
 
+def assert_rel(got, ref, tol=1e-12):
+    """Entrywise agreement to ``tol`` relative to the reference's largest entry."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
+
+
 def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12), **kwargs):
     """Random fully-connected net with 1-3 hidden layers."""
     if n_hidden is None:
@@ -152,6 +158,11 @@ def _reference_forward_cached(net, x, conv):
     return a.reshape(a.shape[0], -1), caches
 
 
+def reference_forward(net, x, conv=CURRENT_CONV):
+    """Batched forward pass with every layer's full product, on rows of x."""
+    return _reference_forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), conv)[0]
+
+
 def reference_backward(net, batch, conv=CURRENT_CONV):
     """Batch-mean squared-loss gradient, one fresh array per block.
 
@@ -203,6 +214,13 @@ def _reference_windows(layer, x):
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     return win[:, :, ::sh, ::sw]
+
+
+def reference_conv_patches(layer, x):
+    """The channel-major patch matrix, gathered from the padded window view."""
+    win = _reference_windows(layer, np.asarray(x, dtype=np.float64))
+    b, c, oh, ow, kh, kw = win.shape
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
 
 
 def reference_conv_forward_batch(layer, x):

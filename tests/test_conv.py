@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import mlfas.nets as nets
 from _builders import (
     REFERENCE_CONV,
+    assert_rel,
     interface_matrices,
     random_batch,
     random_conv_net,
     reference_backward,
+    reference_conv_patches,
 )
 from mlfas.coarsening import Matching, build_transfer
 from mlfas.conv import (
@@ -201,12 +203,6 @@ class TestBackward:
             conv_backward_batch(layer, np.zeros((1, 3, 9)), np.zeros((1, 1, 3, 3)))
 
 
-def assert_rel(got, ref, tol=1e-12):
-    """Entrywise agreement to ``tol`` relative to the reference's largest entry."""
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
-
-
 @st.composite
 def layer_and_batch(draw):
     """A conv layer and an input batch within the oracle's reach."""
@@ -256,6 +252,7 @@ class TestBatchedOracle:
         assert_rel(out.reshape(b, -1), ref_out)
 
         patches = conv_patches(layer, x)
+        assert np.array_equal(patches, reference_conv_patches(layer, x))
         gk, gb, dx = conv_backward_batch(layer, patches, up, (h, w))
         # dL/dK[tap] sums up_b[row] * x_b[col] over the matrix entries holding that tap
         outer = sum(np.outer(ub.ravel(), xb.ravel()) for ub, xb in zip(up, x))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _builders import random_batch, random_dense_net
+from _builders import (
+    assert_rel,
+    random_batch,
+    random_dense_net,
+    reference_backward,
+    reference_forward,
+)
+from mlfas.harness import build_network
 from mlfas.nets import (
     DenseLayer,
     Minibatch,
@@ -13,14 +20,13 @@ from mlfas.nets import (
     NetworkShapeError,
     ParamLayoutError,
     ParamVector,
-    axpy_params,
+    _shared_input,
     backward,
     dense_network,
     flatten,
     forward,
     forward_batch,
     loss,
-    param_layout,
     unflatten,
 )
 
@@ -263,36 +269,91 @@ class TestParamVector:
             assert np.array_equal(x.view(k, "bias"), layer.bias)
 
 
-class TestAxpy:
-    def _vec(self, rng, n=12):
-        seg = param_layout(dense_network([3, 2], rng=rng))
-        return ParamVector(rng.normal(size=8), seg)
+def folded_case(seed, conv, batch_size, activation, kernel=3, stride=1, padding=0):
+    """A net and a batch whose first-layer input varies in one block only.
 
-    def test_alpha_zero(self):
-        rng = np.random.default_rng(31)
-        x, d = self._vec(rng), self._vec(rng)
-        out = axpy_params(x, 0.0, d)
-        assert np.array_equal(out.data, x.data)
+    Returns (net, batch, block): along axis 1 of the first layer's input
+    (features, or channels for a conv first layer) the entries outside
+    ``block`` are copied from the first sample into every sample.
+    """
+    rng = np.random.default_rng(seed)
+    if conv:
+        c = int(rng.integers(2, 5))
+        size = int(rng.integers(max(3, kernel), 8))
+        arch = f"conv:{int(rng.integers(2, 5))}k{kernel}s{stride}p{padding},dense:6"
+        net = build_network(arch, (c, size, size), 3, activation=activation, rng=rng)
+    else:
+        net = random_dense_net(rng, io=(2, 12), activation=activation)
+    batch = random_batch(rng, net, size=batch_size)
+    n = net.interfaces[0][1]
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    if hi - lo == n:
+        hi -= 1
+    rows = batch.inputs.reshape(batch_size, n, -1)
+    rows[:, :lo] = rows[:1, :lo]
+    rows[:, hi:] = rows[:1, hi:]
+    return net, batch, slice(lo, hi)
 
-    def test_self_cancel(self):
-        rng = np.random.default_rng(37)
-        x = self._vec(rng)
-        out = axpy_params(x, -1.0, x)
-        assert np.all(out.data == 0.0)
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), alpha=st.floats(-4, 4, allow_nan=False))
-    def test_elementwise_oracle(self, seed, alpha):
-        rng = np.random.default_rng(seed)
-        x, d = self._vec(rng), self._vec(rng)
-        out = axpy_params(x, alpha, d)
-        ref = np.array([x.data[i] + alpha * d.data[i] for i in range(x.total_len)])
-        assert np.array_equal(out.data, ref)
+class TestSharedInputFold:
+    """First-layer inputs shared by every sample, folded out of the products."""
 
-    def test_layout_mismatch(self):
-        rng = np.random.default_rng(41)
-        x = self._vec(rng)
-        seg = param_layout(dense_network([2, 3], rng=rng))
-        d = ParamVector(rng.normal(size=9), seg)
-        with pytest.raises(ParamLayoutError):
-            axpy_params(x, 1.0, d)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        conv=st.booleans(),
+        batch_size=st.sampled_from([2, 7]),
+        activation=st.sampled_from(["relu", "leaky_relu"]),
+        geometry=st.sampled_from([(3, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]),
+    )
+    def test_matches_full_products(self, seed, conv, batch_size, activation, geometry):
+        kernel, stride, padding = geometry
+        net, batch, block = folded_case(seed, conv, batch_size, activation,
+                                        kernel, stride, padding)
+        assert _shared_input(net, batch.inputs).block == block
+        assert_rel(forward_batch(net, batch.inputs), reference_forward(net, batch.inputs))
+        got, ref = backward(net, batch), reference_backward(net, batch)
+        for seg in got.segments:
+            g, r = got.view(seg.layer, seg.kind), ref.view(seg.layer, seg.kind)
+            if seg.layer == 0 and seg.kind == "weight":
+                # the varying block and the shared rest are computed apart
+                varying = np.zeros(g.shape[1], dtype=bool)
+                varying[block] = True
+                assert_rel(g[:, varying], r[:, varying])
+                assert_rel(g[:, ~varying], r[:, ~varying])
+            else:
+                assert_rel(g, r)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_unfolded_batches_match_bitwise(self, conv):
+        for seed in range(6):
+            net, batch, block = folded_case(seed, conv, 7, "relu")
+            n = net.interfaces[0][1]
+            rows = batch.inputs.reshape(7, n, -1)
+            rng = np.random.default_rng(seed)
+            gapped = rows.copy()  # varying entries at both ends, shared between
+            gapped[:, 0] = rng.normal(size=gapped[:, 0].shape)
+            gapped[:, -1] = rng.normal(size=gapped[:, -1].shape)
+            gapped[:, 1:-1] = gapped[:1, 1:-1]
+            cases = [
+                batch.inputs[:1],  # one sample
+                rng.normal(size=batch.inputs.shape),  # nothing shared
+            ]
+            if n > 2:
+                cases.append(gapped.reshape(7, -1))
+            for x in cases:
+                b = Minibatch(x, batch.targets[: x.shape[0]])
+                assert _shared_input(net, b.inputs) is None
+                assert np.array_equal(forward_batch(net, x), reference_forward(net, x))
+                assert np.array_equal(backward(net, b).data, reference_backward(net, b).data)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_nan_in_a_shared_column_propagates(self, conv):
+        net, batch, block = folded_case(11, conv, 7, "leaky_relu")
+        n = net.interfaces[0][1]
+        column = block.stop if block.stop < n else block.start - 1
+        rows = batch.inputs.reshape(7, n, -1)
+        rows[:, column, 0] = np.nan
+        assert np.isnan(forward_batch(net, batch.inputs)).all()
+        assert np.isnan(backward(net, batch).data).all()

@@ -161,6 +161,17 @@ class TestProlong:
         got = prolong_params(t, xc).data
         assert np.abs(got - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
 
+    def test_out_buffer_gets_the_fresh_result(self):
+        rng = np.random.default_rng(33)
+        for conv in (False, True):
+            net, t = random_coarsened(rng, conv=conv)
+            coarse = restrict_network(net, t)
+            coarse.params.data[...] = rng.normal(size=coarse.param_count())
+            net.grad.data[...] = np.nan
+            out = prolong_params(t, coarse.params, out=net.grad)
+            assert out is net.grad
+            assert np.array_equal(out.data, prolong_params(t, coarse.params).data)
+
 
 class TestRestrictGradient:
     @pytest.mark.parametrize("conv", [False, True])
@@ -239,6 +250,21 @@ class TestCoarseGridCorrection:
         xc = type(x)(rng.normal(size=x.total_len), x.segments)
         out = coarse_grid_correction(x, xc, t, alpha=1.0)
         np.testing.assert_allclose(out.data, xc.data, atol=1e-15)
+
+    def test_scratch_buffers_leave_the_result_bitwise_unchanged(self):
+        rng = np.random.default_rng(47)
+        for conv in (False, True):
+            net, t = random_coarsened(rng, conv=conv)
+            coarse = restrict_network(net, t)
+            x = flatten(net)
+            xc = random_coarse_vec(rng, t, x)
+            ref = coarse_grid_correction(x, xc, t, alpha=0.3)
+            coarse.grad.data[...] = np.nan
+            net.grad.data[...] = np.nan
+            scratch = (coarse.grad, net.grad)
+            out = coarse_grid_correction(x, xc, t, alpha=0.3, out=x, scratch=scratch)
+            assert out is x
+            assert np.array_equal(out.data, ref.data)
 
 
 class TestRestrictNetwork:
