@@ -15,7 +15,7 @@ from .coarsening import (
     greedy_hem,
     strength_from_rows,
 )
-from .conv import ChannelTensorView, ConvLayer, conv_backward, conv_forward, to_matrix
+from .conv import ChannelTensorView, ConvLayer, conv_forward, to_matrix
 from .nets import (
     DenseLayer,
     LossValue,

@@ -82,31 +82,46 @@ class LayerTransfer:
         """All units are singletons of weight 1, so both maps are the identity."""
         return self.n_coarse == self.n_fine and not self.weighted
 
-    def pair_sum(self, a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    def pair_sum(
+        self, a: np.ndarray, w: np.ndarray, axis: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Sum ``w * a`` over each aggregate along ``axis`` (fine -> coarse).
 
         Aggregate a gets ``w[r] a[r] + w[s] a[s]`` with r, s its two units;
         a singleton's second term is zero.  With ``w = pi`` this applies the
-        averaging, with ``w = p`` the transposed interpolation.
+        averaging, with ``w = p`` the transposed interpolation.  The result
+        is written into ``out`` when given, which must not share memory
+        with ``a``.
         """
         _check_length(a, axis, self.n_fine)
-        out = np.take(a, self.rep, axis)
+        out = _take(a, self.rep, axis, out)
         out *= _along(w[self.rep], out.ndim, axis)
         second = np.take(a, self.mate, axis)
         second *= _along(np.where(self.mate == self.rep, 0.0, w[self.mate]), out.ndim, axis)
         out += second
         return out
 
-    def gather(self, a: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    def gather(
+        self, a: np.ndarray, w: np.ndarray, axis: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Unit i gets ``w[i] * a[aggregate[i]]`` along ``axis`` (coarse -> fine).
 
         With ``w = p`` this applies the interpolation, with ``w = pi`` the
-        transposed averaging.
+        transposed averaging.  The result is written into ``out`` when
+        given, which must not share memory with ``a``.
         """
         _check_length(a, axis, self.n_coarse)
-        out = np.take(a, self.aggregate, axis)
+        out = _take(a, self.aggregate, axis, out)
         out *= _along(w, out.ndim, axis)
         return out
+
+
+def _take(a: np.ndarray, idx: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.take(a, idx, axis)
+    # the indices are in range by construction; the default mode="raise"
+    # would fill a temporary copy of ``out`` first
+    return np.take(a, idx, axis, out=out, mode="clip")
 
 
 def _check_length(a: np.ndarray, axis: int, expected: int) -> None:

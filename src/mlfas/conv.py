@@ -236,15 +236,6 @@ def conv_forward(layer: ConvLayer, y_in: ChannelTensorView) -> ChannelTensorView
     return ChannelTensorView.from_array(out)
 
 
-def conv_backward(layer: ConvLayer, y_in: ChannelTensorView, upstream: ChannelTensorView):
-    """Single-sample gradients (kernels, bias, input view)."""
-    x = y_in.to_array()[None]
-    gk, gb, dx = conv_backward_batch(
-        layer, conv_patches(layer, x), upstream.to_array()[None], x.shape[2:]
-    )
-    return gk, gb, ChannelTensorView.from_array(dx[0])
-
-
 def to_matrix(layer: ConvLayer, in_shape: tuple[int, int, int]) -> np.ndarray:
     """Assemble the layer as an explicit matrix on vectorized inputs.
 

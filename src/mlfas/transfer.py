@@ -173,17 +173,21 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
     elif out.segments != target:
         raise ParamLayoutError("output vector layout does not match the transfer level")
 
-    def along(op, a, w, axis):
+    def along(op, a, w, axis, res=None):
         # the identity end interfaces (and unmatched plain ones) leave ``a`` as it is
-        return a if op.is_identity else primitive(op, a, getattr(op, w), axis)
+        if not op.is_identity:
+            return primitive(op, a, getattr(op, w), axis, out=res)
+        if res is not None:
+            res[...] = a
+        return a
 
     for k in range(t.n_layers):
         op_out, op_in = t.interfaces[k + 1].op, t.interfaces[k].op
         w = x.view(k, "weight")
         w = along(op_in, w.reshape(w.shape[0], t.units[side][k], -1), w_in, 1)
         res = out.view(k, "weight")
-        res[...] = along(op_out, w, w_out, 0).reshape(res.shape)
-        out.view(k, "bias")[...] = along(op_out, x.view(k, "bias"), w_out, 0)
+        along(op_out, w, w_out, 0, res.reshape(res.shape[0], *w.shape[1:]))
+        along(op_out, x.view(k, "bias"), w_out, 0, out.view(k, "bias"))
     return out
 
 

@@ -225,6 +225,21 @@ class TestApply:
             rhs = vc @ t.pair_sum(w, t.p, 0)
             assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
+    def test_out_buffer_gets_the_fresh_result(self):
+        rng = np.random.default_rng(25)
+        m = greedy_hem(symmetric_strength(rng, 9), theta=0.0)
+        t = build_transfer(m, w_rows=rng.normal(size=(9, 4)), weighted=True)
+        for axis in (0, 1):
+            for fn, n_in, n_res in ((t.pair_sum, 9, m.num_aggregates),
+                                    (t.gather, m.num_aggregates, 9)):
+                shape = [5, 5]
+                shape[axis] = n_in
+                a = rng.normal(size=shape)
+                shape[axis] = n_res
+                out = np.full(shape, np.nan)
+                assert fn(a, t.p, axis, out=out) is out
+                assert np.array_equal(out, fn(a, t.p, axis))
+
     def test_length_mismatch(self):
         t = identity_transfer(3)
         with pytest.raises(ValueError, match="length"):

@@ -21,7 +21,6 @@ from mlfas.conv import (
     ChannelTensorView,
     ConvLayer,
     ConvShapeError,
-    conv_backward,
     conv_backward_batch,
     conv_forward,
     conv_forward_batch,
@@ -117,12 +116,13 @@ class TestBackward:
         layer = random_layer(rng)
         x = random_input(rng, layer)
         oh, ow = layer.out_spatial(x.shape[1], x.shape[2])
-        gk, gb, gx = conv_backward(
+        gk, gb, gx = conv_backward_batch(
             layer,
-            ChannelTensorView.from_array(x),
-            ChannelTensorView.from_array(np.zeros((layer.out_channels, oh, ow))),
+            conv_patches(layer, x[None]),
+            np.zeros((1, layer.out_channels, oh, ow)),
+            x.shape[1:],
         )
-        assert np.all(gk == 0.0) and np.all(gb == 0.0) and np.all(gx.data == 0.0)
+        assert np.all(gk == 0.0) and np.all(gb == 0.0) and np.all(gx == 0.0)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(13)
