@@ -11,7 +11,7 @@ import os
 import statistics
 import sys
 
-from mlfas.harness import ExperimentConfig, emit_csv, emit_summary_table, run_experiment
+from mlfas.harness import ExperimentConfig, run_experiment
 from mlfas.poisson import generate_dataset, write_dataset
 
 

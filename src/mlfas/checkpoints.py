@@ -99,6 +99,10 @@ def load_network(path) -> Network:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     if act not in _ACTIVATION_NAMES:
         raise CheckpointFormatError(f"{path}: unknown activation tag {act}")
+    if out_act not in (0, 1):
+        raise CheckpointFormatError(f"{path}: output activation tag {out_act} is not 0 or 1")
+    if in_kind not in (0, 1):
+        raise CheckpointFormatError(f"{path}: unknown input kind tag {in_kind}")
     layers = []
     for k in range(n_layers):
         (kind,) = struct.unpack("<I", r.take(4))

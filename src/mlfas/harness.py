@@ -114,6 +114,7 @@ class RunResult:
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_EXPECTED = {int: "an integer", float: "a number", tuple: "integers separated by commas"}
 
 
 def _coerce(name: str, kind, text: str):
@@ -122,12 +123,15 @@ def _coerce(name: str, kind, text: str):
         if v is None:
             raise ConfigError(f"{name}: expected a boolean, got {text!r}")
         return v
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is tuple:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        if kind is int:
+            return int(text)
+        if kind is float:
+            return float(text)
+        if kind is tuple:
+            return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {text!r}") from None
     return text.strip()
 
 
@@ -188,43 +192,34 @@ def build_network(
     is appended automatically.
     """
     layers = []
-    if isinstance(input_shape, tuple):
-        c, h, w = input_shape
-        desc = ("chan", c, h, w)
-    else:
-        desc = ("flat", int(input_shape))
-    seen_dense = False
+    if not isinstance(input_shape, tuple):
+        input_shape = int(input_shape)
+    shape = input_shape  # the running interface: (channels, height, width) or a width
     for token in (t.strip() for t in arch.split(",") if t.strip()):
         m = _CONV_TOKEN.match(token)
         if m:
-            if seen_dense or desc[0] != "chan":
+            if not isinstance(shape, tuple):
                 raise ConfigError(f"conv token {token!r} must precede dense layers "
                                   "and needs a channel input")
             out_c, k, s, p = (int(g) for g in m.groups())
-            layers.append(
-                ConvLayer(np.zeros((out_c, desc[1], k, k)), np.zeros(out_c),
-                          stride=(s, s), padding=(p, p))
-            )
-            oh = (desc[2] + 2 * p - k) // s + 1
-            ow = (desc[3] + 2 * p - k) // s + 1
-            desc = ("chan", out_c, oh, ow)
+            layer = ConvLayer(np.zeros((out_c, shape[0], k, k)), np.zeros(out_c),
+                              stride=(s, s), padding=(p, p))
+            layers.append(layer)
+            shape = (out_c, *layer.out_spatial(*shape[1:]))
             continue
         m = _DENSE_TOKEN.match(token)
         if m:
-            seen_dense = True
             width = int(m.group(1))
-            n_in = desc[1] if desc[0] == "flat" else desc[1] * desc[2] * desc[3]
-            layers.append(DenseLayer(np.zeros((width, n_in)), np.zeros(width)))
-            desc = ("flat", width)
+            layers.append(DenseLayer(np.zeros((width, int(np.prod(shape)))), np.zeros(width)))
+            shape = width
             continue
         raise ConfigError(f"unrecognized architecture token {token!r}")
-    n_in = desc[1] if desc[0] == "flat" else desc[1] * desc[2] * desc[3]
-    layers.append(DenseLayer(np.zeros((output_size, n_in)), np.zeros(output_size)))
+    layers.append(DenseLayer(np.zeros((output_size, int(np.prod(shape)))), np.zeros(output_size)))
     net = Network(
         layers,
         activation=activation,
         output_activation=output_activation,
-        input_shape=input_shape if isinstance(input_shape, tuple) else int(input_shape),
+        input_shape=input_shape,
     )
     if rng is not None:
         uniform_init(net, rng)

@@ -11,7 +11,8 @@ the same layout.
 The first layer folds inputs that every sample of a batch shares: when the
 entries varying across the batch form one contiguous block along axis 1
 (dense features or conv channels), its products run on that block alone and
-the rest of the input enters through one single-sample product per call.
+the rest of the input enters through one single-sample product per call,
+in the same loop branch that runs the hidden layers of its kind.
 Of the generated Poisson inputs ``[kappa, x, y]`` only ``kappa`` varies
 between samples, so the fold removes about two thirds of that work.  The
 measured cost of a gradient is then no longer proportional to the
@@ -266,128 +267,78 @@ def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
     return np.where(active, 1.0, net.leak)
 
 
-@dataclass(frozen=True)
-class _SharedInput:
-    """First-layer input entries that every sample of a batch shares.
+# the first-layer (block, sample) that folds nothing: the whole axis varies
+_WHOLE = (slice(None), None)
+
+
+def _shared_input(net: Network, x: np.ndarray):
+    """The first layer's ``(block, sample)`` for a (B, input_size) batch.
 
     ``block`` is the contiguous slice of axis 1 (dense features or conv
     channels) whose entries vary across the batch.  ``sample`` is the first
     sample with that block zeroed, lowered for the layer's product: the
     vector itself for a dense layer, its (C*kh*kw, oh*ow) patch matrix for
-    a conv layer.
-    """
-
-    block: slice
-    sample: np.ndarray
-
-
-def _shared_input(net: Network, x: np.ndarray) -> _SharedInput | None:
-    """The first layer's fold for a (B, input_size) batch, or None.
-
-    None unless the entries that vary across the batch form one contiguous
-    block that is neither empty nor the whole axis, so a batch of one
-    sample is never folded.  A NaN compares unequal to itself, so it
-    always counts as varying.
+    a conv layer.  Unless the varying entries form one block that is
+    neither empty nor the whole axis, nothing is folded and the result is
+    the whole axis and None, so a batch of one sample is never folded.  A
+    NaN compares unequal to itself, so it always counts as varying.
     """
     layer = net.layers[0]
     conv = isinstance(layer, ConvLayer)
     rows = x.reshape(x.shape[0], net.interfaces[0][1], -1) if conv else x
     varies = np.flatnonzero((rows[1:] != rows[:1]).any(axis=(0, 2) if conv else 0))
     if varies.size in (0, rows.shape[1]) or varies[-1] - varies[0] + 1 != varies.size:
-        return None
+        return _WHOLE
     block = slice(int(varies[0]), int(varies[-1]) + 1)
     sample = rows[0].copy()
     sample[block] = 0.0
     if conv:
         sample = conv_patches(layer, sample.reshape((1,) + net.interfaces[0][1:]))[0]
-    return _SharedInput(block, sample)
+    return block, sample
 
 
 def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
     """``layer`` restricted to the input channels ``block``; kernels a view.
 
-    Built without the constructor's checks, which would reject the
-    non-finite parameters that training must be able to reach and report.
+    The layer itself for the whole axis.  Built without the constructor's
+    checks, which would reject the non-finite parameters that training must
+    be able to reach and report.
     """
+    if block == slice(None):
+        return layer
     sub = copy.copy(layer)
     sub.kernels = layer.kernels[:, block]
     return sub
 
 
-def _folded_forward(net: Network, x: np.ndarray, shared: _SharedInput, keep: bool):
-    """First layer on a batch folded by ``shared``; returns (cache input, z).
-
-    The varying block goes through the batched product, and the shared
-    sample's product, the same for every sample, is added once.  The cache
-    input is the varying block (dense) or its patch matrix (conv, when
-    ``keep``).
-    """
-    layer, block = net.layers[0], shared.block
-    if isinstance(layer, ConvLayer):
-        x = x.reshape((x.shape[0],) + net.interfaces[0][1:])[:, block]
-        sub = _channel_block(layer, block)
-        if keep:
-            z, a = conv_forward_batch(sub, x, return_patches=True)
-        else:
-            z, a = conv_forward_batch(sub, x), None
-        kernels = layer.kernels.reshape(layer.out_channels, -1)
-        z += (kernels @ shared.sample).reshape(z.shape[1:])
-        return a, z
-    a = x[:, block]
-    z = a @ layer.weights[:, block].T
-    z += layer.weights @ shared.sample + layer.bias
-    return a, z
-
-
-def _folded_backward(layer, a: np.ndarray, dz: np.ndarray, shared: _SharedInput, gw, gb):
-    """First-layer weight and bias gradients for a batch folded by ``shared``.
-
-    The varying block's weight gradient sums over the batch as usual; the
-    rest is the batch-summed upstream times the shared sample.
-    """
-    block = shared.block
-    if isinstance(layer, ConvLayer):
-        gk, gbias, _ = conv_backward_batch(_channel_block(layer, block), a, dz)
-        up = dz.sum(axis=0).reshape(layer.out_channels, -1)
-        np.matmul(up, shared.sample.T, out=gw.reshape(layer.out_channels, -1))
-        gw[:, block] = gk
-        gb[...] = gbias
-    else:
-        np.sum(dz, axis=0, out=gb)
-        np.multiply(gb[:, None], shared.sample, out=gw)
-        np.matmul(dz.T, a, out=gw[:, block])
-
-
-def _forward(
-    net: Network,
-    x: np.ndarray,
-    caches: list | None = None,
-    shared: _SharedInput | None = None,
-) -> np.ndarray:
+def _forward(net: Network, x: np.ndarray, caches: list | None = None, shared=_WHOLE) -> np.ndarray:
     """Batched forward pass; returns (B, output_size).
 
     When a list ``caches`` is given, each layer appends its (input,
     pre-activation) pair, a conv layer its input's patch matrix in place of
-    the input; without it nothing outlives the layer that made it.  With
-    ``shared`` the first layer is folded and caches only the varying part
-    of its input.
+    the input; without it nothing outlives the layer that made it.
+    ``shared`` is the first layer's ``(block, sample)`` from
+    ``_shared_input``; that layer caches only its input's ``block``.
     """
     a = x
     n_last = net.n_layers - 1
     for k, layer in enumerate(net.layers):
         desc = net.interfaces[k]
-        if k == 0 and shared is not None:
-            a, z = _folded_forward(net, a, shared, caches is not None)
-        elif isinstance(layer, ConvLayer):
-            a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])
+        block, sample = shared if k == 0 else _WHOLE
+        if isinstance(layer, ConvLayer):
+            a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])[:, block]
+            sub = _channel_block(layer, block)
             if caches is None:
-                z = conv_forward_batch(layer, a)
+                z = conv_forward_batch(sub, a)
             else:
-                z, a = conv_forward_batch(layer, a, return_patches=True)
+                z, a = conv_forward_batch(sub, a, return_patches=True)
+            if sample is not None:
+                kernels = layer.kernels.reshape(layer.out_channels, -1)
+                z += (kernels @ sample).reshape(z.shape[1:])
         else:
-            a = a.reshape(a.shape[0], -1)
-            z = a @ layer.weights.T
-            z += layer.bias
+            a = a.reshape(a.shape[0], -1)[:, block]
+            z = a @ layer.weights[:, block].T
+            z += layer.bias if sample is None else layer.weights @ sample + layer.bias
         if caches is not None:
             caches.append((a, z))
         if k < n_last or net.output_activation:
@@ -462,17 +413,23 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
         else:
             dz = g.reshape(z_k.shape)
         gw, gb = out.view(k, "weight"), out.view(k, "bias")
-        if k == 0 and shared is not None:
-            _folded_backward(layer, a_k, dz, shared, gw, gb)
-        elif isinstance(layer, ConvLayer):
+        # a folded first layer's weight gradient sums over the batch on the
+        # varying block; the rest is the batch-summed upstream times the sample
+        block, sample = shared if k == 0 else _WHOLE
+        if isinstance(layer, ConvLayer):
             # a_k is the patch matrix; the first layer's input gradient is never used
             in_hw = net.interfaces[k][2:] if k > 0 else None
-            gk, gbias, g = conv_backward_batch(layer, a_k, dz, in_hw)
-            gw[...] = gk
+            gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
+            if sample is not None:
+                up = dz.sum(axis=0).reshape(layer.out_channels, -1)
+                np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
+            gw[:, block] = gk
             gb[...] = gbias
         else:
-            np.matmul(dz.T, a_k, out=gw)
             np.sum(dz, axis=0, out=gb)
+            if sample is not None:
+                np.multiply(gb[:, None], sample, out=gw)
+            np.matmul(dz.T, a_k, out=gw[:, block])
             if k > 0:
                 g = dz @ layer.weights
     return out

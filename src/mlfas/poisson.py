@@ -431,6 +431,14 @@ def read_dataset(path) -> RegressionDataset:
         raise DatasetFormatError(f"{path}: bad magic {magic!r}")
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"{path}: unsupported version {version}")
+    if n < 1 or channels < 1:
+        raise DatasetFormatError(
+            f"{path}: grid size {n} and channel count {channels} must be >= 1"
+        )
+    if not 1 <= n_val <= count - 1:
+        raise DatasetFormatError(
+            f"{path}: {n_val} validation samples of {count}; need 1 to {count - 1}"
+        )
     per_sample = (channels + 1) * n * n
     expected = _HEADER.size + count * per_sample * 8
     if len(raw) != expected:

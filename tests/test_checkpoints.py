@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _builders import random_conv_net, random_dense_net
-from mlfas.checkpoints import CheckpointFormatError, load_network, save_network
+from mlfas.checkpoints import _HEADER, CheckpointFormatError, load_network, save_network
 from mlfas.nets import flatten
 
 
@@ -55,4 +55,23 @@ def test_trailing_garbage(tmp_path):
     save_network(net, path)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointFormatError, match="trailing"):
+        load_network(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("in_kind", 7, "input kind"), ("in_kind", 2, "input kind"),
+     ("out_act", 5, "output activation")],
+)
+def test_header_tag_outside_zero_one_rejected(tmp_path, field, value, match):
+    net = random_dense_net(np.random.default_rng(13))
+    path = tmp_path / "net.mlfasnet"
+    save_network(net, path)
+    raw = bytearray(path.read_bytes())
+    names = ("magic", "version", "act", "out_act", "leak", "in_kind", "d0", "d1", "d2", "n_layers")
+    header = dict(zip(names, _HEADER.unpack_from(raw)))
+    header[field] = value
+    _HEADER.pack_into(raw, 0, *header.values())
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=match):
         load_network(path)

@@ -88,6 +88,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="boolean"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key, text", [("depth", "two"), ("learning_rate", "fast"), ("seeds", "0,x")]
+    )
+    def test_bad_number_names_the_key(self, tmp_path, key, text):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{key}: ")
+        assert repr(text) in str(info.value)
+
 
 class TestBuildNetwork:
     def test_dense_arch(self):

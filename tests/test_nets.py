@@ -272,15 +272,19 @@ class TestParamVector:
 def folded_case(seed, conv, batch_size, activation, kernel=3, stride=1, padding=0):
     """A net and a batch whose first-layer input varies in one block only.
 
-    Returns (net, batch, block): along axis 1 of the first layer's input
-    (features, or channels for a conv first layer) the entries outside
-    ``block`` are copied from the first sample into every sample.
+    ``conv`` counts the conv layers ahead of a dense head (0 or False for a
+    dense net); a second one is ``conv:2k3s2p1``, so the first conv layer's
+    upstream is a conv layer's input gradient.  Returns (net, batch, block):
+    along axis 1 of the first layer's input (features, or channels for a
+    conv first layer) the entries outside ``block`` are copied from the
+    first sample into every sample.
     """
     rng = np.random.default_rng(seed)
     if conv:
         c = int(rng.integers(2, 5))
         size = int(rng.integers(max(3, kernel), 8))
-        arch = f"conv:{int(rng.integers(2, 5))}k{kernel}s{stride}p{padding},dense:6"
+        convs = [f"conv:{int(rng.integers(2, 5))}k{kernel}s{stride}p{padding}"]
+        arch = ",".join(convs + ["conv:2k3s2p1"] * (conv - 1) + ["dense:6"])
         net = build_network(arch, (c, size, size), 3, activation=activation, rng=rng)
     else:
         net = random_dense_net(rng, io=(2, 12), activation=activation)
@@ -302,7 +306,7 @@ class TestSharedInputFold:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        conv=st.booleans(),
+        conv=st.sampled_from([0, 1, 2]),
         batch_size=st.sampled_from([2, 7]),
         activation=st.sampled_from(["relu", "leaky_relu"]),
         geometry=st.sampled_from([(3, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]),
@@ -311,7 +315,7 @@ class TestSharedInputFold:
         kernel, stride, padding = geometry
         net, batch, block = folded_case(seed, conv, batch_size, activation,
                                         kernel, stride, padding)
-        assert _shared_input(net, batch.inputs).block == block
+        assert _shared_input(net, batch.inputs)[0] == block
         assert_rel(forward_batch(net, batch.inputs), reference_forward(net, batch.inputs))
         got, ref = backward(net, batch), reference_backward(net, batch)
         for seg in got.segments:
@@ -344,7 +348,7 @@ class TestSharedInputFold:
                 cases.append(gapped.reshape(7, -1))
             for x in cases:
                 b = Minibatch(x, batch.targets[: x.shape[0]])
-                assert _shared_input(net, b.inputs) is None
+                assert _shared_input(net, b.inputs)[1] is None
                 assert np.array_equal(forward_batch(net, x), reference_forward(net, x))
                 assert np.array_equal(backward(net, b).data, reference_backward(net, b).data)
 

@@ -339,3 +339,25 @@ class TestDatasetIO:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(DatasetFormatError, match="bytes"):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n_val", 12, "validation"),  # past count: negative indices would wrap
+            ("n_val", 10, "validation"),  # no training samples left
+            ("n_val", 0, "validation"),
+            ("n", 0, "grid size"),
+            ("channels", 0, "channel count"),
+        ],
+    )
+    def test_malformed_header_field_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "ds.mlfasdat"
+        write_dataset(generate_dataset(10, 4, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        names = ("magic", "version", "count", "n", "channels", "n_val", "seed")
+        header = dict(zip(names, poisson._HEADER.unpack_from(raw)))
+        header[field] = value
+        poisson._HEADER.pack_into(raw, 0, *header.values())
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match=match):
+            read_dataset(path)
