@@ -83,7 +83,12 @@ class LayerTransfer:
         return self.n_coarse == self.n_fine and not self.weighted
 
     def pair_sum(
-        self, a: np.ndarray, w: np.ndarray, axis: int, out: np.ndarray | None = None
+        self,
+        a: np.ndarray,
+        w: np.ndarray,
+        axis: int,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Sum ``w * a`` over each aggregate along ``axis`` (fine -> coarse).
 
@@ -91,12 +96,16 @@ class LayerTransfer:
         a singleton's second term is zero.  With ``w = pi`` this applies the
         averaging, with ``w = p`` the transposed interpolation.  The result
         is written into ``out`` when given, which must not share memory
-        with ``a``.
+        with ``a``.  The second term is built in ``scratch`` when given, a
+        flat array at least as long as the result that shares memory with
+        neither ``a`` nor ``out``.
         """
         _check_length(a, axis, self.n_fine)
         out = _take(a, self.rep, axis, out)
         out *= _along(w[self.rep], out.ndim, axis)
-        second = np.take(a, self.mate, axis)
+        if scratch is not None:
+            scratch = scratch[: out.size].reshape(out.shape)
+        second = _take(a, self.mate, axis, scratch)
         second *= _along(np.where(self.mate == self.rep, 0.0, w[self.mate]), out.ndim, axis)
         out += second
         return out

@@ -2,11 +2,12 @@
 
 Cross-correlation forward/backward passes written directly against numpy
 as matrix products with a per-sample patch matrix (im2col), which the
-forward pass hands on to the backward pass, plus an explicitly assembled
-banded block-Toeplitz matrix form of the same layer.  The matrix form is
-built by index arithmetic alone (never by probing the convolution code), so
-the two routes verify each other: block rows of the matrix are output
-channels, block columns are input channels.
+caller builds once (for a network's first layer, once per data split) and
+hands to both passes, plus an explicitly assembled banded block-Toeplitz
+matrix form of the same layer.  The matrix form is built by index
+arithmetic alone (never by probing the convolution code), so the two
+routes verify each other: block rows of the matrix are output channels,
+block columns are input channels.
 """
 
 from dataclasses import dataclass
@@ -156,19 +157,25 @@ def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     return cols.reshape(b, c * kh * kw, oh * ow)
 
 
-def conv_forward_batch(layer: ConvLayer, x: np.ndarray, return_patches: bool = False):
+def conv_forward_batch(layer: ConvLayer, x: np.ndarray, out_hw: tuple[int, int] | None = None):
     """Cross-correlate a (B, C, H, W) batch; returns (B, out_c, oh, ow), C-ordered.
 
-    With ``return_patches`` the result is ``(out, patches)``, the patch
-    matrix being the one ``conv_backward_batch`` takes.
+    With the output's spatial size ``out_hw = (oh, ow)`` given, ``x`` is
+    instead the batch's (B, C*kh*kw, oh*ow) patch matrix (``conv_patches``),
+    built once by the caller and multiplied as it is.
     """
-    x = np.asarray(x, dtype=np.float64)
-    patches = conv_patches(layer, x)
-    oh, ow = layer.out_spatial(x.shape[2], x.shape[3])
-    out = np.matmul(layer.kernels.reshape(layer.out_channels, -1), patches)
+    if out_hw is None:
+        x = np.asarray(x, dtype=np.float64)
+        out_hw = layer.out_spatial(x.shape[2], x.shape[3])
+        x = conv_patches(layer, x)
+    n_taps = layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]
+    if x.ndim != 3 or x.shape[1:] != (n_taps, out_hw[0] * out_hw[1]):
+        raise ConvShapeError(
+            f"patch axes: expected (B, {n_taps}, {out_hw[0] * out_hw[1]}), got {x.shape}"
+        )
+    out = np.matmul(layer.kernels.reshape(layer.out_channels, -1), x)
     out += layer.bias[:, None]
-    out = out.reshape(x.shape[0], layer.out_channels, oh, ow)
-    return (out, patches) if return_patches else out
+    return out.reshape(x.shape[0], layer.out_channels, *out_hw)
 
 
 def conv_backward_batch(

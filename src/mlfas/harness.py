@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
-from .nets import DenseLayer, Minibatch, Network, forward_batch, loss, uniform_init
+from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
 from .poisson import RegressionDataset, read_dataset
 from .training import (
     DivergenceError,
@@ -245,8 +245,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training split size {xtr.shape[0]}"
         )
-    train_mb = Minibatch(xtr, ytr)
-    val_mb = Minibatch(xva, yva)
     net = build_network(
         cfg.arch,
         _network_input_shape(cfg, ds),
@@ -255,8 +253,12 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         output_activation=cfg.output_activation,
         rng=np.random.default_rng([seed, 202]),
     )
+    # the input interface is never coarsened, so one lowering per split
+    # serves every level's first layer, in training and in evaluation
+    train_mb = Minibatch(lower_input(net, xtr), ytr)
+    val_mb = Minibatch(lower_input(net, xva), yva)
     scheduler = MinibatchScheduler(
-        xtr, ytr, cfg.batch_size, np.random.default_rng([seed, 101])
+        train_mb.inputs, ytr, cfg.batch_size, np.random.default_rng([seed, 101])
     )
     smoother = SmootherConfig(
         learning_rate=cfg.learning_rate,

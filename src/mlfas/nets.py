@@ -8,23 +8,31 @@ all weight blocks (by layer) followed by all bias blocks (by layer); the
 layers' arrays are views into it, and gradients and momentum vectors reuse
 the same layout.
 
-The first layer folds inputs that every sample of a batch shares: when the
-entries varying across the batch form one contiguous block along axis 1
-(dense features or conv channels), its products run on that block alone and
-the rest of the input enters through one single-sample product per call,
-in the same loop branch that runs the hidden layers of its kind.
-Of the generated Poisson inputs ``[kappa, x, y]`` only ``kappa`` varies
-between samples, so the fold removes about two thirds of that work.  The
-measured cost of a gradient is then no longer proportional to the
-parameter count: the input interface is never coarsened, so the first
-layer, whose parameters the fold makes cheap, holds a larger share of the
-parameters at coarse levels, and a coarse gradient costs less than its
-parameter ratio.
+The first layer always reads a ``LoweredInput``: ``lower_input`` finds the
+contiguous block of input features (or conv channels) that varies across
+the rows it is given, keeps one sample of the shared rest, and keeps the
+varying block of every row in the form the layer multiplies, the features
+themselves for a dense layer and their im2col patch matrix for a conv
+layer.  The products then run on the block alone, and the shared rest
+enters through one single-sample product per call, in the same loop branch
+that runs the hidden layers of its kind.  Training lowers each data split
+once and gathers minibatches from the lowering, so the fold and the im2col
+of the input happen once per split, not once per gradient or evaluation;
+raw rows given to ``forward_batch``, ``loss`` or ``backward`` go through
+the same ``lower_input`` on each call.  A conv lowering holds
+``kh*kw*oh*ow / (H*W)`` times the varying channels, 2.25x for
+``conv:8k3s2p1`` on a 32 x 32 input.  Of the generated Poisson inputs
+``[kappa, x, y]`` only ``kappa`` varies between samples, so the fold
+removes about two thirds of the first layer's work.  The measured cost of a
+gradient is then no longer proportional to the parameter count: the input
+interface is never coarsened, so the first layer, whose parameters the fold
+makes cheap, holds a larger share of the parameters at coarse levels, and a
+coarse gradient costs less than its parameter ratio.
 """
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,25 +91,55 @@ class LossValue:
     linf: float
 
 
+@dataclass(frozen=True)
+class LoweredInput:
+    """Rows of first-layer input lowered for the layer's products.
+
+    ``block`` is the slice of axis 1 (dense features or conv channels)
+    whose entries vary across the rows that were lowered, and ``rows`` holds
+    that block of every row: (N, block size) for a dense first layer, the
+    (N, C_b*kh*kw, oh*ow) patch matrix of the block's channels for a conv
+    one.  ``sample`` is the shared rest, one row with the block zeroed and
+    lowered the same way, or None when nothing is folded.  ``geometry`` is
+    the first-layer geometry the lowering was made for (``_geometry``);
+    every level of a hierarchy has the same one, because the input
+    interface is never coarsened.  Indexing with an index array gathers
+    rows and keeps the rest.
+    """
+
+    rows: np.ndarray
+    block: slice
+    sample: np.ndarray | None
+    geometry: tuple
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, idx) -> "LoweredInput":
+        return replace(self, rows=self.rows[idx])
+
+
 @dataclass
 class Minibatch:
-    """Paired sample arrays: inputs (B, d_in), targets (B, d_out)."""
+    """Paired samples: inputs, as raw (B, d_in) rows or a ``LoweredInput``,
+    and targets (B, d_out)."""
 
-    inputs: np.ndarray
+    inputs: "np.ndarray | LoweredInput"
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
+        if not isinstance(self.inputs, LoweredInput):
+            self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
         self.targets = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
-        if self.inputs.shape[0] == 0:
+        if len(self.inputs) == 0:
             raise ValueError("minibatch must be nonempty")
-        if self.inputs.shape[0] != self.targets.shape[0]:
+        if len(self.inputs) != self.targets.shape[0]:
             raise ValueError(
-                f"inputs hold {self.inputs.shape[0]} samples, targets {self.targets.shape[0]}"
+                f"inputs hold {len(self.inputs)} samples, targets {self.targets.shape[0]}"
             )
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return len(self.inputs)
 
 
 def _flat_size(desc) -> int:
@@ -271,30 +309,71 @@ def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
 _WHOLE = (slice(None), None)
 
 
-def _shared_input(net: Network, x: np.ndarray):
-    """The first layer's ``(block, sample)`` for a (B, input_size) batch.
+def _geometry(net: Network) -> tuple:
+    """The input shape and, for a conv first layer, its kernel size, stride
+    and padding: everything a first-layer lowering depends on."""
+    layer = net.layers[0]
+    if isinstance(layer, ConvLayer):
+        return (net.input_shape, layer.kernel_size, layer.stride, layer.padding)
+    return (net.input_size,)
 
-    ``block`` is the contiguous slice of axis 1 (dense features or conv
-    channels) whose entries vary across the batch.  ``sample`` is the first
-    sample with that block zeroed, lowered for the layer's product: the
-    vector itself for a dense layer, its (C*kh*kw, oh*ow) patch matrix for
-    a conv layer.  Unless the varying entries form one block that is
-    neither empty nor the whole axis, nothing is folded and the result is
-    the whole axis and None, so a batch of one sample is never folded.  A
-    NaN compares unequal to itself, so it always counts as varying.
+
+def lower_input(net: Network, x) -> LoweredInput:
+    """Lower rows ``x`` (B, input_size) for the network's first layer.
+
+    ``block`` spans the entries of axis 1 (dense features or conv channels)
+    that vary across the rows.  Unless they form one block that is neither
+    empty nor the whole axis, nothing is folded: the block is the whole
+    axis and ``sample`` None, so a single row is never folded.  A NaN
+    compares unequal to itself, so it always counts as varying and never
+    enters the shared sample.
+
+    The fold is decided over all of ``x``.  Training lowers each data split
+    once, and a batch gathered from the lowering keeps the split's block.
+    Lowering that batch's raw rows instead gives the same block, and the
+    same bits, unless the batch has constant columns inside the split's
+    block (a batch of one sample is the extreme case); the batch's own fold
+    would then move those columns into the single-sample product, and the
+    two results differ at rounding level only.
     """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != net.input_size:
+        raise NetworkShapeError(
+            f"input size {x.shape[1]} does not match network input {net.input_size}"
+        )
     layer = net.layers[0]
     conv = isinstance(layer, ConvLayer)
     rows = x.reshape(x.shape[0], net.interfaces[0][1], -1) if conv else x
     varies = np.flatnonzero((rows[1:] != rows[:1]).any(axis=(0, 2) if conv else 0))
-    if varies.size in (0, rows.shape[1]) or varies[-1] - varies[0] + 1 != varies.size:
-        return _WHOLE
-    block = slice(int(varies[0]), int(varies[-1]) + 1)
-    sample = rows[0].copy()
-    sample[block] = 0.0
+    block, sample = _WHOLE
+    if 0 < varies.size < rows.shape[1] and varies[-1] - varies[0] + 1 == varies.size:
+        block = slice(int(varies[0]), int(varies[-1]) + 1)
+        sample = rows[0].copy()
+        sample[block] = 0.0
     if conv:
-        sample = conv_patches(layer, sample.reshape((1,) + net.interfaces[0][1:]))[0]
-    return block, sample
+        shaped = x.reshape((x.shape[0],) + net.input_shape)
+        rows = conv_patches(_channel_block(layer, block), shaped[:, block])
+        if sample is not None:
+            sample = conv_patches(layer, sample.reshape((1,) + net.input_shape))[0]
+    else:
+        rows = np.ascontiguousarray(x[:, block])
+    return LoweredInput(rows, block, sample, _geometry(net))
+
+
+def _lowered(net: Network, inputs) -> LoweredInput:
+    """``inputs`` as a lowering for ``net``.
+
+    Raw rows are lowered here; a lowering made for another first-layer
+    geometry is rejected.
+    """
+    if not isinstance(inputs, LoweredInput):
+        return lower_input(net, inputs)
+    if inputs.geometry != _geometry(net):
+        raise NetworkShapeError(
+            f"input lowered for first-layer geometry {inputs.geometry}, "
+            f"the network's is {_geometry(net)}"
+        )
+    return inputs
 
 
 def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
@@ -311,32 +390,27 @@ def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
     return sub
 
 
-def _forward(net: Network, x: np.ndarray, caches: list | None = None, shared=_WHOLE) -> np.ndarray:
-    """Batched forward pass; returns (B, output_size).
+def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) -> np.ndarray:
+    """Batched forward pass from a first-layer lowering; returns (B, output_size).
 
     When a list ``caches`` is given, each layer appends its (input,
     pre-activation) pair, a conv layer its input's patch matrix in place of
-    the input; without it nothing outlives the layer that made it.
-    ``shared`` is the first layer's ``(block, sample)`` from
-    ``_shared_input``; that layer caches only its input's ``block``.
+    the input, and the first layer the lowering's rows; without it nothing
+    outlives the layer that made it.
     """
-    a = x
+    a = lowered.rows
     n_last = net.n_layers - 1
     for k, layer in enumerate(net.layers):
-        desc = net.interfaces[k]
-        block, sample = shared if k == 0 else _WHOLE
+        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
         if isinstance(layer, ConvLayer):
-            a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])[:, block]
-            sub = _channel_block(layer, block)
-            if caches is None:
-                z = conv_forward_batch(sub, a)
-            else:
-                z, a = conv_forward_batch(sub, a, return_patches=True)
+            if k > 0:
+                a = conv_patches(layer, a.reshape((a.shape[0],) + net.interfaces[k][1:]))
+            z = conv_forward_batch(_channel_block(layer, block), a, net.interfaces[k + 1][2:])
             if sample is not None:
                 kernels = layer.kernels.reshape(layer.out_channels, -1)
                 z += (kernels @ sample).reshape(z.shape[1:])
         else:
-            a = a.reshape(a.shape[0], -1)[:, block]
+            a = a.reshape(a.shape[0], -1)
             z = a @ layer.weights[:, block].T
             z += layer.bias if sample is None else layer.weights @ sample + layer.bias
         if caches is not None:
@@ -348,20 +422,15 @@ def _forward(net: Network, x: np.ndarray, caches: list | None = None, shared=_WH
     return a.reshape(a.shape[0], -1)
 
 
-def _forward_cached(net: Network, x: np.ndarray):
+def _forward_cached(net: Network, x):
     """Batched forward pass keeping per-layer (input or patches, pre-activation) caches."""
     caches = []
-    return _forward(net, x, caches, _shared_input(net, x)), caches
+    return _forward(net, _lowered(net, x), caches), caches
 
 
 def forward_batch(net: Network, x) -> np.ndarray:
-    """Evaluate the network on rows of x; returns (B, output_size)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != net.input_size:
-        raise NetworkShapeError(
-            f"input size {x.shape[1]} does not match network input {net.input_size}"
-        )
-    return _forward(net, x, shared=_shared_input(net, x))
+    """Evaluate the network on rows of x, raw or lowered; returns (B, output_size)."""
+    return _forward(net, _lowered(net, x))
 
 
 def forward(net: Network, y_in) -> np.ndarray:
@@ -390,20 +459,14 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
     network's scratch buffer ``net.grad``) and otherwise into a new vector
     that the caller owns and no later call changes.
     """
-    x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
-    if x.shape[1] != net.input_size:
-        raise NetworkShapeError(
-            f"input size {x.shape[1]} does not match network input {net.input_size}"
-        )
+    lowered = _lowered(net, batch.inputs)
     if out is None:
         out = net.params.zeros_like()
     elif out.segments != net.params.segments:
         raise ParamLayoutError("gradient buffer layout does not match the network")
-    shared = _shared_input(net, x)
     caches = []
-    preds = _forward(net, x, caches, shared)
-    b = x.shape[0]
-    g = (2.0 / b) * (preds - batch.targets)
+    preds = _forward(net, lowered, caches)
+    g = (2.0 / preds.shape[0]) * (preds - batch.targets)
 
     for k in range(net.n_layers - 1, -1, -1):
         layer = net.layers[k]
@@ -415,7 +478,7 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
         gw, gb = out.view(k, "weight"), out.view(k, "bias")
         # a folded first layer's weight gradient sums over the batch on the
         # varying block; the rest is the batch-summed upstream times the sample
-        block, sample = shared if k == 0 else _WHOLE
+        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
         if isinstance(layer, ConvLayer):
             # a_k is the patch matrix; the first layer's input gradient is never used
             in_hw = net.interfaces[k][2:] if k > 0 else None

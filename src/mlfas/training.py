@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # flatten and unflatten are not called here; perfbench/tracer.py rebinds them at this module
-from .nets import Minibatch, Network, ParamVector, backward, flatten, unflatten
+from .nets import LoweredInput, Minibatch, Network, ParamVector, backward, flatten, unflatten
 from .transfer import (
     TransferLevel,
     coarse_grid_correction,
@@ -104,13 +104,17 @@ class MinibatchScheduler:
 
     One shared cursor serves both smoothing steps and tau-group draws; the
     permutation is redrawn whenever an epoch is exhausted.  Iterating the
-    scheduler yields minibatches forever.
+    scheduler yields minibatches forever.  ``inputs`` are raw rows or, as
+    ``run_seed`` passes them, the split's ``LoweredInput``, whose rows a
+    batch then gathers in place of the raw ones.
     """
 
     def __init__(self, inputs, targets, batch_size: int, rng: np.random.Generator):
-        self.inputs = np.asarray(inputs, dtype=np.float64)
+        if not isinstance(inputs, LoweredInput):
+            inputs = np.asarray(inputs, dtype=np.float64)
+        self.inputs = inputs
         self.targets = np.asarray(targets, dtype=np.float64)
-        n = self.inputs.shape[0]
+        n = len(self.inputs)
         if self.targets.shape[0] != n:
             raise ValueError("inputs and targets disagree on sample count")
         if batch_size < 1:

@@ -13,6 +13,7 @@ Input and output interfaces are pinned to the identity, so only hidden
 widths (or channel counts) change.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,9 @@ class TransferLevel:
     (``Network.interface_spatial``); a dense layer reading it has that many
     columns per channel.  ``layouts`` holds the (fine, coarse) parameter
     layouts once a transfer has been applied; they are checked and built on
-    first use, not per call.
+    first use, not per call, together with ``scratch``, two work arrays of
+    the largest fine block's size that every application of the level
+    reuses for a block's input-axis map and a pair sum's mate term.
     """
 
     def __init__(self, interfaces: list[InterfaceTransfer], spatial: list[int]):
@@ -68,6 +71,7 @@ class TransferLevel:
             [i.op.n_coarse for i in interfaces],
         )
         self.layouts = None
+        self.scratch = None
 
     @property
     def n_layers(self) -> int:
@@ -124,7 +128,8 @@ def refresh_weights(t: TransferLevel, net: Network) -> TransferLevel:
         for k, i in enumerate(t.interfaces)
     ]
     refreshed = TransferLevel(interfaces, t.spatial)
-    refreshed.layouts = t.layouts  # same matchings, so the same shapes
+    # same matchings, so the same shapes
+    refreshed.layouts, refreshed.scratch = t.layouts, t.scratch
     return refreshed
 
 
@@ -142,7 +147,8 @@ def _shape(t: TransferLevel, seg: Segment, side: int) -> tuple[int, ...]:
 def _layouts(t: TransferLevel, segments: tuple[Segment, ...], side: int):
     """(fine, coarse) layouts for vectors laid out as ``segments`` on ``side``.
 
-    The pair is checked, built and cached on the level on first use.
+    The pair is checked, built and cached on the level on first use, and
+    the level's scratch arrays with it.
     """
     if t.layouts is None or t.layouts[side] != segments:
         other, offset = [], 0
@@ -155,6 +161,10 @@ def _layouts(t: TransferLevel, segments: tuple[Segment, ...], side: int):
             other.append(Segment(seg.layer, seg.kind, offset, _shape(t, seg, 1 - side)))
             offset += other[-1].size
         t.layouts = (segments, tuple(other)) if side == 0 else (tuple(other), segments)
+        # every intermediate of a block (a map along one axis) and every mate
+        # term is at most as large as the block's fine side
+        size = max(seg.size for seg in t.layouts[0])
+        t.scratch = (np.empty(size), np.empty(size))
     return t.layouts
 
 
@@ -172,19 +182,25 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
         out = ParamVector.zeros(target)
     elif out.segments != target:
         raise ParamLayoutError("output vector layout does not match the transfer level")
+    mid, mate = t.scratch
+    # pair sums write their mate term into ``mate``; gathers have none
+    work = {} if side else {"scratch": mate}
 
-    def along(op, a, w, axis, res=None):
-        # the identity end interfaces (and unmatched plain ones) leave ``a`` as it is
-        if not op.is_identity:
-            return primitive(op, a, getattr(op, w), axis, out=res)
-        if res is not None:
+    def along(op, a, w, axis, res):
+        # the identity end interfaces (and unmatched plain ones) copy ``a`` as it is
+        if op.is_identity:
             res[...] = a
-        return a
+        else:
+            primitive(op, a, getattr(op, w), axis, out=res, **work)
+        return res
 
     for k in range(t.n_layers):
         op_out, op_in = t.interfaces[k + 1].op, t.interfaces[k].op
         w = x.view(k, "weight")
-        w = along(op_in, w.reshape(w.shape[0], t.units[side][k], -1), w_in, 1)
+        w = w.reshape(w.shape[0], t.units[side][k], -1)
+        if not op_in.is_identity:
+            shape = (w.shape[0], t.units[1 - side][k], w.shape[2])
+            w = along(op_in, w, w_in, 1, mid[: math.prod(shape)].reshape(shape))
         res = out.view(k, "weight")
         along(op_out, w, w_out, 0, res.reshape(res.shape[0], *w.shape[1:]))
         along(op_out, x.view(k, "bias"), w_out, 0, out.view(k, "bias"))

@@ -239,6 +239,10 @@ class TestApply:
                 out = np.full(shape, np.nan)
                 assert fn(a, t.p, axis, out=out) is out
                 assert np.array_equal(out, fn(a, t.p, axis))
+        # pair_sum's mate term in a longer NaN-filled scratch array
+        a = rng.normal(size=(9, 5))
+        scratch = np.full(60, np.nan)
+        assert np.array_equal(t.pair_sum(a, t.pi, 0, scratch=scratch), t.pair_sum(a, t.pi, 0))
 
     def test_length_mismatch(self):
         t = identity_transfer(3)

@@ -25,7 +25,7 @@ from mlfas.harness import (
     run_experiment,
     run_seed,
 )
-from mlfas.nets import DenseLayer, Minibatch, Network, dense_network, flatten, loss
+from mlfas.nets import DenseLayer, Minibatch, Network, dense_network, flatten, loss, lower_input
 from mlfas.poisson import generate_dataset, write_dataset
 from mlfas.training import MinibatchScheduler, SmootherConfig, sgd_smooth
 
@@ -245,6 +245,25 @@ class TestRunExperiment:
         assert all(r.failed for r in runs)
         assert [r.seed for r in runs] == [0, 1]
         assert all("non-finite" in r.reason for r in runs)
+
+    @pytest.mark.parametrize("arch", ["dense:12", "conv:3k3s1p1,dense:8"])
+    @pytest.mark.parametrize("sample", [0, 4])
+    def test_nan_in_a_shared_channel_fails_the_run(self, tiny_dataset, arch, sample):
+        # x is the same in every sample, so the split-level fold would drop a
+        # NaN there unless the NaN counts as varying
+        ds, path = tiny_dataset
+        ds = dataclasses.replace(ds, inputs=ds.inputs.copy())
+        ds.inputs[ds.train_idx[sample], 1, 2, 3] = np.nan
+        cfg = tiny_config(path, arch=arch)
+        xtr = dataset_splits(ds)[0]
+        net = build_network(arch, (3, 6, 6) if arch.startswith("conv") else xtr.shape[1], 36)
+        lowered = lower_input(net, xtr)
+        assert np.isnan(lowered.rows).any()
+        assert lowered.sample is None or not np.isnan(lowered.sample).any()
+        with np.errstate(all="ignore"):
+            run = run_seed(cfg, 0, ds)
+        assert run.failed
+        assert "non-finite" in run.reason
 
     def test_work_accounting_matches_training_counter(self, tiny_dataset):
         # the emitted work_units come straight from the hierarchy counter

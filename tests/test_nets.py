@@ -20,15 +20,17 @@ from mlfas.nets import (
     NetworkShapeError,
     ParamLayoutError,
     ParamVector,
-    _shared_input,
     backward,
     dense_network,
     flatten,
     forward,
     forward_batch,
     loss,
+    lower_input,
     unflatten,
 )
+from mlfas.poisson import generate_dataset
+from mlfas.transfer import coarsen_network, restrict_network
 
 
 def naive_forward(layers, y, output_activation):
@@ -300,6 +302,23 @@ def folded_case(seed, conv, batch_size, activation, kernel=3, stride=1, padding=
     return net, batch, slice(lo, hi)
 
 
+def assert_gradients_match(got, ref, block):
+    """``assert_rel`` per block, with layer 0's weight gradient split at ``block``.
+
+    The varying block and the shared rest are computed apart, so each part
+    is held to the tolerance relative to its own scale.
+    """
+    for seg in got.segments:
+        g, r = got.view(seg.layer, seg.kind), ref.view(seg.layer, seg.kind)
+        if seg.layer == 0 and seg.kind == "weight":
+            varying = np.zeros(g.shape[1], dtype=bool)
+            varying[block] = True
+            assert_rel(g[:, varying], r[:, varying])
+            assert_rel(g[:, ~varying], r[:, ~varying])
+        else:
+            assert_rel(g, r)
+
+
 class TestSharedInputFold:
     """First-layer inputs shared by every sample, folded out of the products."""
 
@@ -315,19 +334,9 @@ class TestSharedInputFold:
         kernel, stride, padding = geometry
         net, batch, block = folded_case(seed, conv, batch_size, activation,
                                         kernel, stride, padding)
-        assert _shared_input(net, batch.inputs)[0] == block
+        assert lower_input(net, batch.inputs).block == block
         assert_rel(forward_batch(net, batch.inputs), reference_forward(net, batch.inputs))
-        got, ref = backward(net, batch), reference_backward(net, batch)
-        for seg in got.segments:
-            g, r = got.view(seg.layer, seg.kind), ref.view(seg.layer, seg.kind)
-            if seg.layer == 0 and seg.kind == "weight":
-                # the varying block and the shared rest are computed apart
-                varying = np.zeros(g.shape[1], dtype=bool)
-                varying[block] = True
-                assert_rel(g[:, varying], r[:, varying])
-                assert_rel(g[:, ~varying], r[:, ~varying])
-            else:
-                assert_rel(g, r)
+        assert_gradients_match(backward(net, batch), reference_backward(net, batch), block)
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_unfolded_batches_match_bitwise(self, conv):
@@ -348,7 +357,7 @@ class TestSharedInputFold:
                 cases.append(gapped.reshape(7, -1))
             for x in cases:
                 b = Minibatch(x, batch.targets[: x.shape[0]])
-                assert _shared_input(net, b.inputs)[1] is None
+                assert lower_input(net, b.inputs).sample is None
                 assert np.array_equal(forward_batch(net, x), reference_forward(net, x))
                 assert np.array_equal(backward(net, b).data, reference_backward(net, b).data)
 
@@ -361,3 +370,109 @@ class TestSharedInputFold:
         rows[:, column, 0] = np.nan
         assert np.isnan(forward_batch(net, batch.inputs)).all()
         assert np.isnan(backward(net, batch).data).all()
+
+
+def poisson_split(conv, arch=None):
+    """A net and a generated ``[kappa, x, y]`` split of 12 samples on a 6 x 6 grid.
+
+    Only ``kappa`` varies between the samples, as in every generated dataset.
+    Returns (net, inputs, targets).
+    """
+    ds = generate_dataset(12, 6, seed=31)
+    x, y = ds.flat_inputs(), ds.flat_outputs()
+    if arch is None:
+        arch = "conv:4k3s2p1,dense:9" if conv else "dense:9,dense:7"
+    shape = (3, 6, 6) if conv else x.shape[1]
+    return build_network(arch, shape, y.shape[1], rng=np.random.default_rng(37)), x, y
+
+
+class TestSplitLowering:
+    """A split lowered once, and batches gathered from it, against per-call lowering."""
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_gathered_batches_match_raw_batches_bitwise(self, conv):
+        net, x, y = poisson_split(conv)
+        lowered = lower_input(net, x)
+        assert lowered.block == (slice(0, 1) if conv else slice(0, 36))
+        assert lowered.sample is not None
+        coarse = restrict_network(net, coarsen_network(net, theta=-1.0))
+        assert coarse.unit_counts()[1] < net.unit_counts()[1]
+        perm = np.random.default_rng(41).permutation(12)
+        for idx in (np.arange(12), perm[:7], perm[:2], perm[::-1]):
+            gathered, raw = Minibatch(lowered[idx], y[idx]), Minibatch(x[idx], y[idx])
+            assert lower_input(net, raw.inputs).block == lowered.block
+            # every level reads the same lowering
+            for level in (net, coarse):
+                assert np.array_equal(forward_batch(level, gathered.inputs),
+                                      forward_batch(level, raw.inputs))
+                assert loss(level, gathered) == loss(level, raw)
+                assert np.array_equal(backward(level, gathered).data,
+                                      backward(level, raw).data)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_gathered_single_sample_matches_raw_sample(self, conv):
+        # one raw sample folds nothing; gathered from the split it keeps the
+        # split's fold, so the two agree to rounding, not bit for bit
+        net, x, y = poisson_split(conv)
+        lowered = lower_input(net, x)
+        for i in (0, 5):
+            gathered, raw = Minibatch(lowered[[i]], y[[i]]), Minibatch(x[[i]], y[[i]])
+            assert lower_input(net, raw.inputs).sample is None
+            assert_rel(forward_batch(net, gathered.inputs), forward_batch(net, raw.inputs))
+            assert loss(net, gathered).l2 == pytest.approx(loss(net, raw).l2, rel=1e-12)
+            assert_gradients_match(backward(net, gathered), backward(net, raw), lowered.block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        conv=st.sampled_from([0, 1, 2]),
+        batch_size=st.sampled_from([1, 2, 4]),
+        activation=st.sampled_from(["relu", "leaky_relu"]),
+        where=st.sampled_from(["first", "last", "middle"]),
+    )
+    def test_batch_constant_inside_split_block(self, seed, conv, batch_size, activation, where):
+        # the batch holds one column (feature or channel) constant that varies
+        # over the split, so the split's fold is not the batch's own
+        net, split, block = folded_case(seed, conv, 9, activation)
+        n = net.interfaces[0][1]
+        column = {"first": block.start, "last": block.stop - 1,
+                  "middle": (block.start + block.stop - 1) // 2}[where]
+        idx = np.random.default_rng(seed).permutation(9)[:batch_size]
+        rows = split.inputs.reshape(9, n, -1)
+        rows[idx, column] = rows[idx[:1], column]
+        lowered = lower_input(net, split.inputs)
+        assert lowered.block == block
+        raw = Minibatch(split.inputs[idx], split.targets[idx])
+        gathered = Minibatch(lowered[idx], raw.targets)
+        assert_rel(forward_batch(net, gathered.inputs), reference_forward(net, raw.inputs))
+        assert_gradients_match(backward(net, gathered), reference_backward(net, raw), block)
+
+
+class TestLoweringGeometry:
+    """A lowering made for one first-layer geometry is refused by another."""
+
+    @pytest.mark.parametrize("other", [
+        "conv:4k2s1p0,dense:9",  # kernel
+        "conv:4k3s2p1,dense:9",  # stride: same patch-matrix shape on a 4 x 4 input
+        "conv:4k3s1p1,dense:9",  # padding
+        "dense:9",  # a dense first layer over the same inputs
+    ])
+    def test_conv_lowering_rejected(self, other):
+        rng = np.random.default_rng(43)
+        net = build_network("conv:4k3s1p0,dense:9", (2, 4, 4), 3, rng=rng)
+        shape = (2, 4, 4) if other.startswith("conv") else 32
+        wrong = build_network(other, shape, 3, rng=rng)
+        batch = Minibatch(lower_input(net, rng.normal(size=(5, 32))), rng.normal(size=(5, 3)))
+        for call in (lambda: forward_batch(wrong, batch.inputs), lambda: loss(wrong, batch),
+                     lambda: backward(wrong, batch)):
+            with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
+                call()
+
+    def test_input_size_change_rejected(self):
+        rng = np.random.default_rng(47)
+        for arch, shapes in (("conv:4k3s1p1,dense:9", ((2, 5, 5), (2, 6, 6))),
+                             ("dense:9", (50, 72))):
+            net, wrong = (build_network(arch, s, 3, rng=rng) for s in shapes)
+            x = rng.normal(size=(4, net.input_size))
+            with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
+                backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))

@@ -1,5 +1,7 @@
 """Network-level restriction, prolongation, and coarse-grid corrections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,25 @@ class TestCoarseGridCorrection:
             out = coarse_grid_correction(x, xc, t, alpha=0.3, out=x, scratch=scratch)
             assert out is x
             assert np.array_equal(out.data, ref.data)
+
+
+    def test_repeated_correction_allocates_no_block(self):
+        # the level's scratch arrays hold every per-block intermediate, so a
+        # call after the first allocates only numpy's fixed-size ufunc buffer
+        net = dense_network([768, 128, 128, 256], rng=np.random.default_rng(53))
+        t = coarsen_network(net, theta=0.1)
+        coarse = restrict_network(net, t)
+        x = flatten(net)
+        scratch = (coarse.grad, net.grad)
+        coarse_grid_correction(x, coarse.params, t, alpha=0.5, out=x, scratch=scratch)
+        t = refresh_weights(t, net)
+        tracemalloc.start()
+        try:
+            coarse_grid_correction(x, coarse.params, t, alpha=0.5, out=x, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes / 8
 
 
 class TestRestrictNetwork:
