@@ -165,9 +165,9 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray, out_hw: tuple[int, int] 
     built once by the caller and multiplied as it is.
     """
     if out_hw is None:
-        x = np.asarray(x, dtype=np.float64)
-        out_hw = layer.out_spatial(x.shape[2], x.shape[3])
-        x = conv_patches(layer, x)
+        raw = np.asarray(x, dtype=np.float64)
+        x = conv_patches(layer, raw)
+        out_hw = layer.out_spatial(raw.shape[2], raw.shape[3])
     n_taps = layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]
     if x.ndim != 3 or x.shape[1:] != (n_taps, out_hw[0] * out_hw[1]):
         raise ConvShapeError(

@@ -104,6 +104,12 @@ class TestForward:
         with pytest.raises(ConvShapeError, match="channel axis"):
             conv_forward(layer, ChannelTensorView.from_array(np.zeros((3, 2, 2))))
 
+    def test_batch_without_channel_axes_names_axis(self):
+        layer = ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1))
+        for shape in ((5, 5), (1, 5, 5)):
+            with pytest.raises(ConvShapeError, match="channel axis"):
+                conv_forward_batch(layer, np.zeros(shape))
+
     def test_matrix_size_guard(self):
         layer = ConvLayer(np.zeros((8, 8, 3, 3)), np.zeros(8), padding=(1, 1))
         with pytest.raises(ValueError, match="entries"):
