@@ -145,12 +145,12 @@ def _along(w: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return w.reshape(w.shape + (1,) * (ndim - 1 - axis))
 
 
-def strength_from_rows(rows, absolute: bool = False) -> StrengthMatrix:
+def strength_from_rows(rows) -> StrengthMatrix:
     """Cosine similarity between the rows of a weight matrix.
 
-    Rows with zero norm get similarity 0 to every other unit.  With
-    ``absolute`` the sign is dropped, otherwise anti-parallel rows score -1
-    and are never matched for any threshold >= 0.
+    Rows with zero norm get similarity 0 to every other unit.  The sign is
+    kept: anti-parallel rows score -1 and are never matched for any
+    threshold >= 0.
     """
     r = np.asarray(rows, dtype=np.float64)
     if r.ndim != 2:
@@ -162,8 +162,6 @@ def strength_from_rows(rows, absolute: bool = False) -> StrengthMatrix:
     dead = norms == 0.0
     g[dead, :] = 0.0
     g[:, dead] = 0.0
-    if absolute:
-        np.abs(g, out=g)
     # gemm output is not exactly symmetric; the matching assumes S_ij = S_ji
     g = 0.5 * (g + g.T)
     return StrengthMatrix(g)

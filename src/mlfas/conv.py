@@ -39,6 +39,12 @@ class ConvLayer:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.kernels.ndim != 4:
             raise ConvShapeError(f"kernels must be 4-d, got shape {self.kernels.shape}")
+        axes = ("output channel", "input channel", "kernel height", "kernel width")
+        for axis, size in zip(axes, self.kernels.shape):
+            if size < 1:
+                raise ConvShapeError(
+                    f"{axis} axis: kernels must be nonempty, got shape {self.kernels.shape}"
+                )
         if self.bias.shape != (self.kernels.shape[0],):
             raise ConvShapeError(
                 f"bias axis: expected length {self.kernels.shape[0]}, got {self.bias.shape}"

@@ -519,14 +519,14 @@ def inspect_hierarchy(paths, theta: float = 0.1) -> str:
             fine_units = net.unit_counts()
             next_units = coarse.unit_counts()
             for k in range(1, len(fine_units) - 1):
-                matching = t.interfaces[k].matching
-                sizes = matching.aggregate_sizes()
+                op = t.interfaces[k]
+                sizes = np.bincount(op.aggregate)
                 hist = {int(s): int(c) for s, c in
                         zip(*np.unique(sizes, return_counts=True))}
                 lines.append(
                     f"  interface {k}: units {fine_units[k]} -> {next_units[k]} "
                     f"(ratio {next_units[k] / fine_units[k]:.3f}), "
-                    f"matching now gives {matching.num_aggregates} aggregates, "
+                    f"matching now gives {op.n_coarse} aggregates, "
                     f"size histogram {hist}"
                 )
     return "\n".join(lines)

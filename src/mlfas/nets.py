@@ -259,13 +259,6 @@ class Network:
             counts.append(desc[1])
         return counts
 
-    def interface_spatial(self, k: int) -> int:
-        """Spatial multiplicity at interface k (1 for flat interfaces)."""
-        desc = self.interfaces[k]
-        if desc[0] == "flat":
-            return 1
-        return desc[2] * desc[3]
-
     def param_count(self) -> int:
         return self.params.total_len
 

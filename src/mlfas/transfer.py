@@ -1,26 +1,26 @@
 """Whole-network transfer operators.
 
-Per-interface pairwise maps from the coarsening module are applied blockwise
-to give three linear maps on the full parameter space: the iterate
-restriction (coarse weights pi_{k+1} W_k p_k, coarse biases pi_{k+1} b_k),
-the interpolation (p_{k+1} W_k^c pi_k, p_{k+1} b_k^c), and the gradient
-restriction, which is exactly the transpose of the interpolation (bias
-blocks therefore map by p_{k+1}^T).  One routine serves all three: it maps
-axis 1 of each weight block by the input interface, then axis 0 and the bias
-by the output interface.  A dense layer reading a flattened (C, H, W) tensor
-is mapped as a (out, C, H*W) array, so each channel's columns move together.
-Input and output interfaces are pinned to the identity, so only hidden
-widths (or channel counts) change.
+A ``TransferLevel`` is the one record of a coarsening step: the fine
+network's pairwise map (``LayerTransfer``) at every layer interface, the
+input and output ones pinned to the identity so only hidden widths (or
+channel counts) change, with the fine and coarse parameter layouts fixed
+when it is built.  Its maps are applied blockwise to give three linear maps
+on the full parameter space: the iterate restriction (coarse weights
+pi_{k+1} W_k p_k, coarse biases pi_{k+1} b_k), the interpolation
+(p_{k+1} W_k^c pi_k, p_{k+1} b_k^c), and the gradient restriction, which is
+exactly the transpose of the interpolation (bias blocks therefore map by
+p_{k+1}^T).  One routine serves all three: it maps axis 1 of each weight
+block by the input interface, then axis 0 and the bias by the output
+interface.  A dense layer reading a flattened (C, H, W) tensor is mapped as
+a (out, C, H*W) array, so each channel's columns move together.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coarsening import (
     LayerTransfer,
-    Matching,
     build_transfer,
     greedy_hem,
     identity_transfer,
@@ -39,39 +39,44 @@ from .nets import (
 )
 
 
-@dataclass
-class InterfaceTransfer:
-    """The pairwise map at one layer interface.
-
-    ``matching`` is None at the identity end interfaces.
-    """
-
-    op: LayerTransfer
-    matching: Matching | None = None
-
-
 class TransferLevel:
-    """One coarsening step: per-interface maps plus shape bookkeeping.
+    """One coarsening step of ``net``: a pairwise map per interface.
 
-    ``units`` holds the (fine, coarse) unit counts per interface and
-    ``spatial[k]`` the spatial size of interface k
-    (``Network.interface_spatial``); a dense layer reading it has that many
-    columns per channel.  ``layouts`` holds the (fine, coarse) parameter
-    layouts once a transfer has been applied; they are checked and built on
-    first use, not per call, together with ``scratch``, two work arrays of
-    the largest fine block's size that every application of the level
-    reuses for a block's input-axis map and a pair sum's mate term.
+    ``interfaces`` holds a ``LayerTransfer`` per interface of ``net`` (len
+    n_layers + 1): the identity at the input and output and the given
+    ``hidden`` maps between them, whose fine widths must be the network's.
+    ``layouts`` holds the (fine, coarse) parameter layouts and ``scratch``
+    two work arrays of the largest fine block's size, which every
+    application of the level reuses for a block's input-axis map and a pair
+    sum's mate term.  Both are fixed here; ``refresh_weights`` keeps them.
     """
 
-    def __init__(self, interfaces: list[InterfaceTransfer], spatial: list[int]):
-        self.interfaces = interfaces
-        self.spatial = spatial
-        self.units = (
-            [i.op.n_fine for i in interfaces],
-            [i.op.n_coarse for i in interfaces],
-        )
-        self.layouts = None
-        self.scratch = None
+    def __init__(self, net: Network, hidden: list[LayerTransfer]):
+        units = net.unit_counts()
+        self.interfaces = [identity_transfer(units[0]), *hidden, identity_transfer(units[-1])]
+        widths = [op.n_fine for op in self.interfaces]
+        if widths != units:
+            raise NetworkShapeError(
+                f"transfer widths {widths} do not match the network's unit counts {units}"
+            )
+        fine = net.params.segments
+        coarse, offset = [], 0
+        for seg in fine:
+            k = seg.layer
+            n_out = self.interfaces[k + 1].n_coarse
+            if seg.kind == "bias":
+                shape = (n_out,)
+            elif len(seg.shape) == 4:  # conv kernels keep their taps
+                shape = (n_out, self.interfaces[k].n_coarse) + seg.shape[2:]
+            else:  # dense blocks keep their columns per input unit (or channel)
+                shape = (n_out, self.interfaces[k].n_coarse * (seg.shape[1] // units[k]))
+            coarse.append(Segment(k, seg.kind, offset, shape))
+            offset += coarse[-1].size
+        self.layouts = (fine, tuple(coarse))
+        # every intermediate of a block (a map along one axis) and every mate
+        # term is at most as large as the block's fine side
+        size = max(seg.size for seg in fine)
+        self.scratch = (np.empty(size), np.empty(size))
 
     @property
     def n_layers(self) -> int:
@@ -101,71 +106,29 @@ def coarsen_network(
     the input and output interfaces stay identity.  ``order_rng``, when
     given, randomizes the matching visit order.
     """
-    units = net.unit_counts()
-    interfaces = [InterfaceTransfer(identity_transfer(units[0]))]
+    hidden = []
     for k in range(1, net.n_layers):
         rows = similarity_rows(net.layers[k - 1])
         s = strength_from_rows(rows)
         order = None if order_rng is None else order_rng.permutation(s.n)
         m = greedy_hem(s, theta, order=order)
-        op = build_transfer(m, w_rows=rows if weighted else None, weighted=weighted)
-        interfaces.append(InterfaceTransfer(op, m))
-    interfaces.append(InterfaceTransfer(identity_transfer(units[-1])))
-    return TransferLevel(interfaces, [net.interface_spatial(k) for k in range(net.n_layers)])
+        hidden.append(build_transfer(m, w_rows=rows if weighted else None, weighted=weighted))
+    return TransferLevel(net, hidden)
 
 
 def refresh_weights(t: TransferLevel, net: Network) -> TransferLevel:
     """Recompute the weighted interfaces' row norms from current parameters.
 
     The weighted form carries the live row norms, so it is refreshed from
-    the network between re-matchings; the pairing and every plain interface
-    are reused as they are.
+    the network between re-matchings.  Each weighted interface is replaced
+    in ``t`` by its reweighted form, with the same aggregates; plain
+    interfaces, the layouts and the scratch arrays stay as they are.
+    Returns ``t``.
     """
-    interfaces = [
-        InterfaceTransfer(reweight(i.op, similarity_rows(net.layers[k - 1])), i.matching)
-        if i.op.weighted
-        else i
-        for k, i in enumerate(t.interfaces)
-    ]
-    refreshed = TransferLevel(interfaces, t.spatial)
-    # same matchings, so the same shapes
-    refreshed.layouts, refreshed.scratch = t.layouts, t.scratch
-    return refreshed
-
-
-def _shape(t: TransferLevel, seg: Segment, side: int) -> tuple[int, ...]:
-    """Shape of ``seg``'s block on one side of the level (0 fine, 1 coarse)."""
-    units = t.units[side]
-    k = seg.layer
-    if seg.kind == "bias":
-        return (units[k + 1],)
-    if len(seg.shape) == 4:
-        return (units[k + 1], units[k]) + seg.shape[2:]
-    return (units[k + 1], units[k] * t.spatial[k])
-
-
-def _layouts(t: TransferLevel, segments: tuple[Segment, ...], side: int):
-    """(fine, coarse) layouts for vectors laid out as ``segments`` on ``side``.
-
-    The pair is checked, built and cached on the level on first use, and
-    the level's scratch arrays with it.
-    """
-    if t.layouts is None or t.layouts[side] != segments:
-        other, offset = [], 0
-        for seg in segments:
-            if seg.shape != _shape(t, seg, side):
-                raise NetworkShapeError(
-                    f"layer {seg.layer} {seg.kind} shape {seg.shape} does not match "
-                    f"transfer shape {_shape(t, seg, side)}"
-                )
-            other.append(Segment(seg.layer, seg.kind, offset, _shape(t, seg, 1 - side)))
-            offset += other[-1].size
-        t.layouts = (segments, tuple(other)) if side == 0 else (tuple(other), segments)
-        # every intermediate of a block (a map along one axis) and every mate
-        # term is at most as large as the block's fine side
-        size = max(seg.size for seg in t.layouts[0])
-        t.scratch = (np.empty(size), np.empty(size))
-    return t.layouts
+    for k, op in enumerate(t.interfaces):
+        if op.weighted:
+            t.interfaces[k] = reweight(op, similarity_rows(net.layers[k - 1]))
+    return t
 
 
 def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
@@ -177,7 +140,13 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
     interface.
     """
     side = 1 if primitive is LayerTransfer.gather else 0
-    target = _layouts(t, x.segments, side)[1 - side]
+    if x.segments != t.layouts[side]:
+        raise NetworkShapeError(
+            f"vector block shapes {[s.shape for s in x.segments]} do not match the "
+            f"transfer level's {('fine', 'coarse')[side]} shapes "
+            f"{[s.shape for s in t.layouts[side]]}"
+        )
+    target = t.layouts[1 - side]
     if out is None:
         out = ParamVector.zeros(target)
     elif out.segments != target:
@@ -195,11 +164,12 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
         return res
 
     for k in range(t.n_layers):
-        op_out, op_in = t.interfaces[k + 1].op, t.interfaces[k].op
+        op_out, op_in = t.interfaces[k + 1], t.interfaces[k]
+        units = (op_in.n_fine, op_in.n_coarse)
         w = x.view(k, "weight")
-        w = w.reshape(w.shape[0], t.units[side][k], -1)
+        w = w.reshape(w.shape[0], units[side], -1)
         if not op_in.is_identity:
-            shape = (w.shape[0], t.units[1 - side][k], w.shape[2])
+            shape = (w.shape[0], units[1 - side], w.shape[2])
             w = along(op_in, w, w_in, 1, mid[: math.prod(shape)].reshape(shape))
         res = out.view(k, "weight")
         along(op_out, w, w_out, 0, res.reshape(res.shape[0], *w.shape[1:]))

@@ -54,6 +54,19 @@ def random_conv_net(rng, max_channels=8, spatial=6, n_conv=None, **kwargs):
     return uniform_init(net, rng)
 
 
+def write_empty_kernel_checkpoint(path):
+    """Write a conv net checkpoint whose first kernel has height 0 but is otherwise consistent."""
+    from mlfas.checkpoints import _CONV_HDR, _HEADER, save_network
+
+    save_network(random_conv_net(np.random.default_rng(17), n_conv=1), path)
+    raw = path.read_bytes()
+    at = _HEADER.size + 4  # past the header and the first layer's kind tag
+    dims = list(_CONV_HDR.unpack_from(raw, at))
+    kernels_end = at + _CONV_HDR.size + 8 * int(np.prod(dims[:4]))
+    dims[2] = 0
+    path.write_bytes(raw[:at] + _CONV_HDR.pack(*dims) + raw[kernels_end:])
+
+
 def random_batch(rng, net, size=5):
     from mlfas.nets import Minibatch
 
@@ -93,12 +106,12 @@ def explicit_transfer_matrices(t, segments):
     pi_blocks, p_blocks = [], []
     for seg in segments:
         k = seg.layer
-        p_out, pi_out = interface_matrices(t.interfaces[k + 1].op)
+        p_out, pi_out = interface_matrices(t.interfaces[k + 1])
         if seg.kind == "bias":
             pi_blocks.append(pi_out)
             p_blocks.append(p_out)
             continue
-        in_op = t.interfaces[k].op
+        in_op = t.interfaces[k]
         p_in, pi_in = interface_matrices(in_op)
         if len(seg.shape) == 4:
             taps = sp.identity(seg.shape[2] * seg.shape[3])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from _builders import random_conv_net, random_dense_net
+from _builders import random_conv_net, random_dense_net, write_empty_kernel_checkpoint
 from mlfas.checkpoints import _HEADER, CheckpointFormatError, load_network, save_network
+from mlfas.conv import ConvShapeError
 from mlfas.nets import flatten
 
 
@@ -74,4 +75,11 @@ def test_header_tag_outside_zero_one_rejected(tmp_path, field, value, match):
     _HEADER.pack_into(raw, 0, *header.values())
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match=match):
+        load_network(path)
+
+
+def test_empty_conv_kernel_axis_rejected(tmp_path):
+    path = tmp_path / "net.mlfasnet"
+    write_empty_kernel_checkpoint(path)
+    with pytest.raises(ConvShapeError, match="kernel height axis"):
         load_network(path)

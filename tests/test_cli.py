@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _builders import write_empty_kernel_checkpoint
 from mlfas.cli import main
 from mlfas.poisson import read_dataset
 
@@ -77,6 +78,14 @@ def test_bad_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
     bad.write_bytes(b"garbage!" * 8)
     assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_empty_conv_kernel_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
+    _, ds_path = workspace
+    bad = tmp_path / "bad.mlfasnet"
+    write_empty_kernel_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 1
+    assert "kernel height axis" in capsys.readouterr().err
 
 
 def test_train_seed_override(workspace, capsys):

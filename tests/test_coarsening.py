@@ -63,10 +63,6 @@ class TestStrength:
         assert np.array_equal(s.values, s.values.T)
         assert np.abs(s.values).max() <= 1.0 + 1e-12
 
-    def test_absolute_option(self):
-        s = strength_from_rows([[1.0, 0.0], [-2.0, 0.0]], absolute=True)
-        assert s.values[0, 1] == pytest.approx(1.0, abs=1e-15)
-
 
 class TestGreedyHem:
     def test_hand_trace_three_units(self):

@@ -110,6 +110,14 @@ class TestForward:
             with pytest.raises(ConvShapeError, match="channel axis"):
                 conv_forward_batch(layer, np.zeros(shape))
 
+    @pytest.mark.parametrize("shape, axis", [
+        ((0, 2, 3, 3), "output channel"), ((2, 0, 3, 3), "input channel"),
+        ((2, 2, 0, 3), "kernel height"), ((2, 2, 3, 0), "kernel width"),
+    ])
+    def test_empty_kernel_axis_names_axis(self, shape, axis):
+        with pytest.raises(ConvShapeError, match=f"{axis} axis"):
+            ConvLayer(np.zeros(shape), np.zeros(shape[0]))
+
     def test_matrix_size_guard(self):
         layer = ConvLayer(np.zeros((8, 8, 3, 3)), np.zeros(8), padding=(1, 1))
         with pytest.raises(ValueError, match="entries"):

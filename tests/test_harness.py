@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mlfas.checkpoints import save_network
+from mlfas.conv import ConvShapeError
 from mlfas.harness import (
     ConfigError,
     ExperimentConfig,
@@ -115,6 +116,11 @@ class TestBuildNetwork:
     def test_conv_after_dense_rejected(self):
         with pytest.raises(ConfigError, match="precede"):
             build_network("dense:4,conv:2k3s1p0", (2, 6, 6), 5)
+
+    def test_empty_conv_kernel_rejected(self):
+        # a 0x0 kernel would give a 9x9 "output" of the bias alone from 8x8
+        with pytest.raises(ConvShapeError, match="kernel height axis"):
+            build_network("conv:4k0s1p0,dense:8", (3, 8, 8), 4)
 
     def test_bad_token(self):
         with pytest.raises(ConfigError, match="unrecognized"):

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _builders import explicit_transfer_matrices, random_dense_net
+from _builders import explicit_transfer_matrices, random_conv_net, random_dense_net
 from mlfas.nets import (
     DenseLayer,
     Minibatch,
@@ -137,11 +139,64 @@ class TestComputeTau:
         tau = compute_tau(net, coarse, t, batches, n_total_minibatches=n)
         assert np.abs(tau.vec.data - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_batches=st.integers(1, 8),
+           group=st.integers(1, 4), batch_size=st.integers(1, 6),
+           conv=st.booleans(), weighted=st.booleans())
+    def test_first_order_consistency(self, seed, n_batches, group, batch_size, conv, weighted):
+        # gamma = 1/N: the tilted coarse gradient at Pi x, averaged over the
+        # group, is the restricted average fine gradient
+        defect = tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted,
+                                        gamma_n=1.0)
+        assert defect <= 1e-12
+
+    @pytest.mark.parametrize("conv", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_consistency_needs_gamma_n_one(self, conv, weighted):
+        # the same check at gamma = 1/(2N) misses by half the tau term
+        defect = tau_consistency_defect(5, 4, 2, 3, conv, weighted, gamma_n=0.5)
+        assert defect > 0.05
+
     def test_empty_group_rejected(self):
         rng = np.random.default_rng(13)
         net = random_dense_net(rng)
         with pytest.raises(ValueError, match="at least one"):
             compute_tau(net, net.copy(), identity_level(net), [], 10)
+
+
+def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, gamma_n):
+    """Relative gap between the smoother's mean tilted coarse gradient and R g_fine.
+
+    A random net is coarsened (every unit paired where possible), the coarse
+    net holds Pi x, and a scheduler with N = ``n_batches`` batches per epoch
+    draws the m = ``group`` tau batches.  With momentum 0, one smoothing
+    step from Pi x on batch B_j leaves grad f_c(Pi x; B_j) - gamma * tau in
+    the momentum; the mean of those over the group is compared with R
+    applied to the mean fine gradient, at gamma = ``gamma_n`` / N.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_conv_net(rng) if conv else random_dense_net(rng, widths=(4, 12))
+    t = coarsen_network(net, theta=-1.0, weighted=weighted)
+    coarse = restrict_network(net, t)
+    # ceil(n / batch_size) = N, and a batch needs batch_size samples
+    lo = max((n_batches - 1) * batch_size + 1, batch_size)
+    n_samples = int(rng.integers(lo, n_batches * batch_size + 1))
+    sched = MinibatchScheduler(rng.normal(size=(n_samples, net.input_size)),
+                               rng.normal(size=(n_samples, net.output_size)),
+                               batch_size, rng)
+    assert sched.batches_per_epoch == n_batches
+    batches = sched.next_tau_group(group)
+    tau = compute_tau(net, coarse, t, batches, n_batches)
+    cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0)
+    tilted = []
+    for batch in batches:
+        start = coarse.copy()
+        momentum = start.params.zeros_like()
+        sgd_smooth(start, momentum, cfg, [batch], tau=tau, gamma=gamma_n / n_batches)
+        tilted.append(momentum.data)
+    _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
+    ref = big_r @ np.mean([backward(net, b).data for b in batches], axis=0)
+    return np.abs(np.mean(tilted, axis=0) - ref).max() / np.abs(ref).max()
 
 
 class TestScheduler:

@@ -26,7 +26,6 @@ from mlfas.nets import (
     unflatten,
 )
 from mlfas.transfer import (
-    InterfaceTransfer,
     TransferLevel,
     coarse_grid_correction,
     coarsen_network,
@@ -42,15 +41,15 @@ from mlfas.transfer import (
 def level_with(net, matchings=None, weighted=False):
     """Transfer level with the given matchings ({interface: Matching}), identity elsewhere."""
     matchings = matchings or {}
-    interfaces = []
-    for k, n in enumerate(net.unit_counts()):
+    hidden = []
+    for k, n in enumerate(net.unit_counts()[1:-1], start=1):
         m = matchings.get(k)
         if m is None:
-            interfaces.append(InterfaceTransfer(identity_transfer(n)))
+            hidden.append(identity_transfer(n))
         else:
             rows = similarity_rows(net.layers[k - 1]) if weighted else None
-            interfaces.append(InterfaceTransfer(build_transfer(m, rows, weighted), m))
-    return TransferLevel(interfaces, [net.interface_spatial(k) for k in range(net.n_layers)])
+            hidden.append(build_transfer(m, rows, weighted))
+    return TransferLevel(net, hidden)
 
 
 def identity_level(net):
@@ -210,7 +209,7 @@ class TestRestrictGradient:
         g = flatten(net)
         out = restrict_gradient(t, g)
         for k in range(net.n_layers):
-            p_out, _ = interface_matrices(t.interfaces[k + 1].op)
+            p_out, _ = interface_matrices(t.interfaces[k + 1])
             ref = p_out.T @ g.view(k, "bias")
             np.testing.assert_allclose(out.view(k, "bias"), ref, atol=1e-14)
 
@@ -318,10 +317,7 @@ class TestRestrictNetwork:
         rng = np.random.default_rng(59)
         net, t = random_coarsened(rng)
         coarse = restrict_network(net, t)
-        matched_pairs = any(
-            i.matching is not None and i.matching.num_aggregates < i.matching.n
-            for i in t.interfaces
-        )
+        matched_pairs = any(op.n_coarse < op.n_fine for op in t.interfaces)
         assert matched_pairs
         assert coarse.param_count() < net.param_count()
 
@@ -365,14 +361,53 @@ class TestLevelProperties:
         net, t = random_coarsened(rng)
         for layer in net.layers:
             layer.weights += rng.normal(size=layer.weights.shape) * 0.1
+        aggregates = [op.aggregate for op in t.interfaces]
         t2 = refresh_weights(t, net)
-        for a, b in zip(t.interfaces, t2.interfaces):
-            if a.matching is not None:
-                np.testing.assert_array_equal(a.matching.partner, b.matching.partner)
+        for before, op in zip(aggregates, t2.interfaces):
+            np.testing.assert_array_equal(before, op.aggregate)
         x = flatten(net)
         xc = random_coarse_vec(rng, t2, x)
         back = restrict_params(t2, prolong_params(t2, xc))
         assert np.abs(back.data - xc.data).max() < 1e-12
+
+
+class TestLevelContract:
+    def test_widths_must_match_the_network(self):
+        net = dense_network([3, 5, 4, 2], rng=np.random.default_rng(79))
+        for hidden in ([identity_transfer(6), identity_transfer(4)],
+                       [identity_transfer(5)],
+                       [identity_transfer(5), identity_transfer(4), identity_transfer(2)]):
+            with pytest.raises(NetworkShapeError, match="widths"):
+                TransferLevel(net, hidden)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_vector_of_the_wrong_layout_rejected(self, conv):
+        rng = np.random.default_rng(83 + conv)
+        net, t = random_coarsened(rng, conv=conv)
+        x = flatten(net)
+        coarse = restrict_params(t, x)
+        other = flatten(random_conv_net(rng) if conv else random_dense_net(rng))
+        for apply, wrong in ((restrict_params, coarse), (restrict_params, other),
+                             (restrict_gradient, coarse), (restrict_gradient, other),
+                             (prolong_params, x), (prolong_params, other)):
+            with pytest.raises(NetworkShapeError, match="shape"):
+                apply(t, wrong)
+
+    def test_refresh_weights_updates_the_level_in_place(self):
+        rng = np.random.default_rng(89)
+        net = random_dense_net(rng, n_hidden=2, widths=(4, 12))
+        t = coarsen_network(net, theta=-1.0, weighted=True)
+        layouts, scratch = t.layouts, t.scratch
+        aggregates = [op.aggregate.copy() for op in t.interfaces]
+        for layer in net.layers:
+            layer.weights += rng.normal(size=layer.weights.shape)
+        assert refresh_weights(t, net) is t
+        assert t.layouts is layouts and t.scratch is scratch
+        for k, (before, op) in enumerate(zip(aggregates, t.interfaces)):
+            np.testing.assert_array_equal(op.aggregate, before)
+            if 0 < k < net.n_layers:
+                np.testing.assert_array_equal(
+                    op.p, np.linalg.norm(similarity_rows(net.layers[k - 1]), axis=1))
 
 
 PAIR_AND_SINGLETON = Matching(partner=np.array([1, 0, 2]), aggregate=np.array([0, 0, 1]),
@@ -454,6 +489,6 @@ class TestFlattenInterface:
         import scipy.sparse as sp
 
         t, _, p, pi = flattened_interface((3, 2, 2), PAIR_AND_SINGLETON)
-        p_c, pi_c = interface_matrices(t.interfaces[1].op)
+        p_c, pi_c = interface_matrices(t.interfaces[1])
         np.testing.assert_array_equal(p, sp.kron(p_c, sp.identity(4)).toarray())
         np.testing.assert_array_equal(pi, sp.kron(pi_c, sp.identity(4)).toarray())
