@@ -15,7 +15,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .training import (
     v_cycle,
 )
 from .transfer import coarsen_network
-
-CSV_FIELDS = ["work_units", "cycle", "level", "train_l2", "train_linf", "val_l2", "val_linf", "wall_s"]
 
 
 class ConfigError(ValueError):
@@ -58,9 +56,7 @@ class ExperimentConfig:
     rematch_period: int = 50
     theta: float = 0.1
     weighted: bool = True
-    match_order: str = "natural"
     eta: float = math.sqrt(2.0)
-    eta_depth: int = 3
     alpha_p: float = 1.0
     alpha_m: float = 0.2
     gamma: float = 0.125
@@ -68,7 +64,6 @@ class ExperimentConfig:
     eval_every: float = 25.0
     seeds: tuple = (0,)
     out_dir: str = ""
-    checkpoint_every: int = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -78,8 +73,6 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be positive")
         if self.max_work_units <= 0:
             raise ConfigError("max_work_units must be positive")
-        if self.match_order not in ("natural", "random"):
-            raise ConfigError("match_order must be 'natural' or 'random'")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 
@@ -98,6 +91,11 @@ class MetricRecord:
     wall_s: float
 
 
+CSV_FIELDS = [f.name for f in fields(MetricRecord)]
+# the loss columns, whose per-level minima a run reports as its best
+LOSS_FIELDS = [name for name in CSV_FIELDS if name.startswith(("train_", "val_"))]
+
+
 @dataclass
 class RunResult:
     """Metrics and best losses for one (config, seed) training run."""
@@ -105,7 +103,7 @@ class RunResult:
     seed: int
     depth: int
     records: list
-    best: dict  # level tag -> {"train_l2": ..., "train_linf": ..., "val_l2": ..., "val_linf": ...}
+    best: dict  # level -> {loss field: its minimum over the level's records}
     failed: bool = False
     reason: str = ""
 
@@ -150,15 +148,11 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         values.update({k: str(v) for k, v in overrides.items()})
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
-    type_map = {"str": str, "int": int, "float": float, "bool": bool, "tuple": tuple}
     kwargs = {}
     for key, text in values.items():
         if key not in field_types:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = field_types[key]
-        if isinstance(kind, str):
-            kind = type_map[kind]
-        kwargs[key] = _coerce(key, kind, text)
+        kwargs[key] = _coerce(key, field_types[key], text)
     return ExperimentConfig(**kwargs)
 
 
@@ -268,12 +262,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     )
     stab = StabilityConfig(
         eta=cfg.eta,
-        eta_depth=cfg.eta_depth,
         alpha_p=cfg.alpha_p,
         alpha_m=cfg.alpha_m,
         gamma=cfg.gamma,
     )
-    match_rng = np.random.default_rng([seed, 303]) if cfg.match_order == "random" else None
     hierarchy = Hierarchy.build(
         net,
         cfg.depth,
@@ -281,7 +273,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         tau_batches=cfg.tau_batches,
         theta=cfg.theta,
         weighted=cfg.weighted,
-        match_rng=match_rng,
     )
 
     records = []
@@ -305,15 +296,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
                              lt.l2, lt.linf, lv.l2, lv.linf, wall)
             )
 
-    def checkpoint() -> None:
-        if not cfg.out_dir:
-            return
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        for level, state in enumerate(hierarchy.levels):
-            save_network(
-                state.net, os.path.join(cfg.out_dir, f"ckpt_s{seed}_L{level}.mlfasnet")
-            )
-
     failed = False
     reason = ""
     try:
@@ -324,10 +306,13 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
             if hierarchy.work.total >= next_eval:
                 evaluate(hierarchy.cycles_run)
                 next_eval = (hierarchy.work.total // cfg.eval_every + 1) * cfg.eval_every
-            if cfg.checkpoint_every and hierarchy.cycles_run % cfg.checkpoint_every == 0:
-                checkpoint()
         evaluate(hierarchy.cycles_run)
-        checkpoint()
+        if cfg.out_dir:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            for level, state in enumerate(hierarchy.levels):
+                save_network(
+                    state.net, os.path.join(cfg.out_dir, f"ckpt_s{seed}_L{level}.mlfasnet")
+                )
     except DivergenceError as e:
         failed = True
         reason = str(e)
@@ -336,12 +321,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     for level in eval_levels:
         pts = [r for r in records if r.level == level]
         if pts:
-            best[level] = {
-                "train_l2": min(r.train_l2 for r in pts),
-                "train_linf": min(r.train_linf for r in pts),
-                "val_l2": min(r.val_l2 for r in pts),
-                "val_linf": min(r.val_linf for r in pts),
-            }
+            best[level] = {name: min(getattr(r, name) for r in pts) for name in LOSS_FIELDS}
     return RunResult(seed=seed, depth=cfg.depth, records=records, best=best,
                      failed=failed, reason=reason)
 
@@ -421,31 +401,15 @@ def emit_csv(records: list, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.work_units, r.cycle, r.level, r.train_l2, r.train_linf,
-                 r.val_l2, r.val_linf, r.wall_s]
-            )
+        writer.writerows(astuple(r) for r in records)
 
 
 def load_metrics_csv(path) -> list[MetricRecord]:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                MetricRecord(
-                    work_units=float(row["work_units"]),
-                    cycle=int(row["cycle"]),
-                    level=int(row["level"]),
-                    train_l2=float(row["train_l2"]),
-                    train_linf=float(row["train_linf"]),
-                    val_l2=float(row["val_l2"]),
-                    val_linf=float(row["val_linf"]),
-                    wall_s=float(row["wall_s"]),
-                )
-            )
-    return out
+        return [
+            MetricRecord(*(f.type(row[f.name]) for f in fields(MetricRecord)))
+            for row in csv.DictReader(fh)
+        ]
 
 
 def emit_summary_table(runs: list, path) -> list[dict]:
@@ -454,30 +418,12 @@ def emit_summary_table(runs: list, path) -> list[dict]:
         raise ValueError("no runs to summarize")
     rows = []
     for run in runs:
-        for level, best in sorted(run.best.items()):
-            rows.append(
-                {
-                    "level": run.label(level),
-                    "seed": run.seed,
-                    "status": "failed" if run.failed else "ok",
-                    "best_train_l2": best["train_l2"],
-                    "best_train_linf": best["train_linf"],
-                    "best_val_l2": best["val_l2"],
-                    "best_val_linf": best["val_linf"],
-                }
-            )
-        if not run.best:
-            rows.append(
-                {
-                    "level": run.label(0),
-                    "seed": run.seed,
-                    "status": "failed",
-                    "best_train_l2": math.nan,
-                    "best_train_linf": math.nan,
-                    "best_val_l2": math.nan,
-                    "best_val_linf": math.nan,
-                }
-            )
+        status = "failed" if run.failed or not run.best else "ok"
+        # a run without records gets one all-NaN row
+        best = run.best or {0: dict.fromkeys(LOSS_FIELDS, math.nan)}
+        for level, losses in sorted(best.items()):
+            rows.append({"level": run.label(level), "seed": run.seed, "status": status,
+                         **{f"best_{name}": losses[name] for name in LOSS_FIELDS}})
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

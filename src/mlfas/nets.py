@@ -210,10 +210,11 @@ class Network:
         else:
             desc = ("flat", self.input_shape)
         descs = [desc]
-        seen_dense = False
         for k, layer in enumerate(self.layers):
             if isinstance(layer, ConvLayer):
-                if seen_dense or desc[0] != "chan":
+                # after a dense layer the interface is flat, so this also
+                # rejects a conv that follows one
+                if desc[0] != "chan":
                     raise NetworkShapeError(
                         f"layer {k} (conv): convolutional layers must precede dense layers"
                     )
@@ -228,7 +229,6 @@ class Network:
                     raise NetworkShapeError(f"layer {k} (conv): {e}") from e
                 desc = ("chan", layer.out_channels, oh, ow)
             elif isinstance(layer, DenseLayer):
-                seen_dense = True
                 if _flat_size(desc) != layer.n_in:
                     raise NetworkShapeError(
                         f"layer {k} (dense): expects input size {layer.n_in}, "

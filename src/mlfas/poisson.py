@@ -10,7 +10,7 @@ stacks of samples.  The preconditioner scales by kappa^-1/2 on both sides
 and inverts the constant-coefficient operator exactly by fast
 diagonalization with the closed-form 1-D eigenvectors.
 ``assemble_operator`` builds the same operator as a sparse matrix for
-reference.
+reference; it is the one user of scipy, which it imports when called.
 """
 
 import functools
@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 DATASET_MAGIC = b"MLFASDAT"
 DATASET_VERSION = 1
@@ -125,12 +124,14 @@ def forcing(n: int) -> np.ndarray:
     return 32.0 * np.exp(-4.0 * ((x - 0.25) ** 2 + (y - 0.25) ** 2))
 
 
-def assemble_operator(kappa: np.ndarray) -> sp.csr_matrix:
+def assemble_operator(kappa: np.ndarray) -> "scipy.sparse.csr_matrix":
     """5-point operator with harmonic-mean face transmissibilities.
 
     Boundary faces sit half a cell from the boundary, giving the doubled
     cell-value coefficient that enforces u = 0 there.
     """
+    import scipy.sparse as sp
+
     kappa = np.asarray(kappa, dtype=np.float64)
     n = kappa.shape[0]
     if kappa.shape != (n, n):

@@ -13,7 +13,7 @@ same batches cyclically.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,18 +63,21 @@ class SmootherConfig:
             raise ValueError("steps_per_smooth must be nonnegative")
 
 
+# levels over which the learning-rate division by ``eta`` compounds
+ETA_DEPTH = 3
+
+
 @dataclass(frozen=True)
 class StabilityConfig:
     """Damping knobs for deeper hierarchies.
 
     The learning rate is divided by ``eta`` per level for the first
-    ``eta_depth`` levels and then held; ``alpha_p`` and ``alpha_m`` damp the
+    ``ETA_DEPTH`` levels and then held; ``alpha_p`` and ``alpha_m`` damp the
     parameter and momentum coarse-grid corrections; ``gamma`` scales the tau
     tilt of the coarse objective.
     """
 
     eta: float = math.sqrt(2.0)
-    eta_depth: int = 3
     alpha_p: float = 1.0
     alpha_m: float = 0.2
     gamma: float = 0.125
@@ -82,8 +85,6 @@ class StabilityConfig:
     def __post_init__(self):
         if self.eta < 1.0:
             raise ValueError("eta must be >= 1")
-        if self.eta_depth < 0:
-            raise ValueError("eta_depth must be nonnegative")
         for name in ("alpha_p", "alpha_m"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -243,56 +244,34 @@ class LevelState:
     tau: TauCorrection | None = None
 
 
+@dataclass(eq=False)
 class Hierarchy:
     """Stack of progressively narrower networks plus cycle bookkeeping."""
 
-    def __init__(
-        self,
-        levels: list[LevelState],
-        depth: int,
-        rematch_period: int = 10,
-        tau_batches: int = 2,
-        theta: float = 0.1,
-        weighted: bool = True,
-        match_rng: np.random.Generator | None = None,
-    ):
-        if depth < 1:
+    levels: list[LevelState]
+    depth: int
+    rematch_period: int = 10
+    tau_batches: int = 2
+    theta: float = 0.1
+    weighted: bool = True
+    cycles_run: int = field(default=0, init=False)
+    work: WorkCounter = field(default_factory=WorkCounter, init=False)
+
+    def __post_init__(self):
+        if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if rematch_period < 1:
+        if self.rematch_period < 1:
             raise ValueError("rematch_period must be positive")
-        if tau_batches < 1:
+        if self.tau_batches < 1:
             raise ValueError("tau_batches must be positive")
-        self.levels = levels
-        self.depth = depth
-        self.rematch_period = rematch_period
-        self.tau_batches = tau_batches
-        self.theta = theta
-        self.weighted = weighted
-        self.match_rng = match_rng
-        self.cycles_run = 0
-        self.work = WorkCounter()
 
     @classmethod
-    def build(
-        cls,
-        net: Network,
-        depth: int,
-        rematch_period: int = 10,
-        tau_batches: int = 2,
-        theta: float = 0.1,
-        weighted: bool = True,
-        match_rng: np.random.Generator | None = None,
-    ) -> "Hierarchy":
-        levels = [LevelState(net=net, momentum=net.params.zeros_like())]
-        h = cls(
-            levels,
-            depth,
-            rematch_period=rematch_period,
-            tau_batches=tau_batches,
-            theta=theta,
-            weighted=weighted,
-            match_rng=match_rng,
-        )
+    def build(cls, net: Network, depth: int, **settings) -> "Hierarchy":
+        """Hierarchy over ``net`` with its coarse levels matched.
+
+        ``settings`` are the fields from ``rematch_period`` to ``weighted``.
+        """
+        h = cls([LevelState(net=net, momentum=net.params.zeros_like())], depth, **settings)
         h.rematch()
         return h
 
@@ -300,9 +279,7 @@ class Hierarchy:
         """Recompute matchings and rebuild the coarse nets, fine to coarse."""
         for lvl in range(self.depth - 1):
             state = self.levels[lvl]
-            t = coarsen_network(
-                state.net, theta=self.theta, weighted=self.weighted, order_rng=self.match_rng
-            )
+            t = coarsen_network(state.net, theta=self.theta, weighted=self.weighted)
             state.transfer = t
             coarse = restrict_network(state.net, t)
             coarse_state = LevelState(net=coarse, momentum=coarse.params.zeros_like())
@@ -323,7 +300,7 @@ def _cfg_for(cfgs, level: int) -> SmootherConfig:
 
 def _effective_cfg(cfgs, level: int, stab: StabilityConfig) -> SmootherConfig:
     cfg = _cfg_for(cfgs, level)
-    scale = stab.eta ** min(level, stab.eta_depth)
+    scale = stab.eta ** min(level, ETA_DEPTH)
     if scale == 1.0:
         return cfg
     return replace(cfg, learning_rate=cfg.learning_rate / scale)
@@ -376,9 +353,7 @@ def v_cycle(
     _smooth_level(h, level, cfg, _batches, stab.gamma)
 
     if level < h.depth - 1:
-        if h.weighted:
-            state.transfer = refresh_weights(state.transfer, state.net)
-        t = state.transfer
+        t = refresh_weights(state.transfer, state.net)
         coarse = h.levels[level + 1]
         restrict_params(t, state.net.params, out=coarse.net.params)
         restrict_params(t, state.momentum, out=coarse.momentum)

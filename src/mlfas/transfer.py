@@ -94,24 +94,16 @@ def similarity_rows(layer) -> np.ndarray:
     return layer.weights
 
 
-def coarsen_network(
-    net: Network,
-    theta: float = 0.1,
-    weighted: bool = True,
-    order_rng: np.random.Generator | None = None,
-) -> TransferLevel:
+def coarsen_network(net: Network, theta: float = 0.1, weighted: bool = True) -> TransferLevel:
     """Build transfer operators for one coarsening step of a network.
 
     Hidden interfaces get a heavy-edge matching of the units feeding them;
-    the input and output interfaces stay identity.  ``order_rng``, when
-    given, randomizes the matching visit order.
+    the input and output interfaces stay identity.
     """
     hidden = []
     for k in range(1, net.n_layers):
         rows = similarity_rows(net.layers[k - 1])
-        s = strength_from_rows(rows)
-        order = None if order_rng is None else order_rng.permutation(s.n)
-        m = greedy_hem(s, theta, order=order)
+        m = greedy_hem(strength_from_rows(rows), theta)
         hidden.append(build_transfer(m, w_rows=rows if weighted else None, weighted=weighted))
     return TransferLevel(net, hidden)
 

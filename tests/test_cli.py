@@ -1,5 +1,11 @@
 """Command-line interface: subcommands, exit codes, and diagnostics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,3 +105,27 @@ def test_train_seed_override(workspace, capsys):
     out = capsys.readouterr().out
     assert "seed 7: ok" in out
     assert "level 1:" in out
+
+
+def test_generate_and_train_run_without_scipy(tmp_path):
+    # scipy is only a test extra; the command-line path must not import it
+    ds, cfg = tmp_path / "data.mlfasdat", tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {ds}\narch = dense:6\ndepth = 2\nbatch_size = 3\n"
+                   "max_work_units = 6\neval_every = 3\n")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from mlfas.cli import main
+        assert main(["generate", "--count", "12", "--grid", "4", "--seed", "1",
+                     "--val-fraction", "0.25", "--out", {str(ds)!r}]) == 0
+        sys.exit(main(["train", "--config", {str(cfg)!r}]))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "seed 0: ok" in proc.stdout

@@ -77,9 +77,13 @@ class TestConfig:
         keys = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
         assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # the last three were keys once; a config that still sets them is refused
+    @pytest.mark.parametrize(
+        "key", ["no_such_knob", "match_order", "checkpoint_every", "eta_depth"]
+    )
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "exp.cfg"
-        path.write_text("no_such_knob = 1\n")
+        path.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
 
@@ -144,10 +148,11 @@ class TestMetricsIO:
     def test_header(self, tmp_path):
         path = tmp_path / "m.csv"
         emit_csv(self._records(), path)
-        with open(path) as fh:
-            header = next(csv.reader(fh))
-        assert header == ["work_units", "cycle", "level", "train_l2", "train_linf",
-                          "val_l2", "val_linf", "wall_s"]
+        assert path.read_bytes() == (
+            b"work_units,cycle,level,train_l2,train_linf,val_l2,val_linf,wall_s\r\n"
+            b"0.0,0,0,1.0,2.0,3.0,4.0,0.1\r\n"
+            b"10.0,3,1,0.5,1.5,2.5,3.5,0.7\r\n"
+        )
 
     def test_empty_records_rejected_without_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -254,7 +259,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("arch", ["dense:12", "conv:3k3s1p1,dense:8"])
     @pytest.mark.parametrize("sample", [0, 4])
-    def test_nan_in_a_shared_channel_fails_the_run(self, tiny_dataset, arch, sample):
+    def test_nan_in_a_shared_channel_fails_the_run(self, tiny_dataset, tmp_path, arch, sample):
         # x is the same in every sample, so the split-level fold would drop a
         # NaN there unless the NaN counts as varying
         ds, path = tiny_dataset
@@ -270,6 +275,15 @@ class TestRunExperiment:
             run = run_seed(cfg, 0, ds)
         assert run.failed
         assert "non-finite" in run.reason
+        # the first evaluation raised, so the summary has one all-NaN row
+        assert run.records == [] and run.best == {}
+        rows = emit_summary_table([run], tmp_path / "summary.csv")
+        assert len(rows) == 1
+        row = rows[0]
+        assert (row["level"], row["seed"], row["status"]) == ("2", 0, "failed")
+        losses = [row[f"best_{name}"] for name in ("train_l2", "train_linf",
+                                                    "val_l2", "val_linf")]
+        assert len(row) == 7 and all(math.isnan(v) for v in losses)
 
     def test_work_accounting_matches_training_counter(self, tiny_dataset):
         # the emitted work_units come straight from the hierarchy counter

@@ -12,6 +12,7 @@ from _builders import (
     reference_backward,
     reference_forward,
 )
+from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import (
     DenseLayer,
@@ -83,6 +84,21 @@ class TestForward:
         with pytest.raises(NetworkShapeError, match="layer 1"):
             Network([DenseLayer(np.ones((4, 3)), np.zeros(4)),
                      DenseLayer(np.ones((2, 5)), np.zeros(2))])
+
+    def test_conv_after_dense_rejected(self):
+        # the dense layer leaves a flat interface, which no conv can read
+        layers = [DenseLayer(np.ones((18, 18)), np.zeros(18)),
+                  ConvLayer(np.ones((2, 2, 3, 3)), np.zeros(2))]
+        with pytest.raises(NetworkShapeError,
+                           match=r"layer 1 \(conv\): convolutional layers must precede"):
+            Network(layers, input_shape=(2, 3, 3))
+
+    def test_conv_on_flat_input_rejected(self):
+        layers = [ConvLayer(np.ones((2, 1, 3, 3)), np.zeros(2)),
+                  DenseLayer(np.ones((1, 2)), np.zeros(1))]
+        with pytest.raises(NetworkShapeError,
+                           match=r"layer 0 \(conv\): convolutional layers must precede"):
+            Network(layers, input_shape=9)
 
     def test_positive_homogeneity_through_relu(self):
         rng = np.random.default_rng(7)
