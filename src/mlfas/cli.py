@@ -17,6 +17,7 @@ from .harness import (
     inspect_hierarchy,
     parse_config,
     run_experiment,
+    take_rows,
 )
 from .nets import Minibatch, NetworkShapeError, loss
 from .poisson import (
@@ -91,7 +92,7 @@ def _cmd_eval(args) -> int:
     splits = {"train": ds.train_idx, "val": ds.val_idx,
               "all": np.arange(ds.count)}
     idx = splits[args.split]
-    batch = Minibatch(ds.flat_inputs()[idx], ds.flat_outputs()[idx])
+    batch = Minibatch(take_rows(ds.flat_inputs(), idx), take_rows(ds.flat_outputs(), idx))
     lv = loss(net, batch)
     print(f"{args.split} l2 {lv.l2:.6e}")
     print(f"{args.split} linf {lv.linf:.6e}")

@@ -220,10 +220,27 @@ def build_network(
     return net
 
 
+def take_rows(a: np.ndarray, idx) -> np.ndarray:
+    """Rows ``idx`` of ``a``: a view when ``idx`` is a contiguous ascending
+    range inside ``a``, otherwise a copy gathered by fancy indexing."""
+    idx = np.asarray(idx)
+    if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        if 0 <= lo and hi <= len(a) and (np.diff(idx) == 1).all():
+            return a[lo:hi]
+    return a[idx]
+
+
 def dataset_splits(ds: RegressionDataset):
-    """(train inputs, train targets, val inputs, val targets) as flat arrays."""
+    """(train inputs, train targets, val inputs, val targets) as flat arrays.
+
+    Each is a view into the dataset when its index array is a contiguous
+    range, as ``generate_dataset`` and ``read_dataset`` make them, and a
+    copy otherwise.  Nothing downstream writes to them.
+    """
     xi, yo = ds.flat_inputs(), ds.flat_outputs()
-    return xi[ds.train_idx], yo[ds.train_idx], xi[ds.val_idx], yo[ds.val_idx]
+    train, val = ds.train_idx, ds.val_idx
+    return take_rows(xi, train), take_rows(yo, train), take_rows(xi, val), take_rows(yo, val)
 
 
 def _network_input_shape(cfg: ExperimentConfig, ds: RegressionDataset):

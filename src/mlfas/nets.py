@@ -298,6 +298,10 @@ def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
     return np.where(active, 1.0, net.leak)
 
 
+# bytes of one row block's widest non-input interface in ``loss``: about a
+# 2 MB per-core L2 cache, so a block's activations stay in cache between layers
+LOSS_BLOCK_BYTES = 2**21
+
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)
 
@@ -432,17 +436,43 @@ def forward(net: Network, y_in) -> np.ndarray:
     return forward_batch(net, y_in[None])[0]
 
 
+def loss_blocks(net: Network, n: int) -> list[slice]:
+    """Row blocks in which ``loss`` evaluates ``n`` rows.
+
+    As few blocks as keep one block's widest non-input interface within
+    ``LOSS_BLOCK_BYTES``, with sizes that differ by at most one row and, for
+    ``n >= 2``, at least two rows each: a one-row product may take another
+    BLAS path and round differently from the same row inside a batch.
+    """
+    widest = max(_flat_size(desc) for desc in net.interfaces[1:])
+    cap = max(1, LOSS_BLOCK_BYTES // (8 * widest))
+    count = max(1, min(-(-n // cap), n // 2))
+    bounds = [n * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def loss(net: Network, batch: Minibatch) -> LossValue:
-    """Mean squared error over the batch plus the worst absolute error."""
-    preds = forward_batch(net, batch.inputs)
-    if preds.shape[1] != batch.targets.shape[1]:
+    """Mean squared error over the batch plus the worst absolute error.
+
+    The forward pass runs over the row blocks of ``loss_blocks``, so its
+    temporaries are a block's, not the batch's.  Each row's squared error is
+    summed within the row, and the mean over rows is taken once at the end,
+    so the result equals a whole-batch evaluation bit for bit.  The worst
+    error is the running ``np.maximum`` of the block maxima, so a NaN in any
+    block makes it NaN.
+    """
+    if net.output_size != batch.targets.shape[1]:
         raise NetworkShapeError(
-            f"network output size {preds.shape[1]} != target size {batch.targets.shape[1]}"
+            f"network output size {net.output_size} != target size {batch.targets.shape[1]}"
         )
-    err = preds - batch.targets
-    l2 = float(np.mean(np.sum(err * err, axis=1)))
-    linf = float(np.max(np.abs(err)))
-    return LossValue(l2=l2, linf=linf)
+    lowered = _lowered(net, batch.inputs)
+    row_sq = np.empty(len(lowered))
+    linf = 0.0
+    for rows in loss_blocks(net, len(lowered)):
+        err = _forward(net, lowered[rows]) - batch.targets[rows]
+        row_sq[rows] = np.sum(err * err, axis=1)
+        linf = np.maximum(linf, np.max(np.abs(err)))
+    return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
 def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -> "ParamVector":

@@ -15,6 +15,7 @@ reference; it is the one user of scipy, which it imports when called.
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ DATASET_MAGIC = b"MLFASDAT"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIIq")  # magic, version, count, n, channels, n_val, seed
 _CHUNK_CELLS = 2**14  # grid cells per batched solve in generate_dataset
+_IO_BLOCK_BYTES = 2**20  # payload bytes per write in write_dataset
 
 
 class SolverError(RuntimeError):
@@ -408,46 +410,67 @@ def generate_dataset(
 
 
 def write_dataset(ds: RegressionDataset, path) -> None:
-    """Write the versioned little-endian binary container."""
+    """Write the versioned little-endian binary container.
+
+    Samples go out in blocks of about ``_IO_BLOCK_BYTES``, each sample's
+    inputs then its outputs, through one reused block buffer, so the payload
+    is never copied whole.
+    """
     n_val = ds.val_idx.size
     header = _HEADER.pack(
         DATASET_MAGIC, DATASET_VERSION, ds.count, ds.n, ds.channels, n_val, ds.seed
     )
-    payload = np.concatenate(
-        [ds.inputs.reshape(ds.count, -1), ds.outputs.reshape(ds.count, -1)], axis=1
-    ).astype("<f8")
+    inputs = ds.inputs.reshape(ds.count, -1)
+    outputs = ds.outputs.reshape(ds.count, -1)
+    width = inputs.shape[1] + outputs.shape[1]
+    step = max(1, _IO_BLOCK_BYTES // (8 * width))
+    buf = np.empty((min(step, ds.count), width), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        for lo in range(0, ds.count, step):
+            block = buf[: min(step, ds.count - lo)]
+            np.concatenate([inputs[lo : lo + step], outputs[lo : lo + step]], axis=1, out=block)
+            fh.write(block)
 
 
 def read_dataset(path) -> RegressionDataset:
-    """Read a dataset container; raises DatasetFormatError on a bad file."""
+    """Read a dataset container; raises DatasetFormatError on a bad file.
+
+    The header and the file size are checked before any payload is read,
+    and the payload is read straight into the one array that the returned
+    dataset's ``inputs`` and ``outputs`` are views of.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise DatasetFormatError(f"{path}: file shorter than the header")
-    magic, version, count, n, channels, n_val, seed = _HEADER.unpack_from(raw)
-    if magic != DATASET_MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {magic!r}")
-    if version != DATASET_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {version}")
-    if n < 1 or channels < 1:
-        raise DatasetFormatError(
-            f"{path}: grid size {n} and channel count {channels} must be >= 1"
-        )
-    if not 1 <= n_val <= count - 1:
-        raise DatasetFormatError(
-            f"{path}: {n_val} validation samples of {count}; need 1 to {count - 1}"
-        )
-    per_sample = (channels + 1) * n * n
-    expected = _HEADER.size + count * per_sample * 8
-    if len(raw) != expected:
-        raise DatasetFormatError(
-            f"{path}: expected {expected} bytes for {count} samples, got {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(count, per_sample)
-    flat = flat.astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise DatasetFormatError(f"{path}: file shorter than the header")
+        magic, version, count, n, channels, n_val, seed = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != DATASET_MAGIC:
+            raise DatasetFormatError(f"{path}: bad magic {magic!r}")
+        if version != DATASET_VERSION:
+            raise DatasetFormatError(f"{path}: unsupported version {version}")
+        if n < 1 or channels < 1:
+            raise DatasetFormatError(
+                f"{path}: grid size {n} and channel count {channels} must be >= 1"
+            )
+        if not 1 <= n_val <= count - 1:
+            raise DatasetFormatError(
+                f"{path}: {n_val} validation samples of {count}; need 1 to {count - 1}"
+            )
+        per_sample = (channels + 1) * n * n
+        expected = _HEADER.size + count * per_sample * 8
+        if size != expected:
+            raise DatasetFormatError(
+                f"{path}: expected {expected} bytes for {count} samples, got {size}"
+            )
+        flat = np.empty((count, per_sample), dtype="<f8")
+        got = fh.readinto(flat)
+        if got != flat.nbytes:
+            raise DatasetFormatError(
+                f"{path}: expected {expected} bytes for {count} samples, "
+                f"read {_HEADER.size + got}"
+            )
+    flat = flat.astype(np.float64, copy=False)
     inputs = flat[:, : channels * n * n].reshape(count, channels, n, n)
     outputs = flat[:, channels * n * n :].reshape(count, n, n)
     return RegressionDataset(

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from _builders import write_empty_kernel_checkpoint
+from mlfas.checkpoints import save_network
 from mlfas.cli import main
+from mlfas.harness import build_network
+from mlfas.nets import Minibatch, loss
 from mlfas.poisson import read_dataset
 
 
@@ -32,6 +35,21 @@ def test_generate_writes_dataset(workspace):
     assert ds.count == 20
     assert ds.n == 6
     assert ds.val_idx.size == 5
+
+
+@pytest.mark.parametrize("split", ["train", "val", "all"])
+def test_eval_scores_the_named_split(workspace, tmp_path, capsys, split):
+    _, ds_path = workspace
+    ds = read_dataset(ds_path)
+    net = build_network("dense:10", ds.channels * ds.n * ds.n, ds.n * ds.n,
+                        rng=np.random.default_rng(5))
+    ckpt = tmp_path / "net.mlfasnet"
+    save_network(net, ckpt)
+    idx = {"train": ds.train_idx, "val": ds.val_idx, "all": np.arange(ds.count)}[split]
+    lv = loss(net, Minibatch(ds.flat_inputs()[idx], ds.flat_outputs()[idx]))
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds_path),
+                 "--split", split]) == 0
+    assert capsys.readouterr().out == f"{split} l2 {lv.l2:.6e}\n{split} linf {lv.linf:.6e}\n"
 
 
 def test_train_eval_inspect_pipeline(workspace, capsys):

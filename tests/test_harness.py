@@ -25,6 +25,7 @@ from mlfas.harness import (
     parse_config,
     run_experiment,
     run_seed,
+    take_rows,
 )
 from mlfas.nets import DenseLayer, Minibatch, Network, dense_network, flatten, loss, lower_input
 from mlfas.poisson import generate_dataset, write_dataset
@@ -294,6 +295,57 @@ class TestRunExperiment:
         fine = [r for r in run.records if r.level == 0]
         aux = [r for r in run.records if r.level == 1]
         assert [r.work_units for r in fine] == [r.work_units for r in aux]
+
+
+class TestSplits:
+    """Splits are views of the dataset for contiguous index ranges."""
+
+    def test_contiguous_splits_are_views(self, tiny_dataset):
+        ds, _ = tiny_dataset
+        xi, yo = ds.flat_inputs(), ds.flat_outputs()
+        xtr, ytr, xva, yva = dataset_splits(ds)
+        for part, whole, idx in ((xtr, xi, ds.train_idx), (ytr, yo, ds.train_idx),
+                                 (xva, xi, ds.val_idx), (yva, yo, ds.val_idx)):
+            assert np.shares_memory(part, whole)
+            assert np.array_equal(part, whole[idx])
+
+    def test_permuted_splits_are_copies(self, tiny_dataset):
+        ds, _ = tiny_dataset
+        perm = np.random.default_rng(3).permutation(ds.count)
+        shuffled = dataclasses.replace(ds, train_idx=perm[:24], val_idx=perm[24:])
+        xi, yo = ds.flat_inputs(), ds.flat_outputs()
+        xtr, ytr, xva, yva = dataset_splits(shuffled)
+        for part, whole, idx in ((xtr, xi, perm[:24]), (ytr, yo, perm[:24]),
+                                 (xva, xi, perm[24:]), (yva, yo, perm[24:])):
+            assert not np.shares_memory(part, whole)
+            assert np.array_equal(part, whole[idx])
+
+    @pytest.mark.parametrize("idx, view", [
+        (np.arange(3, 7), True),
+        (np.arange(10), True),
+        (np.array([4]), True),
+        (np.array([3, 4, 6]), False),  # a gap
+        (np.array([5, 4, 3]), False),  # descending
+        (np.array([-2, -1]), False),  # contiguous, but counted from the end
+        (np.array([], dtype=int), False),
+    ])
+    def test_take_rows(self, idx, view):
+        a = np.arange(30.0).reshape(10, 3)
+        rows = take_rows(a, idx)
+        assert np.array_equal(rows, a[idx])
+        assert np.shares_memory(rows, a) == view
+
+    def test_take_rows_past_the_end_raises(self):
+        with pytest.raises(IndexError):
+            take_rows(np.zeros((4, 2)), np.arange(2, 5))
+
+    @pytest.mark.parametrize("arch", ["dense:12", "conv:3k3s1p1,dense:8"])
+    def test_run_leaves_the_dataset_unchanged(self, tiny_dataset, arch):
+        ds, path = tiny_dataset
+        inputs, outputs = ds.inputs.copy(), ds.outputs.copy()
+        run = run_seed(tiny_config(path, arch=arch), 0, ds)
+        assert not run.failed
+        assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.outputs, outputs)
 
 
 class TestInspect:

@@ -12,6 +12,7 @@ from _builders import (
     reference_backward,
     reference_forward,
 )
+from mlfas import nets
 from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import (
@@ -162,6 +163,107 @@ class TestLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             Minibatch(np.zeros((0, 3)), np.zeros((0, 2)))
+
+
+def whole_batch_loss(net, batch):
+    """(l2, linf) from one forward pass over the whole batch: the reference
+    that ``loss``'s row blocks must match bit for bit."""
+    err = forward_batch(net, batch.inputs) - batch.targets
+    return float(np.mean(np.sum(err * err, axis=1))), float(np.max(np.abs(err)))
+
+
+def kappa_xy_batch(rng, size, folded, grid=6):
+    """(size, 3 * grid**2) rows laid out as [kappa, x, y]; with ``folded``
+    only kappa varies between rows, as in generated data, so a first layer
+    folds the coordinate channels out."""
+    x = rng.normal(size=(size, 3, grid, grid))
+    if folded:
+        x[:, 1:] = x[:1, 1:]
+    return x.reshape(size, -1)
+
+
+def set_block_rows(monkeypatch, net, rows):
+    """Size ``loss``'s row blocks at ``rows`` rows for ``net``."""
+    widest = max(int(np.prod(desc[1:])) for desc in net.interfaces[1:])
+    monkeypatch.setattr(nets, "LOSS_BLOCK_BYTES", rows * 8 * widest)
+
+
+class TestBlockedLoss:
+    """``loss`` evaluates in row blocks and must equal one whole-batch pass."""
+
+    BLOCK = 7
+
+    @pytest.mark.parametrize("arch", ["dense:9,dense:7", "conv:4k3s2p1,dense:9"])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("output_activation", [False, True])
+    def test_matches_whole_batch_bitwise(self, monkeypatch, arch, folded, activation,
+                                         output_activation):
+        rng = np.random.default_rng(53)
+        shape = (3, 6, 6) if arch.startswith("conv") else 108
+        net = build_network(arch, shape, 36, activation=activation,
+                            output_activation=output_activation, rng=rng)
+        set_block_rows(monkeypatch, net, self.BLOCK)
+        b = self.BLOCK
+        for n in (1, 2, b - 1, b, b + 1, 2 * b + 1):
+            x = kappa_xy_batch(rng, n, folded)
+            batch = Minibatch(x, rng.normal(size=(n, 36)))
+            assert len(nets.loss_blocks(net, n)) == -(-n // b)
+            assert (lower_input(net, x).sample is not None) == (folded and n > 1)
+            for inputs in (x, lower_input(net, x)):
+                lv = loss(net, Minibatch(inputs, batch.targets))
+                assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
+
+    def test_benchmark_conv_net_at_the_real_block_size(self):
+        rng = np.random.default_rng(59)
+        net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
+        n = 2 * (nets.LOSS_BLOCK_BYTES // (8 * 8 * 16 * 16)) + 1  # 2 * 128 + 1 at 2 MB
+        assert len(nets.loss_blocks(net, n)) == 3
+        batch = Minibatch(kappa_xy_batch(rng, n, True, grid=32), rng.normal(size=(n, 1024)))
+        lv = loss(net, Minibatch(lower_input(net, batch.inputs), batch.targets))
+        assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [8, 14])  # the second and the last of three blocks
+    def test_nonfinite_error_in_a_later_block(self, monkeypatch, bad, row):
+        rng = np.random.default_rng(61)
+        net = build_network("dense:9", 108, 36, rng=rng)
+        set_block_rows(monkeypatch, net, self.BLOCK)
+        targets = rng.normal(size=(15, 36))
+        targets[row, 3] = bad
+        lv = loss(net, Minibatch(kappa_xy_batch(rng, 15, True), targets))
+        expect = np.isnan if np.isnan(bad) else np.isposinf
+        assert expect(lv.l2) and expect(lv.linf)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_block_sizes(self, monkeypatch, rows):
+        net = build_network("dense:9", 108, 36)
+        set_block_rows(monkeypatch, net, rows)
+        for n in range(1, 60):
+            blocks = nets.loss_blocks(net, n)
+            sizes = [blk.stop - blk.start for blk in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= min(n, 2)
+            assert max(sizes) <= max(rows, 2) or len(blocks) == n // 2
+
+    def test_conv_split_peak_stays_below_one_activation(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(67)
+        net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
+        x = kappa_xy_batch(rng, 800, True, grid=32)
+        batch = Minibatch(lower_input(net, x), rng.normal(size=(800, 1024)))
+        del x
+        activation = 800 * net.interfaces[1][1] * 16 * 16 * 8  # 13.1 MB
+        tracemalloc.start()
+        try:
+            loss(net, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < activation
 
 
 def fd_gradient(net, batch, idx, eps=1e-5):

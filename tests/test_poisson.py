@@ -340,6 +340,79 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="bytes"):
             read_dataset(path)
 
+    # a 2-sample 4 x 4 file: a 36-byte header and 1024 payload bytes
+    @pytest.mark.parametrize("cut, match", [
+        (8, r"expected 1060 bytes for 2 samples, got 1068$"),  # oversized
+        (36 - 1060, r"expected 1060 bytes for 2 samples, got 36$"),  # header only
+        (35 - 1060, r"file shorter than the header$"),
+        (-1060, r"file shorter than the header$"),  # empty
+    ])
+    def test_wrong_file_size_rejected_before_reading(self, tmp_path, cut, match):
+        path = tmp_path / "ds.mlfasdat"
+        write_dataset(generate_dataset(2, 4, seed=0), path)
+        raw = path.read_bytes()
+        assert len(raw) == 1060
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(DatasetFormatError, match=match):
+            read_dataset(path)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the read
+        path = tmp_path / "ds.mlfasdat"
+        write_dataset(generate_dataset(2, 4, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        real_fstat = poisson.os.fstat
+
+        class Grown:
+            def __init__(self, fd):
+                self.st_size = real_fstat(fd).st_size + 16
+
+        monkeypatch.setattr(poisson.os, "fstat", Grown)
+        with pytest.raises(DatasetFormatError, match=r"expected 1060 bytes .* read 1044$"):
+            read_dataset(path)
+
+    @staticmethod
+    def random_dataset(count=1000, n=16):
+        """A dataset of random values: an 8.2 MB payload, written as seven
+        full 1 MiB blocks and a partial one."""
+        rng = np.random.default_rng(71)
+        return RegressionDataset(
+            inputs=rng.normal(size=(count, 3, n, n)), outputs=rng.normal(size=(count, n, n)),
+            n=n, seed=5, train_idx=np.arange(count - 3), val_idx=np.arange(count - 3, count),
+        )
+
+    @staticmethod
+    def traced_peak(call):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_copies_one_block_and_keeps_the_bytes(self, tmp_path):
+        ds = self.random_dataset()
+        path = tmp_path / "ds.mlfasdat"
+        _, peak = self.traced_peak(lambda: write_dataset(ds, path))
+        payload = np.concatenate(
+            [ds.inputs.reshape(ds.count, -1), ds.outputs.reshape(ds.count, -1)], axis=1
+        ).astype("<f8")
+        header = poisson._HEADER.pack(b"MLFASDAT", 1, ds.count, ds.n, 3, 3, ds.seed)
+        assert path.read_bytes() == header + payload.tobytes()
+        assert peak <= 0.2 * payload.nbytes
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        ds = self.random_dataset()
+        path = tmp_path / "ds.mlfasdat"
+        write_dataset(ds, path)
+        back, peak = self.traced_peak(lambda: read_dataset(path))
+        payload = ds.inputs.nbytes + ds.outputs.nbytes
+        assert peak <= 1.1 * payload
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.outputs, ds.outputs)
+
     @pytest.mark.parametrize(
         "field, value, match",
         [
