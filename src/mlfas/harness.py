@@ -8,14 +8,15 @@ unit is the cost of one fine-level minibatch gradient evaluation; coarser
 evaluations are scaled by their parameter-count ratio.
 """
 
+import contextvars
 import csv
 import math
 import multiprocessing
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -249,8 +250,43 @@ def _network_input_shape(cfg: ExperimentConfig, ds: RegressionDataset):
     return ds.channels * ds.n * ds.n
 
 
+def _leave_start_cpu() -> None:
+    """Move the calling thread onto the process's other CPUs, if it has any.
+
+    A new thread starts on its creator's CPU.  Where the kernel does not
+    balance load between CPUs (a cpuset with ``sched_load_balance`` 0) it
+    never leaves it, so the evaluation worker would share training's CPU
+    and time-slice with it instead of overlapping it.  Placement is only a
+    hint: without the Linux calls, or if they fail, the thread stays put.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        # field 39 of a task's stat line is the CPU it last ran on
+        with open("/proc/thread-self/stat") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
 def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResult:
-    """Train one seed to the work budget, logging metrics per eval interval."""
+    """Train one seed to the work budget, logging metrics per eval interval.
+
+    The logged losses are computed on one worker thread, overlapped with
+    training.  Each evaluation copies the evaluated levels' parameters into
+    networks kept for it, hands the ``loss`` calls to the worker and
+    returns; the next evaluation, and the end of the run, first wait for
+    the one in flight.  The records equal those of evaluating in line,
+    except ``wall_s``, the time the evaluated state was reached, which no
+    longer includes the earlier evaluations.  When the budget ends on an
+    evaluation, the final rows are its rows again with a fresh ``wall_s``.
+    A ``DivergenceError`` from an evaluation is reported in preference to
+    any error training raised after it, and the rows evaluated before an
+    error are kept.
+    """
     xtr, ytr, xva, yva = dataset_splits(ds)
     if cfg.batch_size > xtr.shape[0]:
         raise ConfigError(
@@ -295,11 +331,13 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     records = []
     t0 = time.perf_counter()
     eval_levels = (0, 1) if cfg.depth > 1 else (0,)
+    twins = {}  # level -> (the level's network, the copy its evaluations read)
+    pending = None
 
-    def evaluate(cycle: int) -> None:
-        wall = time.perf_counter() - t0
-        for level in eval_levels:
-            lnet = hierarchy.levels[level].net
+    def losses(snapshot, work: float, cycle: int, wall: float) -> None:
+        # runs on the worker, reading ``loss`` from this module at call time,
+        # where the benchmark's tracer and the tests replace it
+        for level, lnet in snapshot:
             lt = loss(lnet, train_mb)
             lv = loss(lnet, val_mb)
             if not all(map(math.isfinite, (lt.l2, lt.linf, lv.l2, lv.linf))):
@@ -309,21 +347,58 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
                     cycle=cycle,
                 )
             records.append(
-                MetricRecord(hierarchy.work.total, cycle, level,
-                             lt.l2, lt.linf, lv.l2, lv.linf, wall)
+                MetricRecord(work, cycle, level, lt.l2, lt.linf, lv.l2, lv.linf, wall)
             )
+
+    def join() -> None:
+        nonlocal pending
+        if pending is not None:
+            done, pending = pending, None
+            done.result()
+
+    def evaluate(cycle: int) -> None:
+        nonlocal pending
+        # the time the evaluated state was reached, before any wait below
+        wall = time.perf_counter() - t0
+        join()
+        snapshot = []
+        for level in eval_levels:
+            lnet = hierarchy.levels[level].net
+            source, twin = twins.get(level, (None, None))
+            if source is lnet:
+                np.copyto(twin.params.data, lnet.params.data)
+            else:  # first evaluation, or a rematch rebuilt the level
+                twin = lnet.copy()
+                twins[level] = (lnet, twin)
+            snapshot.append((level, twin))
+        # numpy keeps np.errstate in a context variable, which a thread
+        # does not inherit; the caller's settings must hold in the worker
+        pending = pool.submit(contextvars.copy_context().run, losses, snapshot,
+                              hierarchy.work.total, cycle, wall)
 
     failed = False
     reason = ""
+    pool = ThreadPoolExecutor(max_workers=1, initializer=_leave_start_cpu)
     try:
-        evaluate(0)
-        next_eval = cfg.eval_every
-        while hierarchy.work.total < cfg.max_work_units:
-            v_cycle(hierarchy, 0, smoother, stab, scheduler)
-            if hierarchy.work.total >= next_eval:
+        try:
+            evaluate(0)
+            next_eval = cfg.eval_every
+            while hierarchy.work.total < cfg.max_work_units:
+                v_cycle(hierarchy, 0, smoother, stab, scheduler)
+                if hierarchy.work.total >= next_eval:
+                    evaluate(hierarchy.cycles_run)
+                    next_eval = (hierarchy.work.total // cfg.eval_every + 1) * cfg.eval_every
+            join()
+            if records[-1].cycle < hierarchy.cycles_run:
                 evaluate(hierarchy.cycles_run)
-                next_eval = (hierarchy.work.total // cfg.eval_every + 1) * cfg.eval_every
-        evaluate(hierarchy.cycles_run)
+            else:
+                # the budget ended on an evaluation: its rows are the final ones
+                wall = time.perf_counter() - t0
+                records.extend(replace(r, wall_s=wall) for r in records[-len(eval_levels):])
+        finally:
+            # an evaluation submitted before a training error came first in
+            # the run, so its own error is the one reported
+            join()
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
             for level, state in enumerate(hierarchy.levels):
@@ -333,6 +408,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     except DivergenceError as e:
         failed = True
         reason = str(e)
+    finally:
+        pool.shutdown()
 
     best = {}
     for level in eval_levels:
@@ -375,9 +452,11 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
 def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
     if parallel:
         blas = "1 per worker (" + ", ".join(f"{v}=1" for v in _BLAS_THREAD_VARS) + ")"
-        return f"# workers: {cfg.workers} spawned processes; BLAS threads: {blas}\n"
-    blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
-    return f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
+        workers = f"# workers: {cfg.workers} spawned processes; BLAS threads: {blas}\n"
+    else:
+        blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
+        workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
+    return workers + "# evaluation: one worker thread per seed, overlapped with training\n"
 
 
 def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -> list[RunResult]:

@@ -298,9 +298,11 @@ def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
     return np.where(active, 1.0, net.leak)
 
 
-# bytes of one row block's widest non-input interface in ``loss``: about a
-# 2 MB per-core L2 cache, so a block's activations stay in cache between layers
-LOSS_BLOCK_BYTES = 2**21
+# bytes of one row block's widest non-input interface in ``loss``: within a
+# per-core L2 cache, so a block's activations stay in cache between layers,
+# and small, because the harness runs ``loss`` on a thread beside training,
+# whose own temporaries are then live too
+LOSS_BLOCK_BYTES = 2**19
 
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)

@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlfas import harness
 from mlfas.checkpoints import save_network
 from mlfas.conv import ConvShapeError
 from mlfas.harness import (
@@ -27,9 +29,26 @@ from mlfas.harness import (
     run_seed,
     take_rows,
 )
-from mlfas.nets import DenseLayer, Minibatch, Network, dense_network, flatten, loss, lower_input
+from mlfas.nets import (
+    DenseLayer,
+    LossValue,
+    Minibatch,
+    Network,
+    dense_network,
+    flatten,
+    loss,
+    lower_input,
+)
 from mlfas.poisson import generate_dataset, write_dataset
-from mlfas.training import MinibatchScheduler, SmootherConfig, sgd_smooth
+from mlfas.training import (
+    DivergenceError,
+    Hierarchy,
+    MinibatchScheduler,
+    SmootherConfig,
+    StabilityConfig,
+    sgd_smooth,
+    v_cycle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +262,7 @@ class TestRunExperiment:
         meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
         assert ("# workers: 2 spawned processes; BLAS threads: 1 per worker "
                 "(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1)") in meta
+        assert "# evaluation: one worker thread per seed, overlapped with training" in meta
 
     def test_batch_size_guard(self, tiny_dataset):
         ds, path = tiny_dataset
@@ -295,6 +315,189 @@ class TestRunExperiment:
         fine = [r for r in run.records if r.level == 0]
         aux = [r for r in run.records if r.level == 1]
         assert [r.work_units for r in fine] == [r.work_units for r in aux]
+
+
+def strip_wall(records):
+    """The records' fields without ``wall_s``, which only a serial run pins."""
+    return [dataclasses.astuple(r)[:-1] for r in records]
+
+
+def serial_records(cfg, ds, seed=0):
+    """The records ``run_seed`` logs at depth >= 2, evaluated in line by a
+    reference loop.
+
+    Returns the rows without ``wall_s`` and, per evaluation, the level-1
+    network the hierarchy held.
+    """
+    xtr, ytr, xva, yva = dataset_splits(ds)
+    net = build_network(cfg.arch, xtr.shape[1], ytr.shape[1],
+                        rng=np.random.default_rng([seed, 202]))
+    train_mb = Minibatch(lower_input(net, xtr), ytr)
+    val_mb = Minibatch(lower_input(net, xva), yva)
+    sched = MinibatchScheduler(train_mb.inputs, ytr, cfg.batch_size,
+                               np.random.default_rng([seed, 101]))
+    smoother = SmootherConfig(learning_rate=cfg.learning_rate, momentum_coeff=cfg.momentum,
+                              weight_decay=cfg.weight_decay,
+                              steps_per_smooth=cfg.steps_per_smooth)
+    stab = StabilityConfig(eta=cfg.eta, alpha_p=cfg.alpha_p, alpha_m=cfg.alpha_m,
+                           gamma=cfg.gamma)
+    h = Hierarchy.build(net, cfg.depth, rematch_period=cfg.rematch_period,
+                        tau_batches=cfg.tau_batches, theta=cfg.theta, weighted=cfg.weighted)
+    rows, coarse_nets = [], []
+
+    def evaluate():
+        coarse_nets.append(h.levels[1].net)
+        for level in (0, 1):
+            lnet = h.levels[level].net
+            lt, lv = loss(lnet, train_mb), loss(lnet, val_mb)
+            rows.append((h.work.total, h.cycles_run, level, lt.l2, lt.linf, lv.l2, lv.linf))
+
+    evaluate()
+    next_eval = cfg.eval_every
+    while h.work.total < cfg.max_work_units:
+        v_cycle(h, 0, smoother, stab, sched)
+        if h.work.total >= next_eval:
+            evaluate()
+            next_eval = (h.work.total // cfg.eval_every + 1) * cfg.eval_every
+    evaluate()
+    return rows, coarse_nets
+
+
+class TestOverlappedEvaluation:
+    """Evaluation runs on a worker thread and logs what an in-line one would."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left_behind(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def spy_loss(self, monkeypatch, answer=None):
+        """Record every net ``harness.loss`` sees; ``answer(call count, value)``
+        may replace the value."""
+        nets, real = [], harness.loss
+
+        def spy(net, batch):
+            nets.append(net)
+            value = real(net, batch)
+            return answer(len(nets), value) if answer else value
+
+        monkeypatch.setattr(harness, "loss", spy)
+        return nets
+
+    def test_depth_three_matches_an_in_line_loop(self, tiny_dataset, monkeypatch):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, arch="dense:12,dense:10", depth=3, rematch_period=2,
+                          max_work_units=80.0)
+        rows, coarse_nets = serial_records(cfg, ds)
+        nets = self.spy_loss(monkeypatch)
+        run = run_seed(cfg, 0, ds)
+        assert not run.failed
+        assert strip_wall(run.records) == rows
+        # one kept copy of the fine net, and a new copy of level 1 exactly
+        # when a rematch had replaced the level's network
+        assert len({id(n) for n in nets[0::4]}) == 1
+        rebuilt = len({id(n) for n in coarse_nets})
+        assert rebuilt > 1
+        assert len({id(n) for n in nets[2::4]}) == rebuilt
+
+    @pytest.mark.parametrize("eval_every, repeated", [(10.0, True), (7.0, False)])
+    def test_final_evaluation_computed_once(self, tiny_dataset, monkeypatch, eval_every,
+                                            repeated):
+        # depth 1 with 2 wu per cycle: the budget of 30 ends on an evaluation
+        # at 10-wu spacing, and between two at 7-wu spacing
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, depth=1, max_work_units=30.0, eval_every=eval_every)
+        nets = self.spy_loss(monkeypatch)
+        run = run_seed(cfg, 0, ds)
+        cycles = [r.cycle for r in run.records]
+        assert len(nets) == 2 * len(set(cycles))
+        last, final = run.records[-2:]
+        assert (last.cycle == final.cycle) == repeated
+        if repeated:
+            assert strip_wall([last]) == strip_wall([final])
+            assert final.wall_s >= last.wall_s
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nonfinite_level_one_loss_of_kth_evaluation(self, tiny_dataset, monkeypatch, k):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path)
+        clean = run_seed(cfg, 0, ds)
+        # calls run level 0 train, val, then level 1 train, val per evaluation
+        bad = 4 * (k - 1) + 3
+        self.spy_loss(monkeypatch,
+                      lambda n, v: LossValue(math.inf, v.linf) if n == bad else v)
+        run = run_seed(cfg, 0, ds)
+        kept = clean.records[: 2 * (k - 1) + 1]
+        assert strip_wall(run.records) == strip_wall(kept)
+        assert run.failed
+        assert run.reason == f"non-finite loss at level 1 (cycle {kept[-1].cycle})"
+
+    @pytest.mark.parametrize("error", [DivergenceError, ValueError])
+    @pytest.mark.parametrize("eval_fails", [False, True])
+    def test_training_error_while_an_evaluation_is_pending(self, tiny_dataset, monkeypatch,
+                                                          error, eval_fails):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path)
+        clean = run_seed(cfg, 0, ds)
+        events = []
+        raised = threading.Event()
+
+        def held(n, value):
+            # the first evaluation finishes only after training has raised
+            if not raised.wait(timeout=60):
+                raise TimeoutError("training never raised")
+            events.append("loss")
+            return LossValue(math.nan, value.linf) if eval_fails and n == 3 else value
+
+        def failing_cycle(*args):
+            events.append("raise")
+            raised.set()
+            raise error("training failed in cycle 0")
+
+        self.spy_loss(monkeypatch, held)
+        monkeypatch.setattr(harness, "v_cycle", failing_cycle)
+        if eval_fails:
+            # the evaluation came first in the run, so its error is reported
+            run = run_seed(cfg, 0, ds)
+            assert run.reason == "non-finite loss at level 1 (cycle 0)"
+            assert strip_wall(run.records) == strip_wall(clean.records[:1])
+        elif error is DivergenceError:
+            run = run_seed(cfg, 0, ds)
+            assert run.reason == "training failed in cycle 0"
+            assert strip_wall(run.records) == strip_wall(clean.records[:2])
+        else:
+            with pytest.raises(ValueError, match="training failed"):
+                run_seed(cfg, 0, ds)
+        assert events == ["raise"] + ["loss"] * 4
+        if error is DivergenceError or eval_fails:
+            assert run.failed and run.best.keys() == ({0} if eval_fails else {0, 1})
+
+    def test_overflow_in_an_evaluation_fails_the_run_under_errstate(self, tiny_dataset,
+                                                                   monkeypatch):
+        # the suite turns warnings into errors; np.errstate must reach the worker
+        ds, path = tiny_dataset
+        self.spy_loss(monkeypatch,
+                      lambda n, v: LossValue(float(np.exp(1e3 + v.l2)), v.linf))
+        with np.errstate(all="ignore"):
+            run = run_seed(tiny_config(path), 0, ds)
+        assert run.failed
+        assert run.reason == "non-finite loss at level 0 (cycle 0)"
+        assert run.records == []
+
+    def test_worker_leaves_the_starting_cpu(self):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no thread affinity calls on this platform")
+        allowed = os.sched_getaffinity(0)
+        seen = []
+        worker = threading.Thread(
+            target=lambda: (harness._leave_start_cpu(), seen.append(os.sched_getaffinity(0))))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert os.sched_getaffinity(0) == allowed
+        assert seen[0] <= allowed
+        assert len(seen[0]) == max(1, len(allowed) - 1)
 
 
 class TestSplits:

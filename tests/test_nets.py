@@ -217,7 +217,7 @@ class TestBlockedLoss:
     def test_benchmark_conv_net_at_the_real_block_size(self):
         rng = np.random.default_rng(59)
         net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
-        n = 2 * (nets.LOSS_BLOCK_BYTES // (8 * 8 * 16 * 16)) + 1  # 2 * 128 + 1 at 2 MB
+        n = 2 * (nets.LOSS_BLOCK_BYTES // (8 * 8 * 16 * 16)) + 1  # 2 * 32 + 1 at 512 KB
         assert len(nets.loss_blocks(net, n)) == 3
         batch = Minibatch(kappa_xy_batch(rng, n, True, grid=32), rng.normal(size=(n, 1024)))
         lv = loss(net, Minibatch(lower_input(net, batch.inputs), batch.targets))
