@@ -3,6 +3,10 @@
 Versioned little-endian container: an 8-byte magic, format metadata, then
 one record per layer with a kind tag, integer dims, and the row-major
 float64 parameter blocks.  The exact layout is documented in the README.
+Networks have ReLU hidden layers and a linear output layer, so the header's
+activation fields are fixed: ``save_network`` writes relu (0), a linear
+output (0) and a leak of 0.01, and ``load_network`` rejects any other
+activation or output tag and ignores the leak.
 """
 
 import struct
@@ -16,13 +20,14 @@ NETWORK_MAGIC = b"MLFASNET"
 NETWORK_VERSION = 1
 
 _HEADER = struct.Struct("<8sIIIdIIIII")
-# magic, version, activation, output_activation, leak,
+# magic, version, activation tag, output tag, leak,
 # input kind (0 flat / 1 channels), 3 input dims, layer count
 _DENSE_HDR = struct.Struct("<II")  # n_out, n_in
 _CONV_HDR = struct.Struct("<8I")  # out_c, in_c, kh, kw, sh, sw, ph, pw
 
-_ACTIVATIONS = {"relu": 0, "leaky_relu": 1}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATIONS.items()}
+# the fixed activation fields; the leak is the value v1 files always held
+_RELU, _LINEAR_OUTPUT, _LEAK = 0, 0, 0.01
+
 KIND_DENSE = 0
 KIND_CONV = 1
 
@@ -40,9 +45,9 @@ def save_network(net: Network, path) -> None:
         _HEADER.pack(
             NETWORK_MAGIC,
             NETWORK_VERSION,
-            _ACTIVATIONS[net.activation],
-            int(net.output_activation),
-            net.leak,
+            _RELU,
+            _LINEAR_OUTPUT,
+            _LEAK,
             in_kind,
             dims[0],
             dims[1],
@@ -90,17 +95,17 @@ class _Reader:
 def load_network(path) -> Network:
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
-    magic, version, act, out_act, leak, in_kind, d0, d1, d2, n_layers = _HEADER.unpack(
+    magic, version, act, out_act, _, in_kind, d0, d1, d2, n_layers = _HEADER.unpack(
         r.take(_HEADER.size)
     )
     if magic != NETWORK_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
     if version != NETWORK_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    if act not in _ACTIVATION_NAMES:
-        raise CheckpointFormatError(f"{path}: unknown activation tag {act}")
-    if out_act not in (0, 1):
-        raise CheckpointFormatError(f"{path}: output activation tag {out_act} is not 0 or 1")
+    if act != _RELU:
+        raise CheckpointFormatError(f"{path}: activation tag {act} is not 0 (relu)")
+    if out_act != _LINEAR_OUTPUT:
+        raise CheckpointFormatError(f"{path}: output activation tag {out_act} is not 0 (linear)")
     if in_kind not in (0, 1):
         raise CheckpointFormatError(f"{path}: unknown input kind tag {in_kind}")
     layers = []
@@ -121,10 +126,4 @@ def load_network(path) -> Network:
     if r.pos != len(r.raw):
         raise CheckpointFormatError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
     input_shape = (d0, d1, d2) if in_kind == 1 else d0
-    return Network(
-        layers,
-        activation=_ACTIVATION_NAMES[act],
-        leak=leak,
-        output_activation=bool(out_act),
-        input_shape=input_shape,
-    )
+    return Network(layers, input_shape=input_shape)

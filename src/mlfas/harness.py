@@ -45,8 +45,6 @@ class ExperimentConfig:
 
     dataset: str = ""
     arch: str = "dense:128,dense:128"
-    activation: str = "relu"
-    output_activation: bool = False
     depth: int = 1
     learning_rate: float = 0.01
     momentum: float = 0.9
@@ -76,6 +74,10 @@ class ExperimentConfig:
             raise ConfigError("max_work_units must be positive")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -175,16 +177,15 @@ def build_network(
     arch: str,
     input_shape,
     output_size: int,
-    activation: str = "relu",
-    output_activation: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Network:
     """Build a network from an architecture string.
 
     Tokens are comma separated: ``dense:<width>`` for a hidden dense layer,
     ``conv:<channels>k<kernel>s<stride>p<pad>`` for a (square) conv layer.
-    Conv tokens must come first.  A dense output layer onto ``output_size``
-    is appended automatically.
+    Conv tokens must come first.  Every hidden layer is followed by ReLU; a
+    linear dense output layer onto ``output_size`` is appended
+    automatically.
     """
     layers = []
     if not isinstance(input_shape, tuple):
@@ -210,12 +211,7 @@ def build_network(
             continue
         raise ConfigError(f"unrecognized architecture token {token!r}")
     layers.append(DenseLayer(np.zeros((output_size, int(np.prod(shape)))), np.zeros(output_size)))
-    net = Network(
-        layers,
-        activation=activation,
-        output_activation=output_activation,
-        input_shape=input_shape,
-    )
+    net = Network(layers, input_shape=input_shape)
     if rng is not None:
         uniform_init(net, rng)
     return net
@@ -296,8 +292,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         cfg.arch,
         _network_input_shape(cfg, ds),
         ytr.shape[1],
-        activation=cfg.activation,
-        output_activation=cfg.output_activation,
         rng=np.random.default_rng([seed, 202]),
     )
     # the input interface is never coarsened, so one lowering per split

@@ -1,12 +1,13 @@
 """Feedforward networks with hand-written backpropagation.
 
-A network is an ordered list of dense and/or convolutional layers sharing a
-componentwise activation.  Convolutional layers, when present, must precede
-the dense layers; the interface flattens channel-major.  Each network keeps
-all learnable parameters in one flat float64 buffer whose segment order is
-all weight blocks (by layer) followed by all bias blocks (by layer); the
-layers' arrays are views into it, and gradients and momentum vectors reuse
-the same layout.
+A network is an ordered list of dense and/or convolutional layers with ReLU
+after every hidden layer and a linear output layer, the regression head.
+Convolutional layers, when present, must precede the dense layers; the
+interface flattens channel-major.  Each network keeps all learnable
+parameters in one flat float64 buffer whose segment order is all weight
+blocks (by layer) followed by all bias blocks (by layer); the layers'
+arrays are views into it, and gradients and momentum vectors reuse the same
+layout.
 
 The first layer always reads a ``LoweredInput``: ``lower_input`` finds the
 contiguous block of input features (or conv channels) that varies across
@@ -150,10 +151,8 @@ def _flat_size(desc) -> int:
 
 
 class Network:
-    """Layer stack with a shared activation.
+    """Layer stack with ReLU hidden layers and a linear output layer.
 
-    ``output_activation`` controls whether the activation is also applied to
-    the final layer; regression setups normally keep a linear output head.
     ``input_shape`` is an int for flat inputs or (channels, height, width)
     when the first layer is convolutional.
 
@@ -166,22 +165,10 @@ class Network:
     another network is copied, never shared.
     """
 
-    def __init__(
-        self,
-        layers,
-        activation: str = "relu",
-        leak: float = 0.01,
-        output_activation: bool = False,
-        input_shape=None,
-    ):
+    def __init__(self, layers, input_shape=None):
         if len(layers) < 1:
             raise NetworkShapeError("a network needs at least one layer")
-        if activation not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.layers = list(layers)
-        self.activation = activation
-        self.leak = float(leak)
-        self.output_activation = bool(output_activation)
         if input_shape is None:
             first = self.layers[0]
             if isinstance(first, ConvLayer):
@@ -263,39 +250,12 @@ class Network:
         return self.params.total_len
 
     def copy(self) -> "Network":
-        return Network(
-            self.layers,
-            activation=self.activation,
-            leak=self.leak,
-            output_activation=self.output_activation,
-            input_shape=self.input_shape,
-        )
+        return Network(self.layers, input_shape=self.input_shape)
 
     def __reduce__(self):
         # pickling or deep-copying the arrays one by one would detach the
         # layers from the parameter buffer; rebuild through the constructor
-        return (
-            Network,
-            (self.layers, self.activation, self.leak, self.output_activation, self.input_shape),
-        )
-
-
-def _act(net: Network, z: np.ndarray) -> np.ndarray:
-    if net.activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.where(z > 0.0, z, net.leak * z)
-
-
-def _act_grad(net: Network, z: np.ndarray) -> np.ndarray:
-    """Activation derivative at z, as a factor for the upstream gradient.
-
-    The subgradient at exactly 0 is taken on the inactive branch; for relu
-    the factor is the boolean mask, which multiplies exactly like 1.0/0.0.
-    """
-    active = z > 0.0
-    if net.activation == "relu":
-        return active
-    return np.where(active, 1.0, net.leak)
+        return (Network, (self.layers, self.input_shape))
 
 
 # bytes of one row block's widest non-input interface in ``loss``: within a
@@ -414,10 +374,7 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
             z += layer.bias if sample is None else layer.weights @ sample + layer.bias
         if caches is not None:
             caches.append((a, z))
-        if k < n_last or net.output_activation:
-            a = _act(net, z)
-        else:
-            a = z
+        a = np.maximum(z, 0.0) if k < n_last else z
     return a.reshape(a.shape[0], -1)
 
 
@@ -496,10 +453,11 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
     for k in range(net.n_layers - 1, -1, -1):
         layer = net.layers[k]
         a_k, z_k = caches[k]
-        if k < net.n_layers - 1 or net.output_activation:
-            dz = g.reshape(z_k.shape) * _act_grad(net, z_k)
-        else:
-            dz = g.reshape(z_k.shape)
+        dz = g.reshape(z_k.shape)
+        if k < net.n_layers - 1:
+            # the ReLU subgradient at exactly 0 is 0; the boolean mask
+            # multiplies exactly like 1.0/0.0
+            dz = dz * (z_k > 0.0)
         gw, gb = out.view(k, "weight"), out.view(k, "bias")
         # a folded first layer's weight gradient sums over the batch on the
         # varying block; the rest is the batch-summed upstream times the sample
@@ -635,12 +593,7 @@ def uniform_init(net: Network, rng: np.random.Generator) -> Network:
     return net
 
 
-def dense_network(
-    sizes,
-    activation: str = "relu",
-    output_activation: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Network:
+def dense_network(sizes, rng: np.random.Generator | None = None) -> Network:
     """Fully-connected network through the given interface sizes."""
     if len(sizes) < 2:
         raise NetworkShapeError("need at least an input and an output size")
@@ -648,7 +601,7 @@ def dense_network(
         DenseLayer(np.zeros((sizes[k + 1], sizes[k])), np.zeros(sizes[k + 1]))
         for k in range(len(sizes) - 1)
     ]
-    net = Network(layers, activation=activation, output_activation=output_activation)
+    net = Network(layers)
     if rng is not None:
         uniform_init(net, rng)
     return net

@@ -238,8 +238,8 @@ def coarse_grid_correction(
 def restrict_network(net: Network, t: TransferLevel) -> Network:
     """Build the coarse network induced by a transfer level.
 
-    Layer kinds, activation, strides and paddings are preserved; hidden
-    widths and channel counts shrink per the matchings.
+    Layer kinds, strides and paddings are preserved; hidden widths and
+    channel counts shrink per the matchings.
     """
     x_c = restrict_params(t, net.params)
     layers = []
@@ -250,10 +250,4 @@ def restrict_network(net: Network, t: TransferLevel) -> Network:
         else:
             layers.append(DenseLayer(w, b))
     # the network copies the restricted values into a buffer of its own
-    return Network(
-        layers,
-        activation=net.activation,
-        leak=net.leak,
-        output_activation=net.output_activation,
-        input_shape=net.input_shape,
-    )
+    return Network(layers, input_shape=net.input_shape)

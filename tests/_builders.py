@@ -12,17 +12,17 @@ def assert_rel(got, ref, tol=1e-12):
     assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
 
 
-def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12), **kwargs):
+def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12)):
     """Random fully-connected net with 1-3 hidden layers."""
     if n_hidden is None:
         n_hidden = int(rng.integers(1, 4))
     sizes = [int(rng.integers(io[0], io[1] + 1))]
     sizes += [int(rng.integers(widths[0], widths[1] + 1)) for _ in range(n_hidden)]
     sizes.append(int(rng.integers(io[0], io[1] + 1)))
-    return dense_network(sizes, rng=rng, **kwargs)
+    return dense_network(sizes, rng=rng)
 
 
-def random_conv_net(rng, max_channels=8, spatial=6, n_conv=None, **kwargs):
+def random_conv_net(rng, max_channels=8, spatial=6, n_conv=None):
     """Random conv+dense net: 1-2 conv layers (or ``n_conv``) then 2 dense layers."""
     c_in = int(rng.integers(1, 4))
     h = w = spatial
@@ -50,7 +50,7 @@ def random_conv_net(rng, max_channels=8, spatial=6, n_conv=None, **kwargs):
     layers.append(DenseLayer(np.zeros((hidden, flat)), np.zeros(hidden)))
     out = int(rng.integers(2, 7))
     layers.append(DenseLayer(np.zeros((out, hidden)), np.zeros(out)))
-    net = Network(layers, input_shape=(c_in, h, w), **kwargs)
+    net = Network(layers, input_shape=(c_in, h, w))
     return uniform_init(net, rng)
 
 
@@ -132,18 +132,6 @@ def explicit_transfer_matrices(t, segments):
 # in-place code can be required to match it bit for bit.
 
 
-def _reference_act(net, z):
-    if net.activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.where(z > 0.0, z, net.leak * z)
-
-
-def _reference_act_grad(net, z):
-    if net.activation == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
-    return np.where(z > 0.0, 1.0, net.leak)
-
-
 def _current_conv_backward(layer, x, upstream):
     return conv_backward_batch(layer, conv_patches(layer, x), upstream, x.shape[2:])
 
@@ -164,10 +152,7 @@ def _reference_forward_cached(net, x, conv):
             a = a.reshape(a.shape[0], -1)
             z = a @ layer.weights.T + layer.bias
         caches.append((a, z))
-        if k < n_last or net.output_activation:
-            a = _reference_act(net, z)
-        else:
-            a = z
+        a = np.maximum(z, 0.0) if k < n_last else z
     return a.reshape(a.shape[0], -1), caches
 
 
@@ -195,8 +180,8 @@ def reference_backward(net, batch, conv=CURRENT_CONV):
     for k in range(net.n_layers - 1, -1, -1):
         layer = net.layers[k]
         a_k, z_k = caches[k]
-        if k < net.n_layers - 1 or net.output_activation:
-            dz = g.reshape(z_k.shape) * _reference_act_grad(net, z_k)
+        if k < net.n_layers - 1:
+            dz = g.reshape(z_k.shape) * np.where(z_k > 0.0, 1.0, 0.0)
         else:
             dz = g.reshape(z_k.shape)
         if isinstance(layer, ConvLayer):

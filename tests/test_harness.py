@@ -97,9 +97,10 @@ class TestConfig:
         keys = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
         assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
-    # the last three were keys once; a config that still sets them is refused
+    # all but the first were keys once; a config that still sets them is refused
     @pytest.mark.parametrize(
-        "key", ["no_such_knob", "match_order", "checkpoint_every", "eta_depth"]
+        "key", ["no_such_knob", "match_order", "checkpoint_every", "eta_depth",
+                "activation", "output_activation"]
     )
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "exp.cfg"
@@ -123,6 +124,16 @@ class TestConfig:
             parse_config(path)
         assert str(info.value).startswith(f"{key}: ")
         assert repr(text) in str(info.value)
+
+    # a non-positive worker count once ran serially under its own name, and
+    # batch_size 0 failed only after the dataset had been read
+    @pytest.mark.parametrize("key, value", [("workers", 0), ("workers", -2),
+                                            ("batch_size", 0), ("batch_size", -1)])
+    def test_count_below_one_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"dataset = missing.bin\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+            parse_config(path)
 
 
 class TestBuildNetwork:

@@ -35,7 +35,7 @@ from mlfas.poisson import generate_dataset
 from mlfas.transfer import coarsen_network, restrict_network
 
 
-def naive_forward(layers, y, output_activation):
+def naive_forward(layers, y):
     """Independent per-element loop evaluation (the oracle)."""
     v = [float(t) for t in y]
     for k, (w, b) in enumerate(layers):
@@ -45,34 +45,29 @@ def naive_forward(layers, y, output_activation):
             for j in range(len(v)):
                 s += float(w[i][j]) * v[j]
             out.append(s)
-        if k < len(layers) - 1 or output_activation:
+        if k < len(layers) - 1:
             out = [t if t > 0.0 else 0.0 for t in out]
         v = out
     return np.array(v)
 
 
 class TestForward:
+    # one ReLU unit, read through a linear identity output layer
+    RELU_PROBE = [DenseLayer([[1.0, -1.0]], [0.5]), DenseLayer([[1.0]], [0.0])]
+
     def test_single_layer_active(self):
-        # relu applied on the output layer in the literal recurrence mode
-        net = Network([DenseLayer([[1.0, -1.0]], [0.5])], output_activation=True)
-        assert forward(net, [2.0, 1.0]) == pytest.approx([1.5], abs=0)
+        assert forward(Network(self.RELU_PROBE), [2.0, 1.0]) == pytest.approx([1.5], abs=0)
 
     def test_single_layer_clamped(self):
-        net = Network([DenseLayer([[1.0, -1.0]], [0.5])], output_activation=True)
-        assert forward(net, [0.0, 3.0]) == pytest.approx([0.0], abs=0)
+        assert forward(Network(self.RELU_PROBE), [0.0, 3.0]) == pytest.approx([0.0], abs=0)
 
-    @pytest.mark.parametrize("output_activation", [False, True])
-    def test_matches_naive_loop_oracle(self, output_activation):
+    def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            net = random_dense_net(
-                rng, widths=(3, 8), io=(2, 6), output_activation=output_activation
-            )
+            net = random_dense_net(rng, widths=(3, 8), io=(2, 6))
             y = rng.normal(size=net.input_size)
             got = forward(net, y)
-            ref = naive_forward(
-                [(l.weights, l.bias) for l in net.layers], y, output_activation
-            )
+            ref = naive_forward([(l.weights, l.bias) for l in net.layers], y)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(got - ref).max() / scale < 1e-15
 
@@ -103,20 +98,18 @@ class TestForward:
 
     def test_positive_homogeneity_through_relu(self):
         rng = np.random.default_rng(7)
-        for output_activation in (False, True):
-            net = random_dense_net(rng, output_activation=output_activation,
-                                   widths=(3, 10), io=(2, 6))
-            for layer in net.layers:
-                layer.bias[...] = 0.0
-            y = rng.normal(size=net.input_size)
-            base = forward(net, y)
-            c = 1.7
-            scaled = net.copy()
-            for layer in scaled.layers:
-                layer.weights *= c
-            got = forward(scaled, y)
-            ref = c ** net.n_layers * base
-            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        net = random_dense_net(rng, widths=(3, 10), io=(2, 6))
+        for layer in net.layers:
+            layer.bias[...] = 0.0
+        y = rng.normal(size=net.input_size)
+        base = forward(net, y)
+        c = 1.7
+        scaled = net.copy()
+        for layer in scaled.layers:
+            layer.weights *= c
+        got = forward(scaled, y)
+        ref = c ** net.n_layers * base
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 class TestLoss:
@@ -195,14 +188,10 @@ class TestBlockedLoss:
 
     @pytest.mark.parametrize("arch", ["dense:9,dense:7", "conv:4k3s2p1,dense:9"])
     @pytest.mark.parametrize("folded", [False, True])
-    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-    @pytest.mark.parametrize("output_activation", [False, True])
-    def test_matches_whole_batch_bitwise(self, monkeypatch, arch, folded, activation,
-                                         output_activation):
+    def test_matches_whole_batch_bitwise(self, monkeypatch, arch, folded):
         rng = np.random.default_rng(53)
         shape = (3, 6, 6) if arch.startswith("conv") else 108
-        net = build_network(arch, shape, 36, activation=activation,
-                            output_activation=output_activation, rng=rng)
+        net = build_network(arch, shape, 36, rng=rng)
         set_block_rows(monkeypatch, net, self.BLOCK)
         b = self.BLOCK
         for n in (1, 2, b - 1, b, b + 1, 2 * b + 1):
@@ -290,7 +279,7 @@ def sample_away_from_kinks(rng, make_net_and_batch):
         ok = True
         for k, layer in enumerate(net.layers):
             z = a @ layer.weights.T + layer.bias
-            if k < net.n_layers - 1 or net.output_activation:
+            if k < net.n_layers - 1:
                 if np.abs(z).min() < 1e-6:
                     ok = False
                     break
@@ -313,15 +302,11 @@ class TestBackward:
         expected_bias = -(2.0 / 3.0) * targets.sum(axis=0)
         np.testing.assert_allclose(g.view(0, "bias"), expected_bias, rtol=1e-15)
 
-    @pytest.mark.parametrize("output_activation", [False, True])
-    def test_finite_difference_oracle(self, output_activation):
+    def test_finite_difference_oracle(self):
         rng = np.random.default_rng(17)
 
         def make(r):
-            net = random_dense_net(
-                r, widths=(4, 32), io=(3, 8), n_hidden=int(r.integers(1, 4)),
-                output_activation=output_activation,
-            )
+            net = random_dense_net(r, widths=(4, 32), io=(3, 8), n_hidden=int(r.integers(1, 4)))
             return net, random_batch(r, net, size=4)
 
         net, batch = sample_away_from_kinks(rng, make)
@@ -389,7 +374,7 @@ class TestParamVector:
             assert np.array_equal(x.view(k, "bias"), layer.bias)
 
 
-def folded_case(seed, conv, batch_size, activation, kernel=3, stride=1, padding=0):
+def folded_case(seed, conv, batch_size, kernel=3, stride=1, padding=0):
     """A net and a batch whose first-layer input varies in one block only.
 
     ``conv`` counts the conv layers ahead of a dense head (0 or False for a
@@ -405,9 +390,9 @@ def folded_case(seed, conv, batch_size, activation, kernel=3, stride=1, padding=
         size = int(rng.integers(max(3, kernel), 8))
         convs = [f"conv:{int(rng.integers(2, 5))}k{kernel}s{stride}p{padding}"]
         arch = ",".join(convs + ["conv:2k3s2p1"] * (conv - 1) + ["dense:6"])
-        net = build_network(arch, (c, size, size), 3, activation=activation, rng=rng)
+        net = build_network(arch, (c, size, size), 3, rng=rng)
     else:
-        net = random_dense_net(rng, io=(2, 12), activation=activation)
+        net = random_dense_net(rng, io=(2, 12))
     batch = random_batch(rng, net, size=batch_size)
     n = net.interfaces[0][1]
     lo = int(rng.integers(0, n))
@@ -445,13 +430,11 @@ class TestSharedInputFold:
         seed=st.integers(0, 2**31 - 1),
         conv=st.sampled_from([0, 1, 2]),
         batch_size=st.sampled_from([2, 7]),
-        activation=st.sampled_from(["relu", "leaky_relu"]),
         geometry=st.sampled_from([(3, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]),
     )
-    def test_matches_full_products(self, seed, conv, batch_size, activation, geometry):
+    def test_matches_full_products(self, seed, conv, batch_size, geometry):
         kernel, stride, padding = geometry
-        net, batch, block = folded_case(seed, conv, batch_size, activation,
-                                        kernel, stride, padding)
+        net, batch, block = folded_case(seed, conv, batch_size, kernel, stride, padding)
         assert lower_input(net, batch.inputs).block == block
         assert_rel(forward_batch(net, batch.inputs), reference_forward(net, batch.inputs))
         assert_gradients_match(backward(net, batch), reference_backward(net, batch), block)
@@ -459,7 +442,7 @@ class TestSharedInputFold:
     @pytest.mark.parametrize("conv", [False, True])
     def test_unfolded_batches_match_bitwise(self, conv):
         for seed in range(6):
-            net, batch, block = folded_case(seed, conv, 7, "relu")
+            net, batch, block = folded_case(seed, conv, 7)
             n = net.interfaces[0][1]
             rows = batch.inputs.reshape(7, n, -1)
             rng = np.random.default_rng(seed)
@@ -481,7 +464,7 @@ class TestSharedInputFold:
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_nan_in_a_shared_column_propagates(self, conv):
-        net, batch, block = folded_case(11, conv, 7, "leaky_relu")
+        net, batch, block = folded_case(11, conv, 7)
         n = net.interfaces[0][1]
         column = block.stop if block.stop < n else block.start - 1
         rows = batch.inputs.reshape(7, n, -1)
@@ -545,13 +528,12 @@ class TestSplitLowering:
         seed=st.integers(0, 2**31 - 1),
         conv=st.sampled_from([0, 1, 2]),
         batch_size=st.sampled_from([1, 2, 4]),
-        activation=st.sampled_from(["relu", "leaky_relu"]),
         where=st.sampled_from(["first", "last", "middle"]),
     )
-    def test_batch_constant_inside_split_block(self, seed, conv, batch_size, activation, where):
+    def test_batch_constant_inside_split_block(self, seed, conv, batch_size, where):
         # the batch holds one column (feature or channel) constant that varies
         # over the split, so the split's fold is not the batch's own
-        net, split, block = folded_case(seed, conv, 9, activation)
+        net, split, block = folded_case(seed, conv, 9)
         n = net.interfaces[0][1]
         column = {"first": block.start, "last": block.stop - 1,
                   "middle": (block.start + block.stop - 1) // 2}[where]
