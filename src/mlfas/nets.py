@@ -447,17 +447,19 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
     elif out.segments != net.params.segments:
         raise ParamLayoutError("gradient buffer layout does not match the network")
     caches = []
-    preds = _forward(net, lowered, caches)
-    g = (2.0 / preds.shape[0]) * (preds - batch.targets)
+    # the predictions are the call's own, so the loss gradient overwrites them
+    g = _forward(net, lowered, caches)
+    np.subtract(g, batch.targets, out=g)
+    g *= 2.0 / g.shape[0]
 
     for k in range(net.n_layers - 1, -1, -1):
         layer = net.layers[k]
         a_k, z_k = caches[k]
         dz = g.reshape(z_k.shape)
         if k < net.n_layers - 1:
-            # the ReLU subgradient at exactly 0 is 0; the boolean mask
-            # multiplies exactly like 1.0/0.0
-            dz = dz * (z_k > 0.0)
+            # dz is this call's own array; the ReLU subgradient at exactly 0
+            # is 0, and the boolean mask multiplies exactly like 1.0/0.0
+            np.multiply(dz, z_k > 0.0, out=dz)
         gw, gb = out.view(k, "weight"), out.view(k, "bias")
         # a folded first layer's weight gradient sums over the batch on the
         # varying block; the rest is the batch-summed upstream times the sample

@@ -8,15 +8,21 @@ cell-centered 5-point finite-difference scheme with harmonic-mean face
 coefficients, solved by matrix-free preconditioned conjugate gradients over
 stacks of samples.  The preconditioner scales by kappa^-1/2 on both sides
 and inverts the constant-coefficient operator exactly by fast
-diagonalization with the closed-form 1-D eigenvectors.
+diagonalization with the closed-form 1-D eigenvectors.  ``generate_dataset``
+draws, builds and solves its samples chunk by chunk, on as many threads as
+the process has CPUs, and the data does not depend on the thread count or
+the chunk size.
 ``assemble_operator`` builds the same operator as a sparse matrix for
 reference; it is the one user of scipy, which it imports when called.
 """
 
+import contextvars
 import functools
 import math
+import mmap
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 DATASET_MAGIC = b"MLFASDAT"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIIq")  # magic, version, count, n, channels, n_val, seed
-_CHUNK_CELLS = 2**14  # grid cells per batched solve in generate_dataset
+_CHUNK_CELLS = 2**16  # grid cells per chunk task in generate_dataset
 _IO_BLOCK_BYTES = 2**20  # payload bytes per write in write_dataset
 
 
@@ -111,13 +117,39 @@ def sample_kappa(params: FieldParams, n: int) -> np.ndarray:
     (x', y') rotates the domain by alpha about its center, so values stay
     in [0.1, 2.1] everywhere.
     """
+    return _kappa_fields([params], n, np.empty((1, n, n)))[0]
+
+
+def _kappa_fields(params: list[FieldParams], n: int, out: np.ndarray) -> np.ndarray:
+    """``sample_kappa`` of each of ``params``, into the (len(params), n, n) ``out``.
+
+    The samples' scalars become (B, 1, 1) columns, so every grid value goes
+    through the same float operations in the same order whatever the batch.
+    """
     x, y = coordinate_grids(n)
-    ca, sa = math.cos(params.alpha_rot), math.sin(params.alpha_rot)
-    xr = ca * (x - 0.5) - sa * (y - 0.5) + 0.5
-    yr = sa * (x - 0.5) + ca * (y - 0.5) + 0.5
-    return 1.1 + np.cos(params.kx * np.pi * (xr + params.ax)) * np.cos(
-        params.ky * np.pi * (yr + params.ay)
-    )
+
+    def column(values):
+        return np.array(values, dtype=np.float64).reshape(-1, 1, 1)
+
+    ca = column([math.cos(p.alpha_rot) for p in params])
+    sa = column([math.sin(p.alpha_rot) for p in params])
+    xc, yc = x - 0.5, y - 0.5
+    xr, yr = _workspace(2, out.shape)
+    # x' = ca xc - sa yc + 1/2 and y' = sa xc + ca yc + 1/2, the second
+    # product of each going through ``out``
+    np.multiply(ca, xc, out=xr)
+    xr -= np.multiply(sa, yc, out=out)
+    xr += 0.5
+    np.multiply(sa, xc, out=yr)
+    yr += np.multiply(ca, yc, out=out)
+    yr += 0.5
+    xr += column([p.ax for p in params])
+    xr *= column([p.kx * np.pi for p in params])
+    yr += column([p.ay for p in params])
+    yr *= column([p.ky * np.pi for p in params])
+    np.multiply(np.cos(xr, out=xr), np.cos(yr, out=yr), out=out)
+    out += 1.1
+    return out
 
 
 def forcing(n: int) -> np.ndarray:
@@ -165,32 +197,36 @@ def assemble_operator(kappa: np.ndarray) -> "scipy.sparse.csr_matrix":
     return sp.csr_matrix((vals / h2, (rows, cols)), shape=(n * n, n * n))
 
 
-def _stencil(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stencil(kappa: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of ``assemble_operator`` for a (B, n, n) stack of kappa.
 
     Returns (diag, cx, cy), each (B, n, n): ``cx[b, i, j]`` couples cell
     (i, j) with (i + 1, j) and ``cy[b, i, j]`` couples it with (i, j + 1),
     both zero where that neighbour is off the grid.  The values are the CSR
-    entries with the off-diagonal signs left positive.
+    entries with the off-diagonal signs left positive.  ``out`` is five
+    zero-filled arrays of kappa's shape, the three results and two of
+    scratch; new ones when not given.
     """
+    diag, cx, cy, num, den = [np.zeros(kappa.shape) for _ in range(5)] if out is None else out
     n = kappa.shape[-1]
     h2 = (1.0 / n) ** 2
-    tx = 2.0 * kappa[:, :-1, :] * kappa[:, 1:, :] / (kappa[:, :-1, :] + kappa[:, 1:, :])
-    ty = 2.0 * kappa[:, :, :-1] * kappa[:, :, 1:] / (kappa[:, :, :-1] + kappa[:, :, 1:])
-    diag = np.zeros(kappa.shape)
-    diag[:, :-1, :] += tx
-    diag[:, 1:, :] += tx
-    diag[:, :, :-1] += ty
-    diag[:, :, 1:] += ty
+    faces = ((np.s_[:, :-1, :], np.s_[:, 1:, :], cx), (np.s_[:, :, :-1], np.s_[:, :, 1:], cy))
+    for lo, hi, c in faces:
+        # harmonic-mean face coefficient 2 k0 k1 / (k0 + k1)
+        k0, k1 = kappa[lo], kappa[hi]
+        t = num.reshape(-1)[: k0.size].reshape(k0.shape)
+        np.multiply(k0, 2.0, out=t)
+        t *= k1
+        t /= np.add(k0, k1, out=den.reshape(-1)[: k0.size].reshape(k0.shape))
+        diag[lo] += t
+        diag[hi] += t
+        np.divide(t, h2, out=c[lo])
     diag[:, 0, :] += 2.0 * kappa[:, 0, :]
     diag[:, -1, :] += 2.0 * kappa[:, -1, :]
     diag[:, :, 0] += 2.0 * kappa[:, :, 0]
     diag[:, :, -1] += 2.0 * kappa[:, :, -1]
-    cx = np.zeros(kappa.shape)
-    cy = np.zeros(kappa.shape)
-    cx[:, :-1, :] = tx / h2
-    cy[:, :, :-1] = ty / h2
-    return diag / h2, cx, cy
+    diag /= h2
+    return diag, cx, cy
 
 
 def _apply_stencil(diag, cx, cy, p, out, tmp) -> np.ndarray:
@@ -234,19 +270,38 @@ def _eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, lam, grid
 
 
-def _precondition(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _precondition(s, r, out=None, work=None) -> np.ndarray:
     """z = S L0^-1 (S r) for a (B, n, n) stack, with S = kappa^-1/2 given as ``s``.
 
     ``L0`` is the operator at kappa = 1, solved per sample by fast
     diagonalization, ``Q ((Q^T W Q) / grid) Q^T``.  At kappa = c the result
-    is the exact solution A^-1 r.
+    is the exact solution A^-1 r.  The result goes into ``out`` and ``work``
+    is scratch, both of r's shape, apart from r and s, and new when not given.
     """
     q, _, grid = _eigenbasis(r.shape[-1])
-    w = q.T @ (s * r) @ q
-    w /= grid
-    z = q @ w @ q.T
-    z *= s
-    return z
+    out = np.empty(r.shape) if out is None else out
+    work = np.empty(r.shape) if work is None else work
+    np.multiply(s, r, out=out)
+    np.matmul(q.T, out, out=work)
+    np.matmul(work, q, out=out)
+    out /= grid
+    np.matmul(q, out, out=work)
+    np.matmul(work, q.T, out=out)
+    out *= s
+    return out
+
+
+def _workspace(count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """``count`` zero-filled float64 arrays of ``shape`` in one anonymous memory map.
+
+    The map goes back to the operating system once its last array is gone.
+    Memory from ``np.empty`` would stay with the allocating thread's malloc
+    arena instead, so a worker thread's solves would leave their working
+    set resident for the rest of the process.
+    """
+    size = math.prod(shape)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * size)), dtype=np.float64)
+    return [flat[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
 
 
 def solve_poisson(
@@ -265,8 +320,12 @@ def solve_poisson(
     count depends on how far kappa is from a constant, not on n.  Each
     sample stops on its own once both its updated residual and its true
     residual b - A u are at most rtol * ||b||; converged samples leave the
-    working arrays while the rest run on.  Raises SolverError naming the
-    first sample still above the target after ``max_iter`` iterations.
+    working arrays while the rest run on.  Each sample's arithmetic is the
+    same whatever other samples share its stack.  The working set is ten
+    arrays of the stack's size, the result included, in memory maps that go
+    back to the system when they are dropped, and every step writes into
+    them.  Raises SolverError naming the first sample still above the target
+    after ``max_iter`` iterations.
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     if kappa.ndim not in (2, 3) or kappa.shape[-2] != kappa.shape[-1]:
@@ -279,7 +338,7 @@ def solve_poisson(
     if b.size != n * n:
         raise ValueError(f"forcing has {b.size} entries, expected {n * n}")
     b = b.reshape(n, n)
-    u = np.zeros(stack.shape)
+    (u,) = _workspace(1, stack.shape)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return u.reshape(kappa.shape)
@@ -287,15 +346,15 @@ def solve_poisson(
         max_iter = max(1000, 10 * n * n)
     tol = rtol * bnorm
 
-    diag, cx, cy = _stencil(stack)
-    s = 1.0 / np.sqrt(stack)
-    # working arrays are C-contiguous, so the stencil sees them as flat views
+    # working arrays are C-contiguous, so the stencil sees them as flat views;
+    # ``ap`` also holds the preconditioned residual, which is spent before
+    # the next stencil product
+    diag, cx, cy, s, x, r, p, ap, tmp = _workspace(9, stack.shape)
+    _stencil(stack, (diag, cx, cy, ap, tmp))
+    np.divide(1.0, np.sqrt(stack, out=s), out=s)
     active = np.arange(stack.shape[0])
-    x = np.zeros(stack.shape)
-    r = np.broadcast_to(b, stack.shape).copy()
-    p = _precondition(s, r)
-    ap = np.empty(stack.shape)
-    tmp = np.empty(stack.shape)
+    r[...] = b
+    _precondition(s, r, p, tmp)
     rs = np.einsum("bij,bij->b", r, r)
     rz = np.einsum("bij,bij->b", r, p)
     for _ in range(max_iter):
@@ -308,21 +367,24 @@ def solve_poisson(
         if done.any():
             # the updated r drifts from b - A x, so confirm on the true residual
             cand = np.flatnonzero(done)
-            xc = x[cand]
-            res = _apply_stencil(diag[cand], cx[cand], cy[cand], xc, np.empty_like(xc),
-                                 np.empty_like(xc))
+            k = cand.size
+            res = _apply_stencil(diag[cand], cx[cand], cy[cand], x[cand], ap[:k], tmp[:k])
             np.subtract(b, res, out=res)
             done[cand] = np.sqrt(np.einsum("bij,bij->b", res, res)) <= tol
         if done.any():
             u[active[done]] = x[done]
-            keep = ~done
-            if not keep.any():
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
                 return u.reshape(kappa.shape)
-            active, x, r, p, s = active[keep], x[keep], r[keep], p[keep], s[keep]
-            diag, cx, cy = diag[keep], cx[keep], cy[keep]
-            ap, tmp = ap[: active.size], tmp[: active.size]
-            rs, rz = rs[keep], rz[keep]
-        z = _precondition(s, r)
+            # move the running samples to the front of each working array,
+            # gathering through the free ``tmp``
+            k = keep.size
+            work = (x, r, p, s, diag, cx, cy)
+            for a in work:
+                a[:k] = np.take(a, keep, axis=0, out=tmp[:k], mode="clip")
+            x, r, p, s, diag, cx, cy, ap, tmp = (a[:k] for a in work + (ap, tmp))
+            active, rs, rz = active[keep], rs[keep], rz[keep]
+        z = _precondition(s, r, ap, tmp)
         rz_new = np.einsum("bij,bij->b", r, z)
         p *= (rz_new / rz)[:, None, None]
         p += z
@@ -347,24 +409,85 @@ def draw_params(seed: int, index: int) -> FieldParams:
     )
 
 
-def _solve_in_chunks(kappa: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+def _solve_in_chunks(
+    kappa: np.ndarray, f: np.ndarray, out: np.ndarray, seed: int | None = None
+) -> None:
     """Solve a (count, n, n) kappa stack into ``out``, one CG call per chunk.
 
-    A chunk holds about ``_CHUNK_CELLS`` grid cells, which keeps the working
-    arrays of a batched solve small while amortising its per-iteration
-    overhead over many samples.
+    With a ``seed``, a chunk first draws its samples' fields into its rows
+    of ``kappa``.  A chunk holds about ``_CHUNK_CELLS`` grid cells, which
+    keeps a solve's working set small while amortising its per-iteration
+    overhead over many samples.  The chunks run on the calling thread and
+    on one more thread per further CPU the process may use, up to one
+    thread per chunk; a CPU then holds at most one chunk's working set,
+    about ten arrays of the chunk's size.  Every sample's bits are the same
+    for any thread count and any chunk size.  Once a chunk fails no new one
+    starts, and the error of the first failed chunk is raised after every
+    thread has stopped.
     """
     n = kappa.shape[-1]
     chunk = max(1, _CHUNK_CELLS // (n * n))
     count = kappa.shape[0]
-    for lo in range(0, count, chunk):
+
+    def solve(lo):
         hi = min(lo + chunk, count)
+        if seed is not None:
+            _kappa_fields([draw_params(seed, i) for i in range(lo, hi)], n, kappa[lo:hi])
         try:
             out[lo:hi] = solve_poisson(kappa[lo:hi], f)
         except SolverError as e:
             raise SolverError(
                 lo + e.index, count, f"{e.detail} among samples {lo}..{hi - 1}"
             ) from e
+
+    _run_in_order(solve, range(0, count, chunk))
+
+
+def _run_in_order(task, items) -> None:
+    """Call ``task`` on every item, on the calling thread and worker threads.
+
+    There are as many threads as CPUs the process may use, and no more than
+    items; with one, the calls run in line.  Items are handed out in order,
+    and each worker runs in a copy of the caller's context, so settings such
+    as ``np.errstate`` hold there too.  After a failure no further item
+    starts; the error of the earliest failed item is raised once every
+    thread has stopped.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(items))
+    if workers <= 1:
+        for item in items:
+            task(item)
+        return
+    pending = iter(range(len(items)))  # next() holds the GIL, so no two threads get one index
+    errors = {}
+    stop = False
+
+    def drain():
+        nonlocal stop
+        for i in pending:
+            if stop:
+                return
+            try:
+                task(items[i])
+            except BaseException as e:
+                errors[i] = e
+                stop = True
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+        for _ in range(workers - 1)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        drain()
+    finally:
+        stop = True  # an interrupted caller stops the workers too
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _split_sizes(count: int, val_fraction: float) -> int:
@@ -386,7 +509,9 @@ def generate_dataset(
 
     Input channels are [kappa, x, y] by default, or [kappa, f, x, y] with
     ``channels=4``.  The forcing has no per-sample randomness, which is why
-    the 3-channel form can drop it.
+    the 3-channel form can drop it.  The samples are drawn, built and solved
+    in chunks on every CPU the process may use (``_solve_in_chunks``); the
+    result is the same, byte for byte, for any CPU count.
     """
     if channels not in (3, 4):
         raise ValueError("channels must be 3 or 4")
@@ -395,10 +520,8 @@ def generate_dataset(
     x, y = coordinate_grids(n)
     inputs = np.empty((count, channels, n, n))
     outputs = np.empty((count, n, n))
-    for i in range(count):
-        inputs[i, 0] = sample_kappa(draw_params(seed, i), n)
     inputs[:, 1:] = [x, y] if channels == 3 else [f, x, y]
-    _solve_in_chunks(inputs[:, 0], f, outputs)
+    _solve_in_chunks(inputs[:, 0], f, outputs, seed=seed)
     return RegressionDataset(
         inputs=inputs,
         outputs=outputs,

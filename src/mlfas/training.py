@@ -236,12 +236,17 @@ class WorkCounter:
 
 @dataclass
 class LevelState:
-    """Mutable per-level training state."""
+    """Mutable per-level training state.
+
+    On a coarse level, ``start`` keeps the restricted iterate and momentum
+    that began the current visit, for the coarse-grid corrections.
+    """
 
     net: Network
     momentum: ParamVector
     transfer: TransferLevel | None = None  # to the next-coarser level
     tau: TauCorrection | None = None
+    start: tuple[ParamVector, ParamVector] | None = None
 
 
 @dataclass(eq=False)
@@ -357,6 +362,11 @@ def v_cycle(
         coarse = h.levels[level + 1]
         restrict_params(t, state.net.params, out=coarse.net.params)
         restrict_params(t, state.momentum, out=coarse.momentum)
+        if coarse.start is None:  # one block for both, until a rematch rebuilds the level
+            block = np.zeros((2, coarse.net.params.total_len))
+            coarse.start = tuple(ParamVector(row, coarse.net.params.segments) for row in block)
+        np.copyto(coarse.start[0].data, coarse.net.params.data)
+        np.copyto(coarse.start[1].data, coarse.momentum.data)
 
         group = scheduler.next_tau_group(h.tau_batches)
         try:
@@ -373,15 +383,16 @@ def v_cycle(
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
 
-        # both gradient buffers are free until the post-smoothing
+        # both gradient buffers are free until the post-smoothing, and this
+        # level has not moved since its state was restricted into ``start``
         scratch = (coarse.net.grad, state.net.grad)
         coarse_grid_correction(
             state.net.params, coarse.net.params, t, alpha=stab.alpha_p,
-            out=state.net.params, scratch=scratch,
+            out=state.net.params, scratch=scratch, restricted=coarse.start[0],
         )
         coarse_grid_correction(
             state.momentum, coarse.momentum, t, alpha=stab.alpha_m,
-            out=state.momentum, scratch=scratch,
+            out=state.momentum, scratch=scratch, restricted=coarse.start[1],
         )
         _check_finite(h, level, "coarse-grid correction")
 

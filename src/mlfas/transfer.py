@@ -209,22 +209,30 @@ def coarse_grid_correction(
     alpha: float = 1.0,
     out: ParamVector | None = None,
     scratch: tuple[ParamVector, ParamVector] | None = None,
+    restricted: ParamVector | None = None,
 ) -> ParamVector:
     """FAS update x + alpha * P(x_c_new - Pi x).
 
     The result is written into ``out`` when given, which may be ``x`` itself
     (the V-cycle corrects a network's ``params`` in place), and into a new
-    vector otherwise.  ``scratch`` is a (coarse, fine) pair of vectors that
-    the call may overwrite with the restricted difference and the prolonged
-    step (the V-cycle passes the two networks' ``grad``); they must not
-    share memory with ``x``, ``x_c_new`` or ``out``.  Without it the two
-    are new vectors.
+    vector otherwise.  ``restricted``, when given, is ``Pi x`` as the caller
+    already has it (the V-cycle keeps the restriction that started the
+    coarse visit), and it is not computed again.  ``scratch`` is a (coarse,
+    fine) pair of vectors that the call may overwrite with the restricted
+    difference and the prolonged step (the V-cycle passes the two networks'
+    ``grad``); they must not share memory with ``x``, ``x_c_new``,
+    ``restricted`` or ``out``.  Without it the two are new vectors.
     """
     delta, step = (None, None) if scratch is None else scratch
-    delta = restrict_params(t, x, out=delta)
-    if x_c_new.segments != delta.segments:
+    if restricted is None:
+        restricted = delta = restrict_params(t, x, out=delta)
+    elif x.segments != t.layouts[0] or restricted.segments != t.layouts[1]:
+        raise NetworkShapeError("vector layouts do not match the transfer level")
+    elif delta is None:
+        delta = restricted.zeros_like()
+    if x_c_new.segments != restricted.segments:
         raise NetworkShapeError("coarse vector layout does not match the transfer level")
-    np.subtract(x_c_new.data, delta.data, out=delta.data)
+    np.subtract(x_c_new.data, restricted.data, out=delta.data)
     step = prolong_params(t, delta, out=step)
     step.data *= alpha
     if out is None:

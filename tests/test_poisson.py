@@ -1,6 +1,10 @@
 """Diffusion-field sampling, the finite-difference solver, and dataset IO."""
 
+import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -297,6 +301,138 @@ class TestGenerate:
         a = assemble_operator(ds.inputs[1, 0])
         res = np.linalg.norm(forcing(8).ravel() - a @ ds.outputs[1].ravel())
         assert res <= 1e-8 * np.linalg.norm(forcing(8).ravel())
+
+
+def use_cpus(monkeypatch, count):
+    """Let ``generate_dataset`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(poisson.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def dataset_bytes(ds, tmp_path) -> bytes:
+    path = tmp_path / "ds.mlfasdat"
+    write_dataset(ds, path)
+    return path.read_bytes()
+
+
+def arithmetic_fingerprint() -> str:
+    """Digest of the numpy and BLAS kernels whose rounding the data's bits carry."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-20.0, 20.0, size=(7, 12, 12))
+    q = rng.normal(size=(12, 12))
+    parts = (np.cos(a), np.sin(a[0, 0]), np.sqrt(np.abs(a)), q.T @ a, a @ q,
+             np.einsum("bij,bij->b", a, a))
+    raw = b"".join(np.ascontiguousarray(v).tobytes() for v in parts)
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+class TestParallelGenerate:
+    """Chunks solved on worker threads give the serial data, bit for bit."""
+
+    # the file written for generate_dataset(37, 12, seed=5) before chunks ran
+    # on threads (serial 2^14-cell chunks, per-sample kappa), on a host
+    # whose kernels have the fingerprint below
+    REFERENCE = ("5c19afb3e7d11a3f",
+                 "5930b910915cba6c2139bf8b10652c20ea9111b557eee4220c47194a76ee51f1")
+
+    @pytest.mark.parametrize("cells", (None, 5 * 144, 144))
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_bytes_match_the_serial_reference(self, monkeypatch, tmp_path, cpus, cells):
+        if arithmetic_fingerprint() != self.REFERENCE[0]:
+            pytest.skip("this host's cos or dgemm kernels round differently from the reference's")
+        use_cpus(monkeypatch, cpus)
+        if cells is not None:
+            monkeypatch.setattr(poisson, "_CHUNK_CELLS", cells)
+        raw = dataset_bytes(generate_dataset(37, 12, seed=5), tmp_path)
+        assert hashlib.sha256(raw).hexdigest() == self.REFERENCE[1]
+
+    def test_equal_bytes_for_any_worker_count_and_chunk_size(self, monkeypatch, tmp_path):
+        # eight threads on short switch intervals stress the shared hand-out
+        n, count = 8, 41
+        seen = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 8):
+                for samples in (1, 4, 7, count, 2 * count):
+                    use_cpus(monkeypatch, cpus)
+                    monkeypatch.setattr(poisson, "_CHUNK_CELLS", samples * n * n)
+                    seen.add(dataset_bytes(generate_dataset(count, n, seed=13), tmp_path))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 1
+
+    @staticmethod
+    def chunk_starts(count, n, seed):
+        """Map each sample's kappa bytes to its index, to tell which chunk a call got."""
+        ds = generate_dataset(count, n, seed=seed)
+        return {ds.inputs[i, 0].tobytes(): i for i in range(count)}
+
+    def test_stall_on_a_worker_names_the_first_stalled_sample(self, monkeypatch):
+        # chunks of 3 on three threads, which all start one of the first three
+        # chunks before any goes on; every chunk on a worker stalls
+        count, n = 14, 4
+        index = self.chunk_starts(count, n, seed=1)
+        reference = poisson.solve_poisson
+        started = threading.Barrier(3, timeout=30)
+        calls = {}
+
+        def stub(kappa, f):
+            lo = index[kappa[0].tobytes()]
+            calls[lo] = threading.current_thread()
+            if lo < 9:
+                started.wait()
+            if calls[lo] is threading.main_thread():
+                return reference(kappa, f)
+            if lo == min(k for k in (0, 3, 6) if calls[k] is not threading.main_thread()):
+                time.sleep(0.2)  # the later chunk fails first
+            return reference(kappa, f, max_iter=0)
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 3 * n * n)
+        monkeypatch.setattr(poisson, "solve_poisson", stub)
+        with pytest.raises(SolverError) as info:
+            generate_dataset(count, n, seed=1)
+        assert {0, 3, 6} <= calls.keys()
+        lo = min(k for k, t in calls.items() if t is not threading.main_thread())
+        assert info.value.index == lo
+        assert str(info.value).startswith(
+            f"conjugate gradients stalled on sample {lo} of {count}: ")
+        assert str(info.value).endswith(f" among samples {lo}..{lo + 2}")
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * 16)
+        before = threading.active_count()
+        generate_dataset(20, 4, seed=2)
+        assert threading.active_count() == before
+        reference = poisson.solve_poisson
+        monkeypatch.setattr(poisson, "solve_poisson",
+                            lambda kappa, f: reference(kappa, f, max_iter=0))
+        with pytest.raises(SolverError):
+            generate_dataset(20, 4, seed=2)
+        assert threading.active_count() == before
+
+    def test_caller_errstate_holds_in_the_workers(self, monkeypatch):
+        reference = poisson.solve_poisson
+        both_started = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def stub(kappa, f):
+            thread = threading.current_thread()
+            if all(t is not thread for t, _ in seen):
+                seen.append((thread, np.geterr()))
+                both_started.wait()  # each thread's first chunk waits for the other's
+            seen.append((thread, np.geterr()))
+            return reference(kappa, f)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * 16)
+        monkeypatch.setattr(poisson, "solve_poisson", stub)
+        with np.errstate(all="raise"):
+            generate_dataset(20, 4, seed=2)
+        assert len(seen) == 12
+        assert len({t for t, _ in seen}) == 2
+        assert all(set(err.values()) == {"raise"} for _, err in seen)
 
 
 class TestDatasetIO:

@@ -12,6 +12,7 @@ from mlfas.nets import (
     DenseLayer,
     Minibatch,
     Network,
+    NetworkShapeError,
     ParamVector,
     backward,
     dense_network,
@@ -412,6 +413,64 @@ class TestWorkUnits:
         assert c.total == 1.5
         with pytest.raises(ValueError):
             c.add(-1.0)
+
+
+class TestCoarseVisitRestrictions:
+    @staticmethod
+    def run_cycles(monkeypatch, reuse, cycles=3):
+        """Three depth-3 cycles; returns every level's params and momentum and
+        the ``_map_params`` calls per cycle."""
+        from mlfas import training, transfer
+
+        calls = [0]
+        mapped = transfer._map_params
+
+        def counted(*args):
+            calls[0] += 1
+            return mapped(*args)
+
+        monkeypatch.setattr(transfer, "_map_params", counted)
+        if not reuse:
+            correct = transfer.coarse_grid_correction
+            monkeypatch.setattr(training, "coarse_grid_correction",
+                                lambda *a, restricted, **kw: correct(*a, **kw))
+        net, inputs, targets = make_training_setup(71, widths=(10, 64, 48, 8))
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
+        h = Hierarchy.build(net, depth=3, rematch_period=100, theta=-1.0)
+        sched = fresh_scheduler(inputs, targets, 4, seed=71)
+        per_cycle = []
+        for _ in range(cycles):
+            calls[0] = 0
+            v_cycle(h, 0, cfg, StabilityConfig(), sched)
+            per_cycle.append(calls[0])
+        monkeypatch.undo()
+        state = [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes()) for lvl in h.levels]
+        return state, per_cycle
+
+    def test_corrections_reuse_the_visits_restrictions_bitwise(self, monkeypatch):
+        # per coarse visit: restrict iterate and momentum, restrict the tau
+        # gradient, prolong both corrections; restricting x and m again for
+        # the corrections added two more
+        state, per_cycle = self.run_cycles(monkeypatch, reuse=True)
+        ref_state, ref_per_cycle = self.run_cycles(monkeypatch, reuse=False)
+        assert per_cycle == [10, 10, 10]
+        assert ref_per_cycle == [14, 14, 14]
+        assert state == ref_state
+
+    def test_given_restriction_equals_the_computed_one(self):
+        from mlfas.transfer import coarse_grid_correction, restrict_params
+
+        net = dense_network([6, 20, 12, 4], rng=np.random.default_rng(72))
+        t = coarsen_network(net, theta=-1.0)
+        rng = np.random.default_rng(73)
+        x = ParamVector(rng.normal(size=net.params.total_len), net.params.segments)
+        xc = restrict_params(t, x)
+        xc.data += rng.normal(size=xc.total_len)
+        ref = coarse_grid_correction(x, xc, t, alpha=0.3)
+        got = coarse_grid_correction(x, xc, t, alpha=0.3, restricted=restrict_params(t, x))
+        assert got.data.tobytes() == ref.data.tobytes()
+        with pytest.raises(NetworkShapeError):
+            coarse_grid_correction(x, xc, t, restricted=x)
 
 
 class TestGuardsAndRematch:
