@@ -9,15 +9,13 @@ Exits 0 on success; known failures print a diagnostic to stderr and exit 1.
 import argparse
 import sys
 
-import numpy as np
-
 from .checkpoints import CheckpointFormatError, load_network
 from .harness import (
     ConfigError,
+    dataset_splits,
     inspect_hierarchy,
     parse_config,
     run_experiment,
-    take_rows,
 )
 from .nets import Minibatch, NetworkShapeError, loss
 from .poisson import (
@@ -47,12 +45,11 @@ def _cmd_generate(args) -> int:
         n=args.grid,
         seed=args.seed,
         val_fraction=args.val_fraction,
-        channels=args.channels,
     )
     write_dataset(ds, args.out)
     print(
         f"wrote {ds.count} samples (grid {ds.n}x{ds.n}, {ds.channels} channels, "
-        f"{ds.train_idx.size} train / {ds.val_idx.size} val) to {args.out}"
+        f"{ds.count - ds.n_val} train / {ds.n_val} val) to {args.out}"
     )
     return 0
 
@@ -89,10 +86,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     net = load_network(args.checkpoint)
     ds = read_dataset(args.dataset)
-    splits = {"train": ds.train_idx, "val": ds.val_idx,
-              "all": np.arange(ds.count)}
-    idx = splits[args.split]
-    batch = Minibatch(take_rows(ds.flat_inputs(), idx), take_rows(ds.flat_outputs(), idx))
+    xtr, ytr, xva, yva = dataset_splits(ds)
+    splits = {"train": (xtr, ytr), "val": (xva, yva),
+              "all": (ds.flat_inputs(), ds.flat_outputs())}
+    batch = Minibatch(*splits[args.split])
     lv = loss(net, batch)
     print(f"{args.split} l2 {lv.l2:.6e}")
     print(f"{args.split} linf {lv.linf:.6e}")
@@ -117,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--grid", type=int, required=True, help="grid size n (n x n cells)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--val-fraction", type=float, default=0.2)
-    gen.add_argument("--channels", type=int, default=3, choices=(3, 4),
-                     help="3 = [kappa, x, y]; 4 adds the forcing channel")
     gen.add_argument("--out", required=True, help="output dataset path")
     gen.set_defaults(func=_cmd_generate)
 

@@ -167,28 +167,22 @@ def strength_from_rows(rows) -> StrengthMatrix:
     return StrengthMatrix(g)
 
 
-def greedy_hem(s: StrengthMatrix, theta: float, order=None) -> Matching:
+def greedy_hem(s: StrengthMatrix, theta: float) -> Matching:
     """Greedy heavy-edge matching.
 
-    Units are visited in ``order`` (natural order by default).  An unmatched
-    unit i is paired with the unmatched j != i of maximal S_ij, provided
-    S_ij > theta; edges at or below the threshold are disregarded and the
-    unit becomes a singleton.  Ties pick the smallest index.
+    Units are visited in index order.  An unmatched unit i is paired with
+    the unmatched j != i of maximal S_ij, provided S_ij > theta; edges at or
+    below the threshold are disregarded and the unit becomes a singleton.
+    Ties pick the smallest index.
     """
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     n = s.n
     values = s.values
-    if order is None:
-        order = np.arange(n)
-    else:
-        order = np.asarray(order)
-        if sorted(order.tolist()) != list(range(n)):
-            raise ValueError("order must be a permutation of 0..n-1")
     partner = np.full(n, -1, dtype=np.int64)
     aggregate = np.full(n, -1, dtype=np.int64)
     n_agg = 0
-    for i in order:
+    for i in range(n):
         if partner[i] >= 0:
             continue
         candidates = np.flatnonzero(partner < 0)

@@ -3,7 +3,8 @@
 Parses flat key=value experiment configs, runs seeded one-level SGD or
 multilevel V-cycle training to a work-unit budget, logs train/validation
 losses for the fine network and the first auxiliary (first-coarsened)
-network, and emits metrics CSVs plus a best-loss summary table.  One work
+network, and emits metrics CSVs plus a best-loss summary table.  The
+validation split is the dataset's last ``n_val`` samples.  One work
 unit is the cost of one fine-level minibatch gradient evaluation; coarser
 evaluations are scaled by their parameter-count ratio.
 """
@@ -217,27 +218,15 @@ def build_network(
     return net
 
 
-def take_rows(a: np.ndarray, idx) -> np.ndarray:
-    """Rows ``idx`` of ``a``: a view when ``idx`` is a contiguous ascending
-    range inside ``a``, otherwise a copy gathered by fancy indexing."""
-    idx = np.asarray(idx)
-    if idx.ndim == 1 and idx.size and idx.dtype.kind in "iu":
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if 0 <= lo and hi <= len(a) and (np.diff(idx) == 1).all():
-            return a[lo:hi]
-    return a[idx]
-
-
 def dataset_splits(ds: RegressionDataset):
     """(train inputs, train targets, val inputs, val targets) as flat arrays.
 
-    Each is a view into the dataset when its index array is a contiguous
-    range, as ``generate_dataset`` and ``read_dataset`` make them, and a
-    copy otherwise.  Nothing downstream writes to them.
+    Validation is the last ``ds.n_val`` samples.  Each part is a view into
+    the dataset; nothing downstream writes to them.
     """
     xi, yo = ds.flat_inputs(), ds.flat_outputs()
-    train, val = ds.train_idx, ds.val_idx
-    return take_rows(xi, train), take_rows(yo, train), take_rows(xi, val), take_rows(yo, val)
+    cut = ds.count - ds.n_val
+    return xi[:cut], yo[:cut], xi[cut:], yo[cut:]
 
 
 def _network_input_shape(cfg: ExperimentConfig, ds: RegressionDataset):
@@ -368,7 +357,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         # numpy keeps np.errstate in a context variable, which a thread
         # does not inherit; the caller's settings must hold in the worker
         pending = pool.submit(contextvars.copy_context().run, losses, snapshot,
-                              hierarchy.work.total, cycle, wall)
+                              hierarchy.work, cycle, wall)
 
     failed = False
     reason = ""
@@ -377,11 +366,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         try:
             evaluate(0)
             next_eval = cfg.eval_every
-            while hierarchy.work.total < cfg.max_work_units:
+            while hierarchy.work < cfg.max_work_units:
                 v_cycle(hierarchy, 0, smoother, stab, scheduler)
-                if hierarchy.work.total >= next_eval:
+                if hierarchy.work >= next_eval:
                     evaluate(hierarchy.cycles_run)
-                    next_eval = (hierarchy.work.total // cfg.eval_every + 1) * cfg.eval_every
+                    next_eval = (hierarchy.work // cfg.eval_every + 1) * cfg.eval_every
             join()
             if records[-1].cycle < hierarchy.cycles_run:
                 evaluate(hierarchy.cycles_run)

@@ -2,8 +2,10 @@
 
 Each sample draws a rotated, shifted cosine-product diffusion field kappa on
 the unit square, solves -div(kappa grad u) = f with a fixed Gaussian forcing
-and homogeneous Dirichlet boundary, and packages (kappa + mesh coordinates)
-as input channels with the solution grid as the target.  The solver is a
+and homogeneous Dirichlet boundary, and packages [kappa, x, y] as input
+channels with the solution grid as the target; the forcing is the same in
+every sample, so it is not a channel.  The last ``n_val`` samples are the
+validation split, which is all a dataset file stores of it.  The solver is a
 cell-centered 5-point finite-difference scheme with harmonic-mean face
 coefficients, solved by matrix-free preconditioned conjugate gradients over
 stacks of samples.  The preconditioner scales by kappa^-1/2 on both sides
@@ -63,20 +65,32 @@ class FieldParams:
     alpha_rot: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegressionDataset:
-    """Stacked sample tensors with a deterministic train/validation split.
+    """Stacked sample tensors whose last ``n_val`` samples are the validation split.
 
-    inputs: (count, channels, n, n); outputs: (count, n, n).  Training
-    indices come first, validation indices last.
+    inputs: (count, channels, n, n); outputs: (count, n, n).  These fields
+    are what a dataset file holds, so every dataset survives
+    ``write_dataset`` then ``read_dataset``.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
-    n: int
     seed: int
-    train_idx: np.ndarray
-    val_idx: np.ndarray
+    n_val: int
+
+    def __post_init__(self):
+        shape = self.inputs.shape
+        if (len(shape) != 4 or 0 in shape[1:] or shape[2] != shape[3]
+                or self.outputs.shape != (shape[0], *shape[2:])):
+            raise ValueError(
+                f"inputs {shape} and outputs {self.outputs.shape} are not "
+                "(count, channels, n, n) and (count, n, n)"
+            )
+        if not 1 <= self.n_val <= self.count - 1:
+            raise ValueError(
+                f"{self.n_val} validation samples of {self.count}; need 1 to {self.count - 1}"
+            )
 
     @property
     def count(self) -> int:
@@ -85,6 +99,18 @@ class RegressionDataset:
     @property
     def channels(self) -> int:
         return self.inputs.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.inputs.shape[-1]
+
+    @property
+    def train_idx(self) -> np.ndarray:
+        return np.arange(self.count - self.n_val)
+
+    @property
+    def val_idx(self) -> np.ndarray:
+        return np.arange(self.count - self.n_val, self.count)
 
     def flat_inputs(self) -> np.ndarray:
         return self.inputs.reshape(self.count, -1)
@@ -503,33 +529,21 @@ def generate_dataset(
     n: int,
     seed: int,
     val_fraction: float = 0.2,
-    channels: int = 3,
 ) -> RegressionDataset:
     """Generate ``count`` samples on an n x n grid, deterministic in seed.
 
-    Input channels are [kappa, x, y] by default, or [kappa, f, x, y] with
-    ``channels=4``.  The forcing has no per-sample randomness, which is why
-    the 3-channel form can drop it.  The samples are drawn, built and solved
-    in chunks on every CPU the process may use (``_solve_in_chunks``); the
-    result is the same, byte for byte, for any CPU count.
+    Input channels are [kappa, x, y].  The samples are drawn, built and
+    solved in chunks on every CPU the process may use
+    (``_solve_in_chunks``); the result is the same, byte for byte, for any
+    CPU count.
     """
-    if channels not in (3, 4):
-        raise ValueError("channels must be 3 or 4")
     n_val = _split_sizes(count, val_fraction)
     f = forcing(n)
-    x, y = coordinate_grids(n)
-    inputs = np.empty((count, channels, n, n))
+    inputs = np.empty((count, 3, n, n))
     outputs = np.empty((count, n, n))
-    inputs[:, 1:] = [x, y] if channels == 3 else [f, x, y]
+    inputs[:, 1:] = coordinate_grids(n)
     _solve_in_chunks(inputs[:, 0], f, outputs, seed=seed)
-    return RegressionDataset(
-        inputs=inputs,
-        outputs=outputs,
-        n=n,
-        seed=seed,
-        train_idx=np.arange(count - n_val),
-        val_idx=np.arange(count - n_val, count),
-    )
+    return RegressionDataset(inputs=inputs, outputs=outputs, seed=seed, n_val=n_val)
 
 
 def write_dataset(ds: RegressionDataset, path) -> None:
@@ -539,9 +553,8 @@ def write_dataset(ds: RegressionDataset, path) -> None:
     inputs then its outputs, through one reused block buffer, so the payload
     is never copied whole.
     """
-    n_val = ds.val_idx.size
     header = _HEADER.pack(
-        DATASET_MAGIC, DATASET_VERSION, ds.count, ds.n, ds.channels, n_val, ds.seed
+        DATASET_MAGIC, DATASET_VERSION, ds.count, ds.n, ds.channels, ds.n_val, ds.seed
     )
     inputs = ds.inputs.reshape(ds.count, -1)
     outputs = ds.outputs.reshape(ds.count, -1)
@@ -596,11 +609,4 @@ def read_dataset(path) -> RegressionDataset:
     flat = flat.astype(np.float64, copy=False)
     inputs = flat[:, : channels * n * n].reshape(count, channels, n, n)
     outputs = flat[:, channels * n * n :].reshape(count, n, n)
-    return RegressionDataset(
-        inputs=inputs,
-        outputs=outputs,
-        n=n,
-        seed=seed,
-        train_idx=np.arange(count - n_val),
-        val_idx=np.arange(count - n_val, count),
-    )
+    return RegressionDataset(inputs=inputs, outputs=outputs, seed=seed, n_val=n_val)

@@ -216,24 +216,6 @@ def compute_tau(
     return TauCorrection(vec=vec)
 
 
-def work_units(level_param_count: int, fine_param_count: int) -> float:
-    """Cost of one minibatch gradient evaluation at a level, in fine units."""
-    return level_param_count / fine_param_count
-
-
-class WorkCounter:
-    """Monotone accumulator of gradient-evaluation work."""
-
-    def __init__(self):
-        self.total = 0.0
-
-    def add(self, units: float) -> float:
-        if units < 0:
-            raise ValueError("work units are nonnegative")
-        self.total += units
-        return self.total
-
-
 @dataclass
 class LevelState:
     """Mutable per-level training state.
@@ -260,7 +242,7 @@ class Hierarchy:
     theta: float = 0.1
     weighted: bool = True
     cycles_run: int = field(default=0, init=False)
-    work: WorkCounter = field(default_factory=WorkCounter, init=False)
+    work: float = field(default=0.0, init=False)  # work units charged so far
 
     def __post_init__(self):
         if self.depth < 1:
@@ -294,7 +276,8 @@ class Hierarchy:
                 self.levels.append(coarse_state)
 
     def param_ratio(self, level: int) -> float:
-        return work_units(self.levels[level].net.param_count(), self.levels[0].net.param_count())
+        """Cost of one minibatch gradient evaluation at ``level``, in fine units."""
+        return self.levels[level].net.param_count() / self.levels[0].net.param_count()
 
 
 def _cfg_for(cfgs, level: int) -> SmootherConfig:
@@ -328,7 +311,7 @@ def _smooth_level(h: Hierarchy, level: int, cfg: SmootherConfig, batches, gamma:
         return
     state = h.levels[level]
     sgd_smooth(state.net, state.momentum, cfg, batches, tau=state.tau, gamma=gamma)
-    h.work.add(cfg.steps_per_smooth * h.param_ratio(level))
+    h.work += cfg.steps_per_smooth * h.param_ratio(level)
     _check_finite(h, level, "smoothing")
 
 
@@ -379,7 +362,7 @@ def v_cycle(
                 level=level + 1,
                 cycle=h.cycles_run,
             ) from e
-        h.work.add(h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1)))
+        h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
 

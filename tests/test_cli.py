@@ -12,7 +12,7 @@ import pytest
 from _builders import write_empty_kernel_checkpoint
 from mlfas.checkpoints import save_network
 from mlfas.cli import main
-from mlfas.harness import build_network
+from mlfas.harness import build_network, load_metrics_csv
 from mlfas.nets import Minibatch, loss
 from mlfas.poisson import read_dataset
 
@@ -87,6 +87,23 @@ def test_train_eval_inspect_pipeline(workspace, capsys):
     assert main(["inspect-hierarchy", str(ckpt0), str(ckpt1)]) == 0
     out = capsys.readouterr().out
     assert "level 0" in out and "level 1" in out and "interface units" in out
+
+
+def test_eval_of_the_final_checkpoint_prints_the_last_logged_losses(workspace, tmp_path,
+                                                                     capsys):
+    # ties the eval command's splits to the ones training logged on
+    _, ds_path = workspace
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {ds_path}\narch = dense:10\ndepth = 2\nbatch_size = 5\n"
+                   f"max_work_units = 20\neval_every = 10\nout_dir = {tmp_path / 'run'}\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    last = [r for r in load_metrics_csv(tmp_path / "run" / "metrics_s0.csv") if r.level == 0][-1]
+    capsys.readouterr()
+    for split in ("train", "val"):
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "ckpt_s0_L0.mlfasnet"),
+                     "--dataset", str(ds_path), "--split", split]) == 0
+        l2, linf = getattr(last, f"{split}_l2"), getattr(last, f"{split}_linf")
+        assert capsys.readouterr().out == f"{split} l2 {l2:.6e}\n{split} linf {linf:.6e}\n"
 
 
 def test_missing_dataset_is_structured_failure(tmp_path, capsys):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfas import harness
 from mlfas.checkpoints import save_network
@@ -27,7 +29,6 @@ from mlfas.harness import (
     parse_config,
     run_experiment,
     run_seed,
-    take_rows,
 )
 from mlfas.nets import (
     DenseLayer,
@@ -39,7 +40,7 @@ from mlfas.nets import (
     loss,
     lower_input,
 )
-from mlfas.poisson import generate_dataset, write_dataset
+from mlfas.poisson import RegressionDataset, generate_dataset, read_dataset, write_dataset
 from mlfas.training import (
     DivergenceError,
     Hierarchy,
@@ -361,15 +362,15 @@ def serial_records(cfg, ds, seed=0):
         for level in (0, 1):
             lnet = h.levels[level].net
             lt, lv = loss(lnet, train_mb), loss(lnet, val_mb)
-            rows.append((h.work.total, h.cycles_run, level, lt.l2, lt.linf, lv.l2, lv.linf))
+            rows.append((h.work, h.cycles_run, level, lt.l2, lt.linf, lv.l2, lv.linf))
 
     evaluate()
     next_eval = cfg.eval_every
-    while h.work.total < cfg.max_work_units:
+    while h.work < cfg.max_work_units:
         v_cycle(h, 0, smoother, stab, sched)
-        if h.work.total >= next_eval:
+        if h.work >= next_eval:
             evaluate()
-            next_eval = (h.work.total // cfg.eval_every + 1) * cfg.eval_every
+            next_eval = (h.work // cfg.eval_every + 1) * cfg.eval_every
     evaluate()
     return rows, coarse_nets
 
@@ -512,7 +513,7 @@ class TestOverlappedEvaluation:
 
 
 class TestSplits:
-    """Splits are views of the dataset for contiguous index ranges."""
+    """The splits are views of the dataset; validation is its last ``n_val`` samples."""
 
     def test_contiguous_splits_are_views(self, tiny_dataset):
         ds, _ = tiny_dataset
@@ -523,35 +524,30 @@ class TestSplits:
             assert np.shares_memory(part, whole)
             assert np.array_equal(part, whole[idx])
 
-    def test_permuted_splits_are_copies(self, tiny_dataset):
-        ds, _ = tiny_dataset
-        perm = np.random.default_rng(3).permutation(ds.count)
-        shuffled = dataclasses.replace(ds, train_idx=perm[:24], val_idx=perm[24:])
-        xi, yo = ds.flat_inputs(), ds.flat_outputs()
-        xtr, ytr, xva, yva = dataset_splits(shuffled)
-        for part, whole, idx in ((xtr, xi, perm[:24]), (ytr, yo, perm[:24]),
-                                 (xva, xi, perm[24:]), (yva, yo, perm[24:])):
-            assert not np.shares_memory(part, whole)
-            assert np.array_equal(part, whole[idx])
+    @pytest.fixture(scope="class")
+    def split_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("splits") / "ds.mlfasdat"
 
-    @pytest.mark.parametrize("idx, view", [
-        (np.arange(3, 7), True),
-        (np.arange(10), True),
-        (np.array([4]), True),
-        (np.array([3, 4, 6]), False),  # a gap
-        (np.array([5, 4, 3]), False),  # descending
-        (np.array([-2, -1]), False),  # contiguous, but counted from the end
-        (np.array([], dtype=int), False),
-    ])
-    def test_take_rows(self, idx, view):
-        a = np.arange(30.0).reshape(10, 3)
-        rows = take_rows(a, idx)
-        assert np.array_equal(rows, a[idx])
-        assert np.shares_memory(rows, a) == view
-
-    def test_take_rows_past_the_end_raises(self):
-        with pytest.raises(IndexError):
-            take_rows(np.zeros((4, 2)), np.arange(2, 5))
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.integers(2, 9), channels=st.integers(1, 4), n=st.integers(1, 3),
+           seed=st.integers(-2**63, 2**63 - 1), data_seed=st.integers(0, 2**32 - 1))
+    def test_every_split_survives_the_file(self, split_file, count, channels, n, seed,
+                                           data_seed):
+        rng = np.random.default_rng(data_seed)
+        inputs = rng.normal(size=(count, channels, n, n))
+        outputs = rng.normal(size=(count, n, n))
+        for n_val in range(1, count):
+            ds = RegressionDataset(inputs=inputs, outputs=outputs, seed=seed, n_val=n_val)
+            write_dataset(ds, split_file)
+            back = read_dataset(split_file)
+            assert (back.seed, back.n_val) == (seed, n_val)
+            for d in (ds, back):
+                parts = dataset_splits(d)
+                assert [p.shape[0] for p in parts] == [count - n_val] * 2 + [n_val] * 2
+                for part, whole in zip(parts, (d.inputs, d.outputs) * 2):
+                    assert np.shares_memory(part, whole)
+            for a, b in zip(dataset_splits(ds), dataset_splits(back)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("arch", ["dense:12", "conv:3k3s1p1,dense:8"])
     def test_run_leaves_the_dataset_unchanged(self, tiny_dataset, arch):

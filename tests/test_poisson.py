@@ -292,10 +292,6 @@ class TestGenerate:
         np.testing.assert_array_equal(ds.inputs[0, 1], x)
         np.testing.assert_array_equal(ds.inputs[0, 2], y)
 
-    def test_four_channel_option_includes_forcing(self):
-        ds = generate_dataset(2, 5, seed=2, channels=4)
-        np.testing.assert_array_equal(ds.inputs[0, 1], forcing(5))
-
     def test_outputs_solve_the_sampled_problem(self):
         ds = generate_dataset(2, 8, seed=5)
         a = assemble_operator(ds.inputs[1, 0])
@@ -514,8 +510,23 @@ class TestDatasetIO:
         rng = np.random.default_rng(71)
         return RegressionDataset(
             inputs=rng.normal(size=(count, 3, n, n)), outputs=rng.normal(size=(count, n, n)),
-            n=n, seed=5, train_idx=np.arange(count - 3), val_idx=np.arange(count - 3, count),
+            seed=5, n_val=3,
         )
+
+    @pytest.mark.parametrize("inputs, outputs, n_val, match", [
+        pytest.param((4, 3, 2, 2), (4, 2, 2), 0, "validation samples", id="no_val"),
+        pytest.param((4, 3, 2, 2), (4, 2, 2), 4, "validation samples", id="no_train"),
+        pytest.param((1, 3, 2, 2), (1, 2, 2), 1, "validation samples", id="one_sample"),
+        pytest.param((4, 3, 2, 3), (4, 2, 3), 1, "not", id="non_square_grid"),
+        pytest.param((4, 3, 2, 2), (4, 3, 3), 1, "not", id="output_grid"),
+        pytest.param((4, 3, 2, 2), (3, 2, 2), 1, "not", id="output_count"),
+        pytest.param((4, 0, 2, 2), (4, 2, 2), 1, "not", id="no_channels"),
+        pytest.param((4, 12), (4, 4), 1, "not", id="flat"),
+    ])
+    def test_dataset_a_file_cannot_hold_is_rejected(self, inputs, outputs, n_val, match):
+        with pytest.raises(ValueError, match=match):
+            RegressionDataset(inputs=np.zeros(inputs), outputs=np.zeros(outputs),
+                              seed=0, n_val=n_val)
 
     @staticmethod
     def traced_peak(call):

@@ -51,7 +51,7 @@ def test_tracer_resolves_every_site_and_charges_work():
                                    max_work_units=20.0, eval_every=10.0, seeds=(0,))
             [res] = tracer.wrap("harness.run_experiment", run_experiment)(cfg, datasets[label])
             assert not res.failed
-            charged[label] = tracer.hierarchy.work.total
+            charged[label] = tracer.hierarchy.work
     finally:
         tracer.uninstall()
     for owner, name, bound, original in bindings(tracer):

@@ -28,11 +28,9 @@ from mlfas.training import (
     SmootherConfig,
     StabilityConfig,
     TauCorrection,
-    WorkCounter,
     compute_tau,
     sgd_smooth,
     v_cycle,
-    work_units,
 )
 from mlfas.transfer import coarsen_network, restrict_network
 from test_transfer import identity_level
@@ -381,17 +379,15 @@ class TestVCycleHandTrace:
 
 class TestWorkUnits:
     def test_fine_step_costs_one(self):
-        assert work_units(1000, 1000) == 1.0
+        net, _, _ = make_training_setup(41)
+        assert Hierarchy.build(net, depth=2, theta=-1.0).param_ratio(0) == 1.0
 
     def test_half_parameter_ratio(self):
-        assert work_units(500, 1000) == 0.5
-
-    def test_two_level_cycle_arithmetic(self):
-        # 2 pre + 2 coarse + 2 post smoothing steps, m = 2, ratio 0.5
-        m = 2
-        ratio = 0.5
-        total = 2 * 1.0 + 2 * ratio + 2 * 1.0 + m * (1.0 + ratio)
-        assert total == 8.0
+        # theta -1 pairs every hidden unit, halving the hidden layer: 64 -> 32
+        net, _, _ = make_training_setup(41)
+        h = Hierarchy.build(net, depth=2, theta=-1.0)
+        assert h.levels[1].net.unit_counts() == [10, 32, 8]
+        assert h.param_ratio(1) == (10 * 32 + 32 + 32 * 8 + 8) / (10 * 64 + 64 + 64 * 8 + 8)
 
     def test_cycle_work_matches_formula(self):
         net, inputs, targets = make_training_setup(41)
@@ -401,18 +397,10 @@ class TestWorkUnits:
         r = h.param_ratio(1)
         v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
         expected = 2 * 1.0 + 2 * r + 2 * 1.0 + 2 * (1.0 + r)
-        assert h.work.total == pytest.approx(expected, rel=1e-12)
-        before = h.work.total
+        assert h.work == pytest.approx(expected, rel=1e-12)
+        before = h.work
         v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
-        assert h.work.total == pytest.approx(2 * before, rel=1e-12)
-
-    def test_counter_monotone(self):
-        c = WorkCounter()
-        c.add(1.5)
-        c.add(0.0)
-        assert c.total == 1.5
-        with pytest.raises(ValueError):
-            c.add(-1.0)
+        assert h.work == pytest.approx(2 * before, rel=1e-12)
 
 
 class TestCoarseVisitRestrictions:
