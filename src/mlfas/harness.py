@@ -21,6 +21,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import nets
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
 from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
@@ -410,6 +411,17 @@ def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
     return run_seed(cfg, seed, read_dataset(cfg.dataset))
 
 
+def _compute_gradients_in_line() -> None:
+    """Keep every gradient product of a seed worker on its training thread.
+
+    The worker processes already share the CPUs between them: with two
+    workers on two CPUs, ``backward``'s helper thread gained nothing on a
+    2-seed run of the ``conv:8k3s2p1,dense:64`` benchmark config, and lost
+    8 of 10 timed pairs at 400 work units.
+    """
+    nets.HANDOFF_MIN_MACS = math.inf
+
+
 def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
     """Run each seed in a fresh process whose BLAS uses one thread.
 
@@ -421,7 +433,8 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_compute_gradients_in_line) as pool:
             futures = [pool.submit(_run_seed_from_path, cfg, seed) for seed in cfg.seeds]
             return [f.result() for f in futures]
     finally:
@@ -433,29 +446,42 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
 
 
 def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
+    handoff = (f"dense weight gradients past the first layer of at least "
+               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds")
     if parallel:
         blas = "1 per worker (" + ", ".join(f"{v}=1" for v in _BLAS_THREAD_VARS) + ")"
         workers = f"# workers: {cfg.workers} spawned processes; BLAS threads: {blas}\n"
+        gradients = "all in line in every worker, which share the CPUs"
     else:
         blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
         workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
-    return workers + "# evaluation: one worker thread per seed, overlapped with training\n"
+        cpus = nets.allowed_cpus()
+        if cpus >= 2:
+            gradients = f"{handoff} run on a helper thread ({cpus} CPUs allowed)"
+        else:
+            gradients = f"all in line ({cpus} CPU allowed; from 2, {handoff} run on a helper thread)"
+    return (workers
+            + "# evaluation: one worker thread per seed, overlapped with training\n"
+            + f"# gradient products: {gradients}\n")
 
 
 def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -> list[RunResult]:
     """Run every seed of a config; failed runs are kept and marked.
 
-    Seeds run as independent processes when ``workers`` > 1 (the dataset is
-    then re-read per worker, so ``cfg.dataset`` must be a path).
+    Seeds run in this process on ``ds``, or on the file at ``cfg.dataset``
+    when no ``ds`` is given.  When ``workers`` > 1 and there is more than
+    one seed, they run as independent processes instead, each of which
+    reads ``cfg.dataset`` itself: ``cfg.dataset`` must then be a path, a
+    ``ds`` passed here is ignored, and this process reads no data.
     """
-    if ds is None:
-        ds = read_dataset(cfg.dataset)
     parallel = cfg.workers > 1 and len(cfg.seeds) > 1
     if parallel:
         if not cfg.dataset:
             raise ConfigError("parallel runs need a dataset path")
         results = _run_seeds_in_workers(cfg)
     else:
+        if ds is None:
+            ds = read_dataset(cfg.dataset)
         results = [run_seed(cfg, seed, ds) for seed in cfg.seeds]
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -31,8 +31,11 @@ makes cheap, holds a larger share of the parameters at coarse levels, and a
 coarse gradient costs less than its parameter ratio.
 """
 
+import contextvars
 import copy
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -267,6 +270,32 @@ LOSS_BLOCK_BYTES = 2**19
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)
 
+# multiply-adds from which ``backward`` hands the weight gradient of a dense
+# layer past the first to the helper thread; a smaller product gains less
+# from the overlap than the hand-off costs.  At batch 200 every such product
+# of the benchmark's dense nets is below it (at most 6.6 M) and those of the
+# conv net are above (at least 13.1 M).
+HANDOFF_MIN_MACS = 2**23
+
+
+def _renew_helper() -> None:
+    """Make the executor of ``backward``'s one helper thread.
+
+    The executor starts the thread on first use, with the CPU affinity of
+    the thread that uses it.  Unlike the harness's evaluation worker, the
+    helper is not moved off its creator's CPU, nor pinned to the evaluation
+    worker's, where it would only take turns with that worker.  A forked
+    child gets an executor of its own: it inherits the parent's but not its
+    thread, and would wait forever on a hand-off.
+    """
+    global _helper
+    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlfas-backward")
+
+
+_renew_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_helper)
+
 
 def _geometry(net: Network) -> tuple:
     """The input shape and, for a conv first layer, its kernel size, stride
@@ -434,12 +463,45 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
+def allowed_cpus() -> int:
+    """How many CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _hand_off(dz: np.ndarray, a: np.ndarray) -> bool:
+    """Whether ``backward`` gives the weight gradient ``dz.T @ a`` to the helper.
+
+    Only a product of at least ``HANDOFF_MIN_MACS`` multiply-adds, and only
+    when a second CPU can run the helper beside the calling thread.
+    """
+    return dz.shape[0] * dz.shape[1] * a.shape[1] >= HANDOFF_MIN_MACS and allowed_cpus() >= 2
+
+
+def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
+    """A dense layer's bias and weight gradient, written into ``gb`` and ``gw``."""
+    np.sum(dz, axis=0, out=gb)
+    if sample is not None:
+        np.multiply(gb[:, None], sample, out=gw)
+    np.matmul(dz.T, a, out=gw[:, block])
+
+
 def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -> "ParamVector":
     """Gradient of the batch-mean squared loss, as a flat parameter vector.
 
     The gradient is written into ``out`` when given (the smoother passes the
     network's scratch buffer ``net.grad``) and otherwise into a new vector
     that the caller owns and no later call changes.
+
+    The weight and bias gradient of a dense layer k >= 1 whose weight
+    product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS`` multiply-adds is
+    computed on the module's helper thread while this thread goes on with
+    the input gradient ``dz @ W`` and the layers below, when the calling
+    thread may use at least two CPUs.  Each product is the same whole
+    product on either thread, so the gradient is the same bit for bit.  The
+    call returns, or raises, only once every handed-off product has ended;
+    an error on this thread is raised in preference to one in the helper.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
@@ -452,34 +514,46 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
     np.subtract(g, batch.targets, out=g)
     g *= 2.0 / g.shape[0]
 
-    for k in range(net.n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        a_k, z_k = caches[k]
-        dz = g.reshape(z_k.shape)
-        if k < net.n_layers - 1:
-            # dz is this call's own array; the ReLU subgradient at exactly 0
-            # is 0, and the boolean mask multiplies exactly like 1.0/0.0
-            np.multiply(dz, z_k > 0.0, out=dz)
-        gw, gb = out.view(k, "weight"), out.view(k, "bias")
-        # a folded first layer's weight gradient sums over the batch on the
-        # varying block; the rest is the batch-summed upstream times the sample
-        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
-        if isinstance(layer, ConvLayer):
-            # a_k is the patch matrix; the first layer's input gradient is never used
-            in_hw = net.interfaces[k][2:] if k > 0 else None
-            gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
-            if sample is not None:
-                up = dz.sum(axis=0).reshape(layer.out_channels, -1)
-                np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
-            gw[:, block] = gk
-            gb[...] = gbias
-        else:
-            np.sum(dz, axis=0, out=gb)
-            if sample is not None:
-                np.multiply(gb[:, None], sample, out=gw)
-            np.matmul(dz.T, a_k, out=gw[:, block])
-            if k > 0:
-                g = dz @ layer.weights
+    handed_off = []
+    try:
+        for k in range(net.n_layers - 1, -1, -1):
+            layer = net.layers[k]
+            a_k, z_k = caches[k]
+            dz = g.reshape(z_k.shape)
+            if k < net.n_layers - 1:
+                # dz is this call's own array; the ReLU subgradient at exactly 0
+                # is 0, and the boolean mask multiplies exactly like 1.0/0.0
+                np.multiply(dz, z_k > 0.0, out=dz)
+            gw, gb = out.view(k, "weight"), out.view(k, "bias")
+            # a folded first layer's weight gradient sums over the batch on the
+            # varying block; the rest is the batch-summed upstream times the sample
+            block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+            if isinstance(layer, ConvLayer):
+                # a_k is the patch matrix; the first layer's input gradient is never used
+                in_hw = net.interfaces[k][2:] if k > 0 else None
+                gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
+                if sample is not None:
+                    up = dz.sum(axis=0).reshape(layer.out_channels, -1)
+                    np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
+                gw[:, block] = gk
+                gb[...] = gbias
+            else:
+                args = (dz, a_k, sample, block, gw, gb)
+                if k > 0 and _hand_off(dz, a_k):
+                    # numpy keeps np.errstate in a context variable, which a
+                    # thread does not inherit; the caller's must hold there
+                    handed_off.append(_helper.submit(
+                        contextvars.copy_context().run, _dense_gradient, *args))
+                else:
+                    _dense_gradient(*args)
+                if k > 0:
+                    g = dz @ layer.weights
+    finally:
+        # the handed-off products write into ``out`` and read this call's
+        # arrays, so none of them may outlive the call
+        futures.wait(handed_off)
+    for task in handed_off:
+        task.result()
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlfas import harness
+from mlfas import harness, nets
 from mlfas.checkpoints import save_network
 from mlfas.conv import ConvShapeError
 from mlfas.harness import (
@@ -261,13 +261,24 @@ class TestRunExperiment:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 4
 
-    def test_parallel_seeds_record_single_threaded_blas(self, tiny_dataset, tmp_path):
+    def test_parallel_seeds_record_single_threaded_blas(self, tiny_dataset, tmp_path,
+                                                        monkeypatch):
         ds, path = tiny_dataset
+        reads = []
+
+        def counted(p):
+            reads.append(p)
+            return read_dataset(p)
+
+        # the spawned workers import harness afresh, so only this process counts
+        monkeypatch.setattr(harness, "read_dataset", counted)
         cfg = tiny_config(path, seeds=(0, 1), workers=2, out_dir=str(tmp_path))
         env = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        parallel = run_experiment(cfg, ds)
+        parallel = run_experiment(cfg)
+        assert reads == []  # every worker reads the file itself
         assert {v: os.environ.get(v) for v in env} == env
-        serial = run_experiment(tiny_config(path, seeds=(0, 1)), ds)
+        serial = run_experiment(tiny_config(path, seeds=(0, 1)))
+        assert reads == [str(path)]
         strip = lambda r: (r.work_units, r.cycle, r.level, r.train_l2, r.val_l2)
         for a, b in zip(parallel, serial):
             assert [strip(r) for r in a.records] == [strip(r) for r in b.records]
@@ -275,6 +286,29 @@ class TestRunExperiment:
         assert ("# workers: 2 spawned processes; BLAS threads: 1 per worker "
                 "(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1)") in meta
         assert "# evaluation: one worker thread per seed, overlapped with training" in meta
+        assert "# gradient products: all in line in every worker, which share the CPUs" in meta
+
+    def test_seed_workers_compute_gradients_in_line(self, monkeypatch):
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", nets.HANDOFF_MIN_MACS)  # restored after
+        monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        huge = np.broadcast_to(0.0, (2**12, 2**12))  # shapes only, no memory
+        assert nets._hand_off(huge, huge)
+        harness._compute_gradients_in_line()
+        assert not nets._hand_off(huge, huge)
+
+    @pytest.mark.parametrize("cpus, line", [
+        (1, "# gradient products: all in line (1 CPU allowed; from 2, dense weight gradients "
+            "past the first layer of at least 2^23 multiply-adds run on a helper thread)"),
+        (2, "# gradient products: dense weight gradients past the first layer of at least "
+            "2^23 multiply-adds run on a helper thread (2 CPUs allowed)"),
+    ])
+    def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
+                                                   cpus, line):
+        ds, path = tiny_dataset
+        monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        run_experiment(tiny_config(path, max_work_units=10.0, out_dir=str(tmp_path)), ds)
+        assert line in (tmp_path / "run_metadata.txt").read_text().splitlines()
 
     def test_batch_size_guard(self, tiny_dataset):
         ds, path = tiny_dataset

@@ -1,5 +1,11 @@
 """Dense networks: forward, loss, backprop, and flat parameter views."""
 
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -576,3 +582,158 @@ class TestLoweringGeometry:
             x = rng.normal(size=(4, net.input_size))
             with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
                 backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))
+
+
+def use_cpus(monkeypatch, count):
+    """Let ``backward`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def hand_off_everything(monkeypatch):
+    """Hand every hidden dense product to the helper; returns the threads that
+    ran ``_dense_gradient``, one entry per call."""
+    monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+    use_cpus(monkeypatch, 2)
+    threads = []
+    reference = nets._dense_gradient
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        reference(*args)
+
+    monkeypatch.setattr(nets, "_dense_gradient", recording)
+    return threads
+
+
+HANDOFF_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
+
+
+class TestHandOff:
+    """Hidden dense weight gradients computed on ``backward``'s helper thread."""
+
+    @pytest.mark.parametrize("arch, shape", HANDOFF_NETS)
+    def test_bitwise_equal_to_in_line(self, monkeypatch, arch, shape):
+        rng = np.random.default_rng(5)
+        net = build_network(arch, shape, 4, rng=rng)
+        batch = random_batch(rng, net, size=9)
+        ref = backward(net, batch)  # tiny products stay in line at the real threshold
+        threads = hand_off_everything(monkeypatch)
+        for out in (None, net.grad):
+            got = backward(net, batch, out=out)
+            assert got.data.tobytes() == ref.data.tobytes()
+        # layers 3, 2 and 1 of both calls go to the helper; a dense layer 0 stays
+        caller = threading.current_thread()
+        assert sum(t is not caller for t in threads) == 6
+        assert sum(t is caller for t in threads) == (2 if arch.startswith("dense") else 0)
+
+    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
+        # only the handed-off product dz.T @ a overflows: the second layer's
+        # weights are zero, so its forward product and dz @ W are 0
+        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
+                       DenseLayer(np.zeros((1, 3)), np.zeros(1))])
+        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        threads = hand_off_everything(monkeypatch)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            backward(net, batch)
+        assert any(t is not threading.current_thread() for t in threads)
+        with np.errstate(all="ignore"):
+            grad = backward(net, batch)
+        assert np.isinf(grad.view(1, "weight")).all()
+        assert all(np.isfinite(grad.view(s.layer, s.kind)).all()
+                   for s in grad.segments if (s.layer, s.kind) != (1, "weight"))
+
+    def test_one_cpu_starts_no_helper(self, monkeypatch):
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="handoff-test")
+        monkeypatch.setattr(nets, "_helper", helper)
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        started = lambda: any(t.name.startswith("handoff-test") for t in threading.enumerate())
+        net = build_network(*HANDOFF_NETS[0], 4, rng=np.random.default_rng(6))
+        batch = random_batch(np.random.default_rng(7), net, size=5)
+        try:
+            use_cpus(monkeypatch, 1)
+            ref = backward(net, batch)
+            assert not started()
+            use_cpus(monkeypatch, 2)
+            assert backward(net, batch).data.tobytes() == ref.data.tobytes()
+            assert started()
+        finally:
+            helper.shutdown()
+
+    @pytest.mark.parametrize("fails", ["helper", "caller"])
+    def test_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
+        net = build_network(*HANDOFF_NETS[1], 4, rng=np.random.default_rng(8))
+        batch = random_batch(np.random.default_rng(9), net, size=5)
+        hand_off_everything(monkeypatch)
+        reference = nets._dense_gradient
+        caller = threading.current_thread()
+        ended = []
+
+        def slow(*args):
+            if threading.current_thread() is not caller:
+                time.sleep(0.2)
+                ended.append(args[0].shape)
+                if fails == "helper":
+                    raise ValueError("handed-off product failed")
+            reference(*args)
+
+        def conv_fails(*args):
+            raise RuntimeError("conv layer failed")
+
+        monkeypatch.setattr(nets, "_dense_gradient", slow)
+        if fails == "caller":
+            monkeypatch.setattr(nets, "conv_backward_batch", conv_fails)
+        with pytest.raises(ValueError if fails == "helper" else RuntimeError, match="failed"):
+            backward(net, batch)
+        # the three dense layers were handed off, and all three had ended
+        assert ended == [(5, 4), (5, 6), (5, 8)]
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        nets_and_batches = []
+        for seed in range(4):
+            net = build_network(*HANDOFF_NETS[seed % 2], 4, rng=np.random.default_rng(seed))
+            batch = random_batch(np.random.default_rng(seed + 10), net, size=6)
+            nets_and_batches.append((net, batch, backward(net, batch).data.tobytes()))
+        hand_off_everything(monkeypatch)
+        mismatches = []
+
+        def caller(net, batch, ref):
+            for _ in range(50):
+                if backward(net, batch, out=net.grad).data.tobytes() != ref:
+                    mismatches.append(net)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=nb) for nb in nets_and_batches]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_hands_off_to_a_helper_of_its_own(self, monkeypatch):
+        net = build_network(*HANDOFF_NETS[0], 4, rng=np.random.default_rng(10))
+        batch = random_batch(np.random.default_rng(11), net, size=5)
+        threads = hand_off_everything(monkeypatch)
+        ref = backward(net, batch)  # the parent's helper thread is running
+        assert any(t is not threading.current_thread() for t in threads)
+        fork = multiprocessing.get_context("fork")
+        results = fork.Queue()
+        child = fork.Process(target=lambda: results.put(backward(net, batch).data.tobytes()))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == ref.data.tobytes()
