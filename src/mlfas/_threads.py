@@ -1,0 +1,84 @@
+"""The thread plumbing that ``poisson``, ``nets`` and ``harness`` share.
+
+When to use another thread stays with the module that decides it.
+"""
+
+import contextvars
+import os
+from concurrent import futures
+
+
+def allowed_cpus() -> int:
+    """How many CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def submit(pool: futures.Executor, fn, *args) -> futures.Future:
+    """``pool.submit(fn, *args)``, with ``fn`` run in a copy of the caller's context.
+
+    numpy keeps ``np.errstate`` in a context variable, which a thread does
+    not inherit; the caller's settings must hold where ``fn`` runs.
+    """
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def run_in_order(task, items) -> None:
+    """Call ``task`` on every one of the sequence ``items``, on worker threads.
+
+    There are as many threads as CPUs the calling thread may use, and no
+    more than items; with one, the calls run in line on the calling thread.
+    Items start in order, each through ``submit``.  After a failure no
+    further item starts, and the error of the earliest failed item is
+    raised once every started item has ended.  An interrupted caller
+    cancels the items that have not started.  No thread outlives the call.
+    """
+    workers = min(allowed_cpus(), len(items))
+    if workers <= 1:
+        for item in items:
+            task(item)
+        return
+    stop = False
+
+    def guarded(item):
+        nonlocal stop
+        if stop:
+            return
+        try:
+            task(item)
+        except BaseException:
+            stop = True
+            raise
+
+    pool = futures.ThreadPoolExecutor(workers)
+    try:
+        runs = [submit(pool, guarded, item) for item in items]
+        futures.wait(runs)
+    finally:
+        stop = True  # an interrupted caller starts no further item either
+        pool.shutdown(cancel_futures=True)
+    for run in runs:
+        run.result()
+
+
+def leave_start_cpu() -> None:
+    """Move the calling thread onto the process's other CPUs, if it has any.
+
+    A new thread starts on its creator's CPU.  Where the kernel does not
+    balance load between CPUs (a cpuset with ``sched_load_balance`` 0) it
+    never leaves it, so a worker would share its creator's CPU and
+    time-slice with it instead of overlapping it.  Placement is only a
+    hint: without the Linux calls, or if they fail, the thread stays put.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        # field 39 of a task's stat line is the CPU it last ran on
+        with open("/proc/thread-self/stat") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass

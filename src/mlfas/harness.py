@@ -9,7 +9,6 @@ unit is the cost of one fine-level minibatch gradient evaluation; coarser
 evaluations are scaled by their parameter-count ratio.
 """
 
-import contextvars
 import csv
 import math
 import multiprocessing
@@ -21,7 +20,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import nets
+from . import _threads, nets
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
 from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
@@ -68,18 +67,36 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if self.eval_every <= 0:
-            raise ConfigError("eval_every must be positive")
-        if self.max_work_units <= 0:
-            raise ConfigError("max_work_units must be positive")
+        for key in ("depth", "batch_size", "tau_batches", "rematch_period", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        for key in ("eval_every", "max_work_units"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
+        if not -1.0 <= self.theta <= 1.0:
+            raise ConfigError("theta must lie in [-1, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        try:
+            self.smoother()
+            self.stability()
+        except ValueError as e:  # their messages name the key
+            raise ConfigError(str(e)) from None
+
+    def smoother(self) -> SmootherConfig:
+        """The smoother settings of every level, before the eta scaling."""
+        return SmootherConfig(
+            learning_rate=self.learning_rate,
+            momentum_coeff=self.momentum,
+            weight_decay=self.weight_decay,
+            steps_per_smooth=self.steps_per_smooth,
+        )
+
+    def stability(self) -> StabilityConfig:
+        """The hierarchy's damping settings."""
+        return StabilityConfig(
+            eta=self.eta, alpha_p=self.alpha_p, alpha_m=self.alpha_m, gamma=self.gamma
+        )
 
 
 @dataclass
@@ -187,7 +204,9 @@ def build_network(
     ``conv:<channels>k<kernel>s<stride>p<pad>`` for a (square) conv layer.
     Conv tokens must come first.  Every hidden layer is followed by ReLU; a
     linear dense output layer onto ``output_size`` is appended
-    automatically.
+    automatically.  ``input_shape`` is (channels, height, width) or a
+    width; a dense first layer reads the input flattened, so its network's
+    ``input_shape`` is then the width.
     """
     layers = []
     if not isinstance(input_shape, tuple):
@@ -213,6 +232,8 @@ def build_network(
             continue
         raise ConfigError(f"unrecognized architecture token {token!r}")
     layers.append(DenseLayer(np.zeros((output_size, int(np.prod(shape)))), np.zeros(output_size)))
+    if isinstance(layers[0], DenseLayer):
+        input_shape = layers[0].n_in
     net = Network(layers, input_shape=input_shape)
     if rng is not None:
         uniform_init(net, rng)
@@ -228,34 +249,6 @@ def dataset_splits(ds: RegressionDataset):
     xi, yo = ds.flat_inputs(), ds.flat_outputs()
     cut = ds.count - ds.n_val
     return xi[:cut], yo[:cut], xi[cut:], yo[cut:]
-
-
-def _network_input_shape(cfg: ExperimentConfig, ds: RegressionDataset):
-    if cfg.arch.lstrip().startswith("conv"):
-        return (ds.channels, ds.n, ds.n)
-    return ds.channels * ds.n * ds.n
-
-
-def _leave_start_cpu() -> None:
-    """Move the calling thread onto the process's other CPUs, if it has any.
-
-    A new thread starts on its creator's CPU.  Where the kernel does not
-    balance load between CPUs (a cpuset with ``sched_load_balance`` 0) it
-    never leaves it, so the evaluation worker would share training's CPU
-    and time-slice with it instead of overlapping it.  Placement is only a
-    hint: without the Linux calls, or if they fail, the thread stays put.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        # field 39 of a task's stat line is the CPU it last ran on
-        with open("/proc/thread-self/stat") as fh:
-            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except OSError:
-        pass
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResult:
@@ -280,7 +273,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
         )
     net = build_network(
         cfg.arch,
-        _network_input_shape(cfg, ds),
+        (ds.channels, ds.n, ds.n),
         ytr.shape[1],
         rng=np.random.default_rng([seed, 202]),
     )
@@ -291,18 +284,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     scheduler = MinibatchScheduler(
         train_mb.inputs, ytr, cfg.batch_size, np.random.default_rng([seed, 101])
     )
-    smoother = SmootherConfig(
-        learning_rate=cfg.learning_rate,
-        momentum_coeff=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        steps_per_smooth=cfg.steps_per_smooth,
-    )
-    stab = StabilityConfig(
-        eta=cfg.eta,
-        alpha_p=cfg.alpha_p,
-        alpha_m=cfg.alpha_m,
-        gamma=cfg.gamma,
-    )
+    smoother, stab = cfg.smoother(), cfg.stability()
     hierarchy = Hierarchy.build(
         net,
         cfg.depth,
@@ -355,14 +337,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
                 twin = lnet.copy()
                 twins[level] = (lnet, twin)
             snapshot.append((level, twin))
-        # numpy keeps np.errstate in a context variable, which a thread
-        # does not inherit; the caller's settings must hold in the worker
-        pending = pool.submit(contextvars.copy_context().run, losses, snapshot,
-                              hierarchy.work, cycle, wall)
+        pending = _threads.submit(pool, losses, snapshot, hierarchy.work, cycle, wall)
 
     failed = False
     reason = ""
-    pool = ThreadPoolExecutor(max_workers=1, initializer=_leave_start_cpu)
+    pool = ThreadPoolExecutor(max_workers=1, initializer=_threads.leave_start_cpu)
     try:
         try:
             evaluate(0)
@@ -411,17 +390,6 @@ def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
     return run_seed(cfg, seed, read_dataset(cfg.dataset))
 
 
-def _compute_gradients_in_line() -> None:
-    """Keep every gradient product of a seed worker on its training thread.
-
-    The worker processes already share the CPUs between them: with two
-    workers on two CPUs, ``backward``'s helper thread gained nothing on a
-    2-seed run of the ``conv:8k3s2p1,dense:64`` benchmark config, and lost
-    8 of 10 timed pairs at 400 work units.
-    """
-    nets.HANDOFF_MIN_MACS = math.inf
-
-
 def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
     """Run each seed in a fresh process whose BLAS uses one thread.
 
@@ -433,8 +401,7 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_compute_gradients_in_line) as pool:
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [pool.submit(_run_seed_from_path, cfg, seed) for seed in cfg.seeds]
             return [f.result() for f in futures]
     finally:
@@ -446,20 +413,19 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
 
 
 def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
-    handoff = (f"dense weight gradients past the first layer of at least "
-               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds")
     if parallel:
         blas = "1 per worker (" + ", ".join(f"{v}=1" for v in _BLAS_THREAD_VARS) + ")"
         workers = f"# workers: {cfg.workers} spawned processes; BLAS threads: {blas}\n"
-        gradients = "all in line in every worker, which share the CPUs"
     else:
         blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
         workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
-        cpus = nets.allowed_cpus()
-        if cpus >= 2:
-            gradients = f"{handoff} run on a helper thread ({cpus} CPUs allowed)"
-        else:
-            gradients = f"all in line ({cpus} CPU allowed; from 2, {handoff} run on a helper thread)"
+    handoff = (f"dense weight gradients past the first layer of at least "
+               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds")
+    cpus = _threads.allowed_cpus()
+    if cpus >= 2:
+        gradients = f"{handoff} run on a helper thread ({cpus} CPUs allowed)"
+    else:
+        gradients = f"all in line ({cpus} CPU allowed; from 2, {handoff} run on a helper thread)"
     return (workers
             + "# evaluation: one worker thread per seed, overlapped with training\n"
             + f"# gradient products: {gradients}\n")

@@ -31,7 +31,6 @@ makes cheap, holds a larger share of the parameters at coarse levels, and a
 coarse gradient costs less than its parameter ratio.
 """
 
-import contextvars
 import copy
 import math
 import os
@@ -40,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _threads
 from .conv import (
     ConvLayer,
     ConvShapeError,
@@ -463,20 +463,14 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
-def allowed_cpus() -> int:
-    """How many CPUs the calling thread may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _hand_off(dz: np.ndarray, a: np.ndarray) -> bool:
     """Whether ``backward`` gives the weight gradient ``dz.T @ a`` to the helper.
 
     Only a product of at least ``HANDOFF_MIN_MACS`` multiply-adds, and only
     when a second CPU can run the helper beside the calling thread.
     """
-    return dz.shape[0] * dz.shape[1] * a.shape[1] >= HANDOFF_MIN_MACS and allowed_cpus() >= 2
+    macs = dz.shape[0] * dz.shape[1] * a.shape[1]
+    return macs >= HANDOFF_MIN_MACS and _threads.allowed_cpus() >= 2
 
 
 def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
@@ -496,12 +490,13 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
 
     The weight and bias gradient of a dense layer k >= 1 whose weight
     product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS`` multiply-adds is
-    computed on the module's helper thread while this thread goes on with
-    the input gradient ``dz @ W`` and the layers below, when the calling
-    thread may use at least two CPUs.  Each product is the same whole
-    product on either thread, so the gradient is the same bit for bit.  The
-    call returns, or raises, only once every handed-off product has ended;
-    an error on this thread is raised in preference to one in the helper.
+    computed on the module's helper thread, in a copy of the caller's
+    context (``_threads.submit``), while this thread goes on with the input
+    gradient ``dz @ W`` and the layers below, when the calling thread may
+    use at least two CPUs.  Each product is the same whole product on
+    either thread, so the gradient is the same bit for bit.  The call
+    returns, or raises, only once every handed-off product has ended; an
+    error on this thread is raised in preference to one in the helper.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
@@ -540,10 +535,7 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
             else:
                 args = (dz, a_k, sample, block, gw, gb)
                 if k > 0 and _hand_off(dz, a_k):
-                    # numpy keeps np.errstate in a context variable, which a
-                    # thread does not inherit; the caller's must hold there
-                    handed_off.append(_helper.submit(
-                        contextvars.copy_context().run, _dense_gradient, *args))
+                    handed_off.append(_threads.submit(_helper, _dense_gradient, *args))
                 else:
                     _dense_gradient(*args)
                 if k > 0:

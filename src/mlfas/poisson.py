@@ -18,16 +18,16 @@ the chunk size.
 reference; it is the one user of scipy, which it imports when called.
 """
 
-import contextvars
 import functools
 import math
 import mmap
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _threads
 
 DATASET_MAGIC = b"MLFASDAT"
 DATASET_VERSION = 1
@@ -443,13 +443,15 @@ def _solve_in_chunks(
     With a ``seed``, a chunk first draws its samples' fields into its rows
     of ``kappa``.  A chunk holds about ``_CHUNK_CELLS`` grid cells, which
     keeps a solve's working set small while amortising its per-iteration
-    overhead over many samples.  The chunks run on the calling thread and
-    on one more thread per further CPU the process may use, up to one
-    thread per chunk; a CPU then holds at most one chunk's working set,
-    about ten arrays of the chunk's size.  Every sample's bits are the same
-    for any thread count and any chunk size.  Once a chunk fails no new one
-    starts, and the error of the first failed chunk is raised after every
-    thread has stopped.
+    overhead over many samples.  The chunks run in order through
+    ``_threads.run_in_order``, on one thread per CPU the process may use, up
+    to one thread per chunk; a CPU then holds at most one chunk's working
+    set, about ten arrays of the chunk's size.  Every sample's bits are the
+    same for any thread count and any chunk size.  Once a chunk fails no new
+    one starts, and the error of the first failed chunk is raised after
+    every started chunk has ended.  A chunk reads ``solve_poisson`` from
+    this module at call time, where the benchmark's tracer and the tests
+    replace it.
     """
     n = kappa.shape[-1]
     chunk = max(1, _CHUNK_CELLS // (n * n))
@@ -466,54 +468,7 @@ def _solve_in_chunks(
                 lo + e.index, count, f"{e.detail} among samples {lo}..{hi - 1}"
             ) from e
 
-    _run_in_order(solve, range(0, count, chunk))
-
-
-def _run_in_order(task, items) -> None:
-    """Call ``task`` on every item, on the calling thread and worker threads.
-
-    There are as many threads as CPUs the process may use, and no more than
-    items; with one, the calls run in line.  Items are handed out in order,
-    and each worker runs in a copy of the caller's context, so settings such
-    as ``np.errstate`` hold there too.  After a failure no further item
-    starts; the error of the earliest failed item is raised once every
-    thread has stopped.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(items))
-    if workers <= 1:
-        for item in items:
-            task(item)
-        return
-    pending = iter(range(len(items)))  # next() holds the GIL, so no two threads get one index
-    errors = {}
-    stop = False
-
-    def drain():
-        nonlocal stop
-        for i in pending:
-            if stop:
-                return
-            try:
-                task(items[i])
-            except BaseException as e:
-                errors[i] = e
-                stop = True
-
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-        for _ in range(workers - 1)
-    ]
-    for t in threads:
-        t.start()
-    try:
-        drain()
-    finally:
-        stop = True  # an interrupted caller stops the workers too
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
+    _threads.run_in_order(solve, range(0, count, chunk))
 
 
 def _split_sizes(count: int, val_fraction: float) -> int:

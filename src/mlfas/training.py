@@ -56,7 +56,7 @@ class SmootherConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum_coeff < 1.0:
-            raise ValueError("momentum_coeff must lie in [0, 1)")
+            raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
         if self.steps_per_smooth < 0:

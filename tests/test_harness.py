@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlfas import harness, nets
-from mlfas.checkpoints import save_network
+from mlfas import _threads, harness, nets
+from mlfas.checkpoints import load_network, save_network
 from mlfas.conv import ConvShapeError
 from mlfas.harness import (
     ConfigError,
@@ -136,6 +136,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
             parse_config(path)
 
+    # each was once accepted here and failed only in ``run_seed``
+    @pytest.mark.parametrize("key, value", [("gamma", 2), ("theta", 3), ("learning_rate", -1),
+                                            ("rematch_period", 0), ("tau_batches", 0),
+                                            ("alpha_m", 0)])
+    def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"dataset = missing.bin\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must "):
+            parse_config(path)
+
 
 class TestBuildNetwork:
     def test_dense_arch(self):
@@ -161,6 +171,15 @@ class TestBuildNetwork:
     def test_bad_token(self):
         with pytest.raises(ConfigError, match="unrecognized"):
             build_network("dense:4,sigmoid:2", 8, 5)
+
+    # the first token decides, past an empty one; a dense net keeps a flat input
+    @pytest.mark.parametrize("arch, input_shape", [(",conv:4k3s1p1,dense:8", (3, 6, 6)),
+                                                   ("dense:8", 108)])
+    def test_first_token_sets_the_input_shape(self, tiny_dataset, tmp_path, arch, input_shape):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, arch=arch, depth=1, max_work_units=5.0, out_dir=str(tmp_path))
+        run_seed(cfg, 0, ds)
+        assert load_network(tmp_path / "ckpt_s0_L0.mlfasnet").input_shape == input_shape
 
 
 class TestMetricsIO:
@@ -277,7 +296,8 @@ class TestRunExperiment:
         parallel = run_experiment(cfg)
         assert reads == []  # every worker reads the file itself
         assert {v: os.environ.get(v) for v in env} == env
-        serial = run_experiment(tiny_config(path, seeds=(0, 1)))
+        serial_dir = tmp_path / "serial"
+        serial = run_experiment(tiny_config(path, seeds=(0, 1), out_dir=str(serial_dir)))
         assert reads == [str(path)]
         strip = lambda r: (r.work_units, r.cycle, r.level, r.train_l2, r.val_l2)
         for a, b in zip(parallel, serial):
@@ -286,15 +306,10 @@ class TestRunExperiment:
         assert ("# workers: 2 spawned processes; BLAS threads: 1 per worker "
                 "(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1)") in meta
         assert "# evaluation: one worker thread per seed, overlapped with training" in meta
-        assert "# gradient products: all in line in every worker, which share the CPUs" in meta
-
-    def test_seed_workers_compute_gradients_in_line(self, monkeypatch):
-        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", nets.HANDOFF_MIN_MACS)  # restored after
-        monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        huge = np.broadcast_to(0.0, (2**12, 2**12))  # shapes only, no memory
-        assert nets._hand_off(huge, huge)
-        harness._compute_gradients_in_line()
-        assert not nets._hand_off(huge, huge)
+        # a worker hands off gradient products as this process does
+        gradients = [line for line in meta if line.startswith("# gradient products: ")]
+        serial_meta = (serial_dir / "run_metadata.txt").read_text().splitlines()
+        assert len(gradients) == 1 and gradients[0] in serial_meta
 
     @pytest.mark.parametrize("cpus, line", [
         (1, "# gradient products: all in line (1 CPU allowed; from 2, dense weight gradients "
@@ -537,7 +552,7 @@ class TestOverlappedEvaluation:
         allowed = os.sched_getaffinity(0)
         seen = []
         worker = threading.Thread(
-            target=lambda: (harness._leave_start_cpu(), seen.append(os.sched_getaffinity(0))))
+            target=lambda: (_threads.leave_start_cpu(), seen.append(os.sched_getaffinity(0))))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import signal
 import sys
 import threading
 import time
@@ -394,6 +395,59 @@ class TestParallelGenerate:
         assert str(info.value).startswith(
             f"conjugate gradients stalled on sample {lo} of {count}: ")
         assert str(info.value).endswith(f" among samples {lo}..{lo + 2}")
+
+    @pytest.mark.parametrize("cpus", (2, 3))
+    def test_no_chunk_starts_after_a_failure(self, monkeypatch, cpus):
+        # chunks of 2: the first ``cpus`` start together, the first fails
+        # while the others wait, and then no later chunk may start
+        count, n = 14, 4
+        index = self.chunk_starts(count, n, seed=4)
+        reference = poisson.solve_poisson
+        started = threading.Barrier(cpus, timeout=30)
+        calls = []
+
+        def stub(kappa, f):
+            lo = index[kappa[0].tobytes()]
+            calls.append(lo)
+            if lo < 2 * cpus:
+                started.wait()
+            if lo == 0:
+                return reference(kappa, f, max_iter=0)
+            time.sleep(0.2)  # the failure comes first
+            return reference(kappa, f)
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * n * n)
+        monkeypatch.setattr(poisson, "solve_poisson", stub)
+        with pytest.raises(SolverError) as info:
+            generate_dataset(count, n, seed=4)
+        assert info.value.index == 0
+        assert sorted(calls) == list(range(0, 2 * cpus, 2))
+
+    def test_interrupted_caller_starts_no_further_chunk(self, monkeypatch):
+        count, n, cpus = 14, 4, 2
+        index = self.chunk_starts(count, n, seed=4)
+        reference = poisson.solve_poisson
+        started = threading.Barrier(cpus, timeout=30)
+        calls = []
+
+        def stub(kappa, f):
+            lo = index[kappa[0].tobytes()]
+            calls.append(lo)
+            started.wait()
+            if lo == 0:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)  # the interrupt comes first
+            return reference(kappa, f)
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * n * n)
+        monkeypatch.setattr(poisson, "solve_poisson", stub)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            generate_dataset(count, n, seed=4)
+        assert sorted(calls) == [0, 2]
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
         use_cpus(monkeypatch, 3)
