@@ -34,7 +34,9 @@ def main() -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     dataset = args.dataset
     if not dataset:
-        dataset = os.path.join(args.out_dir, f"poisson_{args.count}_n{args.grid}.mlfasdat")
+        dataset = os.path.join(
+            args.out_dir, f"poisson_{args.count}_n{args.grid}_s{args.data_seed}.mlfasdat"
+        )
         if not os.path.exists(dataset):
             print(f"generating {args.count} samples at n={args.grid} ...")
             write_dataset(

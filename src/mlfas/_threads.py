@@ -3,8 +3,10 @@
 When to use another thread stays with the module that decides it.
 """
 
+import contextlib
 import contextvars
 import os
+import signal
 from concurrent import futures
 
 
@@ -32,7 +34,11 @@ def run_in_order(task, items) -> None:
     Items start in order, each through ``submit``.  After a failure no
     further item starts, and the error of the earliest failed item is
     raised once every started item has ended.  An interrupted caller
-    cancels the items that have not started.  No thread outlives the call.
+    cancels the items that have not started.  No thread outlives the call:
+    the pool starts its threads while the items are submitted, and an
+    interrupt that landed between a thread's start and the pool's record of
+    it would leave that thread unjoined, so the calling thread holds SIGINT
+    back until every item is submitted.
     """
     workers = min(allowed_cpus(), len(items))
     if workers <= 1:
@@ -53,13 +59,33 @@ def run_in_order(task, items) -> None:
 
     pool = futures.ThreadPoolExecutor(workers)
     try:
-        runs = [submit(pool, guarded, item) for item in items]
+        with _sigint_held():
+            runs = [submit(pool, guarded, item) for item in items]
         futures.wait(runs)
     finally:
         stop = True  # an interrupted caller starts no further item either
         pool.shutdown(cancel_futures=True)
     for run in runs:
         run.result()
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Block SIGINT for the calling thread while the block runs.
+
+    A SIGINT sent meanwhile arrives when the block ends.  Threads started
+    in the block inherit the mask, which costs nothing, since Python runs
+    signal handlers on the main thread only.  Without
+    ``signal.pthread_sigmask`` nothing is held.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def leave_start_cpu() -> None:

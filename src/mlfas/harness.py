@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError("theta must lie in [-1, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         try:
             self.smoother()
             self.stability()

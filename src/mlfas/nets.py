@@ -267,6 +267,12 @@ class Network:
 # whose own temporaries are then live too
 LOSS_BLOCK_BYTES = 2**19
 
+# fewest rows in one of ``loss``'s row blocks: with OpenBLAS 0.3.31's Haswell
+# and Zen kernels, 6- and 7-row blocks of ``dense:8192,dense:128`` summed to
+# another l2 than the whole batch did, and none of 36 wide-net cases with
+# blocks of 16 rows or more did.  Every benchmark net's blocks are larger.
+LOSS_BLOCK_MIN_ROWS = 16
+
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)
 
@@ -428,13 +434,14 @@ def loss_blocks(net: Network, n: int) -> list[slice]:
     """Row blocks in which ``loss`` evaluates ``n`` rows.
 
     As few blocks as keep one block's widest non-input interface within
-    ``LOSS_BLOCK_BYTES``, with sizes that differ by at most one row and, for
-    ``n >= 2``, at least two rows each: a one-row product may take another
-    BLAS path and round differently from the same row inside a batch.
+    ``LOSS_BLOCK_BYTES``, with sizes that differ by at most one row and at
+    least ``LOSS_BLOCK_MIN_ROWS`` rows each, so fewer rows than twice that
+    are one block.  A product of a few rows may take another BLAS path and
+    round differently from the same rows inside a batch.
     """
     widest = max(_flat_size(desc) for desc in net.interfaces[1:])
     cap = max(1, LOSS_BLOCK_BYTES // (8 * widest))
-    count = max(1, min(-(-n // cap), n // 2))
+    count = max(1, min(-(-n // cap), n // LOSS_BLOCK_MIN_ROWS))
     bounds = [n * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

@@ -10,10 +10,13 @@ cell-centered 5-point finite-difference scheme with harmonic-mean face
 coefficients, solved by matrix-free preconditioned conjugate gradients over
 stacks of samples.  The preconditioner scales by kappa^-1/2 on both sides
 and inverts the constant-coefficient operator exactly by fast
-diagonalization with the closed-form 1-D eigenvectors.  ``generate_dataset``
-draws, builds and solves its samples chunk by chunk, on as many threads as
-the process has CPUs, and the data does not depend on the thread count or
-the chunk size.
+diagonalization with the closed-form 1-D eigenvectors.  Sample i's field
+parameters are the first five uniforms of ``np.random.default_rng([seed, i])``;
+``draw_param_columns`` computes them for a block of samples at once, with
+numpy's seeding and bit generator written out in integer arithmetic.
+``generate_dataset`` draws every sample first, then builds and solves the
+samples chunk by chunk, on as many threads as the process has CPUs, and the
+data does not depend on the thread count or the chunk size.
 ``assemble_operator`` builds the same operator as a sparse matrix for
 reference; it is the one user of scipy, which it imports when called.
 """
@@ -23,7 +26,7 @@ import math
 import mmap
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -34,6 +37,33 @@ DATASET_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIIq")  # magic, version, count, n, channels, n_val, seed
 _CHUNK_CELLS = 2**16  # grid cells per chunk task in generate_dataset
 _IO_BLOCK_BYTES = 2**20  # payload bytes per write in write_dataset
+_DRAW_BLOCK = 2**16  # sample indices per draw_param_columns call in generate_dataset
+# (low, high) of each FieldParams field, in field order
+_PARAM_RANGES = ((0.5, 4.0), (0.5, 4.0), (0.0, 0.5), (0.0, 0.5), (0.0, np.pi / 2.0))
+
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants;
+# NEP 19 fixes both streams
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple:
+    """(xor, multiplier) of ``count`` successive SeedSequence hashes.
+
+    Each hash xors with the hash constant, updates the constant by ``mult``
+    and multiplies by the updated one, so the pairs do not depend on the data.
+    """
+    steps = []
+    for _ in range(count):
+        steps.append((init, init * mult & _MASK32))
+        init = steps[-1][1]
+    return tuple(steps)
+
+
+# the 4 + 12 hashes that mix a 4-word pool, and the 8 of generate_state
+_HASHMIX_MULTS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_MULTS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 
 
 class SolverError(RuntimeError):
@@ -91,6 +121,8 @@ class RegressionDataset:
             raise ValueError(
                 f"{self.n_val} validation samples of {self.count}; need 1 to {self.count - 1}"
             )
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed {self.seed} does not fit the header's signed 64-bit field")
 
     @property
     def count(self) -> int:
@@ -143,22 +175,23 @@ def sample_kappa(params: FieldParams, n: int) -> np.ndarray:
     (x', y') rotates the domain by alpha about its center, so values stay
     in [0.1, 2.1] everywhere.
     """
-    return _kappa_fields([params], n, np.empty((1, n, n)))[0]
+    return _kappa_fields(np.array(astuple(params)).reshape(5, 1), n, np.empty((1, n, n)))[0]
 
 
-def _kappa_fields(params: list[FieldParams], n: int, out: np.ndarray) -> np.ndarray:
-    """``sample_kappa`` of each of ``params``, into the (len(params), n, n) ``out``.
+def _kappa_fields(params: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``sample_kappa`` of each column of the (5, B) ``params``, into the (B, n, n) ``out``.
 
-    The samples' scalars become (B, 1, 1) columns, so every grid value goes
-    through the same float operations in the same order whatever the batch.
+    The rows of ``params`` are the ``FieldParams`` fields in order.  They
+    become (B, 1, 1) columns, so every grid value goes through the same float
+    operations in the same order whatever the batch.  The rotation's cosine
+    and sine come from ``math``, one sample at a time, since numpy's
+    vectorized kernels may round them differently.
     """
     x, y = coordinate_grids(n)
-
-    def column(values):
-        return np.array(values, dtype=np.float64).reshape(-1, 1, 1)
-
-    ca = column([math.cos(p.alpha_rot) for p in params])
-    sa = column([math.sin(p.alpha_rot) for p in params])
+    kx, ky, ax, ay = (row.reshape(-1, 1, 1) for row in params[:4])
+    alpha = params[4].tolist()
+    ca = np.array([math.cos(a) for a in alpha]).reshape(-1, 1, 1)
+    sa = np.array([math.sin(a) for a in alpha]).reshape(-1, 1, 1)
     xc, yc = x - 0.5, y - 0.5
     xr, yr = _workspace(2, out.shape)
     # x' = ca xc - sa yc + 1/2 and y' = sa xc + ca yc + 1/2, the second
@@ -169,10 +202,10 @@ def _kappa_fields(params: list[FieldParams], n: int, out: np.ndarray) -> np.ndar
     np.multiply(sa, xc, out=yr)
     yr += np.multiply(ca, yc, out=out)
     yr += 0.5
-    xr += column([p.ax for p in params])
-    xr *= column([p.kx * np.pi for p in params])
-    yr += column([p.ay for p in params])
-    yr *= column([p.ky * np.pi for p in params])
+    xr += ax
+    xr *= kx * np.pi
+    yr += ay
+    yr *= ky * np.pi
     np.multiply(np.cos(xr, out=xr), np.cos(yr, out=yr), out=out)
     out += 1.1
     return out
@@ -424,34 +457,117 @@ def solve_poisson(
 
 
 def draw_params(seed: int, index: int) -> FieldParams:
-    """Field parameters for one sample, from an independent substream."""
-    rng = np.random.default_rng([seed, index])
-    return FieldParams(
-        kx=rng.uniform(0.5, 4.0),
-        ky=rng.uniform(0.5, 4.0),
-        ax=rng.uniform(0.0, 0.5),
-        ay=rng.uniform(0.0, 0.5),
-        alpha_rot=rng.uniform(0.0, np.pi / 2.0),
+    """Field parameters of sample ``index`` of the data generated with ``seed``.
+
+    The one-sample case of ``draw_param_columns``.
+    """
+    column = draw_param_columns(seed, np.array([index], dtype=np.uint64))
+    return FieldParams(*column[:, 0].tolist())
+
+
+def draw_param_columns(seed: int, index: np.ndarray) -> np.ndarray:
+    """Field parameters of the samples ``index``, as a (5, len(index)) array.
+
+    Column j holds kx, ky, ax, ay and alpha_rot of sample ``index[j]``:
+    the first five uniforms of ``np.random.default_rng([seed, index[j]])``,
+    drawn by ``Generator.uniform`` over each ``FieldParams`` range in field
+    order.  The seeding (``SeedSequence``), the bit generator (``PCG64``)
+    and the uniform's ``low + (high - low) * u`` run here as wrapping
+    integer arithmetic over the whole block, and the last step as two
+    ufuncs, so no multiply-add is fused where numpy's C code has none.
+    ``seed`` lies in [0, 2^63), the range of the dataset header's seed
+    field; ``index`` is an unsigned 64-bit array.
+    """
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed {seed} is outside [0, 2**63)")
+    index = np.asarray(index, dtype=np.uint64)
+    # SeedSequence([seed, i]): the little-endian 32-bit words of seed, then
+    # those of i, hashed into a pool of four words, zero-padded; i's high
+    # word is zero below 2^32, which pads just the same
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(index.shape, w, dtype=np.uint32) for w in words]
+    entropy += [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
+    entropy += [np.zeros(index.shape, dtype=np.uint32)] * (4 - len(entropy))
+    mults = iter(_HASHMIX_MULTS)
+    pool = [_hashmix(e, *next(mults)) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(mults)))
+    # generate_state(4, uint64): eight hashed words, paired low word first
+    state = [_hashmix(pool[k % 4], *mult) for k, mult in enumerate(_STATE_MULTS)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        state[2 * k].astype(np.uint64) | state[2 * k + 1].astype(np.uint64) << 32
+        for k in range(4)
     )
+    # PCG64's seeding: inc = 2 * initseq + 1, state = inc + initstate, one step
+    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
+    pcg = _pcg_step(_add128(inc, (seed_hi, seed_lo)), inc)
+    out = np.empty((len(_PARAM_RANGES), index.size))
+    for row, (low, high) in zip(out, _PARAM_RANGES):
+        pcg = _pcg_step(pcg, inc)
+        hi, lo = pcg
+        # XSL-RR output: the xor of the halves rotated right by the top six bits
+        rot = hi >> 58
+        bits = hi ^ lo
+        bits = bits >> rot | bits << ((64 - rot) & 63)
+        u = (bits >> 11).astype(np.float64)
+        u *= 2.0**-53
+        np.add(low, np.multiply(high - low, u, out=row), out=row)
+    return out
+
+
+def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 array, at one step of its hash constant."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ value >> 16
+
+
+def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a * b, for a uint64 array and b < 2^64, in 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """(hi, lo) uint64 arrays of a + b mod 2^128."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple:
+    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (hi, lo) arrays."""
+    hi, lo = state
+    prod_hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128((prod_hi, lo * _PCG_MULT_LO), inc)
 
 
 def _solve_in_chunks(
-    kappa: np.ndarray, f: np.ndarray, out: np.ndarray, seed: int | None = None
+    kappa: np.ndarray, f: np.ndarray, out: np.ndarray, params: np.ndarray | None = None
 ) -> None:
     """Solve a (count, n, n) kappa stack into ``out``, one CG call per chunk.
 
-    With a ``seed``, a chunk first draws its samples' fields into its rows
-    of ``kappa``.  A chunk holds about ``_CHUNK_CELLS`` grid cells, which
-    keeps a solve's working set small while amortising its per-iteration
-    overhead over many samples.  The chunks run in order through
-    ``_threads.run_in_order``, on one thread per CPU the process may use, up
-    to one thread per chunk; a CPU then holds at most one chunk's working
-    set, about ten arrays of the chunk's size.  Every sample's bits are the
-    same for any thread count and any chunk size.  Once a chunk fails no new
-    one starts, and the error of the first failed chunk is raised after
-    every started chunk has ended.  A chunk reads ``solve_poisson`` from
-    this module at call time, where the benchmark's tracer and the tests
-    replace it.
+    With the (5, count) field parameters ``params``, a chunk first builds its
+    samples' fields into its rows of ``kappa``.  A chunk holds about
+    ``_CHUNK_CELLS`` grid cells, which keeps a solve's working set small
+    while amortising its per-iteration overhead over many samples.  The
+    chunks run in order through ``_threads.run_in_order``, on one thread per
+    CPU the process may use, up to one thread per chunk; a CPU then holds at
+    most one chunk's working set, about ten arrays of the chunk's size.
+    Every sample's bits are the same for any thread count and any chunk
+    size.  Once a chunk fails no new one starts, and the error of the first
+    failed chunk is raised after every started chunk has ended.  A chunk
+    reads ``solve_poisson`` from this module at call time, where the
+    benchmark's tracer and the tests replace it.
     """
     n = kappa.shape[-1]
     chunk = max(1, _CHUNK_CELLS // (n * n))
@@ -459,8 +575,8 @@ def _solve_in_chunks(
 
     def solve(lo):
         hi = min(lo + chunk, count)
-        if seed is not None:
-            _kappa_fields([draw_params(seed, i) for i in range(lo, hi)], n, kappa[lo:hi])
+        if params is not None:
+            _kappa_fields(params[:, lo:hi], n, kappa[lo:hi])
         try:
             out[lo:hi] = solve_poisson(kappa[lo:hi], f)
         except SolverError as e:
@@ -487,17 +603,23 @@ def generate_dataset(
 ) -> RegressionDataset:
     """Generate ``count`` samples on an n x n grid, deterministic in seed.
 
-    Input channels are [kappa, x, y].  The samples are drawn, built and
-    solved in chunks on every CPU the process may use
-    (``_solve_in_chunks``); the result is the same, byte for byte, for any
-    CPU count.
+    Input channels are [kappa, x, y].  Every sample's field parameters are
+    drawn first, on the calling thread, in blocks of ``_DRAW_BLOCK``
+    indices (``draw_param_columns``); a seed outside [0, 2^63) raises
+    ValueError before any solve.  The samples are then built and solved in
+    chunks on every CPU the process may use (``_solve_in_chunks``); the
+    result is the same, byte for byte, for any CPU count.
     """
     n_val = _split_sizes(count, val_fraction)
+    params = np.empty((len(_PARAM_RANGES), count))
+    for lo in range(0, count, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, count)
+        params[:, lo:hi] = draw_param_columns(seed, np.arange(lo, hi, dtype=np.uint64))
     f = forcing(n)
     inputs = np.empty((count, 3, n, n))
     outputs = np.empty((count, n, n))
     inputs[:, 1:] = coordinate_grids(n)
-    _solve_in_chunks(inputs[:, 0], f, outputs, seed=seed)
+    _solve_in_chunks(inputs[:, 0], f, outputs, params)
     return RegressionDataset(inputs=inputs, outputs=outputs, seed=seed, n_val=n_val)
 
 

@@ -113,6 +113,16 @@ def test_missing_dataset_is_structured_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# 2^63 once generated all the data and died in write_dataset on the header
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+def test_generate_seed_out_of_range_is_structured_failure(tmp_path, capsys, seed):
+    out = tmp_path / "data.mlfasdat"
+    assert main(["generate", "--count", "4", "--grid", "4", "--seed", seed,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed {seed} is outside [0, 2**63)\n"
+    assert not out.exists()
+
+
 def test_bad_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
     _, ds_path = workspace
     bad = tmp_path / "bad.mlfasnet"

@@ -136,10 +136,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
             parse_config(path)
 
-    # each was once accepted here and failed only in ``run_seed``
+    # each was once accepted here and failed only in ``run_seed``, a negative
+    # seed after the seeds before it had trained
     @pytest.mark.parametrize("key, value", [("gamma", 2), ("theta", 3), ("learning_rate", -1),
                                             ("rematch_period", 0), ("tau_batches", 0),
-                                            ("alpha_m", 0)])
+                                            ("alpha_m", 0), ("seeds", "0,-1")])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
         path = tmp_path / "exp.cfg"
         path.write_text(f"dataset = missing.bin\n{key} = {value}\n")

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlfas.poisson as poisson
+from mlfas import _threads
 from mlfas.poisson import (
     DatasetFormatError,
     FieldParams,
@@ -267,6 +269,47 @@ class TestPreconditioner:
         assert calls[0] <= 60
 
 
+def numpy_draws(seed, index):
+    """The five ``Generator.uniform`` calls that define sample ``index``'s fields."""
+    rng = np.random.default_rng([seed, index])
+    return [rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 0.5),
+            rng.uniform(0.0, 0.5), rng.uniform(0.0, np.pi / 2.0)]
+
+
+class TestDraws:
+    """``draw_param_columns`` reproduces numpy's generator bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)),
+           index=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    def test_matches_numpy_generator(self, seed, index):
+        got = poisson.draw_param_columns(seed, np.array(index, dtype=np.uint64))
+        assert got.shape == (5, len(index))
+        for j, i in enumerate(index):
+            assert got[:, j].tolist() == numpy_draws(seed, i)
+            assert poisson.draw_params(seed, i) == FieldParams(*numpy_draws(seed, i))
+
+    @pytest.mark.parametrize("seed", [20260810 + k for k in range(10)] + [6151])
+    def test_matches_numpy_on_the_benchmark_data(self, seed):
+        got = poisson.draw_param_columns(seed, np.arange(2000, dtype=np.uint64))
+        want = np.array([numpy_draws(seed, i) for i in range(2000)]).T
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_out_of_range_rejected_before_any_solve(self, monkeypatch, seed):
+        solves = []
+        monkeypatch.setattr(poisson, "solve_poisson", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match=f"^seed {seed} is outside"):
+            generate_dataset(4, 4, seed=seed)
+        assert solves == []
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63])
+    def test_dataset_seed_outside_int64_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed} does not fit"):
+            RegressionDataset(inputs=np.zeros((2, 3, 2, 2)), outputs=np.zeros((2, 2, 2)),
+                              seed=seed, n_val=1)
+
+
 class TestGenerate:
     def test_split_arithmetic(self):
         ds = generate_dataset(10, 6, seed=1, val_fraction=0.2)
@@ -429,7 +472,14 @@ class TestParallelGenerate:
         index = self.chunk_starts(count, n, seed=4)
         reference = poisson.solve_poisson
         started = threading.Barrier(cpus, timeout=30)
+        stopping = threading.Event()
         calls = []
+
+        class Pool(futures.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                # the interrupted caller has stopped handing out chunks
+                stopping.set()
+                super().shutdown(*args, **kwargs)
 
         def stub(kappa, f):
             lo = index[kappa[0].tobytes()]
@@ -437,10 +487,11 @@ class TestParallelGenerate:
             started.wait()
             if lo == 0:
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.2)  # the interrupt comes first
+            stopping.wait(30)  # the interrupt comes first
             return reference(kappa, f)
 
         use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(_threads.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * n * n)
         monkeypatch.setattr(poisson, "solve_poisson", stub)
         before = threading.active_count()

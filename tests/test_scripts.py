@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mlfas.poisson import read_dataset
+
 ROOT = Path(__file__).resolve().parents[1]
 SMALL = ["--count", "260", "--grid", "6", "--budget", "30"]
 
@@ -33,3 +35,11 @@ def test_eta_sweep_prints_one_row_per_eta(tmp_path):
     # rows read "<eta> <seed> ...", and the sweep runs seed 0 only
     etas = [line.split()[0] for line in out.splitlines() if line.split()[1:2] == ["0"]]
     assert etas == ["1", "sqrt2", "2", "2sqrt2", "4"]
+
+
+def test_dataset_cache_is_kept_per_data_seed(tmp_path):
+    # a rerun with another seed once trained on the first seed's cached data
+    for seed in (3, 4):
+        run_script("run_poisson_benchmark.py", tmp_path, "--seeds", "0", "--data-seed", str(seed))
+    for seed in (3, 4):
+        assert read_dataset(tmp_path / "out" / f"poisson_260_n6_s{seed}.mlfasdat").seed == seed
