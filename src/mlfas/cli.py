@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``generate`` builds a Poisson regression dataset, ``train``
-runs an experiment config, ``eval`` scores a checkpoint on a dataset, and
-``inspect-hierarchy`` reports widths/matchings of per-level checkpoints.
-Exits 0 on success; known failures print a diagnostic to stderr and exit 1.
+runs an experiment config or, with repeated ``--set key=value``, a grid of
+settings through ``harness.run_grid``, ``eval`` scores a checkpoint on a
+dataset, and ``inspect-hierarchy`` reports widths/matchings of per-level
+checkpoints.  Exits 0 on success; known failures print a diagnostic to
+stderr and exit 1.
 """
 
 import argparse
@@ -14,8 +16,10 @@ from .harness import (
     ConfigError,
     dataset_splits,
     inspect_hierarchy,
-    parse_config,
-    run_experiment,
+    median_best_val_l2,
+    parse_grid,
+    run_grid,
+    varied_keys,
 )
 from .nets import Minibatch, NetworkShapeError, loss
 from .poisson import (
@@ -55,32 +59,29 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides = {}
-    if args.dataset:
-        overrides["dataset"] = args.dataset
-    if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    if args.depth is not None:
-        overrides["depth"] = args.depth
-    if args.seeds:
-        overrides["seeds"] = args.seeds
-    if args.max_work_units is not None:
-        overrides["max_work_units"] = args.max_work_units
-    cfg = parse_config(args.config, overrides=overrides)
-    if not cfg.dataset:
-        raise ConfigError("no dataset given (config key 'dataset' or --dataset)")
-    results = run_experiment(cfg)
-    for run in results:
-        status = f"FAILED ({run.reason})" if run.failed else "ok"
-        print(f"seed {run.seed}: {status}")
-        for level, best in sorted(run.best.items()):
-            print(
-                f"  level {run.label(level)}: best val l2 {best['val_l2']:.6e}, "
-                f"best val linf {best['val_linf']:.6e}"
-            )
-    if cfg.out_dir:
-        print(f"metrics written under {cfg.out_dir}")
-    return 1 if all(r.failed for r in results) else 0
+    settings = parse_grid(args.config, args.set)
+    if not all(cfg.dataset for cfg in settings):
+        raise ConfigError("no dataset given (config key 'dataset' or --set dataset=<path>)")
+    results = run_grid(settings)
+    keys = varied_keys(settings)
+    names = [", ".join(f"{k} = {getattr(cfg, k)}" for k in keys) for cfg in settings]
+    for name, runs in zip(names, results):
+        if keys:
+            print(f"setting {name}:")
+        for run in runs:
+            status = f"FAILED ({run.reason})" if run.failed else "ok"
+            print(f"seed {run.seed}: {status}")
+            for level, best in sorted(run.best.items()):
+                print(
+                    f"  level {run.label(level)}: best val l2 {best['val_l2']:.6e}, "
+                    f"best val linf {best['val_linf']:.6e}"
+                )
+    print("median best val l2 of the fine network (a failed run counts as inf):")
+    for i, (name, runs) in enumerate(zip(names, results)):
+        print(f"  setting {i}{f' ({name})' if name else ''}: {median_best_val_l2(runs):.6e}")
+    if settings[0].out_dir:
+        print(f"metrics written under {settings[0].out_dir}")
+    return 1 if all(r.failed for runs in results for r in runs) else 0
 
 
 def _cmd_eval(args) -> int:
@@ -117,13 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output dataset path")
     gen.set_defaults(func=_cmd_generate)
 
-    train = sub.add_parser("train", help="run an experiment config")
+    train = sub.add_parser("train", help="run an experiment config or a grid of settings")
     train.add_argument("--config", required=True, help="key=value config file")
-    train.add_argument("--dataset", help="override the config's dataset path")
-    train.add_argument("--out-dir", help="override the config's output directory")
-    train.add_argument("--depth", type=int, help="override hierarchy depth")
-    train.add_argument("--seeds", help="override seeds (comma separated)")
-    train.add_argument("--max-work-units", type=float, help="override the work budget")
+    train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key; a key set k times is a grid axis "
+                            "of k values (seeds, workers and out_dir only once)")
     train.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

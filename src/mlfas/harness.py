@@ -1,15 +1,20 @@
 """Experiment harness.
 
-Parses flat key=value experiment configs, runs seeded one-level SGD or
-multilevel V-cycle training to a work-unit budget, logs train/validation
-losses for the fine network and the first auxiliary (first-coarsened)
-network, and emits metrics CSVs plus a best-loss summary table.  The
-validation split is the dataset's last ``n_val`` samples.  One work
-unit is the cost of one fine-level minibatch gradient evaluation; coarser
-evaluations are scaled by their parameter-count ratio.
+Parses flat key=value experiment configs, and grids of them, runs seeded
+one-level SGD or multilevel V-cycle training to a work-unit budget, logs
+train/validation losses for the fine network and the first auxiliary
+(first-coarsened) network, and emits metrics CSVs plus a best-loss summary
+table.  ``run_grid`` is the one runner: it runs every (setting, seed) pair
+of a list of configs, in this process or as tasks on a pool of spawned
+processes, and ``run_experiment`` is its one-setting case.  The validation
+split is the dataset's last ``n_val`` samples.  One work unit is the cost
+of one fine-level minibatch gradient evaluation; coarser evaluations are
+scaled by their parameter-count ratio.
 """
 
 import csv
+import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -59,7 +64,7 @@ class ExperimentConfig:
     eta: float = math.sqrt(2.0)
     alpha_p: float = 1.0
     alpha_m: float = 0.2
-    gamma: float = 0.125
+    gamma: float = 1.0
     max_work_units: float = 5000.0
     eval_every: float = 25.0
     seeds: tuple = (0,)
@@ -67,6 +72,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for key in ("depth", "batch_size", "tau_batches", "rematch_period", "workers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -79,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {_text(self.seeds)}")
         try:
             self.smoother()
             self.stability()
@@ -157,8 +167,27 @@ def _coerce(name: str, kind, text: str):
     return text.strip()
 
 
-def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a flat key=value config file ('#' starts a comment)."""
+# keys a grid shares: a grid is keyed by (setting, seed), runs on one pool
+# and writes under one directory
+GRID_SHARED_KEYS = ("seeds", "workers", "out_dir")
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _key(key: str) -> str:
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    return key
+
+
+def parse_grid(path, assignments=()) -> list[ExperimentConfig]:
+    """The settings of a flat key=value config file ('#' starts a comment).
+
+    Each ``key=value`` assignment overrides the file.  A key assigned k
+    times is a grid axis of k values; the settings are the product of the
+    axes, in the order the keys first appear, the last axis fastest.  The
+    keys of ``GRID_SHARED_KEYS`` may be assigned only once.  Every setting
+    is validated as a config file is.
+    """
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -168,26 +197,41 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            values[key] = text
-    if overrides:
-        values.update({k: str(v) for k, v in overrides.items()})
-    field_types = {f.name: f.type for f in fields(ExperimentConfig)}
-    kwargs = {}
-    for key, text in values.items():
-        if key not in field_types:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, field_types[key], text)
-    return ExperimentConfig(**kwargs)
+            values[_key(key)] = text
+    axes = {}
+    for text in assignments:
+        if "=" not in text:
+            raise ConfigError(f"expected key=value, got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        axes.setdefault(_key(key), []).append(value)
+    for key in GRID_SHARED_KEYS:
+        if len(axes.get(key, ())) > 1:
+            raise ConfigError(f"{key} may be set only once")
+    return [
+        ExperimentConfig(**{key: _coerce(key, _FIELD_TYPES[key], text)
+                            for key, text in {**values, **dict(zip(axes, combo))}.items()})
+        for combo in itertools.product(*axes.values())
+    ]
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Read a flat key=value config file ('#' starts a comment)."""
+    [cfg] = parse_grid(path)
+    return cfg
+
+
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_text(getattr(cfg, f.name))}\n" for f in fields(cfg))
+
+
+def varied_keys(settings: list[ExperimentConfig]) -> list[str]:
+    """The config keys whose values differ between the settings."""
+    return [f.name for f in fields(ExperimentConfig)
+            if len({getattr(cfg, f.name) for cfg in settings}) > 1]
 
 
 _CONV_TOKEN = re.compile(r"^conv:(\d+)k(\d+)s(\d+)p(\d+)$")
@@ -386,14 +430,19 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the datasets a spawned worker has read, each path once; only
+# ``_run_seed_from_path``, which runs in the workers, fills it
+_worker_datasets = {}
 
 
 def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
-    return run_seed(cfg, seed, read_dataset(cfg.dataset))
+    if cfg.dataset not in _worker_datasets:
+        _worker_datasets[cfg.dataset] = read_dataset(cfg.dataset)
+    return run_seed(cfg, seed, _worker_datasets[cfg.dataset])
 
 
-def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
-    """Run each seed in a fresh process whose BLAS uses one thread.
+def _run_in_workers(pairs: list, workers: int) -> list[RunResult]:
+    """Run each (config, seed) pair as a task on fresh processes whose BLAS uses one thread.
 
     The BLAS libraries read their thread count when numpy loads, so the
     variables are set in this process's environment while the spawned
@@ -402,9 +451,9 @@ def _run_seeds_in_workers(cfg: ExperimentConfig) -> list[RunResult]:
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(max_workers=cfg.workers,
+        with ProcessPoolExecutor(max_workers=min(workers, len(pairs)),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(_run_seed_from_path, cfg, seed) for seed in cfg.seeds]
+            futures = [pool.submit(_run_seed_from_path, cfg, seed) for cfg, seed in pairs]
             return [f.result() for f in futures]
     finally:
         for var, value in saved.items():
@@ -433,38 +482,82 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
             + f"# gradient products: {gradients}\n")
 
 
-def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -> list[RunResult]:
-    """Run every seed of a config; failed runs are kept and marked.
+def run_grid(settings: list[ExperimentConfig],
+             ds: RegressionDataset | None = None) -> list[list[RunResult]]:
+    """Run every (setting, seed) pair; one list of runs per setting, in seed order.
 
-    Seeds run in this process on ``ds``, or on the file at ``cfg.dataset``
-    when no ``ds`` is given.  When ``workers`` > 1 and there is more than
-    one seed, they run as independent processes instead, each of which
-    reads ``cfg.dataset`` itself: ``cfg.dataset`` must then be a path, a
-    ``ds`` passed here is ignored, and this process reads no data.
+    Failed runs are kept and marked.  The settings must share the keys of
+    ``GRID_SHARED_KEYS``.  With one worker, or one pair, the pairs run in this
+    process on ``ds``, or on the file at each setting's ``dataset`` (each
+    path read once) when no ``ds`` is given.  Otherwise each pair is one
+    task on a pool of ``workers`` spawned processes, each of which reads a
+    dataset path once: the datasets must then be paths, a ``ds`` passed
+    here is ignored, and this process reads no data.
+
+    With an ``out_dir``, one setting writes its metrics CSVs, checkpoints,
+    ``summary.csv`` and ``run_metadata.txt`` there.  Several settings write
+    those files under ``out_dir/setting<i>/``, and ``out_dir/grid.csv``
+    holds one row per (setting, seed, level): the varied keys, then the
+    summary table's columns.
     """
-    parallel = cfg.workers > 1 and len(cfg.seeds) > 1
+    if not settings:
+        raise ValueError("no settings to run")
+    for key in GRID_SHARED_KEYS:
+        if len({getattr(cfg, key) for cfg in settings}) > 1:
+            raise ConfigError(f"{key} must be the same in every setting")
+    grid_dir, workers = settings[0].out_dir, settings[0].workers
+    keys = varied_keys(settings)
+    if grid_dir and len(settings) > 1:
+        settings = [replace(cfg, out_dir=os.path.join(grid_dir, f"setting{i}"))
+                    for i, cfg in enumerate(settings)]
+    pairs = [(cfg, seed) for cfg in settings for seed in cfg.seeds]
+    parallel = workers > 1 and len(pairs) > 1
     if parallel:
-        if not cfg.dataset:
+        if not all(cfg.dataset for cfg in settings):
             raise ConfigError("parallel runs need a dataset path")
-        results = _run_seeds_in_workers(cfg)
+        flat = _run_in_workers(pairs, workers)
     else:
-        if ds is None:
-            ds = read_dataset(cfg.dataset)
-        results = [run_seed(cfg, seed, ds) for seed in cfg.seeds]
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        for run in results:
-            if run.records:
-                emit_csv(run.records, os.path.join(cfg.out_dir, f"metrics_s{run.seed}.csv"))
-        emit_summary_table(results, os.path.join(cfg.out_dir, "summary.csv"))
-        with open(os.path.join(cfg.out_dir, "run_metadata.txt"), "w") as fh:
-            fh.write(config_text(cfg))
-            fh.write(
-                "# work unit: one fine-level minibatch gradient evaluation;"
-                " coarser levels scaled by parameter-count ratio\n"
-            )
-            fh.write(_parallelism_text(cfg, parallel))
+        read = functools.cache(read_dataset)  # each path once, for this call only
+        flat = [run_seed(cfg, seed, read(cfg.dataset) if ds is None else ds)
+                for cfg, seed in pairs]
+    runs = iter(flat)
+    results = [[next(runs) for _ in cfg.seeds] for cfg in settings]
+    if grid_dir:
+        grid_rows = []
+        for cfg, setting_runs in zip(settings, results):
+            rows = _write_setting(cfg, setting_runs, parallel)
+            grid_rows += [{**{k: _text(getattr(cfg, k)) for k in keys}, **row} for row in rows]
+        if len(settings) > 1:
+            _write_rows(grid_rows, os.path.join(grid_dir, "grid.csv"))
     return results
+
+
+def _write_setting(cfg: ExperimentConfig, runs: list, parallel: bool) -> list[dict]:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for run in runs:
+        if run.records:
+            emit_csv(run.records, os.path.join(cfg.out_dir, f"metrics_s{run.seed}.csv"))
+    rows = emit_summary_table(runs, os.path.join(cfg.out_dir, "summary.csv"))
+    with open(os.path.join(cfg.out_dir, "run_metadata.txt"), "w") as fh:
+        fh.write(config_text(cfg))
+        fh.write(
+            "# work unit: one fine-level minibatch gradient evaluation;"
+            " coarser levels scaled by parameter-count ratio\n"
+        )
+        fh.write(_parallelism_text(cfg, parallel))
+    return rows
+
+
+def run_experiment(cfg: ExperimentConfig, ds: RegressionDataset | None = None) -> list[RunResult]:
+    """Run every seed of a config: ``run_grid`` of the one setting."""
+    return run_grid([cfg], ds)[0]
+
+
+def median_best_val_l2(runs: list) -> float:
+    """Median over runs of the fine network's best val L2; a failed run counts as +inf."""
+    return float(np.median(
+        [math.inf if run.failed or 0 not in run.best else run.best[0]["val_l2"] for run in runs]
+    ))
 
 
 def emit_csv(records: list, path) -> None:
@@ -497,11 +590,15 @@ def emit_summary_table(runs: list, path) -> list[dict]:
         for level, losses in sorted(best.items()):
             rows.append({"level": run.label(level), "seed": run.seed, "status": status,
                          **{f"best_{name}": losses[name] for name in LOSS_FIELDS}})
+    _write_rows(rows, path)
+    return rows
+
+
+def _write_rows(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    return rows
 
 
 def _layer_desc(layer) -> str:

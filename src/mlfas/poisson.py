@@ -608,8 +608,11 @@ def generate_dataset(
     indices (``draw_param_columns``); a seed outside [0, 2^63) raises
     ValueError before any solve.  The samples are then built and solved in
     chunks on every CPU the process may use (``_solve_in_chunks``); the
-    result is the same, byte for byte, for any CPU count.
+    result is the same, byte for byte, for any CPU count.  A grid size n
+    below 1 raises ValueError before any work.
     """
+    if n < 1:
+        raise ValueError(f"grid size n must be >= 1, got {n}")
     n_val = _split_sizes(count, val_fraction)
     params = np.empty((len(_PARAM_RANGES), count))
     for lo in range(0, count, _DRAW_BLOCK):

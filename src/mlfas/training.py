@@ -74,13 +74,15 @@ class StabilityConfig:
     The learning rate is divided by ``eta`` per level for the first
     ``ETA_DEPTH`` levels and then held; ``alpha_p`` and ``alpha_m`` damp the
     parameter and momentum coarse-grid corrections; ``gamma`` scales the tau
-    tilt of the coarse objective.
+    tilt of the coarse objective: 1 makes it first-order consistent with the
+    fine one at any number of minibatches per epoch, and a smaller value
+    blends toward the coarse network's own loss.
     """
 
     eta: float = math.sqrt(2.0)
     alpha_p: float = 1.0
     alpha_m: float = 0.2
-    gamma: float = 0.125
+    gamma: float = 1.0
 
     def __post_init__(self):
         if self.eta < 1.0:
@@ -190,14 +192,16 @@ def compute_tau(
     coarse: Network,
     t: TransferLevel,
     tau_batches: list[Minibatch],
-    n_total_minibatches: int,
 ) -> TauCorrection:
     """Stochastic tau correction between a network and its coarse version.
 
-    Gradients are accumulated over the given batches on both levels; the
-    coarse accumulation minus the restricted fine accumulation is scaled by
-    N/m, with N the number of minibatches per epoch and m the group size.
-    The caller must have installed the restricted iterate in ``coarse``.
+    Gradients are accumulated over the given m batches on both levels; the
+    coarse accumulation minus the restricted fine accumulation is divided
+    by m.  Tilted by the whole of it (``gamma = 1``), the coarse gradients
+    of the m batches at the restricted iterate then average to the
+    restricted mean fine gradient: first-order consistency, whatever the
+    number of minibatches per epoch.  The caller must have installed the
+    restricted iterate in ``coarse``.
     """
     if not tau_batches:
         raise ValueError("tau correction needs at least one minibatch")
@@ -210,7 +214,7 @@ def compute_tau(
         vec.data += backward(coarse, batch, out=coarse.grad).data
     # the coarse gradient buffer is free again once the batch loop is done
     vec.data -= restrict_gradient(t, fine_acc, out=coarse.grad).data
-    vec.data *= n_total_minibatches / len(tau_batches)
+    vec.data /= len(tau_batches)
     if not np.isfinite(vec.data).all():
         raise DivergenceError("non-finite tau correction")
     return TauCorrection(vec=vec)
@@ -353,9 +357,7 @@ def v_cycle(
 
         group = scheduler.next_tau_group(h.tau_batches)
         try:
-            coarse.tau = compute_tau(
-                state.net, coarse.net, t, group, scheduler.batches_per_epoch
-            )
+            coarse.tau = compute_tau(state.net, coarse.net, t, group)
         except DivergenceError as e:
             raise DivergenceError(
                 f"{e} during restriction to level {level + 1} (cycle {h.cycles_run})",

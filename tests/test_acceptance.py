@@ -211,7 +211,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     t_id = identity_level(net)
     coarse = restrict_network(net, t_id)
     batches = [Minibatch(rng.normal(size=(4, 8)), rng.normal(size=(4, 6))) for _ in range(3)]
-    tau = compute_tau(net, coarse, t_id, batches, n_total_minibatches=6)
+    tau = compute_tau(net, coarse, t_id, batches)
     err_c = float(np.abs(tau.vec.data).max())
     ok_c = err_c <= 1e-12
 

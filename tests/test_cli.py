@@ -123,6 +123,15 @@ def test_generate_seed_out_of_range_is_structured_failure(tmp_path, capsys, seed
     assert not out.exists()
 
 
+# 0 once ended in a ZeroDivisionError traceback, -2 in numpy's own message
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_generate_grid_below_one_is_structured_failure(tmp_path, capsys, grid):
+    out = tmp_path / "data.mlfasdat"
+    assert main(["generate", "--count", "4", "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: grid size n must be >= 1, got {grid}\n"
+    assert not out.exists()
+
+
 def test_bad_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
     _, ds_path = workspace
     bad = tmp_path / "bad.mlfasnet"
@@ -146,10 +155,39 @@ def test_train_seed_override(workspace, capsys):
         f"dataset = {ds_path}\narch = dense:6\nbatch_size = 5\n"
         "max_work_units = 10\neval_every = 5\n"
     )
-    assert main(["train", "--config", str(cfg), "--seeds", "7", "--depth", "1"]) == 0
+    assert main(["train", "--config", str(cfg), "--set", "seeds=7", "--set", "depth=1"]) == 0
     out = capsys.readouterr().out
     assert "seed 7: ok" in out
     assert "level 1:" in out
+    assert "  setting 0: " in out  # the median table of one setting
+
+
+def test_train_grid_prints_each_settings_median(workspace, tmp_path, capsys):
+    _, ds_path = workspace
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {ds_path}\narch = dense:6\nbatch_size = 5\n"
+                   f"max_work_units = 10\neval_every = 5\nout_dir = {tmp_path / 'grid'}\n")
+    assert main(["train", "--config", str(cfg), "--set", "depth=1", "--set", "depth=2",
+                 "--set", "seeds=0,1"]) == 0
+    out = capsys.readouterr().out
+    assert "setting depth = 1:" in out and "setting depth = 2:" in out
+    medians = [line for line in out.splitlines() if line.startswith("  setting ")]
+    assert [line.split(":")[0] for line in medians] == ["  setting 0 (depth = 1)",
+                                                         "  setting 1 (depth = 2)"]
+    assert sorted(os.listdir(tmp_path / "grid")) == ["grid.csv", "setting0", "setting1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--set", "seeds=0", "--set", "seeds=1"], "error: seeds may be set only once\n"),
+    (["--set", "no_such_knob=1"], "error: unknown config key 'no_such_knob'\n"),
+    (["--set", "depth"], "error: expected key=value, got 'depth'\n"),
+])
+def test_bad_set_is_structured_failure(workspace, capsys, args, message):
+    root, ds_path = workspace
+    cfg = root / "exp3.cfg"
+    cfg.write_text(f"dataset = {ds_path}\n")
+    assert main(["train", "--config", str(cfg), *args]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_generate_and_train_run_without_scipy(tmp_path):

@@ -26,9 +26,13 @@ from mlfas.harness import (
     emit_summary_table,
     inspect_hierarchy,
     load_metrics_csv,
+    median_best_val_l2,
     parse_config,
+    parse_grid,
     run_experiment,
+    run_grid,
     run_seed,
+    varied_keys,
 )
 from mlfas.nets import (
     DenseLayer,
@@ -137,15 +141,142 @@ class TestConfig:
             parse_config(path)
 
     # each was once accepted here and failed only in ``run_seed``, a negative
-    # seed after the seeds before it had trained
+    # seed after the seeds before it had trained; the non-finite values and
+    # the repeated seed were accepted outright (an infinite budget never
+    # ends, and two runs of one seed write the same files)
     @pytest.mark.parametrize("key, value", [("gamma", 2), ("theta", 3), ("learning_rate", -1),
                                             ("rematch_period", 0), ("tau_batches", 0),
-                                            ("alpha_m", 0), ("seeds", "0,-1")])
+                                            ("alpha_m", 0), ("seeds", "0,-1"),
+                                            ("learning_rate", "nan"), ("weight_decay", "inf"),
+                                            ("eta", "nan"), ("max_work_units", "inf"),
+                                            ("eval_every", "nan"), ("seeds", "0,1,0")])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
         path = tmp_path / "exp.cfg"
         path.write_text(f"dataset = missing.bin\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^{key} must "):
             parse_config(path)
+
+
+class TestParseGrid:
+    @pytest.fixture
+    def base(self, tmp_path):
+        path = tmp_path / "base.cfg"
+        path.write_text("dataset = d.bin\ndepth = 3\nlearning_rate = 0.5\n")
+        return path
+
+    def test_no_assignment_is_the_file(self, base):
+        assert parse_grid(base) == [parse_config(base)]
+
+    def test_one_assignment_overrides(self, base):
+        [cfg] = parse_grid(base, ["depth=2", "theta = 0"])
+        assert (cfg.depth, cfg.theta, cfg.learning_rate) == (2, 0.0, 0.5)
+
+    def test_repeated_assignments_make_axes(self, base):
+        grid = parse_grid(base, ["depth=1", "learning_rate=0.1", "depth=2",
+                                 "learning_rate=0.2", "learning_rate=0.3", "seeds=4,5"])
+        # the axes in first-appearance order, the last fastest
+        assert [(c.depth, c.learning_rate) for c in grid] == [
+            (1, 0.1), (1, 0.2), (1, 0.3), (2, 0.1), (2, 0.2), (2, 0.3)]
+        assert {c.seeds for c in grid} == {(4, 5)}
+        assert varied_keys(grid) == ["depth", "learning_rate"]
+
+    def test_values_keep_their_commas(self, base):
+        grid = parse_grid(base, ["arch=dense:8,dense:4", "arch=conv:2k3s1p1,dense:4",
+                                 "seeds=0,1,2"])
+        assert [c.arch for c in grid] == ["dense:8,dense:4", "conv:2k3s1p1,dense:4"]
+        assert all(c.seeds == (0, 1, 2) for c in grid)
+
+    @pytest.mark.parametrize("key, values", [("seeds", ["0", "1"]), ("workers", ["1", "2"]),
+                                             ("out_dir", ["a", "b"])])
+    def test_shared_key_set_twice_names_the_key(self, base, key, values):
+        with pytest.raises(ConfigError, match=f"^{key} may be set only once$"):
+            parse_grid(base, [f"{key}={v}" for v in values])
+
+    def test_unknown_key_names_the_key(self, base):
+        with pytest.raises(ConfigError, match="^unknown config key 'depht'$"):
+            parse_grid(base, ["depht=2"])
+
+    def test_each_setting_is_validated(self, base):
+        with pytest.raises(ConfigError, match="^eta must be finite, got nan$"):
+            parse_grid(base, ["eta=2", "eta=nan"])
+
+
+class TestRunGrid:
+    def test_workers_give_the_in_process_files(self, tiny_dataset, tmp_path):
+        ds, path = tiny_dataset
+        settings = [tiny_config(path, learning_rate=lr, seeds=(0, 1), workers=workers,
+                                max_work_units=30.0, out_dir=str(tmp_path / f"w{workers}"))
+                    for workers in (1, 2) for lr in (0.01, 0.02)]
+        serial = run_grid(settings[:2])
+        parallel = run_grid(settings[2:])
+        strip = lambda r: dataclasses.replace(r, wall_s=0.0)
+        for a, b in zip(serial, parallel):
+            assert [[strip(r) for r in run.records] for run in a] == \
+                   [[strip(r) for r in run.records] for run in b]
+        w1, w2 = tmp_path / "w1", tmp_path / "w2"
+        assert (w1 / "grid.csv").read_bytes() == (w2 / "grid.csv").read_bytes()
+        with open(w1 / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["learning_rate"], r["seed"], r["level"]) for r in rows] == [
+            (lr, seed, level) for lr in ("0.01", "0.02") for seed in ("0", "1")
+            for level in ("2", "2aux")]
+        assert list(rows[0])[:4] == ["learning_rate", "level", "seed", "status"]
+        for i in (0, 1):
+            assert sorted(os.listdir(w1 / f"setting{i}")) == sorted(os.listdir(w2 / f"setting{i}"))
+            assert (w1 / f"setting{i}" / "summary.csv").read_bytes() == \
+                   (w2 / f"setting{i}" / "summary.csv").read_bytes()
+            for seed in (0, 1):
+                for level in (0, 1):
+                    name = f"ckpt_s{seed}_L{level}.mlfasnet"
+                    assert (w1 / f"setting{i}" / name).read_bytes() == \
+                           (w2 / f"setting{i}" / name).read_bytes()
+                a, b = (load_metrics_csv(d / f"setting{i}" / f"metrics_s{seed}.csv")
+                        for d in (w1, w2))
+                assert [strip(r) for r in a] == [strip(r) for r in b]
+            meta = (w1 / f"setting{i}" / "run_metadata.txt").read_text()
+            assert f"out_dir = {w1 / f'setting{i}'}" in meta.splitlines()
+
+    def test_one_setting_writes_only_its_own_files(self, tiny_dataset, tmp_path):
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, seeds=(0, 1), out_dir=str(tmp_path))
+        [runs] = run_grid([cfg], ds)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["summary.csv", "run_metadata.txt", "metrics_s0.csv", "metrics_s1.csv",
+             *(f"ckpt_s{s}_L{k}.mlfasnet" for s in (0, 1) for k in (0, 1))])
+        strip = lambda r: dataclasses.replace(r, wall_s=0.0)
+        again = run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "again")), ds)
+        assert [[strip(r) for r in run.records] for run in runs] == \
+               [[strip(r) for r in run.records] for run in again]
+
+    def test_diverging_setting_is_a_failed_row_and_an_infinite_median(self, tiny_dataset,
+                                                                      tmp_path):
+        ds, path = tiny_dataset
+        settings = [tiny_config(path, learning_rate=lr, seeds=(0, 1), out_dir=str(tmp_path))
+                    for lr in (0.01, 1e25)]
+        with np.errstate(all="ignore"):
+            good, bad = run_grid(settings, ds)
+        assert all(r.failed for r in bad) and not any(r.failed for r in good)
+        assert math.isfinite(median_best_val_l2(good))
+        assert median_best_val_l2(bad) == math.inf
+        with open(tmp_path / "grid.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["status"] for r in rows if r["learning_rate"] == "1e+25"} == {"failed"}
+        assert {r["status"] for r in rows if r["learning_rate"] == "0.01"} == {"ok"}
+        assert {r["seed"] for r in rows if r["learning_rate"] == "1e+25"} == {"0", "1"}
+
+    def test_a_failed_run_is_never_dropped_from_the_median(self):
+        ok = harness.RunResult(seed=0, depth=1, records=[], best={0: {"val_l2": 1.0}})
+        failed = dataclasses.replace(ok, seed=1, failed=True)
+        assert median_best_val_l2([ok, ok, failed]) == 1.0
+        assert median_best_val_l2([ok, failed, failed]) == math.inf
+
+    @pytest.mark.parametrize("key, values", [("seeds", ((0,), (1,))), ("workers", (1, 2)),
+                                             ("out_dir", ("a", "b"))])
+    def test_settings_share_seeds_workers_and_out_dir(self, tiny_dataset, key, values):
+        ds, path = tiny_dataset
+        settings = [tiny_config(path, **{key: v}) for v in values]
+        with pytest.raises(ConfigError, match=f"^{key} must be the same in every setting$"):
+            run_grid(settings, ds)
 
 
 class TestBuildNetwork:

@@ -318,6 +318,16 @@ class TestGenerate:
         assert np.intersect1d(ds.train_idx, ds.val_idx).size == 0
         assert np.union1d(ds.train_idx, ds.val_idx).size == 10
 
+    # n = 0 once died dividing by n * n in the chunk sizing, and n = -2 in numpy
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_grid_below_one_rejected_before_any_work(self, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr(poisson, "draw_param_columns", lambda *args: calls.append(args))
+        monkeypatch.setattr(poisson, "solve_poisson", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^grid size n must be >= 1, got {n}$"):
+            generate_dataset(4, n, seed=1)
+        assert calls == []
+
     def test_deterministic_under_seed(self, tmp_path):
         a = generate_dataset(6, 8, seed=9)
         b = generate_dataset(6, 8, seed=9)

@@ -105,10 +105,10 @@ class TestComputeTau:
         t = identity_level(net)
         batches = [Minibatch(rng.normal(size=(3, net.input_size)),
                              rng.normal(size=(3, net.output_size))) for _ in range(2)]
-        tau = compute_tau(net, coarse, t, batches, n_total_minibatches=10)
+        tau = compute_tau(net, coarse, t, batches)
         assert np.abs(tau.vec.data).max() <= 1e-12
 
-    def test_n_over_m_scaling(self):
+    def test_one_over_m_scaling(self):
         rng = np.random.default_rng(9)
         fine = random_dense_net(rng, n_hidden=1, widths=(5, 5), io=(4, 4))
         other = dense_network([s for s in (fine.input_size, 5, fine.output_size)],
@@ -120,8 +120,8 @@ class TestComputeTau:
         for b in batches:
             d = backward(other, b).data - backward(fine, b).data
             acc = d if acc is None else acc + d
-        tau = compute_tau(fine, other, t, batches, n_total_minibatches=10)
-        np.testing.assert_allclose(tau.vec.data, 5.0 * acc, rtol=1e-13, atol=1e-13)
+        tau = compute_tau(fine, other, t, batches)
+        np.testing.assert_allclose(tau.vec.data, acc / 2, rtol=1e-13, atol=1e-13)
 
     def test_against_explicit_restriction_matrix(self):
         rng = np.random.default_rng(11)
@@ -133,9 +133,8 @@ class TestComputeTau:
         _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
         fine_acc = sum(backward(net, b).data for b in batches)
         coarse_acc = sum(backward(coarse, b).data for b in batches)
-        n = 12
-        ref = (n / 3) * (coarse_acc - big_r @ fine_acc)
-        tau = compute_tau(net, coarse, t, batches, n_total_minibatches=n)
+        ref = (coarse_acc - big_r @ fine_acc) / 3
+        tau = compute_tau(net, coarse, t, batches)
         assert np.abs(tau.vec.data - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
     @settings(max_examples=40, deadline=None)
@@ -143,27 +142,35 @@ class TestComputeTau:
            group=st.integers(1, 4), batch_size=st.integers(1, 6),
            conv=st.booleans(), weighted=st.booleans())
     def test_first_order_consistency(self, seed, n_batches, group, batch_size, conv, weighted):
-        # gamma = 1/N: the tilted coarse gradient at Pi x, averaged over the
+        # gamma = 1: the tilted coarse gradient at Pi x, averaged over the
         # group, is the restricted average fine gradient
         defect = tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted,
-                                        gamma_n=1.0)
+                                        gamma=1.0)
+        assert defect <= 1e-12
+
+    # the tau tilt was once scaled by N, so the default gamma was
+    # consistent only at N = 8 batches per epoch
+    @pytest.mark.parametrize("n_batches", range(1, 33))
+    def test_default_gamma_is_consistent_at_any_n(self, n_batches):
+        defect = tau_consistency_defect(n_batches, n_batches, 2, 2, False, True,
+                                        gamma=StabilityConfig().gamma)
         assert defect <= 1e-12
 
     @pytest.mark.parametrize("conv", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_consistency_needs_gamma_n_one(self, conv, weighted):
-        # the same check at gamma = 1/(2N) misses by half the tau term
-        defect = tau_consistency_defect(5, 4, 2, 3, conv, weighted, gamma_n=0.5)
+        # the same check at gamma = 1/2 misses by half the tau term, at any N
+        defect = tau_consistency_defect(5, 4, 2, 3, conv, weighted, gamma=0.5)
         assert defect > 0.05
 
     def test_empty_group_rejected(self):
         rng = np.random.default_rng(13)
         net = random_dense_net(rng)
         with pytest.raises(ValueError, match="at least one"):
-            compute_tau(net, net.copy(), identity_level(net), [], 10)
+            compute_tau(net, net.copy(), identity_level(net), [])
 
 
-def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, gamma_n):
+def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, gamma):
     """Relative gap between the smoother's mean tilted coarse gradient and R g_fine.
 
     A random net is coarsened (every unit paired where possible), the coarse
@@ -171,7 +178,7 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
     draws the m = ``group`` tau batches.  With momentum 0, one smoothing
     step from Pi x on batch B_j leaves grad f_c(Pi x; B_j) - gamma * tau in
     the momentum; the mean of those over the group is compared with R
-    applied to the mean fine gradient, at gamma = ``gamma_n`` / N.
+    applied to the mean fine gradient.
     """
     rng = np.random.default_rng(seed)
     net = random_conv_net(rng) if conv else random_dense_net(rng, widths=(4, 12))
@@ -185,13 +192,13 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
                                batch_size, rng)
     assert sched.batches_per_epoch == n_batches
     batches = sched.next_tau_group(group)
-    tau = compute_tau(net, coarse, t, batches, n_batches)
+    tau = compute_tau(net, coarse, t, batches)
     cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0)
     tilted = []
     for batch in batches:
         start = coarse.copy()
         momentum = start.params.zeros_like()
-        sgd_smooth(start, momentum, cfg, [batch], tau=tau, gamma=gamma_n / n_batches)
+        sgd_smooth(start, momentum, cfg, [batch], tau=tau, gamma=gamma)
         tilted.append(momentum.data)
     _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
     ref = big_r @ np.mean([backward(net, b).data for b in batches], axis=0)
