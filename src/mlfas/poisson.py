@@ -11,12 +11,11 @@ coefficients, solved by matrix-free preconditioned conjugate gradients over
 stacks of samples.  The preconditioner scales by kappa^-1/2 on both sides
 and inverts the constant-coefficient operator exactly by fast
 diagonalization with the closed-form 1-D eigenvectors.  Sample i's field
-parameters are the first five uniforms of ``np.random.default_rng([seed, i])``;
-``draw_param_columns`` computes them for a block of samples at once, with
-numpy's seeding and bit generator written out in integer arithmetic.
-``generate_dataset`` draws every sample first, then builds and solves the
-samples chunk by chunk, on as many threads as the process has CPUs, and the
-data does not depend on the thread count or the chunk size.
+parameters are uniforms 5i .. 5i + 4 of ``Generator(PCG64(seed))``, scaled to
+the ``FieldParams`` ranges.  ``generate_dataset`` draws every sample's in one
+call, then builds and solves the samples chunk by chunk, on as many threads
+as the process has CPUs, and the data does not depend on the thread count
+or the chunk size; ``draw_params`` reads one sample's by advancing the stream.
 ``assemble_operator`` builds the same operator as a sparse matrix for
 reference; it is the one user of scipy, which it imports when called.
 """
@@ -37,34 +36,8 @@ DATASET_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIIq")  # magic, version, count, n, channels, n_val, seed
 _CHUNK_CELLS = 2**16  # grid cells per chunk task in generate_dataset
 _IO_BLOCK_BYTES = 2**20  # payload bytes per write in write_dataset
-_DRAW_BLOCK = 2**16  # sample indices per draw_param_columns call in generate_dataset
 # (low, high) of each FieldParams field, in field order
 _PARAM_RANGES = ((0.5, 4.0), (0.5, 4.0), (0.0, 0.5), (0.0, 0.5), (0.0, np.pi / 2.0))
-
-# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants;
-# NEP 19 fixes both streams
-_MASK32 = 0xFFFFFFFF
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-
-
-def _hash_steps(init: int, mult: int, count: int) -> tuple:
-    """(xor, multiplier) of ``count`` successive SeedSequence hashes.
-
-    Each hash xors with the hash constant, updates the constant by ``mult``
-    and multiplies by the updated one, so the pairs do not depend on the data.
-    """
-    steps = []
-    for _ in range(count):
-        steps.append((init, init * mult & _MASK32))
-        init = steps[-1][1]
-    return tuple(steps)
-
-
-# the 4 + 12 hashes that mix a 4-word pool, and the 8 of generate_state
-_HASHMIX_MULTS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
-_STATE_MULTS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
-
 
 class SolverError(RuntimeError):
     """Conjugate gradients failed to reach the requested residual.
@@ -459,96 +432,29 @@ def solve_poisson(
 def draw_params(seed: int, index: int) -> FieldParams:
     """Field parameters of sample ``index`` of the data generated with ``seed``.
 
-    The one-sample case of ``draw_param_columns``.
+    Row ``index`` of ``generate_dataset``'s draw, read by advancing the
+    stream past the 5 * ``index`` uniforms of the samples before it.
     """
-    column = draw_param_columns(seed, np.array([index], dtype=np.uint64))
-    return FieldParams(*column[:, 0].tolist())
+    if index < 0:
+        raise ValueError(f"sample index {index} is negative")
+    return FieldParams(*_draw_rows(seed, index, 1)[0].tolist())
 
 
-def draw_param_columns(seed: int, index: np.ndarray) -> np.ndarray:
-    """Field parameters of the samples ``index``, as a (5, len(index)) array.
+def _draw_rows(seed: int, start: int, count: int) -> np.ndarray:
+    """Field parameters of samples ``start`` .. ``start + count - 1``, one row each.
 
-    Column j holds kx, ky, ax, ay and alpha_rot of sample ``index[j]``:
-    the first five uniforms of ``np.random.default_rng([seed, index[j]])``,
-    drawn by ``Generator.uniform`` over each ``FieldParams`` range in field
-    order.  The seeding (``SeedSequence``), the bit generator (``PCG64``)
-    and the uniform's ``low + (high - low) * u`` run here as wrapping
-    integer arithmetic over the whole block, and the last step as two
-    ufuncs, so no multiply-add is fused where numpy's C code has none.
-    ``seed`` lies in [0, 2^63), the range of the dataset header's seed
-    field; ``index`` is an unsigned 64-bit array.
+    Sample i's row is uniforms 5i .. 5i + 4 of ``Generator(PCG64(seed))``,
+    each mapped to its ``FieldParams`` range as ``low + (high - low) * u``
+    by two ufuncs, so no multiply-add is fused and a row's bits do not
+    depend on the rows drawn with it.  ``seed`` lies in [0, 2^63), the
+    range of the dataset header's seed field.
     """
     if not 0 <= seed < 2**63:
         raise ValueError(f"seed {seed} is outside [0, 2**63)")
-    index = np.asarray(index, dtype=np.uint64)
-    # SeedSequence([seed, i]): the little-endian 32-bit words of seed, then
-    # those of i, hashed into a pool of four words, zero-padded; i's high
-    # word is zero below 2^32, which pads just the same
-    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(index.shape, w, dtype=np.uint32) for w in words]
-    entropy += [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
-    entropy += [np.zeros(index.shape, dtype=np.uint32)] * (4 - len(entropy))
-    mults = iter(_HASHMIX_MULTS)
-    pool = [_hashmix(e, *next(mults)) for e in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(mults)))
-    # generate_state(4, uint64): eight hashed words, paired low word first
-    state = [_hashmix(pool[k % 4], *mult) for k, mult in enumerate(_STATE_MULTS)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        state[2 * k].astype(np.uint64) | state[2 * k + 1].astype(np.uint64) << 32
-        for k in range(4)
-    )
-    # PCG64's seeding: inc = 2 * initseq + 1, state = inc + initstate, one step
-    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
-    pcg = _pcg_step(_add128(inc, (seed_hi, seed_lo)), inc)
-    out = np.empty((len(_PARAM_RANGES), index.size))
-    for row, (low, high) in zip(out, _PARAM_RANGES):
-        pcg = _pcg_step(pcg, inc)
-        hi, lo = pcg
-        # XSL-RR output: the xor of the halves rotated right by the top six bits
-        rot = hi >> 58
-        bits = hi ^ lo
-        bits = bits >> rot | bits << ((64 - rot) & 63)
-        u = (bits >> 11).astype(np.float64)
-        u *= 2.0**-53
-        np.add(low, np.multiply(high - low, u, out=row), out=row)
-    return out
-
-
-def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
-    """SeedSequence's hashmix of a uint32 array, at one step of its hash constant."""
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 arrays."""
-    value = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return value ^ value >> 16
-
-
-def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each a * b, for a uint64 array and b < 2^64, in 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    """(hi, lo) uint64 arrays of a + b mod 2^128."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
-
-
-def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (hi, lo) arrays."""
-    hi, lo = state
-    prod_hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    return _add128((prod_hi, lo * _PCG_MULT_LO), inc)
+    bits = np.random.PCG64(seed).advance(len(_PARAM_RANGES) * start)
+    u = np.random.Generator(bits).random((count, len(_PARAM_RANGES)))
+    low, high = np.array(_PARAM_RANGES).T
+    return np.add(low, np.multiply(high - low, u, out=u), out=u)
 
 
 def _solve_in_chunks(
@@ -604,20 +510,18 @@ def generate_dataset(
     """Generate ``count`` samples on an n x n grid, deterministic in seed.
 
     Input channels are [kappa, x, y].  Every sample's field parameters are
-    drawn first, on the calling thread, in blocks of ``_DRAW_BLOCK``
-    indices (``draw_param_columns``); a seed outside [0, 2^63) raises
-    ValueError before any solve.  The samples are then built and solved in
-    chunks on every CPU the process may use (``_solve_in_chunks``); the
-    result is the same, byte for byte, for any CPU count.  A grid size n
-    below 1 raises ValueError before any work.
+    drawn first, on the calling thread, in one call: sample i's are
+    uniforms 5i .. 5i + 4 of ``Generator(PCG64(seed))`` (``_draw_rows``), so
+    a larger ``count`` extends the data of a smaller one.  A seed outside
+    [0, 2^63) raises ValueError before any solve.  The samples are then
+    built and solved in chunks on every CPU the process may use
+    (``_solve_in_chunks``); the result is the same, byte for byte, for any
+    CPU count.  A grid size n below 1 raises ValueError before any work.
     """
     if n < 1:
         raise ValueError(f"grid size n must be >= 1, got {n}")
     n_val = _split_sizes(count, val_fraction)
-    params = np.empty((len(_PARAM_RANGES), count))
-    for lo in range(0, count, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, count)
-        params[:, lo:hi] = draw_param_columns(seed, np.arange(lo, hi, dtype=np.uint64))
+    params = _draw_rows(seed, 0, count).T
     f = forcing(n)
     inputs = np.empty((count, 3, n, n))
     outputs = np.empty((count, n, n))
