@@ -1,4 +1,4 @@
-"""The thread plumbing that ``poisson``, ``nets`` and ``harness`` share.
+"""The thread plumbing that ``poisson``, ``nets``, ``training`` and ``harness`` share.
 
 When to use another thread stays with the module that decides it.
 """
@@ -7,6 +7,7 @@ import contextlib
 import contextvars
 import os
 import signal
+import threading
 from concurrent import futures
 
 
@@ -24,6 +25,47 @@ def submit(pool: futures.Executor, fn, *args) -> futures.Future:
     not inherit; the caller's settings must hold where ``fn`` runs.
     """
     return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _renew_helper() -> None:
+    """Make the executor of the process's one helper thread.
+
+    ``nets.backward`` hands it large weight products and ``training.v_cycle``
+    the fine level's tau gradients, never both at once, so one thread
+    serves both.  The executor starts the thread on first use, with the CPU
+    affinity of the thread that uses it.  Unlike the harness's evaluation
+    worker, the helper is not moved off its creator's CPU, nor pinned to the
+    evaluation worker's, where it would only take turns with that worker.  A
+    forked child gets an executor of its own: it inherits the parent's but
+    not its thread, and would wait forever on the helper.
+    """
+    global _helper
+    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlfas-helper")
+
+
+_renew_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_helper)
+
+
+def beside(fn, *args, when: bool = True) -> futures.Future:
+    """The future of ``fn(*args)``, run beside the calling thread if it may.
+
+    With ``when`` true and at least two CPUs allowed to the calling thread,
+    ``fn`` runs on the helper thread, through ``submit``.  Otherwise it runs
+    here, before the call returns, and an ``Exception`` it raises is kept in
+    the future, as the helper would keep it, so the caller ends its own work
+    before it meets the error either way.  ``fn`` must not itself wait on
+    the helper, which would then queue behind itself.
+    """
+    if when and allowed_cpus() >= 2:
+        return submit(_helper, fn, *args)
+    done = futures.Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as e:
+        done.set_exception(e)
+    return done
 
 
 def run_in_order(task, items) -> None:
@@ -106,5 +148,21 @@ def leave_start_cpu() -> None:
         others = os.sched_getaffinity(0) - {cpu}
         if others:
             os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
+def lower_priority() -> None:
+    """Give the calling thread the lowest scheduling priority (nice 19).
+
+    On Linux the call acts on the calling thread alone.  Another thread of
+    the process then preempts it whenever both want the same CPU.  Like the
+    placement hint, the priority is only a hint: without the call, or if it
+    fails, the thread keeps its priority.
+    """
+    if not hasattr(os, "setpriority"):
+        return
+    try:
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
     except OSError:
         pass

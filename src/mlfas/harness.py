@@ -297,7 +297,16 @@ def dataset_splits(ds: RegressionDataset):
     return xi[:cut], yo[:cut], xi[cut:], yo[cut:]
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResult:
+def _start_evaluation_worker(yields: bool) -> None:
+    """Move the evaluation worker off training's CPU and, if it ``yields``,
+    below training's priority."""
+    _threads.leave_start_cpu()
+    if yields:
+        _threads.lower_priority()
+
+
+def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
+             evaluation_yields: bool = True) -> RunResult:
     """Train one seed to the work budget, logging metrics per eval interval.
 
     The logged losses are computed on one worker thread, overlapped with
@@ -311,6 +320,12 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
     A ``DivergenceError`` from an evaluation is reported in preference to
     any error training raised after it, and the rows evaluated before an
     error are kept.
+
+    With ``evaluation_yields`` the worker runs at the lowest priority, so
+    training threads preempt it where they share a CPU; the final
+    evaluation, which the run waits for, still gets an idle one.  Spawned
+    grid workers pass false: there the other workers' training keeps every
+    CPU busy, and a starved evaluation would stall its own run at the next.
     """
     xtr, ytr, xva, yva = dataset_splits(ds)
     if cfg.batch_size > xtr.shape[0]:
@@ -387,7 +402,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResu
 
     failed = False
     reason = ""
-    pool = ThreadPoolExecutor(max_workers=1, initializer=_threads.leave_start_cpu)
+    pool = ThreadPoolExecutor(max_workers=1, initializer=_start_evaluation_worker,
+                              initargs=(evaluation_yields,))
     try:
         try:
             evaluate(0)
@@ -438,7 +454,7 @@ _worker_datasets = {}
 def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
     if cfg.dataset not in _worker_datasets:
         _worker_datasets[cfg.dataset] = read_dataset(cfg.dataset)
-    return run_seed(cfg, seed, _worker_datasets[cfg.dataset])
+    return run_seed(cfg, seed, _worker_datasets[cfg.dataset], evaluation_yields=False)
 
 
 def _run_in_workers(pairs: list, workers: int) -> list[RunResult]:
@@ -472,14 +488,27 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
         workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
     handoff = (f"dense weight gradients past the first layer of at least "
                f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds")
+    uses = (f"the fine tau gradients beside the coarse restriction or, where a level's "
+            f"backward at the tau batch size has one, {handoff}")
     cpus = _threads.allowed_cpus()
     if cpus >= 2:
-        gradients = f"{handoff} run on a helper thread ({cpus} CPUs allowed)"
+        gradients = f"one helper thread runs {uses} ({cpus} CPUs allowed)"
     else:
-        gradients = f"all in line ({cpus} CPU allowed; from 2, {handoff} run on a helper thread)"
+        gradients = f"all in line ({cpus} CPU allowed; from 2, one helper thread runs {uses})"
+    priority = "its process's priority" if parallel else "the lowest priority (nice 19)"
     return (workers
-            + "# evaluation: one worker thread per seed, overlapped with training\n"
-            + f"# gradient products: {gradients}\n")
+            + f"# evaluation: one worker thread per seed at {priority}, overlapped with training\n"
+            + f"# gradient products: {gradients}\n"
+            + f"# numerics: {_numerics_text()}\n")
+
+
+def _numerics_text() -> str:
+    """numpy's version and the BLAS that numpy reports it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    text = f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')}"
+    # OpenBLAS names its core type in its configuration string
+    config = " ".join(blas.get("openblas configuration", "").split())
+    return f"{text} ({config})" if config else text
 
 
 def run_grid(settings: list[ExperimentConfig],

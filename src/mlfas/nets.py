@@ -33,7 +33,6 @@ coarse gradient costs less than its parameter ratio.
 
 import copy
 import math
-import os
 from concurrent import futures
 from dataclasses import dataclass, replace
 
@@ -277,30 +276,11 @@ LOSS_BLOCK_MIN_ROWS = 16
 _WHOLE = (slice(None), None)
 
 # multiply-adds from which ``backward`` hands the weight gradient of a dense
-# layer past the first to the helper thread; a smaller product gains less
-# from the overlap than the hand-off costs.  At batch 200 every such product
-# of the benchmark's dense nets is below it (at most 6.6 M) and those of the
-# conv net are above (at least 13.1 M).
+# layer past the first to the process's helper thread (``_threads.beside``);
+# a smaller product gains less from the overlap than the hand-off costs.  At
+# batch 200 every such product of the benchmark's dense nets is below it (at
+# most 6.6 M) and those of the conv net are above (at least 13.1 M).
 HANDOFF_MIN_MACS = 2**23
-
-
-def _renew_helper() -> None:
-    """Make the executor of ``backward``'s one helper thread.
-
-    The executor starts the thread on first use, with the CPU affinity of
-    the thread that uses it.  Unlike the harness's evaluation worker, the
-    helper is not moved off its creator's CPU, nor pinned to the evaluation
-    worker's, where it would only take turns with that worker.  A forked
-    child gets an executor of its own: it inherits the parent's but not its
-    thread, and would wait forever on a hand-off.
-    """
-    global _helper
-    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlfas-backward")
-
-
-_renew_helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_helper)
 
 
 def _geometry(net: Network) -> tuple:
@@ -387,10 +367,13 @@ def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
 def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) -> np.ndarray:
     """Batched forward pass from a first-layer lowering; returns (B, output_size).
 
-    When a list ``caches`` is given, each layer appends its (input,
-    pre-activation) pair, a conv layer its input's patch matrix in place of
-    the input, and the first layer the lowering's rows; without it nothing
-    outlives the layer that made it.
+    When a list ``caches`` is given, each layer appends its (input, output)
+    pair, a conv layer its input's patch matrix in place of the input, and
+    the first layer the lowering's rows; without it nothing outlives the
+    layer that made it.  A hidden layer's ReLU overwrites its
+    pre-activation, so its cached output is the activation, which is
+    positive exactly where the pre-activation is, a NaN included in
+    neither.
     """
     a = lowered.rows
     n_last = net.n_layers - 1
@@ -409,14 +392,8 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
             z += layer.bias if sample is None else layer.weights @ sample + layer.bias
         if caches is not None:
             caches.append((a, z))
-        a = np.maximum(z, 0.0) if k < n_last else z
+        a = np.maximum(z, 0.0, out=z) if k < n_last else z
     return a.reshape(a.shape[0], -1)
-
-
-def _forward_cached(net: Network, x):
-    """Batched forward pass keeping per-layer (input or patches, pre-activation) caches."""
-    caches = []
-    return _forward(net, _lowered(net, x), caches), caches
 
 
 def forward_batch(net: Network, x) -> np.ndarray:
@@ -470,14 +447,16 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
-def _hand_off(dz: np.ndarray, a: np.ndarray) -> bool:
-    """Whether ``backward`` gives the weight gradient ``dz.T @ a`` to the helper.
+def _hand_off(rows: int, layer) -> bool:
+    """Whether the weight product ``dz.T @ a`` of a dense ``layer`` past the
+    first, over ``rows`` rows, takes at least ``HANDOFF_MIN_MACS`` multiply-adds."""
+    return isinstance(layer, DenseLayer) and rows * layer.weights.size >= HANDOFF_MIN_MACS
 
-    Only a product of at least ``HANDOFF_MIN_MACS`` multiply-adds, and only
-    when a second CPU can run the helper beside the calling thread.
-    """
-    macs = dz.shape[0] * dz.shape[1] * a.shape[1]
-    return macs >= HANDOFF_MIN_MACS and _threads.allowed_cpus() >= 2
+
+def hands_off(net: Network, rows: int) -> bool:
+    """Whether ``backward`` on ``rows`` rows gives a product to the helper
+    thread, when the calling thread may use two CPUs."""
+    return any(_hand_off(rows, layer) for layer in net.layers[1:])
 
 
 def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
@@ -497,13 +476,14 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
 
     The weight and bias gradient of a dense layer k >= 1 whose weight
     product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS`` multiply-adds is
-    computed on the module's helper thread, in a copy of the caller's
-    context (``_threads.submit``), while this thread goes on with the input
-    gradient ``dz @ W`` and the layers below, when the calling thread may
-    use at least two CPUs.  Each product is the same whole product on
-    either thread, so the gradient is the same bit for bit.  The call
-    returns, or raises, only once every handed-off product has ended; an
-    error on this thread is raised in preference to one in the helper.
+    computed through ``_threads.beside``: on the process's helper thread,
+    in a copy of the caller's context, while this thread goes on with the
+    input gradient ``dz @ W`` and the layers below, when the calling thread
+    may use at least two CPUs, and in line otherwise.  Each product is the
+    same whole product on either thread, so the gradient is the same bit
+    for bit.  The call returns, or raises, only once every handed-off
+    product has ended; an error on this thread is raised in preference to
+    one in a handed-off product.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
@@ -523,8 +503,9 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
             a_k, z_k = caches[k]
             dz = g.reshape(z_k.shape)
             if k < net.n_layers - 1:
-                # dz is this call's own array; the ReLU subgradient at exactly 0
-                # is 0, and the boolean mask multiplies exactly like 1.0/0.0
+                # dz is this call's own array, and z_k the layer's activation,
+                # positive where its pre-activation was; the ReLU subgradient at
+                # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
                 np.multiply(dz, z_k > 0.0, out=dz)
             gw, gb = out.view(k, "weight"), out.view(k, "bias")
             # a folded first layer's weight gradient sums over the batch on the
@@ -541,8 +522,8 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
                 gb[...] = gbias
             else:
                 args = (dz, a_k, sample, block, gw, gb)
-                if k > 0 and _hand_off(dz, a_k):
-                    handed_off.append(_threads.submit(_helper, _dense_gradient, *args))
+                if k > 0 and _hand_off(dz.shape[0], layer):
+                    handed_off.append(_threads.beside(_dense_gradient, *args))
                 else:
                     _dense_gradient(*args)
                 if k > 0:

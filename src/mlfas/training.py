@@ -13,12 +13,24 @@ same batches cyclically.
 
 import itertools
 import math
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _threads
+
 # flatten and unflatten are not called here; perfbench/tracer.py rebinds them at this module
-from .nets import LoweredInput, Minibatch, Network, ParamVector, backward, flatten, unflatten
+from .nets import (
+    LoweredInput,
+    Minibatch,
+    Network,
+    ParamVector,
+    backward,
+    flatten,
+    hands_off,
+    unflatten,
+)
 from .transfer import (
     TransferLevel,
     coarse_grid_correction,
@@ -187,11 +199,23 @@ def sgd_smooth(
     return net, momentum
 
 
+def gradient_sum(net: Network, batches: list[Minibatch]) -> ParamVector:
+    """The sum of the network's batch gradients, in a new vector.
+
+    Batches after the first go through the network's gradient buffer.
+    """
+    acc = backward(net, batches[0])
+    for batch in batches[1:]:
+        acc.data += backward(net, batch, out=net.grad).data
+    return acc
+
+
 def compute_tau(
     fine: Network,
     coarse: Network,
     t: TransferLevel,
     tau_batches: list[Minibatch],
+    fine_sum: "futures.Future | None" = None,
 ) -> TauCorrection:
     """Stochastic tau correction between a network and its coarse version.
 
@@ -202,17 +226,16 @@ def compute_tau(
     restricted mean fine gradient: first-order consistency, whatever the
     number of minibatches per epoch.  The caller must have installed the
     restricted iterate in ``coarse``.
+
+    ``fine_sum`` is the future of ``gradient_sum(fine, tau_batches)`` when
+    the caller has started it (``v_cycle`` runs it beside the coarse work);
+    without it the fine gradients are summed here, after the coarse ones.
     """
     if not tau_batches:
         raise ValueError("tau correction needs at least one minibatch")
-    # the accumulators are new vectors; later batches go through the
-    # networks' own gradient buffers
-    fine_acc = backward(fine, tau_batches[0])
-    vec = backward(coarse, tau_batches[0])
-    for batch in tau_batches[1:]:
-        fine_acc.data += backward(fine, batch, out=fine.grad).data
-        vec.data += backward(coarse, batch, out=coarse.grad).data
-    # the coarse gradient buffer is free again once the batch loop is done
+    vec = gradient_sum(coarse, tau_batches)
+    fine_acc = gradient_sum(fine, tau_batches) if fine_sum is None else fine_sum.result()
+    # the coarse gradient buffer is free again once both sums are done
     vec.data -= restrict_gradient(t, fine_acc, out=coarse.grad).data
     vec.data /= len(tau_batches)
     if not np.isfinite(vec.data).all():
@@ -345,25 +368,38 @@ def v_cycle(
     _smooth_level(h, level, cfg, _batches, stab.gamma)
 
     if level < h.depth - 1:
-        t = refresh_weights(state.transfer, state.net)
         coarse = h.levels[level + 1]
-        restrict_params(t, state.net.params, out=coarse.net.params)
-        restrict_params(t, state.momentum, out=coarse.momentum)
-        if coarse.start is None:  # one block for both, until a rematch rebuilds the level
-            block = np.zeros((2, coarse.net.params.total_len))
-            coarse.start = tuple(ParamVector(row, coarse.net.params.segments) for row in block)
-        np.copyto(coarse.start[0].data, coarse.net.params.data)
-        np.copyto(coarse.start[1].data, coarse.momentum.data)
-
         group = scheduler.next_tau_group(h.tau_batches)
+        # the fine tau gradients read only this level's iterate, so they run
+        # on the helper thread while this one restricts and takes the coarse
+        # ones; not when either level's backward would itself hand a product
+        # to the helper, where the two would queue behind each other
+        rows = max(map(len, group))
+        fine_sum = _threads.beside(
+            gradient_sum, state.net, group,
+            when=not (hands_off(state.net, rows) or hands_off(coarse.net, rows)),
+        )
         try:
-            coarse.tau = compute_tau(state.net, coarse.net, t, group)
+            t = refresh_weights(state.transfer, state.net)
+            restrict_params(t, state.net.params, out=coarse.net.params)
+            restrict_params(t, state.momentum, out=coarse.momentum)
+            if coarse.start is None:  # one block for both, until a rematch rebuilds the level
+                block = np.zeros((2, coarse.net.params.total_len))
+                coarse.start = tuple(ParamVector(row, coarse.net.params.segments) for row in block)
+            np.copyto(coarse.start[0].data, coarse.net.params.data)
+            np.copyto(coarse.start[1].data, coarse.momentum.data)
+            coarse.tau = compute_tau(state.net, coarse.net, t, group, fine_sum)
         except DivergenceError as e:
             raise DivergenceError(
                 f"{e} during restriction to level {level + 1} (cycle {h.cycles_run})",
                 level=level + 1,
                 cycle=h.cycles_run,
             ) from e
+        finally:
+            # the fine sum uses this level's gradient buffer, which the
+            # corrections below take as scratch; an error of this thread's
+            # comes first, and the fine sum's is raised by compute_tau
+            futures.wait([fine_sum])
         h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from _builders import random_conv_net, random_dense_net
+from _builders import CURRENT_CONV, _reference_forward_cached, random_conv_net, random_dense_net
 from mlfas.coarsening import StrengthMatrix, greedy_hem
 from mlfas.harness import ExperimentConfig, emit_summary_table, run_experiment, run_seed
 from mlfas.nets import (
@@ -91,9 +91,8 @@ def test_criterion_2_gradient_correctness():
                    if conv else random_dense_net(rng, widths=(4, 24), io=(3, 8)))
             batch = Minibatch(rng.normal(size=(3, net.input_size)),
                               rng.normal(size=(3, net.output_size)))
-            from mlfas.nets import _forward_cached  # pre-activation kink check
-
-            _, caches = _forward_cached(net, batch.inputs)
+            # pre-activation kink check
+            _, caches = _reference_forward_cached(net, batch.inputs, CURRENT_CONV)
             if min(np.abs(z).min() for _, z in caches) >= 1e-6:
                 break
         g = backward(net, batch)

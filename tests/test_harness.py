@@ -437,25 +437,45 @@ class TestRunExperiment:
         meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
         assert ("# workers: 2 spawned processes; BLAS threads: 1 per worker "
                 "(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, MKL_NUM_THREADS=1)") in meta
-        assert "# evaluation: one worker thread per seed, overlapped with training" in meta
+        # a spawned worker's evaluation keeps its process's priority
+        assert ("# evaluation: one worker thread per seed at its process's priority, "
+                "overlapped with training") in meta
         # a worker hands off gradient products as this process does
         gradients = [line for line in meta if line.startswith("# gradient products: ")]
         serial_meta = (serial_dir / "run_metadata.txt").read_text().splitlines()
         assert len(gradients) == 1 and gradients[0] in serial_meta
 
+    HELPER_USES = ("one helper thread runs the fine tau gradients beside the coarse "
+                   "restriction or, where a level's backward at the tau batch size has one, "
+                   "dense weight gradients past the first layer of at least 2^23 multiply-adds")
+
     @pytest.mark.parametrize("cpus, line", [
-        (1, "# gradient products: all in line (1 CPU allowed; from 2, dense weight gradients "
-            "past the first layer of at least 2^23 multiply-adds run on a helper thread)"),
-        (2, "# gradient products: dense weight gradients past the first layer of at least "
-            "2^23 multiply-adds run on a helper thread (2 CPUs allowed)"),
+        (1, f"# gradient products: all in line (1 CPU allowed; from 2, {HELPER_USES})"),
+        (2, f"# gradient products: {HELPER_USES} (2 CPUs allowed)"),
     ])
     def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
                                                    cpus, line):
         ds, path = tiny_dataset
-        monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         run_experiment(tiny_config(path, max_work_units=10.0, out_dir=str(tmp_path)), ds)
-        assert line in (tmp_path / "run_metadata.txt").read_text().splitlines()
+        meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
+        assert line in meta
+        assert ("# evaluation: one worker thread per seed at the lowest priority (nice 19), "
+                "overlapped with training") in meta
+
+    def test_metadata_states_the_numerics(self, tiny_dataset, tmp_path):
+        ds, path = tiny_dataset
+        run_experiment(tiny_config(path, max_work_units=10.0, out_dir=str(tmp_path)), ds)
+        meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
+        lines = [line for line in meta if line.startswith("# numerics: ")]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"# numerics: numpy {np.__version__}; BLAS {blas['name']} {blas['version']}")
+        config = blas.get("openblas configuration")
+        if config:  # the core type OpenBLAS names, among its build options
+            assert lines[0].endswith(f" ({' '.join(config.split())})")
 
     def test_batch_size_guard(self, tiny_dataset):
         ds, path = tiny_dataset
@@ -561,6 +581,8 @@ class TestOverlappedEvaluation:
 
     @pytest.fixture(autouse=True)
     def no_thread_left_behind(self):
+        # the process's helper thread, once started, lives with the process
+        _threads.beside(int).result()
         before = threading.active_count()
         yield
         assert threading.active_count() == before
@@ -677,6 +699,41 @@ class TestOverlappedEvaluation:
         assert run.failed
         assert run.reason == "non-finite loss at level 0 (cycle 0)"
         assert run.records == []
+
+    @pytest.mark.parametrize("yields", [True, False])
+    def test_worker_yields_to_training(self, tiny_dataset, monkeypatch, yields):
+        if not (hasattr(os, "setpriority") and os.path.exists("/proc/thread-self/stat")):
+            pytest.skip("no per-thread priority on this platform")
+
+        def nice():
+            # field 19 of a task's stat line is its nice value
+            with open("/proc/thread-self/stat") as fh:
+                return int(fh.read().rsplit(")", 1)[1].split()[16])
+
+        caller = nice()
+        if caller >= 19:
+            pytest.skip("the tests already run at the lowest priority")
+        seen = []
+        self.spy_loss(monkeypatch, lambda n, v: seen.append(nice()) or v)
+        ds, path = tiny_dataset
+        run_seed(tiny_config(path), 0, ds, evaluation_yields=yields)
+        assert seen and set(seen) == ({19} if yields else {caller})
+        assert nice() == caller
+
+    def test_refused_priority_leaves_the_records(self, tiny_dataset, monkeypatch):
+        ds, path = tiny_dataset
+        clean = run_seed(tiny_config(path), 0, ds)
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            raise PermissionError("operation not permitted")
+
+        monkeypatch.setattr(_threads.os, "setpriority", refused, raising=False)
+        run = run_seed(tiny_config(path), 0, ds)
+        assert len(calls) == 1
+        assert not run.failed
+        assert strip_wall(run.records) == strip_wall(clean.records)
 
     def test_worker_leaves_the_starting_cpu(self):
         if not hasattr(os, "sched_setaffinity"):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from _builders import (
     reference_backward,
     reference_forward,
 )
-from mlfas import nets
+from mlfas import _threads, nets
 from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import (
     DenseLayer,
+    LossValue,
     Minibatch,
     Network,
     NetworkShapeError,
@@ -601,8 +603,8 @@ class TestLoweringGeometry:
 
 
 def use_cpus(monkeypatch, count):
-    """Let ``backward`` see ``count`` usable CPUs."""
-    monkeypatch.setattr(nets.os, "sched_getaffinity", lambda pid: set(range(count)),
+    """Let the thread plumbing see ``count`` usable CPUs."""
+    monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
 
@@ -626,7 +628,7 @@ HANDOFF_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6
 
 
 class TestHandOff:
-    """Hidden dense weight gradients computed on ``backward``'s helper thread."""
+    """Hidden dense weight gradients computed on the process's helper thread."""
 
     @pytest.mark.parametrize("arch, shape", HANDOFF_NETS)
     def test_bitwise_equal_to_in_line(self, monkeypatch, arch, shape):
@@ -661,7 +663,7 @@ class TestHandOff:
 
     def test_one_cpu_starts_no_helper(self, monkeypatch):
         helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="handoff-test")
-        monkeypatch.setattr(nets, "_helper", helper)
+        monkeypatch.setattr(_threads, "_helper", helper)
         monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
         started = lambda: any(t.name.startswith("handoff-test") for t in threading.enumerate())
         net = build_network(*HANDOFF_NETS[0], 4, rng=np.random.default_rng(6))
@@ -753,3 +755,55 @@ class TestHandOff:
                 child.join()
         assert child.exitcode == 0
         assert got == ref.data.tobytes()
+
+
+class _CopyReluNumpy:
+    """numpy, with ``maximum(z, 0.0, out=z)``, the hidden layers' ReLU, seen.
+
+    Each ReLU first writes ``special`` into the first entry of its
+    pre-activation.  With ``copy`` it then ignores ``out=`` and returns a
+    new array, so ``_forward`` caches the pre-activation and ``backward``
+    masks with it: the copy-based ReLU that the in-place one replaced.
+    """
+
+    def __init__(self, special, copy):
+        self.special, self.copy = special, copy
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, x, y, out=None):
+        if out is None:
+            return np.maximum(x, y)
+        x.flat[0] = self.special
+        return np.maximum(x, y) if self.copy else np.maximum(x, y, out=out)
+
+
+class TestInPlaceRelu:
+    """The in-place ReLU gives the copy-based one's results bit for bit."""
+
+    @pytest.mark.parametrize("arch, shape", HANDOFF_NETS)
+    @pytest.mark.parametrize("special", [-0.0, np.nan, 0.5])
+    def test_matches_the_copy_based_relu(self, monkeypatch, arch, shape, special):
+        rng = np.random.default_rng(12)
+        net = build_network(arch, shape, 4, rng=rng)
+        batch = random_batch(rng, net, size=9)
+        # a shared second half of the input: the first layer folds it
+        batch.inputs[:, net.input_size // 2:] = batch.inputs[0, net.input_size // 2:]
+        lowered = Minibatch(lower_input(net, batch.inputs), batch.targets)
+        assert lowered.inputs.sample is not None
+
+        def results():
+            out = [forward_batch(net, batch.inputs), loss(net, batch), loss(net, lowered),
+                   backward(net, batch).data, backward(net, lowered, out=net.grad).data]
+            return [np.asarray(astuple(v) if isinstance(v, LossValue) else v).tobytes()
+                    for v in out]
+
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(nets, "np", _CopyReluNumpy(special, copy=True))
+            ref = results()
+            monkeypatch.setattr(nets, "np", _CopyReluNumpy(special, copy=False))
+            got = results()
+        assert got == ref
+        finite = np.isfinite(np.frombuffer(ref[3], dtype=np.float64)).all()
+        assert finite == (not np.isnan(special))

@@ -1,6 +1,10 @@
 """Smoother, tau correction, scheduler, and V-cycle behavior."""
 
 import itertools
+import multiprocessing
+import threading
+import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import explicit_transfer_matrices, random_conv_net, random_dense_net
+from mlfas import _threads, training
+from mlfas.harness import ExperimentConfig, build_network, run_seed
 from mlfas.nets import (
     DenseLayer,
     Minibatch,
@@ -18,6 +24,7 @@ from mlfas.nets import (
     dense_network,
     flatten,
     forward_batch,
+    hands_off,
     unflatten,
 )
 from mlfas.training import (
@@ -32,6 +39,7 @@ from mlfas.training import (
     sgd_smooth,
     v_cycle,
 )
+from mlfas.poisson import generate_dataset
 from mlfas.transfer import coarsen_network, restrict_network
 from test_transfer import identity_level
 
@@ -501,3 +509,163 @@ class TestGuardsAndRematch:
 
         src = inspect.getsource(training.v_cycle)
         assert src.count("coarse_grid_correction") == 2
+
+
+class TestTauOverlap:
+    """The fine tau gradients run on the helper thread beside the coarse work."""
+
+    @staticmethod
+    def record_chains(monkeypatch, cpus):
+        """Allow ``cpus`` CPUs; returns the (network, thread) of every gradient sum."""
+        chains = []
+        summed = training.gradient_sum
+
+        def recording(net, batches):
+            chains.append((net, threading.current_thread()))
+            return summed(net, batches)
+
+        monkeypatch.setattr(training, "gradient_sum", recording)
+        monkeypatch.setattr(_threads, "allowed_cpus", lambda: cpus)
+        return chains
+
+    @staticmethod
+    def run_cycles(cycles=4):
+        """Depth-3 dense cycles with a rematch before the third; every cycle's
+        parameters, momentum and tau vectors of every level, as bytes."""
+        net, inputs, targets = make_training_setup(81, widths=(10, 64, 48, 8))
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
+        h = Hierarchy.build(net, depth=3, rematch_period=2)
+        sched = fresh_scheduler(inputs, targets, 4, seed=81)
+        states = []
+        for _ in range(cycles):
+            v_cycle(h, 0, cfg, StabilityConfig(), sched)
+            states.append([(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
+                            None if lvl.tau is None else lvl.tau.vec.data.tobytes())
+                           for lvl in h.levels])
+        return states
+
+    def test_depth_three_cycles_equal_the_in_line_ones(self, monkeypatch):
+        chains = self.record_chains(monkeypatch, 1)
+        ref = self.run_cycles()
+        assert all(t is threading.current_thread() for _, t in chains)
+        chains.clear()
+        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
+        assert self.run_cycles() == ref
+        # per cycle and coarse visit, the fine sum on the helper and the coarse one here
+        assert len(chains) == 16
+        assert sum(t is not threading.current_thread() for _, t in chains) == 8
+
+    def test_depth_three_metric_streams_equal_the_in_line_ones(self, monkeypatch, tmp_path):
+        ds = generate_dataset(30, 6, seed=11, val_fraction=0.2)
+        cfg = ExperimentConfig(dataset="", arch="dense:12,dense:10", depth=3,
+                               learning_rate=0.01, batch_size=6, steps_per_smooth=2,
+                               rematch_period=2, max_work_units=60.0, eval_every=10.0)
+        chains = self.record_chains(monkeypatch, 1)
+        runs = [run_seed(cfg, 0, ds)]
+        assert all(t is threading.current_thread() for _, t in chains)
+        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
+        runs.append(run_seed(cfg, 0, ds))
+        assert any(t is not threading.current_thread() for _, t in chains)
+        one, two = ([astuple(r)[:-1] for r in run.records] for run in runs)
+        assert not runs[0].failed and len(one) > 10
+        assert one == two
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fails", ["helper", "caller"])
+    def test_errors_are_raised_after_both_chains_ended(self, monkeypatch, cpus, fails):
+        self.record_chains(monkeypatch, cpus)
+        summed = training.gradient_sum  # the recording one
+        caller = threading.current_thread()
+        events = []
+
+        def chain(net, batches):
+            if threading.current_thread() is caller and fine is not net:
+                time.sleep(0.2 if fails == "helper" else 0.0)
+                events.append("coarse ended")
+            else:
+                time.sleep(0.2 if fails == "caller" else 0.0)
+                events.append("fine ended")
+                raise ValueError("fine chain failed")
+            return summed(net, batches)
+
+        def refresh_fails(*args):
+            events.append("caller failed")
+            raise RuntimeError("caller chain failed")
+
+        net, inputs, targets = make_training_setup(83)
+        h = Hierarchy.build(net, depth=2)
+        fine = h.levels[0].net
+        monkeypatch.setattr(training, "gradient_sum", chain)
+        if fails == "caller":
+            monkeypatch.setattr(training, "refresh_weights", refresh_fails)
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
+        with pytest.raises(RuntimeError if fails == "caller" else ValueError, match="failed"):
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 83))
+        # the fine chain ran first in line, or beside the caller's chain
+        second = "caller failed" if fails == "caller" else "coarse ended"
+        if cpus == 1 or fails == "helper":
+            assert events == ["fine ended", second]
+        else:
+            assert events == [second, "fine ended"]
+
+    def test_caller_errstate_reaches_the_helper(self, monkeypatch):
+        chains = self.record_chains(monkeypatch, 2)
+        summed = training.gradient_sum
+        seen = []
+
+        def chain(net, batches):
+            seen.append((threading.current_thread(), np.geterr()["over"]))
+            return summed(net, batches)
+
+        monkeypatch.setattr(training, "gradient_sum", chain)
+        net, inputs, targets = make_training_setup(85)
+        h = Hierarchy.build(net, depth=2)
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
+        with np.errstate(all="raise"):
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 85))
+        assert {over for _, over in seen} == {"raise"}
+        assert any(t is not threading.current_thread() for _, t in chains)
+
+    def test_conv_net_at_batch_200_keeps_the_chain_in_line(self, monkeypatch):
+        # its backward hands dense products to the helper, which would then
+        # queue behind the fine chain; the README dense net hands none off
+        rng = np.random.default_rng(87)
+        net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 64, rng=rng)
+        assert hands_off(net, 200)
+        assert not hands_off(build_network("dense:128,dense:128", 768, 256), 200)
+        chains = self.record_chains(monkeypatch, 2)
+        h = Hierarchy.build(net, depth=2)
+        sched = fresh_scheduler(rng.normal(size=(400, net.input_size)),
+                                rng.normal(size=(400, 64)), 200, 87)
+        cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
+        v_cycle(h, 0, cfg, StabilityConfig(), sched)
+        assert len(chains) == 2
+        assert all(t is threading.current_thread() for _, t in chains)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_overlaps_on_a_helper_of_its_own(self, monkeypatch):
+        chains = self.record_chains(monkeypatch, 2)
+        ref = self.run_cycles(cycles=2)  # the parent's helper thread is running
+        assert any(t is not threading.current_thread() for _, t in chains)
+
+        def child_run():
+            chains.clear()
+            states = self.run_cycles(cycles=2)
+            results.put((states, sum(t is not threading.current_thread() for _, t in chains)))
+
+        fork = multiprocessing.get_context("fork")
+        results = fork.Queue()
+        child = fork.Process(target=child_run)
+        child.start()
+        try:
+            states, helper_sums = results.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert states == ref
+        assert helper_sums == 4
