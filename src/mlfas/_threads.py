@@ -30,9 +30,9 @@ def submit(pool: futures.Executor, fn, *args) -> futures.Future:
 def _renew_helper() -> None:
     """Make the executor of the process's one helper thread.
 
-    ``nets.backward`` hands it large weight products and ``training.v_cycle``
-    the fine level's tau gradients, never both at once, so one thread
-    serves both.  The executor starts the thread on first use, with the CPU
+    ``nets.backward`` hands it large weight products, with the smoother's
+    SGD step behind each, and ``training.v_cycle`` the fine level's tau
+    gradients, never both at once, so one thread serves both.  The executor starts the thread on first use, with the CPU
     affinity of the thread that uses it.  Unlike the harness's evaluation
     worker, the helper is not moved off its creator's CPU, nor pinned to the
     evaluation worker's, where it would only take turns with that worker.  A

@@ -487,7 +487,8 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
         blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
         workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
     handoff = (f"dense weight gradients past the first layer of at least "
-               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds")
+               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds, each followed "
+               f"by its layer's SGD step")
     uses = (f"the fine tau gradients beside the coarse restriction or, where a level's "
             f"backward at the tau batch size has one, {handoff}")
     cpus = _threads.allowed_cpus()

@@ -467,12 +467,22 @@ def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
     np.matmul(dz.T, a, out=gw[:, block])
 
 
-def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -> "ParamVector":
+def backward(
+    net: Network, batch: Minibatch, out: "ParamVector | None" = None, step=None
+) -> "ParamVector":
     """Gradient of the batch-mean squared loss, as a flat parameter vector.
 
     The gradient is written into ``out`` when given (the smoother passes the
     network's scratch buffer ``net.grad``) and otherwise into a new vector
     that the caller owns and no later call changes.
+
+    ``step``, when given, is called as ``step(k)`` once for every layer k,
+    from the last layer to the first, as soon as layer k's weight and bias
+    gradient in ``out`` are final and the pass no longer reads the layer's
+    parameters, that is after its input gradient ``dz @ W``.  It may then
+    change layer k's parameters and its segments of ``out``, and nothing
+    else.  The smoother applies its SGD step this way, while the layer's
+    gradient is still in cache.
 
     The weight and bias gradient of a dense layer k >= 1 whose weight
     product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS`` multiply-adds is
@@ -481,9 +491,11 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
     input gradient ``dz @ W`` and the layers below, when the calling thread
     may use at least two CPUs, and in line otherwise.  Each product is the
     same whole product on either thread, so the gradient is the same bit
-    for bit.  The call returns, or raises, only once every handed-off
-    product has ended; an error on this thread is raised in preference to
-    one in a handed-off product.
+    for bit.  Such a layer's ``step`` goes through ``_threads.beside`` too,
+    right after ``dz @ W``, so on the helper it runs behind the layer's
+    product; every other layer's ``step`` runs in line.  The call returns,
+    or raises, only once every task on the helper has ended; an error on
+    this thread is raised in preference to one on the helper.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
@@ -511,6 +523,7 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
             # a folded first layer's weight gradient sums over the batch on the
             # varying block; the rest is the batch-summed upstream times the sample
             block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+            handed = k > 0 and _hand_off(dz.shape[0], layer)
             if isinstance(layer, ConvLayer):
                 # a_k is the patch matrix; the first layer's input gradient is never used
                 in_hw = net.interfaces[k][2:] if k > 0 else None
@@ -522,14 +535,21 @@ def backward(net: Network, batch: Minibatch, out: "ParamVector | None" = None) -
                 gb[...] = gbias
             else:
                 args = (dz, a_k, sample, block, gw, gb)
-                if k > 0 and _hand_off(dz.shape[0], layer):
+                if handed:
                     handed_off.append(_threads.beside(_dense_gradient, *args))
                 else:
                     _dense_gradient(*args)
                 if k > 0:
                     g = dz @ layer.weights
+            if step is None:
+                continue
+            # nothing below reads layer k's parameters or gradient again
+            if handed:
+                handed_off.append(_threads.beside(step, k))
+            else:
+                step(k)
     finally:
-        # the handed-off products write into ``out`` and read this call's
+        # the handed-off tasks write into ``out`` and read this call's
         # arrays, so none of them may outlive the call
         futures.wait(handed_off)
     for task in handed_off:

@@ -181,21 +181,36 @@ def sgd_smooth(
     momentum = momentum_coeff * momentum + grad and x = x - lr * momentum.
     The network's parameter buffer and the momentum are updated in place;
     the network's gradient buffer is scratch.
+
+    The update is ``backward``'s ``step``: it runs on one layer's weight and
+    bias segments at a time, as soon as ``backward`` has finished with the
+    layer, so the layer's gradient is still in cache.  A layer whose weight
+    product ``backward`` hands to the helper thread is updated there, behind
+    that product.  Each entry goes through the same operations as a
+    whole-vector update would take it, so the result is the same bit for bit.
     """
     batch_iter = iter(batches)
     x, grad, m = net.params.data, net.grad.data, momentum.data
     tilt = gamma * tau.vec.data if tau is not None and gamma != 0.0 else None
+    spans = [[] for _ in net.layers]
+    for seg in net.params.segments:
+        spans[seg.layer].append(slice(seg.offset, seg.offset + seg.size))
+
+    def update(k):
+        for span in spans[k]:
+            xs, gs, ms = x[span], grad[span], m[span]
+            if cfg.weight_decay:
+                gs += cfg.weight_decay * xs
+            if tilt is not None:
+                gs -= tilt[span]
+            ms *= cfg.momentum_coeff
+            ms += gs
+            # the gradient is spent; its buffer takes lr * momentum
+            np.multiply(ms, cfg.learning_rate, out=gs)
+            xs -= gs
+
     for _ in range(cfg.steps_per_smooth):
-        backward(net, next(batch_iter), out=net.grad)
-        if cfg.weight_decay:
-            grad += cfg.weight_decay * x
-        if tilt is not None:
-            grad -= tilt
-        m *= cfg.momentum_coeff
-        m += grad
-        # the gradient is spent; its buffer takes lr * momentum
-        np.multiply(m, cfg.learning_rate, out=grad)
-        x -= grad
+        backward(net, next(batch_iter), out=net.grad, step=update)
     return net, momentum
 
 

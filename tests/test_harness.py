@@ -447,7 +447,8 @@ class TestRunExperiment:
 
     HELPER_USES = ("one helper thread runs the fine tau gradients beside the coarse "
                    "restriction or, where a level's backward at the tau batch size has one, "
-                   "dense weight gradients past the first layer of at least 2^23 multiply-adds")
+                   "dense weight gradients past the first layer of at least 2^23 multiply-adds, "
+                   "each followed by its layer's SGD step")
 
     @pytest.mark.parametrize("cpus, line", [
         (1, f"# gradient products: all in line (1 CPU allowed; from 2, {HELPER_USES})"),

@@ -680,6 +680,14 @@ class TestHandOff:
 
     @pytest.mark.parametrize("fails", ["helper", "caller"])
     def test_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
+        self.run_failing_backward(monkeypatch, fails, with_step=False)
+
+    @pytest.mark.parametrize("fails", ["helper", "helper step", "caller"])
+    def test_step_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
+        self.run_failing_backward(monkeypatch, fails, with_step=True)
+
+    @staticmethod
+    def run_failing_backward(monkeypatch, fails, with_step):
         net = build_network(*HANDOFF_NETS[1], 4, rng=np.random.default_rng(8))
         batch = random_batch(np.random.default_rng(9), net, size=5)
         hand_off_everything(monkeypatch)
@@ -695,16 +703,56 @@ class TestHandOff:
                     raise ValueError("handed-off product failed")
             reference(*args)
 
+        def step(k):
+            if threading.current_thread() is not caller:
+                time.sleep(0.1)
+                ended.append(k)
+                if fails == "helper step":
+                    raise ValueError("handed-off step failed")
+            elif k == 0:
+                ended.append("chain ended")
+
         def conv_fails(*args):
             raise RuntimeError("conv layer failed")
 
         monkeypatch.setattr(nets, "_dense_gradient", slow)
         if fails == "caller":
             monkeypatch.setattr(nets, "conv_backward_batch", conv_fails)
-        with pytest.raises(ValueError if fails == "helper" else RuntimeError, match="failed"):
-            backward(net, batch)
-        # the three dense layers were handed off, and all three had ended
-        assert ended == [(5, 4), (5, 6), (5, 8)]
+        with pytest.raises(ValueError if fails != "caller" else RuntimeError, match="failed"):
+            backward(net, batch, step=step if with_step else None)
+        # the three dense layers were handed off, each step behind its
+        # layer's product, and all of them had ended; the caller's chain
+        # ended long before them unless it failed first
+        if with_step:
+            chain = [] if fails == "caller" else ["chain ended"]
+            assert ended == chain + [(5, 4), 3, (5, 6), 2, (5, 8), 1]
+        else:
+            assert ended == [(5, 4), (5, 6), (5, 8)]
+
+    def test_step_error_on_the_helper_is_raised_after_the_chain(self, monkeypatch):
+        # layer 1's step overflows under the caller's errstate on the helper;
+        # layer 0's, the last of the chain, runs here and does not
+        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
+                       DenseLayer(np.ones((1, 3)), np.zeros(1))])
+        batch = Minibatch(np.ones((4, 2)), np.zeros((4, 1)))
+        out, momentum = net.params.zeros_like(), net.params.zeros_like()
+        momentum.view(1, "weight")[...] = 1e308
+        threads = hand_off_everything(monkeypatch)
+        caller = threading.current_thread()
+        stepped = []
+
+        def step(k):
+            stepped.append((k, threading.current_thread() is caller))
+            g = out.view(k, "weight")
+            m = momentum.view(k, "weight")
+            m += g
+            np.multiply(m, 10.0, out=g)
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward(net, batch, out=out, step=step)
+        # layer 0's step, the end of the chain, ran before the error was raised
+        assert sorted(stepped) == [(0, True), (1, False)]
+        assert sorted(t is caller for t in threads) == [False, True]
 
     def test_concurrent_callers_share_the_helper(self, monkeypatch):
         nets_and_batches = []

@@ -11,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _builders import explicit_transfer_matrices, random_conv_net, random_dense_net
-from mlfas import _threads, training
+from _builders import (
+    explicit_transfer_matrices,
+    random_conv_net,
+    random_dense_net,
+    reference_sgd_smooth,
+)
+from mlfas import _threads, nets, training
 from mlfas.harness import ExperimentConfig, build_network, run_seed
 from mlfas.nets import (
     DenseLayer,
@@ -103,6 +108,113 @@ class TestSgdSmooth:
         # grad = (-12, -6) - 0.5 * (4, 2) = (-14, -7)
         assert net.layers[0].weights[0, 0] == pytest.approx(1.0 + 0.1 * 14.0, abs=0)
         assert net.layers[0].bias[0] == pytest.approx(0.1 * 7.0, abs=0)
+
+
+BESIDE = _threads.beside  # the unpatched one
+
+
+class LoggedWeights(np.ndarray):
+    """A dense layer's weights whose input-gradient product ``dz @ W`` first
+    waits for every task queued on the helper thread, then logs itself.
+
+    A step queued on the helper before that product has then moved the
+    weights it reads.  Only the layer's own array has a ``log``; the views
+    that the forward pass multiplies by pass straight through.
+    """
+
+    log = None
+
+    def __rmatmul__(self, other):
+        w = self.view(np.ndarray)
+        if self.log is not None:
+            BESIDE(int).result()
+            self.log.append(("input gradient", w.shape))
+        return other @ w
+
+
+def log_input_gradients(net, log):
+    for layer in net.layers[1:]:
+        if isinstance(layer, DenseLayer):
+            layer.weights = layer.weights.view(LoggedWeights)
+            layer.weights.log = log
+
+
+# (arch, input shape, output size, every hidden dense product handed off):
+# at batch 200 the README dense net hands nothing off and the benchmark
+# conv net both its dense layers
+LAYER_STEP_NETS = [
+    ("dense:128,dense:128", 768, 256, False),
+    ("dense:128,dense:128", 768, 256, True),
+    ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, False),
+]
+
+
+class TestLayerStep:
+    """``sgd_smooth`` updates each layer inside ``backward``, as soon as it is done."""
+
+    @staticmethod
+    def setup(arch, shape, n_out, seed=91):
+        rng = np.random.default_rng(seed)
+        net = build_network(arch, shape, n_out, rng=rng)
+        batches = [Minibatch(rng.normal(size=(200, net.input_size)),
+                             rng.normal(size=(200, n_out))) for _ in range(3)]
+        momentum = net.params.zeros_like()
+        momentum.data[...] = rng.normal(scale=0.1, size=momentum.total_len)
+        tau = TauCorrection(net.params.zeros_like())
+        tau.vec.data[...] = rng.normal(size=tau.vec.total_len)
+        return net, batches, momentum, tau
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("arch, shape, n_out, everything", LAYER_STEP_NETS)
+    def test_equals_the_whole_vector_update(self, monkeypatch, arch, shape, n_out, everything,
+                                            gamma, cpus):
+        net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
+                             steps_per_smooth=3)
+        ref_net, ref_momentum = net.copy(), momentum.copy()
+        reference_sgd_smooth(ref_net, ref_momentum, cfg, batches, tau=tau, gamma=gamma)
+        monkeypatch.setattr(_threads, "allowed_cpus", lambda: cpus)
+        if everything:
+            monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        log_input_gradients(net, [])
+        sgd_smooth(net, momentum, cfg, batches, tau=tau, gamma=gamma)
+        assert net.params.data.tobytes() == ref_net.params.data.tobytes()
+        assert momentum.data.tobytes() == ref_momentum.data.tobytes()
+
+    @staticmethod
+    def record_helper_use(monkeypatch, net):
+        """Allow 2 CPUs; returns the log of what ``backward`` gives to
+        ``_threads.beside`` and of its input-gradient products."""
+        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
+        log = []
+
+        def recording(fn, *args, **kwargs):
+            # a product's arguments end with its weight and bias gradient views
+            log.append(("product", args[-2].shape) if fn is nets._dense_gradient
+                       else ("step", args[0]))
+            return BESIDE(fn, *args, **kwargs)
+
+        monkeypatch.setattr(_threads, "beside", recording)
+        log_input_gradients(net, log)
+        return log
+
+    def test_dense_net_at_batch_200_gives_the_helper_nothing(self, monkeypatch):
+        net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[0][:3])
+        log = self.record_helper_use(monkeypatch, net)
+        cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=3)
+        sgd_smooth(net, momentum, cfg, batches, tau=tau, gamma=1.0)
+        assert [entry for entry in log if entry[0] != "input gradient"] == []
+
+    def test_conv_net_steps_follow_their_products(self, monkeypatch):
+        net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[2][:3])
+        log = self.record_helper_use(monkeypatch, net)
+        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches, tau=tau, gamma=1.0)
+        # each dense layer's product, then its input gradient here, then its step
+        assert log == [
+            ("product", (1024, 64)), ("input gradient", (1024, 64)), ("step", 2),
+            ("product", (64, 2048)), ("input gradient", (64, 2048)), ("step", 1),
+        ]
 
 
 class TestComputeTau:
