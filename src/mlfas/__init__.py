@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .coarsening import (
     LayerTransfer,
     Matching,
-    StrengthMatrix,
     build_transfer,
     greedy_hem,
     strength_from_rows,

@@ -32,12 +32,13 @@ def _renew_helper() -> None:
 
     ``nets.backward`` hands it large weight products, with the smoother's
     SGD step behind each, and ``training.v_cycle`` the fine level's tau
-    gradients, never both at once, so one thread serves both.  The executor starts the thread on first use, with the CPU
-    affinity of the thread that uses it.  Unlike the harness's evaluation
-    worker, the helper is not moved off its creator's CPU, nor pinned to the
-    evaluation worker's, where it would only take turns with that worker.  A
-    forked child gets an executor of its own: it inherits the parent's but
-    not its thread, and would wait forever on the helper.
+    gradients, never both at once, so one thread serves both.  The
+    executor starts the thread on first use, with the CPU affinity of the
+    thread that uses it.  Unlike the harness's evaluation worker, the helper
+    is not moved off its creator's CPU, nor pinned to the evaluation
+    worker's, where it would only take turns with that worker.  A forked
+    child gets an executor of its own: it inherits the parent's but not its
+    thread, and would wait forever on the helper.
     """
     global _helper
     _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlfas-helper")
@@ -48,17 +49,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_helper)
 
 
-def beside(fn, *args, when: bool = True) -> futures.Future:
+def beside(fn, *args) -> futures.Future:
     """The future of ``fn(*args)``, run beside the calling thread if it may.
 
-    With ``when`` true and at least two CPUs allowed to the calling thread,
-    ``fn`` runs on the helper thread, through ``submit``.  Otherwise it runs
-    here, before the call returns, and an ``Exception`` it raises is kept in
-    the future, as the helper would keep it, so the caller ends its own work
-    before it meets the error either way.  ``fn`` must not itself wait on
+    With at least two CPUs allowed to the calling thread, ``fn`` runs on
+    the helper thread, through ``submit``.  Otherwise it runs here, before
+    the call returns, and an ``Exception`` it raises is kept in the future,
+    as the helper would keep it, so the caller ends its own work before it
+    meets the error either way.  ``fn`` must not itself wait on
     the helper, which would then queue behind itself.
     """
-    if when and allowed_cpus() >= 2:
+    if allowed_cpus() >= 2:
         return submit(_helper, fn, *args)
     done = futures.Future()
     try:

@@ -18,17 +18,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class StrengthMatrix:
-    """Symmetric similarity scores between units; the diagonal is ignored."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class Matching:
     """Pairwise matching of units into aggregates.
 
@@ -145,8 +134,9 @@ def _along(w: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return w.reshape(w.shape + (1,) * (ndim - 1 - axis))
 
 
-def strength_from_rows(rows) -> StrengthMatrix:
-    """Cosine similarity between the rows of a weight matrix.
+def strength_from_rows(rows) -> np.ndarray:
+    """Cosine similarity between the rows of a weight matrix, as a
+    symmetric (n, n) array.
 
     Rows with zero norm get similarity 0 to every other unit.  The sign is
     kept: anti-parallel rows score -1 and are never matched for any
@@ -163,12 +153,12 @@ def strength_from_rows(rows) -> StrengthMatrix:
     g[dead, :] = 0.0
     g[:, dead] = 0.0
     # gemm output is not exactly symmetric; the matching assumes S_ij = S_ji
-    g = 0.5 * (g + g.T)
-    return StrengthMatrix(g)
+    return 0.5 * (g + g.T)
 
 
-def greedy_hem(s: StrengthMatrix, theta: float) -> Matching:
-    """Greedy heavy-edge matching.
+def greedy_hem(s: np.ndarray, theta: float) -> Matching:
+    """Greedy heavy-edge matching on a symmetric (n, n) strength array ``s``,
+    whose diagonal is ignored.
 
     Units are visited in index order.  An unmatched unit i is paired with
     the unmatched j != i of maximal S_ij, provided S_ij > theta; edges at or
@@ -177,8 +167,7 @@ def greedy_hem(s: StrengthMatrix, theta: float) -> Matching:
     """
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
-    n = s.n
-    values = s.values
+    n = s.shape[0]
     partner = np.full(n, -1, dtype=np.int64)
     aggregate = np.full(n, -1, dtype=np.int64)
     n_agg = 0
@@ -189,7 +178,7 @@ def greedy_hem(s: StrengthMatrix, theta: float) -> Matching:
         candidates = candidates[candidates != i]
         match = -1
         if candidates.size:
-            weights = values[i, candidates]
+            weights = s[i, candidates]
             k = int(np.argmax(weights))  # argmax returns the first (smallest) index on ties
             if weights[k] > theta:
                 match = int(candidates[k])

@@ -4,10 +4,10 @@ A network is an ordered list of dense and/or convolutional layers with ReLU
 after every hidden layer and a linear output layer, the regression head.
 Convolutional layers, when present, must precede the dense layers; the
 interface flattens channel-major.  Each network keeps all learnable
-parameters in one flat float64 buffer whose segment order is all weight
-blocks (by layer) followed by all bias blocks (by layer); the layers'
-arrays are views into it, and gradients and momentum vectors reuse the same
-layout.
+parameters in one flat float64 buffer that holds the layers in order, each
+layer's weight block followed by its bias block, so one layer's parameters
+are one contiguous slice; the layers' arrays are views into it, and
+gradients, momentum and tau tilt vectors reuse the same layout.
 
 The first layer always reads a ``LoweredInput``: ``lower_input`` finds the
 contiguous block of input features (or conv channels) that varies across
@@ -158,7 +158,8 @@ class Network:
     ``input_shape`` is an int for flat inputs or (channels, height, width)
     when the first layer is convolutional.
 
-    The network owns two flat buffers in unroll order, allocated once:
+    The network owns two flat buffers in unroll order (by layer, each
+    weight or kernel block followed by its bias), allocated once:
     ``params`` holds the parameters and ``grad`` is the scratch gradient
     that ``backward(net, batch, out=net.grad)`` fills.  The constructor
     copies the given layers' values into ``params`` and keeps layer objects
@@ -480,7 +481,7 @@ def backward(
     from the last layer to the first, as soon as layer k's weight and bias
     gradient in ``out`` are final and the pass no longer reads the layer's
     parameters, that is after its input gradient ``dz @ W``.  It may then
-    change layer k's parameters and its segments of ``out``, and nothing
+    change layer k's parameters and its slice of ``out``, and nothing
     else.  The smoother applies its SGD step this way, while the layer's
     gradient is still in cache.
 
@@ -574,8 +575,8 @@ class Segment:
 class ParamVector:
     """Flat float64 view of all learnable parameters (or momentum).
 
-    Segment order is the unroll order: every layer's weight block first,
-    then every layer's bias block.
+    Segment order is the unroll order: layer by layer, each weight block
+    followed by its bias block, so ``layer(k)`` is one slice.
     """
 
     __slots__ = ("data", "segments", "_index")
@@ -598,6 +599,11 @@ class ParamVector:
         seg = self._index[(layer, kind)]
         return self.data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
 
+    def layer(self, k: int) -> np.ndarray:
+        """Layer k's weight and bias entries, as one flat view."""
+        w, b = self._index[(k, "weight")], self._index[(k, "bias")]
+        return self.data[w.offset : b.offset + b.size]
+
     def copy(self) -> "ParamVector":
         return ParamVector(self.data.copy(), self.segments)
 
@@ -611,18 +617,14 @@ class ParamVector:
 
 
 def param_layout(net: Network) -> tuple[Segment, ...]:
-    """Segment layout for a network: weight blocks by layer, then biases."""
+    """Segment layout for a network: by layer, each weight block then its bias."""
     segments = []
     offset = 0
     for k, layer in enumerate(net.layers):
-        shape = layer.kernels.shape if isinstance(layer, ConvLayer) else layer.weights.shape
-        seg = Segment(layer=k, kind="weight", offset=offset, shape=shape)
-        segments.append(seg)
-        offset += seg.size
-    for k, layer in enumerate(net.layers):
-        seg = Segment(layer=k, kind="bias", offset=offset, shape=layer.bias.shape)
-        segments.append(seg)
-        offset += seg.size
+        weights = layer.kernels if isinstance(layer, ConvLayer) else layer.weights
+        for kind, shape in (("weight", weights.shape), ("bias", layer.bias.shape)):
+            segments.append(Segment(layer=k, kind=kind, offset=offset, shape=shape))
+            offset += segments[-1].size
     return tuple(segments)
 
 
@@ -638,7 +640,8 @@ def _adopt(layer, params: ParamVector, k: int):
 
 
 def flatten(net: Network) -> ParamVector:
-    """Copy of all parameters as one flat vector in unroll order.
+    """Copy of all parameters as one flat vector in unroll order, layer
+    by layer with each weight block followed by its bias block.
 
     The copy is a snapshot: later training does not change it.
     """

@@ -107,13 +107,6 @@ class StabilityConfig:
             raise ValueError("gamma must lie in [0, 1]")
 
 
-@dataclass
-class TauCorrection:
-    """Coarse-shaped tilt vector for the auxiliary objective."""
-
-    vec: ParamVector
-
-
 class MinibatchScheduler:
     """Shuffled cyclic minibatch stream over a fixed sample set.
 
@@ -171,43 +164,37 @@ def sgd_smooth(
     momentum: ParamVector,
     cfg: SmootherConfig,
     batches,
-    tau: TauCorrection | None = None,
-    gamma: float = 0.0,
+    tilt: ParamVector | None = None,
 ):
     """Run ``steps_per_smooth`` SGD-with-momentum steps on the network.
 
-    Per step: grad = batch gradient + weight_decay * x - gamma * tau (the
-    tau tilt is linear, so its gradient contribution is constant), then
+    Per step: grad = batch gradient + weight_decay * x - tilt, then
     momentum = momentum_coeff * momentum + grad and x = x - lr * momentum.
-    The network's parameter buffer and the momentum are updated in place;
-    the network's gradient buffer is scratch.
+    ``tilt`` is the coarse objective's linear term, ``gamma`` times the tau
+    correction, whose gradient contribution is constant; None leaves the
+    objective untilted.  The network's parameter buffer and the momentum
+    are updated in place; the network's gradient buffer is scratch.
 
-    The update is ``backward``'s ``step``: it runs on one layer's weight and
-    bias segments at a time, as soon as ``backward`` has finished with the
+    The update is ``backward``'s ``step``: it runs on one layer's slice of
+    the vectors at a time, as soon as ``backward`` has finished with the
     layer, so the layer's gradient is still in cache.  A layer whose weight
     product ``backward`` hands to the helper thread is updated there, behind
     that product.  Each entry goes through the same operations as a
     whole-vector update would take it, so the result is the same bit for bit.
     """
     batch_iter = iter(batches)
-    x, grad, m = net.params.data, net.grad.data, momentum.data
-    tilt = gamma * tau.vec.data if tau is not None and gamma != 0.0 else None
-    spans = [[] for _ in net.layers]
-    for seg in net.params.segments:
-        spans[seg.layer].append(slice(seg.offset, seg.offset + seg.size))
 
     def update(k):
-        for span in spans[k]:
-            xs, gs, ms = x[span], grad[span], m[span]
-            if cfg.weight_decay:
-                gs += cfg.weight_decay * xs
-            if tilt is not None:
-                gs -= tilt[span]
-            ms *= cfg.momentum_coeff
-            ms += gs
-            # the gradient is spent; its buffer takes lr * momentum
-            np.multiply(ms, cfg.learning_rate, out=gs)
-            xs -= gs
+        xs, gs, ms = net.params.layer(k), net.grad.layer(k), momentum.layer(k)
+        if cfg.weight_decay:
+            gs += cfg.weight_decay * xs
+        if tilt is not None:
+            gs -= tilt.layer(k)
+        ms *= cfg.momentum_coeff
+        ms += gs
+        # the gradient is spent; its buffer takes lr * momentum
+        np.multiply(ms, cfg.learning_rate, out=gs)
+        xs -= gs
 
     for _ in range(cfg.steps_per_smooth):
         backward(net, next(batch_iter), out=net.grad, step=update)
@@ -231,7 +218,7 @@ def compute_tau(
     t: TransferLevel,
     tau_batches: list[Minibatch],
     fine_sum: "futures.Future | None" = None,
-) -> TauCorrection:
+) -> ParamVector:
     """Stochastic tau correction between a network and its coarse version.
 
     Gradients are accumulated over the given m batches on both levels; the
@@ -240,7 +227,8 @@ def compute_tau(
     of the m batches at the restricted iterate then average to the
     restricted mean fine gradient: first-order consistency, whatever the
     number of minibatches per epoch.  The caller must have installed the
-    restricted iterate in ``coarse``.
+    restricted iterate in ``coarse``.  The result is a new coarse-shaped
+    vector; ``v_cycle`` scales it by ``gamma`` into the coarse level's tilt.
 
     ``fine_sum`` is the future of ``gradient_sum(fine, tau_batches)`` when
     the caller has started it (``v_cycle`` runs it beside the coarse work);
@@ -255,21 +243,23 @@ def compute_tau(
     vec.data /= len(tau_batches)
     if not np.isfinite(vec.data).all():
         raise DivergenceError("non-finite tau correction")
-    return TauCorrection(vec=vec)
+    return vec
 
 
 @dataclass
 class LevelState:
     """Mutable per-level training state.
 
-    On a coarse level, ``start`` keeps the restricted iterate and momentum
-    that began the current visit, for the coarse-grid corrections.
+    On a coarse level, ``tilt`` is the current visit's ``gamma`` times its
+    tau correction, or None at ``gamma = 0``, and ``start`` keeps the
+    restricted iterate and momentum that began the visit, for the
+    coarse-grid corrections.
     """
 
     net: Network
     momentum: ParamVector
     transfer: TransferLevel | None = None  # to the next-coarser level
-    tau: TauCorrection | None = None
+    tilt: ParamVector | None = None
     start: tuple[ParamVector, ParamVector] | None = None
 
 
@@ -348,11 +338,11 @@ def _check_finite(h: Hierarchy, level: int, stage: str) -> None:
             )
 
 
-def _smooth_level(h: Hierarchy, level: int, cfg: SmootherConfig, batches, gamma: float) -> None:
+def _smooth_level(h: Hierarchy, level: int, cfg: SmootherConfig, batches) -> None:
     if cfg.steps_per_smooth == 0:
         return
     state = h.levels[level]
-    sgd_smooth(state.net, state.momentum, cfg, batches, tau=state.tau, gamma=gamma)
+    sgd_smooth(state.net, state.momentum, cfg, batches, tilt=state.tilt)
     h.work += cfg.steps_per_smooth * h.param_ratio(level)
     _check_finite(h, level, "smoothing")
 
@@ -380,7 +370,7 @@ def v_cycle(
         _batches = iter(scheduler)
     cfg = _effective_cfg(cfgs, level, stab)
 
-    _smooth_level(h, level, cfg, _batches, stab.gamma)
+    _smooth_level(h, level, cfg, _batches)
 
     if level < h.depth - 1:
         coarse = h.levels[level + 1]
@@ -388,12 +378,12 @@ def v_cycle(
         # the fine tau gradients read only this level's iterate, so they run
         # on the helper thread while this one restricts and takes the coarse
         # ones; not when either level's backward would itself hand a product
-        # to the helper, where the two would queue behind each other
+        # to the helper, where the two would queue behind each other, and
+        # compute_tau then sums them after the coarse ones
         rows = max(map(len, group))
-        fine_sum = _threads.beside(
-            gradient_sum, state.net, group,
-            when=not (hands_off(state.net, rows) or hands_off(coarse.net, rows)),
-        )
+        fine_sum = None
+        if not (hands_off(state.net, rows) or hands_off(coarse.net, rows)):
+            fine_sum = _threads.beside(gradient_sum, state.net, group)
         try:
             t = refresh_weights(state.transfer, state.net)
             restrict_params(t, state.net.params, out=coarse.net.params)
@@ -403,7 +393,9 @@ def v_cycle(
                 coarse.start = tuple(ParamVector(row, coarse.net.params.segments) for row in block)
             np.copyto(coarse.start[0].data, coarse.net.params.data)
             np.copyto(coarse.start[1].data, coarse.momentum.data)
-            coarse.tau = compute_tau(state.net, coarse.net, t, group, fine_sum)
+            tau = compute_tau(state.net, coarse.net, t, group, fine_sum)
+            tau.data *= stab.gamma
+            coarse.tilt = tau if stab.gamma != 0.0 else None
         except DivergenceError as e:
             raise DivergenceError(
                 f"{e} during restriction to level {level + 1} (cycle {h.cycles_run})",
@@ -414,7 +406,8 @@ def v_cycle(
             # the fine sum uses this level's gradient buffer, which the
             # corrections below take as scratch; an error of this thread's
             # comes first, and the fine sum's is raised by compute_tau
-            futures.wait([fine_sum])
+            if fine_sum is not None:
+                futures.wait([fine_sum])
         h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
@@ -432,7 +425,7 @@ def v_cycle(
         )
         _check_finite(h, level, "coarse-grid correction")
 
-        _smooth_level(h, level, cfg, _batches, stab.gamma)
+        _smooth_level(h, level, cfg, _batches)
 
     if level == 0:
         h.cycles_run += 1

@@ -6,10 +6,12 @@ from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_
 from mlfas.nets import DenseLayer, Network, dense_network, uniform_init
 
 
-def assert_rel(got, ref, tol=1e-12):
-    """Entrywise agreement to ``tol`` relative to the reference's largest entry."""
+def assert_rel(got, ref, tol=1e-12, scale=None):
+    """Entrywise agreement to ``tol`` relative to the largest entry of
+    ``scale``, by default the reference itself."""
     assert got.shape == ref.shape
-    assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(ref).max(initial=0.0)
+    scale = ref if scale is None else scale
+    assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(scale).max(initial=0.0)
 
 
 def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12)):
@@ -161,6 +163,26 @@ def reference_forward(net, x, conv=CURRENT_CONV):
     return _reference_forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), conv)[0]
 
 
+def term_magnitudes(net, batch):
+    """The size of the terms that ``reference_forward`` and
+    ``reference_backward`` sum on ``batch``: their (predictions, gradient)
+    with every parameter, input and target replaced by its absolute value
+    and the targets' sign flipped.
+
+    Then no sum cancels and every ReLU passes, so each entry bounds the sum
+    of the absolute terms behind the same entry of the real result.  Two
+    orders of summing those terms differ by a rounding error relative to
+    this, however small the result they cancel to.
+    """
+    from mlfas.nets import Minibatch
+
+    absolute = net.copy()
+    np.abs(absolute.params.data, out=absolute.params.data)
+    x = np.abs(np.atleast_2d(batch.inputs))
+    return (reference_forward(absolute, x),
+            reference_backward(absolute, Minibatch(x, -np.abs(batch.targets))))
+
+
 def reference_backward(net, batch, conv=CURRENT_CONV):
     """Batch-mean squared-loss gradient, one fresh array per block.
 
@@ -266,8 +288,12 @@ def reference_conv_backward_batch(layer, x, upstream):
 REFERENCE_CONV = (reference_conv_forward_batch, reference_conv_backward_batch)
 
 
-def reference_sgd_smooth(net, momentum, cfg, batches, tau=None, gamma=0.0):
-    """SGD with momentum through flatten/unflatten copies, one per step."""
+def reference_sgd_smooth(net, momentum, cfg, batches, tilt=None):
+    """SGD with momentum through flatten/unflatten copies, one per step.
+
+    ``tilt`` is the pre-scaled tau tilt (``gamma`` times the correction),
+    subtracted from every step's whole gradient vector.
+    """
     from mlfas.nets import flatten, unflatten
 
     batch_iter = iter(batches)
@@ -277,8 +303,8 @@ def reference_sgd_smooth(net, momentum, cfg, batches, tau=None, gamma=0.0):
         grad = reference_backward(net, batch).data
         if cfg.weight_decay:
             grad += cfg.weight_decay * x.data
-        if tau is not None and gamma != 0.0:
-            grad -= gamma * tau.vec.data
+        if tilt is not None:
+            grad -= tilt.data
         momentum.data *= cfg.momentum_coeff
         momentum.data += grad
         x.data -= cfg.learning_rate * momentum.data

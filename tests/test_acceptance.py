@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from _builders import CURRENT_CONV, _reference_forward_cached, random_conv_net, random_dense_net
-from mlfas.coarsening import StrengthMatrix, greedy_hem
+from mlfas.coarsening import greedy_hem
 from mlfas.harness import ExperimentConfig, emit_summary_table, run_experiment, run_seed
 from mlfas.nets import (
     Minibatch,
@@ -148,19 +148,19 @@ def test_criterion_4_hem_hand_traces():
     s1[0, 1] = s1[1, 0] = 0.9
     s1[0, 2] = s1[2, 0] = 0.3
     s1[1, 2] = s1[2, 1] = 0.2
-    m1 = greedy_hem(StrengthMatrix(s1), theta=0.1)
+    m1 = greedy_hem(s1, theta=0.1)
     t1 = (m1.partner.tolist() == [1, 0, 2] and m1.num_aggregates == 2
           and m1.aggregate[0] == m1.aggregate[1] != m1.aggregate[2])
 
     s2 = np.full((4, 4), 0.3)
     np.fill_diagonal(s2, 1.0)
-    m2 = greedy_hem(StrengthMatrix(s2), theta=0.3)
+    m2 = greedy_hem(s2, theta=0.3)
     t2 = m2.partner.tolist() == [0, 1, 2, 3] and m2.num_aggregates == 4
 
     s3 = np.zeros((4, 4))
     s3[0, 1] = s3[1, 0] = 0.8
     s3[2, 3] = s3[3, 2] = 0.8
-    m3 = greedy_hem(StrengthMatrix(s3), theta=0.5)
+    m3 = greedy_hem(s3, theta=0.5)
     t3 = m3.num_aggregates == 2 and m3.partner.tolist() == [1, 0, 3, 2]
 
     report(4, "greedy matching reproduces the three hand traces",
@@ -211,7 +211,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     coarse = restrict_network(net, t_id)
     batches = [Minibatch(rng.normal(size=(4, 8)), rng.normal(size=(4, 6))) for _ in range(3)]
     tau = compute_tau(net, coarse, t_id, batches)
-    err_c = float(np.abs(tau.vec.data).max())
+    err_c = float(np.abs(tau.data).max())
     ok_c = err_c <= 1e-12
 
     report(5, "degenerate-cycle equivalences", ok_a and ok_b and ok_c,

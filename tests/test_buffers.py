@@ -20,13 +20,7 @@ from mlfas.checkpoints import load_network, save_network
 from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import DenseLayer, Network, ParamLayoutError, ParamVector, backward, forward
-from mlfas.training import (
-    Hierarchy,
-    SmootherConfig,
-    TauCorrection,
-    compute_tau,
-    sgd_smooth,
-)
+from mlfas.training import Hierarchy, SmootherConfig, compute_tau, sgd_smooth
 from mlfas.transfer import (
     coarse_grid_correction,
     coarsen_network,
@@ -53,10 +47,10 @@ class TestMatchesReference:
         conv=st.booleans(),
         batch_size=st.sampled_from([1, 2, 7]),
         weight_decay=st.sampled_from([0.0, 1e-3]),
-        tilt=st.booleans(),
+        tilted=st.booleans(),
     )
     def test_gradients_and_trajectory_bitwise(
-        self, seed, conv, batch_size, weight_decay, tilt
+        self, seed, conv, batch_size, weight_decay, tilted
     ):
         rng = np.random.default_rng(seed)
         if conv:
@@ -74,14 +68,13 @@ class TestMatchesReference:
         m0 = rng.normal(size=net.param_count())
         momentum = ParamVector(m0.copy(), layout)
         ref_momentum = ParamVector(m0.copy(), layout)
-        tau = TauCorrection(ParamVector(rng.normal(size=net.param_count()), layout))
-        gamma = 0.125 if tilt else 0.0
+        tau = rng.normal(size=net.param_count())
+        tilt = ParamVector(0.125 * tau, layout) if tilted else None
         start = net.params.data.copy()
         cfg = SmootherConfig(learning_rate=0.01, momentum_coeff=0.9,
                              weight_decay=weight_decay, steps_per_smooth=12)
-        sgd_smooth(net, momentum, cfg, itertools.cycle(batches), tau=tau, gamma=gamma)
-        reference_sgd_smooth(ref_net, ref_momentum, cfg, itertools.cycle(batches),
-                             tau=tau, gamma=gamma)
+        sgd_smooth(net, momentum, cfg, itertools.cycle(batches), tilt=tilt)
+        reference_sgd_smooth(ref_net, ref_momentum, cfg, itertools.cycle(batches), tilt=tilt)
         assert np.isfinite(net.params.data).all()
         assert not np.array_equal(net.params.data, start)
         assert np.array_equal(net.params.data, ref_net.params.data)
@@ -167,11 +160,11 @@ class TestOwnership:
         fine_sum = ParamVector(gf[0] + gf[1] + gf[2], fine.params.segments)
         expected = (gc[0] + gc[1] + gc[2] - restrict_gradient(t, fine_sum).data) / 3
         tau = compute_tau(fine, coarse, t, batches)
-        assert np.array_equal(tau.vec.data, expected)
-        assert not np.shares_memory(tau.vec.data, coarse.grad.data)
+        assert np.array_equal(tau.data, expected)
+        assert not np.shares_memory(tau.data, coarse.grad.data)
         backward(coarse, batches[0], out=coarse.grad)
         backward(fine, batches[0], out=fine.grad)
-        assert np.array_equal(tau.vec.data, expected)
+        assert np.array_equal(tau.data, expected)
 
     def test_network_from_another_networks_layers_copies_them(self):
         rng = np.random.default_rng(17)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _builders import interface_matrices
 from mlfas.coarsening import (
     Matching,
-    StrengthMatrix,
     build_transfer,
     greedy_hem,
     identity_matching,
@@ -21,7 +20,7 @@ def symmetric_strength(rng, n):
     m = rng.uniform(-1.0, 1.0, size=(n, n))
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 1.0)
-    return StrengthMatrix(m)
+    return m
 
 
 def applied_matrices(t):
@@ -37,11 +36,11 @@ def applied_matrices(t):
 class TestStrength:
     def test_parallel_rows(self):
         s = strength_from_rows([[2.0, 0.0], [4.0, 0.0]])
-        assert s.values[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert s[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_rows(self):
         s = strength_from_rows([[1.0, 0.0], [0.0, 3.0]])
-        assert s.values[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert s[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_direct_formula(self):
         rng = np.random.default_rng(5)
@@ -50,18 +49,18 @@ class TestStrength:
         for i in range(6):
             for j in range(6):
                 ref = rows[i] @ rows[j] / (np.linalg.norm(rows[i]) * np.linalg.norm(rows[j]))
-                assert abs(s.values[i, j] - ref) < 1e-14
+                assert abs(s[i, j] - ref) < 1e-14
 
     def test_zero_norm_rows(self):
         s = strength_from_rows([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-        assert np.all(s.values[0, 1:] == 0.0)
-        assert np.all(s.values[:, 2][:2] == 0.0)
+        assert np.all(s[0, 1:] == 0.0)
+        assert np.all(s[:, 2][:2] == 0.0)
 
     def test_symmetry_and_bound(self):
         rng = np.random.default_rng(9)
         s = strength_from_rows(rng.normal(size=(12, 7)))
-        assert np.array_equal(s.values, s.values.T)
-        assert np.abs(s.values).max() <= 1.0 + 1e-12
+        assert np.array_equal(s, s.T)
+        assert np.abs(s).max() <= 1.0 + 1e-12
 
 
 class TestGreedyHem:
@@ -70,7 +69,7 @@ class TestGreedyHem:
         s[0, 1] = s[1, 0] = 0.9
         s[0, 2] = s[2, 0] = 0.3
         s[1, 2] = s[2, 1] = 0.2
-        m = greedy_hem(StrengthMatrix(s), theta=0.1)
+        m = greedy_hem(s, theta=0.1)
         assert m.partner.tolist() == [1, 0, 2]
         assert m.num_aggregates == 2
         assert m.aggregate[0] == m.aggregate[1] != m.aggregate[2]
@@ -78,7 +77,7 @@ class TestGreedyHem:
     def test_all_below_threshold_gives_singletons(self):
         s = np.full((5, 5), 0.4)
         np.fill_diagonal(s, 1.0)
-        m = greedy_hem(StrengthMatrix(s), theta=0.4)  # strict inequality required
+        m = greedy_hem(s, theta=0.4)  # strict inequality required
         assert m.partner.tolist() == list(range(5))
         assert m.num_aggregates == 5
 
@@ -86,7 +85,7 @@ class TestGreedyHem:
         s = np.zeros((4, 4))
         s[0, 1] = s[1, 0] = 0.8
         s[2, 3] = s[3, 2] = 0.8
-        m = greedy_hem(StrengthMatrix(s), theta=0.5)
+        m = greedy_hem(s, theta=0.5)
         assert m.num_aggregates == 2
         assert m.partner.tolist() == [1, 0, 3, 2]
 
@@ -95,19 +94,19 @@ class TestGreedyHem:
         s = np.zeros((3, 3))
         s[0, 1] = s[1, 0] = 0.6
         s[1, 2] = s[2, 1] = 0.9
-        first = greedy_hem(StrengthMatrix(s), theta=0.0)
+        first = greedy_hem(s, theta=0.0)
         assert first.partner.tolist() == [1, 0, 2]
 
     def test_tie_break_smallest_index(self):
         s = np.zeros((3, 3))
         s[0, 1] = s[1, 0] = 0.7
         s[0, 2] = s[2, 0] = 0.7
-        m = greedy_hem(StrengthMatrix(s), theta=0.0)
+        m = greedy_hem(s, theta=0.0)
         assert m.partner[0] == 1
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError, match="theta"):
-            greedy_hem(StrengthMatrix(np.eye(2)), theta=1.5)
+            greedy_hem(np.eye(2), theta=1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 20),
@@ -124,7 +123,7 @@ class TestGreedyHem:
         # no matched pair crosses the threshold
         for i in range(n):
             if m.partner[i] != i:
-                assert s.values[i, m.partner[i]] > theta
+                assert s[i, m.partner[i]] > theta
 
 
 class TestBuildTransfer:

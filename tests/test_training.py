@@ -39,7 +39,6 @@ from mlfas.training import (
     MinibatchScheduler,
     SmootherConfig,
     StabilityConfig,
-    TauCorrection,
     compute_tau,
     sgd_smooth,
     v_cycle,
@@ -84,7 +83,7 @@ class TestSgdSmooth:
         assert net.layers[0].weights[0, 0] == pytest.approx(1.0 - 0.1 * mw, abs=0)
         assert net.layers[0].bias[0] == pytest.approx(0.0 - 0.1 * mb, abs=0)
 
-    def test_tau_with_gamma_zero_matches_no_tau(self):
+    def test_zero_tilt_matches_no_tilt(self):
         rng = np.random.default_rng(5)
         net_a = random_dense_net(rng)
         net_b = net_a.copy()
@@ -93,19 +92,18 @@ class TestSgdSmooth:
         cfg = SmootherConfig(0.05, 0.9, 0.0, 4)
         mom_a = flatten(net_a).zeros_like()
         mom_b = flatten(net_b).zeros_like()
-        tau = TauCorrection(ParamVector(rng.normal(size=mom_a.total_len), mom_a.segments))
-        sgd_smooth(net_a, mom_a, cfg, constant_batches(batch), tau=None, gamma=0.0)
-        sgd_smooth(net_b, mom_b, cfg, constant_batches(batch), tau=tau, gamma=0.0)
+        sgd_smooth(net_a, mom_a, cfg, constant_batches(batch), tilt=None)
+        sgd_smooth(net_b, mom_b, cfg, constant_batches(batch), tilt=mom_b.zeros_like())
         np.testing.assert_array_equal(flatten(net_a).data, flatten(net_b).data)
 
     def test_tau_tilts_the_gradient(self):
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
         batch = Minibatch([[2.0]], [[5.0]])
-        tau = TauCorrection(ParamVector(np.array([4.0, 2.0]), momentum.segments))
+        tilt = ParamVector(np.array([2.0, 1.0]), momentum.segments)
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0, steps_per_smooth=1)
-        sgd_smooth(net, momentum, cfg, constant_batches(batch), tau=tau, gamma=0.5)
-        # grad = (-12, -6) - 0.5 * (4, 2) = (-14, -7)
+        sgd_smooth(net, momentum, cfg, constant_batches(batch), tilt=tilt)
+        # grad = (-12, -6) - (2, 1) = (-14, -7)
         assert net.layers[0].weights[0, 0] == pytest.approx(1.0 + 0.1 * 14.0, abs=0)
         assert net.layers[0].bias[0] == pytest.approx(0.1 * 7.0, abs=0)
 
@@ -160,8 +158,8 @@ class TestLayerStep:
                              rng.normal(size=(200, n_out))) for _ in range(3)]
         momentum = net.params.zeros_like()
         momentum.data[...] = rng.normal(scale=0.1, size=momentum.total_len)
-        tau = TauCorrection(net.params.zeros_like())
-        tau.vec.data[...] = rng.normal(size=tau.vec.total_len)
+        tau = net.params.zeros_like()
+        tau.data[...] = rng.normal(size=tau.total_len)
         return net, batches, momentum, tau
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -170,15 +168,16 @@ class TestLayerStep:
     def test_equals_the_whole_vector_update(self, monkeypatch, arch, shape, n_out, everything,
                                             gamma, cpus):
         net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        tilt = ParamVector(gamma * tau.data, tau.segments)
         cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
                              steps_per_smooth=3)
         ref_net, ref_momentum = net.copy(), momentum.copy()
-        reference_sgd_smooth(ref_net, ref_momentum, cfg, batches, tau=tau, gamma=gamma)
+        reference_sgd_smooth(ref_net, ref_momentum, cfg, batches, tilt=tilt)
         monkeypatch.setattr(_threads, "allowed_cpus", lambda: cpus)
         if everything:
             monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
         log_input_gradients(net, [])
-        sgd_smooth(net, momentum, cfg, batches, tau=tau, gamma=gamma)
+        sgd_smooth(net, momentum, cfg, batches, tilt=tilt)
         assert net.params.data.tobytes() == ref_net.params.data.tobytes()
         assert momentum.data.tobytes() == ref_momentum.data.tobytes()
 
@@ -203,13 +202,13 @@ class TestLayerStep:
         net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[0][:3])
         log = self.record_helper_use(monkeypatch, net)
         cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=3)
-        sgd_smooth(net, momentum, cfg, batches, tau=tau, gamma=1.0)
+        sgd_smooth(net, momentum, cfg, batches, tilt=tau)
         assert [entry for entry in log if entry[0] != "input gradient"] == []
 
     def test_conv_net_steps_follow_their_products(self, monkeypatch):
         net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[2][:3])
         log = self.record_helper_use(monkeypatch, net)
-        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches, tau=tau, gamma=1.0)
+        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches, tilt=tau)
         # each dense layer's product, then its input gradient here, then its step
         assert log == [
             ("product", (1024, 64)), ("input gradient", (1024, 64)), ("step", 2),
@@ -226,7 +225,7 @@ class TestComputeTau:
         batches = [Minibatch(rng.normal(size=(3, net.input_size)),
                              rng.normal(size=(3, net.output_size))) for _ in range(2)]
         tau = compute_tau(net, coarse, t, batches)
-        assert np.abs(tau.vec.data).max() <= 1e-12
+        assert np.abs(tau.data).max() <= 1e-12
 
     def test_one_over_m_scaling(self):
         rng = np.random.default_rng(9)
@@ -241,7 +240,7 @@ class TestComputeTau:
             d = backward(other, b).data - backward(fine, b).data
             acc = d if acc is None else acc + d
         tau = compute_tau(fine, other, t, batches)
-        np.testing.assert_allclose(tau.vec.data, acc / 2, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(tau.data, acc / 2, rtol=1e-13, atol=1e-13)
 
     def test_against_explicit_restriction_matrix(self):
         rng = np.random.default_rng(11)
@@ -255,7 +254,7 @@ class TestComputeTau:
         coarse_acc = sum(backward(coarse, b).data for b in batches)
         ref = (coarse_acc - big_r @ fine_acc) / 3
         tau = compute_tau(net, coarse, t, batches)
-        assert np.abs(tau.vec.data - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
+        assert np.abs(tau.data - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_batches=st.integers(1, 8),
@@ -289,6 +288,32 @@ class TestComputeTau:
         with pytest.raises(ValueError, match="at least one"):
             compute_tau(net, net.copy(), identity_level(net), [])
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_level_tilt_is_gamma_times_tau(self, monkeypatch, gamma):
+        # every coarse level of a depth-3 cycle keeps its visit's tau, scaled
+        # once by gamma, as the tilt its smoothing subtracts
+        taus = {}
+        computed = training.compute_tau
+
+        def recording(fine, coarse, *args):
+            tau = computed(fine, coarse, *args)
+            taus[coarse] = tau.copy()
+            return tau
+
+        monkeypatch.setattr(training, "compute_tau", recording)
+        net, inputs, targets = make_training_setup(61, widths=(10, 64, 48, 8))
+        h = Hierarchy.build(net, depth=3, theta=-1.0)
+        sched = fresh_scheduler(inputs, targets, 4, seed=61)
+        v_cycle(h, 0, SmootherConfig(learning_rate=0.05), StabilityConfig(gamma=gamma), sched)
+        assert h.levels[0].tilt is None
+        for lvl in h.levels[1:]:
+            tau = taus[lvl.net]
+            assert np.abs(tau.data).max() > 0.0
+            if gamma == 0.0:
+                assert lvl.tilt is None
+            else:
+                assert lvl.tilt.data.tobytes() == (gamma * tau.data).tobytes()
+
 
 def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, gamma):
     """Relative gap between the smoother's mean tilted coarse gradient and R g_fine.
@@ -312,13 +337,14 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
                                batch_size, rng)
     assert sched.batches_per_epoch == n_batches
     batches = sched.next_tau_group(group)
-    tau = compute_tau(net, coarse, t, batches)
+    tilt = compute_tau(net, coarse, t, batches)
+    tilt.data *= gamma
     cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0)
     tilted = []
     for batch in batches:
         start = coarse.copy()
         momentum = start.params.zeros_like()
-        sgd_smooth(start, momentum, cfg, [batch], tau=tau, gamma=gamma)
+        sgd_smooth(start, momentum, cfg, [batch], tilt=tilt)
         tilted.append(momentum.data)
     _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
     ref = big_r @ np.mean([backward(net, b).data for b in batches], axis=0)
@@ -643,7 +669,7 @@ class TestTauOverlap:
     @staticmethod
     def run_cycles(cycles=4):
         """Depth-3 dense cycles with a rematch before the third; every cycle's
-        parameters, momentum and tau vectors of every level, as bytes."""
+        parameters, momentum and tilt vectors of every level, as bytes."""
         net, inputs, targets = make_training_setup(81, widths=(10, 64, 48, 8))
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=3, rematch_period=2)
@@ -652,7 +678,7 @@ class TestTauOverlap:
         for _ in range(cycles):
             v_cycle(h, 0, cfg, StabilityConfig(), sched)
             states.append([(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
-                            None if lvl.tau is None else lvl.tau.vec.data.tobytes())
+                            None if lvl.tilt is None else lvl.tilt.data.tobytes())
                            for lvl in h.levels])
         return states
 
