@@ -58,17 +58,11 @@ def save_network(net: Network, path) -> None:
     for layer in net.layers:
         if isinstance(layer, ConvLayer):
             parts.append(struct.pack("<I", KIND_CONV))
-            parts.append(
-                _CONV_HDR.pack(
-                    *layer.kernels.shape, layer.stride[0], layer.stride[1],
-                    layer.padding[0], layer.padding[1],
-                )
-            )
-            parts.append(layer.kernels.astype("<f8").tobytes())
+            parts.append(_CONV_HDR.pack(*layer.weights.shape, *layer.stride, *layer.padding))
         else:
             parts.append(struct.pack("<I", KIND_DENSE))
-            parts.append(_DENSE_HDR.pack(layer.n_out, layer.n_in))
-            parts.append(layer.weights.astype("<f8").tobytes())
+            parts.append(_DENSE_HDR.pack(*layer.weights.shape))
+        parts.append(layer.weights.astype("<f8").tobytes())
         parts.append(layer.bias.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
@@ -113,9 +107,9 @@ def load_network(path) -> Network:
         (kind,) = struct.unpack("<I", r.take(4))
         if kind == KIND_CONV:
             a, b, kh, kw, sh, sw, ph, pw = _CONV_HDR.unpack(r.take(_CONV_HDR.size))
-            kernels = r.floats(a * b * kh * kw).reshape(a, b, kh, kw)
+            weights = r.floats(a * b * kh * kw).reshape(a, b, kh, kw)
             bias = r.floats(a)
-            layers.append(ConvLayer(kernels, bias, stride=(sh, sw), padding=(ph, pw)))
+            layers.append(ConvLayer(weights, bias, stride=(sh, sw), padding=(ph, pw)))
         elif kind == KIND_DENSE:
             n_out, n_in = _DENSE_HDR.unpack(r.take(_DENSE_HDR.size))
             weights = r.floats(n_out * n_in).reshape(n_out, n_in)

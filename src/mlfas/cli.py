@@ -11,7 +11,7 @@ stderr and exit 1.
 import argparse
 import sys
 
-from .checkpoints import CheckpointFormatError, load_network
+from .checkpoints import load_network
 from .harness import (
     ConfigError,
     dataset_splits,
@@ -21,9 +21,8 @@ from .harness import (
     run_grid,
     varied_keys,
 )
-from .nets import Minibatch, NetworkShapeError, loss
+from .nets import Minibatch, loss
 from .poisson import (
-    DatasetFormatError,
     SolverError,
     generate_dataset,
     read_dataset,
@@ -31,16 +30,8 @@ from .poisson import (
 )
 from .training import DivergenceError
 
-_KNOWN_ERRORS = (
-    ConfigError,
-    DatasetFormatError,
-    CheckpointFormatError,
-    SolverError,
-    DivergenceError,
-    NetworkShapeError,
-    ValueError,
-    OSError,
-)
+# the format, config and shape errors are ValueErrors
+_KNOWN_ERRORS = (ValueError, OSError, SolverError, DivergenceError)
 
 
 def _cmd_generate(args) -> int:

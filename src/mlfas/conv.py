@@ -25,29 +25,32 @@ class ConvShapeError(ValueError):
 class ConvLayer:
     """Convolution with ``out_channels x in_channels`` kernel taps.
 
-    kernels: (out_channels, in_channels, k_h, k_w), bias: (out_channels,).
-    Stride and zero padding are per-axis pairs.
+    weights: (out_channels, in_channels, k_h, k_w), the kernel taps, and
+    bias: (out_channels,).  The weight array has the name and the leading
+    (out, in) axes of a dense layer's, so code that does not care about the
+    layer kind reads ``weights`` and ``bias`` of either.  Stride and zero
+    padding are per-axis pairs.
     """
 
-    kernels: np.ndarray
+    weights: np.ndarray
     bias: np.ndarray
     stride: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        self.kernels = np.asarray(self.kernels, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.kernels.ndim != 4:
-            raise ConvShapeError(f"kernels must be 4-d, got shape {self.kernels.shape}")
+        if self.weights.ndim != 4:
+            raise ConvShapeError(f"weights must be 4-d, got shape {self.weights.shape}")
         axes = ("output channel", "input channel", "kernel height", "kernel width")
-        for axis, size in zip(axes, self.kernels.shape):
+        for axis, size in zip(axes, self.weights.shape):
             if size < 1:
                 raise ConvShapeError(
-                    f"{axis} axis: kernels must be nonempty, got shape {self.kernels.shape}"
+                    f"{axis} axis: weights must be nonempty, got shape {self.weights.shape}"
                 )
-        if self.bias.shape != (self.kernels.shape[0],):
+        if self.bias.shape != (self.weights.shape[0],):
             raise ConvShapeError(
-                f"bias axis: expected length {self.kernels.shape[0]}, got {self.bias.shape}"
+                f"bias axis: expected length {self.weights.shape[0]}, got {self.bias.shape}"
             )
         self.stride = (int(self.stride[0]), int(self.stride[1]))
         self.padding = (int(self.padding[0]), int(self.padding[1]))
@@ -55,20 +58,20 @@ class ConvLayer:
             raise ValueError(f"stride must be positive, got {self.stride}")
         if min(self.padding) < 0:
             raise ValueError(f"padding must be nonnegative, got {self.padding}")
-        if not (np.isfinite(self.kernels).all() and np.isfinite(self.bias).all()):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("conv layer parameters must be finite")
 
     @property
     def out_channels(self) -> int:
-        return self.kernels.shape[0]
+        return self.weights.shape[0]
 
     @property
     def in_channels(self) -> int:
-        return self.kernels.shape[1]
+        return self.weights.shape[1]
 
     @property
     def kernel_size(self) -> tuple[int, int]:
-        return self.kernels.shape[2], self.kernels.shape[3]
+        return self.weights.shape[2], self.weights.shape[3]
 
     def out_spatial(self, in_h: int, in_w: int) -> tuple[int, int]:
         kh, kw = self.kernel_size
@@ -136,7 +139,7 @@ def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
 
     Row ``(c*kh + p)*kw + q`` of sample b holds input channel c under kernel
     tap (p, q) at every output position, so that
-    ``kernels.reshape(out_c, -1) @ patches[b]`` is sample b's output.  Per
+    ``weights.reshape(out_c, -1) @ patches[b]`` is sample b's output.  Per
     tap, the in-range rows and columns are one strided copy of the input
     and the border that falls in the zero padding is zeroed.
     """
@@ -179,7 +182,7 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray, out_hw: tuple[int, int] 
         raise ConvShapeError(
             f"patch axes: expected (B, {n_taps}, {out_hw[0] * out_hw[1]}), got {x.shape}"
         )
-    out = np.matmul(layer.kernels.reshape(layer.out_channels, -1), x)
+    out = np.matmul(layer.weights.reshape(layer.out_channels, -1), x)
     out += layer.bias[:, None]
     return out.reshape(x.shape[0], layer.out_channels, *out_hw)
 
@@ -190,7 +193,7 @@ def conv_backward_batch(
     upstream: np.ndarray,
     in_hw: tuple[int, int] | None = None,
 ):
-    """Gradients of a scalar loss wrt kernels, bias and, if asked, input.
+    """Gradients of a scalar loss wrt weights, bias and, if asked, input.
 
     ``patches`` is the input's patch matrix (``conv_patches``) and
     ``upstream`` is dLoss/d(output), shape (B, out_c, oh, ow).  The input
@@ -219,10 +222,10 @@ def conv_backward_batch(
     # a C-ordered (B, out_c, oh*ow) view or copy, so the summation order is fixed
     up = upstream.reshape(b, layer.out_channels, oh * ow)
     grad_bias = up.sum(axis=(0, 2))
-    grad_kernels = np.matmul(up, patches.transpose(0, 2, 1)).sum(axis=0)
-    grad_kernels = grad_kernels.reshape(layer.kernels.shape)
+    grad_weights = np.matmul(up, patches.transpose(0, 2, 1)).sum(axis=0)
+    grad_weights = grad_weights.reshape(layer.weights.shape)
     if in_hw is None:
-        return grad_kernels, grad_bias, None
+        return grad_weights, grad_bias, None
 
     # input gradient: scatter kernel-weighted upstream back over the taps
     c = layer.in_channels
@@ -230,13 +233,13 @@ def conv_backward_batch(
     sh, sw = layer.stride
     ph, pw = layer.padding
     h, w = in_hw
-    dcols = np.matmul(layer.kernels.reshape(layer.out_channels, -1).T, up)
+    dcols = np.matmul(layer.weights.reshape(layer.out_channels, -1).T, up)
     dcols = dcols.reshape(b, c, kh, kw, oh, ow)
     dx_pad = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
     for p in range(kh):
         for q in range(kw):
             dx_pad[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += dcols[:, :, p, q]
-    return grad_kernels, grad_bias, dx_pad[:, :, ph : ph + h, pw : pw + w]
+    return grad_weights, grad_bias, dx_pad[:, :, ph : ph + h, pw : pw + w]
 
 
 def conv_forward(layer: ConvLayer, y_in: ChannelTensorView) -> ChannelTensorView:
@@ -287,5 +290,5 @@ def to_matrix(layer: ConvLayer, in_shape: tuple[int, int, int]) -> np.ndarray:
                             ix = ox * sw + q - pw
                             if ix < 0 or ix >= w:
                                 continue
-                            m[row, (c * h + iy) * w + ix] = layer.kernels[a, c, p, q]
+                            m[row, (c * h + iy) * w + ix] = layer.weights[a, c, p, q]
     return m

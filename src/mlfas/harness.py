@@ -75,7 +75,9 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for key in ("depth", "batch_size", "tau_batches", "rematch_period", "workers"):
+        # a depth-1 run with no smoothing steps would never charge work
+        for key in ("depth", "steps_per_smooth", "batch_size", "tau_batches",
+                    "rematch_period", "workers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("eval_every", "max_work_units"):

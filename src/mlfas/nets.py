@@ -159,11 +159,11 @@ class Network:
     when the first layer is convolutional.
 
     The network owns two flat buffers in unroll order (by layer, each
-    weight or kernel block followed by its bias), allocated once:
+    weight block followed by its bias), allocated once:
     ``params`` holds the parameters and ``grad`` is the scratch gradient
     that ``backward(net, batch, out=net.grad)`` fills.  The constructor
     copies the given layers' values into ``params`` and keeps layer objects
-    of its own whose weight (or kernel) and bias arrays are views into it;
+    of its own whose weight and bias arrays are views into it;
     the layers passed in are left untouched, so a layer that belongs to
     another network is copied, never shared.
     """
@@ -352,7 +352,7 @@ def _lowered(net: Network, inputs) -> LoweredInput:
 
 
 def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
-    """``layer`` restricted to the input channels ``block``; kernels a view.
+    """``layer`` restricted to the input channels ``block``; weights a view.
 
     The layer itself for the whole axis.  Built without the constructor's
     checks, which would reject the non-finite parameters that training must
@@ -361,7 +361,7 @@ def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
     if block == slice(None):
         return layer
     sub = copy.copy(layer)
-    sub.kernels = layer.kernels[:, block]
+    sub.weights = layer.weights[:, block]
     return sub
 
 
@@ -385,8 +385,8 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
                 a = conv_patches(layer, a.reshape((a.shape[0],) + net.interfaces[k][1:]))
             z = conv_forward_batch(_channel_block(layer, block), a, net.interfaces[k + 1][2:])
             if sample is not None:
-                kernels = layer.kernels.reshape(layer.out_channels, -1)
-                z += (kernels @ sample).reshape(z.shape[1:])
+                w = layer.weights.reshape(layer.out_channels, -1)
+                z += (w @ sample).reshape(z.shape[1:])
         else:
             a = a.reshape(a.shape[0], -1)
             z = a @ layer.weights[:, block].T
@@ -617,12 +617,15 @@ class ParamVector:
 
 
 def param_layout(net: Network) -> tuple[Segment, ...]:
-    """Segment layout for a network: by layer, each weight block then its bias."""
+    """Segment layout for a network: by layer, each weight block then its bias.
+
+    A block has its array's shape, (n_out, n_in) for a dense layer and
+    (out_c, in_c, kh, kw) for a conv one.
+    """
     segments = []
     offset = 0
     for k, layer in enumerate(net.layers):
-        weights = layer.kernels if isinstance(layer, ConvLayer) else layer.weights
-        for kind, shape in (("weight", weights.shape), ("bias", layer.bias.shape)):
+        for kind, shape in (("weight", layer.weights.shape), ("bias", layer.bias.shape)):
             segments.append(Segment(layer=k, kind=kind, offset=offset, shape=shape))
             offset += segments[-1].size
     return tuple(segments)
@@ -631,12 +634,9 @@ def param_layout(net: Network) -> tuple[Segment, ...]:
 def _adopt(layer, params: ParamVector, k: int):
     """A copy of layer ``k`` whose arrays are views into ``params``."""
     w, b = params.view(k, "weight"), params.view(k, "bias")
-    b[...] = layer.bias
-    if isinstance(layer, ConvLayer):
-        w[...] = layer.kernels
-        return ConvLayer(w, b, layer.stride, layer.padding)
     w[...] = layer.weights
-    return DenseLayer(w, b)
+    b[...] = layer.bias
+    return replace(layer, weights=w, bias=b)
 
 
 def flatten(net: Network) -> ParamVector:
@@ -659,15 +659,15 @@ def unflatten(net: Network, x: ParamVector) -> None:
 
 
 def uniform_init(net: Network, rng: np.random.Generator) -> Network:
-    """Seeded fan-in uniform init: entries in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+    """Seeded fan-in uniform init: entries in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+
+    A unit's fan-in is the size of one weight row, ``n_in`` for a dense
+    layer and ``in_c*kh*kw`` for a conv one.  Each layer draws its weights,
+    then its bias.
+    """
     for layer in net.layers:
-        if isinstance(layer, ConvLayer):
-            fan_in = layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]
-            bound = 1.0 / np.sqrt(fan_in)
-            layer.kernels[...] = rng.uniform(-bound, bound, size=layer.kernels.shape)
-        else:
-            bound = 1.0 / np.sqrt(layer.n_in)
-            layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
+        bound = 1.0 / np.sqrt(math.prod(layer.weights.shape[1:]))
+        layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
         layer.bias[...] = rng.uniform(-bound, bound, size=layer.bias.shape)
     return net
 

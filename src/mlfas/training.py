@@ -382,7 +382,8 @@ def v_cycle(
         # compute_tau then sums them after the coarse ones
         rows = max(map(len, group))
         fine_sum = None
-        if not (hands_off(state.net, rows) or hands_off(coarse.net, rows)):
+        # coarsening never widens a layer, so the coarse level hands off only if this one does
+        if not hands_off(state.net, rows):
             fine_sum = _threads.beside(gradient_sum, state.net, group)
         try:
             t = refresh_weights(state.transfer, state.net)

@@ -16,6 +16,7 @@ a (out, C, H*W) array, so each channel's columns move together.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,9 +28,7 @@ from .coarsening import (
     reweight,
     strength_from_rows,
 )
-from .conv import ConvLayer
 from .nets import (
-    DenseLayer,
     Network,
     NetworkShapeError,
     ParamLayoutError,
@@ -66,10 +65,9 @@ class TransferLevel:
             n_out = self.interfaces[k + 1].n_coarse
             if seg.kind == "bias":
                 shape = (n_out,)
-            elif len(seg.shape) == 4:  # conv kernels keep their taps
-                shape = (n_out, self.interfaces[k].n_coarse) + seg.shape[2:]
-            else:  # dense blocks keep their columns per input unit (or channel)
-                shape = (n_out, self.interfaces[k].n_coarse * (seg.shape[1] // units[k]))
+            else:  # a block keeps its columns per input unit (or channel) and its taps
+                n_in = self.interfaces[k].n_coarse * (seg.shape[1] // units[k])
+                shape = (n_out, n_in) + seg.shape[2:]
             coarse.append(Segment(k, seg.kind, offset, shape))
             offset += coarse[-1].size
         self.layouts = (fine, tuple(coarse))
@@ -86,12 +84,11 @@ class TransferLevel:
 def similarity_rows(layer) -> np.ndarray:
     """Row stack whose cosine angles define unit similarity for a layer.
 
-    Dense layers contribute weight rows; conv layers the vectorized
-    per-output-channel kernels.  Bias entries are excluded.
+    One row per output unit (or channel): its weights, a dense layer's
+    weight row or a conv layer's kernel taps raveled.  Bias entries are
+    excluded.
     """
-    if isinstance(layer, ConvLayer):
-        return layer.kernels.reshape(layer.out_channels, -1)
-    return layer.weights
+    return layer.weights.reshape(len(layer.weights), -1)
 
 
 def coarsen_network(net: Network, theta: float = 0.1, weighted: bool = True) -> TransferLevel:
@@ -250,12 +247,9 @@ def restrict_network(net: Network, t: TransferLevel) -> Network:
     channel counts shrink per the matchings.
     """
     x_c = restrict_params(t, net.params)
-    layers = []
-    for k, layer in enumerate(net.layers):
-        w, b = x_c.view(k, "weight"), x_c.view(k, "bias")
-        if isinstance(layer, ConvLayer):
-            layers.append(ConvLayer(w, b, stride=layer.stride, padding=layer.padding))
-        else:
-            layers.append(DenseLayer(w, b))
+    layers = [
+        replace(layer, weights=x_c.view(k, "weight"), bias=x_c.view(k, "bias"))
+        for k, layer in enumerate(net.layers)
+    ]
     # the network copies the restricted values into a buffer of its own
     return Network(layers, input_shape=net.input_shape)

@@ -64,9 +64,9 @@ def write_empty_kernel_checkpoint(path):
     raw = path.read_bytes()
     at = _HEADER.size + 4  # past the header and the first layer's kind tag
     dims = list(_CONV_HDR.unpack_from(raw, at))
-    kernels_end = at + _CONV_HDR.size + 8 * int(np.prod(dims[:4]))
+    weights_end = at + _CONV_HDR.size + 8 * int(np.prod(dims[:4]))
     dims[2] = 0
-    path.write_bytes(raw[:at] + _CONV_HDR.pack(*dims) + raw[kernels_end:])
+    path.write_bytes(raw[:at] + _CONV_HDR.pack(*dims) + raw[weights_end:])
 
 
 def random_batch(rng, net, size=5):
@@ -249,7 +249,7 @@ def reference_conv_forward_batch(layer, x):
     win = _reference_windows(layer, x)
     b, _, oh, ow = win.shape[0], win.shape[1], win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, -1)
-    kflat = layer.kernels.reshape(layer.out_channels, -1)
+    kflat = layer.weights.reshape(layer.out_channels, -1)
     out = cols @ kflat.T
     out = out.reshape(b, oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     return out + layer.bias[None, :, None, None]
@@ -270,9 +270,9 @@ def reference_conv_backward_batch(layer, x, upstream):
     up_cols = upstream.transpose(0, 2, 3, 1).reshape(b * oh * ow, layer.out_channels)
 
     grad_bias = up_cols.sum(axis=0)
-    grad_kernels = (up_cols.T @ cols).reshape(layer.kernels.shape)
+    grad_weights = (up_cols.T @ cols).reshape(layer.weights.shape)
 
-    dcols = up_cols @ layer.kernels.reshape(layer.out_channels, -1)
+    dcols = up_cols @ layer.weights.reshape(layer.out_channels, -1)
     dwin = dcols.reshape(b, oh, ow, layer.in_channels, kh, kw)
     hp, wp = x.shape[2] + 2 * ph, x.shape[3] + 2 * pw
     dx_pad = np.zeros((b, layer.in_channels, hp, wp))
@@ -282,7 +282,7 @@ def reference_conv_backward_batch(layer, x, upstream):
                 :, :, :, :, p, q
             ].transpose(0, 3, 1, 2)
     dx = dx_pad[:, :, ph : hp - ph, pw : wp - pw]
-    return grad_kernels, grad_bias, dx
+    return grad_weights, grad_bias, dx
 
 
 REFERENCE_CONV = (reference_conv_forward_batch, reference_conv_backward_batch)

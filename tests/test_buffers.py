@@ -17,7 +17,6 @@ from _builders import (
     reference_sgd_smooth,
 )
 from mlfas.checkpoints import load_network, save_network
-from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import DenseLayer, Network, ParamLayoutError, ParamVector, backward, forward
 from mlfas.training import Hierarchy, SmootherConfig, compute_tau, sgd_smooth
@@ -28,10 +27,6 @@ from mlfas.transfer import (
     restrict_network,
     restrict_params,
 )
-
-
-def weights_of(layer):
-    return layer.kernels if isinstance(layer, ConvLayer) else layer.weights
 
 
 def assert_independent(a, b):
@@ -96,9 +91,9 @@ class TestOwnership:
         rng = np.random.default_rng(3)
         for net in (random_dense_net(rng), random_conv_net(rng)):
             for k, layer in enumerate(net.layers):
-                assert np.shares_memory(weights_of(layer), net.params.data)
+                assert np.shares_memory(layer.weights, net.params.data)
                 assert np.shares_memory(layer.bias, net.params.data)
-                assert np.array_equal(weights_of(layer), net.params.view(k, "weight"))
+                assert np.array_equal(layer.weights, net.params.view(k, "weight"))
             y = rng.normal(size=net.input_size)
             before = forward(net, y)
             net.params.view(net.n_layers - 1, "bias")[...] += 1.0
@@ -115,7 +110,7 @@ class TestOwnership:
             assert_independent(net, other)
             assert not np.shares_memory(other.params.data, other.grad.data)
             for layer in other.layers:
-                assert np.shares_memory(weights_of(layer), other.params.data)
+                assert np.shares_memory(layer.weights, other.params.data)
         for other in copies:
             assert np.array_equal(other.params.data, net.params.data)
         loaded.params.data[...] = 0.0

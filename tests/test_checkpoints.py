@@ -1,5 +1,7 @@
 """Network checkpoint container round trips and error handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,22 @@ def test_header_activation_fields_are_fixed(tmp_path):
     # the leak field is read and ignored
     path = saved_with_header(tmp_path, leak=0.5)
     assert np.array_equal(flatten(load_network(path)).data, params)
+
+
+def test_unsupported_version_rejected(tmp_path):
+    path = saved_with_header(tmp_path, version=2)
+    with pytest.raises(CheckpointFormatError, match=r"net\.mlfasnet: unsupported version 2$"):
+        load_network(path)
+
+
+def test_unknown_layer_kind_rejected(tmp_path):
+    path = tmp_path / "net.mlfasnet"
+    save_network(random_dense_net(np.random.default_rng(13)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, _HEADER.size, 2)  # the first layer's kind tag
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=r": unknown layer kind 2 at layer 0$"):
+        load_network(path)
 
 
 def test_empty_conv_kernel_axis_rejected(tmp_path):

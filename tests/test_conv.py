@@ -97,7 +97,7 @@ class TestForward:
             for c in range(2):
                 block = m[a * ow : (a + 1) * ow, c * n : (c + 1) * n]
                 for r in range(ow):
-                    np.testing.assert_array_equal(block[r, r : r + 3], layer.kernels[a, c, 0])
+                    np.testing.assert_array_equal(block[r, r : r + 3], layer.weights[a, c, 0])
 
     def test_channel_mismatch_names_axis(self):
         layer = ConvLayer(np.zeros((1, 2, 1, 1)), np.zeros(1))
@@ -148,7 +148,7 @@ class TestBackward:
 
             def scalar(k=None, b=None, xx=None):
                 lay = ConvLayer(
-                    layer.kernels if k is None else k,
+                    layer.weights if k is None else k,
                     layer.bias if b is None else b,
                     layer.stride, layer.padding,
                 )
@@ -161,8 +161,8 @@ class TestBackward:
             )
             eps = 1e-6
             for _ in range(6):
-                i = tuple(rng.integers(0, s) for s in layer.kernels.shape)
-                k = layer.kernels.copy()
+                i = tuple(rng.integers(0, s) for s in layer.weights.shape)
+                k = layer.weights.copy()
                 k[i] += eps
                 fp = scalar(k=k)
                 k[i] -= 2 * eps
@@ -194,9 +194,9 @@ class TestBackward:
         oh, ow = layer.out_spatial(5, 6)
         up = rng.normal(size=(2, oh, ow))
         gk, _, gx = conv_backward_batch(layer, conv_patches(layer, x[None]), up[None], (5, 6))
-        ref = np.zeros_like(layer.kernels)
-        for tap in np.ndindex(*layer.kernels.shape):
-            onehot = np.zeros_like(layer.kernels)
+        ref = np.zeros_like(layer.weights)
+        for tap in np.ndindex(*layer.weights.shape):
+            onehot = np.zeros_like(layer.weights)
             onehot[tap] = 1.0
             m_tap = to_matrix(
                 ConvLayer(onehot, np.zeros(2), layer.stride, layer.padding), x.shape
@@ -255,7 +255,7 @@ class TestBatchedOracle:
         b, c, h, w = x.shape
         m = to_matrix(layer, (c, h, w))
         # the same matrix with tap index + 1 in place of each kernel entry
-        taps = np.arange(1.0, layer.kernels.size + 1).reshape(layer.kernels.shape)
+        taps = np.arange(1.0, layer.weights.size + 1).reshape(layer.weights.shape)
         tap_of = to_matrix(ConvLayer(taps, layer.bias, layer.stride, layer.padding),
                            (c, h, w)).astype(int)
         oh, ow = up.shape[2:]
@@ -271,8 +271,8 @@ class TestBatchedOracle:
         # dL/dK[tap] sums up_b[row] * x_b[col] over the matrix entries holding that tap
         outer = sum(np.outer(ub.ravel(), xb.ravel()) for ub, xb in zip(up, x))
         ref_gk = np.bincount(tap_of.ravel(), weights=outer.ravel(),
-                             minlength=layer.kernels.size + 1)[1:]
-        assert_rel(gk, ref_gk.reshape(layer.kernels.shape))
+                             minlength=layer.weights.size + 1)[1:]
+        assert_rel(gk, ref_gk.reshape(layer.weights.shape))
         assert_rel(gb, sum(ub.sum(axis=(1, 2)) for ub in up))
         assert_rel(dx.reshape(b, -1), np.stack([m.T @ ub.ravel() for ub in up]))
 
@@ -338,11 +338,11 @@ class TestCoarseningCommutation:
                              aggregate=np.array([0, 0, 1, 1]), num_aggregates=2)
             m_in = Matching(partner=np.array([2, 1, 0, 3]),
                             aggregate=np.array([0, 1, 0, 2]), num_aggregates=3)
-            rows = layer.kernels.reshape(4, -1)
+            rows = layer.weights.reshape(4, -1)
             t_out = build_transfer(m_out, w_rows=rows if weighted else None, weighted=weighted)
             t_in = build_transfer(m_in, w_rows=rng.normal(size=(4, 3)) if weighted else None,
                                   weighted=weighted)
-            kc = t_in.pair_sum(t_out.pair_sum(layer.kernels, t_out.pi, 0), t_in.p, 1)
+            kc = t_in.pair_sum(t_out.pair_sum(layer.weights, t_out.pi, 0), t_in.p, 1)
             coarse = ConvLayer(kc, np.zeros(2), layer.stride, layer.padding)
             lhs = to_matrix(coarse, (3, 4, 4))
             fine = to_matrix(layer, in_shape)

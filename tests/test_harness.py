@@ -157,6 +157,16 @@ class TestConfig:
             parse_config(path)
 
 
+    # with no smoothing steps a depth-1 run charges no work, so its loop would never end
+    def test_zero_smoothing_steps_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^steps_per_smooth must be >= 1$"):
+            ExperimentConfig(steps_per_smooth=0)
+        path = tmp_path / "exp.cfg"
+        path.write_text("dataset = d.bin\ndepth = 1\n")
+        with pytest.raises(ConfigError, match="^steps_per_smooth must be >= 1$"):
+            parse_grid(path, ["steps_per_smooth=0"])
+
+
 class TestParseGrid:
     @pytest.fixture
     def base(self, tmp_path):
@@ -840,3 +850,21 @@ class TestInspect:
             assert 0.5 <= coarse_units[k] / fine_units[k] <= 1.0
         report = inspect_hierarchy(paths)
         assert "parameter ratio vs level 0" in report
+
+    def test_conv_hierarchy_reloaded(self, tmp_path):
+        net = build_network("conv:8k3s2p1,dense:6", (3, 8, 8), 2, rng=np.random.default_rng(4))
+        from mlfas.transfer import coarsen_network, restrict_network
+
+        coarse = restrict_network(net, coarsen_network(net, theta=-1.0))
+        paths = [str(tmp_path / f"l{i}.mlfasnet") for i in range(2)]
+        for n, p in zip((net, coarse), paths):
+            save_network(n, p)
+            back = load_network(p)
+            for a, b in zip(n.layers, back.layers):
+                assert type(a) is type(b) and np.array_equal(a.weights, b.weights)
+        level0, level1 = inspect_hierarchy(paths, theta=-1.0).split(f"level 1: {paths[1]}\n")
+        assert ("  layer 0: conv 3->8 k3x3 s(2, 2) p(1, 1)\n  layer 1: dense 128->6\n"
+                "  layer 2: dense 6->2\n  interface units: [3, 8, 6, 2]\n") in level0
+        assert level1.startswith("  layer 0: conv 3->4 k3x3 s(2, 2) p(1, 1)\n"
+                                 "  layer 1: dense 64->3\n  layer 2: dense 3->2\n"
+                                 "  interface units: [3, 4, 3, 2]\n")

@@ -371,10 +371,10 @@ class TestParamVector:
         assert [s.offset for s in segs] == ends[:-1]
         assert ends[-1] == net.param_count()
         for k, layer in enumerate(net.layers):
-            w = layer.kernels if isinstance(layer, ConvLayer) else layer.weights
             entries = net.params.layer(k)
-            assert np.shares_memory(entries, w) and np.shares_memory(entries, layer.bias)
-            assert np.array_equal(entries, np.concatenate([w.ravel(), layer.bias]))
+            assert np.shares_memory(entries, layer.weights)
+            assert np.shares_memory(entries, layer.bias)
+            assert np.array_equal(entries, np.concatenate([layer.weights.ravel(), layer.bias]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))

@@ -672,6 +672,7 @@ class TestDatasetIO:
             ("n_val", 0, "validation"),
             ("n", 0, "grid size"),
             ("channels", 0, "channel count"),
+            ("version", 2, r"ds\.mlfasdat: unsupported version 2$"),
         ],
     )
     def test_malformed_header_field_rejected(self, tmp_path, field, value, match):
