@@ -643,14 +643,33 @@ def _layer_desc(layer) -> str:
     return f"dense {layer.n_in}->{layer.n_out}"
 
 
+def _hierarchy_signature(net: Network) -> dict:
+    """What the levels of one hierarchy share: layer count, layer kinds with a
+    conv layer's kernel size, stride and padding, input shape, output size."""
+    sig = {"layer count": net.n_layers}
+    for k, layer in enumerate(net.layers):
+        conv = isinstance(layer, ConvLayer)
+        geometry = f" k{layer.kernel_size} s{layer.stride} p{layer.padding}" if conv else ""
+        sig[f"layer {k}"] = ("conv" if conv else "dense") + geometry
+    return sig | {"input shape": net.interfaces[0], "output size": net.output_size}
+
+
 def inspect_hierarchy(paths, theta: float = 0.1) -> str:
     """Text report over a stack of per-level checkpoints (fine first).
 
     Reports widths, parameter counts, per-layer coarsening ratios against
     the next checkpoint, and the aggregate-size histogram a matching of the
-    level's current parameters produces.
+    level's current parameters produces.  Raises ``ValueError`` when two
+    consecutive checkpoints cannot be levels of one hierarchy.
     """
     nets = [load_network(p) for p in paths]
+    for k in range(1, len(nets)):
+        fine, coarse = map(_hierarchy_signature, nets[k - 1 : k + 1])
+        # a differing layer count comes first, so the keys compared are in both
+        key = next((key for key in fine if fine[key] != coarse[key]), None)
+        if key is not None:
+            raise ValueError(f"{paths[k - 1]} and {paths[k]} are not levels of one "
+                             f"hierarchy: {key} {fine[key]} against {coarse[key]}")
     lines = []
     for lvl, (path, net) in enumerate(zip(paths, nets)):
         lines.append(f"level {lvl}: {path}")

@@ -7,7 +7,8 @@ interface flattens channel-major.  Each network keeps all learnable
 parameters in one flat float64 buffer that holds the layers in order, each
 layer's weight block followed by its bias block, so one layer's parameters
 are one contiguous slice; the layers' arrays are views into it, and
-gradients, momentum and tau tilt vectors reuse the same layout.
+gradients, momentum and tau tilt vectors reuse the same layout, one
+(weight shape, bias shape) pair per layer.
 
 The first layer always reads a ``LoweredInput``: ``lower_input`` finds the
 contiguous block of input features (or conv channels) that varies across
@@ -32,6 +33,7 @@ coarse gradient costs less than its parameter ratio.
 """
 
 import copy
+import itertools
 import math
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -145,18 +147,12 @@ class Minibatch:
         return len(self.inputs)
 
 
-def _flat_size(desc) -> int:
-    if desc[0] == "flat":
-        return desc[1]
-    _, c, h, w = desc
-    return c * h * w
-
-
 class Network:
     """Layer stack with ReLU hidden layers and a linear output layer.
 
     ``input_shape`` is an int for flat inputs or (channels, height, width)
-    when the first layer is convolutional.
+    when the first layer is convolutional.  ``interfaces`` holds the shape
+    of every interface, input first (len n_layers + 1).
 
     The network owns two flat buffers in unroll order (by layer, each
     weight block followed by its bias), allocated once:
@@ -190,45 +186,41 @@ class Network:
         self.layers = [_adopt(layer, self.params, k) for k, layer in enumerate(self.layers)]
 
     def _trace_shapes(self):
-        """Per-interface descriptors ('flat', n) or ('chan', c, h, w)."""
-        if isinstance(self.input_shape, tuple):
-            if len(self.input_shape) != 3:
-                raise NetworkShapeError(
-                    f"channel input shape must be (C, H, W), got {self.input_shape}"
-                )
-            desc = ("chan",) + self.input_shape
-        else:
-            desc = ("flat", self.input_shape)
-        descs = [desc]
+        """The shape of every interface: (n,) when flat, (c, h, w) when channelled."""
+        channels = isinstance(self.input_shape, tuple)
+        shape = self.input_shape if channels else (self.input_shape,)
+        if channels and len(shape) != 3:
+            raise NetworkShapeError(f"channel input shape must be (C, H, W), got {shape}")
+        shapes = [shape]
         for k, layer in enumerate(self.layers):
             if isinstance(layer, ConvLayer):
                 # after a dense layer the interface is flat, so this also
                 # rejects a conv that follows one
-                if desc[0] != "chan":
+                if len(shape) != 3:
                     raise NetworkShapeError(
                         f"layer {k} (conv): convolutional layers must precede dense layers"
                     )
-                if desc[1] != layer.in_channels:
+                if shape[0] != layer.in_channels:
                     raise NetworkShapeError(
                         f"layer {k} (conv): expects {layer.in_channels} input channels, "
-                        f"interface provides {desc[1]}"
+                        f"interface provides {shape[0]}"
                     )
                 try:
-                    oh, ow = layer.out_spatial(desc[2], desc[3])
+                    oh, ow = layer.out_spatial(shape[1], shape[2])
                 except ConvShapeError as e:
                     raise NetworkShapeError(f"layer {k} (conv): {e}") from e
-                desc = ("chan", layer.out_channels, oh, ow)
+                shape = (layer.out_channels, oh, ow)
             elif isinstance(layer, DenseLayer):
-                if _flat_size(desc) != layer.n_in:
+                if math.prod(shape) != layer.n_in:
                     raise NetworkShapeError(
                         f"layer {k} (dense): expects input size {layer.n_in}, "
-                        f"interface provides {_flat_size(desc)}"
+                        f"interface provides {math.prod(shape)}"
                     )
-                desc = ("flat", layer.n_out)
+                shape = (layer.n_out,)
             else:
                 raise TypeError(f"layer {k}: unsupported layer type {type(layer).__name__}")
-            descs.append(desc)
-        return descs
+            shapes.append(shape)
+        return shapes
 
     @property
     def n_layers(self) -> int:
@@ -236,18 +228,15 @@ class Network:
 
     @property
     def input_size(self) -> int:
-        return _flat_size(self.interfaces[0])
+        return math.prod(self.interfaces[0])
 
     @property
     def output_size(self) -> int:
-        return _flat_size(self.interfaces[-1])
+        return math.prod(self.interfaces[-1])
 
     def unit_counts(self) -> list[int]:
         """Neuron/channel count at every interface (len n_layers + 1)."""
-        counts = []
-        for desc in self.interfaces:
-            counts.append(desc[1])
-        return counts
+        return [shape[0] for shape in self.interfaces]
 
     def param_count(self) -> int:
         return self.params.total_len
@@ -318,7 +307,7 @@ def lower_input(net: Network, x) -> LoweredInput:
         )
     layer = net.layers[0]
     conv = isinstance(layer, ConvLayer)
-    rows = x.reshape(x.shape[0], net.interfaces[0][1], -1) if conv else x
+    rows = x.reshape(x.shape[0], net.interfaces[0][0], -1) if conv else x
     varies = np.flatnonzero((rows[1:] != rows[:1]).any(axis=(0, 2) if conv else 0))
     block, sample = _WHOLE
     if 0 < varies.size < rows.shape[1] and varies[-1] - varies[0] + 1 == varies.size:
@@ -382,8 +371,8 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
         block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
         if isinstance(layer, ConvLayer):
             if k > 0:
-                a = conv_patches(layer, a.reshape((a.shape[0],) + net.interfaces[k][1:]))
-            z = conv_forward_batch(_channel_block(layer, block), a, net.interfaces[k + 1][2:])
+                a = conv_patches(layer, a.reshape((a.shape[0],) + net.interfaces[k]))
+            z = conv_forward_batch(_channel_block(layer, block), a, net.interfaces[k + 1][1:])
             if sample is not None:
                 w = layer.weights.reshape(layer.out_channels, -1)
                 z += (w @ sample).reshape(z.shape[1:])
@@ -417,7 +406,7 @@ def loss_blocks(net: Network, n: int) -> list[slice]:
     are one block.  A product of a few rows may take another BLAS path and
     round differently from the same rows inside a batch.
     """
-    widest = max(_flat_size(desc) for desc in net.interfaces[1:])
+    widest = max(math.prod(shape) for shape in net.interfaces[1:])
     cap = max(1, LOSS_BLOCK_BYTES // (8 * widest))
     count = max(1, min(-(-n // cap), n // LOSS_BLOCK_MIN_ROWS))
     bounds = [n * k // count for k in range(count + 1)]
@@ -501,7 +490,7 @@ def backward(
     lowered = _lowered(net, batch.inputs)
     if out is None:
         out = net.params.zeros_like()
-    elif out.segments != net.params.segments:
+    elif out.layout != net.params.layout:
         raise ParamLayoutError("gradient buffer layout does not match the network")
     caches = []
     # the predictions are the call's own, so the loss gradient overwrites them
@@ -520,14 +509,14 @@ def backward(
                 # positive where its pre-activation was; the ReLU subgradient at
                 # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
                 np.multiply(dz, z_k > 0.0, out=dz)
-            gw, gb = out.view(k, "weight"), out.view(k, "bias")
+            gw, gb = out.weights(k), out.bias(k)
             # a folded first layer's weight gradient sums over the batch on the
             # varying block; the rest is the batch-summed upstream times the sample
             block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
             handed = k > 0 and _hand_off(dz.shape[0], layer)
             if isinstance(layer, ConvLayer):
                 # a_k is the patch matrix; the first layer's input gradient is never used
-                in_hw = net.interfaces[k][2:] if k > 0 else None
+                in_hw = net.interfaces[k][1:] if k > 0 else None
                 gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
                 if sample is not None:
                     up = dz.sum(axis=0).reshape(layer.out_channels, -1)
@@ -558,82 +547,61 @@ def backward(
     return out
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous block of the flat parameter vector."""
-
-    layer: int
-    kind: str  # "weight" | "bias"
-    offset: int
-    shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-
 class ParamVector:
     """Flat float64 view of all learnable parameters (or momentum).
 
-    Segment order is the unroll order: layer by layer, each weight block
-    followed by its bias block, so ``layer(k)`` is one slice.
+    ``layout`` holds one (weight shape, bias shape) pair per layer, in the
+    unroll order: layer by layer, each weight block followed by its bias
+    block, so ``layer(k)`` is one slice.
     """
 
-    __slots__ = ("data", "segments", "_index")
+    __slots__ = ("data", "layout", "_ends")
 
-    def __init__(self, data: np.ndarray, segments: tuple[Segment, ...]):
+    def __init__(self, data: np.ndarray, layout: tuple[tuple[tuple, tuple], ...]):
         self.data = np.asarray(data, dtype=np.float64).ravel()
-        self.segments = tuple(segments)
-        expected = sum(s.size for s in self.segments)
-        if self.data.size != expected:
-            raise ParamLayoutError(
-                f"data length {self.data.size} != layout total {expected}"
-            )
-        self._index = {(s.layer, s.kind): s for s in self.segments}
+        self.layout = tuple(layout)
+        # where each block starts, and after the last one, the total
+        self._ends = (0, *itertools.accumulate(math.prod(s) for pair in self.layout for s in pair))
+        if self.data.size != self._ends[-1]:
+            raise ParamLayoutError(f"data length {self.data.size} != layout total {self._ends[-1]}")
 
     @property
     def total_len(self) -> int:
         return self.data.size
 
-    def view(self, layer: int, kind: str) -> np.ndarray:
-        seg = self._index[(layer, kind)]
-        return self.data[seg.offset : seg.offset + seg.size].reshape(seg.shape)
+    def weights(self, k: int) -> np.ndarray:
+        return self.data[self._ends[2 * k] : self._ends[2 * k + 1]].reshape(self.layout[k][0])
+
+    def bias(self, k: int) -> np.ndarray:
+        return self.data[self._ends[2 * k + 1] : self._ends[2 * k + 2]]
 
     def layer(self, k: int) -> np.ndarray:
         """Layer k's weight and bias entries, as one flat view."""
-        w, b = self._index[(k, "weight")], self._index[(k, "bias")]
-        return self.data[w.offset : b.offset + b.size]
+        return self.data[self._ends[2 * k] : self._ends[2 * k + 2]]
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.data.copy(), self.segments)
+        return ParamVector(self.data.copy(), self.layout)
 
     def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros_like(self.data), self.segments)
+        return ParamVector(np.zeros_like(self.data), self.layout)
 
     @classmethod
-    def zeros(cls, segments) -> "ParamVector":
-        total = sum(s.size for s in segments)
-        return cls(np.zeros(total), segments)
+    def zeros(cls, layout) -> "ParamVector":
+        return cls(np.zeros(sum(math.prod(s) for pair in layout for s in pair)), layout)
 
 
-def param_layout(net: Network) -> tuple[Segment, ...]:
-    """Segment layout for a network: by layer, each weight block then its bias.
+def param_layout(net: Network) -> tuple[tuple[tuple, tuple], ...]:
+    """Parameter layout for a network: a (weight shape, bias shape) pair per layer.
 
-    A block has its array's shape, (n_out, n_in) for a dense layer and
-    (out_c, in_c, kh, kw) for a conv one.
+    A weight block has its array's shape, (n_out, n_in) for a dense layer
+    and (out_c, in_c, kh, kw) for a conv one.
     """
-    segments = []
-    offset = 0
-    for k, layer in enumerate(net.layers):
-        for kind, shape in (("weight", layer.weights.shape), ("bias", layer.bias.shape)):
-            segments.append(Segment(layer=k, kind=kind, offset=offset, shape=shape))
-            offset += segments[-1].size
-    return tuple(segments)
+    return tuple((layer.weights.shape, layer.bias.shape) for layer in net.layers)
 
 
 def _adopt(layer, params: ParamVector, k: int):
     """A copy of layer ``k`` whose arrays are views into ``params``."""
-    w, b = params.view(k, "weight"), params.view(k, "bias")
+    w, b = params.weights(k), params.bias(k)
     w[...] = layer.weights
     b[...] = layer.bias
     return replace(layer, weights=w, bias=b)
@@ -650,7 +618,7 @@ def flatten(net: Network) -> ParamVector:
 
 def unflatten(net: Network, x: ParamVector) -> None:
     """Copy the flat vector's values into the network's parameter buffer."""
-    if x.segments != net.params.segments:
+    if x.layout != net.params.layout:
         raise ParamLayoutError(
             f"parameter vector layout (total {x.total_len}) does not match "
             f"network layout (total {net.params.total_len})"

@@ -391,7 +391,7 @@ def v_cycle(
             restrict_params(t, state.momentum, out=coarse.momentum)
             if coarse.start is None:  # one block for both, until a rematch rebuilds the level
                 block = np.zeros((2, coarse.net.params.total_len))
-                coarse.start = tuple(ParamVector(row, coarse.net.params.segments) for row in block)
+                coarse.start = tuple(ParamVector(row, coarse.net.params.layout) for row in block)
             np.copyto(coarse.start[0].data, coarse.net.params.data)
             np.copyto(coarse.start[1].data, coarse.momentum.data)
             tau = compute_tau(state.net, coarse.net, t, group, fine_sum)

@@ -33,7 +33,6 @@ from .nets import (
     NetworkShapeError,
     ParamLayoutError,
     ParamVector,
-    Segment,
     flatten,  # not called here; perfbench/tracer.py rebinds it at this module
 )
 
@@ -44,10 +43,11 @@ class TransferLevel:
     ``interfaces`` holds a ``LayerTransfer`` per interface of ``net`` (len
     n_layers + 1): the identity at the input and output and the given
     ``hidden`` maps between them, whose fine widths must be the network's.
-    ``layouts`` holds the (fine, coarse) parameter layouts and ``scratch``
-    two work arrays of the largest fine block's size, which every
-    application of the level reuses for a block's input-axis map and a pair
-    sum's mate term.  Both are fixed here; ``refresh_weights`` keeps them.
+    ``layouts`` holds the (fine, coarse) parameter layouts, a (weight shape,
+    bias shape) pair per layer, and ``scratch`` two work arrays of the
+    largest fine weight block's size, which every application of the level
+    reuses for a block's input-axis map and a pair sum's mate term.  Both
+    are fixed here; ``refresh_weights`` keeps them.
     """
 
     def __init__(self, net: Network, hidden: list[LayerTransfer]):
@@ -58,22 +58,17 @@ class TransferLevel:
             raise NetworkShapeError(
                 f"transfer widths {widths} do not match the network's unit counts {units}"
             )
-        fine = net.params.segments
-        coarse, offset = [], 0
-        for seg in fine:
-            k = seg.layer
+        fine, coarse = net.params.layout, []
+        for k, (w, _) in enumerate(fine):
+            # a weight block keeps its columns per input unit (or channel) and its taps
             n_out = self.interfaces[k + 1].n_coarse
-            if seg.kind == "bias":
-                shape = (n_out,)
-            else:  # a block keeps its columns per input unit (or channel) and its taps
-                n_in = self.interfaces[k].n_coarse * (seg.shape[1] // units[k])
-                shape = (n_out, n_in) + seg.shape[2:]
-            coarse.append(Segment(k, seg.kind, offset, shape))
-            offset += coarse[-1].size
+            n_in = self.interfaces[k].n_coarse * (w[1] // units[k])
+            coarse.append(((n_out, n_in) + w[2:], (n_out,)))
         self.layouts = (fine, tuple(coarse))
         # every intermediate of a block (a map along one axis) and every mate
-        # term is at most as large as the block's fine side
-        size = max(seg.size for seg in fine)
+        # term is at most as large as the block's fine side, and a layer's
+        # weight block is never smaller than its bias block
+        size = max(math.prod(w) for w, _ in fine)
         self.scratch = (np.empty(size), np.empty(size))
 
     @property
@@ -129,16 +124,15 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
     interface.
     """
     side = 1 if primitive is LayerTransfer.gather else 0
-    if x.segments != t.layouts[side]:
+    if x.layout != t.layouts[side]:
         raise NetworkShapeError(
-            f"vector block shapes {[s.shape for s in x.segments]} do not match the "
-            f"transfer level's {('fine', 'coarse')[side]} shapes "
-            f"{[s.shape for s in t.layouts[side]]}"
+            f"vector block shapes {x.layout} do not match the transfer level's "
+            f"{('fine', 'coarse')[side]} shapes {t.layouts[side]}"
         )
     target = t.layouts[1 - side]
     if out is None:
         out = ParamVector.zeros(target)
-    elif out.segments != target:
+    elif out.layout != target:
         raise ParamLayoutError("output vector layout does not match the transfer level")
     mid, mate = t.scratch
     # pair sums write their mate term into ``mate``; gathers have none
@@ -155,14 +149,13 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
     for k in range(t.n_layers):
         op_out, op_in = t.interfaces[k + 1], t.interfaces[k]
         units = (op_in.n_fine, op_in.n_coarse)
-        w = x.view(k, "weight")
+        w = x.weights(k)
         w = w.reshape(w.shape[0], units[side], -1)
         if not op_in.is_identity:
             shape = (w.shape[0], units[1 - side], w.shape[2])
             w = along(op_in, w, w_in, 1, mid[: math.prod(shape)].reshape(shape))
-        res = out.view(k, "weight")
-        along(op_out, w, w_out, 0, res.reshape(res.shape[0], *w.shape[1:]))
-        along(op_out, x.view(k, "bias"), w_out, 0, out.view(k, "bias"))
+        along(op_out, w, w_out, 0, out.weights(k).reshape(-1, *w.shape[1:]))
+        along(op_out, x.bias(k), w_out, 0, out.bias(k))
     return out
 
 
@@ -223,18 +216,18 @@ def coarse_grid_correction(
     delta, step = (None, None) if scratch is None else scratch
     if restricted is None:
         restricted = delta = restrict_params(t, x, out=delta)
-    elif x.segments != t.layouts[0] or restricted.segments != t.layouts[1]:
+    elif x.layout != t.layouts[0] or restricted.layout != t.layouts[1]:
         raise NetworkShapeError("vector layouts do not match the transfer level")
     elif delta is None:
         delta = restricted.zeros_like()
-    if x_c_new.segments != restricted.segments:
+    if x_c_new.layout != restricted.layout:
         raise NetworkShapeError("coarse vector layout does not match the transfer level")
     np.subtract(x_c_new.data, restricted.data, out=delta.data)
     step = prolong_params(t, delta, out=step)
     step.data *= alpha
     if out is None:
         out = x.zeros_like()
-    elif out.segments != x.segments:
+    elif out.layout != x.layout:
         raise ParamLayoutError("output vector layout does not match the fine vector")
     np.add(x.data, step.data, out=out.data)
     return out
@@ -248,7 +241,7 @@ def restrict_network(net: Network, t: TransferLevel) -> Network:
     """
     x_c = restrict_params(t, net.params)
     layers = [
-        replace(layer, weights=x_c.view(k, "weight"), bias=x_c.view(k, "bias"))
+        replace(layer, weights=x_c.weights(k), bias=x_c.bias(k))
         for k, layer in enumerate(net.layers)
     ]
     # the network copies the restricted values into a buffer of its own

@@ -93,36 +93,33 @@ def interface_matrices(op):
     return p, pi
 
 
-def explicit_transfer_matrices(t, segments):
+def explicit_transfer_matrices(t, layout):
     """Assemble full restriction/interpolation matrices from the interface maps.
 
-    Independent assembly route (kron + block-diag over the segment order)
-    used as an oracle against the blockwise implementation.  Row-major vec
-    of A X B is (A kron B^T) vec(X); conv kernels carry an extra identity
-    over the kernel taps, and a dense layer reading a flattened channel
-    tensor sees its input interface expanded by kron with the spatial
-    identity.  ``segments`` is the fine layout.
+    Independent assembly route (kron + block-diag over the layers' weight
+    and bias blocks) used as an oracle against the blockwise
+    implementation.  Row-major vec of A X B is (A kron B^T) vec(X); conv
+    kernels carry an extra identity over the kernel taps, and a dense layer
+    reading a flattened channel tensor sees its input interface expanded by
+    kron with the spatial identity.  ``layout`` is the fine layout.
     """
     import scipy.sparse as sp
 
     pi_blocks, p_blocks = [], []
-    for seg in segments:
-        k = seg.layer
+    for k, (shape, _) in enumerate(layout):
         p_out, pi_out = interface_matrices(t.interfaces[k + 1])
-        if seg.kind == "bias":
-            pi_blocks.append(pi_out)
-            p_blocks.append(p_out)
-            continue
         in_op = t.interfaces[k]
         p_in, pi_in = interface_matrices(in_op)
-        if len(seg.shape) == 4:
-            taps = sp.identity(seg.shape[2] * seg.shape[3])
+        if len(shape) == 4:
+            taps = sp.identity(shape[2] * shape[3])
             pi_blocks.append(sp.kron(pi_out, sp.kron(p_in.T, taps)))
             p_blocks.append(sp.kron(p_out, sp.kron(pi_in.T, taps)))
         else:
-            spatial = sp.identity(seg.shape[1] // in_op.n_fine)
+            spatial = sp.identity(shape[1] // in_op.n_fine)
             pi_blocks.append(sp.kron(pi_out, sp.kron(p_in, spatial).T))
             p_blocks.append(sp.kron(p_out, sp.kron(pi_in, spatial).T))
+        pi_blocks.append(pi_out)
+        p_blocks.append(p_out)
     big_pi = sp.block_diag(pi_blocks, format="csr")
     big_p = sp.block_diag(p_blocks, format="csr")
     return big_pi, big_p, big_p.T.tocsr()
@@ -146,9 +143,8 @@ def _reference_forward_cached(net, x, conv):
     caches = []
     n_last = net.n_layers - 1
     for k, layer in enumerate(net.layers):
-        desc = net.interfaces[k]
         if isinstance(layer, ConvLayer):
-            a = a.reshape(a.shape[0], desc[1], desc[2], desc[3])
+            a = a.reshape((a.shape[0],) + net.interfaces[k])
             z = conv[0](layer, a)
         else:
             a = a.reshape(a.shape[0], -1)
@@ -216,8 +212,8 @@ def reference_backward(net, batch, conv=CURRENT_CONV):
 
     out = ParamVector.zeros(param_layout(net))
     for k, (gw, gb) in enumerate(grads):
-        out.view(k, "weight")[...] = gw
-        out.view(k, "bias")[...] = gb
+        out.weights(k)[...] = gw
+        out.bias(k)[...] = gb
     return out
 
 

@@ -59,7 +59,7 @@ class TestMatchesReference:
             assert np.array_equal(backward(net, batch, out=net.grad).data, ref)
 
         ref_net = net.copy()
-        layout = net.params.segments
+        layout = net.params.layout
         m0 = rng.normal(size=net.param_count())
         momentum = ParamVector(m0.copy(), layout)
         ref_momentum = ParamVector(m0.copy(), layout)
@@ -93,10 +93,10 @@ class TestOwnership:
             for k, layer in enumerate(net.layers):
                 assert np.shares_memory(layer.weights, net.params.data)
                 assert np.shares_memory(layer.bias, net.params.data)
-                assert np.array_equal(layer.weights, net.params.view(k, "weight"))
+                assert np.array_equal(layer.weights, net.params.weights(k))
             y = rng.normal(size=net.input_size)
             before = forward(net, y)
-            net.params.view(net.n_layers - 1, "bias")[...] += 1.0
+            net.params.bias(net.n_layers - 1)[...] += 1.0
             np.testing.assert_allclose(forward(net, y), before + 1.0, rtol=0, atol=1e-12)
 
     def test_copies_get_buffers_of_their_own(self, tmp_path):
@@ -152,7 +152,7 @@ class TestOwnership:
         batches = [random_batch(rng, fine, size=4) for _ in range(3)]
         gf = [backward(fine, b).data for b in batches]
         gc = [backward(coarse, b).data for b in batches]
-        fine_sum = ParamVector(gf[0] + gf[1] + gf[2], fine.params.segments)
+        fine_sum = ParamVector(gf[0] + gf[1] + gf[2], fine.params.layout)
         expected = (gc[0] + gc[1] + gc[2] - restrict_gradient(t, fine_sum).data) / 3
         tau = compute_tau(fine, coarse, t, batches)
         assert np.array_equal(tau.data, expected)

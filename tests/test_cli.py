@@ -132,6 +132,19 @@ def test_generate_grid_below_one_is_structured_failure(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+# a deeper net's hidden interface was once compared with the other's output
+def test_inspect_of_two_hierarchies_is_structured_failure(tmp_path, capsys):
+    paths = []
+    for arch in ("dense:16,dense:8", "dense:16"):
+        paths.append(str(tmp_path / f"{len(paths)}.mlfasnet"))
+        save_network(build_network(arch, 12, 3, rng=np.random.default_rng(1)), paths[-1])
+    assert main(["inspect-hierarchy", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {paths[0]} and {paths[1]} are not levels of one "
+                            "hierarchy: layer count 3 against 2\n")
+
+
 def test_bad_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
     _, ds_path = workspace
     bad = tmp_path / "bad.mlfasnet"

@@ -299,7 +299,7 @@ class TestBuildNetwork:
             "conv:4k3s1p1,dense:10", (2, 6, 6), 5, rng=np.random.default_rng(0)
         )
         assert net.unit_counts() == [2, 4, 10, 5]
-        assert net.interfaces[1] == ("chan", 4, 6, 6)
+        assert net.interfaces[1] == (4, 6, 6)
 
     def test_conv_after_dense_rejected(self):
         with pytest.raises(ConfigError, match="precede"):
@@ -868,3 +868,29 @@ class TestInspect:
         assert level1.startswith("  layer 0: conv 3->4 k3x3 s(2, 2) p(1, 1)\n"
                                  "  layer 1: dense 64->3\n  layer 2: dense 3->2\n"
                                  "  interface units: [3, 4, 3, 2]\n")
+
+    @pytest.mark.parametrize(
+        ("fine", "coarse", "difference"),
+        [
+            (("dense:16,dense:8", 12, 3), ("dense:16", 12, 3), "layer count 3 against 2"),
+            (("dense:16", 12, 3), ("dense:16,dense:8", 12, 3), "layer count 2 against 3"),
+            (("dense:8", 192, 2), ("conv:4k3s2p1", (3, 8, 8), 2),
+             "layer 0 dense against conv k(3, 3) s(2, 2) p(1, 1)"),
+            (("conv:4k3s2p1", (3, 8, 8), 2), ("conv:4k3s1p1", (3, 8, 8), 2),
+             "layer 0 conv k(3, 3) s(2, 2) p(1, 1) against conv k(3, 3) s(1, 1) p(1, 1)"),
+            (("dense:8", 12, 3), ("dense:8", 10, 3), "input shape (12,) against (10,)"),
+            (("dense:8", 12, 3), ("dense:8", 12, 4), "output size 3 against 4"),
+        ],
+    )
+    def test_checkpoints_of_different_hierarchies_rejected(self, tmp_path, fine, coarse,
+                                                           difference):
+        paths = []
+        for i, (arch, input_shape, output_size) in enumerate((fine, coarse)):
+            paths.append(str(tmp_path / f"l{i}.mlfasnet"))
+            net = build_network(arch, input_shape, output_size, rng=np.random.default_rng(i))
+            save_network(net, paths[-1])
+        with pytest.raises(ValueError) as err:
+            inspect_hierarchy(paths)
+        assert str(err.value) == (
+            f"{paths[0]} and {paths[1]} are not levels of one hierarchy: {difference}"
+        )

@@ -186,7 +186,7 @@ def kappa_xy_batch(rng, size, folded, grid=6):
 
 def set_block_rows(monkeypatch, net, rows):
     """Size ``loss``'s row blocks at ``rows`` rows for ``net``."""
-    widest = max(int(np.prod(desc[1:])) for desc in net.interfaces[1:])
+    widest = max(int(np.prod(shape)) for shape in net.interfaces[1:])
     monkeypatch.setattr(nets, "LOSS_BLOCK_BYTES", rows * 8 * widest)
 
 
@@ -270,7 +270,7 @@ class TestBlockedLoss:
         x = kappa_xy_batch(rng, 800, True, grid=32)
         batch = Minibatch(lower_input(net, x), rng.normal(size=(800, 1024)))
         del x
-        activation = 800 * net.interfaces[1][1] * 16 * 16 * 8  # 13.1 MB
+        activation = 800 * net.interfaces[1][0] * 16 * 16 * 8  # 13.1 MB
         tracemalloc.start()
         try:
             loss(net, batch)
@@ -323,9 +323,9 @@ class TestBackward:
         targets = np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 4.0]])
         batch = Minibatch(np.zeros((3, 3)), targets)
         g = backward(net, batch)
-        assert np.all(g.view(0, "weight") == 0.0)
+        assert np.all(g.weights(0) == 0.0)
         expected_bias = -(2.0 / 3.0) * targets.sum(axis=0)
-        np.testing.assert_allclose(g.view(0, "bias"), expected_bias, rtol=1e-15)
+        np.testing.assert_allclose(g.bias(0), expected_bias, rtol=1e-15)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(17)
@@ -359,17 +359,26 @@ class TestParamVector:
         net = Network([DenseLayer(np.zeros((2, 3)), np.zeros(2))])
         assert flatten(net).total_len == 8
 
-    def test_each_bias_segment_follows_its_weight_segment(self):
+    def test_layers_tile_the_vector(self):
         net = build_network("conv:4k3s2p1,conv:2k3s1p1,dense:6", (3, 8, 8), 5,
                             rng=np.random.default_rng(23))
-        segs = flatten(net).segments
-        assert [(s.layer, s.kind) for s in segs] == [
-            (k, kind) for k in range(net.n_layers) for kind in ("weight", "bias")
-        ]
-        # the segments tile the vector, so a layer's entries are one slice
-        ends = [0] + [s.offset + s.size for s in segs]
-        assert [s.offset for s in segs] == ends[:-1]
-        assert ends[-1] == net.param_count()
+        x = flatten(net)
+        assert x.layout == tuple((l.weights.shape, l.bias.shape) for l in net.layers)
+
+        def offset(a):
+            return (a.ctypes.data - x.data.ctypes.data) // a.itemsize
+
+        # layer by layer, each weight block followed by its bias block, with
+        # nothing between, so a layer's entries are one slice
+        end = 0
+        for k, (w_shape, b_shape) in enumerate(x.layout):
+            w, b, entries = x.weights(k), x.bias(k), x.layer(k)
+            assert (w.shape, b.shape) == (w_shape, b_shape)
+            assert offset(entries) == offset(w) == end
+            assert offset(b) == end + w.size
+            assert entries.size == w.size + b.size
+            end += entries.size
+        assert end == x.total_len == net.param_count()
         for k, layer in enumerate(net.layers):
             entries = net.params.layer(k)
             assert np.shares_memory(entries, layer.weights)
@@ -383,7 +392,7 @@ class TestParamVector:
         net = random_dense_net(rng, widths=(2, 9), io=(1, 5))
         before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
         x = flatten(net)
-        x2 = ParamVector(x.data.copy(), x.segments)
+        x2 = ParamVector(x.data.copy(), x.layout)
         unflatten(net, x2)
         for layer, (w, b) in zip(net.layers, before):
             assert np.array_equal(layer.weights, w)
@@ -401,8 +410,8 @@ class TestParamVector:
         net = random_dense_net(rng)
         x = flatten(net)
         for k, layer in enumerate(net.layers):
-            assert np.array_equal(x.view(k, "weight"), layer.weights)
-            assert np.array_equal(x.view(k, "bias"), layer.bias)
+            assert np.array_equal(x.weights(k), layer.weights)
+            assert np.array_equal(x.bias(k), layer.bias)
 
 
 def folded_case(seed, conv, batch_size, kernel=3, stride=1, padding=0):
@@ -425,7 +434,7 @@ def folded_case(seed, conv, batch_size, kernel=3, stride=1, padding=0):
     else:
         net = random_dense_net(rng, io=(2, 12))
     batch = random_batch(rng, net, size=batch_size)
-    n = net.interfaces[0][1]
+    n = net.interfaces[0][0]
     lo = int(rng.integers(0, n))
     hi = int(rng.integers(lo + 1, n + 1))
     if hi - lo == n:
@@ -443,16 +452,17 @@ def assert_gradients_match(got, ref, block, scale=None):
     is held to the tolerance relative to its own scale: the reference's, or
     that of the same part of the vector ``scale`` when given.
     """
-    for seg in got.segments:
-        g, r = got.view(seg.layer, seg.kind), ref.view(seg.layer, seg.kind)
-        s = r if scale is None else scale.view(seg.layer, seg.kind)
-        if seg.layer == 0 and seg.kind == "weight":
+    scale = ref if scale is None else scale
+    for k in range(len(got.layout)):
+        g, r, s = got.weights(k), ref.weights(k), scale.weights(k)
+        if k == 0:
             varying = np.zeros(g.shape[1], dtype=bool)
             varying[block] = True
             assert_rel(g[:, varying], r[:, varying], scale=s[:, varying])
             assert_rel(g[:, ~varying], r[:, ~varying], scale=s[:, ~varying])
         else:
             assert_rel(g, r, scale=s)
+        assert_rel(got.bias(k), ref.bias(k), scale=scale.bias(k))
 
 
 class TestSharedInputFold:
@@ -476,7 +486,7 @@ class TestSharedInputFold:
     def test_unfolded_batches_match_bitwise(self, conv):
         for seed in range(6):
             net, batch, block = folded_case(seed, conv, 7)
-            n = net.interfaces[0][1]
+            n = net.interfaces[0][0]
             rows = batch.inputs.reshape(7, n, -1)
             rng = np.random.default_rng(seed)
             gapped = rows.copy()  # varying entries at both ends, shared between
@@ -498,7 +508,7 @@ class TestSharedInputFold:
     @pytest.mark.parametrize("conv", [False, True])
     def test_nan_in_a_shared_column_propagates(self, conv):
         net, batch, block = folded_case(11, conv, 7)
-        n = net.interfaces[0][1]
+        n = net.interfaces[0][0]
         column = block.stop if block.stop < n else block.start - 1
         rows = batch.inputs.reshape(7, n, -1)
         rows[:, column, 0] = np.nan
@@ -573,7 +583,7 @@ class TestSplitLowering:
         # sum the same terms apart, so they agree to rounding relative to the
         # size of the terms, not of the result they may cancel to
         net, split, block = folded_case(seed, conv, 9)
-        n = net.interfaces[0][1]
+        n = net.interfaces[0][0]
         column = {"first": block.start, "last": block.stop - 1,
                   "middle": (block.start + block.stop - 1) // 2}[where]
         idx = np.random.default_rng(seed).permutation(9)[:batch_size]
@@ -675,9 +685,9 @@ class TestHandOff:
         assert any(t is not threading.current_thread() for t in threads)
         with np.errstate(all="ignore"):
             grad = backward(net, batch)
-        assert np.isinf(grad.view(1, "weight")).all()
-        assert all(np.isfinite(grad.view(s.layer, s.kind)).all()
-                   for s in grad.segments if (s.layer, s.kind) != (1, "weight"))
+        assert np.isinf(grad.weights(1)).all()
+        assert np.isfinite(grad.weights(0)).all()
+        assert all(np.isfinite(grad.bias(k)).all() for k in range(net.n_layers))
 
     def test_one_cpu_starts_no_helper(self, monkeypatch):
         helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="handoff-test")
@@ -754,15 +764,15 @@ class TestHandOff:
                        DenseLayer(np.ones((1, 3)), np.zeros(1))])
         batch = Minibatch(np.ones((4, 2)), np.zeros((4, 1)))
         out, momentum = net.params.zeros_like(), net.params.zeros_like()
-        momentum.view(1, "weight")[...] = 1e308
+        momentum.weights(1)[...] = 1e308
         threads = hand_off_everything(monkeypatch)
         caller = threading.current_thread()
         stepped = []
 
         def step(k):
             stepped.append((k, threading.current_thread() is caller))
-            g = out.view(k, "weight")
-            m = momentum.view(k, "weight")
+            g = out.weights(k)
+            m = momentum.weights(k)
             m += g
             np.multiply(m, 10.0, out=g)
 

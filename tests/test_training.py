@@ -100,7 +100,7 @@ class TestSgdSmooth:
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
         batch = Minibatch([[2.0]], [[5.0]])
-        tilt = ParamVector(np.array([2.0, 1.0]), momentum.segments)
+        tilt = ParamVector(np.array([2.0, 1.0]), momentum.layout)
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0, steps_per_smooth=1)
         sgd_smooth(net, momentum, cfg, constant_batches(batch), tilt=tilt)
         # grad = (-12, -6) - (2, 1) = (-14, -7)
@@ -168,7 +168,7 @@ class TestLayerStep:
     def test_equals_the_whole_vector_update(self, monkeypatch, arch, shape, n_out, everything,
                                             gamma, cpus):
         net, batches, momentum, tau = self.setup(arch, shape, n_out)
-        tilt = ParamVector(gamma * tau.data, tau.segments)
+        tilt = ParamVector(gamma * tau.data, tau.layout)
         cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
                              steps_per_smooth=3)
         ref_net, ref_momentum = net.copy(), momentum.copy()
@@ -249,7 +249,7 @@ class TestComputeTau:
         coarse = restrict_network(net, t)
         batches = [Minibatch(rng.normal(size=(3, net.input_size)),
                              rng.normal(size=(3, net.output_size))) for _ in range(3)]
-        _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
+        _, _, big_r = explicit_transfer_matrices(t, flatten(net).layout)
         fine_acc = sum(backward(net, b).data for b in batches)
         coarse_acc = sum(backward(coarse, b).data for b in batches)
         ref = (coarse_acc - big_r @ fine_acc) / 3
@@ -346,7 +346,7 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
         momentum = start.params.zeros_like()
         sgd_smooth(start, momentum, cfg, [batch], tilt=tilt)
         tilted.append(momentum.data)
-    _, _, big_r = explicit_transfer_matrices(t, flatten(net).segments)
+    _, _, big_r = explicit_transfer_matrices(t, flatten(net).layout)
     ref = big_r @ np.mean([backward(net, b).data for b in batches], axis=0)
     return np.abs(np.mean(tilted, axis=0) - ref).max() / np.abs(ref).max()
 
@@ -505,7 +505,7 @@ class TestVCycleHandTrace:
         sgd_step(trace, mom, 0.05)  # pre-smooth
 
         t = coarsen_network(trace, theta=0.9, weighted=True)
-        big_pi, big_p, big_r = explicit_transfer_matrices(t, flatten(trace).segments)
+        big_pi, big_p, big_r = explicit_transfer_matrices(t, flatten(trace).layout)
         x = flatten(trace)
         xc0 = big_pi @ x.data
         mc0 = big_pi @ mom.data
@@ -604,7 +604,7 @@ class TestCoarseVisitRestrictions:
         net = dense_network([6, 20, 12, 4], rng=np.random.default_rng(72))
         t = coarsen_network(net, theta=-1.0)
         rng = np.random.default_rng(73)
-        x = ParamVector(rng.normal(size=net.params.total_len), net.params.segments)
+        x = ParamVector(rng.normal(size=net.params.total_len), net.params.layout)
         xc = restrict_params(t, x)
         xc.data += rng.normal(size=xc.total_len)
         ref = coarse_grid_correction(x, xc, t, alpha=0.3)

@@ -23,7 +23,6 @@ from mlfas.nets import (
     dense_network,
     flatten,
     forward,
-    unflatten,
 )
 from mlfas.transfer import (
     TransferLevel,
@@ -64,15 +63,15 @@ def random_coarsened(rng, conv=False):
 
 def random_coarse_vec(rng, t, x):
     xc = restrict_params(t, x)
-    return type(xc)(rng.normal(size=xc.total_len), xc.segments)
+    return type(xc)(rng.normal(size=xc.total_len), xc.layout)
 
 
 def check_against_oracle(rng, t, x):
     """All three maps equal the kron oracle's matrices, and Pi P = I."""
     import scipy.sparse as sp
 
-    big_pi, big_p, big_r = explicit_transfer_matrices(t, x.segments)
-    v = type(x)(rng.normal(size=x.total_len), x.segments)
+    big_pi, big_p, big_r = explicit_transfer_matrices(t, x.layout)
+    v = type(x)(rng.normal(size=x.total_len), x.layout)
     vc = random_coarse_vec(rng, t, x)
     for got, ref in (
         (restrict_params(t, v).data, big_pi @ v.data),
@@ -101,8 +100,8 @@ def flattened_interface(conv_out_shape, matching, rows=None):
     )
     t = level_with(net, {1: matching}, weighted=rows is not None)
     x = flatten(net)
-    p = restrict_params(t, x).view(1, "weight")
-    pi = restrict_gradient(t, x).view(1, "weight").T
+    p = restrict_params(t, x).weights(1)
+    pi = restrict_gradient(t, x).weights(1).T
     return t, x, p, pi
 
 
@@ -122,8 +121,8 @@ class TestRestrict:
                         num_aggregates=1)
         t = level_with(net, {1: pair})
         xc = restrict_params(t, flatten(net))
-        np.testing.assert_allclose(xc.view(0, "weight"), [[1.0, 0.0]], atol=0)
-        np.testing.assert_allclose(xc.view(1, "weight"), [[5.0]], atol=0)  # columns summed
+        np.testing.assert_allclose(xc.weights(0), [[1.0, 0.0]], atol=0)
+        np.testing.assert_allclose(xc.weights(1), [[5.0]], atol=0)  # columns summed
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_pi_p_identity_on_coarse_space(self, conv):
@@ -157,7 +156,7 @@ class TestProlong:
         net, t = random_coarsened(rng, conv=conv)
         x = flatten(net)
         xc = random_coarse_vec(rng, t, x)
-        _, big_p, _ = explicit_transfer_matrices(t, x.segments)
+        _, big_p, _ = explicit_transfer_matrices(t, x.layout)
         ref = big_p @ xc.data
         got = prolong_params(t, xc).data
         assert np.abs(got - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
@@ -182,7 +181,7 @@ class TestRestrictGradient:
             net, t = random_coarsened(rng, conv=conv)
             x = flatten(net)
             xc = random_coarse_vec(rng, t, x)
-            y = type(x)(rng.normal(size=x.total_len), x.segments)
+            y = type(x)(rng.normal(size=x.total_len), x.layout)
             lhs = prolong_params(t, xc).data @ y.data
             rhs = xc.data @ restrict_gradient(t, y).data
             assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
@@ -197,7 +196,7 @@ class TestRestrictGradient:
         rng = np.random.default_rng(29)
         net, t = random_coarsened(rng, conv=True)
         g = flatten(net)
-        _, _, big_r = explicit_transfer_matrices(t, g.segments)
+        _, _, big_r = explicit_transfer_matrices(t, g.layout)
         ref = big_r @ g.data
         got = restrict_gradient(t, g).data
         assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
@@ -210,8 +209,8 @@ class TestRestrictGradient:
         out = restrict_gradient(t, g)
         for k in range(net.n_layers):
             p_out, _ = interface_matrices(t.interfaces[k + 1])
-            ref = p_out.T @ g.view(k, "bias")
-            np.testing.assert_allclose(out.view(k, "bias"), ref, atol=1e-14)
+            ref = p_out.T @ g.bias(k)
+            np.testing.assert_allclose(out.bias(k), ref, atol=1e-14)
 
     def test_out_buffer_gets_the_fresh_result(self):
         rng = np.random.default_rng(32)
@@ -248,7 +247,7 @@ class TestCoarseGridCorrection:
         net = random_dense_net(rng)
         t = identity_level(net)
         x = flatten(net)
-        xc = type(x)(rng.normal(size=x.total_len), x.segments)
+        xc = type(x)(rng.normal(size=x.total_len), x.layout)
         out = coarse_grid_correction(x, xc, t, alpha=1.0)
         np.testing.assert_allclose(out.data, xc.data, atol=1e-15)
 
@@ -332,6 +331,23 @@ class TestRestrictNetwork:
                 assert fine_l.padding == coarse_l.padding
                 assert fine_l.kernel_size == coarse_l.kernel_size
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_conv=st.sampled_from([0, 1, 2]),
+           theta=st.sampled_from([-1.0, 0.1]))
+    def test_level_layouts_are_the_networks(self, seed, n_conv, theta):
+        # the level derives the coarse layout from shapes alone; the coarse
+        # network's constructor chains the restricted layers' own arrays
+        rng = np.random.default_rng(seed)
+        net = random_conv_net(rng, n_conv=n_conv) if n_conv else random_dense_net(rng)
+        t = coarsen_network(net, theta=theta)
+        coarse = restrict_network(net, t)
+        assert t.layouts[0] == net.params.layout
+        assert t.layouts[1] == coarse.params.layout
+        assert coarse.unit_counts() == [op.n_coarse for op in t.interfaces]
+        assert t.scratch[0].size == t.scratch[1].size == max(
+            layer.weights.size for layer in net.layers
+        )
+
 
 class TestLevelProperties:
     @pytest.mark.parametrize("conv", [False, True])
@@ -339,7 +355,7 @@ class TestLevelProperties:
         rng = np.random.default_rng(67 + conv)
         net, t = random_coarsened(rng, conv=conv)
         x = flatten(net)
-        v = type(x)(rng.normal(size=x.total_len), x.segments)
+        v = type(x)(rng.normal(size=x.total_len), x.layout)
         q1 = prolong_params(t, restrict_params(t, v))
         q2 = prolong_params(t, restrict_params(t, q1))
         assert np.abs(q2.data - q1.data).max() < 1e-12 * max(1.0, np.abs(q1.data).max())
@@ -349,7 +365,7 @@ class TestLevelProperties:
         rng = np.random.default_rng(71)
         net, t = random_coarsened(rng)
         x = flatten(net)
-        m = type(x)(rng.normal(size=x.total_len), x.segments)
+        m = type(x)(rng.normal(size=x.total_len), x.layout)
         mc = random_coarse_vec(rng, t, x)
         np.testing.assert_array_equal(
             coarse_grid_correction(m, mc, t, alpha=0.2).data,
