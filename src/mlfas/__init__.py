@@ -14,7 +14,7 @@ from .coarsening import (
     greedy_hem,
     strength_from_rows,
 )
-from .conv import ChannelTensorView, ConvLayer, conv_forward, to_matrix
+from .conv import ConvLayer, to_matrix
 from .nets import (
     DenseLayer,
     LossValue,
@@ -24,7 +24,6 @@ from .nets import (
     backward,
     dense_network,
     flatten,
-    forward,
     loss,
     unflatten,
 )

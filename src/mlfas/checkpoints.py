@@ -37,10 +37,9 @@ class CheckpointFormatError(ValueError):
 
 
 def save_network(net: Network, path) -> None:
-    if isinstance(net.input_shape, tuple):
-        in_kind, dims = 1, net.input_shape
-    else:
-        in_kind, dims = 0, (net.input_shape, 0, 0)
+    # a flat (n,) input is kind 0 with its unused dims 0, a (c, h, w) one kind 1
+    in_kind = 1 if len(net.input_shape) == 3 else 0
+    dims = (*net.input_shape, 0, 0)[:3]
     parts = [
         _HEADER.pack(
             NETWORK_MAGIC,
@@ -119,5 +118,5 @@ def load_network(path) -> Network:
             raise CheckpointFormatError(f"{path}: unknown layer kind {kind} at layer {k}")
     if r.pos != len(r.raw):
         raise CheckpointFormatError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
-    input_shape = (d0, d1, d2) if in_kind == 1 else d0
+    input_shape = (d0, d1, d2) if in_kind == 1 else (d0,)
     return Network(layers, input_shape=input_shape)

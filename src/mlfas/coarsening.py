@@ -198,22 +198,19 @@ def identity_matching(n: int) -> Matching:
     return Matching(partner=idx.copy(), aggregate=idx.copy(), num_aggregates=n)
 
 
-def build_transfer(matching: Matching, w_rows=None, weighted: bool = False) -> LayerTransfer:
+def build_transfer(matching: Matching, w_rows=None) -> LayerTransfer:
     """Construct the (pi, p) pair for a matching.
 
-    Plain form: p is 1 on every unit and pi averages within each aggregate.
-    The weighted form is ``reweight`` of the plain one.
+    Plain form, without ``w_rows``: p is 1 on every unit and pi averages
+    within each aggregate.  Given the weight rows of the fine units, the
+    weighted form, ``reweight`` of the plain one for those rows.
     """
     agg = matching.aggregate
     rep = np.unique(agg, return_index=True)[1]  # first unit of each aggregate
     plain = LayerTransfer(
         agg, rep, matching.partner[rep], np.ones(matching.n), 1.0 / matching.aggregate_sizes()[agg]
     )
-    if not weighted:
-        return plain
-    if w_rows is None:
-        raise ValueError("weighted transfer requires the weight rows")
-    return reweight(plain, w_rows)
+    return plain if w_rows is None else reweight(plain, w_rows)
 
 
 def reweight(t: LayerTransfer, w_rows) -> LayerTransfer:

@@ -1,9 +1,10 @@
 """Multi-channel convolutional layers.
 
-Cross-correlation forward/backward passes written directly against numpy
-as matrix products with a per-sample patch matrix (im2col), which the
-caller builds once (for a network's first layer, once per data split) and
-hands to both passes, plus an explicitly assembled banded block-Toeplitz
+Batched cross-correlation forward/backward passes written directly
+against numpy as matrix products with the batch's patch matrix (im2col,
+``conv_patches``), which the caller builds once (for a network's first
+layer, once per data split) and hands to both passes; a single sample is a
+batch of one.  Beside them is an explicitly assembled banded block-Toeplitz
 matrix form of the same layer.  The matrix form is built by index
 arithmetic alone (never by probing the convolution code), so the two
 routes verify each other: block rows of the matrix are output channels,
@@ -87,34 +88,6 @@ class ConvLayer:
         return oh, ow
 
 
-@dataclass
-class ChannelTensorView:
-    """Channel-major flat view of a (channels, height, width) activation."""
-
-    channels: int
-    height: int
-    width: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64).ravel()
-        if self.data.size != self.channels * self.height * self.width:
-            raise ConvShapeError(
-                f"data length {self.data.size} != channels*height*width "
-                f"({self.channels}*{self.height}*{self.width})"
-            )
-
-    @classmethod
-    def from_array(cls, a) -> "ChannelTensorView":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 3:
-            raise ConvShapeError(f"expected a (C, H, W) array, got shape {a.shape}")
-        return cls(channels=a.shape[0], height=a.shape[1], width=a.shape[2], data=a.ravel())
-
-    def to_array(self) -> np.ndarray:
-        return self.data.reshape(self.channels, self.height, self.width)
-
-
 def _check_input(layer: ConvLayer, x: np.ndarray) -> None:
     if x.ndim != 4 or x.shape[1] != layer.in_channels:
         raise ConvShapeError(
@@ -166,25 +139,21 @@ def conv_patches(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     return cols.reshape(b, c * kh * kw, oh * ow)
 
 
-def conv_forward_batch(layer: ConvLayer, x: np.ndarray, out_hw: tuple[int, int] | None = None):
-    """Cross-correlate a (B, C, H, W) batch; returns (B, out_c, oh, ow), C-ordered.
+def conv_forward_batch(layer: ConvLayer, patches: np.ndarray, out_hw: tuple[int, int]):
+    """Cross-correlate a batch given as its (B, C*kh*kw, oh*ow) patch matrix
+    (``conv_patches``), built once by the caller and multiplied as it is.
 
-    With the output's spatial size ``out_hw = (oh, ow)`` given, ``x`` is
-    instead the batch's (B, C*kh*kw, oh*ow) patch matrix (``conv_patches``),
-    built once by the caller and multiplied as it is.
+    ``out_hw = (oh, ow)`` is the output's spatial size; returns
+    (B, out_c, oh, ow), C-ordered.
     """
-    if out_hw is None:
-        raw = np.asarray(x, dtype=np.float64)
-        x = conv_patches(layer, raw)
-        out_hw = layer.out_spatial(raw.shape[2], raw.shape[3])
     n_taps = layer.in_channels * layer.kernel_size[0] * layer.kernel_size[1]
-    if x.ndim != 3 or x.shape[1:] != (n_taps, out_hw[0] * out_hw[1]):
+    if patches.ndim != 3 or patches.shape[1:] != (n_taps, out_hw[0] * out_hw[1]):
         raise ConvShapeError(
-            f"patch axes: expected (B, {n_taps}, {out_hw[0] * out_hw[1]}), got {x.shape}"
+            f"patch axes: expected (B, {n_taps}, {out_hw[0] * out_hw[1]}), got {patches.shape}"
         )
-    out = np.matmul(layer.weights.reshape(layer.out_channels, -1), x)
+    out = np.matmul(layer.weights.reshape(layer.out_channels, -1), patches)
     out += layer.bias[:, None]
-    return out.reshape(x.shape[0], layer.out_channels, *out_hw)
+    return out.reshape(patches.shape[0], layer.out_channels, *out_hw)
 
 
 def conv_backward_batch(
@@ -240,16 +209,6 @@ def conv_backward_batch(
         for q in range(kw):
             dx_pad[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += dcols[:, :, p, q]
     return grad_weights, grad_bias, dx_pad[:, :, ph : ph + h, pw : pw + w]
-
-
-def conv_forward(layer: ConvLayer, y_in: ChannelTensorView) -> ChannelTensorView:
-    """Single-sample convolution; bias added, activation left to the caller."""
-    if y_in.channels != layer.in_channels:
-        raise ConvShapeError(
-            f"input channel axis: expected {layer.in_channels}, got {y_in.channels}"
-        )
-    out = conv_forward_batch(layer, y_in.to_array()[None])[0]
-    return ChannelTensorView.from_array(out)
 
 
 def to_matrix(layer: ConvLayer, in_shape: tuple[int, int, int]) -> np.ndarray:

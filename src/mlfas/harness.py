@@ -216,12 +216,6 @@ def parse_grid(path, assignments=()) -> list[ExperimentConfig]:
     ]
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Read a flat key=value config file ('#' starts a comment)."""
-    [cfg] = parse_grid(path)
-    return cfg
-
-
 def _text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
@@ -253,17 +247,16 @@ def build_network(
     Conv tokens must come first.  Every hidden layer is followed by ReLU; a
     linear dense output layer onto ``output_size`` is appended
     automatically.  ``input_shape`` is (channels, height, width) or a
-    width; a dense first layer reads the input flattened, so its network's
-    ``input_shape`` is then the width.
+    plain width; a dense first layer reads the input flattened, so its
+    network's ``input_shape`` is then (n,), with n the input's size.
     """
     layers = []
-    if not isinstance(input_shape, tuple):
-        input_shape = int(input_shape)
-    shape = input_shape  # the running interface: (channels, height, width) or a width
+    # the running interface: (channels, height, width) or (width,)
+    shape = input_shape if isinstance(input_shape, tuple) else (int(input_shape),)
     for token in (t.strip() for t in arch.split(",") if t.strip()):
         m = _CONV_TOKEN.match(token)
         if m:
-            if not isinstance(shape, tuple):
+            if len(shape) != 3:
                 raise ConfigError(f"conv token {token!r} must precede dense layers "
                                   "and needs a channel input")
             out_c, k, s, p = (int(g) for g in m.groups())
@@ -276,13 +269,11 @@ def build_network(
         if m:
             width = int(m.group(1))
             layers.append(DenseLayer(np.zeros((width, int(np.prod(shape)))), np.zeros(width)))
-            shape = width
+            shape = (width,)
             continue
         raise ConfigError(f"unrecognized architecture token {token!r}")
     layers.append(DenseLayer(np.zeros((output_size, int(np.prod(shape)))), np.zeros(output_size)))
-    if isinstance(layers[0], DenseLayer):
-        input_shape = layers[0].n_in
-    net = Network(layers, input_shape=input_shape)
+    net = Network(layers, None if isinstance(layers[0], DenseLayer) else input_shape)
     if rng is not None:
         uniform_init(net, rng)
     return net

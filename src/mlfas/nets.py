@@ -51,11 +51,9 @@ from .conv import (
 
 
 class NetworkShapeError(ValueError):
-    """Layer dimension chaining violation, naming the offending layer."""
-
-
-class ParamLayoutError(ValueError):
-    """Flat parameter vector does not match the network's layout."""
+    """A shape that does not fit: layers that do not chain (naming the
+    offending layer), an input of the wrong size or form, or a parameter
+    vector whose layout is not the one expected."""
 
 
 @dataclass
@@ -150,9 +148,10 @@ class Minibatch:
 class Network:
     """Layer stack with ReLU hidden layers and a linear output layer.
 
-    ``input_shape`` is an int for flat inputs or (channels, height, width)
-    when the first layer is convolutional.  ``interfaces`` holds the shape
-    of every interface, input first (len n_layers + 1).
+    ``input_shape`` is the input interface's shape: (n,) for flat inputs,
+    (channels, height, width) when the first layer is convolutional.  It
+    defaults to (n_in,) for a dense first layer.  ``interfaces`` holds the
+    shape of every interface, input first (len n_layers + 1).
 
     The network owns two flat buffers in unroll order (by layer, each
     weight block followed by its bias), allocated once:
@@ -174,11 +173,12 @@ class Network:
                 raise NetworkShapeError(
                     "input_shape=(channels, height, width) is required for a conv first layer"
                 )
-            input_shape = first.n_in
-        if isinstance(input_shape, (tuple, list)):
-            self.input_shape = tuple(int(v) for v in input_shape)
-        else:
-            self.input_shape = int(input_shape)
+            input_shape = (first.n_in,)
+        if not isinstance(input_shape, tuple) or len(input_shape) not in (1, 3):
+            raise NetworkShapeError(
+                f"input_shape must be (n,) or (channels, height, width), got {input_shape!r}"
+            )
+        self.input_shape = tuple(int(v) for v in input_shape)
         self.interfaces = self._trace_shapes()
         layout = param_layout(self)
         self.params = ParamVector.zeros(layout)
@@ -187,15 +187,12 @@ class Network:
 
     def _trace_shapes(self):
         """The shape of every interface: (n,) when flat, (c, h, w) when channelled."""
-        channels = isinstance(self.input_shape, tuple)
-        shape = self.input_shape if channels else (self.input_shape,)
-        if channels and len(shape) != 3:
-            raise NetworkShapeError(f"channel input shape must be (C, H, W), got {shape}")
+        shape = self.input_shape
         shapes = [shape]
         for k, layer in enumerate(self.layers):
             if isinstance(layer, ConvLayer):
                 # after a dense layer the interface is flat, so this also
-                # rejects a conv that follows one
+                # rejects a conv that follows one or reads a flat input
                 if len(shape) != 3:
                     raise NetworkShapeError(
                         f"layer {k} (conv): convolutional layers must precede dense layers"
@@ -391,12 +388,6 @@ def forward_batch(net: Network, x) -> np.ndarray:
     return _forward(net, _lowered(net, x))
 
 
-def forward(net: Network, y_in) -> np.ndarray:
-    """Evaluate the network on a single input vector."""
-    y_in = np.asarray(y_in, dtype=np.float64).ravel()
-    return forward_batch(net, y_in[None])[0]
-
-
 def loss_blocks(net: Network, n: int) -> list[slice]:
     """Row blocks in which ``loss`` evaluates ``n`` rows.
 
@@ -491,7 +482,7 @@ def backward(
     if out is None:
         out = net.params.zeros_like()
     elif out.layout != net.params.layout:
-        raise ParamLayoutError("gradient buffer layout does not match the network")
+        raise NetworkShapeError("gradient buffer layout does not match the network")
     caches = []
     # the predictions are the call's own, so the loss gradient overwrites them
     g = _forward(net, lowered, caches)
@@ -563,7 +554,9 @@ class ParamVector:
         # where each block starts, and after the last one, the total
         self._ends = (0, *itertools.accumulate(math.prod(s) for pair in self.layout for s in pair))
         if self.data.size != self._ends[-1]:
-            raise ParamLayoutError(f"data length {self.data.size} != layout total {self._ends[-1]}")
+            raise NetworkShapeError(
+                f"data length {self.data.size} != layout total {self._ends[-1]}"
+            )
 
     @property
     def total_len(self) -> int:
@@ -619,7 +612,7 @@ def flatten(net: Network) -> ParamVector:
 def unflatten(net: Network, x: ParamVector) -> None:
     """Copy the flat vector's values into the network's parameter buffer."""
     if x.layout != net.params.layout:
-        raise ParamLayoutError(
+        raise NetworkShapeError(
             f"parameter vector layout (total {x.total_len}) does not match "
             f"network layout (total {net.params.total_len})"
         )

@@ -31,7 +31,6 @@ from .coarsening import (
 from .nets import (
     Network,
     NetworkShapeError,
-    ParamLayoutError,
     ParamVector,
     flatten,  # not called here; perfbench/tracer.py rebinds it at this module
 )
@@ -96,7 +95,7 @@ def coarsen_network(net: Network, theta: float = 0.1, weighted: bool = True) -> 
     for k in range(1, net.n_layers):
         rows = similarity_rows(net.layers[k - 1])
         m = greedy_hem(strength_from_rows(rows), theta)
-        hidden.append(build_transfer(m, w_rows=rows if weighted else None, weighted=weighted))
+        hidden.append(build_transfer(m, rows if weighted else None))
     return TransferLevel(net, hidden)
 
 
@@ -133,7 +132,7 @@ def _map_params(t, x, out, primitive, w_out, w_in) -> ParamVector:
     if out is None:
         out = ParamVector.zeros(target)
     elif out.layout != target:
-        raise ParamLayoutError("output vector layout does not match the transfer level")
+        raise NetworkShapeError("output vector layout does not match the transfer level")
     mid, mate = t.scratch
     # pair sums write their mate term into ``mate``; gathers have none
     work = {} if side else {"scratch": mate}
@@ -228,7 +227,7 @@ def coarse_grid_correction(
     if out is None:
         out = x.zeros_like()
     elif out.layout != x.layout:
-        raise ParamLayoutError("output vector layout does not match the fine vector")
+        raise NetworkShapeError("output vector layout does not match the fine vector")
     np.add(x.data, step.data, out=out.data)
     return out
 

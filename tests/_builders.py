@@ -3,7 +3,7 @@
 import numpy as np
 
 from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_patches
-from mlfas.nets import DenseLayer, Network, dense_network, uniform_init
+from mlfas.nets import DenseLayer, Network, dense_network, forward_batch, uniform_init
 
 
 def assert_rel(got, ref, tol=1e-12, scale=None):
@@ -131,11 +131,25 @@ def explicit_transfer_matrices(t, layout):
 # in-place code can be required to match it bit for bit.
 
 
+def _current_conv_forward(layer, x):
+    return conv_forward_batch(layer, conv_patches(layer, x), layer.out_spatial(*x.shape[2:]))
+
+
 def _current_conv_backward(layer, x, upstream):
     return conv_backward_batch(layer, conv_patches(layer, x), upstream, x.shape[2:])
 
 
-CURRENT_CONV = (conv_forward_batch, _current_conv_backward)
+CURRENT_CONV = (_current_conv_forward, _current_conv_backward)
+
+
+def conv_one(layer, x):
+    """The package's conv forward on one (C, H, W) sample, as a batch of one."""
+    return _current_conv_forward(layer, np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def forward_one(net, y):
+    """``forward_batch`` on one input vector, as a batch of one row."""
+    return forward_batch(net, np.asarray(y, dtype=np.float64).ravel()[None])[0]
 
 
 def _reference_forward_cached(net, x, conv):

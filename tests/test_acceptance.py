@@ -21,7 +21,13 @@ import time
 
 import numpy as np
 
-from _builders import CURRENT_CONV, _reference_forward_cached, random_conv_net, random_dense_net
+from _builders import (
+    CURRENT_CONV,
+    _reference_forward_cached,
+    conv_one,
+    random_conv_net,
+    random_dense_net,
+)
 from mlfas.coarsening import greedy_hem
 from mlfas.nets import (
     Minibatch,
@@ -34,7 +40,7 @@ from mlfas.nets import (
 )
 from mlfas.poisson import cell_centers, generate_dataset, sample_kappa, solve_poisson, write_dataset
 from mlfas.poisson import FieldParams
-from mlfas.conv import ChannelTensorView, ConvLayer, conv_forward, to_matrix
+from mlfas.conv import ConvLayer, to_matrix
 from mlfas.training import (
     Hierarchy,
     LevelState,
@@ -140,10 +146,10 @@ def test_criterion_3_conv_toeplitz_equivalence():
         h = int(rng.integers(k, 8))
         w = int(rng.integers(k, 8))
         x = rng.normal(size=(in_c, h, w))
-        out = conv_forward(layer, ChannelTensorView.from_array(x))
+        out = conv_one(layer, x)
         m = to_matrix(layer, x.shape)
-        ref = m @ x.ravel() + np.repeat(layer.bias, out.height * out.width)
-        worst = max(worst, float(np.abs(out.data - ref).max()))
+        ref = m @ x.ravel() + np.repeat(layer.bias, out.shape[1] * out.shape[2])
+        worst = max(worst, float(np.abs(out.ravel() - ref).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 10.0
     report(3, "convolution equals its assembled matrix on 50 layers", ok,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import (
+    forward_one,
     random_batch,
     random_conv_net,
     random_dense_net,
@@ -18,7 +19,7 @@ from _builders import (
 )
 from mlfas.checkpoints import load_network, save_network
 from mlfas.harness import build_network
-from mlfas.nets import DenseLayer, Network, ParamLayoutError, ParamVector, backward, forward
+from mlfas.nets import DenseLayer, Network, NetworkShapeError, ParamVector, backward
 from mlfas.training import Hierarchy, SmootherConfig, compute_tau, sgd_smooth
 from mlfas.transfer import (
     coarse_grid_correction,
@@ -95,9 +96,9 @@ class TestOwnership:
                 assert np.shares_memory(layer.bias, net.params.data)
                 assert np.array_equal(layer.weights, net.params.weights(k))
             y = rng.normal(size=net.input_size)
-            before = forward(net, y)
+            before = forward_one(net, y)
             net.params.bias(net.n_layers - 1)[...] += 1.0
-            np.testing.assert_allclose(forward(net, y), before + 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(forward_one(net, y), before + 1.0, rtol=0, atol=1e-12)
 
     def test_copies_get_buffers_of_their_own(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -188,11 +189,11 @@ class TestOwnership:
         net = random_dense_net(rng, n_hidden=1, widths=(6, 12))
         t = coarsen_network(net, theta=-1.0)
         coarse = restrict_network(net, t)
-        with pytest.raises(ParamLayoutError):
+        with pytest.raises(NetworkShapeError):
             backward(net, random_batch(rng, net), out=coarse.grad)
-        with pytest.raises(ParamLayoutError):
+        with pytest.raises(NetworkShapeError):
             restrict_params(t, net.params, out=net.grad)
-        with pytest.raises(ParamLayoutError):
+        with pytest.raises(NetworkShapeError):
             restrict_gradient(t, net.grad, out=net.grad)
-        with pytest.raises(ParamLayoutError):
+        with pytest.raises(NetworkShapeError):
             coarse_grid_correction(net.params, coarse.params, t, out=coarse.params)

@@ -1,5 +1,6 @@
 """Network checkpoint container round trips and error handling."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from _builders import random_conv_net, random_dense_net, write_empty_kernel_checkpoint
 from mlfas.checkpoints import _HEADER, CheckpointFormatError, load_network, save_network
 from mlfas.conv import ConvShapeError
+from mlfas.harness import build_network
 from mlfas.nets import flatten
 
 
@@ -25,6 +27,21 @@ def test_roundtrip_bit_exact(tmp_path, conv):
         for a, b in zip(net.layers, back.layers):
             if hasattr(a, "stride"):
                 assert a.stride == b.stride and a.padding == b.padding
+
+
+# the file bytes of two seeded nets, pinned so that a change to how the
+# input shape or the layers are written shows; a loaded file saves to the same bytes
+@pytest.mark.parametrize("arch, input_shape, output_size, digest", [
+    ("dense:16", 12, 3, "7e2a800671a5a4ca890b459ed0d8de332956b74618c04624aacacce2eb213d3c"),
+    ("conv:4k3s2p1,dense:8", (3, 8, 8), 2,
+     "08cedc56e971777a4dbd25bba9ae96de2dc5dbcb902e8a0e97ce31bce31e0c7a"),
+])
+def test_file_bytes_are_pinned(tmp_path, arch, input_shape, output_size, digest):
+    path = tmp_path / "net.mlfasnet"
+    save_network(build_network(arch, input_shape, output_size, np.random.default_rng(0)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_network(load_network(path), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_bad_magic(tmp_path):

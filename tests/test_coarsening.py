@@ -137,7 +137,7 @@ class TestBuildTransfer:
 
     def test_weighted_norms_two_and_four(self):
         m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
-        p, pi = applied_matrices(build_transfer(m, w_rows=[[2.0, 0.0], [0.0, 4.0]], weighted=True))
+        p, pi = applied_matrices(build_transfer(m, [[2.0, 0.0], [0.0, 4.0]]))
         np.testing.assert_allclose(p, [[2.0], [4.0]], atol=0)
         np.testing.assert_allclose(pi, [[1 / 6, 1 / 6]], rtol=1e-15)
         assert (pi @ p)[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -147,14 +147,10 @@ class TestBuildTransfer:
         np.testing.assert_array_equal(p, np.eye(4))
         np.testing.assert_array_equal(pi, np.eye(4))
 
-    def test_weighted_requires_rows(self):
-        with pytest.raises(ValueError, match="rows"):
-            build_transfer(identity_matching(2), weighted=True)
-
     def test_zero_norm_row_falls_back_with_warning(self):
         m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
         with pytest.warns(RuntimeWarning, match="zero-norm"):
-            t = build_transfer(m, w_rows=[[0.0, 0.0], [3.0, 0.0]], weighted=True)
+            t = build_transfer(m, [[0.0, 0.0], [3.0, 0.0]])
         p, _ = applied_matrices(t)
         np.testing.assert_allclose(p, [[1.0], [3.0]])
 
@@ -165,7 +161,7 @@ class TestBuildTransfer:
         rng = np.random.default_rng(seed)
         m = greedy_hem(symmetric_strength(rng, n), theta=0.0)
         rows = rng.normal(size=(n, 3)) + 0.1
-        t = build_transfer(m, w_rows=rows if weighted else None, weighted=weighted)
+        t = build_transfer(m, rows if weighted else None)
         p, pi = applied_matrices(t)
         assert np.abs(pi @ p - np.eye(m.num_aggregates)).max() < 1e-14
         # q = p pi is a projection
@@ -179,7 +175,7 @@ class TestBuildTransfer:
         r0 = rng.normal(size=5)
         rows = np.vstack([r0, 2.5 * r0])
         m = Matching(partner=np.array([1, 0]), aggregate=np.array([0, 0]), num_aggregates=1)
-        t = build_transfer(m, w_rows=rows, weighted=True)
+        t = build_transfer(m, rows)
         for j in range(5):
             v = rows[:, j]
             qv = t.gather(t.pair_sum(v, t.pi, 0), t.p, 0)
@@ -199,7 +195,7 @@ class TestApply:
     def test_against_sparse_product_oracle(self):
         rng = np.random.default_rng(21)
         m = greedy_hem(symmetric_strength(rng, 9), theta=0.0)
-        t = build_transfer(m, w_rows=rng.normal(size=(9, 4)), weighted=True)
+        t = build_transfer(m, rng.normal(size=(9, 4)))
         p, pi = interface_matrices(t)
         v = rng.normal(size=9)
         vc = rng.normal(size=m.num_aggregates)
@@ -222,7 +218,7 @@ class TestApply:
     def test_out_buffer_gets_the_fresh_result(self):
         rng = np.random.default_rng(25)
         m = greedy_hem(symmetric_strength(rng, 9), theta=0.0)
-        t = build_transfer(m, w_rows=rng.normal(size=(9, 4)), weighted=True)
+        t = build_transfer(m, rng.normal(size=(9, 4)))
         for axis in (0, 1):
             for fn, n_in, n_res in ((t.pair_sum, 9, m.num_aggregates),
                                     (t.gather, m.num_aggregates, 9)):

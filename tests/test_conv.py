@@ -10,6 +10,7 @@ import mlfas.nets as nets
 from _builders import (
     REFERENCE_CONV,
     assert_rel,
+    conv_one,
     interface_matrices,
     random_batch,
     random_conv_net,
@@ -18,11 +19,9 @@ from _builders import (
 )
 from mlfas.coarsening import Matching, build_transfer
 from mlfas.conv import (
-    ChannelTensorView,
     ConvLayer,
     ConvShapeError,
     conv_backward_batch,
-    conv_forward,
     conv_forward_batch,
     conv_patches,
     to_matrix,
@@ -55,17 +54,17 @@ class TestForward:
     def test_scalar_kernel(self):
         layer = ConvLayer(np.array([[[[2.5]]]]), np.array([0.75]))
         x = np.arange(12.0).reshape(1, 3, 4)
-        out = conv_forward(layer, ChannelTensorView.from_array(x))
-        np.testing.assert_allclose(out.to_array(), 2.5 * x + 0.75, atol=0)
+        out = conv_one(layer, x)
+        np.testing.assert_allclose(out, 2.5 * x + 0.75, atol=0)
 
     def test_1d_unit_vector_gives_first_toeplitz_column(self):
         layer = ConvLayer(np.array([[[[1.0, 2.0, 3.0]]]]), np.array([0.0]))
         n = 7
         e1 = np.zeros((1, 1, n))
         e1[0, 0, 0] = 1.0
-        out = conv_forward(layer, ChannelTensorView.from_array(e1))
+        out = conv_one(layer, e1)
         m = to_matrix(layer, (1, 1, n))
-        np.testing.assert_allclose(out.data, m[:, 0], atol=0)
+        np.testing.assert_allclose(out.ravel(), m[:, 0], atol=0)
         # banded toeplitz structure: constant diagonals, bandwidth = kernel width
         assert m.shape == (n - 2, n)
         for r in range(n - 2):
@@ -83,9 +82,9 @@ class TestForward:
             layer = random_layer(rng)
             x = random_input(rng, layer)
             m = to_matrix(layer, x.shape)
-            out = conv_forward(layer, ChannelTensorView.from_array(x))
-            ref = m @ x.ravel() + np.repeat(layer.bias, out.height * out.width)
-            assert np.abs(out.data - ref).max() < 1e-12
+            out = conv_one(layer, x)
+            ref = m @ x.ravel() + np.repeat(layer.bias, out.shape[1] * out.shape[2])
+            assert np.abs(out.ravel() - ref).max() < 1e-12
 
     def test_two_by_two_channel_blocks(self):
         rng = np.random.default_rng(5)
@@ -102,13 +101,22 @@ class TestForward:
     def test_channel_mismatch_names_axis(self):
         layer = ConvLayer(np.zeros((1, 2, 1, 1)), np.zeros(1))
         with pytest.raises(ConvShapeError, match="channel axis"):
-            conv_forward(layer, ChannelTensorView.from_array(np.zeros((3, 2, 2))))
+            conv_one(layer, np.zeros((3, 2, 2)))
 
     def test_batch_without_channel_axes_names_axis(self):
         layer = ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1))
         for shape in ((5, 5), (1, 5, 5)):
             with pytest.raises(ConvShapeError, match="channel axis"):
-                conv_forward_batch(layer, np.zeros(shape))
+                conv_patches(layer, np.zeros(shape))
+
+    def test_forward_takes_only_a_patch_matrix(self):
+        layer = ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1))
+        patches = conv_patches(layer, np.zeros((2, 1, 5, 5)))
+        assert conv_forward_batch(layer, patches, (4, 4)).shape == (2, 1, 4, 4)
+        # a raw batch, or a patch matrix for another output size, is rejected
+        for x, out_hw in ((np.zeros((2, 1, 5, 5)), (4, 4)), (patches, (3, 5))):
+            with pytest.raises(ConvShapeError, match="patch axes"):
+                conv_forward_batch(layer, x, out_hw)
 
     @pytest.mark.parametrize("shape, axis", [
         ((0, 2, 3, 3), "output channel"), ((2, 0, 3, 3), "input channel"),
@@ -153,7 +161,7 @@ class TestBackward:
                     layer.stride, layer.padding,
                 )
                 arr = x if xx is None else xx
-                out = conv_forward_batch(lay, arr[None])[0]
+                out = conv_one(lay, arr)
                 return float((out * up).sum())
 
             gk, gb, gx = conv_backward_batch(
@@ -260,13 +268,13 @@ class TestBatchedOracle:
                            (c, h, w)).astype(int)
         oh, ow = up.shape[2:]
 
-        out = conv_forward_batch(layer, x)
+        patches = conv_patches(layer, x)
+        assert np.array_equal(patches, reference_conv_patches(layer, x))
+        out = conv_forward_batch(layer, patches, (oh, ow))
         assert out.flags.c_contiguous
         ref_out = np.stack([m @ xb.ravel() for xb in x]) + np.repeat(layer.bias, oh * ow)
         assert_rel(out.reshape(b, -1), ref_out)
 
-        patches = conv_patches(layer, x)
-        assert np.array_equal(patches, reference_conv_patches(layer, x))
         gk, gb, dx = conv_backward_batch(layer, patches, up, (h, w))
         # dL/dK[tap] sums up_b[row] * x_b[col] over the matrix entries holding that tap
         outer = sum(np.outer(ub.ravel(), xb.ravel()) for ub, xb in zip(up, x))
@@ -340,9 +348,8 @@ class TestCoarseningCommutation:
             m_in = Matching(partner=np.array([2, 1, 0, 3]),
                             aggregate=np.array([0, 1, 0, 2]), num_aggregates=3)
             rows = layer.weights.reshape(4, -1)
-            t_out = build_transfer(m_out, w_rows=rows if weighted else None, weighted=weighted)
-            t_in = build_transfer(m_in, w_rows=rng.normal(size=(4, 3)) if weighted else None,
-                                  weighted=weighted)
+            t_out = build_transfer(m_out, rows if weighted else None)
+            t_in = build_transfer(m_in, rng.normal(size=(4, 3)) if weighted else None)
             kc = t_in.pair_sum(t_out.pair_sum(layer.weights, t_out.pi, 0), t_in.p, 1)
             coarse = ConvLayer(kc, np.zeros(2), layer.stride, layer.padding)
             lhs = to_matrix(coarse, (3, 4, 4))

@@ -27,7 +27,6 @@ from mlfas.harness import (
     inspect_hierarchy,
     load_metrics_csv,
     median_best_val_l2,
-    parse_config,
     parse_grid,
     run_experiment,
     run_grid,
@@ -87,12 +86,12 @@ class TestConfig:
         cfg = tiny_config("ds.bin", seeds=(3, 5, 8), weighted=False, gamma=0.25)
         path = tmp_path / "exp.cfg"
         path.write_text(config_text(cfg))
-        assert parse_config(path) == cfg
+        assert parse_grid(path) == [cfg]
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("# header\n\ndataset = d.bin  # trailing\nseeds = 1, 2\n")
-        cfg = parse_config(path)
+        [cfg] = parse_grid(path)
         assert cfg.dataset == "d.bin"
         assert cfg.seeds == (1, 2)
 
@@ -111,13 +110,13 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config(path)
+            parse_grid(path)
 
     def test_bad_bool(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("weighted = maybe\n")
         with pytest.raises(ConfigError, match="boolean"):
-            parse_config(path)
+            parse_grid(path)
 
     @pytest.mark.parametrize(
         "key, text", [("depth", "two"), ("learning_rate", "fast"), ("seeds", "0,x")]
@@ -126,7 +125,7 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(f"{key} = {text}\n")
         with pytest.raises(ConfigError) as info:
-            parse_config(path)
+            parse_grid(path)
         assert str(info.value).startswith(f"{key}: ")
         assert repr(text) in str(info.value)
 
@@ -138,7 +137,7 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(f"dataset = missing.bin\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
-            parse_config(path)
+            parse_grid(path)
 
     # each was once accepted here and failed only in ``run_seed``, a negative
     # seed after the seeds before it had trained; the non-finite values and
@@ -154,7 +153,7 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(f"dataset = missing.bin\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"^{key} must "):
-            parse_config(path)
+            parse_grid(path)
 
 
     # with no smoothing steps a depth-1 run charges no work, so its loop would never end
@@ -175,7 +174,7 @@ class TestParseGrid:
         return path
 
     def test_no_assignment_is_the_file(self, base):
-        assert parse_grid(base) == [parse_config(base)]
+        assert parse_grid(base) == [ExperimentConfig(dataset="d.bin", depth=3, learning_rate=0.5)]
 
     def test_one_assignment_overrides(self, base):
         [cfg] = parse_grid(base, ["depth=2", "theta = 0"])
@@ -316,7 +315,7 @@ class TestBuildNetwork:
 
     # the first token decides, past an empty one; a dense net keeps a flat input
     @pytest.mark.parametrize("arch, input_shape", [(",conv:4k3s1p1,dense:8", (3, 6, 6)),
-                                                   ("dense:8", 108)])
+                                                   ("dense:8", (108,))])
     def test_first_token_sets_the_input_shape(self, tiny_dataset, tmp_path, arch, input_shape):
         ds, path = tiny_dataset
         cfg = tiny_config(path, arch=arch, depth=1, max_work_units=5.0, out_dir=str(tmp_path))

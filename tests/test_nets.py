@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from _builders import (
     assert_rel,
+    forward_one,
     random_batch,
     random_dense_net,
     reference_backward,
@@ -29,12 +30,10 @@ from mlfas.nets import (
     Minibatch,
     Network,
     NetworkShapeError,
-    ParamLayoutError,
     ParamVector,
     backward,
     dense_network,
     flatten,
-    forward,
     forward_batch,
     loss,
     lower_input,
@@ -65,17 +64,17 @@ class TestForward:
     RELU_PROBE = [DenseLayer([[1.0, -1.0]], [0.5]), DenseLayer([[1.0]], [0.0])]
 
     def test_single_layer_active(self):
-        assert forward(Network(self.RELU_PROBE), [2.0, 1.0]) == pytest.approx([1.5], abs=0)
+        assert forward_one(Network(self.RELU_PROBE), [2.0, 1.0]) == pytest.approx([1.5], abs=0)
 
     def test_single_layer_clamped(self):
-        assert forward(Network(self.RELU_PROBE), [0.0, 3.0]) == pytest.approx([0.0], abs=0)
+        assert forward_one(Network(self.RELU_PROBE), [0.0, 3.0]) == pytest.approx([0.0], abs=0)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             net = random_dense_net(rng, widths=(3, 8), io=(2, 6))
             y = rng.normal(size=net.input_size)
-            got = forward(net, y)
+            got = forward_one(net, y)
             ref = naive_forward([(l.weights, l.bias) for l in net.layers], y)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(got - ref).max() / scale < 1e-15
@@ -83,7 +82,7 @@ class TestForward:
     def test_input_size_mismatch(self):
         net = dense_network([3, 4, 2], rng=np.random.default_rng(0))
         with pytest.raises(NetworkShapeError, match="input size"):
-            forward(net, np.zeros(5))
+            forward_one(net, np.zeros(5))
 
     def test_layer_chain_mismatch_names_layer(self):
         with pytest.raises(NetworkShapeError, match="layer 1"):
@@ -103,7 +102,13 @@ class TestForward:
                   DenseLayer(np.ones((1, 2)), np.zeros(1))]
         with pytest.raises(NetworkShapeError,
                            match=r"layer 0 \(conv\): convolutional layers must precede"):
-            Network(layers, input_shape=9)
+            Network(layers, input_shape=(9,))
+
+    @pytest.mark.parametrize("input_shape", [9, (3, 3)])
+    def test_input_shape_of_another_form_rejected(self, input_shape):
+        layers = [DenseLayer(np.ones((1, 9)), np.zeros(1))]
+        with pytest.raises(NetworkShapeError, match=r"\(n,\) or \(channels, height, width\)"):
+            Network(layers, input_shape=input_shape)
 
     def test_positive_homogeneity_through_relu(self):
         rng = np.random.default_rng(7)
@@ -111,12 +116,12 @@ class TestForward:
         for layer in net.layers:
             layer.bias[...] = 0.0
         y = rng.normal(size=net.input_size)
-        base = forward(net, y)
+        base = forward_one(net, y)
         c = 1.7
         scaled = net.copy()
         for layer in scaled.layers:
             layer.weights *= c
-        got = forward(scaled, y)
+        got = forward_one(scaled, y)
         ref = c ** net.n_layers * base
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -140,7 +145,7 @@ class TestLoss:
         rng = np.random.default_rng(11)
         net = random_dense_net(rng)
         batch = random_batch(rng, net, size=5)
-        preds = np.vstack([forward(net, row) for row in batch.inputs])
+        preds = np.vstack([forward_one(net, row) for row in batch.inputs])
         l2 = 0.0
         linf = 0.0
         for s in range(5):
@@ -402,7 +407,7 @@ class TestParamVector:
     def test_unflatten_length_mismatch(self):
         net = dense_network([3, 4, 2], rng=np.random.default_rng(1))
         other = dense_network([3, 5, 2], rng=np.random.default_rng(1))
-        with pytest.raises(ParamLayoutError):
+        with pytest.raises(NetworkShapeError):
             unflatten(net, flatten(other))
 
     def test_view_matches_layer(self):

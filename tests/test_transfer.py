@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _builders import (
     explicit_transfer_matrices,
+    forward_one,
     interface_matrices,
     random_conv_net,
     random_dense_net,
@@ -22,7 +23,6 @@ from mlfas.nets import (
     NetworkShapeError,
     dense_network,
     flatten,
-    forward,
 )
 from mlfas.transfer import (
     TransferLevel,
@@ -47,7 +47,7 @@ def level_with(net, matchings=None, weighted=False):
             hidden.append(identity_transfer(n))
         else:
             rows = similarity_rows(net.layers[k - 1]) if weighted else None
-            hidden.append(build_transfer(m, rows, weighted))
+            hidden.append(build_transfer(m, rows))
     return TransferLevel(net, hidden)
 
 
@@ -308,8 +308,8 @@ class TestRestrictNetwork:
         assert coarse.unit_counts()[1] == 3
         for _ in range(5):
             y = rng.normal(size=4)
-            fine_out = forward(net, y)
-            np.testing.assert_allclose(forward(coarse, y), fine_out,
+            fine_out = forward_one(net, y)
+            np.testing.assert_allclose(forward_one(coarse, y), fine_out,
                                        atol=1e-12 * max(1.0, np.abs(fine_out).max()))
 
     def test_coarse_has_fewer_params_when_any_pair_matched(self):
