@@ -1,6 +1,10 @@
-"""The thread plumbing that ``poisson``, ``nets``, ``training`` and ``harness`` share.
+"""The thread plumbing of ``poisson`` and ``harness``.
 
-When to use another thread stays with the module that decides it.
+``poisson.generate_dataset`` solves its chunks through ``run_in_order``;
+``harness`` runs each seed's evaluation worker through ``submit``, and that
+worker calls ``leave_start_cpu`` and ``lower_priority``.  Training itself
+runs on the thread that calls it.  When to use another thread stays with
+the module that decides it.
 """
 
 import contextlib
@@ -25,48 +29,6 @@ def submit(pool: futures.Executor, fn, *args) -> futures.Future:
     not inherit; the caller's settings must hold where ``fn`` runs.
     """
     return pool.submit(contextvars.copy_context().run, fn, *args)
-
-
-def _renew_helper() -> None:
-    """Make the executor of the process's one helper thread.
-
-    ``nets.backward`` hands it large weight products, with the smoother's
-    SGD step behind each, and ``training.v_cycle`` the fine level's tau
-    gradients, never both at once, so one thread serves both.  The
-    executor starts the thread on first use, with the CPU affinity of the
-    thread that uses it.  Unlike the harness's evaluation worker, the helper
-    is not moved off its creator's CPU, nor pinned to the evaluation
-    worker's, where it would only take turns with that worker.  A forked
-    child gets an executor of its own: it inherits the parent's but not its
-    thread, and would wait forever on the helper.
-    """
-    global _helper
-    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mlfas-helper")
-
-
-_renew_helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_helper)
-
-
-def beside(fn, *args) -> futures.Future:
-    """The future of ``fn(*args)``, run beside the calling thread if it may.
-
-    With at least two CPUs allowed to the calling thread, ``fn`` runs on
-    the helper thread, through ``submit``.  Otherwise it runs here, before
-    the call returns, and an ``Exception`` it raises is kept in the future,
-    as the helper would keep it, so the caller ends its own work before it
-    meets the error either way.  ``fn`` must not itself wait on
-    the helper, which would then queue behind itself.
-    """
-    if allowed_cpus() >= 2:
-        return submit(_helper, fn, *args)
-    done = futures.Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as e:
-        done.set_exception(e)
-    return done
 
 
 def run_in_order(task, items) -> None:

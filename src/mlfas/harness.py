@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import _threads, nets
+from . import _threads
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
 from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
@@ -479,20 +479,9 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
     else:
         blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS)
         workers = f"# workers: 1 (seeds run in this process); BLAS threads: {blas}\n"
-    handoff = (f"dense weight gradients past the first layer of at least "
-               f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds, each followed "
-               f"by its layer's SGD step")
-    uses = (f"the fine tau gradients beside the coarse restriction or, where a level's "
-            f"backward at the tau batch size has one, {handoff}")
-    cpus = _threads.allowed_cpus()
-    if cpus >= 2:
-        gradients = f"one helper thread runs {uses} ({cpus} CPUs allowed)"
-    else:
-        gradients = f"all in line ({cpus} CPU allowed; from 2, one helper thread runs {uses})"
     priority = "its process's priority" if parallel else "the lowest priority (nice 19)"
     return (workers
             + f"# evaluation: one worker thread per seed at {priority}, overlapped with training\n"
-            + f"# gradient products: {gradients}\n"
             + f"# numerics: {_numerics_text()}\n")
 
 

@@ -35,12 +35,10 @@ coarse gradient costs less than its parameter ratio.
 import copy
 import itertools
 import math
-from concurrent import futures
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _threads
 from .conv import (
     ConvLayer,
     ConvShapeError,
@@ -249,7 +247,7 @@ class Network:
 
 # bytes of one row block's widest non-input interface in ``loss``: within a
 # per-core L2 cache, so a block's activations stay in cache between layers,
-# and small, because the harness runs ``loss`` on a thread beside training,
+# and small, because the harness runs ``loss`` on a thread alongside training,
 # whose own temporaries are then live too
 LOSS_BLOCK_BYTES = 2**19
 
@@ -261,14 +259,6 @@ LOSS_BLOCK_MIN_ROWS = 16
 
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)
-
-# multiply-adds from which ``backward`` hands the weight gradient of a dense
-# layer past the first to the process's helper thread (``_threads.beside``);
-# a smaller product gains less from the overlap than the hand-off costs.  At
-# batch 200 every such product of the benchmark's dense nets is below it (at
-# most 6.6 M) and those of the conv net are above (at least 13.1 M).
-HANDOFF_MIN_MACS = 2**23
-
 
 def _geometry(net: Network) -> tuple:
     """The input shape and, for a conv first layer, its kernel size, stride
@@ -428,26 +418,6 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
-def _hand_off(rows: int, layer) -> bool:
-    """Whether the weight product ``dz.T @ a`` of a dense ``layer`` past the
-    first, over ``rows`` rows, takes at least ``HANDOFF_MIN_MACS`` multiply-adds."""
-    return isinstance(layer, DenseLayer) and rows * layer.weights.size >= HANDOFF_MIN_MACS
-
-
-def hands_off(net: Network, rows: int) -> bool:
-    """Whether ``backward`` on ``rows`` rows gives a product to the helper
-    thread, when the calling thread may use two CPUs."""
-    return any(_hand_off(rows, layer) for layer in net.layers[1:])
-
-
-def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
-    """A dense layer's bias and weight gradient, written into ``gb`` and ``gw``."""
-    np.sum(dz, axis=0, out=gb)
-    if sample is not None:
-        np.multiply(gb[:, None], sample, out=gw)
-    np.matmul(dz.T, a, out=gw[:, block])
-
-
 def backward(
     net: Network, batch: Minibatch, out: "ParamVector | None" = None, step=None
 ) -> "ParamVector":
@@ -464,19 +434,6 @@ def backward(
     change layer k's parameters and its slice of ``out``, and nothing
     else.  The smoother applies its SGD step this way, while the layer's
     gradient is still in cache.
-
-    The weight and bias gradient of a dense layer k >= 1 whose weight
-    product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS`` multiply-adds is
-    computed through ``_threads.beside``: on the process's helper thread,
-    in a copy of the caller's context, while this thread goes on with the
-    input gradient ``dz @ W`` and the layers below, when the calling thread
-    may use at least two CPUs, and in line otherwise.  Each product is the
-    same whole product on either thread, so the gradient is the same bit
-    for bit.  Such a layer's ``step`` goes through ``_threads.beside`` too,
-    right after ``dz @ W``, so on the helper it runs behind the layer's
-    product; every other layer's ``step`` runs in line.  The call returns,
-    or raises, only once every task on the helper has ended; an error on
-    this thread is raised in preference to one on the helper.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
@@ -489,52 +446,38 @@ def backward(
     np.subtract(g, batch.targets, out=g)
     g *= 2.0 / g.shape[0]
 
-    handed_off = []
-    try:
-        for k in range(net.n_layers - 1, -1, -1):
-            layer = net.layers[k]
-            a_k, z_k = caches[k]
-            dz = g.reshape(z_k.shape)
-            if k < net.n_layers - 1:
-                # dz is this call's own array, and z_k the layer's activation,
-                # positive where its pre-activation was; the ReLU subgradient at
-                # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
-                np.multiply(dz, z_k > 0.0, out=dz)
-            gw, gb = out.weights(k), out.bias(k)
-            # a folded first layer's weight gradient sums over the batch on the
-            # varying block; the rest is the batch-summed upstream times the sample
-            block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
-            handed = k > 0 and _hand_off(dz.shape[0], layer)
-            if isinstance(layer, ConvLayer):
-                # a_k is the patch matrix; the first layer's input gradient is never used
-                in_hw = net.interfaces[k][1:] if k > 0 else None
-                gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
-                if sample is not None:
-                    up = dz.sum(axis=0).reshape(layer.out_channels, -1)
-                    np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
-                gw[:, block] = gk
-                gb[...] = gbias
-            else:
-                args = (dz, a_k, sample, block, gw, gb)
-                if handed:
-                    handed_off.append(_threads.beside(_dense_gradient, *args))
-                else:
-                    _dense_gradient(*args)
-                if k > 0:
-                    g = dz @ layer.weights
-            if step is None:
-                continue
+    for k in range(net.n_layers - 1, -1, -1):
+        layer = net.layers[k]
+        a_k, z_k = caches[k]
+        dz = g.reshape(z_k.shape)
+        if k < net.n_layers - 1:
+            # dz is this call's own array, and z_k the layer's activation,
+            # positive where its pre-activation was; the ReLU subgradient at
+            # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
+            np.multiply(dz, z_k > 0.0, out=dz)
+        gw, gb = out.weights(k), out.bias(k)
+        # a folded first layer's weight gradient sums over the batch on the
+        # varying block; the rest is the batch-summed upstream times the sample
+        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+        if isinstance(layer, ConvLayer):
+            # a_k is the patch matrix; the first layer's input gradient is never used
+            in_hw = net.interfaces[k][1:] if k > 0 else None
+            gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
+            if sample is not None:
+                up = dz.sum(axis=0).reshape(layer.out_channels, -1)
+                np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
+            gw[:, block] = gk
+            gb[...] = gbias
+        else:
+            np.sum(dz, axis=0, out=gb)
+            if sample is not None:
+                np.multiply(gb[:, None], sample, out=gw)
+            np.matmul(dz.T, a_k, out=gw[:, block])
+            if k > 0:
+                g = dz @ layer.weights
+        if step is not None:
             # nothing below reads layer k's parameters or gradient again
-            if handed:
-                handed_off.append(_threads.beside(step, k))
-            else:
-                step(k)
-    finally:
-        # the handed-off tasks write into ``out`` and read this call's
-        # arrays, so none of them may outlive the call
-        futures.wait(handed_off)
-    for task in handed_off:
-        task.result()
+            step(k)
     return out
 
 

@@ -285,7 +285,7 @@ def _eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The 1-D factor of ``_stencil`` at kappa = 1 is the tridiagonal matrix
     with 2 on the diagonal, 3 at the two ends (the boundary face half a cell
-    away) and -1 beside it.  Its orthonormal eigenvectors are the columns of
+    away) and -1 next to it.  Its orthonormal eigenvectors are the columns of
     ``q``, ``q[j, k - 1] = sqrt(2/n) sin(pi k (j + 1/2) / n)`` for
     k = 1..n with the last column divided by sqrt(2), and its eigenvalues are
     ``lam[k - 1] = 4 sin^2(pi k / 2n)``.  ``grid[i, j] = (lam[i] + lam[j]) n^2``

@@ -13,12 +13,9 @@ same batches cyclically.
 
 import itertools
 import math
-from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from . import _threads
 
 # flatten and unflatten are not called here; perfbench/tracer.py rebinds them at this module
 from .nets import (
@@ -28,7 +25,6 @@ from .nets import (
     ParamVector,
     backward,
     flatten,
-    hands_off,
     unflatten,
 )
 from .transfer import (
@@ -177,10 +173,9 @@ def sgd_smooth(
 
     The update is ``backward``'s ``step``: it runs on one layer's slice of
     the vectors at a time, as soon as ``backward`` has finished with the
-    layer, so the layer's gradient is still in cache.  A layer whose weight
-    product ``backward`` hands to the helper thread is updated there, behind
-    that product.  Each entry goes through the same operations as a
-    whole-vector update would take it, so the result is the same bit for bit.
+    layer, so the layer's gradient is still in cache.  Each entry goes
+    through the same operations as a whole-vector update would take it, so
+    the result is the same bit for bit.
     """
     batch_iter = iter(batches)
 
@@ -217,7 +212,6 @@ def compute_tau(
     coarse: Network,
     t: TransferLevel,
     tau_batches: list[Minibatch],
-    fine_sum: "futures.Future | None" = None,
 ) -> ParamVector:
     """Stochastic tau correction between a network and its coarse version.
 
@@ -229,15 +223,12 @@ def compute_tau(
     number of minibatches per epoch.  The caller must have installed the
     restricted iterate in ``coarse``.  The result is a new coarse-shaped
     vector; ``v_cycle`` scales it by ``gamma`` into the coarse level's tilt.
-
-    ``fine_sum`` is the future of ``gradient_sum(fine, tau_batches)`` when
-    the caller has started it (``v_cycle`` runs it beside the coarse work);
-    without it the fine gradients are summed here, after the coarse ones.
+    The coarse gradients are summed first, then the fine ones.
     """
     if not tau_batches:
         raise ValueError("tau correction needs at least one minibatch")
     vec = gradient_sum(coarse, tau_batches)
-    fine_acc = gradient_sum(fine, tau_batches) if fine_sum is None else fine_sum.result()
+    fine_acc = gradient_sum(fine, tau_batches)
     # the coarse gradient buffer is free again once both sums are done
     vec.data -= restrict_gradient(t, fine_acc, out=coarse.grad).data
     vec.data /= len(tau_batches)
@@ -375,16 +366,6 @@ def v_cycle(
     if level < h.depth - 1:
         coarse = h.levels[level + 1]
         group = scheduler.next_tau_group(h.tau_batches)
-        # the fine tau gradients read only this level's iterate, so they run
-        # on the helper thread while this one restricts and takes the coarse
-        # ones; not when either level's backward would itself hand a product
-        # to the helper, where the two would queue behind each other, and
-        # compute_tau then sums them after the coarse ones
-        rows = max(map(len, group))
-        fine_sum = None
-        # coarsening never widens a layer, so the coarse level hands off only if this one does
-        if not hands_off(state.net, rows):
-            fine_sum = _threads.beside(gradient_sum, state.net, group)
         try:
             t = refresh_weights(state.transfer, state.net)
             restrict_params(t, state.net.params, out=coarse.net.params)
@@ -394,7 +375,7 @@ def v_cycle(
                 coarse.start = tuple(ParamVector(row, coarse.net.params.layout) for row in block)
             np.copyto(coarse.start[0].data, coarse.net.params.data)
             np.copyto(coarse.start[1].data, coarse.momentum.data)
-            tau = compute_tau(state.net, coarse.net, t, group, fine_sum)
+            tau = compute_tau(state.net, coarse.net, t, group)
             tau.data *= stab.gamma
             coarse.tilt = tau if stab.gamma != 0.0 else None
         except DivergenceError as e:
@@ -403,12 +384,6 @@ def v_cycle(
                 level=level + 1,
                 cycle=h.cycles_run,
             ) from e
-        finally:
-            # the fine sum uses this level's gradient buffer, which the
-            # corrections below take as scratch; an error of this thread's
-            # comes first, and the fine sum's is raised by compute_tau
-            if fine_sum is not None:
-                futures.wait([fine_sum])
         h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))

@@ -153,8 +153,8 @@ class TestOwnership:
         batches = [random_batch(rng, fine, size=4) for _ in range(3)]
         gf = [backward(fine, b).data for b in batches]
         gc = [backward(coarse, b).data for b in batches]
-        fine_sum = ParamVector(gf[0] + gf[1] + gf[2], fine.params.layout)
-        expected = (gc[0] + gc[1] + gc[2] - restrict_gradient(t, fine_sum).data) / 3
+        fine_total = ParamVector(gf[0] + gf[1] + gf[2], fine.params.layout)
+        expected = (gc[0] + gc[1] + gc[2] - restrict_gradient(t, fine_total).data) / 3
         tau = compute_tau(fine, coarse, t, batches)
         assert np.array_equal(tau.data, expected)
         assert not np.shares_memory(tau.data, coarse.grad.data)

@@ -437,8 +437,7 @@ class TestRunExperiment:
         parallel = run_experiment(cfg)
         assert reads == []  # every worker reads the file itself
         assert {v: os.environ.get(v) for v in env} == env
-        serial_dir = tmp_path / "serial"
-        serial = run_experiment(tiny_config(path, seeds=(0, 1), out_dir=str(serial_dir)))
+        serial = run_experiment(tiny_config(path, seeds=(0, 1), out_dir=str(tmp_path / "serial")))
         assert reads == [str(path)]
         strip = lambda r: (r.work_units, r.cycle, r.level, r.train_l2, r.val_l2)
         for a, b in zip(parallel, serial):
@@ -449,28 +448,11 @@ class TestRunExperiment:
         # a spawned worker's evaluation keeps its process's priority
         assert ("# evaluation: one worker thread per seed at its process's priority, "
                 "overlapped with training") in meta
-        # a worker hands off gradient products as this process does
-        gradients = [line for line in meta if line.startswith("# gradient products: ")]
-        serial_meta = (serial_dir / "run_metadata.txt").read_text().splitlines()
-        assert len(gradients) == 1 and gradients[0] in serial_meta
 
-    HELPER_USES = ("one helper thread runs the fine tau gradients beside the coarse "
-                   "restriction or, where a level's backward at the tau batch size has one, "
-                   "dense weight gradients past the first layer of at least 2^23 multiply-adds, "
-                   "each followed by its layer's SGD step")
-
-    @pytest.mark.parametrize("cpus, line", [
-        (1, f"# gradient products: all in line (1 CPU allowed; from 2, {HELPER_USES})"),
-        (2, f"# gradient products: {HELPER_USES} (2 CPUs allowed)"),
-    ])
-    def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
-                                                   cpus, line):
+    def test_metadata_states_the_evaluation_worker(self, tiny_dataset, tmp_path):
         ds, path = tiny_dataset
-        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
         run_experiment(tiny_config(path, max_work_units=10.0, out_dir=str(tmp_path)), ds)
         meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
-        assert line in meta
         assert ("# evaluation: one worker thread per seed at the lowest priority (nice 19), "
                 "overlapped with training") in meta
 
@@ -591,8 +573,6 @@ class TestOverlappedEvaluation:
 
     @pytest.fixture(autouse=True)
     def no_thread_left_behind(self):
-        # the process's helper thread, once started, lives with the process
-        _threads.beside(int).result()
         before = threading.active_count()
         yield
         assert threading.active_count() == before

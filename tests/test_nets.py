@@ -1,10 +1,5 @@
 """Dense networks: forward, loss, backprop, and flat parameter views."""
 
-import multiprocessing
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -21,7 +16,7 @@ from _builders import (
     reference_forward,
     term_magnitudes,
 )
-from mlfas import _threads, nets
+from mlfas import nets
 from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import (
@@ -635,207 +630,7 @@ class TestLoweringGeometry:
                 backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))
 
 
-def use_cpus(monkeypatch, count):
-    """Let the thread plumbing see ``count`` usable CPUs."""
-    monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
-def hand_off_everything(monkeypatch):
-    """Hand every hidden dense product to the helper; returns the threads that
-    ran ``_dense_gradient``, one entry per call."""
-    monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
-    use_cpus(monkeypatch, 2)
-    threads = []
-    reference = nets._dense_gradient
-
-    def recording(*args):
-        threads.append(threading.current_thread())
-        reference(*args)
-
-    monkeypatch.setattr(nets, "_dense_gradient", recording)
-    return threads
-
-
-HANDOFF_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
-
-
-class TestHandOff:
-    """Hidden dense weight gradients computed on the process's helper thread."""
-
-    @pytest.mark.parametrize("arch, shape", HANDOFF_NETS)
-    def test_bitwise_equal_to_in_line(self, monkeypatch, arch, shape):
-        rng = np.random.default_rng(5)
-        net = build_network(arch, shape, 4, rng=rng)
-        batch = random_batch(rng, net, size=9)
-        ref = backward(net, batch)  # tiny products stay in line at the real threshold
-        threads = hand_off_everything(monkeypatch)
-        for out in (None, net.grad):
-            got = backward(net, batch, out=out)
-            assert got.data.tobytes() == ref.data.tobytes()
-        # layers 3, 2 and 1 of both calls go to the helper; a dense layer 0 stays
-        caller = threading.current_thread()
-        assert sum(t is not caller for t in threads) == 6
-        assert sum(t is caller for t in threads) == (2 if arch.startswith("dense") else 0)
-
-    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
-        # only the handed-off product dz.T @ a overflows: the second layer's
-        # weights are zero, so its forward product and dz @ W are 0
-        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
-                       DenseLayer(np.zeros((1, 3)), np.zeros(1))])
-        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
-        threads = hand_off_everything(monkeypatch)
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            backward(net, batch)
-        assert any(t is not threading.current_thread() for t in threads)
-        with np.errstate(all="ignore"):
-            grad = backward(net, batch)
-        assert np.isinf(grad.weights(1)).all()
-        assert np.isfinite(grad.weights(0)).all()
-        assert all(np.isfinite(grad.bias(k)).all() for k in range(net.n_layers))
-
-    def test_one_cpu_starts_no_helper(self, monkeypatch):
-        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="handoff-test")
-        monkeypatch.setattr(_threads, "_helper", helper)
-        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
-        started = lambda: any(t.name.startswith("handoff-test") for t in threading.enumerate())
-        net = build_network(*HANDOFF_NETS[0], 4, rng=np.random.default_rng(6))
-        batch = random_batch(np.random.default_rng(7), net, size=5)
-        try:
-            use_cpus(monkeypatch, 1)
-            ref = backward(net, batch)
-            assert not started()
-            use_cpus(monkeypatch, 2)
-            assert backward(net, batch).data.tobytes() == ref.data.tobytes()
-            assert started()
-        finally:
-            helper.shutdown()
-
-    @pytest.mark.parametrize("fails", ["helper", "caller"])
-    def test_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
-        self.run_failing_backward(monkeypatch, fails, with_step=False)
-
-    @pytest.mark.parametrize("fails", ["helper", "helper step", "caller"])
-    def test_step_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
-        self.run_failing_backward(monkeypatch, fails, with_step=True)
-
-    @staticmethod
-    def run_failing_backward(monkeypatch, fails, with_step):
-        net = build_network(*HANDOFF_NETS[1], 4, rng=np.random.default_rng(8))
-        batch = random_batch(np.random.default_rng(9), net, size=5)
-        hand_off_everything(monkeypatch)
-        reference = nets._dense_gradient
-        caller = threading.current_thread()
-        ended = []
-
-        def slow(*args):
-            if threading.current_thread() is not caller:
-                time.sleep(0.2)
-                ended.append(args[0].shape)
-                if fails == "helper":
-                    raise ValueError("handed-off product failed")
-            reference(*args)
-
-        def step(k):
-            if threading.current_thread() is not caller:
-                time.sleep(0.1)
-                ended.append(k)
-                if fails == "helper step":
-                    raise ValueError("handed-off step failed")
-            elif k == 0:
-                ended.append("chain ended")
-
-        def conv_fails(*args):
-            raise RuntimeError("conv layer failed")
-
-        monkeypatch.setattr(nets, "_dense_gradient", slow)
-        if fails == "caller":
-            monkeypatch.setattr(nets, "conv_backward_batch", conv_fails)
-        with pytest.raises(ValueError if fails != "caller" else RuntimeError, match="failed"):
-            backward(net, batch, step=step if with_step else None)
-        # the three dense layers were handed off, each step behind its
-        # layer's product, and all of them had ended; the caller's chain
-        # ended long before them unless it failed first
-        if with_step:
-            chain = [] if fails == "caller" else ["chain ended"]
-            assert ended == chain + [(5, 4), 3, (5, 6), 2, (5, 8), 1]
-        else:
-            assert ended == [(5, 4), (5, 6), (5, 8)]
-
-    def test_step_error_on_the_helper_is_raised_after_the_chain(self, monkeypatch):
-        # layer 1's step overflows under the caller's errstate on the helper;
-        # layer 0's, the last of the chain, runs here and does not
-        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
-                       DenseLayer(np.ones((1, 3)), np.zeros(1))])
-        batch = Minibatch(np.ones((4, 2)), np.zeros((4, 1)))
-        out, momentum = net.params.zeros_like(), net.params.zeros_like()
-        momentum.weights(1)[...] = 1e308
-        threads = hand_off_everything(monkeypatch)
-        caller = threading.current_thread()
-        stepped = []
-
-        def step(k):
-            stepped.append((k, threading.current_thread() is caller))
-            g = out.weights(k)
-            m = momentum.weights(k)
-            m += g
-            np.multiply(m, 10.0, out=g)
-
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            backward(net, batch, out=out, step=step)
-        # layer 0's step, the end of the chain, ran before the error was raised
-        assert sorted(stepped) == [(0, True), (1, False)]
-        assert sorted(t is caller for t in threads) == [False, True]
-
-    def test_concurrent_callers_share_the_helper(self, monkeypatch):
-        nets_and_batches = []
-        for seed in range(4):
-            net = build_network(*HANDOFF_NETS[seed % 2], 4, rng=np.random.default_rng(seed))
-            batch = random_batch(np.random.default_rng(seed + 10), net, size=6)
-            nets_and_batches.append((net, batch, backward(net, batch).data.tobytes()))
-        hand_off_everything(monkeypatch)
-        mismatches = []
-
-        def caller(net, batch, ref):
-            for _ in range(50):
-                if backward(net, batch, out=net.grad).data.tobytes() != ref:
-                    mismatches.append(net)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=nb) for nb in nets_and_batches]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert mismatches == []
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
-    def test_forked_child_hands_off_to_a_helper_of_its_own(self, monkeypatch):
-        net = build_network(*HANDOFF_NETS[0], 4, rng=np.random.default_rng(10))
-        batch = random_batch(np.random.default_rng(11), net, size=5)
-        threads = hand_off_everything(monkeypatch)
-        ref = backward(net, batch)  # the parent's helper thread is running
-        assert any(t is not threading.current_thread() for t in threads)
-        fork = multiprocessing.get_context("fork")
-        results = fork.Queue()
-        child = fork.Process(target=lambda: results.put(backward(net, batch).data.tobytes()))
-        child.start()
-        try:
-            got = results.get(timeout=60)
-        finally:
-            child.join(timeout=60)
-            if child.exitcode is None:
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
-        assert got == ref.data.tobytes()
+RELU_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
 
 
 class _CopyReluNumpy:
@@ -863,7 +658,7 @@ class _CopyReluNumpy:
 class TestInPlaceRelu:
     """The in-place ReLU gives the copy-based one's results bit for bit."""
 
-    @pytest.mark.parametrize("arch, shape", HANDOFF_NETS)
+    @pytest.mark.parametrize("arch, shape", RELU_NETS)
     @pytest.mark.parametrize("special", [-0.0, np.nan, 0.5])
     def test_matches_the_copy_based_relu(self, monkeypatch, arch, shape, special):
         rng = np.random.default_rng(12)

@@ -1,10 +1,11 @@
 """Smoother, tau correction, scheduler, and V-cycle behavior."""
 
 import itertools
-import multiprocessing
-import threading
-import time
-from dataclasses import astuple
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from _builders import (
     random_dense_net,
     reference_sgd_smooth,
 )
-from mlfas import _threads, nets, training
-from mlfas.harness import ExperimentConfig, build_network, run_seed
+from mlfas import training
+from mlfas.harness import build_network
 from mlfas.nets import (
     DenseLayer,
     Minibatch,
@@ -29,7 +30,6 @@ from mlfas.nets import (
     dense_network,
     flatten,
     forward_batch,
-    hands_off,
     unflatten,
 )
 from mlfas.training import (
@@ -43,7 +43,6 @@ from mlfas.training import (
     sgd_smooth,
     v_cycle,
 )
-from mlfas.poisson import generate_dataset
 from mlfas.transfer import coarsen_network, restrict_network
 from test_transfer import identity_level
 
@@ -108,16 +107,11 @@ class TestSgdSmooth:
         assert net.layers[0].bias[0] == pytest.approx(0.1 * 7.0, abs=0)
 
 
-BESIDE = _threads.beside  # the unpatched one
-
-
 class LoggedWeights(np.ndarray):
-    """A dense layer's weights whose input-gradient product ``dz @ W`` first
-    waits for every task queued on the helper thread, then logs itself.
+    """A dense layer's weights whose input-gradient product ``dz @ W`` logs itself.
 
-    A step queued on the helper before that product has then moved the
-    weights it reads.  Only the layer's own array has a ``log``; the views
-    that the forward pass multiplies by pass straight through.
+    Only the layer's own array has a ``log``; the views that the forward
+    pass multiplies by pass straight through.
     """
 
     log = None
@@ -125,7 +119,6 @@ class LoggedWeights(np.ndarray):
     def __rmatmul__(self, other):
         w = self.view(np.ndarray)
         if self.log is not None:
-            BESIDE(int).result()
             self.log.append(("input gradient", w.shape))
         return other @ w
 
@@ -137,13 +130,10 @@ def log_input_gradients(net, log):
             layer.weights.log = log
 
 
-# (arch, input shape, output size, every hidden dense product handed off):
-# at batch 200 the README dense net hands nothing off and the benchmark
-# conv net both its dense layers
+# (arch, input shape, output size): the README dense net and the benchmark conv net
 LAYER_STEP_NETS = [
-    ("dense:128,dense:128", 768, 256, False),
-    ("dense:128,dense:128", 768, 256, True),
-    ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, False),
+    ("dense:128,dense:128", 768, 256),
+    ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024),
 ]
 
 
@@ -162,57 +152,41 @@ class TestLayerStep:
         tau.data[...] = rng.normal(size=tau.total_len)
         return net, batches, momentum, tau
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
-    @pytest.mark.parametrize("arch, shape, n_out, everything", LAYER_STEP_NETS)
-    def test_equals_the_whole_vector_update(self, monkeypatch, arch, shape, n_out, everything,
-                                            gamma, cpus):
+    @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
+    def test_equals_the_whole_vector_update(self, arch, shape, n_out, gamma):
         net, batches, momentum, tau = self.setup(arch, shape, n_out)
         tilt = ParamVector(gamma * tau.data, tau.layout)
         cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
                              steps_per_smooth=3)
         ref_net, ref_momentum = net.copy(), momentum.copy()
         reference_sgd_smooth(ref_net, ref_momentum, cfg, batches, tilt=tilt)
-        monkeypatch.setattr(_threads, "allowed_cpus", lambda: cpus)
-        if everything:
-            monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
-        log_input_gradients(net, [])
         sgd_smooth(net, momentum, cfg, batches, tilt=tilt)
         assert net.params.data.tobytes() == ref_net.params.data.tobytes()
         assert momentum.data.tobytes() == ref_momentum.data.tobytes()
 
-    @staticmethod
-    def record_helper_use(monkeypatch, net):
-        """Allow 2 CPUs; returns the log of what ``backward`` gives to
-        ``_threads.beside`` and of its input-gradient products."""
-        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
+    @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
+    def test_each_step_follows_its_input_gradient(self, monkeypatch, arch, shape, n_out):
+        net, batches, momentum, tau = self.setup(arch, shape, n_out)
         log = []
 
-        def recording(fn, *args, **kwargs):
-            # a product's arguments end with its weight and bias gradient views
-            log.append(("product", args[-2].shape) if fn is nets._dense_gradient
-                       else ("step", args[0]))
-            return BESIDE(fn, *args, **kwargs)
+        def recording(net, batch, out=None, step=None):
+            def logged(k):
+                log.append(("step", k))
+                step(k)
 
-        monkeypatch.setattr(_threads, "beside", recording)
+            return backward(net, batch, out=out, step=logged)
+
+        monkeypatch.setattr(training, "backward", recording)
         log_input_gradients(net, log)
-        return log
-
-    def test_dense_net_at_batch_200_gives_the_helper_nothing(self, monkeypatch):
-        net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[0][:3])
-        log = self.record_helper_use(monkeypatch, net)
-        cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=3)
-        sgd_smooth(net, momentum, cfg, batches, tilt=tau)
-        assert [entry for entry in log if entry[0] != "input gradient"] == []
-
-    def test_conv_net_steps_follow_their_products(self, monkeypatch):
-        net, batches, momentum, tau = self.setup(*LAYER_STEP_NETS[2][:3])
-        log = self.record_helper_use(monkeypatch, net)
-        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches, tilt=tau)
-        # each dense layer's product, then its input gradient here, then its step
+        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches[:1], tilt=tau)
+        # from the last layer to the first: its input gradient here, then its
+        # step; the first layer takes no input gradient and steps last
+        weights = [layer.weights.shape for layer in net.layers]
         assert log == [
-            ("product", (1024, 64)), ("input gradient", (1024, 64)), ("step", 2),
-            ("product", (64, 2048)), ("input gradient", (64, 2048)), ("step", 1),
+            ("input gradient", weights[2]), ("step", 2),
+            ("input gradient", weights[1]), ("step", 1),
+            ("step", 0),
         ]
 
 
@@ -649,161 +623,42 @@ class TestGuardsAndRematch:
         assert src.count("coarse_grid_correction") == 2
 
 
-class TestTauOverlap:
-    """The fine tau gradients run on the helper thread beside the coarse work."""
+class TestOneTrainingThread:
+    """Training runs on its caller's thread and starts no other."""
 
-    @staticmethod
-    def record_chains(monkeypatch, cpus):
-        """Allow ``cpus`` CPUs; returns the (network, thread) of every gradient sum."""
-        chains = []
-        summed = training.gradient_sum
+    def test_smoothing_and_v_cycles_start_no_thread(self):
+        # in a fresh interpreter, where no earlier test has started a
+        # long-lived thread that would hide one started here
+        script = textwrap.dedent(
+            """
+            import threading
+            import numpy as np
+            from mlfas import _threads
+            from mlfas.harness import build_network
+            from mlfas.training import (Hierarchy, MinibatchScheduler, SmootherConfig,
+                                        StabilityConfig, sgd_smooth, v_cycle)
 
-        def recording(net, batches):
-            chains.append((net, threading.current_thread()))
-            return summed(net, batches)
-
-        monkeypatch.setattr(training, "gradient_sum", recording)
-        monkeypatch.setattr(_threads, "allowed_cpus", lambda: cpus)
-        return chains
-
-    @staticmethod
-    def run_cycles(cycles=4):
-        """Depth-3 dense cycles with a rematch before the third; every cycle's
-        parameters, momentum and tilt vectors of every level, as bytes."""
-        net, inputs, targets = make_training_setup(81, widths=(10, 64, 48, 8))
-        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
-        h = Hierarchy.build(net, depth=3, rematch_period=2)
-        sched = fresh_scheduler(inputs, targets, 4, seed=81)
-        states = []
-        for _ in range(cycles):
-            v_cycle(h, 0, cfg, StabilityConfig(), sched)
-            states.append([(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
-                            None if lvl.tilt is None else lvl.tilt.data.tobytes())
-                           for lvl in h.levels])
-        return states
-
-    def test_depth_three_cycles_equal_the_in_line_ones(self, monkeypatch):
-        chains = self.record_chains(monkeypatch, 1)
-        ref = self.run_cycles()
-        assert all(t is threading.current_thread() for _, t in chains)
-        chains.clear()
-        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
-        assert self.run_cycles() == ref
-        # per cycle and coarse visit, the fine sum on the helper and the coarse one here
-        assert len(chains) == 16
-        assert sum(t is not threading.current_thread() for _, t in chains) == 8
-
-    def test_depth_three_metric_streams_equal_the_in_line_ones(self, monkeypatch, tmp_path):
-        ds = generate_dataset(30, 6, seed=11, val_fraction=0.2)
-        cfg = ExperimentConfig(dataset="", arch="dense:12,dense:10", depth=3,
-                               learning_rate=0.01, batch_size=6, steps_per_smooth=2,
-                               rematch_period=2, max_work_units=60.0, eval_every=10.0)
-        chains = self.record_chains(monkeypatch, 1)
-        runs = [run_seed(cfg, 0, ds)]
-        assert all(t is threading.current_thread() for _, t in chains)
-        monkeypatch.setattr(_threads, "allowed_cpus", lambda: 2)
-        runs.append(run_seed(cfg, 0, ds))
-        assert any(t is not threading.current_thread() for _, t in chains)
-        one, two = ([astuple(r)[:-1] for r in run.records] for run in runs)
-        assert not runs[0].failed and len(one) > 10
-        assert one == two
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("fails", ["helper", "caller"])
-    def test_errors_are_raised_after_both_chains_ended(self, monkeypatch, cpus, fails):
-        self.record_chains(monkeypatch, cpus)
-        summed = training.gradient_sum  # the recording one
-        caller = threading.current_thread()
-        events = []
-
-        def chain(net, batches):
-            if threading.current_thread() is caller and fine is not net:
-                time.sleep(0.2 if fails == "helper" else 0.0)
-                events.append("coarse ended")
-            else:
-                time.sleep(0.2 if fails == "caller" else 0.0)
-                events.append("fine ended")
-                raise ValueError("fine chain failed")
-            return summed(net, batches)
-
-        def refresh_fails(*args):
-            events.append("caller failed")
-            raise RuntimeError("caller chain failed")
-
-        net, inputs, targets = make_training_setup(83)
-        h = Hierarchy.build(net, depth=2)
-        fine = h.levels[0].net
-        monkeypatch.setattr(training, "gradient_sum", chain)
-        if fails == "caller":
-            monkeypatch.setattr(training, "refresh_weights", refresh_fails)
-        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
-        with pytest.raises(RuntimeError if fails == "caller" else ValueError, match="failed"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 83))
-        # the fine chain ran first in line, or beside the caller's chain
-        second = "caller failed" if fails == "caller" else "coarse ended"
-        if cpus == 1 or fails == "helper":
-            assert events == ["fine ended", second]
-        else:
-            assert events == [second, "fine ended"]
-
-    def test_caller_errstate_reaches_the_helper(self, monkeypatch):
-        chains = self.record_chains(monkeypatch, 2)
-        summed = training.gradient_sum
-        seen = []
-
-        def chain(net, batches):
-            seen.append((threading.current_thread(), np.geterr()["over"]))
-            return summed(net, batches)
-
-        monkeypatch.setattr(training, "gradient_sum", chain)
-        net, inputs, targets = make_training_setup(85)
-        h = Hierarchy.build(net, depth=2)
-        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
-        with np.errstate(all="raise"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 85))
-        assert {over for _, over in seen} == {"raise"}
-        assert any(t is not threading.current_thread() for _, t in chains)
-
-    def test_conv_net_at_batch_200_keeps_the_chain_in_line(self, monkeypatch):
-        # its backward hands dense products to the helper, which would then
-        # queue behind the fine chain; the README dense net hands none off
-        rng = np.random.default_rng(87)
-        net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 64, rng=rng)
-        assert hands_off(net, 200)
-        assert not hands_off(build_network("dense:128,dense:128", 768, 256), 200)
-        chains = self.record_chains(monkeypatch, 2)
-        h = Hierarchy.build(net, depth=2)
-        sched = fresh_scheduler(rng.normal(size=(400, net.input_size)),
-                                rng.normal(size=(400, 64)), 200, 87)
-        cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
-        v_cycle(h, 0, cfg, StabilityConfig(), sched)
-        assert len(chains) == 2
-        assert all(t is threading.current_thread() for _, t in chains)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
-    def test_forked_child_overlaps_on_a_helper_of_its_own(self, monkeypatch):
-        chains = self.record_chains(monkeypatch, 2)
-        ref = self.run_cycles(cycles=2)  # the parent's helper thread is running
-        assert any(t is not threading.current_thread() for _, t in chains)
-
-        def child_run():
-            chains.clear()
-            states = self.run_cycles(cycles=2)
-            results.put((states, sum(t is not threading.current_thread() for _, t in chains)))
-
-        fork = multiprocessing.get_context("fork")
-        results = fork.Queue()
-        child = fork.Process(target=child_run)
-        child.start()
-        try:
-            states, helper_sums = results.get(timeout=60)
-        finally:
-            child.join(timeout=60)
-            if child.exitcode is None:
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
-        assert states == ref
-        assert helper_sums == 4
+            # a free second CPU must not draw training onto another thread
+            _threads.os.sched_getaffinity = lambda pid: {0, 1}
+            assert _threads.allowed_cpus() == 2
+            before = threading.active_count()
+            cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
+            for arch, shape, n_out in (("dense:128,dense:128", 768, 256),
+                                       ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024)):
+                rng = np.random.default_rng(93)
+                net = build_network(arch, shape, n_out, rng=rng)
+                sched = MinibatchScheduler(rng.normal(size=(400, net.input_size)),
+                                           rng.normal(size=(400, n_out)), 200, rng)
+                sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
+                v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
+                print(arch, before, threading.active_count())
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["dense:128,dense:128 1 1",
+                                            "conv:8k3s2p1,dense:64 1 1"]
