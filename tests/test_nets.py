@@ -1,5 +1,8 @@
 """Dense networks: forward, loss, backprop, and flat parameter views."""
 
+import multiprocessing
+import sys
+import threading
 from dataclasses import astuple
 
 import numpy as np
@@ -16,7 +19,7 @@ from _builders import (
     reference_forward,
     term_magnitudes,
 )
-from mlfas import nets
+from mlfas import _threads, nets
 from mlfas.conv import ConvLayer
 from mlfas.harness import build_network
 from mlfas.nets import (
@@ -630,7 +633,212 @@ class TestLoweringGeometry:
                 backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))
 
 
-RELU_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
+SMALL_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
+
+
+def use_cpus(monkeypatch, count):
+    """Let the thread plumbing see ``count`` usable CPUs."""
+    monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def nan_gradient(net):
+    """A gradient buffer for ``net`` whose every entry is NaN, so that an
+    entry ``backward`` has not written yet shows."""
+    out = net.params.zeros_like()
+    out.data[...] = np.nan
+    return out
+
+
+class TestBackwardChain:
+    """``backward`` runs every product and step in line, on the caller's thread."""
+
+    @pytest.mark.parametrize("arch, shape", SMALL_NETS)
+    def test_out_and_step_leave_the_gradient_unchanged(self, arch, shape):
+        rng = np.random.default_rng(5)
+        net = build_network(arch, shape, 4, rng=rng)
+        params = net.params.data.copy()
+        batch = random_batch(rng, net, size=9)
+        ref = backward(net, batch)
+        for out in (None, net.grad, nan_gradient(net)):
+            for step in (None, lambda k: None):
+                got = backward(net, batch, out=out, step=step)
+                assert got.data.tobytes() == ref.data.tobytes()
+                assert out is None or got is out
+        assert net.params.data.tobytes() == params.tobytes()
+
+    @pytest.mark.parametrize("arch, shape", [
+        ("dense:5", 6),
+        ("dense:12,dense:9,dense:7", 10),
+        ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7)),
+        ("conv:3k3s2p1,conv:4k3s1p1,dense:6", (2, 9, 9)),
+    ])
+    def test_steps_run_once_each_from_the_last_layer_to_the_first(self, arch, shape):
+        rng = np.random.default_rng(6)
+        net = build_network(arch, shape, 4, rng=rng)
+        batch = random_batch(rng, net, size=7)
+        ref = backward(net, batch)
+        steps = []
+        got = backward(net, batch, out=net.grad, step=steps.append)
+        assert steps == list(range(net.n_layers - 1, -1, -1))
+        assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("arch, shape", SMALL_NETS)
+    def test_each_step_sees_its_layer_final_and_the_layers_below_unwritten(self, arch, shape):
+        rng = np.random.default_rng(7)
+        net = build_network(arch, shape, 4, rng=rng)
+        batch = random_batch(rng, net, size=6)
+        ref = backward(net, batch)
+        out = nan_gradient(net)
+        seen = []
+
+        def step(k):
+            seen.append(k)
+            for j in range(net.n_layers):
+                if j < k:
+                    assert np.isnan(out.layer(j)).all()
+                else:
+                    assert out.layer(j).tobytes() == ref.layer(j).tobytes()
+
+        backward(net, batch, out=out, step=step)
+        assert seen == list(range(net.n_layers - 1, -1, -1))
+
+    def test_caller_errstate_holds_in_the_weight_products(self):
+        # only the product dz.T @ a of the second layer overflows: its
+        # weights are zero, so its forward product and dz @ W are 0
+        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
+                       DenseLayer(np.zeros((1, 3)), np.zeros(1))])
+        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            backward(net, batch)
+        with np.errstate(all="ignore"):
+            grad = backward(net, batch)
+        assert np.isinf(grad.weights(1)).all()
+        assert np.isfinite(grad.weights(0)).all()
+        assert all(np.isfinite(grad.bias(k)).all() for k in range(net.n_layers))
+
+    @pytest.mark.parametrize("fails", [3, 2, 0, "conv layer"])
+    def test_an_error_stops_the_chain_where_it_is_raised(self, monkeypatch, fails):
+        # layer 0 is the conv layer, layers 1 to 3 dense
+        net = build_network(*SMALL_NETS[1], 4, rng=np.random.default_rng(8))
+        batch = random_batch(np.random.default_rng(9), net, size=5)
+        out = nan_gradient(net)
+        stepped = []
+
+        def step(k):
+            stepped.append(k)
+            if k == fails:
+                raise ValueError("step failed")
+
+        def conv_fails(*args):
+            raise RuntimeError("conv layer failed")
+
+        if fails == "conv layer":
+            monkeypatch.setattr(nets, "conv_backward_batch", conv_fails)
+        with pytest.raises(RuntimeError if fails == "conv layer" else ValueError,
+                           match="failed"):
+            backward(net, batch, out=out, step=step)
+        # the chain ends at the failing layer: no layer below it was computed
+        if fails == "conv layer":
+            assert stepped == [3, 2, 1]
+            unwritten = [0]
+        else:
+            assert stepped == list(range(3, fails - 1, -1))
+            unwritten = list(range(fails))
+        assert [j for j in range(4) if np.isnan(out.layer(j)).any()] == unwritten
+        assert all(np.isnan(out.layer(j)).all() for j in unwritten)
+
+    def test_step_overflow_raises_under_the_callers_errstate(self):
+        # layer 1's step overflows; layer 0's, the end of the chain, never runs
+        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
+                       DenseLayer(np.ones((1, 3)), np.zeros(1))])
+        batch = Minibatch(np.ones((4, 2)), np.zeros((4, 1)))
+        out, momentum = nan_gradient(net), net.params.zeros_like()
+        momentum.weights(1)[...] = 1e308
+        stepped = []
+
+        def step(k):
+            stepped.append(k)
+            g = out.weights(k)
+            m = momentum.weights(k)
+            m += g
+            np.multiply(m, 10.0, out=g)
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward(net, batch, out=out, step=step)
+        assert stepped == [1]
+        assert np.isnan(out.layer(0)).all()
+
+    def test_concurrent_callers_get_their_own_gradients(self):
+        # the evaluation worker runs forward passes beside a training thread
+        nets_and_batches = []
+        for seed in range(4):
+            net = build_network(*SMALL_NETS[seed % 2], 4, rng=np.random.default_rng(seed))
+            batch = random_batch(np.random.default_rng(seed + 10), net, size=6)
+            nets_and_batches.append((net, batch, backward(net, batch).data.tobytes()))
+        mismatches = []
+
+        def caller(net, batch, ref):
+            for _ in range(50):
+                if backward(net, batch, out=net.grad).data.tobytes() != ref:
+                    mismatches.append(net)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=nb) for nb in nets_and_batches]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_gets_the_parents_gradient(self):
+        net = build_network(*SMALL_NETS[1], 4, rng=np.random.default_rng(10))
+        batch = random_batch(np.random.default_rng(11), net, size=5)
+        ref = backward(net, batch)
+        fork = multiprocessing.get_context("fork")
+        results = fork.Queue()
+        child = fork.Process(target=lambda: results.put(backward(net, batch).data.tobytes()))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == ref.data.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_on_the_callers_thread_whatever_the_cpu_count(self, monkeypatch, cpus):
+        net = build_network(*SMALL_NETS[1], 4, rng=np.random.default_rng(12))
+        batch = random_batch(np.random.default_rng(13), net, size=5)
+        ref = backward(net, batch)
+        use_cpus(monkeypatch, cpus)
+        assert _threads.allowed_cpus() == cpus
+        threads, reference = [], nets.conv_backward_batch
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return reference(*args)
+
+        monkeypatch.setattr(nets, "conv_backward_batch", recording)
+        before = threading.active_count()
+        stepped = []
+        got = backward(net, batch, out=net.grad,
+                       step=lambda k: stepped.append(threading.current_thread()))
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert threads == [threading.current_thread()]
+        assert stepped == [threading.current_thread()] * net.n_layers
+        assert threading.active_count() == before
 
 
 class _CopyReluNumpy:
@@ -658,7 +866,7 @@ class _CopyReluNumpy:
 class TestInPlaceRelu:
     """The in-place ReLU gives the copy-based one's results bit for bit."""
 
-    @pytest.mark.parametrize("arch, shape", RELU_NETS)
+    @pytest.mark.parametrize("arch, shape", SMALL_NETS)
     @pytest.mark.parametrize("special", [-0.0, np.nan, 0.5])
     def test_matches_the_copy_based_relu(self, monkeypatch, arch, shape, special):
         rng = np.random.default_rng(12)

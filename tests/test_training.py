@@ -1,10 +1,13 @@
 """Smoother, tau correction, scheduler, and V-cycle behavior."""
 
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,8 @@ from _builders import (
     random_dense_net,
     reference_sgd_smooth,
 )
-from mlfas import training
-from mlfas.harness import build_network
+from mlfas import _threads, training
+from mlfas.harness import ExperimentConfig, build_network, run_seed
 from mlfas.nets import (
     DenseLayer,
     Minibatch,
@@ -43,6 +46,7 @@ from mlfas.training import (
     sgd_smooth,
     v_cycle,
 )
+from mlfas.poisson import generate_dataset
 from mlfas.transfer import coarsen_network, restrict_network
 from test_transfer import identity_level
 
@@ -130,9 +134,11 @@ def log_input_gradients(net, log):
             layer.weights.log = log
 
 
-# (arch, input shape, output size): the README dense net and the benchmark conv net
+# (arch, input shape, output size): the README dense net, a deeper dense
+# net and the benchmark conv net
 LAYER_STEP_NETS = [
     ("dense:128,dense:128", 768, 256),
+    ("dense:64,dense:48,dense:32", 40, 16),
     ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024),
 ]
 
@@ -182,12 +188,10 @@ class TestLayerStep:
         sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches[:1], tilt=tau)
         # from the last layer to the first: its input gradient here, then its
         # step; the first layer takes no input gradient and steps last
-        weights = [layer.weights.shape for layer in net.layers]
-        assert log == [
-            ("input gradient", weights[2]), ("step", 2),
-            ("input gradient", weights[1]), ("step", 1),
-            ("step", 0),
-        ]
+        expected = []
+        for k in range(net.n_layers - 1, 0, -1):
+            expected += [("input gradient", net.layers[k].weights.shape), ("step", k)]
+        assert log == expected + [("step", 0)]
 
 
 class TestComputeTau:
@@ -623,14 +627,158 @@ class TestGuardsAndRematch:
         assert src.count("coarse_grid_correction") == 2
 
 
+class TestTauInLine:
+    """``compute_tau`` sums the coarse gradients, then the fine ones, in line."""
+
+    @staticmethod
+    def record_sums(monkeypatch, cpus=2):
+        """Allow ``cpus`` CPUs; returns the (network, thread) of every gradient sum."""
+        sums = []
+        summed = training.gradient_sum
+
+        def recording(net, batches):
+            sums.append((net, threading.current_thread()))
+            return summed(net, batches)
+
+        monkeypatch.setattr(training, "gradient_sum", recording)
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        return sums
+
+    @staticmethod
+    def run_cycles(cycles=4, h=None):
+        """Depth-3 dense cycles with a rematch before the third; every cycle's
+        parameters, momentum and tilt vectors of every level, as bytes."""
+        net, inputs, targets = make_training_setup(81, widths=(10, 64, 48, 8))
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
+        h = Hierarchy.build(net, depth=3, rematch_period=2) if h is None else h
+        sched = fresh_scheduler(inputs, targets, 4, seed=81)
+        states = []
+        for _ in range(cycles):
+            v_cycle(h, 0, cfg, StabilityConfig(), sched)
+            states.append([(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
+                            None if lvl.tilt is None else lvl.tilt.data.tobytes())
+                           for lvl in h.levels])
+        return states
+
+    def test_coarse_gradients_are_summed_before_the_fine_ones(self, monkeypatch):
+        sums = self.record_sums(monkeypatch)
+        net, _, _ = make_training_setup(81, widths=(10, 64, 48, 8))
+        h = Hierarchy.build(net, depth=3, rematch_period=2)
+        levels = []
+        summed = training.gradient_sum  # the recording one
+
+        def level_of(net, batches):
+            levels.append(next(i for i, lvl in enumerate(h.levels) if lvl.net is net))
+            return summed(net, batches)
+
+        monkeypatch.setattr(training, "gradient_sum", level_of)
+        self.run_cycles(cycles=2, h=h)
+        # per cycle, each coarse visit's level before the level above it
+        assert levels == [1, 0, 2, 1] * 2
+        assert all(t is threading.current_thread() for _, t in sums)
+
+    def test_depth_three_cycles_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        self.record_sums(monkeypatch, 1)
+        ref = self.run_cycles()
+        sums = self.record_sums(monkeypatch, 2)
+        assert self.run_cycles() == ref
+        assert len(sums) == 16
+        assert all(t is threading.current_thread() for _, t in sums)
+
+    def test_depth_three_metric_streams_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        ds = generate_dataset(30, 6, seed=11, val_fraction=0.2)
+        cfg = ExperimentConfig(dataset="", arch="dense:12,dense:10", depth=3,
+                               learning_rate=0.01, batch_size=6, steps_per_smooth=2,
+                               rematch_period=2, max_work_units=60.0, eval_every=10.0)
+        runs = []
+        for cpus in (1, 2):
+            sums = self.record_sums(monkeypatch, cpus)
+            runs.append(run_seed(cfg, 0, ds))
+            assert sums and all(t is threading.current_thread() for _, t in sums)
+        one, two = ([astuple(r)[:-1] for r in run.records] for run in runs)
+        assert not runs[0].failed and len(one) > 10
+        assert one == two
+
+    @pytest.mark.parametrize("fails", ["coarse sum", "fine sum", "refresh"])
+    def test_an_error_stops_the_cycle_where_it_is_raised(self, monkeypatch, fails):
+        summed = training.gradient_sum
+        events = []
+
+        def chain(net, batches):
+            which = "fine sum" if net is fine else "coarse sum"
+            if which == fails:
+                events.append(f"{which} failed")
+                raise ValueError(f"{which} failed")
+            events.append(f"{which} ended")
+            return summed(net, batches)
+
+        def refresh_fails(*args):
+            events.append("refresh failed")
+            raise RuntimeError("refresh failed")
+
+        net, inputs, targets = make_training_setup(83)
+        h = Hierarchy.build(net, depth=2)
+        fine = h.levels[0].net
+        monkeypatch.setattr(training, "gradient_sum", chain)
+        if fails == "refresh":
+            monkeypatch.setattr(training, "refresh_weights", refresh_fails)
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
+        with pytest.raises(RuntimeError if fails == "refresh" else ValueError, match="failed"):
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 83))
+        # the refresh comes before both sums, the coarse sum before the fine one
+        assert events == {"refresh": ["refresh failed"],
+                          "coarse sum": ["coarse sum failed"],
+                          "fine sum": ["coarse sum ended", "fine sum failed"]}[fails]
+
+    def test_caller_errstate_reaches_the_gradient_sums(self, monkeypatch):
+        summed = training.gradient_sum
+        seen = []
+
+        def chain(net, batches):
+            seen.append(np.geterr()["over"])
+            return summed(net, batches)
+
+        monkeypatch.setattr(training, "gradient_sum", chain)
+        net, inputs, targets = make_training_setup(85)
+        h = Hierarchy.build(net, depth=2)
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
+        with np.errstate(all="raise"):
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 85))
+        assert seen == ["raise", "raise"]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_cycles_equal_the_parents(self):
+        ref = self.run_cycles(cycles=2)
+        fork = multiprocessing.get_context("fork")
+        results = fork.Queue()
+        child = fork.Process(target=lambda: results.put(self.run_cycles(cycles=2)))
+        child.start()
+        try:
+            states = results.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert states == ref
+
+
 class TestOneTrainingThread:
     """Training runs on its caller's thread and starts no other."""
 
-    def test_smoothing_and_v_cycles_start_no_thread(self):
+    @pytest.mark.parametrize("arch, shape, n_out", [
+        ("dense:128,dense:128", 768, 256),
+        ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024),
+    ])
+    def test_smoothing_and_v_cycles_start_no_thread(self, arch, shape, n_out):
         # in a fresh interpreter, where no earlier test has started a
         # long-lived thread that would hide one started here
         script = textwrap.dedent(
-            """
+            f"""
             import threading
             import numpy as np
             from mlfas import _threads
@@ -639,19 +787,18 @@ class TestOneTrainingThread:
                                         StabilityConfig, sgd_smooth, v_cycle)
 
             # a free second CPU must not draw training onto another thread
-            _threads.os.sched_getaffinity = lambda pid: {0, 1}
+            _threads.os.sched_getaffinity = lambda pid: {{0, 1}}
             assert _threads.allowed_cpus() == 2
             before = threading.active_count()
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
-            for arch, shape, n_out in (("dense:128,dense:128", 768, 256),
-                                       ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024)):
-                rng = np.random.default_rng(93)
-                net = build_network(arch, shape, n_out, rng=rng)
-                sched = MinibatchScheduler(rng.normal(size=(400, net.input_size)),
-                                           rng.normal(size=(400, n_out)), 200, rng)
-                sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
-                v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
-                print(arch, before, threading.active_count())
+            rng = np.random.default_rng(93)
+            net = build_network({arch!r}, {shape!r}, {n_out}, rng=rng)
+            sched = MinibatchScheduler(rng.normal(size=(400, net.input_size)),
+                                       rng.normal(size=(400, {n_out})), 200, rng)
+            sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
+            print(before, threading.active_count())
+            v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
+            print(before, threading.active_count())
             """
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -660,5 +807,4 @@ class TestOneTrainingThread:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["dense:128,dense:128 1 1",
-                                            "conv:8k3s2p1,dense:64 1 1"]
+        assert proc.stdout.splitlines() == ["1 1", "1 1"]
