@@ -22,7 +22,6 @@ from .nets import (
     Network,
     ParamVector,
     backward,
-    dense_network,
     flatten,
     loss,
     unflatten,

@@ -62,7 +62,6 @@ class ExperimentConfig:
     theta: float = 0.1
     weighted: bool = True
     eta: float = math.sqrt(2.0)
-    alpha_p: float = 1.0
     alpha_m: float = 0.2
     gamma: float = 1.0
     max_work_units: float = 5000.0
@@ -108,9 +107,7 @@ class ExperimentConfig:
 
     def stability(self) -> StabilityConfig:
         """The hierarchy's damping settings."""
-        return StabilityConfig(
-            eta=self.eta, alpha_p=self.alpha_p, alpha_m=self.alpha_m, gamma=self.gamma
-        )
+        return StabilityConfig(eta=self.eta, alpha_m=self.alpha_m, gamma=self.gamma)
 
 
 @dataclass
@@ -184,13 +181,13 @@ def _key(key: str) -> str:
 def parse_grid(path, assignments=()) -> list[ExperimentConfig]:
     """The settings of a flat key=value config file ('#' starts a comment).
 
-    Each ``key=value`` assignment overrides the file.  A key assigned k
-    times is a grid axis of k values; the settings are the product of the
-    axes, in the order the keys first appear, the last axis fastest.  The
-    keys of ``GRID_SHARED_KEYS`` may be assigned only once.  Every setting
-    is validated as a config file is.
+    The file sets each key at most once.  Each ``key=value`` assignment
+    overrides the file.  A key assigned k times is a grid axis of k values;
+    the settings are the product of the axes, in the order the keys first
+    appear, the last axis fastest.  The keys of ``GRID_SHARED_KEYS`` may be
+    assigned only once.  Every setting is validated as a config file is.
     """
-    values = {}
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -199,7 +196,9 @@ def parse_grid(path, assignments=()) -> list[ExperimentConfig]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            values[_key(key)] = text
+            if _key(key) in lines:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+            values[key], lines[key] = text, lineno
     axes = {}
     for text in assignments:
         if "=" not in text:

@@ -575,16 +575,3 @@ def uniform_init(net: Network, rng: np.random.Generator) -> Network:
         layer.bias[...] = rng.uniform(-bound, bound, size=layer.bias.shape)
     return net
 
-
-def dense_network(sizes, rng: np.random.Generator | None = None) -> Network:
-    """Fully-connected network through the given interface sizes."""
-    if len(sizes) < 2:
-        raise NetworkShapeError("need at least an input and an output size")
-    layers = [
-        DenseLayer(np.zeros((sizes[k + 1], sizes[k])), np.zeros(sizes[k + 1]))
-        for k in range(len(sizes) - 1)
-    ]
-    net = Network(layers)
-    if rng is not None:
-        uniform_init(net, rng)
-    return net

@@ -4,11 +4,11 @@ The smoother is plain SGD with momentum and optional weight decay.  A
 V-cycle pre-smooths a level, restricts the iterate and momentum to the
 next-coarser network, computes a stochastic tau correction that tilts the
 coarse objective toward first-order consistency with the fine one, solves
-(or recurses on) the tilted coarse problem, applies damped coarse-grid
-corrections to parameters and momentum, and post-smooths.  Minibatches come
-from one shared shuffled cyclic stream; each restriction draws the next
-``m`` batches for the tau correction and the coarse smoothing reuses those
-same batches cyclically.
+(or recurses on) the tilted coarse problem, applies the coarse-grid
+correction to the parameters and a damped one to the momentum, and
+post-smooths.  Minibatches come from one shared shuffled cyclic stream;
+each restriction draws the next ``m`` batches for the tau correction and
+the coarse smoothing reuses those same batches cyclically.
 """
 
 import itertools
@@ -80,25 +80,23 @@ class StabilityConfig:
     """Damping knobs for deeper hierarchies.
 
     The learning rate is divided by ``eta`` per level for the first
-    ``ETA_DEPTH`` levels and then held; ``alpha_p`` and ``alpha_m`` damp the
-    parameter and momentum coarse-grid corrections; ``gamma`` scales the tau
-    tilt of the coarse objective: 1 makes it first-order consistent with the
-    fine one at any number of minibatches per epoch, and a smaller value
-    blends toward the coarse network's own loss.
+    ``ETA_DEPTH`` levels and then held; ``alpha_m`` damps the momentum's
+    coarse-grid correction, while the parameters take theirs undamped;
+    ``gamma`` scales the tau tilt of the coarse objective: 1 makes it
+    first-order consistent with the fine one at any number of minibatches
+    per epoch, a smaller value blends toward the coarse network's own loss,
+    and 0 leaves it untilted, so no tau is computed.
     """
 
     eta: float = math.sqrt(2.0)
-    alpha_p: float = 1.0
     alpha_m: float = 0.2
     gamma: float = 1.0
 
     def __post_init__(self):
         if self.eta < 1.0:
             raise ValueError("eta must be >= 1")
-        for name in ("alpha_p", "alpha_m"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
+        if not 0.0 < self.alpha_m <= 1.0:
+            raise ValueError("alpha_m must lie in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
 
@@ -352,7 +350,10 @@ def v_cycle(
     cycles and smoothing consumes the shared batch stream; deeper levels
     smooth on the tau-group batches handed down by their parent.  The
     coarsest level degenerates to a single smoothing block, so depth 1 is
-    plain SGD.
+    plain SGD.  Each coarse visit draws its tau group; only at ``gamma > 0``
+    does it compute and charge the tau.  After the visit the parameters take
+    the undamped correction from the visit's ``start`` and the momentum one
+    damped by ``alpha_m``, both in place.
     """
     state = h.levels[level]
     if level == 0:
@@ -375,30 +376,26 @@ def v_cycle(
                 coarse.start = tuple(ParamVector(row, coarse.net.params.layout) for row in block)
             np.copyto(coarse.start[0].data, coarse.net.params.data)
             np.copyto(coarse.start[1].data, coarse.momentum.data)
-            tau = compute_tau(state.net, coarse.net, t, group)
-            tau.data *= stab.gamma
-            coarse.tilt = tau if stab.gamma != 0.0 else None
+            coarse.tilt = None
+            if stab.gamma != 0.0:
+                coarse.tilt = compute_tau(state.net, coarse.net, t, group)
+                coarse.tilt.data *= stab.gamma
+                h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
         except DivergenceError as e:
             raise DivergenceError(
                 f"{e} during restriction to level {level + 1} (cycle {h.cycles_run})",
                 level=level + 1,
                 cycle=h.cycles_run,
             ) from e
-        h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
 
         v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
 
         # both gradient buffers are free until the post-smoothing, and this
         # level has not moved since its state was restricted into ``start``
         scratch = (coarse.net.grad, state.net.grad)
-        coarse_grid_correction(
-            state.net.params, coarse.net.params, t, alpha=stab.alpha_p,
-            out=state.net.params, scratch=scratch, restricted=coarse.start[0],
-        )
-        coarse_grid_correction(
-            state.momentum, coarse.momentum, t, alpha=stab.alpha_m,
-            out=state.momentum, scratch=scratch, restricted=coarse.start[1],
-        )
+        start_x, start_m = coarse.start
+        coarse_grid_correction(state.net.params, coarse.net.params, t, start_x, 1.0, scratch)
+        coarse_grid_correction(state.momentum, coarse.momentum, t, start_m, stab.alpha_m, scratch)
         _check_finite(h, level, "coarse-grid correction")
 
         _smooth_level(h, level, cfg, _batches)

@@ -195,41 +195,29 @@ def coarse_grid_correction(
     x: ParamVector,
     x_c_new: ParamVector,
     t: TransferLevel,
-    alpha: float = 1.0,
-    out: ParamVector | None = None,
-    scratch: tuple[ParamVector, ParamVector] | None = None,
-    restricted: ParamVector | None = None,
-) -> ParamVector:
-    """FAS update x + alpha * P(x_c_new - Pi x).
+    start: ParamVector,
+    alpha: float,
+    scratch: tuple[ParamVector, ParamVector],
+) -> None:
+    """FAS update x += alpha * P(x_c_new - start), in place.
 
-    The result is written into ``out`` when given, which may be ``x`` itself
-    (the V-cycle corrects a network's ``params`` in place), and into a new
-    vector otherwise.  ``restricted``, when given, is ``Pi x`` as the caller
-    already has it (the V-cycle keeps the restriction that started the
-    coarse visit), and it is not computed again.  ``scratch`` is a (coarse,
-    fine) pair of vectors that the call may overwrite with the restricted
+    ``start`` is the coarse start ``Pi x`` that began the coarse visit (the
+    V-cycle keeps it in the coarse level's ``start``).  ``scratch`` is a
+    (coarse, fine) pair of vectors that the call overwrites with the
     difference and the prolonged step (the V-cycle passes the two networks'
-    ``grad``); they must not share memory with ``x``, ``x_c_new``,
-    ``restricted`` or ``out``.  Without it the two are new vectors.
+    ``grad``); they must not share memory with ``x``, ``x_c_new`` or
+    ``start``.
     """
-    delta, step = (None, None) if scratch is None else scratch
-    if restricted is None:
-        restricted = delta = restrict_params(t, x, out=delta)
-    elif x.layout != t.layouts[0] or restricted.layout != t.layouts[1]:
-        raise NetworkShapeError("vector layouts do not match the transfer level")
-    elif delta is None:
-        delta = restricted.zeros_like()
-    if x_c_new.layout != restricted.layout:
+    delta, step = scratch
+    fine, coarse = t.layouts
+    if x.layout != fine or step.layout != fine:
+        raise NetworkShapeError("fine vector layout does not match the transfer level")
+    if not x_c_new.layout == start.layout == delta.layout == coarse:
         raise NetworkShapeError("coarse vector layout does not match the transfer level")
-    np.subtract(x_c_new.data, restricted.data, out=delta.data)
-    step = prolong_params(t, delta, out=step)
+    np.subtract(x_c_new.data, start.data, out=delta.data)
+    prolong_params(t, delta, out=step)
     step.data *= alpha
-    if out is None:
-        out = x.zeros_like()
-    elif out.layout != x.layout:
-        raise NetworkShapeError("output vector layout does not match the fine vector")
-    np.add(x.data, step.data, out=out.data)
-    return out
+    x.data += step.data
 
 
 def restrict_network(net: Network, t: TransferLevel) -> Network:

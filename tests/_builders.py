@@ -3,7 +3,9 @@
 import numpy as np
 
 from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_patches
-from mlfas.nets import DenseLayer, Network, dense_network, forward_batch, uniform_init
+from mlfas.harness import build_network
+from mlfas.nets import DenseLayer, Network, forward_batch, uniform_init
+from mlfas.transfer import coarse_grid_correction, restrict_params
 
 
 def assert_rel(got, ref, tol=1e-12, scale=None):
@@ -12,6 +14,19 @@ def assert_rel(got, ref, tol=1e-12, scale=None):
     assert got.shape == ref.shape
     scale = ref if scale is None else scale
     assert np.abs(got - ref).max(initial=0.0) <= tol * np.abs(scale).max(initial=0.0)
+
+
+def dense_network(sizes, rng):
+    """Fully-connected net through the given interface sizes, seeded from ``rng``."""
+    return build_network(",".join(f"dense:{n}" for n in sizes[1:-1]), sizes[0], sizes[-1], rng)
+
+
+def corrected(x, x_c, t, alpha):
+    """A corrected copy of ``x``: the correction from ``Pi x``, with fresh scratch."""
+    out = x.copy()
+    coarse_grid_correction(out, x_c, t, restrict_params(t, x), alpha,
+                           (x_c.zeros_like(), x.zeros_like()))
+    return out
 
 
 def random_dense_net(rng, n_hidden=None, widths=(4, 64), io=(3, 12)):

@@ -25,6 +25,7 @@ from _builders import (
     CURRENT_CONV,
     _reference_forward_cached,
     conv_one,
+    dense_network,
     random_conv_net,
     random_dense_net,
 )
@@ -33,7 +34,6 @@ from mlfas.nets import (
     Minibatch,
     ParamVector,
     backward,
-    dense_network,
     flatten,
     loss,
     unflatten,
@@ -196,7 +196,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
                              momentum=flatten(fas_net).zeros_like())
     cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=k)
     sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(99))
-    v_cycle(h, 0, cfg, StabilityConfig(eta=1.0, alpha_p=1.0, alpha_m=1.0, gamma=0.0), sched)
+    v_cycle(h, 0, cfg, StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0), sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
     ref_sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(99))
@@ -210,7 +210,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     h = Hierarchy.build(fas_net, depth=2, tau_batches=k, theta=-1.0)
     cfgs = [cfg, SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=0)]
     sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(7))
-    v_cycle(h, 0, cfgs, StabilityConfig(eta=2.0, alpha_p=0.9, alpha_m=0.4, gamma=0.5), sched)
+    v_cycle(h, 0, cfgs, StabilityConfig(eta=2.0, alpha_m=0.4, gamma=0.5), sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
     ref_sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(7))

@@ -196,4 +196,5 @@ class TestOwnership:
         with pytest.raises(NetworkShapeError):
             restrict_gradient(t, net.grad, out=net.grad)
         with pytest.raises(NetworkShapeError):
-            coarse_grid_correction(net.params, coarse.params, t, out=coarse.params)
+            coarse_grid_correction(coarse.params, coarse.params, t, coarse.params.copy(), 1.0,
+                                   (coarse.grad, net.grad))

@@ -113,6 +113,15 @@ def test_missing_dataset_is_structured_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_key_set_twice_is_structured_failure(tmp_path, workspace, capsys):
+    _, ds_path = workspace
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {ds_path}\ndepth = 1\ndepth = 2\nout_dir = {tmp_path / 'run'}\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: depth is already set on line 2\n"
+    assert not (tmp_path / "run").exists()
+
+
 # 2^63 once generated all the data and died in write_dataset on the header
 @pytest.mark.parametrize("seed", ["-1", str(2**63)])
 def test_generate_seed_out_of_range_is_structured_failure(tmp_path, capsys, seed):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _builders import dense_network
 from mlfas import _threads, harness, nets
 from mlfas.checkpoints import load_network, save_network
 from mlfas.conv import ConvShapeError
@@ -38,7 +39,6 @@ from mlfas.nets import (
     LossValue,
     Minibatch,
     Network,
-    dense_network,
     flatten,
     loss,
     lower_input,
@@ -104,12 +104,20 @@ class TestConfig:
     # all but the first were keys once; a config that still sets them is refused
     @pytest.mark.parametrize(
         "key", ["no_such_knob", "match_order", "checkpoint_every", "eta_depth",
-                "activation", "output_activation"]
+                "activation", "output_activation", "alpha_p"]
     )
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "exp.cfg"
         path.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
+            parse_grid(path)
+
+    # a key set twice once kept its last value, while a repeated ``--set``
+    # makes a grid axis of both
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("depth = 1\n# a comment\ndepth = 2\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:3: depth is already set on line 1$"):
             parse_grid(path)
 
     def test_bad_bool(self, tmp_path):
@@ -544,8 +552,7 @@ def serial_records(cfg, ds, seed=0):
     smoother = SmootherConfig(learning_rate=cfg.learning_rate, momentum_coeff=cfg.momentum,
                               weight_decay=cfg.weight_decay,
                               steps_per_smooth=cfg.steps_per_smooth)
-    stab = StabilityConfig(eta=cfg.eta, alpha_p=cfg.alpha_p, alpha_m=cfg.alpha_m,
-                           gamma=cfg.gamma)
+    stab = StabilityConfig(eta=cfg.eta, alpha_m=cfg.alpha_m, gamma=cfg.gamma)
     h = Hierarchy.build(net, cfg.depth, rematch_period=cfg.rematch_period,
                         tau_batches=cfg.tau_batches, theta=cfg.theta, weighted=cfg.weighted)
     rows, coarse_nets = [], []

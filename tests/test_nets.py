@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _builders import (
     assert_rel,
+    dense_network,
     forward_one,
     random_batch,
     random_dense_net,
@@ -30,7 +31,6 @@ from mlfas.nets import (
     NetworkShapeError,
     ParamVector,
     backward,
-    dense_network,
     flatten,
     forward_batch,
     loss,

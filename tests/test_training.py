@@ -7,7 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import (
+    dense_network,
     explicit_transfer_matrices,
     random_conv_net,
     random_dense_net,
@@ -30,7 +31,6 @@ from mlfas.nets import (
     NetworkShapeError,
     ParamVector,
     backward,
-    dense_network,
     flatten,
     forward_batch,
     unflatten,
@@ -47,7 +47,14 @@ from mlfas.training import (
     v_cycle,
 )
 from mlfas.poisson import generate_dataset
-from mlfas.transfer import coarsen_network, restrict_network
+from mlfas.transfer import (
+    coarse_grid_correction,
+    coarsen_network,
+    prolong_params,
+    refresh_weights,
+    restrict_network,
+    restrict_params,
+)
 from test_transfer import identity_level
 
 
@@ -269,7 +276,8 @@ class TestComputeTau:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     def test_level_tilt_is_gamma_times_tau(self, monkeypatch, gamma):
         # every coarse level of a depth-3 cycle keeps its visit's tau, scaled
-        # once by gamma, as the tilt its smoothing subtracts
+        # once by gamma, as the tilt its smoothing subtracts; at gamma 0 no
+        # tau is computed and the levels are untilted
         taus = {}
         computed = training.compute_tau
 
@@ -284,12 +292,13 @@ class TestComputeTau:
         sched = fresh_scheduler(inputs, targets, 4, seed=61)
         v_cycle(h, 0, SmootherConfig(learning_rate=0.05), StabilityConfig(gamma=gamma), sched)
         assert h.levels[0].tilt is None
+        assert len(taus) == (0 if gamma == 0.0 else 2)
         for lvl in h.levels[1:]:
-            tau = taus[lvl.net]
-            assert np.abs(tau.data).max() > 0.0
             if gamma == 0.0:
                 assert lvl.tilt is None
             else:
+                tau = taus[lvl.net]
+                assert np.abs(tau.data).max() > 0.0
                 assert lvl.tilt.data.tobytes() == (gamma * tau.data).tobytes()
 
 
@@ -395,7 +404,7 @@ class TestVCycleDegeneracies:
         sgd_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9,
                              weight_decay=1e-4, steps_per_smooth=k)
-        stab = StabilityConfig(eta=1.0, alpha_p=1.0, alpha_m=1.0, gamma=0.0)
+        stab = StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0)
         h = identity_hierarchy(net, tau_batches=k)
         sched = fresh_scheduler(inputs, targets, 4, seed=21)
         v_cycle(h, 0, cfg, stab, sched)
@@ -415,7 +424,7 @@ class TestVCycleDegeneracies:
             SmootherConfig(learning_rate=0.03, momentum_coeff=0.9, steps_per_smooth=k),
             SmootherConfig(learning_rate=0.03, momentum_coeff=0.9, steps_per_smooth=0),
         ]
-        stab = StabilityConfig(eta=2.0, alpha_p=0.8, alpha_m=0.3, gamma=0.5)
+        stab = StabilityConfig(eta=2.0, alpha_m=0.3, gamma=0.5)
         h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0)
         sched = fresh_scheduler(inputs, targets, 4, seed=23)
         v_cycle(h, 0, cfgs, stab, sched)
@@ -426,6 +435,43 @@ class TestVCycleDegeneracies:
         ref_sched.next_tau_group(2)  # the tau draw advances the shared stream
         sgd_smooth(ref_net, momentum, cfgs[0], iter(ref_sched))
         np.testing.assert_array_equal(flatten(net).data, flatten(ref_net).data)
+        np.testing.assert_array_equal(h.levels[0].momentum.data, momentum.data)
+
+    def test_gamma_zero_computes_and_charges_no_tau(self, monkeypatch):
+        # the visit still draws its group and smooths on it, untilted; the
+        # tau was once computed, scaled by 0, discarded and charged
+        net, inputs, targets = make_training_setup(27)
+        ref_net = net.copy()
+        cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
+        stab = StabilityConfig(alpha_m=0.3, gamma=0.0)
+        h = Hierarchy.build(net, depth=2, tau_batches=3, theta=-1.0)
+        sched = fresh_scheduler(inputs, targets, 4, seed=27)
+
+        def refused(*args):
+            raise AssertionError("compute_tau called at gamma 0")
+
+        monkeypatch.setattr(training, "compute_tau", refused)
+        v_cycle(h, 0, cfg, stab, sched)
+        assert h.work == pytest.approx(2 * 1.0 + 2 * h.param_ratio(1) + 2 * 1.0, rel=1e-12)
+
+        t = coarsen_network(ref_net, theta=-1.0)
+        ref_sched = fresh_scheduler(inputs, targets, 4, seed=27)
+        momentum = flatten(ref_net).zeros_like()
+        sgd_smooth(ref_net, momentum, cfg, ref_sched)
+        group = ref_sched.next_tau_group(3)
+        refresh_weights(t, ref_net)
+        coarse = restrict_network(ref_net, t)
+        coarse_m = restrict_params(t, momentum)
+        start_x, start_m = coarse.params.copy(), coarse_m.copy()
+        coarse_cfg = replace(cfg, learning_rate=cfg.learning_rate / stab.eta)
+        sgd_smooth(coarse, coarse_m, coarse_cfg, itertools.cycle(group))
+        ref_net.params.data += prolong_params(
+            t, ParamVector(coarse.params.data - start_x.data, start_x.layout)).data
+        step = prolong_params(t, ParamVector(coarse_m.data - start_m.data, start_m.layout))
+        step.data *= stab.alpha_m
+        momentum.data += step.data
+        sgd_smooth(ref_net, momentum, cfg, ref_sched)
+        np.testing.assert_array_equal(net.params.data, ref_net.params.data)
         np.testing.assert_array_equal(h.levels[0].momentum.data, momentum.data)
 
     def test_depth_one_is_plain_sgd(self):
@@ -458,7 +504,7 @@ class TestVCycleHandTrace:
 
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9,
                              weight_decay=0.0, steps_per_smooth=1)
-        stab = StabilityConfig(eta=np.sqrt(2.0), alpha_p=0.9, alpha_m=0.2, gamma=0.25)
+        stab = StabilityConfig(eta=np.sqrt(2.0), alpha_m=0.2, gamma=0.25)
         h = Hierarchy.build(net, depth=2, tau_batches=1, theta=0.9, weighted=True)
         sched = MinibatchScheduler(inputs, targets, 6, np.random.default_rng(0))
         n_batches = sched.batches_per_epoch
@@ -498,7 +544,7 @@ class TestVCycleHandTrace:
         mom_c.data[:] = mc0
         sgd_step(coarse, mom_c, 0.05 / np.sqrt(2.0), tau_vec=tau_vec, gamma=0.25)
 
-        x.data += 0.9 * (big_p @ (flatten(coarse).data - xc0))
+        x.data += big_p @ (flatten(coarse).data - xc0)
         mom.data += 0.2 * (big_p @ (mom_c.data - mc0))
         unflatten(trace, x)
 
@@ -550,9 +596,12 @@ class TestCoarseVisitRestrictions:
 
         monkeypatch.setattr(transfer, "_map_params", counted)
         if not reuse:
-            correct = transfer.coarse_grid_correction
-            monkeypatch.setattr(training, "coarse_grid_correction",
-                                lambda *a, restricted, **kw: correct(*a, **kw))
+            # the reference restricts x again instead of taking the visit's start
+            monkeypatch.setattr(
+                training, "coarse_grid_correction",
+                lambda x, x_c, t, start, *rest: coarse_grid_correction(
+                    x, x_c, t, transfer.restrict_params(t, x), *rest),
+            )
         net, inputs, targets = make_training_setup(71, widths=(10, 64, 48, 8))
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=3, rematch_period=100, theta=-1.0)
@@ -576,20 +625,22 @@ class TestCoarseVisitRestrictions:
         assert ref_per_cycle == [14, 14, 14]
         assert state == ref_state
 
-    def test_given_restriction_equals_the_computed_one(self):
-        from mlfas.transfer import coarse_grid_correction, restrict_params
-
+    def test_vectors_of_the_wrong_layout_are_rejected(self):
         net = dense_network([6, 20, 12, 4], rng=np.random.default_rng(72))
         t = coarsen_network(net, theta=-1.0)
         rng = np.random.default_rng(73)
         x = ParamVector(rng.normal(size=net.params.total_len), net.params.layout)
-        xc = restrict_params(t, x)
+        start = restrict_params(t, x)
+        xc = start.copy()
         xc.data += rng.normal(size=xc.total_len)
-        ref = coarse_grid_correction(x, xc, t, alpha=0.3)
-        got = coarse_grid_correction(x, xc, t, alpha=0.3, restricted=restrict_params(t, x))
-        assert got.data.tobytes() == ref.data.tobytes()
-        with pytest.raises(NetworkShapeError):
-            coarse_grid_correction(x, xc, t, restricted=x)
+        before = x.data.copy()
+        given = dict(x_c_new=xc, start=start, scratch=(start.zeros_like(), x.zeros_like()))
+        for key, wrong in (("start", x), ("x_c_new", x),
+                           ("scratch", (x.zeros_like(), x.zeros_like())),
+                           ("scratch", (start.zeros_like(), start.zeros_like()))):
+            with pytest.raises(NetworkShapeError, match="layout"):
+                coarse_grid_correction(x, t=t, alpha=0.3, **{**given, key: wrong})
+            assert np.array_equal(x.data, before)
 
 
 class TestGuardsAndRematch:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import (
+    corrected,
+    dense_network,
     explicit_transfer_matrices,
     forward_one,
     interface_matrices,
@@ -21,7 +23,6 @@ from mlfas.nets import (
     DenseLayer,
     Network,
     NetworkShapeError,
-    dense_network,
     flatten,
 )
 from mlfas.transfer import (
@@ -231,7 +232,7 @@ class TestCoarseGridCorrection:
         net, t = random_coarsened(rng)
         x = flatten(net)
         xc = restrict_params(t, x)
-        out = coarse_grid_correction(x, xc, t, alpha=0.7)
+        out = corrected(x, xc, t, 0.7)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_alpha_zero(self):
@@ -239,7 +240,7 @@ class TestCoarseGridCorrection:
         net, t = random_coarsened(rng)
         x = flatten(net)
         xc = random_coarse_vec(rng, t, x)
-        out = coarse_grid_correction(x, xc, t, alpha=0.0)
+        out = corrected(x, xc, t, 0.0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_identity_transfers_alpha_one(self):
@@ -248,7 +249,7 @@ class TestCoarseGridCorrection:
         t = identity_level(net)
         x = flatten(net)
         xc = type(x)(rng.normal(size=x.total_len), x.layout)
-        out = coarse_grid_correction(x, xc, t, alpha=1.0)
+        out = corrected(x, xc, t, 1.0)
         np.testing.assert_allclose(out.data, xc.data, atol=1e-15)
 
     def test_scratch_buffers_leave_the_result_bitwise_unchanged(self):
@@ -258,13 +259,12 @@ class TestCoarseGridCorrection:
             coarse = restrict_network(net, t)
             x = flatten(net)
             xc = random_coarse_vec(rng, t, x)
-            ref = coarse_grid_correction(x, xc, t, alpha=0.3)
+            ref = corrected(x, xc, t, 0.3)
             coarse.grad.data[...] = np.nan
             net.grad.data[...] = np.nan
             scratch = (coarse.grad, net.grad)
-            out = coarse_grid_correction(x, xc, t, alpha=0.3, out=x, scratch=scratch)
-            assert out is x
-            assert np.array_equal(out.data, ref.data)
+            assert coarse_grid_correction(x, xc, t, restrict_params(t, x), 0.3, scratch) is None
+            assert np.array_equal(x.data, ref.data)
 
 
     def test_repeated_correction_allocates_no_block(self):
@@ -274,12 +274,13 @@ class TestCoarseGridCorrection:
         t = coarsen_network(net, theta=0.1)
         coarse = restrict_network(net, t)
         x = flatten(net)
+        start = restrict_params(t, x)
         scratch = (coarse.grad, net.grad)
-        coarse_grid_correction(x, coarse.params, t, alpha=0.5, out=x, scratch=scratch)
+        coarse_grid_correction(x, coarse.params, t, start, 0.5, scratch)
         t = refresh_weights(t, net)
         tracemalloc.start()
         try:
-            coarse_grid_correction(x, coarse.params, t, alpha=0.5, out=x, scratch=scratch)
+            coarse_grid_correction(x, coarse.params, t, start, 0.5, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,10 +368,7 @@ class TestLevelProperties:
         x = flatten(net)
         m = type(x)(rng.normal(size=x.total_len), x.layout)
         mc = random_coarse_vec(rng, t, x)
-        np.testing.assert_array_equal(
-            coarse_grid_correction(m, mc, t, alpha=0.2).data,
-            coarse_grid_correction(m, mc, t, alpha=0.2).data,
-        )
+        np.testing.assert_array_equal(corrected(m, mc, t, 0.2).data, corrected(m, mc, t, 0.2).data)
 
     def test_refresh_weights_keeps_matchings_and_projection(self):
         rng = np.random.default_rng(73)
