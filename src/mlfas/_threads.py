@@ -1,10 +1,13 @@
-"""The thread plumbing of ``poisson`` and ``harness``.
+"""The thread plumbing of ``poisson``, ``nets`` and ``harness``.
 
 ``poisson.generate_dataset`` solves its chunks through ``run_in_order``;
 ``harness`` runs each seed's evaluation worker through ``submit``, and that
-worker calls ``leave_start_cpu`` and ``lower_priority``.  Training itself
-runs on the thread that calls it.  When to use another thread stays with
-the module that decides it.
+worker calls ``leave_start_cpu`` and ``lower_priority``.  ``nets.backward``
+queues its large dense weight products, and the SGD step behind each, on
+the process's one helper thread through ``queue``, and ends them with
+``finish`` before it returns.  The rest of training runs on the thread
+that calls it.  When to use another thread stays with the module that
+decides it.
 """
 
 import contextlib
@@ -29,6 +32,63 @@ def submit(pool: futures.Executor, fn, *args) -> futures.Future:
     not inherit; the caller's settings must hold where ``fn`` runs.
     """
     return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+# the helper thread's executor of each process, by pid: a forked child
+# inherits its parent's executor but not the thread, so it makes its own
+_helpers = {}
+
+
+def _helper() -> futures.ThreadPoolExecutor:
+    """The executor of this process's one helper thread, made on first use.
+
+    The thread starts with the first task and moves itself off the CPU it
+    started on (``leave_start_cpu``), which is its caller's.  Two callers
+    that make an executor at once keep the same one: ``setdefault`` is
+    atomic, and an executor starts no thread before its first task.
+    """
+    pid = os.getpid()
+    pool = _helpers.get(pid)
+    if pool is None:
+        pool = _helpers.setdefault(pid, futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="mlfas-helper", initializer=leave_start_cpu))
+    return pool
+
+
+def queue(fn, *args) -> tuple:
+    """Queue ``fn(*args)`` on the helper thread, through ``submit``.
+
+    Returns the task, ``(future, fn, args)``, for ``finish``.
+    """
+    return submit(_helper(), fn, *args), fn, args
+
+
+def finish(tasks: list, run: bool = True) -> None:
+    """End one caller's ``tasks``, as ``queue`` returned them, in queued order.
+
+    The helper runs tasks in queued order, so the ones it has not started
+    are the last ones.  They are cancelled from the last one backward, so
+    that the helper never starts a task after an earlier one was taken
+    back.  Every started task is then waited for, since a task taken back
+    may depend on one of them.  With ``run``, the first error of a started
+    task is raised, and otherwise the tasks taken back run here, in queued
+    order.  Without it, for a caller that is raising an error of its own,
+    they are dropped and no task's error is raised.  Either way no task is
+    running when this returns.
+    """
+    for task in reversed(tasks):
+        if not task[0].cancel():
+            break
+    # a cancelled future counts as done for ``futures.wait`` only once the
+    # helper has dequeued it
+    futures.wait([future for future, _, _ in tasks if not future.cancelled()])
+    if not run:
+        return
+    for future, fn, args in tasks:
+        if future.cancelled():
+            fn(*args)
+        else:
+            future.result()
 
 
 def run_in_order(task, items) -> None:

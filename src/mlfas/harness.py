@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import _threads
+from . import _threads, nets
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
 from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
@@ -481,7 +481,20 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
     priority = "its process's priority" if parallel else "the lowest priority (nice 19)"
     return (workers
             + f"# evaluation: one worker thread per seed at {priority}, overlapped with training\n"
+            + f"# gradient products: {_handoff_text()}\n"
             + f"# numerics: {_numerics_text()}\n")
+
+
+def _handoff_text() -> str:
+    """What ``backward`` hands to the helper thread in this process; a
+    spawned worker inherits its CPUs, so it hands off the same."""
+    products = (f"dense weight products past the first layer of at least "
+                f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds, each followed by "
+                f"its layer's SGD step, run on one helper thread")
+    cpus = _threads.allowed_cpus()
+    if cpus >= 2:
+        return f"{products} ({cpus} CPUs allowed)"
+    return f"all in line ({cpus} CPU allowed; from 2 CPUs, {products})"
 
 
 def _numerics_text() -> str:

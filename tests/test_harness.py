@@ -445,7 +445,8 @@ class TestRunExperiment:
         parallel = run_experiment(cfg)
         assert reads == []  # every worker reads the file itself
         assert {v: os.environ.get(v) for v in env} == env
-        serial = run_experiment(tiny_config(path, seeds=(0, 1), out_dir=str(tmp_path / "serial")))
+        serial_dir = tmp_path / "serial"
+        serial = run_experiment(tiny_config(path, seeds=(0, 1), out_dir=str(serial_dir)))
         assert reads == [str(path)]
         strip = lambda r: (r.work_units, r.cycle, r.level, r.train_l2, r.val_l2)
         for a, b in zip(parallel, serial):
@@ -456,6 +457,26 @@ class TestRunExperiment:
         # a spawned worker's evaluation keeps its process's priority
         assert ("# evaluation: one worker thread per seed at its process's priority, "
                 "overlapped with training") in meta
+        # a spawned worker hands off gradient products as this process does
+        gradients = [line for line in meta if line.startswith("# gradient products: ")]
+        serial_meta = (serial_dir / "run_metadata.txt").read_text().splitlines()
+        assert len(gradients) == 1 and gradients[0] in serial_meta
+
+    HANDOFF = ("dense weight products past the first layer of at least 2^23 multiply-adds, "
+               "each followed by its layer's SGD step, run on one helper thread")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
+                                                   cpus):
+        line = ("# gradient products: "
+                + (f"all in line (1 CPU allowed; from 2 CPUs, {self.HANDOFF})" if cpus == 1
+                   else f"{self.HANDOFF} ({cpus} CPUs allowed)"))
+        ds, path = tiny_dataset
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        run_experiment(tiny_config(path, max_work_units=10.0, out_dir=str(tmp_path)), ds)
+        meta = (tmp_path / "run_metadata.txt").read_text().splitlines()
+        assert line in meta
 
     def test_metadata_states_the_evaluation_worker(self, tiny_dataset, tmp_path):
         ds, path = tiny_dataset

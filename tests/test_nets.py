@@ -3,6 +3,8 @@
 import multiprocessing
 import sys
 import threading
+import time
+from concurrent import futures
 from dataclasses import astuple
 
 import numpy as np
@@ -651,7 +653,8 @@ def nan_gradient(net):
 
 
 class TestBackwardChain:
-    """``backward`` runs every product and step in line, on the caller's thread."""
+    """On nets below the hand-off gate, ``backward`` runs every product and
+    step in line, on the caller's thread."""
 
     @pytest.mark.parametrize("arch, shape", SMALL_NETS)
     def test_out_and_step_leave_the_gradient_unchanged(self, arch, shape):
@@ -839,6 +842,267 @@ class TestBackwardChain:
         assert threads == [threading.current_thread()]
         assert stepped == [threading.current_thread()] * net.n_layers
         assert threading.active_count() == before
+
+
+# the benchmark conv net on n = 32 Poisson inputs; at batch 200 both of its
+# dense products pass the hand-off gate
+CONV_NET = ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024)
+
+
+def conv_net_and_batch(seed, rows=200):
+    rng = np.random.default_rng(seed)
+    net = build_network(*CONV_NET, rng=rng)
+    return net, random_batch(rng, net, size=rows)
+
+
+def record_products(monkeypatch):
+    """The threads that ran ``_dense_gradient``, one entry per call."""
+    threads = []
+    product = nets._dense_gradient
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        product(*args)
+
+    monkeypatch.setattr(nets, "_dense_gradient", recording)
+    return threads
+
+
+def hand_off_everything(monkeypatch):
+    """Hand every dense product past the first layer to the helper, on 2
+    CPUs, and let the helper run each task before ``backward`` ends, so that
+    none is taken back; returns the threads that ran the products."""
+    monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+    use_cpus(monkeypatch, 2)
+    finish = _threads.finish
+
+    def patient(tasks, run=True):
+        futures.wait([future for future, _, _ in tasks])
+        finish(tasks, run)
+
+    monkeypatch.setattr(_threads, "finish", patient)
+    return record_products(monkeypatch)
+
+
+def sgd_step(net, out, momentum):
+    """A per-layer SGD-with-momentum step on ``out``, as the smoother's."""
+    def step(k):
+        gs, ms = out.layer(k), momentum.layer(k)
+        ms *= 0.9
+        ms += gs
+        np.multiply(ms, 1e-3, out=gs)
+        net.params.layer(k)[...] -= gs
+
+    return step
+
+
+class TestHandOff:
+    """Large dense weight products past the first layer, and the step behind
+    each, run on the process's one helper thread when 2 CPUs are allowed."""
+
+    def test_gate_separates_the_benchmark_nets(self, monkeypatch):
+        conv, batch = conv_net_and_batch(20)
+        coarse = restrict_network(conv, coarsen_network(conv))
+        dense = build_network("dense:128,dense:128", 768, 256, rng=np.random.default_rng(1))
+        macs = lambda net: [200 * layer.weights.size for layer in net.layers[1:]]
+        # 26.2 M and 13.1 M fine, 16.4 M and 13.1 M coarse; the README dense net 3.3 M and 6.6 M
+        assert macs(conv) == [26_214_400, 13_107_200]
+        assert min(macs(coarse)) >= 13_107_200 > nets.HANDOFF_MIN_MACS
+        assert max(macs(dense)) == 6_553_600 < nets.HANDOFF_MIN_MACS
+        assert nets.hands_off(conv, 200) and nets.hands_off(coarse, 200)
+        assert not nets.hands_off(dense, 200)
+        queued = []
+        queue = _threads.queue
+        monkeypatch.setattr(_threads, "queue", lambda fn, *args: (
+            queued.append(fn), queue(fn, *args))[1])
+        use_cpus(monkeypatch, 2)
+        backward(dense, random_batch(np.random.default_rng(2), dense, size=200),
+                 step=lambda k: None)
+        assert queued == []
+        backward(conv, batch, step=lambda k: None)
+        assert len(queued) == 4  # two products, each with its step
+        use_cpus(monkeypatch, 1)
+        backward(conv, batch, step=lambda k: None)
+        assert len(queued) == 4
+
+    def test_conv_net_gradient_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        net, batch = conv_net_and_batch(21)
+        threads = record_products(monkeypatch)
+        results = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            momentum = net.params.zeros_like()
+            stepped = net.copy()
+            results[cpus] = [backward(net, batch).data.tobytes(),
+                             backward(stepped, batch, out=stepped.grad,
+                                      step=sgd_step(stepped, stepped.grad, momentum)).data.tobytes(),
+                             stepped.params.data.tobytes(), momentum.data.tobytes()]
+        assert results[2] == results[1]
+        caller = threading.current_thread()
+        assert threads[:4] == [caller] * 4  # one CPU: every product in line
+        assert any(t is not caller for t in threads[4:])
+
+    def test_taken_back_tasks_give_the_same_bytes(self, monkeypatch):
+        net, batch = conv_net_and_batch(22)
+        stepped, momentum = net.copy(), net.params.zeros_like()
+        ref = backward(stepped, batch, out=stepped.grad,
+                       step=sgd_step(stepped, stepped.grad, momentum))
+        ref = [ref.data.tobytes(), stepped.params.data.tobytes(), momentum.data.tobytes()]
+        use_cpus(monkeypatch, 2)
+        threads = record_products(monkeypatch)
+        release = threading.Event()
+        blocker = _threads.queue(release.wait, 10)[0]
+        try:
+            stepped, momentum = net.copy(), net.params.zeros_like()
+            got = backward(stepped, batch, out=stepped.grad,
+                           step=sgd_step(stepped, stepped.grad, momentum))
+            assert not blocker.done()
+        finally:
+            release.set()
+        assert blocker.result()
+        assert [got.data.tobytes(), stepped.params.data.tobytes(),
+                momentum.data.tobytes()] == ref
+        assert threads == [threading.current_thread()] * 2
+
+    @pytest.mark.parametrize("fails", ["product", "step", "caller", "caller and product"])
+    def test_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
+        # layer 0 is the conv layer, layers 1 to 3 dense and handed off
+        net = build_network(*SMALL_NETS[1], 4, rng=np.random.default_rng(8))
+        batch = random_batch(np.random.default_rng(9), net, size=5)
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        use_cpus(monkeypatch, 2)
+        layer_of = {net.layers[k].weights.shape: k for k in (1, 2, 3)}
+        running, ended = [], []
+        product = nets._dense_gradient
+
+        def helper_task(name, fn, *args):
+            # a handed-off task takes long enough to be running when the caller
+            # fails; a caller that does not fail outlasts them all
+            running.append(name)
+            time.sleep(0.05)
+            ended.append(name)
+            running.remove(name)
+            if name == {"product": ("product", 2), "step": ("step", 2),
+                        "caller and product": ("product", 3)}.get(fails):
+                raise ValueError(f"{name} failed")
+            fn(*args)
+
+        def timed_product(dz, a, sample, block, gw, gb):
+            helper_task(("product", layer_of[gw.shape]), product, dz, a, sample, block, gw, gb)
+
+        def step(k):
+            if k > 0:
+                helper_task(("step", k), lambda: None)
+
+        conv = nets.conv_backward_batch
+
+        def conv_layer(*args):
+            if fails.startswith("caller"):
+                # fail while a handed-off task runs
+                deadline = time.monotonic() + 10
+                while not running and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise RuntimeError("caller failed")
+            time.sleep(0.5)  # the helper ends every task meanwhile
+            return conv(*args)
+
+        monkeypatch.setattr(nets, "_dense_gradient", timed_product)
+        monkeypatch.setattr(nets, "conv_backward_batch", conv_layer)
+        with pytest.raises(RuntimeError if fails.startswith("caller") else ValueError,
+                           match=f"{fails.split()[0]}.* failed"):
+            try:
+                backward(net, batch, step=step)
+            finally:
+                assert running == []
+        order = [(what, k) for k in (3, 2, 1) for what in ("product", "step")]
+        if fails.startswith("caller"):
+            # the running task was waited for, the tasks not yet started
+            # were dropped, and no task ran later
+            assert ended and ended == order[:len(ended)]
+            time.sleep(0.2)
+            assert ended == order[:len(ended)] and running == []
+        else:
+            assert ended == order
+
+    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
+        # only the handed-off product dz.T @ a overflows: the second layer's
+        # weights are zero, so its forward product and dz @ W are 0
+        net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
+                       DenseLayer(np.zeros((1, 3)), np.zeros(1))])
+        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        threads = hand_off_everything(monkeypatch)
+        caller = threading.current_thread()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            backward(net, batch)
+        # the first layer's product, not handed off, runs here
+        assert sorted(t is caller for t in threads) == [False, True]
+        with np.errstate(all="ignore"):
+            grad = backward(net, batch)
+        assert sorted(t is caller for t in threads[2:]) == [False, True]
+        assert np.isinf(grad.weights(1)).all()
+        assert np.isfinite(grad.weights(0)).all()
+
+    def test_concurrent_callers_get_their_single_thread_bytes(self, monkeypatch):
+        nets_and_batches = []
+        for seed in range(4):
+            net = build_network(*SMALL_NETS[seed % 2], 4, rng=np.random.default_rng(seed))
+            batch = random_batch(np.random.default_rng(seed + 10), net, size=6)
+            nets_and_batches.append((net, batch, backward(net, batch).data.tobytes()))
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        use_cpus(monkeypatch, 2)
+        threads = record_products(monkeypatch)
+        mismatches = []
+
+        def caller(net, batch, ref):
+            for _ in range(50):
+                if backward(net, batch, out=net.grad).data.tobytes() != ref:
+                    mismatches.append(net)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=nb) for nb in nets_and_batches]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert mismatches == []
+        assert set(threads) - set(callers)  # some products ran on the helper
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_gets_a_helper_of_its_own(self, monkeypatch):
+        net = build_network(*SMALL_NETS[0], 4, rng=np.random.default_rng(10))
+        batch = random_batch(np.random.default_rng(11), net, size=5)
+        threads = hand_off_everything(monkeypatch)
+        ref = backward(net, batch)  # the parent's helper thread is running
+        caller = threading.current_thread()
+        (helper,) = set(threads) - {caller}
+        fork = multiprocessing.get_context("fork")
+        results = fork.Queue()
+
+        def child():
+            seen = len(threads)
+            got = backward(net, batch).data.tobytes()
+            # the child's products past the first ran on a helper of its own
+            helpers = set(threads[seen:]) - {threading.current_thread()}
+            results.put((got, len(helpers) == 1 and helper not in helpers))
+
+        proc = fork.Process(target=child)
+        proc.start()
+        try:
+            got, own_helper = results.get(timeout=60)
+        finally:
+            proc.join(timeout=60)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        assert proc.exitcode == 0
+        assert got == ref.data.tobytes() and own_helper
 
 
 class _CopyReluNumpy:

@@ -22,7 +22,7 @@ from _builders import (
     random_dense_net,
     reference_sgd_smooth,
 )
-from mlfas import _threads, training
+from mlfas import _threads, nets, training
 from mlfas.harness import ExperimentConfig, build_network, run_seed
 from mlfas.nets import (
     DenseLayer,
@@ -55,6 +55,7 @@ from mlfas.transfer import (
     restrict_network,
     restrict_params,
 )
+from test_nets import CONV_NET, record_products, use_cpus
 from test_transfer import identity_level
 
 
@@ -180,6 +181,9 @@ class TestLayerStep:
 
     @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
     def test_each_step_follows_its_input_gradient(self, monkeypatch, arch, shape, n_out):
+        if arch.startswith("conv"):
+            self.check_handed_off_steps(monkeypatch, arch, shape, n_out)
+            return
         net, batches, momentum, tau = self.setup(arch, shape, n_out)
         log = []
 
@@ -199,6 +203,57 @@ class TestLayerStep:
         for k in range(net.n_layers - 1, 0, -1):
             expected += [("input gradient", net.layers[k].weights.shape), ("step", k)]
         assert log == expected + [("step", 0)]
+
+    def check_handed_off_steps(self, monkeypatch, arch, shape, n_out):
+        """The conv net's dense layers hand their products and steps to the
+        helper: each layer steps once, after its own product and its own
+        ``dz @ W``, and never while either of them runs."""
+        net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        clock = itertools.count()  # next() is atomic, so it orders both threads' events
+        spans = {}  # (what, layer) -> [(start, end, thread)]
+        layer_of = {layer.weights.shape: k for k, layer in enumerate(net.layers)}
+
+        def span(what, k, fn, *args):
+            start = next(clock)
+            result = fn(*args)
+            spans.setdefault((what, k), []).append((start, next(clock), threading.get_ident()))
+            return result
+
+        product = nets._dense_gradient
+        monkeypatch.setattr(nets, "_dense_gradient", lambda dz, a, sample, block, gw, gb: span(
+            "product", layer_of[gw.shape], product, dz, a, sample, block, gw, gb))
+
+        class TimedWeights(np.ndarray):
+            # only the layer's own array is timed, not the forward pass's views
+            timed = False
+
+            def __rmatmul__(self, other):
+                w = self.view(np.ndarray)
+                if not self.timed:
+                    return other @ w
+                return span("input gradient", layer_of[w.shape], np.matmul, other, w)
+
+        for layer in net.layers[1:]:
+            layer.weights = layer.weights.view(TimedWeights)
+            layer.weights.timed = True
+
+        def recording(net, batch, out=None, step=None):
+            return backward(net, batch, out=out, step=lambda k: span("step", k, step, k))
+
+        monkeypatch.setattr(training, "backward", recording)
+        sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches[:1], tilt=tau)
+        caller = threading.get_ident()
+        assert [len(spans[("step", k)]) for k in range(net.n_layers)] == [1] * net.n_layers
+        for k in range(1, net.n_layers):
+            (step,) = spans[("step", k)]
+            (product,) = spans[("product", k)]
+            (input_gradient,) = spans[("input gradient", k)]
+            assert step[0] > product[1] and step[0] > input_gradient[1]
+            assert input_gradient[2] == caller
+        # the dense layers' products ran on the helper unless taken back
+        assert {spans[("product", k)][0][2] for k in range(1, net.n_layers)} - {caller}
+        assert spans[("step", 0)][0][2] == caller
 
 
 class TestComputeTau:
@@ -819,7 +874,9 @@ class TestTauInLine:
 
 
 class TestOneTrainingThread:
-    """Training runs on its caller's thread and starts no other."""
+    """Training runs on its caller's thread; only the conv net's large dense
+    products, at batch 200, draw it onto the one helper thread, and only
+    with a second CPU."""
 
     @pytest.mark.parametrize("arch, shape, n_out", [
         ("dense:128,dense:128", 768, 256),
@@ -837,19 +894,21 @@ class TestOneTrainingThread:
             from mlfas.training import (Hierarchy, MinibatchScheduler, SmootherConfig,
                                         StabilityConfig, sgd_smooth, v_cycle)
 
-            # a free second CPU must not draw training onto another thread
-            _threads.os.sched_getaffinity = lambda pid: {{0, 1}}
-            assert _threads.allowed_cpus() == 2
             before = threading.active_count()
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
             rng = np.random.default_rng(93)
             net = build_network({arch!r}, {shape!r}, {n_out}, rng=rng)
             sched = MinibatchScheduler(rng.normal(size=(400, net.input_size)),
                                        rng.normal(size=(400, {n_out})), 200, rng)
-            sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
-            print(before, threading.active_count())
-            v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
-            print(before, threading.active_count())
+            # one CPU first, since a helper thread, once started, stays;
+            # a free second CPU must not draw the dense net onto another thread
+            for cpus in (1, 2):
+                _threads.os.sched_getaffinity = lambda pid: set(range(cpus))
+                assert _threads.allowed_cpus() == cpus
+                sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
+                print(cpus, threading.active_count() - before)
+                v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
+                print(cpus, threading.active_count() - before)
             """
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -858,4 +917,67 @@ class TestOneTrainingThread:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["1 1", "1 1"]
+        # the helper thread starts with the conv net's first smoothing step on 2 CPUs
+        helper = int(arch.startswith("conv"))
+        assert proc.stdout.splitlines() == ["1 0", "1 0", f"2 {helper}", f"2 {helper}"]
+
+
+class TestConvHandOff:
+    """At batch 200 the conv net hands its dense products to the helper
+    thread on 2 CPUs, and every result is the one of 1 CPU, bit for bit."""
+
+    @staticmethod
+    def compare(monkeypatch, run):
+        threads = record_products(monkeypatch)
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            start = len(threads)
+            results.append(run())
+            caller = threading.current_thread()
+            assert any(t is not caller for t in threads[start:]) == (cpus == 2)
+        assert results[0] == results[1]
+
+    @staticmethod
+    def net_and_data(seed, rows):
+        rng = np.random.default_rng(seed)
+        net = build_network(*CONV_NET, rng=rng)
+        return net, rng.normal(size=(rows, net.input_size)), rng.normal(size=(rows, 1024)), rng
+
+    def test_sgd_smooth_with_weight_decay_and_a_tilt(self, monkeypatch):
+        def run():
+            net, inputs, targets, rng = self.net_and_data(95, 400)
+            batches = [Minibatch(inputs[:200], targets[:200]), Minibatch(inputs[200:], targets[200:])]
+            momentum = net.params.zeros_like()
+            tilt = ParamVector(rng.normal(scale=1e-3, size=net.param_count()), net.params.layout)
+            cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
+                                 steps_per_smooth=2)
+            sgd_smooth(net, momentum, cfg, batches, tilt=tilt)
+            return net.params.data.tobytes(), momentum.data.tobytes()
+
+        self.compare(monkeypatch, run)
+
+    def test_depth_three_v_cycle(self, monkeypatch):
+        def run():
+            net, inputs, targets, rng = self.net_and_data(96, 400)
+            h = Hierarchy.build(net, depth=3)
+            cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=1)
+            v_cycle(h, 0, cfg, StabilityConfig(gamma=0.5),
+                    MinibatchScheduler(inputs, targets, 200, rng))
+            return [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
+                     lvl.tilt.data.tobytes() if lvl.tilt is not None else None)
+                    for lvl in h.levels]
+
+        self.compare(monkeypatch, run)
+
+    def test_run_seed_metric_stream(self, monkeypatch):
+        ds = generate_dataset(260, 32, seed=12, val_fraction=0.2)
+        cfg = ExperimentConfig(dataset="", arch=CONV_NET[0], depth=2, learning_rate=1e-3,
+                               weight_decay=1e-3, max_work_units=8.0, eval_every=2.0)
+
+        def run():
+            result = run_seed(cfg, 0, ds)
+            assert not result.failed and len(result.records) > 3
+            return [astuple(r)[:-1] for r in result.records]
+
+        self.compare(monkeypatch, run)
