@@ -334,9 +334,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
     # serves every level's first layer, in training and in evaluation
     train_mb = Minibatch(lower_input(net, xtr), ytr)
     val_mb = Minibatch(lower_input(net, xva), yva)
-    scheduler = MinibatchScheduler(
-        train_mb.inputs, ytr, cfg.batch_size, np.random.default_rng([seed, 101])
-    )
+    scheduler = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([seed, 101]))
     smoother, stab = cfg.smoother(), cfg.stability()
     hierarchy = Hierarchy.build(
         net,

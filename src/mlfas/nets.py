@@ -17,11 +17,11 @@ varying block of every row in the form the layer multiplies, the features
 themselves for a dense layer and their im2col patch matrix for a conv
 layer.  The products then run on the block alone, and the shared rest
 enters through one single-sample product per call, in the same loop branch
-that runs the hidden layers of its kind.  Training lowers each data split
-once and gathers minibatches from the lowering, so the fold and the im2col
-of the input happen once per split, not once per gradient or evaluation;
-raw rows given to ``forward_batch``, ``loss`` or ``backward`` go through
-the same ``lower_input`` on each call.  A conv lowering holds
+that runs the hidden layers of its kind.  A network reads nothing else:
+``forward_batch``, ``loss`` and ``backward`` take lowerings only.  Training
+lowers each data split once and gathers minibatches from the lowering, so
+the fold and the im2col of the input happen once per split, not once per
+gradient or evaluation.  A conv lowering holds
 ``kh*kw*oh*ow / (H*W)`` times the varying channels, 2.25x for
 ``conv:8k3s2p1`` on a 32 x 32 input.  Of the generated Poisson inputs
 ``[kappa, x, y]`` only ``kappa`` varies between samples, so the fold
@@ -123,15 +123,20 @@ class LoweredInput:
 
 @dataclass
 class Minibatch:
-    """Paired samples: inputs, as raw (B, d_in) rows or a ``LoweredInput``,
-    and targets (B, d_out)."""
+    """Paired samples: inputs, a ``LoweredInput`` of B rows, and targets (B, d_out).
 
-    inputs: "np.ndarray | LoweredInput"
+    Raw input rows are refused; ``lower_input`` lowers them.
+    """
+
+    inputs: LoweredInput
     targets: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.inputs, LoweredInput):
-            self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
+            raise TypeError(
+                f"minibatch inputs must be a LoweredInput made by lower_input, "
+                f"got {type(self.inputs).__name__}"
+            )
         self.targets = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
         if len(self.inputs) == 0:
             raise ValueError("minibatch must be nonempty")
@@ -286,15 +291,8 @@ def lower_input(net: Network, x) -> LoweredInput:
     empty nor the whole axis, nothing is folded: the block is the whole
     axis and ``sample`` None, so a single row is never folded.  A NaN
     compares unequal to itself, so it always counts as varying and never
-    enters the shared sample.
-
-    The fold is decided over all of ``x``.  Training lowers each data split
-    once, and a batch gathered from the lowering keeps the split's block.
-    Lowering that batch's raw rows instead gives the same block, and the
-    same bits, unless the batch has constant columns inside the split's
-    block (a batch of one sample is the extreme case); the batch's own fold
-    would then move those columns into the single-sample product, and the
-    two results differ at rounding level only.
+    enters the shared sample.  The fold is decided over all of ``x``, so a
+    batch gathered from a lowered split keeps the split's block.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != net.input_size:
@@ -320,14 +318,8 @@ def lower_input(net: Network, x) -> LoweredInput:
     return LoweredInput(rows, block, sample, _geometry(net))
 
 
-def _lowered(net: Network, inputs) -> LoweredInput:
-    """``inputs`` as a lowering for ``net``.
-
-    Raw rows are lowered here; a lowering made for another first-layer
-    geometry is rejected.
-    """
-    if not isinstance(inputs, LoweredInput):
-        return lower_input(net, inputs)
+def _lowered(net: Network, inputs: LoweredInput) -> LoweredInput:
+    """``inputs``, refused when lowered for another first-layer geometry."""
     if inputs.geometry != _geometry(net):
         raise NetworkShapeError(
             f"input lowered for first-layer geometry {inputs.geometry}, "
@@ -382,8 +374,8 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
     return a.reshape(a.shape[0], -1)
 
 
-def forward_batch(net: Network, x) -> np.ndarray:
-    """Evaluate the network on rows of x, raw or lowered; returns (B, output_size)."""
+def forward_batch(net: Network, x: LoweredInput) -> np.ndarray:
+    """Evaluate the network on the lowered rows ``x``; returns (B, output_size)."""
     return _forward(net, _lowered(net, x))
 
 

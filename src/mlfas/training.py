@@ -6,9 +6,10 @@ next-coarser network, computes a stochastic tau correction that tilts the
 coarse objective toward first-order consistency with the fine one, solves
 (or recurses on) the tilted coarse problem, applies the coarse-grid
 correction to the parameters and a damped one to the momentum, and
-post-smooths.  Minibatches come from one shared shuffled cyclic stream;
-each restriction draws the next ``m`` batches for the tau correction and
-the coarse smoothing reuses those same batches cyclically.
+post-smooths.  Minibatches come from one shared shuffled cyclic stream,
+gathered from the training split lowered once for every level's first
+layer; each restriction draws the next ``m`` batches for the tau
+correction and the coarse smoothing reuses those same batches cyclically.
 """
 
 import itertools
@@ -19,7 +20,6 @@ import numpy as np
 
 # flatten and unflatten are not called here; perfbench/tracer.py rebinds them at this module
 from .nets import (
-    LoweredInput,
     Minibatch,
     Network,
     ParamVector,
@@ -102,23 +102,21 @@ class StabilityConfig:
 
 
 class MinibatchScheduler:
-    """Shuffled cyclic minibatch stream over a fixed sample set.
+    """Shuffled cyclic minibatch stream over one lowered split.
 
-    One shared cursor serves both smoothing steps and tau-group draws; the
-    permutation is redrawn whenever an epoch is exhausted.  Iterating the
-    scheduler yields minibatches forever.  ``inputs`` are raw rows or, as
-    ``run_seed`` passes them, the split's ``LoweredInput``, whose rows a
-    batch then gathers in place of the raw ones.
+    ``split`` is the whole split as one ``Minibatch``, its inputs lowered
+    once (``run_seed`` builds it); each batch gathers its rows.  One shared
+    cursor serves both smoothing steps and tau-group draws; the permutation
+    is redrawn whenever an epoch is exhausted.  Iterating the scheduler
+    yields minibatches forever.
     """
 
-    def __init__(self, inputs, targets, batch_size: int, rng: np.random.Generator):
-        if not isinstance(inputs, LoweredInput):
-            inputs = np.asarray(inputs, dtype=np.float64)
-        self.inputs = inputs
-        self.targets = np.asarray(targets, dtype=np.float64)
-        n = len(self.inputs)
-        if self.targets.shape[0] != n:
-            raise ValueError("inputs and targets disagree on sample count")
+    def __init__(self, split: Minibatch, batch_size: int, rng: np.random.Generator):
+        if not isinstance(split, Minibatch):
+            raise TypeError(f"the scheduler draws from a lowered split Minibatch, "
+                            f"got {type(split).__name__}")
+        self.split = split
+        n = len(split)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if batch_size > n:
@@ -144,7 +142,7 @@ class MinibatchScheduler:
         hi = min(lo + self.batch_size, self.n_samples)
         idx = self._order[lo:hi]
         self._pos += 1
-        return Minibatch(self.inputs[idx], self.targets[idx])
+        return Minibatch(self.split.inputs[idx], self.split.targets[idx])
 
     def next_tau_group(self, m: int) -> list[Minibatch]:
         """Draw the next m minibatches in shuffled cyclic order."""

@@ -4,7 +4,7 @@ import numpy as np
 
 from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_patches
 from mlfas.harness import build_network
-from mlfas.nets import DenseLayer, Network, forward_batch, uniform_init
+from mlfas.nets import DenseLayer, Minibatch, Network, forward_batch, lower_input, uniform_init
 from mlfas.transfer import coarse_grid_correction, restrict_params
 
 
@@ -84,13 +84,19 @@ def write_empty_kernel_checkpoint(path):
     path.write_bytes(raw[:at] + _CONV_HDR.pack(*dims) + raw[weights_end:])
 
 
-def random_batch(rng, net, size=5):
-    from mlfas.nets import Minibatch
+def lowered_batch(net, inputs, targets):
+    """A minibatch of the rows ``inputs``, lowered for ``net``, and ``targets``."""
+    return Minibatch(lower_input(net, inputs), targets)
 
-    return Minibatch(
-        rng.normal(size=(size, net.input_size)),
-        rng.normal(size=(size, net.output_size)),
-    )
+
+def random_rows(rng, net, size=5):
+    """Normal (inputs, targets) rows for ``net``: (size, input_size), (size, output_size)."""
+    return rng.normal(size=(size, net.input_size)), rng.normal(size=(size, net.output_size))
+
+
+def random_batch(rng, net, size=5):
+    """A lowered minibatch of ``random_rows``."""
+    return lowered_batch(net, *random_rows(rng, net, size))
 
 
 def interface_matrices(op):
@@ -163,8 +169,8 @@ def conv_one(layer, x):
 
 
 def forward_one(net, y):
-    """``forward_batch`` on one input vector, as a batch of one row."""
-    return forward_batch(net, np.asarray(y, dtype=np.float64).ravel()[None])[0]
+    """``forward_batch`` on one input vector, lowered as a batch of one row."""
+    return forward_batch(net, lower_input(net, np.asarray(y, dtype=np.float64).ravel()[None]))[0]
 
 
 def _reference_forward_cached(net, x, conv):
@@ -188,28 +194,27 @@ def reference_forward(net, x, conv=CURRENT_CONV):
     return _reference_forward_cached(net, np.atleast_2d(np.asarray(x, dtype=np.float64)), conv)[0]
 
 
-def term_magnitudes(net, batch):
+def term_magnitudes(net, inputs, targets):
     """The size of the terms that ``reference_forward`` and
-    ``reference_backward`` sum on ``batch``: their (predictions, gradient)
-    with every parameter, input and target replaced by its absolute value
-    and the targets' sign flipped.
+    ``reference_backward`` sum on the rows ``inputs`` and ``targets``: their
+    (predictions, gradient) with every parameter, input and target replaced
+    by its absolute value and the targets' sign flipped.
 
     Then no sum cancels and every ReLU passes, so each entry bounds the sum
     of the absolute terms behind the same entry of the real result.  Two
     orders of summing those terms differ by a rounding error relative to
     this, however small the result they cancel to.
     """
-    from mlfas.nets import Minibatch
-
     absolute = net.copy()
     np.abs(absolute.params.data, out=absolute.params.data)
-    x = np.abs(np.atleast_2d(batch.inputs))
+    x = np.abs(np.atleast_2d(inputs))
     return (reference_forward(absolute, x),
-            reference_backward(absolute, Minibatch(x, -np.abs(batch.targets))))
+            reference_backward(absolute, x, -np.abs(targets)))
 
 
-def reference_backward(net, batch, conv=CURRENT_CONV):
-    """Batch-mean squared-loss gradient, one fresh array per block.
+def reference_backward(net, inputs, targets, conv=CURRENT_CONV):
+    """Batch-mean squared-loss gradient on the raw rows ``inputs`` and
+    ``targets``, one fresh array per block.
 
     ``conv`` is the (forward, backward) pair used for conv layers, called as
     ``forward(layer, x)`` and ``backward(layer, x, upstream)``; the default
@@ -218,10 +223,10 @@ def reference_backward(net, batch, conv=CURRENT_CONV):
     """
     from mlfas.nets import ParamVector, param_layout
 
-    x = np.atleast_2d(np.asarray(batch.inputs, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     preds, caches = _reference_forward_cached(net, x, conv)
     b = x.shape[0]
-    g = (2.0 / b) * (preds - batch.targets)
+    g = (2.0 / b) * (preds - targets)
 
     grads = [None] * net.n_layers
     for k in range(net.n_layers - 1, -1, -1):
@@ -313,19 +318,19 @@ def reference_conv_backward_batch(layer, x, upstream):
 REFERENCE_CONV = (reference_conv_forward_batch, reference_conv_backward_batch)
 
 
-def reference_sgd_smooth(net, momentum, cfg, batches, tilt=None):
+def reference_sgd_smooth(net, momentum, cfg, rows, tilt=None):
     """SGD with momentum through flatten/unflatten copies, one per step.
 
-    ``tilt`` is the pre-scaled tau tilt (``gamma`` times the correction),
-    subtracted from every step's whole gradient vector.
+    ``rows`` yields one raw (inputs, targets) pair per step.  ``tilt`` is
+    the pre-scaled tau tilt (``gamma`` times the correction), subtracted
+    from every step's whole gradient vector.
     """
     from mlfas.nets import flatten, unflatten
 
-    batch_iter = iter(batches)
+    rows_iter = iter(rows)
     x = flatten(net)
     for _ in range(cfg.steps_per_smooth):
-        batch = next(batch_iter)
-        grad = reference_backward(net, batch).data
+        grad = reference_backward(net, *next(rows_iter)).data
         if cfg.weight_decay:
             grad += cfg.weight_decay * x.data
         if tilt is not None:

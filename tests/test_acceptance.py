@@ -26,12 +26,13 @@ from _builders import (
     _reference_forward_cached,
     conv_one,
     dense_network,
+    lowered_batch,
     random_conv_net,
     random_dense_net,
+    random_rows,
 )
 from mlfas.coarsening import greedy_hem
 from mlfas.nets import (
-    Minibatch,
     ParamVector,
     backward,
     flatten,
@@ -102,12 +103,12 @@ def test_criterion_2_gradient_correctness():
         for _ in range(40):
             net = (random_conv_net(rng, max_channels=3, spatial=5)
                    if conv else random_dense_net(rng, widths=(4, 24), io=(3, 8)))
-            batch = Minibatch(rng.normal(size=(3, net.input_size)),
-                              rng.normal(size=(3, net.output_size)))
+            x, y = random_rows(rng, net, size=3)
             # pre-activation kink check
-            _, caches = _reference_forward_cached(net, batch.inputs, CURRENT_CONV)
+            _, caches = _reference_forward_cached(net, x, CURRENT_CONV)
             if min(np.abs(z).min() for _, z in caches) >= 1e-6:
                 break
+        batch = lowered_batch(net, x, y)
         g = backward(net, batch)
         candidates = np.flatnonzero(np.abs(g.data) > 1e-3)
         if candidates.size < 20:
@@ -185,6 +186,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     net = dense_network([8, 24, 24, 6], rng=np.random.default_rng(55))
     inputs = rng.normal(size=(24, 8))
     targets = rng.normal(size=(24, 6))
+    split = lowered_batch(net, inputs, targets)
     k = 2
 
     # (a) identity transfers, gamma 0, alpha 1: one cycle == 3k SGD steps
@@ -195,11 +197,11 @@ def test_criterion_5_degenerate_cycle_equivalences():
     h.levels[1] = LevelState(net=restrict_network(fas_net, t_id),
                              momentum=flatten(fas_net).zeros_like())
     cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=k)
-    sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(99))
+    sched = MinibatchScheduler(split, 4, np.random.default_rng(99))
     v_cycle(h, 0, cfg, StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0), sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
-    ref_sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(99))
+    ref_sched = MinibatchScheduler(split, 4, np.random.default_rng(99))
     for _ in range(3):
         sgd_smooth(ref_net, momentum, cfg, iter(ref_sched))
     err_a = float(np.abs(flatten(fas_net).data - flatten(ref_net).data).max())
@@ -209,11 +211,11 @@ def test_criterion_5_degenerate_cycle_equivalences():
     fas_net = net.copy()
     h = Hierarchy.build(fas_net, depth=2, tau_batches=k, theta=-1.0)
     cfgs = [cfg, SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=0)]
-    sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(7))
+    sched = MinibatchScheduler(split, 4, np.random.default_rng(7))
     v_cycle(h, 0, cfgs, StabilityConfig(eta=2.0, alpha_m=0.4, gamma=0.5), sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
-    ref_sched = MinibatchScheduler(inputs, targets, 4, np.random.default_rng(7))
+    ref_sched = MinibatchScheduler(split, 4, np.random.default_rng(7))
     sgd_smooth(ref_net, momentum, cfg, iter(ref_sched))
     ref_sched.next_tau_group(k)
     sgd_smooth(ref_net, momentum, cfg, iter(ref_sched))
@@ -222,7 +224,8 @@ def test_criterion_5_degenerate_cycle_equivalences():
     # (c) identity transfers make the tau correction vanish
     t_id = identity_level(net)
     coarse = restrict_network(net, t_id)
-    batches = [Minibatch(rng.normal(size=(4, 8)), rng.normal(size=(4, 6))) for _ in range(3)]
+    batches = [lowered_batch(net, rng.normal(size=(4, 8)), rng.normal(size=(4, 6)))
+               for _ in range(3)]
     tau = compute_tau(net, coarse, t_id, batches)
     err_c = float(np.abs(tau.data).max())
     ok_c = err_c <= 1e-12

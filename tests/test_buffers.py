@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from _builders import (
     forward_one,
+    lowered_batch,
     random_batch,
     random_conv_net,
     random_dense_net,
+    random_rows,
     reference_backward,
     reference_sgd_smooth,
 )
@@ -53,9 +55,10 @@ class TestMatchesReference:
             net = random_conv_net(rng)
         else:
             net = random_dense_net(rng, widths=(2, 24))
-        batches = [random_batch(rng, net, size=batch_size) for _ in range(3)]
-        for batch in batches:
-            ref = reference_backward(net, batch).data
+        rows = [random_rows(rng, net, size=batch_size) for _ in range(3)]
+        batches = [lowered_batch(net, *r) for r in rows]
+        for r, batch in zip(rows, batches):
+            ref = reference_backward(net, *r).data
             assert np.array_equal(backward(net, batch).data, ref)
             assert np.array_equal(backward(net, batch, out=net.grad).data, ref)
 
@@ -70,7 +73,7 @@ class TestMatchesReference:
         cfg = SmootherConfig(learning_rate=0.01, momentum_coeff=0.9,
                              weight_decay=weight_decay, steps_per_smooth=12)
         sgd_smooth(net, momentum, cfg, itertools.cycle(batches), tilt=tilt)
-        reference_sgd_smooth(ref_net, ref_momentum, cfg, itertools.cycle(batches), tilt=tilt)
+        reference_sgd_smooth(ref_net, ref_momentum, cfg, itertools.cycle(rows), tilt=tilt)
         assert np.isfinite(net.params.data).all()
         assert not np.array_equal(net.params.data, start)
         assert np.array_equal(net.params.data, ref_net.params.data)
@@ -83,8 +86,9 @@ class TestMatchesReference:
         # summed in; the small nets above stay under that size
         rng = np.random.default_rng(2)
         net = build_network("conv:8k3s2p1,dense:16", (3, 32, 32), 8, rng=rng)
-        batch = random_batch(rng, net, size=20)
-        assert np.array_equal(backward(net, batch).data, reference_backward(net, batch).data)
+        rows = random_rows(rng, net, size=20)
+        assert np.array_equal(backward(net, lowered_batch(net, *rows)).data,
+                              reference_backward(net, *rows).data)
 
 
 class TestOwnership:

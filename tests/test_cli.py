@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _builders import write_empty_kernel_checkpoint
+from _builders import lowered_batch, write_empty_kernel_checkpoint
 from mlfas.checkpoints import save_network
 from mlfas.cli import main
 from mlfas.harness import build_network, load_metrics_csv
-from mlfas.nets import Minibatch, loss
+from mlfas.nets import loss
 from mlfas.poisson import read_dataset
 
 
@@ -46,7 +46,7 @@ def test_eval_scores_the_named_split(workspace, tmp_path, capsys, split):
     ckpt = tmp_path / "net.mlfasnet"
     save_network(net, ckpt)
     idx = {"train": ds.train_idx, "val": ds.val_idx, "all": np.arange(ds.count)}[split]
-    lv = loss(net, Minibatch(ds.flat_inputs()[idx], ds.flat_outputs()[idx]))
+    lv = loss(net, lowered_batch(net, ds.flat_inputs()[idx], ds.flat_outputs()[idx]))
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds_path),
                  "--split", split]) == 0
     assert capsys.readouterr().out == f"{split} l2 {lv.l2:.6e}\n{split} linf {lv.linf:.6e}\n"
@@ -89,12 +89,14 @@ def test_train_eval_inspect_pipeline(workspace, capsys):
     assert "level 0" in out and "level 1" in out and "interface units" in out
 
 
+@pytest.mark.parametrize("arch", ["dense:10", "conv:4k3s2p1,dense:9"])
 def test_eval_of_the_final_checkpoint_prints_the_last_logged_losses(workspace, tmp_path,
-                                                                     capsys):
-    # ties the eval command's splits to the ones training logged on
+                                                                     capsys, arch):
+    # ties the eval command's splits, and its lowering of them, to the ones
+    # training logged on; the conv net folds the (3, 6, 6) inputs channel-wise
     _, ds_path = workspace
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"dataset = {ds_path}\narch = dense:10\ndepth = 2\nbatch_size = 5\n"
+    cfg.write_text(f"dataset = {ds_path}\narch = {arch}\ndepth = 2\nbatch_size = 5\n"
                    f"max_work_units = 20\neval_every = 10\nout_dir = {tmp_path / 'run'}\n")
     assert main(["train", "--config", str(cfg)]) == 0
     last = [r for r in load_metrics_csv(tmp_path / "run" / "metrics_s0.csv") if r.level == 0][-1]

@@ -12,8 +12,9 @@ from _builders import (
     assert_rel,
     conv_one,
     interface_matrices,
-    random_batch,
+    lowered_batch,
     random_conv_net,
+    random_rows,
     reference_backward,
     reference_conv_patches,
 )
@@ -293,9 +294,9 @@ class TestNetworkReference:
     """``nets.backward`` against the im2col code the patch matrix replaced."""
 
     @staticmethod
-    def assert_matches_reference(net, batch):
-        got = backward(net, batch)
-        ref = reference_backward(net, batch, conv=REFERENCE_CONV)
+    def assert_matches_reference(net, rows):
+        got = backward(net, lowered_batch(net, *rows))
+        ref = reference_backward(net, *rows, conv=REFERENCE_CONV)
         for k in range(net.n_layers):
             assert_rel(got.weights(k), ref.weights(k))
             assert_rel(got.bias(k), ref.bias(k))
@@ -309,12 +310,12 @@ class TestNetworkReference:
     def test_random_conv_nets(self, seed, n_conv, batch_size):
         rng = np.random.default_rng(seed)
         net = random_conv_net(rng, n_conv=n_conv)
-        self.assert_matches_reference(net, random_batch(rng, net, size=batch_size))
+        self.assert_matches_reference(net, random_rows(rng, net, size=batch_size))
 
     def test_benchmark_shape_at_full_batch(self):
         rng = np.random.default_rng(41)
         net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 16, rng=rng)
-        self.assert_matches_reference(net, random_batch(rng, net, size=200))
+        self.assert_matches_reference(net, random_rows(rng, net, size=200))
 
     def test_first_layer_input_gradient_is_never_requested(self, monkeypatch):
         calls = []
@@ -327,7 +328,7 @@ class TestNetworkReference:
         monkeypatch.setattr(nets, "conv_backward_batch", spy)
         rng = np.random.default_rng(43)
         net = random_conv_net(rng, n_conv=2)
-        self.assert_matches_reference(net, random_batch(rng, net))
+        self.assert_matches_reference(net, random_rows(rng, net))
         (second, second_hw), (first, first_hw) = calls
         assert second is net.layers[1] and second_hw == net.interfaces[1][1:]
         assert first is net.layers[0] and first_hw is None

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _builders import dense_network
+from _builders import dense_network, lowered_batch
 from mlfas import _threads, harness, nets
 from mlfas.checkpoints import load_network, save_network
 from mlfas.conv import ConvShapeError
@@ -37,7 +37,6 @@ from mlfas.harness import (
 from mlfas.nets import (
     DenseLayer,
     LossValue,
-    Minibatch,
     Network,
     flatten,
     loss,
@@ -382,11 +381,11 @@ class TestRunExperiment:
         xtr, ytr, xva, yva = dataset_splits(ds)
         net = build_network(cfg.arch, xtr.shape[1], ytr.shape[1],
                             rng=np.random.default_rng([0, 202]))
-        sched = MinibatchScheduler(xtr, ytr, cfg.batch_size, np.random.default_rng([0, 101]))
+        train_mb, val_mb = lowered_batch(net, xtr, ytr), lowered_batch(net, xva, yva)
+        sched = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([0, 101]))
         smoother = SmootherConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay,
                                   cfg.steps_per_smooth)
         momentum = flatten(net).zeros_like()
-        train_mb, val_mb = Minibatch(xtr, ytr), Minibatch(xva, yva)
         points = [(0.0, loss(net, train_mb), loss(net, val_mb))]
         work = 0.0
         next_eval = cfg.eval_every
@@ -566,10 +565,8 @@ def serial_records(cfg, ds, seed=0):
     xtr, ytr, xva, yva = dataset_splits(ds)
     net = build_network(cfg.arch, xtr.shape[1], ytr.shape[1],
                         rng=np.random.default_rng([seed, 202]))
-    train_mb = Minibatch(lower_input(net, xtr), ytr)
-    val_mb = Minibatch(lower_input(net, xva), yva)
-    sched = MinibatchScheduler(train_mb.inputs, ytr, cfg.batch_size,
-                               np.random.default_rng([seed, 101]))
+    train_mb, val_mb = lowered_batch(net, xtr, ytr), lowered_batch(net, xva, yva)
+    sched = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([seed, 101]))
     smoother = SmootherConfig(learning_rate=cfg.learning_rate, momentum_coeff=cfg.momentum,
                               weight_decay=cfg.weight_decay,
                               steps_per_smooth=cfg.steps_per_smooth)

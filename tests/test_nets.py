@@ -16,8 +16,10 @@ from _builders import (
     assert_rel,
     dense_network,
     forward_one,
+    lowered_batch,
     random_batch,
     random_dense_net,
+    random_rows,
     reference_backward,
     reference_forward,
     term_magnitudes,
@@ -130,22 +132,22 @@ class TestLoss:
     def test_zero_residual(self):
         rng = np.random.default_rng(3)
         net = random_dense_net(rng)
-        x = rng.normal(size=(4, net.input_size))
-        batch = Minibatch(x, forward_batch(net, x))
-        lv = loss(net, batch)
+        x = lower_input(net, rng.normal(size=(4, net.input_size)))
+        lv = loss(net, Minibatch(x, forward_batch(net, x)))
         assert lv.l2 == 0.0 and lv.linf == 0.0
 
     def test_scalar_example(self):
         net = Network([DenseLayer([[0.0]], [1.0])])
-        lv = loss(net, Minibatch([[5.0]], [[3.0]]))
+        lv = loss(net, lowered_batch(net, [[5.0]], [[3.0]]))
         assert lv.l2 == pytest.approx(4.0, abs=0)
         assert lv.linf == pytest.approx(2.0, abs=0)
 
     def test_against_summation_oracle(self):
         rng = np.random.default_rng(11)
         net = random_dense_net(rng)
-        batch = random_batch(rng, net, size=5)
-        preds = np.vstack([forward_one(net, row) for row in batch.inputs])
+        x, y = random_rows(rng, net, size=5)
+        batch = lowered_batch(net, x, y)
+        preds = np.vstack([forward_one(net, row) for row in x])
         l2 = 0.0
         linf = 0.0
         for s in range(5):
@@ -168,8 +170,9 @@ class TestLoss:
         assert a.linf == b.linf
 
     def test_empty_batch_rejected(self):
+        net = Network([DenseLayer(np.ones((2, 3)), np.zeros(2))])
         with pytest.raises(ValueError, match="nonempty"):
-            Minibatch(np.zeros((0, 3)), np.zeros((0, 2)))
+            lowered_batch(net, np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 def whole_batch_loss(net, batch):
@@ -209,21 +212,20 @@ class TestBlockedLoss:
         set_block_rows(monkeypatch, net, self.BLOCK)
         b = self.BLOCK
         for n in (1, 2, b - 1, b, b + 1, 2 * b + 1):
-            x = kappa_xy_batch(rng, n, folded)
-            batch = Minibatch(x, rng.normal(size=(n, 36)))
+            batch = lowered_batch(net, kappa_xy_batch(rng, n, folded), rng.normal(size=(n, 36)))
             assert len(nets.loss_blocks(net, n)) == -(-n // b)
-            assert (lower_input(net, x).sample is not None) == (folded and n > 1)
-            for inputs in (x, lower_input(net, x)):
-                lv = loss(net, Minibatch(inputs, batch.targets))
-                assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
+            assert (batch.inputs.sample is not None) == (folded and n > 1)
+            lv = loss(net, batch)
+            assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
 
     def test_benchmark_conv_net_at_the_real_block_size(self):
         rng = np.random.default_rng(59)
         net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
         n = 2 * (nets.LOSS_BLOCK_BYTES // (8 * 8 * 16 * 16)) + 1  # 2 * 32 + 1 at 512 KB
         assert len(nets.loss_blocks(net, n)) == 3
-        batch = Minibatch(kappa_xy_batch(rng, n, True, grid=32), rng.normal(size=(n, 1024)))
-        lv = loss(net, Minibatch(lower_input(net, batch.inputs), batch.targets))
+        batch = lowered_batch(net, kappa_xy_batch(rng, n, True, grid=32),
+                              rng.normal(size=(n, 1024)))
+        lv = loss(net, batch)
         assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -237,7 +239,7 @@ class TestBlockedLoss:
         assert len(nets.loss_blocks(net, 15)) == 3
         targets = rng.normal(size=(15, 36))
         targets[row, 3] = bad
-        lv = loss(net, Minibatch(kappa_xy_batch(rng, 15, True), targets))
+        lv = loss(net, lowered_batch(net, kappa_xy_batch(rng, 15, True), targets))
         expect = np.isnan if np.isnan(bad) else np.isposinf
         assert expect(lv.l2) and expect(lv.linf)
 
@@ -246,12 +248,10 @@ class TestBlockedLoss:
         # and 7-row blocks, another l2 than the whole batch
         rng = np.random.default_rng(3)
         net = build_network("dense:8192,dense:128", 108, 36, rng=rng)
-        x = kappa_xy_batch(rng, 20, False)
-        batch = Minibatch(x, rng.normal(size=(20, 36)))
+        batch = lowered_batch(net, kappa_xy_batch(rng, 20, False), rng.normal(size=(20, 36)))
         assert nets.loss_blocks(net, 20) == [slice(0, 20)]
-        for inputs in (x, lower_input(net, x)):
-            lv = loss(net, Minibatch(inputs, batch.targets))
-            assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
+        lv = loss(net, batch)
+        assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 20])
     def test_block_sizes(self, monkeypatch, rows):
@@ -301,11 +301,12 @@ def fd_gradient(net, batch, idx, eps=1e-5):
     return np.array(out)
 
 
-def sample_away_from_kinks(rng, make_net_and_batch):
-    """Draw (net, batch) until no pre-activation sits within 1e-6 of a kink."""
+def sample_away_from_kinks(rng, make_net_and_rows):
+    """Draw (net, (inputs, targets)) until no pre-activation sits within 1e-6
+    of a kink; returns the net and the rows' lowered batch."""
     for _ in range(50):
-        net, batch = make_net_and_batch(rng)
-        a = batch.inputs
+        net, rows = make_net_and_rows(rng)
+        a = rows[0]
         ok = True
         for k, layer in enumerate(net.layers):
             z = a @ layer.weights.T + layer.bias
@@ -317,7 +318,7 @@ def sample_away_from_kinks(rng, make_net_and_batch):
             else:
                 a = z
         if ok:
-            return net, batch
+            return net, lowered_batch(net, *rows)
     raise AssertionError("could not sample a kink-free configuration")
 
 
@@ -326,8 +327,7 @@ class TestBackward:
         # zero parameters, zero inputs: only the output bias gradient survives
         net = Network([DenseLayer(np.zeros((2, 3)), np.zeros(2))])
         targets = np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 4.0]])
-        batch = Minibatch(np.zeros((3, 3)), targets)
-        g = backward(net, batch)
+        g = backward(net, lowered_batch(net, np.zeros((3, 3)), targets))
         assert np.all(g.weights(0) == 0.0)
         expected_bias = -(2.0 / 3.0) * targets.sum(axis=0)
         np.testing.assert_allclose(g.bias(0), expected_bias, rtol=1e-15)
@@ -337,7 +337,7 @@ class TestBackward:
 
         def make(r):
             net = random_dense_net(r, widths=(4, 32), io=(3, 8), n_hidden=int(r.integers(1, 4)))
-            return net, random_batch(r, net, size=4)
+            return net, random_rows(r, net, size=4)
 
         net, batch = sample_away_from_kinks(rng, make)
         g = backward(net, batch)
@@ -349,11 +349,9 @@ class TestBackward:
     def test_duplicated_samples_leave_gradient_unchanged(self):
         rng = np.random.default_rng(19)
         net = random_dense_net(rng)
-        batch = random_batch(rng, net, size=3)
-        doubled = Minibatch(
-            np.vstack([batch.inputs, batch.inputs]),
-            np.vstack([batch.targets, batch.targets]),
-        )
+        x, y = random_rows(rng, net, size=3)
+        batch = lowered_batch(net, x, y)
+        doubled = lowered_batch(net, np.vstack([x, x]), np.vstack([y, y]))
         g1 = backward(net, batch)
         g2 = backward(net, doubled)
         np.testing.assert_allclose(g2.data, g1.data, rtol=1e-12, atol=1e-14)
@@ -424,10 +422,10 @@ def folded_case(seed, conv, batch_size, kernel=3, stride=1, padding=0):
 
     ``conv`` counts the conv layers ahead of a dense head (0 or False for a
     dense net); a second one is ``conv:2k3s2p1``, so the first conv layer's
-    upstream is a conv layer's input gradient.  Returns (net, batch, block):
-    along axis 1 of the first layer's input (features, or channels for a
-    conv first layer) the entries outside ``block`` are copied from the
-    first sample into every sample.
+    upstream is a conv layer's input gradient.  Returns (net, inputs,
+    targets, block), the inputs raw rows: along axis 1 of the first layer's
+    input (features, or channels for a conv first layer) the entries outside
+    ``block`` are copied from the first sample into every sample.
     """
     rng = np.random.default_rng(seed)
     if conv:
@@ -438,16 +436,16 @@ def folded_case(seed, conv, batch_size, kernel=3, stride=1, padding=0):
         net = build_network(arch, (c, size, size), 3, rng=rng)
     else:
         net = random_dense_net(rng, io=(2, 12))
-    batch = random_batch(rng, net, size=batch_size)
+    x, y = random_rows(rng, net, size=batch_size)
     n = net.interfaces[0][0]
     lo = int(rng.integers(0, n))
     hi = int(rng.integers(lo + 1, n + 1))
     if hi - lo == n:
         hi -= 1
-    rows = batch.inputs.reshape(batch_size, n, -1)
+    rows = x.reshape(batch_size, n, -1)
     rows[:, :lo] = rows[:1, :lo]
     rows[:, hi:] = rows[:1, hi:]
-    return net, batch, slice(lo, hi)
+    return net, x, y, slice(lo, hi)
 
 
 def assert_gradients_match(got, ref, block, scale=None):
@@ -482,41 +480,44 @@ class TestSharedInputFold:
     )
     def test_matches_full_products(self, seed, conv, batch_size, geometry):
         kernel, stride, padding = geometry
-        net, batch, block = folded_case(seed, conv, batch_size, kernel, stride, padding)
-        assert lower_input(net, batch.inputs).block == block
-        assert_rel(forward_batch(net, batch.inputs), reference_forward(net, batch.inputs))
-        assert_gradients_match(backward(net, batch), reference_backward(net, batch), block)
+        net, x, y, block = folded_case(seed, conv, batch_size, kernel, stride, padding)
+        batch = lowered_batch(net, x, y)
+        assert batch.inputs.block == block
+        assert_rel(forward_batch(net, batch.inputs), reference_forward(net, x))
+        assert_gradients_match(backward(net, batch), reference_backward(net, x, y), block)
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_unfolded_batches_match_bitwise(self, conv):
         for seed in range(6):
-            net, batch, block = folded_case(seed, conv, 7)
+            net, inputs, targets, block = folded_case(seed, conv, 7)
             n = net.interfaces[0][0]
-            rows = batch.inputs.reshape(7, n, -1)
+            rows = inputs.reshape(7, n, -1)
             rng = np.random.default_rng(seed)
             gapped = rows.copy()  # varying entries at both ends, shared between
             gapped[:, 0] = rng.normal(size=gapped[:, 0].shape)
             gapped[:, -1] = rng.normal(size=gapped[:, -1].shape)
             gapped[:, 1:-1] = gapped[:1, 1:-1]
             cases = [
-                batch.inputs[:1],  # one sample
-                rng.normal(size=batch.inputs.shape),  # nothing shared
+                inputs[:1],  # one sample
+                rng.normal(size=inputs.shape),  # nothing shared
             ]
             if n > 2:
                 cases.append(gapped.reshape(7, -1))
             for x in cases:
-                b = Minibatch(x, batch.targets[: x.shape[0]])
-                assert lower_input(net, b.inputs).sample is None
-                assert np.array_equal(forward_batch(net, x), reference_forward(net, x))
-                assert np.array_equal(backward(net, b).data, reference_backward(net, b).data)
+                y = targets[: x.shape[0]]
+                b = lowered_batch(net, x, y)
+                assert b.inputs.sample is None
+                assert np.array_equal(forward_batch(net, b.inputs), reference_forward(net, x))
+                assert np.array_equal(backward(net, b).data, reference_backward(net, x, y).data)
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_nan_in_a_shared_column_propagates(self, conv):
-        net, batch, block = folded_case(11, conv, 7)
+        net, x, y, block = folded_case(11, conv, 7)
         n = net.interfaces[0][0]
         column = block.stop if block.stop < n else block.start - 1
-        rows = batch.inputs.reshape(7, n, -1)
+        rows = x.reshape(7, n, -1)
         rows[:, column, 0] = np.nan
+        batch = lowered_batch(net, x, y)
         assert np.isnan(forward_batch(net, batch.inputs)).all()
         assert np.isnan(backward(net, batch).data).all()
 
@@ -536,7 +537,8 @@ def poisson_split(conv, arch=None):
 
 
 class TestSplitLowering:
-    """A split lowered once, and batches gathered from it, against per-call lowering."""
+    """A split lowered once, and batches gathered from it, against the
+    batches' raw rows lowered on their own."""
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_gathered_batches_match_raw_batches_bitwise(self, conv):
@@ -548,8 +550,10 @@ class TestSplitLowering:
         assert coarse.unit_counts()[1] < net.unit_counts()[1]
         perm = np.random.default_rng(41).permutation(12)
         for idx in (np.arange(12), perm[:7], perm[:2], perm[::-1]):
-            gathered, raw = Minibatch(lowered[idx], y[idx]), Minibatch(x[idx], y[idx])
-            assert lower_input(net, raw.inputs).block == lowered.block
+            gathered = Minibatch(lowered[idx], y[idx])
+            # the batch's raw rows, lowered on their own
+            raw = Minibatch(lower_input(net, x[idx]), y[idx])
+            assert raw.inputs.block == lowered.block
             # every level reads the same lowering
             for level in (net, coarse):
                 assert np.array_equal(forward_batch(level, gathered.inputs),
@@ -560,13 +564,14 @@ class TestSplitLowering:
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_gathered_single_sample_matches_raw_sample(self, conv):
-        # one raw sample folds nothing; gathered from the split it keeps the
-        # split's fold, so the two agree to rounding, not bit for bit
+        # one raw sample lowered on its own folds nothing; gathered from the
+        # split it keeps the split's fold, so the two agree to rounding, not bit for bit
         net, x, y = poisson_split(conv)
         lowered = lower_input(net, x)
         for i in (0, 5):
-            gathered, raw = Minibatch(lowered[[i]], y[[i]]), Minibatch(x[[i]], y[[i]])
-            assert lower_input(net, raw.inputs).sample is None
+            gathered = Minibatch(lowered[[i]], y[[i]])
+            raw = Minibatch(lower_input(net, x[[i]]), y[[i]])
+            assert raw.inputs.sample is None
             assert_rel(forward_batch(net, gathered.inputs), forward_batch(net, raw.inputs))
             assert loss(net, gathered).l2 == pytest.approx(loss(net, raw).l2, rel=1e-12)
             assert_gradients_match(backward(net, gathered), backward(net, raw), lowered.block)
@@ -587,22 +592,21 @@ class TestSplitLowering:
         # over the split, so the split's fold is not the batch's own; the two
         # sum the same terms apart, so they agree to rounding relative to the
         # size of the terms, not of the result they may cancel to
-        net, split, block = folded_case(seed, conv, 9)
+        net, x, y, block = folded_case(seed, conv, 9)
         n = net.interfaces[0][0]
         column = {"first": block.start, "last": block.stop - 1,
                   "middle": (block.start + block.stop - 1) // 2}[where]
         idx = np.random.default_rng(seed).permutation(9)[:batch_size]
-        rows = split.inputs.reshape(9, n, -1)
+        rows = x.reshape(9, n, -1)
         rows[idx, column] = rows[idx[:1], column]
-        lowered = lower_input(net, split.inputs)
+        lowered = lower_input(net, x)
         assert lowered.block == block
-        raw = Minibatch(split.inputs[idx], split.targets[idx])
-        gathered = Minibatch(lowered[idx], raw.targets)
-        terms, gradient_terms = term_magnitudes(net, raw)
-        assert_rel(forward_batch(net, gathered.inputs), reference_forward(net, raw.inputs),
+        gathered = Minibatch(lowered[idx], y[idx])
+        terms, gradient_terms = term_magnitudes(net, x[idx], y[idx])
+        assert_rel(forward_batch(net, gathered.inputs), reference_forward(net, x[idx]),
                    scale=terms)
-        assert_gradients_match(backward(net, gathered), reference_backward(net, raw), block,
-                               scale=gradient_terms)
+        assert_gradients_match(backward(net, gathered), reference_backward(net, x[idx], y[idx]),
+                               block, scale=gradient_terms)
 
 
 class TestLoweringGeometry:
@@ -711,7 +715,7 @@ class TestBackwardChain:
         # weights are zero, so its forward product and dz @ W are 0
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.zeros((1, 3)), np.zeros(1))])
-        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        batch = lowered_batch(net, np.full((4, 2), 1e300), np.full((4, 1), 1e10))
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             backward(net, batch)
         with np.errstate(all="ignore"):
@@ -755,7 +759,7 @@ class TestBackwardChain:
         # layer 1's step overflows; layer 0's, the end of the chain, never runs
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.ones((1, 3)), np.zeros(1))])
-        batch = Minibatch(np.ones((4, 2)), np.zeros((4, 1)))
+        batch = lowered_batch(net, np.ones((4, 2)), np.zeros((4, 1)))
         out, momentum = nan_gradient(net), net.params.zeros_like()
         momentum.weights(1)[...] = 1e308
         stepped = []
@@ -1029,7 +1033,7 @@ class TestHandOff:
         # weights are zero, so its forward product and dz @ W are 0
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.zeros((1, 3)), np.zeros(1))])
-        batch = Minibatch(np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        batch = lowered_batch(net, np.full((4, 2), 1e300), np.full((4, 1), 1e10))
         threads = hand_off_everything(monkeypatch)
         caller = threading.current_thread()
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
@@ -1135,15 +1139,15 @@ class TestInPlaceRelu:
     def test_matches_the_copy_based_relu(self, monkeypatch, arch, shape, special):
         rng = np.random.default_rng(12)
         net = build_network(arch, shape, 4, rng=rng)
-        batch = random_batch(rng, net, size=9)
+        x, y = random_rows(rng, net, size=9)
         # a shared second half of the input: the first layer folds it
-        batch.inputs[:, net.input_size // 2:] = batch.inputs[0, net.input_size // 2:]
-        lowered = Minibatch(lower_input(net, batch.inputs), batch.targets)
-        assert lowered.inputs.sample is not None
+        x[:, net.input_size // 2:] = x[0, net.input_size // 2:]
+        batch = lowered_batch(net, x, y)
+        assert batch.inputs.sample is not None
 
         def results():
-            out = [forward_batch(net, batch.inputs), loss(net, batch), loss(net, lowered),
-                   backward(net, batch).data, backward(net, lowered, out=net.grad).data]
+            out = [forward_batch(net, batch.inputs), loss(net, batch),
+                   backward(net, batch).data, backward(net, batch, out=net.grad).data]
             return [np.asarray(astuple(v) if isinstance(v, LossValue) else v).tobytes()
                     for v in out]
 
@@ -1153,5 +1157,5 @@ class TestInPlaceRelu:
             monkeypatch.setattr(nets, "np", _CopyReluNumpy(special, copy=False))
             got = results()
         assert got == ref
-        finite = np.isfinite(np.frombuffer(ref[3], dtype=np.float64)).all()
+        finite = np.isfinite(np.frombuffer(ref[2], dtype=np.float64)).all()
         assert finite == (not np.isnan(special))

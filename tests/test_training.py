@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from _builders import (
     dense_network,
     explicit_transfer_matrices,
+    lowered_batch,
     random_conv_net,
     random_dense_net,
     reference_sgd_smooth,
@@ -68,7 +69,8 @@ class TestSgdSmooth:
         rng = np.random.default_rng(3)
         net = random_dense_net(rng)
         x0 = flatten(net)
-        batch = Minibatch(rng.normal(size=(4, net.input_size)), np.zeros((4, net.output_size)))
+        batch = lowered_batch(net, rng.normal(size=(4, net.input_size)),
+                              np.zeros((4, net.output_size)))
         batch.targets[...] = forward_batch(net, batch.inputs)
         momentum = x0.zeros_like()
         sgd_smooth(net, momentum, SmootherConfig(0.1, 0.9, 0.0, 3), constant_batches(batch))
@@ -80,7 +82,7 @@ class TestSgdSmooth:
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
         momentum.data[:] = [0.5, -0.25]
-        batch = Minibatch([[2.0]], [[5.0]])
+        batch = lowered_batch(net, [[2.0]], [[5.0]])
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.9,
                              weight_decay=0.01, steps_per_smooth=1)
         # residual = 2*1 + 0 - 5 = -3; dl/dw = 2*(-3)*2 = -12; dl/db = -6
@@ -98,8 +100,8 @@ class TestSgdSmooth:
         rng = np.random.default_rng(5)
         net_a = random_dense_net(rng)
         net_b = net_a.copy()
-        batch = Minibatch(rng.normal(size=(3, net_a.input_size)),
-                          rng.normal(size=(3, net_a.output_size)))
+        batch = lowered_batch(net_a, rng.normal(size=(3, net_a.input_size)),
+                              rng.normal(size=(3, net_a.output_size)))
         cfg = SmootherConfig(0.05, 0.9, 0.0, 4)
         mom_a = flatten(net_a).zeros_like()
         mom_b = flatten(net_b).zeros_like()
@@ -110,7 +112,7 @@ class TestSgdSmooth:
     def test_tau_tilts_the_gradient(self):
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
-        batch = Minibatch([[2.0]], [[5.0]])
+        batch = lowered_batch(net, [[2.0]], [[5.0]])
         tilt = ParamVector(np.array([2.0, 1.0]), momentum.layout)
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0, steps_per_smooth=1)
         sgd_smooth(net, momentum, cfg, constant_batches(batch), tilt=tilt)
@@ -158,23 +160,23 @@ class TestLayerStep:
     def setup(arch, shape, n_out, seed=91):
         rng = np.random.default_rng(seed)
         net = build_network(arch, shape, n_out, rng=rng)
-        batches = [Minibatch(rng.normal(size=(200, net.input_size)),
-                             rng.normal(size=(200, n_out))) for _ in range(3)]
+        rows = [(rng.normal(size=(200, net.input_size)), rng.normal(size=(200, n_out)))
+                for _ in range(3)]
         momentum = net.params.zeros_like()
         momentum.data[...] = rng.normal(scale=0.1, size=momentum.total_len)
         tau = net.params.zeros_like()
         tau.data[...] = rng.normal(size=tau.total_len)
-        return net, batches, momentum, tau
+        return net, rows, [lowered_batch(net, *r) for r in rows], momentum, tau
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
     def test_equals_the_whole_vector_update(self, arch, shape, n_out, gamma):
-        net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        net, rows, batches, momentum, tau = self.setup(arch, shape, n_out)
         tilt = ParamVector(gamma * tau.data, tau.layout)
         cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
                              steps_per_smooth=3)
         ref_net, ref_momentum = net.copy(), momentum.copy()
-        reference_sgd_smooth(ref_net, ref_momentum, cfg, batches, tilt=tilt)
+        reference_sgd_smooth(ref_net, ref_momentum, cfg, rows, tilt=tilt)
         sgd_smooth(net, momentum, cfg, batches, tilt=tilt)
         assert net.params.data.tobytes() == ref_net.params.data.tobytes()
         assert momentum.data.tobytes() == ref_momentum.data.tobytes()
@@ -184,7 +186,7 @@ class TestLayerStep:
         if arch.startswith("conv"):
             self.check_handed_off_steps(monkeypatch, arch, shape, n_out)
             return
-        net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        net, _, batches, momentum, tau = self.setup(arch, shape, n_out)
         log = []
 
         def recording(net, batch, out=None, step=None):
@@ -208,7 +210,7 @@ class TestLayerStep:
         """The conv net's dense layers hand their products and steps to the
         helper: each layer steps once, after its own product and its own
         ``dz @ W``, and never while either of them runs."""
-        net, batches, momentum, tau = self.setup(arch, shape, n_out)
+        net, _, batches, momentum, tau = self.setup(arch, shape, n_out)
         monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         clock = itertools.count()  # next() is atomic, so it orders both threads' events
         spans = {}  # (what, layer) -> [(start, end, thread)]
@@ -262,8 +264,8 @@ class TestComputeTau:
         net = random_dense_net(rng)
         coarse = net.copy()
         t = identity_level(net)
-        batches = [Minibatch(rng.normal(size=(3, net.input_size)),
-                             rng.normal(size=(3, net.output_size))) for _ in range(2)]
+        batches = [lowered_batch(net, rng.normal(size=(3, net.input_size)),
+                                 rng.normal(size=(3, net.output_size))) for _ in range(2)]
         tau = compute_tau(net, coarse, t, batches)
         assert np.abs(tau.data).max() <= 1e-12
 
@@ -273,8 +275,8 @@ class TestComputeTau:
         other = dense_network([s for s in (fine.input_size, 5, fine.output_size)],
                               rng=np.random.default_rng(123))
         t = identity_level(fine)
-        batches = [Minibatch(rng.normal(size=(2, fine.input_size)),
-                             rng.normal(size=(2, fine.output_size))) for _ in range(2)]
+        batches = [lowered_batch(fine, rng.normal(size=(2, fine.input_size)),
+                                 rng.normal(size=(2, fine.output_size))) for _ in range(2)]
         acc = None
         for b in batches:
             d = backward(other, b).data - backward(fine, b).data
@@ -287,8 +289,8 @@ class TestComputeTau:
         net = random_dense_net(rng, widths=(4, 12))
         t = coarsen_network(net, theta=-1.0, weighted=True)
         coarse = restrict_network(net, t)
-        batches = [Minibatch(rng.normal(size=(3, net.input_size)),
-                             rng.normal(size=(3, net.output_size))) for _ in range(3)]
+        batches = [lowered_batch(net, rng.normal(size=(3, net.input_size)),
+                                 rng.normal(size=(3, net.output_size))) for _ in range(3)]
         _, _, big_r = explicit_transfer_matrices(t, flatten(net).layout)
         fine_acc = sum(backward(net, b).data for b in batches)
         coarse_acc = sum(backward(coarse, b).data for b in batches)
@@ -342,9 +344,9 @@ class TestComputeTau:
             return tau
 
         monkeypatch.setattr(training, "compute_tau", recording)
-        net, inputs, targets = make_training_setup(61, widths=(10, 64, 48, 8))
+        net, split = make_training_setup(61, widths=(10, 64, 48, 8))
         h = Hierarchy.build(net, depth=3, theta=-1.0)
-        sched = fresh_scheduler(inputs, targets, 4, seed=61)
+        sched = fresh_scheduler(split, 4, seed=61)
         v_cycle(h, 0, SmootherConfig(learning_rate=0.05), StabilityConfig(gamma=gamma), sched)
         assert h.levels[0].tilt is None
         assert len(taus) == (0 if gamma == 0.0 else 2)
@@ -374,9 +376,9 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
     # ceil(n / batch_size) = N, and a batch needs batch_size samples
     lo = max((n_batches - 1) * batch_size + 1, batch_size)
     n_samples = int(rng.integers(lo, n_batches * batch_size + 1))
-    sched = MinibatchScheduler(rng.normal(size=(n_samples, net.input_size)),
-                               rng.normal(size=(n_samples, net.output_size)),
-                               batch_size, rng)
+    split = lowered_batch(net, rng.normal(size=(n_samples, net.input_size)),
+                          rng.normal(size=(n_samples, net.output_size)))
+    sched = MinibatchScheduler(split, batch_size, rng)
     assert sched.batches_per_epoch == n_batches
     batches = sched.next_tau_group(group)
     tilt = compute_tau(net, coarse, t, batches)
@@ -394,30 +396,42 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
 
 
 class TestScheduler:
+    # one input feature, lowered as it is: a batch's rows are its sample numbers
+    NET = Network([DenseLayer([[1.0]], [0.0])])
+
     def _make(self, n=12, batch=3, seed=0):
-        rng = np.random.default_rng(seed)
-        inputs = np.arange(n, dtype=float)[:, None]
-        targets = np.arange(n, dtype=float)[:, None]
-        return MinibatchScheduler(inputs, targets, batch, np.random.default_rng(seed))
+        samples = np.arange(n, dtype=float)[:, None]
+        return MinibatchScheduler(lowered_batch(self.NET, samples, samples), batch,
+                                  np.random.default_rng(seed))
 
     def test_whole_epoch_group_covers_every_sample(self):
         sched = self._make(n=12, batch=3)
         group = sched.next_tau_group(sched.batches_per_epoch)
-        seen = np.sort(np.concatenate([b.inputs.ravel() for b in group]))
+        seen = np.sort(np.concatenate([b.inputs.rows.ravel() for b in group]))
         np.testing.assert_array_equal(seen, np.arange(12.0))
+        for b in group:
+            np.testing.assert_array_equal(b.inputs.rows, b.targets)
 
     def test_consecutive_groups_disjoint_within_epoch(self):
         sched = self._make(n=12, batch=2)  # 6 batches/epoch
         g1 = sched.next_tau_group(2)
         g2 = sched.next_tau_group(2)
-        s1 = set(np.concatenate([b.inputs.ravel() for b in g1]).tolist())
-        s2 = set(np.concatenate([b.inputs.ravel() for b in g2]).tolist())
+        s1 = set(np.concatenate([b.inputs.rows.ravel() for b in g1]).tolist())
+        s2 = set(np.concatenate([b.inputs.rows.ravel() for b in g2]).tolist())
         assert not (s1 & s2)
 
     def test_fixed_seed_reproduces_sequence(self):
         a, b = self._make(seed=5), self._make(seed=5)
         for _ in range(10):
-            np.testing.assert_array_equal(a.next_batch().inputs, b.next_batch().inputs)
+            np.testing.assert_array_equal(a.next_batch().inputs.rows, b.next_batch().inputs.rows)
+
+    def test_raw_rows_are_refused(self):
+        samples = np.arange(12, dtype=float)[:, None]
+        with pytest.raises(TypeError, match="lower_input"):
+            Minibatch(samples, samples)
+        for split in (samples, (samples, samples), self._make().split.inputs):
+            with pytest.raises(TypeError, match="lowered split Minibatch"):
+                MinibatchScheduler(split, 3, np.random.default_rng(0))
 
     def test_batch_size_exceeds_dataset(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -431,15 +445,16 @@ class TestScheduler:
 
 
 def make_training_setup(seed, n_samples=24, batch=4, widths=(10, 64, 8)):
+    """A dense net and a lowered split of normal samples for it."""
     rng = np.random.default_rng(seed)
     net = dense_network(list(widths), rng=np.random.default_rng([seed, 1]))
     inputs = rng.normal(size=(n_samples, widths[0]))
     targets = rng.normal(size=(n_samples, widths[-1]))
-    return net, inputs, targets
+    return net, lowered_batch(net, inputs, targets)
 
 
-def fresh_scheduler(inputs, targets, batch, seed):
-    return MinibatchScheduler(inputs, targets, batch, np.random.default_rng([seed, 2]))
+def fresh_scheduler(split, batch, seed):
+    return MinibatchScheduler(split, batch, np.random.default_rng([seed, 2]))
 
 
 def identity_hierarchy(net, **kwargs):
@@ -455,16 +470,16 @@ def identity_hierarchy(net, **kwargs):
 class TestVCycleDegeneracies:
     def test_identity_transfer_cycle_equals_consecutive_sgd(self):
         k = 3
-        net, inputs, targets = make_training_setup(21)
+        net, split = make_training_setup(21)
         sgd_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9,
                              weight_decay=1e-4, steps_per_smooth=k)
         stab = StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0)
         h = identity_hierarchy(net, tau_batches=k)
-        sched = fresh_scheduler(inputs, targets, 4, seed=21)
+        sched = fresh_scheduler(split, 4, seed=21)
         v_cycle(h, 0, cfg, stab, sched)
 
-        ref_sched = fresh_scheduler(inputs, targets, 4, seed=21)
+        ref_sched = fresh_scheduler(split, 4, seed=21)
         momentum = flatten(sgd_net).zeros_like()
         for _ in range(3):
             sgd_smooth(sgd_net, momentum, cfg, iter(ref_sched))
@@ -473,7 +488,7 @@ class TestVCycleDegeneracies:
 
     def test_zero_coarse_steps_leave_correction_at_zero(self):
         k = 2
-        net, inputs, targets = make_training_setup(23)
+        net, split = make_training_setup(23)
         ref_net = net.copy()
         cfgs = [
             SmootherConfig(learning_rate=0.03, momentum_coeff=0.9, steps_per_smooth=k),
@@ -481,10 +496,10 @@ class TestVCycleDegeneracies:
         ]
         stab = StabilityConfig(eta=2.0, alpha_m=0.3, gamma=0.5)
         h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0)
-        sched = fresh_scheduler(inputs, targets, 4, seed=23)
+        sched = fresh_scheduler(split, 4, seed=23)
         v_cycle(h, 0, cfgs, stab, sched)
 
-        ref_sched = fresh_scheduler(inputs, targets, 4, seed=23)
+        ref_sched = fresh_scheduler(split, 4, seed=23)
         momentum = flatten(ref_net).zeros_like()
         sgd_smooth(ref_net, momentum, cfgs[0], iter(ref_sched))
         ref_sched.next_tau_group(2)  # the tau draw advances the shared stream
@@ -495,12 +510,12 @@ class TestVCycleDegeneracies:
     def test_gamma_zero_computes_and_charges_no_tau(self, monkeypatch):
         # the visit still draws its group and smooths on it, untilted; the
         # tau was once computed, scaled by 0, discarded and charged
-        net, inputs, targets = make_training_setup(27)
+        net, split = make_training_setup(27)
         ref_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         stab = StabilityConfig(alpha_m=0.3, gamma=0.0)
         h = Hierarchy.build(net, depth=2, tau_batches=3, theta=-1.0)
-        sched = fresh_scheduler(inputs, targets, 4, seed=27)
+        sched = fresh_scheduler(split, 4, seed=27)
 
         def refused(*args):
             raise AssertionError("compute_tau called at gamma 0")
@@ -510,7 +525,7 @@ class TestVCycleDegeneracies:
         assert h.work == pytest.approx(2 * 1.0 + 2 * h.param_ratio(1) + 2 * 1.0, rel=1e-12)
 
         t = coarsen_network(ref_net, theta=-1.0)
-        ref_sched = fresh_scheduler(inputs, targets, 4, seed=27)
+        ref_sched = fresh_scheduler(split, 4, seed=27)
         momentum = flatten(ref_net).zeros_like()
         sgd_smooth(ref_net, momentum, cfg, ref_sched)
         group = ref_sched.next_tau_group(3)
@@ -530,14 +545,14 @@ class TestVCycleDegeneracies:
         np.testing.assert_array_equal(h.levels[0].momentum.data, momentum.data)
 
     def test_depth_one_is_plain_sgd(self):
-        net, inputs, targets = make_training_setup(25)
+        net, split = make_training_setup(25)
         ref_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=5)
         h = Hierarchy.build(net, depth=1)
         assert h.levels[0].transfer is None and len(h.levels) == 1
-        sched = fresh_scheduler(inputs, targets, 6, seed=25)
+        sched = fresh_scheduler(split, 6, seed=25)
         v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
-        ref_sched = fresh_scheduler(inputs, targets, 6, seed=25)
+        ref_sched = fresh_scheduler(split, 6, seed=25)
         momentum = flatten(ref_net).zeros_like()
         sgd_smooth(ref_net, momentum, cfg, iter(ref_sched))
         np.testing.assert_array_equal(flatten(net).data, flatten(ref_net).data)
@@ -561,14 +576,15 @@ class TestVCycleHandTrace:
                              weight_decay=0.0, steps_per_smooth=1)
         stab = StabilityConfig(eta=np.sqrt(2.0), alpha_m=0.2, gamma=0.25)
         h = Hierarchy.build(net, depth=2, tau_batches=1, theta=0.9, weighted=True)
-        sched = MinibatchScheduler(inputs, targets, 6, np.random.default_rng(0))
+        split = lowered_batch(net, inputs, targets)
+        sched = MinibatchScheduler(split, 6, np.random.default_rng(0))
         n_batches = sched.batches_per_epoch
         assert n_batches == 1  # full-set batches make the trace order-independent
         v_cycle(h, 0, cfg, stab, sched)
 
         # ---- hand trace ----
         trace = Network([DenseLayer(w0.copy(), b0.copy()), DenseLayer(w1.copy(), b1.copy())])
-        batch = Minibatch(inputs, targets)
+        batch = split
         mom = flatten(trace).zeros_like()
 
         def sgd_step(network, momentum, lr, tau_vec=None, gamma=0.0):
@@ -611,21 +627,21 @@ class TestVCycleHandTrace:
 
 class TestWorkUnits:
     def test_fine_step_costs_one(self):
-        net, _, _ = make_training_setup(41)
+        net, _ = make_training_setup(41)
         assert Hierarchy.build(net, depth=2, theta=-1.0).param_ratio(0) == 1.0
 
     def test_half_parameter_ratio(self):
         # theta -1 pairs every hidden unit, halving the hidden layer: 64 -> 32
-        net, _, _ = make_training_setup(41)
+        net, _ = make_training_setup(41)
         h = Hierarchy.build(net, depth=2, theta=-1.0)
         assert h.levels[1].net.unit_counts() == [10, 32, 8]
         assert h.param_ratio(1) == (10 * 32 + 32 + 32 * 8 + 8) / (10 * 64 + 64 + 64 * 8 + 8)
 
     def test_cycle_work_matches_formula(self):
-        net, inputs, targets = make_training_setup(41)
+        net, split = make_training_setup(41)
         cfg = SmootherConfig(learning_rate=0.01, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0)
-        sched = fresh_scheduler(inputs, targets, 4, seed=41)
+        sched = fresh_scheduler(split, 4, seed=41)
         r = h.param_ratio(1)
         v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
         expected = 2 * 1.0 + 2 * r + 2 * 1.0 + 2 * (1.0 + r)
@@ -657,10 +673,10 @@ class TestCoarseVisitRestrictions:
                 lambda x, x_c, t, start, *rest: coarse_grid_correction(
                     x, x_c, t, transfer.restrict_params(t, x), *rest),
             )
-        net, inputs, targets = make_training_setup(71, widths=(10, 64, 48, 8))
+        net, split = make_training_setup(71, widths=(10, 64, 48, 8))
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=3, rematch_period=100, theta=-1.0)
-        sched = fresh_scheduler(inputs, targets, 4, seed=71)
+        sched = fresh_scheduler(split, 4, seed=71)
         per_cycle = []
         for _ in range(cycles):
             calls[0] = 0
@@ -700,10 +716,10 @@ class TestCoarseVisitRestrictions:
 
 class TestGuardsAndRematch:
     def test_divergence_guard_raises_structured_error(self):
-        net, inputs, targets = make_training_setup(43)
+        net, split = make_training_setup(43)
         cfg = SmootherConfig(learning_rate=1e30, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=2, tau_batches=2)
-        sched = fresh_scheduler(inputs, targets, 4, seed=43)
+        sched = fresh_scheduler(split, 4, seed=43)
         with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
             for _ in range(5):
                 v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
@@ -711,10 +727,10 @@ class TestGuardsAndRematch:
         assert err.value.cycle is not None
 
     def test_rematch_cadence(self):
-        net, inputs, targets = make_training_setup(47)
+        net, split = make_training_setup(47)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=2, rematch_period=2, weighted=False)
-        sched = fresh_scheduler(inputs, targets, 4, seed=47)
+        sched = fresh_scheduler(split, 4, seed=47)
         t0 = h.levels[0].transfer
         v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)  # cycle 0
         assert h.levels[0].transfer is t0
@@ -755,10 +771,10 @@ class TestTauInLine:
     def run_cycles(cycles=4, h=None):
         """Depth-3 dense cycles with a rematch before the third; every cycle's
         parameters, momentum and tilt vectors of every level, as bytes."""
-        net, inputs, targets = make_training_setup(81, widths=(10, 64, 48, 8))
+        net, split = make_training_setup(81, widths=(10, 64, 48, 8))
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
         h = Hierarchy.build(net, depth=3, rematch_period=2) if h is None else h
-        sched = fresh_scheduler(inputs, targets, 4, seed=81)
+        sched = fresh_scheduler(split, 4, seed=81)
         states = []
         for _ in range(cycles):
             v_cycle(h, 0, cfg, StabilityConfig(), sched)
@@ -769,7 +785,7 @@ class TestTauInLine:
 
     def test_coarse_gradients_are_summed_before_the_fine_ones(self, monkeypatch):
         sums = self.record_sums(monkeypatch)
-        net, _, _ = make_training_setup(81, widths=(10, 64, 48, 8))
+        net, _ = make_training_setup(81, widths=(10, 64, 48, 8))
         h = Hierarchy.build(net, depth=3, rematch_period=2)
         levels = []
         summed = training.gradient_sum  # the recording one
@@ -823,7 +839,7 @@ class TestTauInLine:
             events.append("refresh failed")
             raise RuntimeError("refresh failed")
 
-        net, inputs, targets = make_training_setup(83)
+        net, split = make_training_setup(83)
         h = Hierarchy.build(net, depth=2)
         fine = h.levels[0].net
         monkeypatch.setattr(training, "gradient_sum", chain)
@@ -831,7 +847,7 @@ class TestTauInLine:
             monkeypatch.setattr(training, "refresh_weights", refresh_fails)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
         with pytest.raises(RuntimeError if fails == "refresh" else ValueError, match="failed"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 83))
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(split, 4, 83))
         # the refresh comes before both sums, the coarse sum before the fine one
         assert events == {"refresh": ["refresh failed"],
                           "coarse sum": ["coarse sum failed"],
@@ -846,11 +862,11 @@ class TestTauInLine:
             return summed(net, batches)
 
         monkeypatch.setattr(training, "gradient_sum", chain)
-        net, inputs, targets = make_training_setup(85)
+        net, split = make_training_setup(85)
         h = Hierarchy.build(net, depth=2)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
         with np.errstate(all="raise"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(inputs, targets, 4, 85))
+            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(split, 4, 85))
         assert seen == ["raise", "raise"]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -891,6 +907,7 @@ class TestOneTrainingThread:
             import numpy as np
             from mlfas import _threads
             from mlfas.harness import build_network
+            from mlfas.nets import Minibatch, lower_input
             from mlfas.training import (Hierarchy, MinibatchScheduler, SmootherConfig,
                                         StabilityConfig, sgd_smooth, v_cycle)
 
@@ -898,8 +915,9 @@ class TestOneTrainingThread:
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
             rng = np.random.default_rng(93)
             net = build_network({arch!r}, {shape!r}, {n_out}, rng=rng)
-            sched = MinibatchScheduler(rng.normal(size=(400, net.input_size)),
-                                       rng.normal(size=(400, {n_out})), 200, rng)
+            split = Minibatch(lower_input(net, rng.normal(size=(400, net.input_size))),
+                              rng.normal(size=(400, {n_out})))
+            sched = MinibatchScheduler(split, 200, rng)
             # one CPU first, since a helper thread, once started, stays;
             # a free second CPU must not draw the dense net onto another thread
             for cpus in (1, 2):
@@ -947,7 +965,8 @@ class TestConvHandOff:
     def test_sgd_smooth_with_weight_decay_and_a_tilt(self, monkeypatch):
         def run():
             net, inputs, targets, rng = self.net_and_data(95, 400)
-            batches = [Minibatch(inputs[:200], targets[:200]), Minibatch(inputs[200:], targets[200:])]
+            batches = [lowered_batch(net, inputs[:200], targets[:200]),
+                       lowered_batch(net, inputs[200:], targets[200:])]
             momentum = net.params.zeros_like()
             tilt = ParamVector(rng.normal(scale=1e-3, size=net.param_count()), net.params.layout)
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
@@ -963,7 +982,7 @@ class TestConvHandOff:
             h = Hierarchy.build(net, depth=3)
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=1)
             v_cycle(h, 0, cfg, StabilityConfig(gamma=0.5),
-                    MinibatchScheduler(inputs, targets, 200, rng))
+                    MinibatchScheduler(lowered_batch(net, inputs, targets), 200, rng))
             return [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
                      lvl.tilt.data.tobytes() if lvl.tilt is not None else None)
                     for lvl in h.levels]
