@@ -18,12 +18,14 @@ from .conv import ConvLayer, to_matrix
 from .nets import (
     DenseLayer,
     LossValue,
+    LoweredInput,
     Minibatch,
     Network,
     ParamVector,
     backward,
     flatten,
     loss,
+    lower_input,
     unflatten,
 )
 from .poisson import RegressionDataset, generate_dataset, read_dataset, write_dataset

@@ -3,11 +3,10 @@
 ``poisson.generate_dataset`` solves its chunks through ``run_in_order``;
 ``harness`` runs each seed's evaluation worker through ``submit``, and that
 worker calls ``leave_start_cpu`` and ``lower_priority``.  ``nets.backward``
-queues its large dense weight products, and the SGD step behind each, on
-the process's one helper thread through ``queue``, and ends them with
-``finish`` before it returns.  The rest of training runs on the thread
-that calls it.  When to use another thread stays with the module that
-decides it.
+queues the second row half of a large batch on the process's one helper
+thread through ``queue``, and ends it with ``finish`` before it returns.
+The rest of training runs on the thread that calls it.  When to use
+another thread stays with the module that decides it.
 """
 
 import contextlib
@@ -63,32 +62,23 @@ def queue(fn, *args) -> tuple:
     return submit(_helper(), fn, *args), fn, args
 
 
-def finish(tasks: list, run: bool = True) -> None:
-    """End one caller's ``tasks``, as ``queue`` returned them, in queued order.
+def finish(task: tuple, run: bool = True) -> None:
+    """End ``task``, as ``queue`` returned it.
 
-    The helper runs tasks in queued order, so the ones it has not started
-    are the last ones.  They are cancelled from the last one backward, so
-    that the helper never starts a task after an earlier one was taken
-    back.  Every started task is then waited for, since a task taken back
-    may depend on one of them.  With ``run``, the first error of a started
-    task is raised, and otherwise the tasks taken back run here, in queued
-    order.  Without it, for a caller that is raising an error of its own,
-    they are dropped and no task's error is raised.  Either way no task is
+    A task the helper has not started is taken back: with ``run`` it runs
+    here, and without it, it is dropped.  A started one is waited for; with
+    ``run`` its error is raised, and without it, for a caller that is
+    raising an error of its own, it is not.  Either way the task is not
     running when this returns.
     """
-    for task in reversed(tasks):
-        if not task[0].cancel():
-            break
-    # a cancelled future counts as done for ``futures.wait`` only once the
-    # helper has dequeued it
-    futures.wait([future for future, _, _ in tasks if not future.cancelled()])
-    if not run:
-        return
-    for future, fn, args in tasks:
-        if future.cancelled():
+    future, fn, args = task
+    if future.cancel():
+        if run:
             fn(*args)
-        else:
-            future.result()
+    elif run:
+        future.result()
+    else:
+        futures.wait([future])
 
 
 def run_in_order(task, items) -> None:

@@ -486,13 +486,13 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
 def _handoff_text() -> str:
     """What ``backward`` hands to the helper thread in this process; a
     spawned worker inherits its CPUs, so it hands off the same."""
-    products = (f"dense weight products past the first layer of at least "
-                f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds, each followed by "
-                f"its layer's SGD step, run on one helper thread")
+    split = (f"a batch with a dense weight product past the first layer of at least "
+             f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds passes as two row "
+             f"halves, summed")
     cpus = _threads.allowed_cpus()
     if cpus >= 2:
-        return f"{products} ({cpus} CPUs allowed)"
-    return f"all in line ({cpus} CPU allowed; from 2 CPUs, {products})"
+        return f"{split}, the second on one helper thread ({cpus} CPUs allowed)"
+    return f"{split}, both in line ({cpus} CPU allowed; from 2 CPUs, the second on one helper thread)"
 
 
 def _numerics_text() -> str:

@@ -266,11 +266,10 @@ LOSS_BLOCK_MIN_ROWS = 16
 # the first-layer (block, sample) that folds nothing: the whole axis varies
 _WHOLE = (slice(None), None)
 
-# multiply-adds from which ``backward`` hands the weight product of a dense
-# layer past the first to the helper thread; a smaller product gains less
-# from the overlap than the hand-off costs.  At batch 200 every such product
-# of the benchmark's conv net is above it (13.1 M and more, at both levels)
-# and every one of its dense nets is below it (6.6 M at most).
+# multiply-adds of a dense weight product past the first layer from which
+# ``backward`` passes a batch as two row halves, the second on the helper
+# thread.  At batch 200 the benchmark's conv net passes it at both levels
+# (13.1 M and more) and its dense nets do not (6.6 M at most).
 HANDOFF_MIN_MACS = 2**23
 
 
@@ -319,7 +318,13 @@ def lower_input(net: Network, x) -> LoweredInput:
 
 
 def _lowered(net: Network, inputs: LoweredInput) -> LoweredInput:
-    """``inputs``, refused when lowered for another first-layer geometry."""
+    """``inputs``, refused when it is not a lowering or was lowered for
+    another first-layer geometry."""
+    if not isinstance(inputs, LoweredInput):
+        raise TypeError(
+            f"network inputs must be a LoweredInput made by lower_input, "
+            f"got {type(inputs).__name__}"
+        )
     if inputs.geometry != _geometry(net):
         raise NetworkShapeError(
             f"input lowered for first-layer geometry {inputs.geometry}, "
@@ -419,24 +424,12 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
 
 
-def _hand_off(rows: int, layer) -> bool:
-    """Whether the weight product ``dz.T @ a`` of a dense ``layer`` past the
-    first, over ``rows`` rows, takes at least ``HANDOFF_MIN_MACS`` multiply-adds."""
-    return isinstance(layer, DenseLayer) and rows * layer.weights.size >= HANDOFF_MIN_MACS
-
-
 def hands_off(net: Network, rows: int) -> bool:
-    """Whether ``backward`` on ``rows`` rows hands a product to the helper
-    thread, when the calling thread may use two CPUs."""
-    return any(_hand_off(rows, layer) for layer in net.layers[1:])
-
-
-def _dense_gradient(dz, a, sample, block, gw, gb) -> None:
-    """A dense layer's bias and weight gradient, written into ``gb`` and ``gw``."""
-    np.sum(dz, axis=0, out=gb)
-    if sample is not None:
-        np.multiply(gb[:, None], sample, out=gw)
-    np.matmul(dz.T, a, out=gw[:, block])
+    """Whether ``backward`` on ``rows`` rows computes its gradient as two row
+    halves: whether a dense layer past the first has a weight product
+    ``dz.T @ a`` of at least ``HANDOFF_MIN_MACS`` multiply-adds over them."""
+    sizes = [layer.weights.size for layer in net.layers[1:] if isinstance(layer, DenseLayer)]
+    return rows >= 2 and rows * max(sizes, default=0) >= HANDOFF_MIN_MACS
 
 
 def backward(
@@ -449,88 +442,97 @@ def backward(
     that the caller owns and no later call changes.
 
     ``step``, when given, is called as ``step(k)`` once for every layer k,
-    from the last layer to the first, as soon as layer k's weight and bias
-    gradient in ``out`` are final and the pass no longer reads the layer's
-    parameters, that is after its input gradient ``dz @ W``.  It may then
-    change layer k's parameters and its slice of ``out``, and nothing
-    else.  The smoother applies its SGD step this way, while the layer's
-    gradient is still in cache.
+    from the last layer to the first, once layer k's gradient in ``out`` is
+    final and the pass no longer reads its parameters.  It may then change
+    layer k's parameters and its slice of ``out``, and nothing else.  The
+    smoother applies its SGD step this way.
 
-    When the calling thread may use two CPUs or more, a dense layer k >= 1
-    whose weight product ``dz.T @ a`` has at least ``HANDOFF_MIN_MACS``
-    multiply-adds (``hands_off``) has its bias and weight gradient queued
-    on the process's helper thread (``_threads.queue``), in a copy of the
-    caller's context.  This thread goes on with the input gradient
-    ``dz @ W``, queues the layer's ``step`` behind the product and goes on
-    down the chain without waiting.  Before the call returns, the tasks the
-    helper has not started are taken back and run here in queued order, and
-    the others are waited for (``_threads.finish``), so a helper held up by
-    other work delays the call by no more than its running task.  No call
-    returns or raises while a task it queued is running, and an error on
-    this thread is raised in preference to one on the helper.  Each product
-    and each step is the same whole call on either thread, so the results
-    are the same bit for bit.
+    A batch on which ``hands_off`` holds is passed as two row halves, the
+    first ``rows // 2`` rows and the rest, each scaled as the whole batch
+    (``2 / rows``); the halves are summed into ``out``, and then every layer
+    steps.  With two CPUs allowed, the second half is one task on the
+    helper thread (``_threads.queue``, in the caller's context), taken back
+    and run here if it has not started when the first half ends
+    (``_threads.finish``).  No call ends while its task runs, and an error
+    on this thread wins over one on the helper.  Each half is the same pass
+    on either thread, so the result does not depend on the CPU count.  Any
+    other batch is one pass that calls ``step(k)`` right after layer k's
+    input gradient ``dz @ W``, while the layer's gradient is in cache.
     """
     lowered = _lowered(net, batch.inputs)
     if out is None:
         out = net.params.zeros_like()
     elif out.layout != net.params.layout:
         raise NetworkShapeError("gradient buffer layout does not match the network")
+    rows = len(lowered)
+    if not hands_off(net, rows):
+        _gradient_pass(net, lowered, batch.targets, rows, out, step)
+        return out
+    h = rows // 2
+    second = ParamVector(np.empty_like(out.data), out.layout)
+    half = (net, lowered[h:], batch.targets[h:], rows, second)
+    if _threads.allowed_cpus() < 2:
+        _gradient_pass(net, lowered[:h], batch.targets[:h], rows, out)
+        _gradient_pass(*half)
+    else:
+        # the task writes into ``second`` and reads this call's arrays, so
+        # it may not outlive the call
+        task = _threads.queue(_gradient_pass, *half)
+        try:
+            _gradient_pass(net, lowered[:h], batch.targets[:h], rows, out)
+        except BaseException:
+            _threads.finish(task, run=False)
+            raise
+        _threads.finish(task)
+    out.data += second.data
+    if step is not None:
+        for k in range(net.n_layers - 1, -1, -1):
+            step(k)
+    return out
+
+
+def _gradient_pass(net: Network, lowered: LoweredInput, targets, rows: int,
+                   out: "ParamVector", step=None) -> None:
+    """The squared-loss gradient over ``lowered``, scaled by ``2 / rows``, into
+    ``out``; ``step(k)``, when given, runs after layer k's input gradient."""
     caches = []
     # the predictions are the call's own, so the loss gradient overwrites them
     g = _forward(net, lowered, caches)
-    np.subtract(g, batch.targets, out=g)
-    g *= 2.0 / g.shape[0]
+    np.subtract(g, targets, out=g)
+    g *= 2.0 / rows
 
-    rows = g.shape[0]
-    may_hand_off = hands_off(net, rows) and _threads.allowed_cpus() >= 2
-    # the tasks queued on the helper write into ``out`` and read this
-    # call's arrays, so none of them may outlive the call
-    queued = []
-    try:
-        for k in range(net.n_layers - 1, -1, -1):
-            layer = net.layers[k]
-            a_k, z_k = caches[k]
-            dz = g.reshape(z_k.shape)
-            if k < net.n_layers - 1:
-                # dz is this call's own array, and z_k the layer's activation,
-                # positive where its pre-activation was; the ReLU subgradient at
-                # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
-                np.multiply(dz, z_k > 0.0, out=dz)
-            gw, gb = out.weights(k), out.bias(k)
-            # a folded first layer's weight gradient sums over the batch on the
-            # varying block; the rest is the batch-summed upstream times the sample
-            block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
-            handed = may_hand_off and k > 0 and _hand_off(rows, layer)
-            if isinstance(layer, ConvLayer):
-                # a_k is the patch matrix; the first layer's input gradient is never used
-                in_hw = net.interfaces[k][1:] if k > 0 else None
-                gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
-                if sample is not None:
-                    up = dz.sum(axis=0).reshape(layer.out_channels, -1)
-                    np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
-                gw[:, block] = gk
-                gb[...] = gbias
-            else:
-                args = (dz, a_k, sample, block, gw, gb)
-                if handed:
-                    queued.append(_threads.queue(_dense_gradient, *args))
-                else:
-                    _dense_gradient(*args)
-                if k > 0:
-                    g = dz @ layer.weights
-            if step is None:
-                continue
+    for k in range(net.n_layers - 1, -1, -1):
+        layer = net.layers[k]
+        a_k, z_k = caches[k]
+        dz = g.reshape(z_k.shape)
+        if k < net.n_layers - 1:
+            # dz is this call's own array, and z_k the layer's activation,
+            # positive where its pre-activation was; the ReLU subgradient at
+            # exactly 0 is 0, and the boolean mask multiplies like 1.0/0.0
+            np.multiply(dz, z_k > 0.0, out=dz)
+        gw, gb = out.weights(k), out.bias(k)
+        # a folded first layer's weight gradient sums over the batch on the
+        # varying block; the rest is the batch-summed upstream times the sample
+        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+        if isinstance(layer, ConvLayer):
+            # a_k is the patch matrix; the first layer's input gradient is never used
+            in_hw = net.interfaces[k][1:] if k > 0 else None
+            gk, gbias, g = conv_backward_batch(_channel_block(layer, block), a_k, dz, in_hw)
+            if sample is not None:
+                up = dz.sum(axis=0).reshape(layer.out_channels, -1)
+                np.matmul(up, sample.T, out=gw.reshape(layer.out_channels, -1))
+            gw[:, block] = gk
+            gb[...] = gbias
+        else:
+            np.sum(dz, axis=0, out=gb)
+            if sample is not None:
+                np.multiply(gb[:, None], sample, out=gw)
+            np.matmul(dz.T, a_k, out=gw[:, block])
+            if k > 0:
+                g = dz @ layer.weights
+        if step is not None:
             # nothing below reads layer k's parameters or gradient again
-            if handed:
-                queued.append(_threads.queue(step, k))
-            else:
-                step(k)
-    except BaseException:
-        _threads.finish(queued, run=False)
-        raise
-    _threads.finish(queued)
-    return out
+            step(k)
 
 
 class ParamVector:

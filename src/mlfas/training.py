@@ -169,12 +169,10 @@ def sgd_smooth(
 
     The update is ``backward``'s ``step``: it runs on one layer's slice of
     the vectors at a time, as soon as ``backward`` has finished with the
-    layer, so the layer's gradient is still in cache.  A layer whose weight
-    product ``backward`` hands to the helper thread is updated there, behind
-    that product, unless ``backward`` takes the step back before the helper
-    starts it.  Each entry goes through the same operations as a
-    whole-vector update would take it, on either thread, so the result is
-    the same bit for bit.
+    layer, so the layer's gradient is still in cache; on a batch that
+    ``backward`` passes as two row halves, after the halves are summed.
+    Each entry goes through the same operations as a whole-vector update
+    would take it, so the result is the same bit for bit.
     """
     batch_iter = iter(batches)
 

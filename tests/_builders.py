@@ -212,9 +212,12 @@ def term_magnitudes(net, inputs, targets):
             reference_backward(absolute, x, -np.abs(targets)))
 
 
-def reference_backward(net, inputs, targets, conv=CURRENT_CONV):
+def reference_backward(net, inputs, targets, conv=CURRENT_CONV, rows=None):
     """Batch-mean squared-loss gradient on the raw rows ``inputs`` and
     ``targets``, one fresh array per block.
+
+    ``rows`` is the batch size the mean divides by, by default the number
+    of rows given; a row half of a batch passes the whole batch's.
 
     ``conv`` is the (forward, backward) pair used for conv layers, called as
     ``forward(layer, x)`` and ``backward(layer, x, upstream)``; the default
@@ -225,7 +228,7 @@ def reference_backward(net, inputs, targets, conv=CURRENT_CONV):
 
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     preds, caches = _reference_forward_cached(net, x, conv)
-    b = x.shape[0]
+    b = x.shape[0] if rows is None else rows
     g = (2.0 / b) * (preds - targets)
 
     grads = [None] * net.n_layers
@@ -323,14 +326,22 @@ def reference_sgd_smooth(net, momentum, cfg, rows, tilt=None):
 
     ``rows`` yields one raw (inputs, targets) pair per step.  ``tilt`` is
     the pre-scaled tau tilt (``gamma`` times the correction), subtracted
-    from every step's whole gradient vector.
+    from every step's whole gradient vector.  A batch that ``backward``
+    passes as two row halves has the sum of the halves' gradients.
     """
-    from mlfas.nets import flatten, unflatten
+    from mlfas.nets import flatten, hands_off, unflatten
 
     rows_iter = iter(rows)
     x = flatten(net)
     for _ in range(cfg.steps_per_smooth):
-        grad = reference_backward(net, *next(rows_iter)).data
+        inputs, targets = next(rows_iter)
+        n = len(inputs)
+        if hands_off(net, n):
+            h = n // 2
+            grad = reference_backward(net, inputs[:h], targets[:h], rows=n).data
+            grad += reference_backward(net, inputs[h:], targets[h:], rows=n).data
+        else:
+            grad = reference_backward(net, inputs, targets).data
         if cfg.weight_decay:
             grad += cfg.weight_decay * x.data
         if tilt is not None:

@@ -461,15 +461,15 @@ class TestRunExperiment:
         serial_meta = (serial_dir / "run_metadata.txt").read_text().splitlines()
         assert len(gradients) == 1 and gradients[0] in serial_meta
 
-    HANDOFF = ("dense weight products past the first layer of at least 2^23 multiply-adds, "
-               "each followed by its layer's SGD step, run on one helper thread")
+    SPLIT = ("a batch with a dense weight product past the first layer of at least "
+             "2^23 multiply-adds passes as two row halves, summed")
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
                                                    cpus):
-        line = ("# gradient products: "
-                + (f"all in line (1 CPU allowed; from 2 CPUs, {self.HANDOFF})" if cpus == 1
-                   else f"{self.HANDOFF} ({cpus} CPUs allowed)"))
+        line = (f"# gradient products: {self.SPLIT}, "
+                + ("both in line (1 CPU allowed; from 2 CPUs, the second on one helper thread)"
+                   if cpus == 1 else f"the second on one helper thread ({cpus} CPUs allowed)"))
         ds, path = tiny_dataset
         monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)

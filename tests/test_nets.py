@@ -638,6 +638,32 @@ class TestLoweringGeometry:
             with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
                 backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))
 
+    @pytest.mark.parametrize("arch, shape", [("dense:9", 6), ("conv:4k3s1p1,dense:9", (2, 3, 3))])
+    def test_raw_rows_rejected_naming_lower_input(self, arch, shape):
+        rng = np.random.default_rng(49)
+        net = build_network(arch, shape, 3, rng=rng)
+        rows = np.ones((3, net.input_size))
+        with pytest.raises(TypeError, match="LoweredInput made by lower_input, got ndarray"):
+            forward_batch(net, rows)
+        # a Minibatch refuses raw rows itself; one whose inputs were swapped
+        # for them after is refused by the network
+        batch = random_batch(rng, net, size=3)
+        batch.inputs = rows
+        for call in (loss, backward):
+            with pytest.raises(TypeError, match="lower_input"):
+                call(net, batch)
+
+
+def test_package_root_builds_a_lowered_batch():
+    import mlfas
+
+    rng = np.random.default_rng(50)
+    net = build_network("dense:9", 6, 3, rng=rng)
+    x, y = random_rows(rng, net, size=4)
+    batch = mlfas.Minibatch(mlfas.lower_input(net, x), y)
+    assert isinstance(batch.inputs, mlfas.LoweredInput)
+    assert mlfas.loss(net, batch) == loss(net, lowered_batch(net, x, y))
+
 
 SMALL_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
 
@@ -657,8 +683,8 @@ def nan_gradient(net):
 
 
 class TestBackwardChain:
-    """On nets below the hand-off gate, ``backward`` runs every product and
-    step in line, on the caller's thread."""
+    """On batches below the hand-off gate, ``backward`` is one in-line pass
+    on the caller's thread, with each layer's step inside the chain."""
 
     @pytest.mark.parametrize("arch, shape", SMALL_NETS)
     def test_out_and_step_leave_the_gradient_unchanged(self, arch, shape):
@@ -848,8 +874,8 @@ class TestBackwardChain:
         assert threading.active_count() == before
 
 
-# the benchmark conv net on n = 32 Poisson inputs; at batch 200 both of its
-# dense products pass the hand-off gate
+# the benchmark conv net on n = 32 Poisson inputs; at batch 200 its dense
+# products pass the hand-off gate
 CONV_NET = ("conv:8k3s2p1,dense:64", (3, 32, 32), 1024)
 
 
@@ -859,33 +885,38 @@ def conv_net_and_batch(seed, rows=200):
     return net, random_batch(rng, net, size=rows)
 
 
-def record_products(monkeypatch):
-    """The threads that ran ``_dense_gradient``, one entry per call."""
-    threads = []
-    product = nets._dense_gradient
+def record_halves(monkeypatch):
+    """The (thread, rows) of every in-line gradient pass, one entry per call."""
+    passes = []
+    gradient_pass = nets._gradient_pass
 
-    def recording(*args):
-        threads.append(threading.current_thread())
-        product(*args)
+    def recording(net, lowered, *args):
+        passes.append((threading.current_thread(), len(lowered)))
+        gradient_pass(net, lowered, *args)
 
-    monkeypatch.setattr(nets, "_dense_gradient", recording)
-    return threads
+    monkeypatch.setattr(nets, "_gradient_pass", recording)
+    return passes
+
+
+def on_helper(passes):
+    """Whether any of the recorded passes ran on another thread than this one."""
+    return any(t is not threading.current_thread() for t, _ in passes)
 
 
 def hand_off_everything(monkeypatch):
-    """Hand every dense product past the first layer to the helper, on 2
-    CPUs, and let the helper run each task before ``backward`` ends, so that
-    none is taken back; returns the threads that ran the products."""
+    """Split every batch of two rows or more, on 2 CPUs, and let the helper
+    start its half before ``backward`` ends it, so that none is taken back;
+    returns the recorded passes."""
     monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
     use_cpus(monkeypatch, 2)
     finish = _threads.finish
 
-    def patient(tasks, run=True):
-        futures.wait([future for future, _, _ in tasks])
-        finish(tasks, run)
+    def patient(task, run=True):
+        futures.wait([task[0]])
+        finish(task, run)
 
     monkeypatch.setattr(_threads, "finish", patient)
-    return record_products(monkeypatch)
+    return record_halves(monkeypatch)
 
 
 def sgd_step(net, out, momentum):
@@ -900,9 +931,18 @@ def sgd_step(net, out, momentum):
     return step
 
 
+def stepped_bytes(net, batch):
+    """The gradient, stepped parameters and momentum of one ``sgd_step``
+    pass on a copy of ``net``, as bytes."""
+    stepped, momentum = net.copy(), net.params.zeros_like()
+    got = backward(stepped, batch, out=stepped.grad, step=sgd_step(stepped, stepped.grad, momentum))
+    return [got.data.tobytes(), stepped.params.data.tobytes(), momentum.data.tobytes()]
+
+
 class TestHandOff:
-    """Large dense weight products past the first layer, and the step behind
-    each, run on the process's one helper thread when 2 CPUs are allowed."""
+    """A batch that passes the hand-off gate is passed as two row halves,
+    the second on the process's one helper thread when 2 CPUs are allowed,
+    and the layers step after the halves are summed."""
 
     def test_gate_separates_the_benchmark_nets(self, monkeypatch):
         conv, batch = conv_net_and_batch(20)
@@ -915,146 +955,187 @@ class TestHandOff:
         assert max(macs(dense)) == 6_553_600 < nets.HANDOFF_MIN_MACS
         assert nets.hands_off(conv, 200) and nets.hands_off(coarse, 200)
         assert not nets.hands_off(dense, 200)
+        # a 99-row batch splits and a 42-row one stays whole
+        assert nets.hands_off(conv, 99) and not nets.hands_off(conv, 42)
         queued = []
         queue = _threads.queue
         monkeypatch.setattr(_threads, "queue", lambda fn, *args: (
             queued.append(fn), queue(fn, *args))[1])
+        passes = record_halves(monkeypatch)
         use_cpus(monkeypatch, 2)
         backward(dense, random_batch(np.random.default_rng(2), dense, size=200),
                  step=lambda k: None)
-        assert queued == []
+        assert queued == [] and [rows for _, rows in passes] == [200]
         backward(conv, batch, step=lambda k: None)
-        assert len(queued) == 4  # two products, each with its step
+        assert queued == [nets._gradient_pass]  # the second half, one task
+        backward(conv, random_batch(np.random.default_rng(3), conv, size=99))
+        assert len(queued) == 2
         use_cpus(monkeypatch, 1)
         backward(conv, batch, step=lambda k: None)
-        assert len(queued) == 4
+        assert len(queued) == 2
+        assert [rows for _, rows in passes] == [200, 100, 100, 49, 50, 100, 100]
+        # one row never splits, whatever the gate
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        assert nets.hands_off(dense, 2) and not nets.hands_off(dense, 1)
+
+    @pytest.mark.parametrize("arch, shape, n_out, sizes", [
+        (*CONV_NET, (200, 199, 99)),
+        ("dense:12,dense:9,dense:7", 10, 4, (2, 3, 7)),
+        ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7), 4, (3, 5)),
+    ])
+    def test_split_gradient_equals_the_whole_batch_one(self, monkeypatch, arch, shape, n_out,
+                                                       sizes):
+        rng = np.random.default_rng(23)
+        net = build_network(arch, shape, n_out, rng=rng)
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        passes = record_halves(monkeypatch)
+        for rows in sizes:
+            x, y = random_rows(rng, net, size=rows)
+            # the inputs past the first channel or the first half of the
+            # features are shared, so the first layer is folded
+            shared = x.reshape(rows, shape[0], -1) if isinstance(shape, tuple) else x
+            shared[:, shared.shape[1] // 2:] = shared[:1, shared.shape[1] // 2:]
+            batch = lowered_batch(net, x, y)
+            assert batch.inputs.sample is not None
+            assert nets.hands_off(net, rows)
+            start = len(passes)
+            got = backward(net, batch)
+            assert [r for _, r in passes[start:]] == [rows // 2, rows - rows // 2]
+            _, scale = term_magnitudes(net, x, y)
+            assert_gradients_match(got, reference_backward(net, x, y), batch.inputs.block,
+                                   scale=scale)
+
+    @pytest.mark.parametrize("arch, shape", SMALL_NETS)
+    def test_steps_follow_the_summed_halves_on_the_callers_thread(self, monkeypatch, arch,
+                                                                  shape):
+        net = build_network(arch, shape, 4, rng=np.random.default_rng(24))
+        batch = random_batch(np.random.default_rng(25), net, size=7)
+        passes = hand_off_everything(monkeypatch)
+        ref = backward(net, batch)
+        out = nan_gradient(net)
+        seen = []
+
+        def step(k):
+            seen.append((k, threading.current_thread(), len(passes)))
+            # every layer's gradient is final, and the steps above changed
+            # only their own slices
+            for j in range(k + 1):
+                assert out.layer(j).tobytes() == ref.layer(j).tobytes()
+
+        backward(net, batch, out=out, step=step)
+        caller = threading.current_thread()
+        assert seen == [(k, caller, 4) for k in range(net.n_layers - 1, -1, -1)]
+        assert on_helper(passes[2:])
 
     def test_conv_net_gradient_does_not_depend_on_the_cpu_count(self, monkeypatch):
         net, batch = conv_net_and_batch(21)
-        threads = record_products(monkeypatch)
+        passes = record_halves(monkeypatch)
         results = {}
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            momentum = net.params.zeros_like()
-            stepped = net.copy()
-            results[cpus] = [backward(net, batch).data.tobytes(),
-                             backward(stepped, batch, out=stepped.grad,
-                                      step=sgd_step(stepped, stepped.grad, momentum)).data.tobytes(),
-                             stepped.params.data.tobytes(), momentum.data.tobytes()]
+            start = len(passes)
+            # the helper may be slow to start its half; give it three chances
+            results[cpus] = [[backward(net, batch).data.tobytes()] + stepped_bytes(net, batch)
+                             for _ in range(3)]
+            assert on_helper(passes[start:]) == (cpus == 2)
         assert results[2] == results[1]
-        caller = threading.current_thread()
-        assert threads[:4] == [caller] * 4  # one CPU: every product in line
-        assert any(t is not caller for t in threads[4:])
+        assert all(r == results[1][0] for r in results[1])
 
     def test_taken_back_tasks_give_the_same_bytes(self, monkeypatch):
         net, batch = conv_net_and_batch(22)
-        stepped, momentum = net.copy(), net.params.zeros_like()
-        ref = backward(stepped, batch, out=stepped.grad,
-                       step=sgd_step(stepped, stepped.grad, momentum))
-        ref = [ref.data.tobytes(), stepped.params.data.tobytes(), momentum.data.tobytes()]
+        use_cpus(monkeypatch, 1)
+        ref = stepped_bytes(net, batch)
         use_cpus(monkeypatch, 2)
-        threads = record_products(monkeypatch)
+        passes = record_halves(monkeypatch)
         release = threading.Event()
         blocker = _threads.queue(release.wait, 10)[0]
         try:
-            stepped, momentum = net.copy(), net.params.zeros_like()
-            got = backward(stepped, batch, out=stepped.grad,
-                           step=sgd_step(stepped, stepped.grad, momentum))
+            got = stepped_bytes(net, batch)
             assert not blocker.done()
         finally:
             release.set()
         assert blocker.result()
-        assert [got.data.tobytes(), stepped.params.data.tobytes(),
-                momentum.data.tobytes()] == ref
-        assert threads == [threading.current_thread()] * 2
+        assert got == ref
+        assert passes == [(threading.current_thread(), 100)] * 2
 
     @pytest.mark.parametrize("fails", ["product", "step", "caller", "caller and product"])
     def test_errors_are_raised_after_every_task_ended(self, monkeypatch, fails):
-        # layer 0 is the conv layer, layers 1 to 3 dense and handed off
+        # "product" is the helper's half, "caller" this thread's; layer 0 is
+        # the conv layer, layers 1 to 3 dense
         net = build_network(*SMALL_NETS[1], 4, rng=np.random.default_rng(8))
         batch = random_batch(np.random.default_rng(9), net, size=5)
         monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
         use_cpus(monkeypatch, 2)
-        layer_of = {net.layers[k].weights.shape: k for k in (1, 2, 3)}
-        running, ended = [], []
-        product = nets._dense_gradient
+        running, ended, stepped = [], [], []
+        gradient_pass = nets._gradient_pass
 
-        def helper_task(name, fn, *args):
-            # a handed-off task takes long enough to be running when the caller
-            # fails; a caller that does not fail outlasts them all
-            running.append(name)
+        def timed_pass(net, lowered, *args):
+            if len(lowered) == 2:  # this thread's half
+                if fails.startswith("caller"):
+                    # fail while the helper's half runs
+                    deadline = time.monotonic() + 10
+                    while not running and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    raise RuntimeError("caller failed")
+                time.sleep(0.5)  # the helper ends its half meanwhile
+                return gradient_pass(net, lowered, *args)
+            # the helper's half takes long enough to be running when the caller fails
+            running.append("product")
             time.sleep(0.05)
-            ended.append(name)
-            running.remove(name)
-            if name == {"product": ("product", 2), "step": ("step", 2),
-                        "caller and product": ("product", 3)}.get(fails):
-                raise ValueError(f"{name} failed")
-            fn(*args)
-
-        def timed_product(dz, a, sample, block, gw, gb):
-            helper_task(("product", layer_of[gw.shape]), product, dz, a, sample, block, gw, gb)
+            ended.append("product")
+            running.remove("product")
+            if fails in ("product", "caller and product"):
+                raise ValueError("product failed")
+            return gradient_pass(net, lowered, *args)
 
         def step(k):
-            if k > 0:
-                helper_task(("step", k), lambda: None)
+            stepped.append(k)
+            if fails == "step" and k == 2:
+                raise ValueError("step failed")
 
-        conv = nets.conv_backward_batch
-
-        def conv_layer(*args):
-            if fails.startswith("caller"):
-                # fail while a handed-off task runs
-                deadline = time.monotonic() + 10
-                while not running and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                raise RuntimeError("caller failed")
-            time.sleep(0.5)  # the helper ends every task meanwhile
-            return conv(*args)
-
-        monkeypatch.setattr(nets, "_dense_gradient", timed_product)
-        monkeypatch.setattr(nets, "conv_backward_batch", conv_layer)
+        monkeypatch.setattr(nets, "_gradient_pass", timed_pass)
         with pytest.raises(RuntimeError if fails.startswith("caller") else ValueError,
                            match=f"{fails.split()[0]}.* failed"):
             try:
                 backward(net, batch, step=step)
             finally:
                 assert running == []
-        order = [(what, k) for k in (3, 2, 1) for what in ("product", "step")]
-        if fails.startswith("caller"):
-            # the running task was waited for, the tasks not yet started
-            # were dropped, and no task ran later
-            assert ended and ended == order[:len(ended)]
-            time.sleep(0.2)
-            assert ended == order[:len(ended)] and running == []
-        else:
-            assert ended == order
+        # the helper's half ran once, and no layer steps after a failed half
+        assert ended == ["product"]
+        assert stepped == ([3, 2] if fails == "step" else [])
+        time.sleep(0.1)
+        assert ended == ["product"] and running == []
 
     def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
-        # only the handed-off product dz.T @ a overflows: the second layer's
-        # weights are zero, so its forward product and dz @ W are 0
+        # only the helper's half overflows, in the product dz.T @ a of the
+        # second layer: its weights are zero, so its forward product and
+        # dz @ W are 0
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.zeros((1, 3)), np.zeros(1))])
-        batch = lowered_batch(net, np.full((4, 2), 1e300), np.full((4, 1), 1e10))
-        threads = hand_off_everything(monkeypatch)
+        inputs = np.ones((4, 2))
+        inputs[2:] = 1e300
+        batch = lowered_batch(net, inputs, np.full((4, 1), 1e10))
+        passes = hand_off_everything(monkeypatch)
         caller = threading.current_thread()
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             backward(net, batch)
-        # the first layer's product, not handed off, runs here
-        assert sorted(t is caller for t in threads) == [False, True]
+        assert [t is caller for t, _ in passes] == [True, False]
         with np.errstate(all="ignore"):
             grad = backward(net, batch)
-        assert sorted(t is caller for t in threads[2:]) == [False, True]
+        assert [t is caller for t, _ in passes[2:]] == [True, False]
         assert np.isinf(grad.weights(1)).all()
         assert np.isfinite(grad.weights(0)).all()
 
     def test_concurrent_callers_get_their_single_thread_bytes(self, monkeypatch):
+        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
+        use_cpus(monkeypatch, 1)
         nets_and_batches = []
         for seed in range(4):
             net = build_network(*SMALL_NETS[seed % 2], 4, rng=np.random.default_rng(seed))
             batch = random_batch(np.random.default_rng(seed + 10), net, size=6)
             nets_and_batches.append((net, batch, backward(net, batch).data.tobytes()))
-        monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
         use_cpus(monkeypatch, 2)
-        threads = record_products(monkeypatch)
+        passes = record_halves(monkeypatch)
         mismatches = []
 
         def caller(net, batch, ref):
@@ -1074,7 +1155,7 @@ class TestHandOff:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert mismatches == []
-        assert set(threads) - set(callers)  # some products ran on the helper
+        assert {t for t, _ in passes} - set(callers)  # some halves ran on the helper
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
@@ -1082,18 +1163,18 @@ class TestHandOff:
     def test_forked_child_gets_a_helper_of_its_own(self, monkeypatch):
         net = build_network(*SMALL_NETS[0], 4, rng=np.random.default_rng(10))
         batch = random_batch(np.random.default_rng(11), net, size=5)
-        threads = hand_off_everything(monkeypatch)
+        passes = hand_off_everything(monkeypatch)
         ref = backward(net, batch)  # the parent's helper thread is running
         caller = threading.current_thread()
-        (helper,) = set(threads) - {caller}
+        (helper,) = {t for t, _ in passes} - {caller}
         fork = multiprocessing.get_context("fork")
         results = fork.Queue()
 
         def child():
-            seen = len(threads)
+            seen = len(passes)
             got = backward(net, batch).data.tobytes()
-            # the child's products past the first ran on a helper of its own
-            helpers = set(threads[seen:]) - {threading.current_thread()}
+            # the child's second half ran on a helper of its own
+            helpers = {t for t, _ in passes[seen:]} - {threading.current_thread()}
             results.put((got, len(helpers) == 1 and helper not in helpers))
 
         proc = fork.Process(target=child)

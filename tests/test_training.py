@@ -34,6 +34,7 @@ from mlfas.nets import (
     backward,
     flatten,
     forward_batch,
+    loss,
     unflatten,
 )
 from mlfas.training import (
@@ -53,10 +54,11 @@ from mlfas.transfer import (
     coarsen_network,
     prolong_params,
     refresh_weights,
+    restrict_gradient,
     restrict_network,
     restrict_params,
 )
-from test_nets import CONV_NET, record_products, use_cpus
+from test_nets import CONV_NET, on_helper, record_halves, use_cpus
 from test_transfer import identity_level
 
 
@@ -184,7 +186,7 @@ class TestLayerStep:
     @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
     def test_each_step_follows_its_input_gradient(self, monkeypatch, arch, shape, n_out):
         if arch.startswith("conv"):
-            self.check_handed_off_steps(monkeypatch, arch, shape, n_out)
+            self.check_split_steps(monkeypatch, arch, shape, n_out)
             return
         net, _, batches, momentum, tau = self.setup(arch, shape, n_out)
         log = []
@@ -206,56 +208,35 @@ class TestLayerStep:
             expected += [("input gradient", net.layers[k].weights.shape), ("step", k)]
         assert log == expected + [("step", 0)]
 
-    def check_handed_off_steps(self, monkeypatch, arch, shape, n_out):
-        """The conv net's dense layers hand their products and steps to the
-        helper: each layer steps once, after its own product and its own
-        ``dz @ W``, and never while either of them runs."""
+    def check_split_steps(self, monkeypatch, arch, shape, n_out):
+        """The conv net passes its batch of 200 as two row halves, the second
+        on the helper: each layer steps once, on this thread, after both
+        halves, with every input gradient ``dz @ W`` of each, have ended."""
         net, _, batches, momentum, tau = self.setup(arch, shape, n_out)
-        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        clock = itertools.count()  # next() is atomic, so it orders both threads' events
-        spans = {}  # (what, layer) -> [(start, end, thread)]
-        layer_of = {layer.weights.shape: k for k, layer in enumerate(net.layers)}
+        use_cpus(monkeypatch, 2)
+        log = []
+        gradient_pass = nets._gradient_pass
 
-        def span(what, k, fn, *args):
-            start = next(clock)
-            result = fn(*args)
-            spans.setdefault((what, k), []).append((start, next(clock), threading.get_ident()))
-            return result
-
-        product = nets._dense_gradient
-        monkeypatch.setattr(nets, "_dense_gradient", lambda dz, a, sample, block, gw, gb: span(
-            "product", layer_of[gw.shape], product, dz, a, sample, block, gw, gb))
-
-        class TimedWeights(np.ndarray):
-            # only the layer's own array is timed, not the forward pass's views
-            timed = False
-
-            def __rmatmul__(self, other):
-                w = self.view(np.ndarray)
-                if not self.timed:
-                    return other @ w
-                return span("input gradient", layer_of[w.shape], np.matmul, other, w)
-
-        for layer in net.layers[1:]:
-            layer.weights = layer.weights.view(TimedWeights)
-            layer.weights.timed = True
+        def logged_pass(net, lowered, *args):
+            gradient_pass(net, lowered, *args)
+            log.append(("half", len(lowered), threading.current_thread()))
 
         def recording(net, batch, out=None, step=None):
-            return backward(net, batch, out=out, step=lambda k: span("step", k, step, k))
+            return backward(net, batch, out=out, step=lambda k: (
+                log.append(("step", k, threading.current_thread())), step(k)))
 
+        monkeypatch.setattr(nets, "_gradient_pass", logged_pass)
         monkeypatch.setattr(training, "backward", recording)
+        log_input_gradients(net, log)
         sgd_smooth(net, momentum, SmootherConfig(learning_rate=1e-3), batches[:1], tilt=tau)
-        caller = threading.get_ident()
-        assert [len(spans[("step", k)]) for k in range(net.n_layers)] == [1] * net.n_layers
-        for k in range(1, net.n_layers):
-            (step,) = spans[("step", k)]
-            (product,) = spans[("product", k)]
-            (input_gradient,) = spans[("input gradient", k)]
-            assert step[0] > product[1] and step[0] > input_gradient[1]
-            assert input_gradient[2] == caller
-        # the dense layers' products ran on the helper unless taken back
-        assert {spans[("product", k)][0][2] for k in range(1, net.n_layers)} - {caller}
-        assert spans[("step", 0)][0][2] == caller
+        caller = threading.current_thread()
+        chain, steps = log[:-net.n_layers], log[-net.n_layers:]
+        halves = [entry[1:] for entry in chain if entry[0] == "half"]
+        assert [rows for rows, _ in halves] == [100, 100]
+        assert caller in {thread for _, thread in halves}
+        dense = [layer.weights.shape for layer in net.layers[1:]]
+        assert sorted(e[1] for e in chain if e[0] == "input gradient") == sorted(dense * 2)
+        assert steps == [("step", k, caller) for k in range(net.n_layers - 1, -1, -1)]
 
 
 class TestComputeTau:
@@ -357,6 +338,69 @@ class TestComputeTau:
                 tau = taus[lvl.net]
                 assert np.abs(tau.data).max() > 0.0
                 assert lvl.tilt.data.tobytes() == (gamma * tau.data).tobytes()
+
+
+class TestDescentIdentity:
+    """A whole coarse visit is first-order coherent with the fine problem.
+
+    Through ``v_cycle`` at depth 2: one batch is both the tau group and the
+    coarse smoothing batch, ``gamma`` is 1, the fine level does not smooth,
+    and the coarse level takes one SGD step of size eps, with no momentum
+    and ``eta`` 1.  The tilted coarse gradient at Pi x is then R g, so the
+    correction moves x by -eps P R g, and the fine loss on the batch
+    changes by -eps ||R g||^2 + O(eps^2), as ``R = P^T``: the relative
+    error of that prediction falls in proportion to eps.  The check guards
+    the restriction, tau's sign, the tilt, the visit's ``start`` and the
+    correction together.
+    """
+
+    EPSILONS = (1e-3, 1e-4, 1e-5)
+
+    def relative_errors(self, net, split, weighted, theta):
+        errors = []
+        for eps in self.EPSILONS:
+            fine = net.copy()
+            h = Hierarchy.build(fine, depth=2, tau_batches=1, theta=theta, weighted=weighted)
+            sched = MinibatchScheduler(split, len(split), np.random.default_rng(0))
+            groups = []
+            draw = sched.next_tau_group
+            sched.next_tau_group = lambda m: groups.append(draw(m)) or groups[-1]
+            cfgs = [SmootherConfig(learning_rate=eps, momentum_coeff=0.0, steps_per_smooth=0),
+                    SmootherConfig(learning_rate=eps, momentum_coeff=0.0)]
+            v_cycle(h, 0, cfgs, StabilityConfig(eta=1.0, gamma=1.0), sched)
+            (batch,) = groups[0]
+            # the visit refreshed the transfer at the start, where the fine
+            # net is still ``net``
+            r_g = restrict_gradient(h.levels[0].transfer, backward(net, batch)).data
+            predicted = -eps * (r_g @ r_g)
+            change = loss(fine, batch).l2 - loss(net, batch).l2
+            errors.append(abs(change - predicted) / abs(predicted))
+        return errors
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["dense", "conv", "split conv"])
+    def test_fine_loss_falls_by_eps_times_the_restricted_gradient_squared(self, kind,
+                                                                         weighted):
+        rng = np.random.default_rng(97)
+        rows, theta = 12, -1.0
+        if kind == "dense":
+            net = dense_network([10, 64, 48, 8], rng=rng)
+        elif kind == "conv":
+            net = random_conv_net(rng)
+        else:
+            # the benchmark conv net at batch 200, where both levels pass
+            # their batches as two summed row halves
+            net = build_network(*CONV_NET, rng=rng)
+            rows, theta = 200, 0.1
+        split = lowered_batch(net, rng.normal(size=(rows, net.input_size)),
+                              rng.normal(size=(rows, net.output_size)))
+        errors = self.relative_errors(net, split, weighted, theta)
+        if kind == "split conv":
+            coarse = restrict_network(net, coarsen_network(net, theta=theta))
+            assert nets.hands_off(net, rows) and nets.hands_off(coarse, rows)
+        assert errors[0] < 0.5
+        for larger, smaller in zip(errors, errors[1:]):
+            assert 5.0 < larger / smaller < 20.0
 
 
 def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, gamma):
@@ -890,9 +934,9 @@ class TestTauInLine:
 
 
 class TestOneTrainingThread:
-    """Training runs on its caller's thread; only the conv net's large dense
-    products, at batch 200, draw it onto the one helper thread, and only
-    with a second CPU."""
+    """Training runs on its caller's thread; only the conv net's batches of
+    200, whose second row half goes to the one helper thread, draw it on,
+    and only with a second CPU."""
 
     @pytest.mark.parametrize("arch, shape, n_out", [
         ("dense:128,dense:128", 768, 256),
@@ -941,19 +985,19 @@ class TestOneTrainingThread:
 
 
 class TestConvHandOff:
-    """At batch 200 the conv net hands its dense products to the helper
-    thread on 2 CPUs, and every result is the one of 1 CPU, bit for bit."""
+    """At batch 200 the conv net passes two row halves, the second on the
+    helper thread on 2 CPUs, and every result is the one of 1 CPU, where
+    both halves run in line, bit for bit."""
 
     @staticmethod
     def compare(monkeypatch, run):
-        threads = record_products(monkeypatch)
+        passes = record_halves(monkeypatch)
         results = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            start = len(threads)
+            start = len(passes)
             results.append(run())
-            caller = threading.current_thread()
-            assert any(t is not caller for t in threads[start:]) == (cpus == 2)
+            assert on_helper(passes[start:]) == (cpus == 2)
         assert results[0] == results[1]
 
     @staticmethod
@@ -990,9 +1034,17 @@ class TestConvHandOff:
         self.compare(monkeypatch, run)
 
     def test_run_seed_metric_stream(self, monkeypatch):
+        self.check_run_seed(monkeypatch, 200)
+
+    def test_run_seed_metric_stream_at_an_odd_batch_size(self, monkeypatch):
+        self.check_run_seed(monkeypatch, 99)
+
+    def check_run_seed(self, monkeypatch, batch_size):
+        # 208 training rows: batches of 200 and 8, or of 99 (split 49 and 50) and 10
         ds = generate_dataset(260, 32, seed=12, val_fraction=0.2)
         cfg = ExperimentConfig(dataset="", arch=CONV_NET[0], depth=2, learning_rate=1e-3,
-                               weight_decay=1e-3, max_work_units=8.0, eval_every=2.0)
+                               weight_decay=1e-3, batch_size=batch_size, max_work_units=8.0,
+                               eval_every=2.0)
 
         def run():
             result = run_seed(cfg, 0, ds)
