@@ -18,7 +18,6 @@ from .conv import ConvLayer, to_matrix
 from .nets import (
     DenseLayer,
     LossValue,
-    LoweredInput,
     Minibatch,
     Network,
     ParamVector,

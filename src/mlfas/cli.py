@@ -21,7 +21,7 @@ from .harness import (
     run_grid,
     varied_keys,
 )
-from .nets import Minibatch, loss, lower_input
+from .nets import loss, lower_input
 from .poisson import (
     SolverError,
     generate_dataset,
@@ -83,7 +83,7 @@ def _cmd_eval(args) -> int:
               "all": (ds.flat_inputs(), ds.flat_outputs())}
     x, y = splits[args.split]
     # the split is lowered once, as ``run_seed`` lowers the splits it logs
-    lv = loss(net, Minibatch(lower_input(net, x), y))
+    lv = loss(net, lower_input(net, x, y))
     print(f"{args.split} l2 {lv.l2:.6e}")
     print(f"{args.split} linf {lv.linf:.6e}")
     return 0

@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import re
 import time
@@ -28,7 +29,7 @@ import numpy as np
 from . import _threads, nets
 from .checkpoints import load_network, save_network
 from .conv import ConvLayer
-from .nets import DenseLayer, Minibatch, Network, loss, lower_input, uniform_init
+from .nets import DenseLayer, Network, loss, lower_input, uniform_init
 from .poisson import RegressionDataset, read_dataset
 from .training import (
     DivergenceError,
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("theta must lie in [-1, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # a tuple of ints, which a grid's shared keys hash and config_text writes
+        object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
@@ -332,8 +335,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
     )
     # the input interface is never coarsened, so one lowering per split
     # serves every level's first layer, in training and in evaluation
-    train_mb = Minibatch(lower_input(net, xtr), ytr)
-    val_mb = Minibatch(lower_input(net, xva), yva)
+    train_mb = lower_input(net, xtr, ytr)
+    val_mb = lower_input(net, xva, yva)
     scheduler = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([seed, 101]))
     smoother, stab = cfg.smoother(), cfg.stability()
     hierarchy = Hierarchy.build(

@@ -10,20 +10,20 @@ are one contiguous slice; the layers' arrays are views into it, and
 gradients, momentum and tau tilt vectors reuse the same layout, one
 (weight shape, bias shape) pair per layer.
 
-The first layer always reads a ``LoweredInput``: ``lower_input`` finds the
+A network reads one record, a ``Minibatch``: ``lower_input(net, x, y)``
+pairs targets with input rows lowered for the first layer.  It finds the
 contiguous block of input features (or conv channels) that varies across
 the rows it is given, keeps one sample of the shared rest, and keeps the
 varying block of every row in the form the layer multiplies, the features
 themselves for a dense layer and their im2col patch matrix for a conv
 layer.  The products then run on the block alone, and the shared rest
 enters through one single-sample product per call, in the same loop branch
-that runs the hidden layers of its kind.  A network reads nothing else:
-``forward_batch``, ``loss`` and ``backward`` take lowerings only.  Training
-lowers each data split once and gathers minibatches from the lowering, so
-the fold and the im2col of the input happen once per split, not once per
-gradient or evaluation.  A conv lowering holds
-``kh*kw*oh*ow / (H*W)`` times the varying channels, 2.25x for
-``conv:8k3s2p1`` on a 32 x 32 input.  Of the generated Poisson inputs
+that runs the hidden layers of its kind.  ``forward_batch``, ``loss`` and
+``backward`` take nothing else.  Training lowers each data split once and
+gathers minibatches from its record, so the fold and the im2col of the
+input happen once per split, not once per gradient or evaluation.  A conv
+lowering holds ``kh*kw*oh*ow / (H*W)`` times the varying channels, 2.25x
+for ``conv:8k3s2p1`` on a 32 x 32 input.  Of the generated Poisson inputs
 ``[kappa, x, y]`` only ``kappa`` varies between samples, so the fold
 removes about two thirds of the first layer's work.  The measured cost of a
 gradient is then no longer proportional to the parameter count: the input
@@ -94,22 +94,26 @@ class LossValue:
 
 
 @dataclass(frozen=True)
-class LoweredInput:
-    """Rows of first-layer input lowered for the layer's products.
+class Minibatch:
+    """B paired samples, their inputs lowered for the first layer: the record
+    that ``lower_input`` makes and that ``forward_batch``, ``loss`` and
+    ``backward`` read.
 
-    ``block`` is the slice of axis 1 (dense features or conv channels)
-    whose entries vary across the rows that were lowered, and ``rows`` holds
-    that block of every row: (N, block size) for a dense first layer, the
-    (N, C_b*kh*kw, oh*ow) patch matrix of the block's channels for a conv
-    one.  ``sample`` is the shared rest, one row with the block zeroed and
-    lowered the same way, or None when nothing is folded.  ``geometry`` is
-    the first-layer geometry the lowering was made for (``_geometry``);
-    every level of a hierarchy has the same one, because the input
-    interface is never coarsened.  Indexing with an index array gathers
-    rows and keeps the rest.
+    ``targets`` is (B, d_out).  ``block`` is the slice of axis 1 (dense
+    features or conv channels) whose entries vary across the rows that were
+    lowered, and ``rows`` holds that block of every input: (B, block size)
+    for a dense first layer, the (B, C_b*kh*kw, oh*ow) patch matrix of the
+    block's channels for a conv one.  ``sample`` is the shared rest, one
+    input with the block zeroed and lowered the same way, or None when
+    nothing is folded.  ``geometry`` is the first-layer geometry the record
+    was made for (``_geometry``); every level of a hierarchy has the same
+    one, because the input interface is never coarsened.  Indexing with a
+    slice or an index array gathers rows and targets together and keeps
+    the rest.
     """
 
     rows: np.ndarray
+    targets: np.ndarray
     block: slice
     sample: np.ndarray | None
     geometry: tuple
@@ -117,36 +121,8 @@ class LoweredInput:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, idx) -> "LoweredInput":
-        return replace(self, rows=self.rows[idx])
-
-
-@dataclass
-class Minibatch:
-    """Paired samples: inputs, a ``LoweredInput`` of B rows, and targets (B, d_out).
-
-    Raw input rows are refused; ``lower_input`` lowers them.
-    """
-
-    inputs: LoweredInput
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.inputs, LoweredInput):
-            raise TypeError(
-                f"minibatch inputs must be a LoweredInput made by lower_input, "
-                f"got {type(self.inputs).__name__}"
-            )
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
-        if len(self.inputs) == 0:
-            raise ValueError("minibatch must be nonempty")
-        if len(self.inputs) != self.targets.shape[0]:
-            raise ValueError(
-                f"inputs hold {len(self.inputs)} samples, targets {self.targets.shape[0]}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.inputs)
+    def __getitem__(self, idx) -> "Minibatch":
+        return replace(self, rows=self.rows[idx], targets=self.targets[idx])
 
 
 class Network:
@@ -282,8 +258,10 @@ def _geometry(net: Network) -> tuple:
     return (net.input_size,)
 
 
-def lower_input(net: Network, x) -> LoweredInput:
-    """Lower rows ``x`` (B, input_size) for the network's first layer.
+def lower_input(net: Network, x, y) -> Minibatch:
+    """The ``Minibatch`` of input rows ``x`` (B, input_size) and targets
+    ``y`` (B, d_out), B >= 1, its inputs lowered for the network's first
+    layer.
 
     ``block`` spans the entries of axis 1 (dense features or conv channels)
     that vary across the rows.  Unless they form one block that is neither
@@ -294,10 +272,15 @@ def lower_input(net: Network, x) -> LoweredInput:
     batch gathered from a lowered split keeps the split's block.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != net.input_size:
         raise NetworkShapeError(
             f"input size {x.shape[1]} does not match network input {net.input_size}"
         )
+    if x.shape[0] == 0:
+        raise ValueError("minibatch must be nonempty")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"inputs hold {x.shape[0]} samples, targets {y.shape[0]}")
     layer = net.layers[0]
     conv = isinstance(layer, ConvLayer)
     rows = x.reshape(x.shape[0], net.interfaces[0][0], -1) if conv else x
@@ -314,23 +297,26 @@ def lower_input(net: Network, x) -> LoweredInput:
             sample = conv_patches(layer, sample.reshape((1,) + net.input_shape))[0]
     else:
         rows = np.ascontiguousarray(x[:, block])
-    return LoweredInput(rows, block, sample, _geometry(net))
+    return Minibatch(rows, y, block, sample, _geometry(net))
 
 
-def _lowered(net: Network, inputs: LoweredInput) -> LoweredInput:
-    """``inputs``, refused when it is not a lowering or was lowered for
-    another first-layer geometry."""
-    if not isinstance(inputs, LoweredInput):
+def _lowered(net: Network, batch: Minibatch) -> Minibatch:
+    """``batch``, refused when it is not a ``Minibatch`` or was made for
+    another first-layer geometry or another target width."""
+    if not isinstance(batch, Minibatch):
         raise TypeError(
-            f"network inputs must be a LoweredInput made by lower_input, "
-            f"got {type(inputs).__name__}"
+            f"a network reads a Minibatch made by lower_input, got {type(batch).__name__}"
         )
-    if inputs.geometry != _geometry(net):
+    if batch.geometry != _geometry(net):
         raise NetworkShapeError(
-            f"input lowered for first-layer geometry {inputs.geometry}, "
+            f"input lowered for first-layer geometry {batch.geometry}, "
             f"the network's is {_geometry(net)}"
         )
-    return inputs
+    if batch.targets.shape[1] != net.output_size:
+        raise NetworkShapeError(
+            f"network output size {net.output_size} != target size {batch.targets.shape[1]}"
+        )
+    return batch
 
 
 def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
@@ -347,21 +333,21 @@ def _channel_block(layer: ConvLayer, block: slice) -> ConvLayer:
     return sub
 
 
-def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) -> np.ndarray:
-    """Batched forward pass from a first-layer lowering; returns (B, output_size).
+def _forward(net: Network, batch: Minibatch, caches: list | None = None) -> np.ndarray:
+    """Batched forward pass from a batch's lowered rows; returns (B, output_size).
 
     When a list ``caches`` is given, each layer appends its (input, output)
     pair, a conv layer its input's patch matrix in place of the input, and
-    the first layer the lowering's rows; without it nothing outlives the
+    the first layer the batch's rows; without it nothing outlives the
     layer that made it.  A hidden layer's ReLU overwrites its
     pre-activation, so its cached output is the activation, which is
     positive exactly where the pre-activation is, a NaN included in
     neither.
     """
-    a = lowered.rows
+    a = batch.rows
     n_last = net.n_layers - 1
     for k, layer in enumerate(net.layers):
-        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+        block, sample = (batch.block, batch.sample) if k == 0 else _WHOLE
         if isinstance(layer, ConvLayer):
             if k > 0:
                 a = conv_patches(layer, a.reshape((a.shape[0],) + net.interfaces[k]))
@@ -379,9 +365,9 @@ def _forward(net: Network, lowered: LoweredInput, caches: list | None = None) ->
     return a.reshape(a.shape[0], -1)
 
 
-def forward_batch(net: Network, x: LoweredInput) -> np.ndarray:
-    """Evaluate the network on the lowered rows ``x``; returns (B, output_size)."""
-    return _forward(net, _lowered(net, x))
+def forward_batch(net: Network, batch: Minibatch) -> np.ndarray:
+    """Evaluate the network on the batch's inputs; returns (B, output_size)."""
+    return _forward(net, _lowered(net, batch))
 
 
 def loss_blocks(net: Network, n: int) -> list[slice]:
@@ -410,15 +396,12 @@ def loss(net: Network, batch: Minibatch) -> LossValue:
     error is the running ``np.maximum`` of the block maxima, so a NaN in any
     block makes it NaN.
     """
-    if net.output_size != batch.targets.shape[1]:
-        raise NetworkShapeError(
-            f"network output size {net.output_size} != target size {batch.targets.shape[1]}"
-        )
-    lowered = _lowered(net, batch.inputs)
-    row_sq = np.empty(len(lowered))
+    _lowered(net, batch)
+    row_sq = np.empty(len(batch))
     linf = 0.0
-    for rows in loss_blocks(net, len(lowered)):
-        err = _forward(net, lowered[rows]) - batch.targets[rows]
+    for rows in loss_blocks(net, len(batch)):
+        part = batch[rows]
+        err = _forward(net, part) - part.targets
         row_sq[rows] = np.sum(err * err, axis=1)
         linf = np.maximum(linf, np.max(np.abs(err)))
     return LossValue(l2=float(np.mean(row_sq)), linf=float(linf))
@@ -459,27 +442,27 @@ def backward(
     other batch is one pass that calls ``step(k)`` right after layer k's
     input gradient ``dz @ W``, while the layer's gradient is in cache.
     """
-    lowered = _lowered(net, batch.inputs)
+    _lowered(net, batch)
     if out is None:
         out = net.params.zeros_like()
     elif out.layout != net.params.layout:
         raise NetworkShapeError("gradient buffer layout does not match the network")
-    rows = len(lowered)
+    rows = len(batch)
     if not hands_off(net, rows):
-        _gradient_pass(net, lowered, batch.targets, rows, out, step)
+        _gradient_pass(net, batch, rows, out, step)
         return out
     h = rows // 2
     second = ParamVector(np.empty_like(out.data), out.layout)
-    half = (net, lowered[h:], batch.targets[h:], rows, second)
+    half = (net, batch[h:], rows, second)
     if _threads.allowed_cpus() < 2:
-        _gradient_pass(net, lowered[:h], batch.targets[:h], rows, out)
+        _gradient_pass(net, batch[:h], rows, out)
         _gradient_pass(*half)
     else:
         # the task writes into ``second`` and reads this call's arrays, so
         # it may not outlive the call
         task = _threads.queue(_gradient_pass, *half)
         try:
-            _gradient_pass(net, lowered[:h], batch.targets[:h], rows, out)
+            _gradient_pass(net, batch[:h], rows, out)
         except BaseException:
             _threads.finish(task, run=False)
             raise
@@ -491,14 +474,14 @@ def backward(
     return out
 
 
-def _gradient_pass(net: Network, lowered: LoweredInput, targets, rows: int,
-                   out: "ParamVector", step=None) -> None:
-    """The squared-loss gradient over ``lowered``, scaled by ``2 / rows``, into
+def _gradient_pass(net: Network, batch: Minibatch, rows: int, out: "ParamVector",
+                   step=None) -> None:
+    """The squared-loss gradient over ``batch``, scaled by ``2 / rows``, into
     ``out``; ``step(k)``, when given, runs after layer k's input gradient."""
     caches = []
     # the predictions are the call's own, so the loss gradient overwrites them
-    g = _forward(net, lowered, caches)
-    np.subtract(g, targets, out=g)
+    g = _forward(net, batch, caches)
+    np.subtract(g, batch.targets, out=g)
     g *= 2.0 / rows
 
     for k in range(net.n_layers - 1, -1, -1):
@@ -513,7 +496,7 @@ def _gradient_pass(net: Network, lowered: LoweredInput, targets, rows: int,
         gw, gb = out.weights(k), out.bias(k)
         # a folded first layer's weight gradient sums over the batch on the
         # varying block; the rest is the batch-summed upstream times the sample
-        block, sample = (lowered.block, lowered.sample) if k == 0 else _WHOLE
+        block, sample = (batch.block, batch.sample) if k == 0 else _WHOLE
         if isinstance(layer, ConvLayer):
             # a_k is the patch matrix; the first layer's input gradient is never used
             in_hw = net.interfaces[k][1:] if k > 0 else None

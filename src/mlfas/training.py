@@ -7,9 +7,10 @@ coarse objective toward first-order consistency with the fine one, solves
 (or recurses on) the tilted coarse problem, applies the coarse-grid
 correction to the parameters and a damped one to the momentum, and
 post-smooths.  Minibatches come from one shared shuffled cyclic stream,
-gathered from the training split lowered once for every level's first
-layer; each restriction draws the next ``m`` batches for the tau
-correction and the coarse smoothing reuses those same batches cyclically.
+gathered from the training split's one ``Minibatch``, lowered once for
+every level's first layer; each restriction draws the next ``m`` batches
+for the tau correction and the coarse smoothing reuses those same batches
+cyclically.
 """
 
 import itertools
@@ -104,11 +105,11 @@ class StabilityConfig:
 class MinibatchScheduler:
     """Shuffled cyclic minibatch stream over one lowered split.
 
-    ``split`` is the whole split as one ``Minibatch``, its inputs lowered
-    once (``run_seed`` builds it); each batch gathers its rows.  One shared
-    cursor serves both smoothing steps and tau-group draws; the permutation
-    is redrawn whenever an epoch is exhausted.  Iterating the scheduler
-    yields minibatches forever.
+    ``split`` is the whole split as one ``Minibatch``, lowered once
+    (``run_seed`` builds it); each batch gathers its rows and targets.  One
+    shared cursor serves both smoothing steps and tau-group draws; the
+    permutation is redrawn whenever an epoch is exhausted.  Iterating the
+    scheduler yields minibatches forever.
     """
 
     def __init__(self, split: Minibatch, batch_size: int, rng: np.random.Generator):
@@ -142,7 +143,7 @@ class MinibatchScheduler:
         hi = min(lo + self.batch_size, self.n_samples)
         idx = self._order[lo:hi]
         self._pos += 1
-        return Minibatch(self.split.inputs[idx], self.split.targets[idx])
+        return self.split[idx]
 
     def next_tau_group(self, m: int) -> list[Minibatch]:
         """Draw the next m minibatches in shuffled cyclic order."""

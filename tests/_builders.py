@@ -4,7 +4,7 @@ import numpy as np
 
 from mlfas.conv import ConvLayer, conv_backward_batch, conv_forward_batch, conv_patches
 from mlfas.harness import build_network
-from mlfas.nets import DenseLayer, Minibatch, Network, forward_batch, lower_input, uniform_init
+from mlfas.nets import DenseLayer, Network, forward_batch, lower_input, uniform_init
 from mlfas.transfer import coarse_grid_correction, restrict_params
 
 
@@ -84,11 +84,6 @@ def write_empty_kernel_checkpoint(path):
     path.write_bytes(raw[:at] + _CONV_HDR.pack(*dims) + raw[weights_end:])
 
 
-def lowered_batch(net, inputs, targets):
-    """A minibatch of the rows ``inputs``, lowered for ``net``, and ``targets``."""
-    return Minibatch(lower_input(net, inputs), targets)
-
-
 def random_rows(rng, net, size=5):
     """Normal (inputs, targets) rows for ``net``: (size, input_size), (size, output_size)."""
     return rng.normal(size=(size, net.input_size)), rng.normal(size=(size, net.output_size))
@@ -96,7 +91,7 @@ def random_rows(rng, net, size=5):
 
 def random_batch(rng, net, size=5):
     """A lowered minibatch of ``random_rows``."""
-    return lowered_batch(net, *random_rows(rng, net, size))
+    return lower_input(net, *random_rows(rng, net, size))
 
 
 def interface_matrices(op):
@@ -170,7 +165,8 @@ def conv_one(layer, x):
 
 def forward_one(net, y):
     """``forward_batch`` on one input vector, lowered as a batch of one row."""
-    return forward_batch(net, lower_input(net, np.asarray(y, dtype=np.float64).ravel()[None]))[0]
+    row = np.asarray(y, dtype=np.float64).ravel()[None]
+    return forward_batch(net, lower_input(net, row, np.zeros((1, net.output_size))))[0]
 
 
 def _reference_forward_cached(net, x, conv):

@@ -26,7 +26,6 @@ from _builders import (
     _reference_forward_cached,
     conv_one,
     dense_network,
-    lowered_batch,
     random_conv_net,
     random_dense_net,
     random_rows,
@@ -37,6 +36,7 @@ from mlfas.nets import (
     backward,
     flatten,
     loss,
+    lower_input,
     unflatten,
 )
 from mlfas.poisson import cell_centers, generate_dataset, sample_kappa, solve_poisson, write_dataset
@@ -108,7 +108,7 @@ def test_criterion_2_gradient_correctness():
             _, caches = _reference_forward_cached(net, x, CURRENT_CONV)
             if min(np.abs(z).min() for _, z in caches) >= 1e-6:
                 break
-        batch = lowered_batch(net, x, y)
+        batch = lower_input(net, x, y)
         g = backward(net, batch)
         candidates = np.flatnonzero(np.abs(g.data) > 1e-3)
         if candidates.size < 20:
@@ -186,7 +186,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     net = dense_network([8, 24, 24, 6], rng=np.random.default_rng(55))
     inputs = rng.normal(size=(24, 8))
     targets = rng.normal(size=(24, 6))
-    split = lowered_batch(net, inputs, targets)
+    split = lower_input(net, inputs, targets)
     k = 2
 
     # (a) identity transfers, gamma 0, alpha 1: one cycle == 3k SGD steps
@@ -224,7 +224,7 @@ def test_criterion_5_degenerate_cycle_equivalences():
     # (c) identity transfers make the tau correction vanish
     t_id = identity_level(net)
     coarse = restrict_network(net, t_id)
-    batches = [lowered_batch(net, rng.normal(size=(4, 8)), rng.normal(size=(4, 6)))
+    batches = [lower_input(net, rng.normal(size=(4, 8)), rng.normal(size=(4, 6)))
                for _ in range(3)]
     tau = compute_tau(net, coarse, t_id, batches)
     err_c = float(np.abs(tau.data).max())

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from _builders import (
     forward_one,
-    lowered_batch,
     random_batch,
     random_conv_net,
     random_dense_net,
@@ -21,7 +20,14 @@ from _builders import (
 )
 from mlfas.checkpoints import load_network, save_network
 from mlfas.harness import build_network
-from mlfas.nets import DenseLayer, Network, NetworkShapeError, ParamVector, backward
+from mlfas.nets import (
+    DenseLayer,
+    Network,
+    NetworkShapeError,
+    ParamVector,
+    backward,
+    lower_input,
+)
 from mlfas.training import Hierarchy, SmootherConfig, compute_tau, sgd_smooth
 from mlfas.transfer import (
     coarse_grid_correction,
@@ -56,7 +62,7 @@ class TestMatchesReference:
         else:
             net = random_dense_net(rng, widths=(2, 24))
         rows = [random_rows(rng, net, size=batch_size) for _ in range(3)]
-        batches = [lowered_batch(net, *r) for r in rows]
+        batches = [lower_input(net, *r) for r in rows]
         for r, batch in zip(rows, batches):
             ref = reference_backward(net, *r).data
             assert np.array_equal(backward(net, batch).data, ref)
@@ -87,7 +93,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(2)
         net = build_network("conv:8k3s2p1,dense:16", (3, 32, 32), 8, rng=rng)
         rows = random_rows(rng, net, size=20)
-        assert np.array_equal(backward(net, lowered_batch(net, *rows)).data,
+        assert np.array_equal(backward(net, lower_input(net, *rows)).data,
                               reference_backward(net, *rows).data)
 
 

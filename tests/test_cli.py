@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _builders import lowered_batch, write_empty_kernel_checkpoint
+from _builders import write_empty_kernel_checkpoint
 from mlfas.checkpoints import save_network
 from mlfas.cli import main
 from mlfas.harness import build_network, load_metrics_csv
-from mlfas.nets import loss
+from mlfas.nets import loss, lower_input
 from mlfas.poisson import read_dataset
 
 
@@ -46,7 +46,7 @@ def test_eval_scores_the_named_split(workspace, tmp_path, capsys, split):
     ckpt = tmp_path / "net.mlfasnet"
     save_network(net, ckpt)
     idx = {"train": ds.train_idx, "val": ds.val_idx, "all": np.arange(ds.count)}[split]
-    lv = loss(net, lowered_batch(net, ds.flat_inputs()[idx], ds.flat_outputs()[idx]))
+    lv = loss(net, lower_input(net, ds.flat_inputs()[idx], ds.flat_outputs()[idx]))
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds_path),
                  "--split", split]) == 0
     assert capsys.readouterr().out == f"{split} l2 {lv.l2:.6e}\n{split} linf {lv.linf:.6e}\n"
@@ -162,6 +162,20 @@ def test_bad_checkpoint_is_structured_failure(tmp_path, workspace, capsys):
     bad.write_bytes(b"garbage!" * 8)
     assert main(["eval", "--checkpoint", str(bad), "--dataset", str(ds_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_on_another_grid_is_structured_failure(tmp_path, workspace, capsys):
+    # a checkpoint of grid-6 inputs (3 * 36 features) against grid-8 data (3 * 64)
+    _, ds_path = workspace
+    ckpt = tmp_path / "net.mlfasnet"
+    save_network(build_network("dense:10", 108, 36, rng=np.random.default_rng(5)), ckpt)
+    other = tmp_path / "grid8.mlfasdat"
+    assert main(["generate", "--count", "6", "--grid", "8", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: input size 192 does not match network input 108\n"
+    assert captured.out == ""
 
 
 def test_empty_conv_kernel_checkpoint_is_structured_failure(tmp_path, workspace, capsys):

@@ -12,7 +12,6 @@ from _builders import (
     assert_rel,
     conv_one,
     interface_matrices,
-    lowered_batch,
     random_conv_net,
     random_rows,
     reference_backward,
@@ -28,7 +27,7 @@ from mlfas.conv import (
     to_matrix,
 )
 from mlfas.harness import build_network
-from mlfas.nets import backward
+from mlfas.nets import backward, lower_input
 
 
 def random_layer(rng, max_channels=3, max_kernel=3):
@@ -295,7 +294,7 @@ class TestNetworkReference:
 
     @staticmethod
     def assert_matches_reference(net, rows):
-        got = backward(net, lowered_batch(net, *rows))
+        got = backward(net, lower_input(net, *rows))
         ref = reference_backward(net, *rows, conv=REFERENCE_CONV)
         for k in range(net.n_layers):
             assert_rel(got.weights(k), ref.weights(k))

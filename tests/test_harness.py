@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _builders import dense_network, lowered_batch
+from _builders import dense_network
 from mlfas import _threads, harness, nets
 from mlfas.checkpoints import load_network, save_network
 from mlfas.conv import ConvShapeError
@@ -86,6 +86,16 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_text(config_text(cfg))
         assert parse_grid(path) == [cfg]
+
+    def test_seeds_given_as_a_list_are_stored_as_a_tuple(self, tiny_dataset, tmp_path):
+        # a grid's shared keys are collected in a set, which a list cannot enter
+        ds, path = tiny_dataset
+        cfg = tiny_config(path, seeds=[0, np.int64(1)], max_work_units=20.0,
+                          out_dir=str(tmp_path))
+        assert cfg.seeds == (0, 1) and all(type(s) is int for s in cfg.seeds)
+        assert "seeds = 0,1\n" in config_text(cfg)
+        assert [run.seed for run in run_experiment(cfg, ds)] == [0, 1]
+        assert "seeds = 0,1" in (tmp_path / "run_metadata.txt").read_text().splitlines()
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -381,7 +391,7 @@ class TestRunExperiment:
         xtr, ytr, xva, yva = dataset_splits(ds)
         net = build_network(cfg.arch, xtr.shape[1], ytr.shape[1],
                             rng=np.random.default_rng([0, 202]))
-        train_mb, val_mb = lowered_batch(net, xtr, ytr), lowered_batch(net, xva, yva)
+        train_mb, val_mb = lower_input(net, xtr, ytr), lower_input(net, xva, yva)
         sched = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([0, 101]))
         smoother = SmootherConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay,
                                   cfg.steps_per_smooth)
@@ -520,9 +530,9 @@ class TestRunExperiment:
         ds = dataclasses.replace(ds, inputs=ds.inputs.copy())
         ds.inputs[ds.train_idx[sample], 1, 2, 3] = np.nan
         cfg = tiny_config(path, arch=arch)
-        xtr = dataset_splits(ds)[0]
+        xtr, ytr = dataset_splits(ds)[:2]
         net = build_network(arch, (3, 6, 6) if arch.startswith("conv") else xtr.shape[1], 36)
-        lowered = lower_input(net, xtr)
+        lowered = lower_input(net, xtr, ytr)
         assert np.isnan(lowered.rows).any()
         assert lowered.sample is None or not np.isnan(lowered.sample).any()
         with np.errstate(all="ignore"):
@@ -565,7 +575,7 @@ def serial_records(cfg, ds, seed=0):
     xtr, ytr, xva, yva = dataset_splits(ds)
     net = build_network(cfg.arch, xtr.shape[1], ytr.shape[1],
                         rng=np.random.default_rng([seed, 202]))
-    train_mb, val_mb = lowered_batch(net, xtr, ytr), lowered_batch(net, xva, yva)
+    train_mb, val_mb = lower_input(net, xtr, ytr), lower_input(net, xva, yva)
     sched = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([seed, 101]))
     smoother = SmootherConfig(learning_rate=cfg.learning_rate, momentum_coeff=cfg.momentum,
                               weight_decay=cfg.weight_decay,

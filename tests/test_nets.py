@@ -16,7 +16,6 @@ from _builders import (
     assert_rel,
     dense_network,
     forward_one,
-    lowered_batch,
     random_batch,
     random_dense_net,
     random_rows,
@@ -30,7 +29,6 @@ from mlfas.harness import build_network
 from mlfas.nets import (
     DenseLayer,
     LossValue,
-    Minibatch,
     Network,
     NetworkShapeError,
     ParamVector,
@@ -132,13 +130,14 @@ class TestLoss:
     def test_zero_residual(self):
         rng = np.random.default_rng(3)
         net = random_dense_net(rng)
-        x = lower_input(net, rng.normal(size=(4, net.input_size)))
-        lv = loss(net, Minibatch(x, forward_batch(net, x)))
+        x = rng.normal(size=(4, net.input_size))
+        batch = lower_input(net, x, np.zeros((4, net.output_size)))
+        lv = loss(net, lower_input(net, x, forward_batch(net, batch)))
         assert lv.l2 == 0.0 and lv.linf == 0.0
 
     def test_scalar_example(self):
         net = Network([DenseLayer([[0.0]], [1.0])])
-        lv = loss(net, lowered_batch(net, [[5.0]], [[3.0]]))
+        lv = loss(net, lower_input(net, [[5.0]], [[3.0]]))
         assert lv.l2 == pytest.approx(4.0, abs=0)
         assert lv.linf == pytest.approx(2.0, abs=0)
 
@@ -146,7 +145,7 @@ class TestLoss:
         rng = np.random.default_rng(11)
         net = random_dense_net(rng)
         x, y = random_rows(rng, net, size=5)
-        batch = lowered_batch(net, x, y)
+        batch = lower_input(net, x, y)
         preds = np.vstack([forward_one(net, row) for row in x])
         l2 = 0.0
         linf = 0.0
@@ -164,7 +163,7 @@ class TestLoss:
         net = random_dense_net(rng)
         batch = random_batch(rng, net, size=8)
         perm = rng.permutation(8)
-        shuffled = Minibatch(batch.inputs[perm], batch.targets[perm])
+        shuffled = batch[perm]
         a, b = loss(net, batch), loss(net, shuffled)
         assert abs(a.l2 - b.l2) <= 1e-12 * max(1.0, a.l2)
         assert a.linf == b.linf
@@ -172,13 +171,13 @@ class TestLoss:
     def test_empty_batch_rejected(self):
         net = Network([DenseLayer(np.ones((2, 3)), np.zeros(2))])
         with pytest.raises(ValueError, match="nonempty"):
-            lowered_batch(net, np.zeros((0, 3)), np.zeros((0, 2)))
+            lower_input(net, np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 def whole_batch_loss(net, batch):
     """(l2, linf) from one forward pass over the whole batch: the reference
     that ``loss``'s row blocks must match bit for bit."""
-    err = forward_batch(net, batch.inputs) - batch.targets
+    err = forward_batch(net, batch) - batch.targets
     return float(np.mean(np.sum(err * err, axis=1))), float(np.max(np.abs(err)))
 
 
@@ -212,9 +211,9 @@ class TestBlockedLoss:
         set_block_rows(monkeypatch, net, self.BLOCK)
         b = self.BLOCK
         for n in (1, 2, b - 1, b, b + 1, 2 * b + 1):
-            batch = lowered_batch(net, kappa_xy_batch(rng, n, folded), rng.normal(size=(n, 36)))
+            batch = lower_input(net, kappa_xy_batch(rng, n, folded), rng.normal(size=(n, 36)))
             assert len(nets.loss_blocks(net, n)) == -(-n // b)
-            assert (batch.inputs.sample is not None) == (folded and n > 1)
+            assert (batch.sample is not None) == (folded and n > 1)
             lv = loss(net, batch)
             assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
 
@@ -223,8 +222,8 @@ class TestBlockedLoss:
         net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
         n = 2 * (nets.LOSS_BLOCK_BYTES // (8 * 8 * 16 * 16)) + 1  # 2 * 32 + 1 at 512 KB
         assert len(nets.loss_blocks(net, n)) == 3
-        batch = lowered_batch(net, kappa_xy_batch(rng, n, True, grid=32),
-                              rng.normal(size=(n, 1024)))
+        batch = lower_input(net, kappa_xy_batch(rng, n, True, grid=32),
+                            rng.normal(size=(n, 1024)))
         lv = loss(net, batch)
         assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
 
@@ -239,7 +238,7 @@ class TestBlockedLoss:
         assert len(nets.loss_blocks(net, 15)) == 3
         targets = rng.normal(size=(15, 36))
         targets[row, 3] = bad
-        lv = loss(net, lowered_batch(net, kappa_xy_batch(rng, 15, True), targets))
+        lv = loss(net, lower_input(net, kappa_xy_batch(rng, 15, True), targets))
         expect = np.isnan if np.isnan(bad) else np.isposinf
         assert expect(lv.l2) and expect(lv.linf)
 
@@ -248,7 +247,7 @@ class TestBlockedLoss:
         # and 7-row blocks, another l2 than the whole batch
         rng = np.random.default_rng(3)
         net = build_network("dense:8192,dense:128", 108, 36, rng=rng)
-        batch = lowered_batch(net, kappa_xy_batch(rng, 20, False), rng.normal(size=(20, 36)))
+        batch = lower_input(net, kappa_xy_batch(rng, 20, False), rng.normal(size=(20, 36)))
         assert nets.loss_blocks(net, 20) == [slice(0, 20)]
         lv = loss(net, batch)
         assert (lv.l2, lv.linf) == whole_batch_loss(net, batch)
@@ -273,7 +272,7 @@ class TestBlockedLoss:
         rng = np.random.default_rng(67)
         net = build_network("conv:8k3s2p1,dense:64", (3, 32, 32), 1024, rng=rng)
         x = kappa_xy_batch(rng, 800, True, grid=32)
-        batch = Minibatch(lower_input(net, x), rng.normal(size=(800, 1024)))
+        batch = lower_input(net, x, rng.normal(size=(800, 1024)))
         del x
         activation = 800 * net.interfaces[1][0] * 16 * 16 * 8  # 13.1 MB
         tracemalloc.start()
@@ -318,7 +317,7 @@ def sample_away_from_kinks(rng, make_net_and_rows):
             else:
                 a = z
         if ok:
-            return net, lowered_batch(net, *rows)
+            return net, lower_input(net, *rows)
     raise AssertionError("could not sample a kink-free configuration")
 
 
@@ -327,7 +326,7 @@ class TestBackward:
         # zero parameters, zero inputs: only the output bias gradient survives
         net = Network([DenseLayer(np.zeros((2, 3)), np.zeros(2))])
         targets = np.array([[1.0, -2.0], [3.0, 0.5], [0.0, 4.0]])
-        g = backward(net, lowered_batch(net, np.zeros((3, 3)), targets))
+        g = backward(net, lower_input(net, np.zeros((3, 3)), targets))
         assert np.all(g.weights(0) == 0.0)
         expected_bias = -(2.0 / 3.0) * targets.sum(axis=0)
         np.testing.assert_allclose(g.bias(0), expected_bias, rtol=1e-15)
@@ -350,8 +349,8 @@ class TestBackward:
         rng = np.random.default_rng(19)
         net = random_dense_net(rng)
         x, y = random_rows(rng, net, size=3)
-        batch = lowered_batch(net, x, y)
-        doubled = lowered_batch(net, np.vstack([x, x]), np.vstack([y, y]))
+        batch = lower_input(net, x, y)
+        doubled = lower_input(net, np.vstack([x, x]), np.vstack([y, y]))
         g1 = backward(net, batch)
         g2 = backward(net, doubled)
         np.testing.assert_allclose(g2.data, g1.data, rtol=1e-12, atol=1e-14)
@@ -481,9 +480,9 @@ class TestSharedInputFold:
     def test_matches_full_products(self, seed, conv, batch_size, geometry):
         kernel, stride, padding = geometry
         net, x, y, block = folded_case(seed, conv, batch_size, kernel, stride, padding)
-        batch = lowered_batch(net, x, y)
-        assert batch.inputs.block == block
-        assert_rel(forward_batch(net, batch.inputs), reference_forward(net, x))
+        batch = lower_input(net, x, y)
+        assert batch.block == block
+        assert_rel(forward_batch(net, batch), reference_forward(net, x))
         assert_gradients_match(backward(net, batch), reference_backward(net, x, y), block)
 
     @pytest.mark.parametrize("conv", [False, True])
@@ -505,9 +504,9 @@ class TestSharedInputFold:
                 cases.append(gapped.reshape(7, -1))
             for x in cases:
                 y = targets[: x.shape[0]]
-                b = lowered_batch(net, x, y)
-                assert b.inputs.sample is None
-                assert np.array_equal(forward_batch(net, b.inputs), reference_forward(net, x))
+                b = lower_input(net, x, y)
+                assert b.sample is None
+                assert np.array_equal(forward_batch(net, b), reference_forward(net, x))
                 assert np.array_equal(backward(net, b).data, reference_backward(net, x, y).data)
 
     @pytest.mark.parametrize("conv", [False, True])
@@ -517,8 +516,8 @@ class TestSharedInputFold:
         column = block.stop if block.stop < n else block.start - 1
         rows = x.reshape(7, n, -1)
         rows[:, column, 0] = np.nan
-        batch = lowered_batch(net, x, y)
-        assert np.isnan(forward_batch(net, batch.inputs)).all()
+        batch = lower_input(net, x, y)
+        assert np.isnan(forward_batch(net, batch)).all()
         assert np.isnan(backward(net, batch).data).all()
 
 
@@ -543,21 +542,21 @@ class TestSplitLowering:
     @pytest.mark.parametrize("conv", [False, True])
     def test_gathered_batches_match_raw_batches_bitwise(self, conv):
         net, x, y = poisson_split(conv)
-        lowered = lower_input(net, x)
+        lowered = lower_input(net, x, y)
         assert lowered.block == (slice(0, 1) if conv else slice(0, 36))
         assert lowered.sample is not None
         coarse = restrict_network(net, coarsen_network(net, theta=-1.0))
         assert coarse.unit_counts()[1] < net.unit_counts()[1]
         perm = np.random.default_rng(41).permutation(12)
         for idx in (np.arange(12), perm[:7], perm[:2], perm[::-1]):
-            gathered = Minibatch(lowered[idx], y[idx])
+            gathered = lowered[idx]
+            assert np.array_equal(gathered.targets, y[idx])
             # the batch's raw rows, lowered on their own
-            raw = Minibatch(lower_input(net, x[idx]), y[idx])
-            assert raw.inputs.block == lowered.block
+            raw = lower_input(net, x[idx], y[idx])
+            assert raw.block == lowered.block
             # every level reads the same lowering
             for level in (net, coarse):
-                assert np.array_equal(forward_batch(level, gathered.inputs),
-                                      forward_batch(level, raw.inputs))
+                assert np.array_equal(forward_batch(level, gathered), forward_batch(level, raw))
                 assert loss(level, gathered) == loss(level, raw)
                 assert np.array_equal(backward(level, gathered).data,
                                       backward(level, raw).data)
@@ -567,12 +566,12 @@ class TestSplitLowering:
         # one raw sample lowered on its own folds nothing; gathered from the
         # split it keeps the split's fold, so the two agree to rounding, not bit for bit
         net, x, y = poisson_split(conv)
-        lowered = lower_input(net, x)
+        lowered = lower_input(net, x, y)
         for i in (0, 5):
-            gathered = Minibatch(lowered[[i]], y[[i]])
-            raw = Minibatch(lower_input(net, x[[i]]), y[[i]])
-            assert raw.inputs.sample is None
-            assert_rel(forward_batch(net, gathered.inputs), forward_batch(net, raw.inputs))
+            gathered = lowered[[i]]
+            raw = lower_input(net, x[[i]], y[[i]])
+            assert raw.sample is None
+            assert_rel(forward_batch(net, gathered), forward_batch(net, raw))
             assert loss(net, gathered).l2 == pytest.approx(loss(net, raw).l2, rel=1e-12)
             assert_gradients_match(backward(net, gathered), backward(net, raw), lowered.block)
 
@@ -599,18 +598,19 @@ class TestSplitLowering:
         idx = np.random.default_rng(seed).permutation(9)[:batch_size]
         rows = x.reshape(9, n, -1)
         rows[idx, column] = rows[idx[:1], column]
-        lowered = lower_input(net, x)
+        lowered = lower_input(net, x, y)
         assert lowered.block == block
-        gathered = Minibatch(lowered[idx], y[idx])
+        gathered = lowered[idx]
         terms, gradient_terms = term_magnitudes(net, x[idx], y[idx])
-        assert_rel(forward_batch(net, gathered.inputs), reference_forward(net, x[idx]),
+        assert_rel(forward_batch(net, gathered), reference_forward(net, x[idx]),
                    scale=terms)
         assert_gradients_match(backward(net, gathered), reference_backward(net, x[idx], y[idx]),
                                block, scale=gradient_terms)
 
 
 class TestLoweringGeometry:
-    """A lowering made for one first-layer geometry is refused by another."""
+    """A batch made for one first-layer geometry or target width is refused
+    by a network with another."""
 
     @pytest.mark.parametrize("other", [
         "conv:4k2s1p0,dense:9",  # kernel
@@ -623,8 +623,8 @@ class TestLoweringGeometry:
         net = build_network("conv:4k3s1p0,dense:9", (2, 4, 4), 3, rng=rng)
         shape = (2, 4, 4) if other.startswith("conv") else 32
         wrong = build_network(other, shape, 3, rng=rng)
-        batch = Minibatch(lower_input(net, rng.normal(size=(5, 32))), rng.normal(size=(5, 3)))
-        for call in (lambda: forward_batch(wrong, batch.inputs), lambda: loss(wrong, batch),
+        batch = lower_input(net, rng.normal(size=(5, 32)), rng.normal(size=(5, 3)))
+        for call in (lambda: forward_batch(wrong, batch), lambda: loss(wrong, batch),
                      lambda: backward(wrong, batch)):
             with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
                 call()
@@ -636,22 +636,28 @@ class TestLoweringGeometry:
             net, wrong = (build_network(arch, s, 3, rng=rng) for s in shapes)
             x = rng.normal(size=(4, net.input_size))
             with pytest.raises(NetworkShapeError, match="lowered for first-layer geometry"):
-                backward(wrong, Minibatch(lower_input(net, x), np.zeros((4, 3))))
+                backward(wrong, lower_input(net, x, np.zeros((4, 3))))
+
+    def test_another_target_width_rejected(self):
+        # width-1 targets would broadcast against a 4-output net's predictions
+        rng = np.random.default_rng(51)
+        net = build_network("dense:8", 6, 4, rng=rng)
+        batch = lower_input(net, rng.normal(size=(5, 6)), rng.normal(size=(5, 1)))
+        for call in (forward_batch, loss, backward):
+            with pytest.raises(NetworkShapeError, match="network output size 4 != target size 1"):
+                call(net, batch)
 
     @pytest.mark.parametrize("arch, shape", [("dense:9", 6), ("conv:4k3s1p1,dense:9", (2, 3, 3))])
     def test_raw_rows_rejected_naming_lower_input(self, arch, shape):
         rng = np.random.default_rng(49)
         net = build_network(arch, shape, 3, rng=rng)
         rows = np.ones((3, net.input_size))
-        with pytest.raises(TypeError, match="LoweredInput made by lower_input, got ndarray"):
-            forward_batch(net, rows)
-        # a Minibatch refuses raw rows itself; one whose inputs were swapped
-        # for them after is refused by the network
-        batch = random_batch(rng, net, size=3)
-        batch.inputs = rows
-        for call in (loss, backward):
-            with pytest.raises(TypeError, match="lower_input"):
-                call(net, batch)
+        targets = np.ones((3, net.output_size))
+        for call in (forward_batch, loss, backward):
+            with pytest.raises(TypeError, match="Minibatch made by lower_input, got ndarray"):
+                call(net, rows)
+            with pytest.raises(TypeError, match="Minibatch made by lower_input, got tuple"):
+                call(net, (rows, targets))
 
 
 def test_package_root_builds_a_lowered_batch():
@@ -660,9 +666,10 @@ def test_package_root_builds_a_lowered_batch():
     rng = np.random.default_rng(50)
     net = build_network("dense:9", 6, 3, rng=rng)
     x, y = random_rows(rng, net, size=4)
-    batch = mlfas.Minibatch(mlfas.lower_input(net, x), y)
-    assert isinstance(batch.inputs, mlfas.LoweredInput)
-    assert mlfas.loss(net, batch) == loss(net, lowered_batch(net, x, y))
+    batch = mlfas.lower_input(net, x, y)
+    assert isinstance(batch, mlfas.Minibatch)
+    assert not hasattr(mlfas, "LoweredInput")
+    assert mlfas.loss(net, batch) == loss(net, lower_input(net, x, y))
 
 
 SMALL_NETS = [("dense:12,dense:9,dense:7", 10), ("conv:3k3s2p1,dense:8,dense:6", (2, 7, 7))]
@@ -741,7 +748,7 @@ class TestBackwardChain:
         # weights are zero, so its forward product and dz @ W are 0
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.zeros((1, 3)), np.zeros(1))])
-        batch = lowered_batch(net, np.full((4, 2), 1e300), np.full((4, 1), 1e10))
+        batch = lower_input(net, np.full((4, 2), 1e300), np.full((4, 1), 1e10))
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             backward(net, batch)
         with np.errstate(all="ignore"):
@@ -785,7 +792,7 @@ class TestBackwardChain:
         # layer 1's step overflows; layer 0's, the end of the chain, never runs
         net = Network([DenseLayer(np.ones((3, 2)), np.zeros(3)),
                        DenseLayer(np.ones((1, 3)), np.zeros(1))])
-        batch = lowered_batch(net, np.ones((4, 2)), np.zeros((4, 1)))
+        batch = lower_input(net, np.ones((4, 2)), np.zeros((4, 1)))
         out, momentum = nan_gradient(net), net.params.zeros_like()
         momentum.weights(1)[...] = 1e308
         stepped = []
@@ -995,14 +1002,14 @@ class TestHandOff:
             # features are shared, so the first layer is folded
             shared = x.reshape(rows, shape[0], -1) if isinstance(shape, tuple) else x
             shared[:, shared.shape[1] // 2:] = shared[:1, shared.shape[1] // 2:]
-            batch = lowered_batch(net, x, y)
-            assert batch.inputs.sample is not None
+            batch = lower_input(net, x, y)
+            assert batch.sample is not None
             assert nets.hands_off(net, rows)
             start = len(passes)
             got = backward(net, batch)
             assert [r for _, r in passes[start:]] == [rows // 2, rows - rows // 2]
             _, scale = term_magnitudes(net, x, y)
-            assert_gradients_match(got, reference_backward(net, x, y), batch.inputs.block,
+            assert_gradients_match(got, reference_backward(net, x, y), batch.block,
                                    scale=scale)
 
     @pytest.mark.parametrize("arch, shape", SMALL_NETS)
@@ -1114,7 +1121,7 @@ class TestHandOff:
                        DenseLayer(np.zeros((1, 3)), np.zeros(1))])
         inputs = np.ones((4, 2))
         inputs[2:] = 1e300
-        batch = lowered_batch(net, inputs, np.full((4, 1), 1e10))
+        batch = lower_input(net, inputs, np.full((4, 1), 1e10))
         passes = hand_off_everything(monkeypatch)
         caller = threading.current_thread()
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
@@ -1223,11 +1230,11 @@ class TestInPlaceRelu:
         x, y = random_rows(rng, net, size=9)
         # a shared second half of the input: the first layer folds it
         x[:, net.input_size // 2:] = x[0, net.input_size // 2:]
-        batch = lowered_batch(net, x, y)
-        assert batch.inputs.sample is not None
+        batch = lower_input(net, x, y)
+        assert batch.sample is not None
 
         def results():
-            out = [forward_batch(net, batch.inputs), loss(net, batch),
+            out = [forward_batch(net, batch), loss(net, batch),
                    backward(net, batch).data, backward(net, batch, out=net.grad).data]
             return [np.asarray(astuple(v) if isinstance(v, LossValue) else v).tobytes()
                     for v in out]

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from _builders import (
     dense_network,
     explicit_transfer_matrices,
-    lowered_batch,
     random_conv_net,
     random_dense_net,
     reference_sgd_smooth,
@@ -27,7 +26,6 @@ from mlfas import _threads, nets, training
 from mlfas.harness import ExperimentConfig, build_network, run_seed
 from mlfas.nets import (
     DenseLayer,
-    Minibatch,
     Network,
     NetworkShapeError,
     ParamVector,
@@ -35,6 +33,7 @@ from mlfas.nets import (
     flatten,
     forward_batch,
     loss,
+    lower_input,
     unflatten,
 )
 from mlfas.training import (
@@ -71,9 +70,9 @@ class TestSgdSmooth:
         rng = np.random.default_rng(3)
         net = random_dense_net(rng)
         x0 = flatten(net)
-        batch = lowered_batch(net, rng.normal(size=(4, net.input_size)),
-                              np.zeros((4, net.output_size)))
-        batch.targets[...] = forward_batch(net, batch.inputs)
+        batch = lower_input(net, rng.normal(size=(4, net.input_size)),
+                            np.zeros((4, net.output_size)))
+        batch.targets[...] = forward_batch(net, batch)
         momentum = x0.zeros_like()
         sgd_smooth(net, momentum, SmootherConfig(0.1, 0.9, 0.0, 3), constant_batches(batch))
         np.testing.assert_array_equal(flatten(net).data, x0.data)
@@ -84,7 +83,7 @@ class TestSgdSmooth:
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
         momentum.data[:] = [0.5, -0.25]
-        batch = lowered_batch(net, [[2.0]], [[5.0]])
+        batch = lower_input(net, [[2.0]], [[5.0]])
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.9,
                              weight_decay=0.01, steps_per_smooth=1)
         # residual = 2*1 + 0 - 5 = -3; dl/dw = 2*(-3)*2 = -12; dl/db = -6
@@ -102,8 +101,8 @@ class TestSgdSmooth:
         rng = np.random.default_rng(5)
         net_a = random_dense_net(rng)
         net_b = net_a.copy()
-        batch = lowered_batch(net_a, rng.normal(size=(3, net_a.input_size)),
-                              rng.normal(size=(3, net_a.output_size)))
+        batch = lower_input(net_a, rng.normal(size=(3, net_a.input_size)),
+                            rng.normal(size=(3, net_a.output_size)))
         cfg = SmootherConfig(0.05, 0.9, 0.0, 4)
         mom_a = flatten(net_a).zeros_like()
         mom_b = flatten(net_b).zeros_like()
@@ -114,7 +113,7 @@ class TestSgdSmooth:
     def test_tau_tilts_the_gradient(self):
         net = Network([DenseLayer([[1.0]], [0.0])])
         momentum = flatten(net).zeros_like()
-        batch = lowered_batch(net, [[2.0]], [[5.0]])
+        batch = lower_input(net, [[2.0]], [[5.0]])
         tilt = ParamVector(np.array([2.0, 1.0]), momentum.layout)
         cfg = SmootherConfig(learning_rate=0.1, momentum_coeff=0.0, steps_per_smooth=1)
         sgd_smooth(net, momentum, cfg, constant_batches(batch), tilt=tilt)
@@ -168,7 +167,7 @@ class TestLayerStep:
         momentum.data[...] = rng.normal(scale=0.1, size=momentum.total_len)
         tau = net.params.zeros_like()
         tau.data[...] = rng.normal(size=tau.total_len)
-        return net, rows, [lowered_batch(net, *r) for r in rows], momentum, tau
+        return net, rows, [lower_input(net, *r) for r in rows], momentum, tau
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     @pytest.mark.parametrize("arch, shape, n_out", LAYER_STEP_NETS)
@@ -245,8 +244,8 @@ class TestComputeTau:
         net = random_dense_net(rng)
         coarse = net.copy()
         t = identity_level(net)
-        batches = [lowered_batch(net, rng.normal(size=(3, net.input_size)),
-                                 rng.normal(size=(3, net.output_size))) for _ in range(2)]
+        batches = [lower_input(net, rng.normal(size=(3, net.input_size)),
+                               rng.normal(size=(3, net.output_size))) for _ in range(2)]
         tau = compute_tau(net, coarse, t, batches)
         assert np.abs(tau.data).max() <= 1e-12
 
@@ -256,8 +255,8 @@ class TestComputeTau:
         other = dense_network([s for s in (fine.input_size, 5, fine.output_size)],
                               rng=np.random.default_rng(123))
         t = identity_level(fine)
-        batches = [lowered_batch(fine, rng.normal(size=(2, fine.input_size)),
-                                 rng.normal(size=(2, fine.output_size))) for _ in range(2)]
+        batches = [lower_input(fine, rng.normal(size=(2, fine.input_size)),
+                               rng.normal(size=(2, fine.output_size))) for _ in range(2)]
         acc = None
         for b in batches:
             d = backward(other, b).data - backward(fine, b).data
@@ -270,8 +269,8 @@ class TestComputeTau:
         net = random_dense_net(rng, widths=(4, 12))
         t = coarsen_network(net, theta=-1.0, weighted=True)
         coarse = restrict_network(net, t)
-        batches = [lowered_batch(net, rng.normal(size=(3, net.input_size)),
-                                 rng.normal(size=(3, net.output_size))) for _ in range(3)]
+        batches = [lower_input(net, rng.normal(size=(3, net.input_size)),
+                               rng.normal(size=(3, net.output_size))) for _ in range(3)]
         _, _, big_r = explicit_transfer_matrices(t, flatten(net).layout)
         fine_acc = sum(backward(net, b).data for b in batches)
         coarse_acc = sum(backward(coarse, b).data for b in batches)
@@ -392,8 +391,8 @@ class TestDescentIdentity:
             # their batches as two summed row halves
             net = build_network(*CONV_NET, rng=rng)
             rows, theta = 200, 0.1
-        split = lowered_batch(net, rng.normal(size=(rows, net.input_size)),
-                              rng.normal(size=(rows, net.output_size)))
+        split = lower_input(net, rng.normal(size=(rows, net.input_size)),
+                            rng.normal(size=(rows, net.output_size)))
         errors = self.relative_errors(net, split, weighted, theta)
         if kind == "split conv":
             coarse = restrict_network(net, coarsen_network(net, theta=theta))
@@ -420,8 +419,8 @@ def tau_consistency_defect(seed, n_batches, group, batch_size, conv, weighted, g
     # ceil(n / batch_size) = N, and a batch needs batch_size samples
     lo = max((n_batches - 1) * batch_size + 1, batch_size)
     n_samples = int(rng.integers(lo, n_batches * batch_size + 1))
-    split = lowered_batch(net, rng.normal(size=(n_samples, net.input_size)),
-                          rng.normal(size=(n_samples, net.output_size)))
+    split = lower_input(net, rng.normal(size=(n_samples, net.input_size)),
+                        rng.normal(size=(n_samples, net.output_size)))
     sched = MinibatchScheduler(split, batch_size, rng)
     assert sched.batches_per_epoch == n_batches
     batches = sched.next_tau_group(group)
@@ -445,35 +444,36 @@ class TestScheduler:
 
     def _make(self, n=12, batch=3, seed=0):
         samples = np.arange(n, dtype=float)[:, None]
-        return MinibatchScheduler(lowered_batch(self.NET, samples, samples), batch,
+        return MinibatchScheduler(lower_input(self.NET, samples, samples), batch,
                                   np.random.default_rng(seed))
 
     def test_whole_epoch_group_covers_every_sample(self):
         sched = self._make(n=12, batch=3)
         group = sched.next_tau_group(sched.batches_per_epoch)
-        seen = np.sort(np.concatenate([b.inputs.rows.ravel() for b in group]))
+        seen = np.sort(np.concatenate([b.rows.ravel() for b in group]))
         np.testing.assert_array_equal(seen, np.arange(12.0))
         for b in group:
-            np.testing.assert_array_equal(b.inputs.rows, b.targets)
+            np.testing.assert_array_equal(b.rows, b.targets)
 
     def test_consecutive_groups_disjoint_within_epoch(self):
         sched = self._make(n=12, batch=2)  # 6 batches/epoch
         g1 = sched.next_tau_group(2)
         g2 = sched.next_tau_group(2)
-        s1 = set(np.concatenate([b.inputs.rows.ravel() for b in g1]).tolist())
-        s2 = set(np.concatenate([b.inputs.rows.ravel() for b in g2]).tolist())
+        s1 = set(np.concatenate([b.rows.ravel() for b in g1]).tolist())
+        s2 = set(np.concatenate([b.rows.ravel() for b in g2]).tolist())
         assert not (s1 & s2)
 
     def test_fixed_seed_reproduces_sequence(self):
         a, b = self._make(seed=5), self._make(seed=5)
         for _ in range(10):
-            np.testing.assert_array_equal(a.next_batch().inputs.rows, b.next_batch().inputs.rows)
+            np.testing.assert_array_equal(a.next_batch().rows, b.next_batch().rows)
 
     def test_raw_rows_are_refused(self):
         samples = np.arange(12, dtype=float)[:, None]
-        with pytest.raises(TypeError, match="lower_input"):
-            Minibatch(samples, samples)
-        for split in (samples, (samples, samples), self._make().split.inputs):
+        # a raw (inputs, targets) pair reaches no network
+        with pytest.raises(TypeError, match="Minibatch made by lower_input, got tuple"):
+            backward(self.NET, (samples, samples))
+        for split in (samples, (samples, samples), self._make().split.rows):
             with pytest.raises(TypeError, match="lowered split Minibatch"):
                 MinibatchScheduler(split, 3, np.random.default_rng(0))
 
@@ -494,7 +494,7 @@ def make_training_setup(seed, n_samples=24, batch=4, widths=(10, 64, 8)):
     net = dense_network(list(widths), rng=np.random.default_rng([seed, 1]))
     inputs = rng.normal(size=(n_samples, widths[0]))
     targets = rng.normal(size=(n_samples, widths[-1]))
-    return net, lowered_batch(net, inputs, targets)
+    return net, lower_input(net, inputs, targets)
 
 
 def fresh_scheduler(split, batch, seed):
@@ -620,7 +620,7 @@ class TestVCycleHandTrace:
                              weight_decay=0.0, steps_per_smooth=1)
         stab = StabilityConfig(eta=np.sqrt(2.0), alpha_m=0.2, gamma=0.25)
         h = Hierarchy.build(net, depth=2, tau_batches=1, theta=0.9, weighted=True)
-        split = lowered_batch(net, inputs, targets)
+        split = lower_input(net, inputs, targets)
         sched = MinibatchScheduler(split, 6, np.random.default_rng(0))
         n_batches = sched.batches_per_epoch
         assert n_batches == 1  # full-set batches make the trace order-independent
@@ -951,7 +951,7 @@ class TestOneTrainingThread:
             import numpy as np
             from mlfas import _threads
             from mlfas.harness import build_network
-            from mlfas.nets import Minibatch, lower_input
+            from mlfas.nets import lower_input
             from mlfas.training import (Hierarchy, MinibatchScheduler, SmootherConfig,
                                         StabilityConfig, sgd_smooth, v_cycle)
 
@@ -959,8 +959,8 @@ class TestOneTrainingThread:
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
             rng = np.random.default_rng(93)
             net = build_network({arch!r}, {shape!r}, {n_out}, rng=rng)
-            split = Minibatch(lower_input(net, rng.normal(size=(400, net.input_size))),
-                              rng.normal(size=(400, {n_out})))
+            split = lower_input(net, rng.normal(size=(400, net.input_size)),
+                                rng.normal(size=(400, {n_out})))
             sched = MinibatchScheduler(split, 200, rng)
             # one CPU first, since a helper thread, once started, stays;
             # a free second CPU must not draw the dense net onto another thread
@@ -1009,8 +1009,8 @@ class TestConvHandOff:
     def test_sgd_smooth_with_weight_decay_and_a_tilt(self, monkeypatch):
         def run():
             net, inputs, targets, rng = self.net_and_data(95, 400)
-            batches = [lowered_batch(net, inputs[:200], targets[:200]),
-                       lowered_batch(net, inputs[200:], targets[200:])]
+            batches = [lower_input(net, inputs[:200], targets[:200]),
+                       lower_input(net, inputs[200:], targets[200:])]
             momentum = net.params.zeros_like()
             tilt = ParamVector(rng.normal(scale=1e-3, size=net.param_count()), net.params.layout)
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, weight_decay=0.01,
@@ -1026,7 +1026,7 @@ class TestConvHandOff:
             h = Hierarchy.build(net, depth=3)
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=1)
             v_cycle(h, 0, cfg, StabilityConfig(gamma=0.5),
-                    MinibatchScheduler(lowered_batch(net, inputs, targets), 200, rng))
+                    MinibatchScheduler(lower_input(net, inputs, targets), 200, rng))
             return [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
                      lvl.tilt.data.tobytes() if lvl.tilt is not None else None)
                     for lvl in h.levels]
