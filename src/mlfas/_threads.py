@@ -1,12 +1,12 @@
 """The thread plumbing of ``poisson``, ``nets`` and ``harness``.
 
-``poisson.generate_dataset`` solves its chunks through ``run_in_order``;
+``poisson.generate_dataset`` solves its chunks, and ``nets.backward`` the
+two row halves of a large batch, through ``run_in_order``, which shares
+them between the calling thread and the process's helper threads.
 ``harness`` runs each seed's evaluation worker through ``submit``, and that
-worker calls ``leave_start_cpu`` and ``lower_priority``.  ``nets.backward``
-queues the second row half of a large batch on the process's one helper
-thread through ``queue``, and ends it with ``finish`` before it returns.
-The rest of training runs on the thread that calls it.  When to use
-another thread stays with the module that decides it.
+worker calls ``leave_start_cpu`` and ``lower_priority``.  The rest of
+training runs on the thread that calls it.  When to use another thread
+stays with the module that decides it.
 """
 
 import contextlib
@@ -33,95 +33,74 @@ def submit(pool: futures.Executor, fn, *args) -> futures.Future:
     return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
-# the helper thread's executor of each process, by pid: a forked child
-# inherits its parent's executor but not the thread, so it makes its own
+# the helper threads' executors of each process, by pid: a forked child
+# inherits its parent's executors but not their threads, so it makes its own
 _helpers = {}
 
 
-def _helper() -> futures.ThreadPoolExecutor:
-    """The executor of this process's one helper thread, made on first use.
-
-    The thread starts with the first task and moves itself off the CPU it
-    started on (``leave_start_cpu``), which is its caller's.  Two callers
-    that make an executor at once keep the same one: ``setdefault`` is
-    atomic, and an executor starts no thread before its first task.
-    """
-    pid = os.getpid()
-    pool = _helpers.get(pid)
-    if pool is None:
-        pool = _helpers.setdefault(pid, futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="mlfas-helper", initializer=leave_start_cpu))
-    return pool
-
-
-def queue(fn, *args) -> tuple:
-    """Queue ``fn(*args)`` on the helper thread, through ``submit``.
-
-    Returns the task, ``(future, fn, args)``, for ``finish``.
-    """
-    return submit(_helper(), fn, *args), fn, args
-
-
-def finish(task: tuple, run: bool = True) -> None:
-    """End ``task``, as ``queue`` returned it.
-
-    A task the helper has not started is taken back: with ``run`` it runs
-    here, and without it, it is dropped.  A started one is waited for; with
-    ``run`` its error is raised, and without it, for a caller that is
-    raising an error of its own, it is not.  Either way the task is not
-    running when this returns.
-    """
-    future, fn, args = task
-    if future.cancel():
-        if run:
-            fn(*args)
-    elif run:
-        future.result()
-    else:
-        futures.wait([future])
-
-
 def run_in_order(task, items) -> None:
-    """Call ``task`` on every one of the sequence ``items``, on worker threads.
+    """Call ``task`` on every one of the sequence ``items``.
 
-    There are as many threads as CPUs the calling thread may use, and no
-    more than items; with one, the calls run in line on the calling thread.
-    Items start in order, each through ``submit``.  After a failure no
-    further item starts, and the error of the earliest failed item is
-    raised once every started item has ended.  An interrupted caller
-    cancels the items that have not started.  No thread outlives the call:
-    the pool starts its threads while the items are submitted, and an
-    interrupt that landed between a thread's start and the pool's record of
-    it would leave that thread unjoined, so the calling thread holds SIGINT
-    back until every item is submitted.
+    The calling thread takes the first item.  The rest go, in order, to
+    whichever is free: the caller or one of the process's helper threads,
+    one per CPU the caller may use past the first, and no more than items
+    past the first.  An item no helper has taken by the time the caller is
+    free is run by the caller, so a busy helper delays nothing.  With one
+    CPU or one item the calls run in line and no thread starts.  A helper
+    is made on first use, moves off the CPU it started on
+    (``leave_start_cpu``) and waits idle between calls; each item runs
+    through ``submit``, in the caller's context.
+
+    After a failure no further item starts, and once every started item
+    has ended the error of the earliest failed item is raised.  An
+    interrupt of the caller wins over an item's error and starts no further
+    item either.  The calling thread holds SIGINT back while it hands its
+    helpers their work, so that an interrupt cannot leave a helper working
+    on the call after it has ended.
     """
     workers = min(allowed_cpus(), len(items))
     if workers <= 1:
         for item in items:
             task(item)
         return
+    lock = threading.Lock()
+    order = iter(range(1, len(items)))  # item 0 is the caller's
+    failed = {}  # the error of every failed item, by index
     stop = False
 
-    def guarded(item):
-        nonlocal stop
-        if stop:
-            return
-        try:
-            task(item)
-        except BaseException:
-            stop = True
-            raise
+    def take():
+        with lock:
+            return None if stop else next(order, None)
 
-    pool = futures.ThreadPoolExecutor(workers)
+    def work(i, caller=False):
+        nonlocal stop
+        while i is not None:
+            try:
+                task(items[i])
+            except BaseException as error:
+                with lock:
+                    stop = True
+                    failed[i] = error
+                if caller and isinstance(error, KeyboardInterrupt):
+                    raise
+                return
+            i = take()
+
+    helpers = _helpers.setdefault(os.getpid(), [])
+    while len(helpers) < workers - 1:
+        helpers.append(futures.ThreadPoolExecutor(
+            1, thread_name_prefix="mlfas-helper", initializer=leave_start_cpu))
+    with _sigint_held():
+        shares = [submit(helper, lambda: work(take())) for helper in helpers[:workers - 1]]
     try:
-        with _sigint_held():
-            runs = [submit(pool, guarded, item) for item in items]
-        futures.wait(runs)
+        work(0, caller=True)
     finally:
-        stop = True  # an interrupted caller starts no further item either
-        pool.shutdown(cancel_futures=True)
-    for run in runs:
-        run.result()
+        with lock:
+            stop = True
+        # a cancelled share counts as done only once its helper reaches it
+        futures.wait([share for share in shares if not share.cancel()])
+    if failed:
+        raise failed[min(failed)]
 
 
 @contextlib.contextmanager

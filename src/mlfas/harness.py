@@ -487,15 +487,16 @@ def _parallelism_text(cfg: ExperimentConfig, parallel: bool) -> str:
 
 
 def _handoff_text() -> str:
-    """What ``backward`` hands to the helper thread in this process; a
+    """What ``backward`` hands to a helper thread in this process; a
     spawned worker inherits its CPUs, so it hands off the same."""
     split = (f"a batch with a dense weight product past the first layer of at least "
              f"2^{math.log2(nets.HANDOFF_MIN_MACS):g} multiply-adds passes as two row "
              f"halves, summed")
+    helper = "the second on a helper thread unless the training thread is free first"
     cpus = _threads.allowed_cpus()
     if cpus >= 2:
-        return f"{split}, the second on one helper thread ({cpus} CPUs allowed)"
-    return f"{split}, both in line ({cpus} CPU allowed; from 2 CPUs, the second on one helper thread)"
+        return f"{split}, {helper} ({cpus} CPUs allowed)"
+    return f"{split}, both in line ({cpus} CPU allowed; from 2 CPUs, {helper})"
 
 
 def _numerics_text() -> str:

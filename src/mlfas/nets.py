@@ -243,7 +243,7 @@ LOSS_BLOCK_MIN_ROWS = 16
 _WHOLE = (slice(None), None)
 
 # multiply-adds of a dense weight product past the first layer from which
-# ``backward`` passes a batch as two row halves, the second on the helper
+# ``backward`` passes a batch as two row halves, the second on a helper
 # thread.  At batch 200 the benchmark's conv net passes it at both levels
 # (13.1 M and more) and its dense nets do not (6.6 M at most).
 HANDOFF_MIN_MACS = 2**23
@@ -432,15 +432,13 @@ def backward(
 
     A batch on which ``hands_off`` holds is passed as two row halves, the
     first ``rows // 2`` rows and the rest, each scaled as the whole batch
-    (``2 / rows``); the halves are summed into ``out``, and then every layer
-    steps.  With two CPUs allowed, the second half is one task on the
-    helper thread (``_threads.queue``, in the caller's context), taken back
-    and run here if it has not started when the first half ends
-    (``_threads.finish``).  No call ends while its task runs, and an error
-    on this thread wins over one on the helper.  Each half is the same pass
-    on either thread, so the result does not depend on the CPU count.  Any
-    other batch is one pass that calls ``step(k)`` right after layer k's
-    input gradient ``dz @ W``, while the layer's gradient is in cache.
+    (``2 / rows``), through ``_threads.run_in_order``: this thread passes
+    the first, and the second on a helper thread if one takes it first.
+    The halves are summed into ``out``, and then every layer steps.  Each
+    half is the same pass on either thread, so the result does not depend
+    on the CPU count.  Any other batch is one pass that calls ``step(k)``
+    right after layer k's input gradient ``dz @ W``, while the layer's
+    gradient is in cache.
     """
     _lowered(net, batch)
     if out is None:
@@ -453,20 +451,8 @@ def backward(
         return out
     h = rows // 2
     second = ParamVector(np.empty_like(out.data), out.layout)
-    half = (net, batch[h:], rows, second)
-    if _threads.allowed_cpus() < 2:
-        _gradient_pass(net, batch[:h], rows, out)
-        _gradient_pass(*half)
-    else:
-        # the task writes into ``second`` and reads this call's arrays, so
-        # it may not outlive the call
-        task = _threads.queue(_gradient_pass, *half)
-        try:
-            _gradient_pass(net, batch[:h], rows, out)
-        except BaseException:
-            _threads.finish(task, run=False)
-            raise
-        _threads.finish(task)
+    _threads.run_in_order(lambda half: _gradient_pass(net, half[0], rows, half[1]),
+                          ((batch[:h], out), (batch[h:], second)))
     out.data += second.data
     if step is not None:
         for k in range(net.n_layers - 1, -1, -1):

@@ -328,7 +328,7 @@ def _workspace(count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
 
     The map goes back to the operating system once its last array is gone.
     Memory from ``np.empty`` would stay with the allocating thread's malloc
-    arena instead, so a worker thread's solves would leave their working
+    arena instead, so a helper thread's solves would leave their working
     set resident for the rest of the process.
     """
     size = math.prod(shape)
@@ -466,14 +466,14 @@ def _solve_in_chunks(
     samples' fields into its rows of ``kappa``.  A chunk holds about
     ``_CHUNK_CELLS`` grid cells, which keeps a solve's working set small
     while amortising its per-iteration overhead over many samples.  The
-    chunks run in order through ``_threads.run_in_order``, on one thread per
-    CPU the process may use, up to one thread per chunk; a CPU then holds at
-    most one chunk's working set, about ten arrays of the chunk's size.
-    Every sample's bits are the same for any thread count and any chunk
-    size.  Once a chunk fails no new one starts, and the error of the first
-    failed chunk is raised after every started chunk has ended.  A chunk
-    reads ``solve_poisson`` from this module at call time, where the
-    benchmark's tracer and the tests replace it.
+    chunks run in order through ``_threads.run_in_order``, on the calling
+    thread and one helper thread per further CPU the process may use; a CPU
+    then holds at most one chunk's working set, about ten arrays of the
+    chunk's size.  Every sample's bits are the same for any thread count
+    and any chunk size.  Once a chunk fails no new one starts, and the error
+    of the first failed chunk is raised after every started chunk has
+    ended.  A chunk reads ``solve_poisson`` from this module at call time,
+    where the benchmark's tracer and the tests replace it.
     """
     n = kappa.shape[-1]
     chunk = max(1, _CHUNK_CELLS // (n * n))

@@ -477,9 +477,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_metadata_states_the_gradient_hand_off(self, tiny_dataset, tmp_path, monkeypatch,
                                                    cpus):
+        helper = "the second on a helper thread unless the training thread is free first"
         line = (f"# gradient products: {self.SPLIT}, "
-                + ("both in line (1 CPU allowed; from 2 CPUs, the second on one helper thread)"
-                   if cpus == 1 else f"the second on one helper thread ({cpus} CPUs allowed)"))
+                + (f"both in line (1 CPU allowed; from 2 CPUs, {helper})"
+                   if cpus == 1 else f"{helper} ({cpus} CPUs allowed)"))
         ds, path = tiny_dataset
         monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)

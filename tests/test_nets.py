@@ -4,7 +4,6 @@ import multiprocessing
 import sys
 import threading
 import time
-from concurrent import futures
 from dataclasses import astuple
 
 import numpy as np
@@ -911,18 +910,26 @@ def on_helper(passes):
 
 
 def hand_off_everything(monkeypatch):
-    """Split every batch of two rows or more, on 2 CPUs, and let the helper
-    start its half before ``backward`` ends it, so that none is taken back;
-    returns the recorded passes."""
+    """Split every batch of two rows or more, on 2 CPUs, and hold the caller
+    after its half until a helper has started the second, so that the
+    caller never passes both; returns the recorded passes."""
     monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
     use_cpus(monkeypatch, 2)
-    finish = _threads.finish
+    run_in_order = _threads.run_in_order
 
-    def patient(task, run=True):
-        futures.wait([task[0]])
-        finish(task, run)
+    def patient(task, items):
+        caller, helper_started = threading.current_thread(), threading.Event()
 
-    monkeypatch.setattr(_threads, "finish", patient)
+        def held(item):
+            if threading.current_thread() is not caller:
+                helper_started.set()
+            task(item)
+            if threading.current_thread() is caller:
+                helper_started.wait(10)
+
+        run_in_order(held, items)
+
+    monkeypatch.setattr(_threads, "run_in_order", patient)
     return record_halves(monkeypatch)
 
 
@@ -947,9 +954,10 @@ def stepped_bytes(net, batch):
 
 
 class TestHandOff:
-    """A batch that passes the hand-off gate is passed as two row halves,
-    the second on the process's one helper thread when 2 CPUs are allowed,
-    and the layers step after the halves are summed."""
+    """A batch that passes the hand-off gate is passed as two row halves
+    through ``_threads.run_in_order``, the second on a helper thread when 2
+    CPUs are allowed and the helper takes it first, and the layers step
+    after the halves are summed."""
 
     def test_gate_separates_the_benchmark_nets(self, monkeypatch):
         conv, batch = conv_net_and_batch(20)
@@ -964,22 +972,24 @@ class TestHandOff:
         assert not nets.hands_off(dense, 200)
         # a 99-row batch splits and a 42-row one stays whole
         assert nets.hands_off(conv, 99) and not nets.hands_off(conv, 42)
-        queued = []
-        queue = _threads.queue
-        monkeypatch.setattr(_threads, "queue", lambda fn, *args: (
-            queued.append(fn), queue(fn, *args))[1])
+        splits = []
+        run_in_order = _threads.run_in_order
+        monkeypatch.setattr(_threads, "run_in_order", lambda task, items: (
+            splits.append([len(half) for half, _ in items]), run_in_order(task, items))[1])
         passes = record_halves(monkeypatch)
         use_cpus(monkeypatch, 2)
         backward(dense, random_batch(np.random.default_rng(2), dense, size=200),
                  step=lambda k: None)
-        assert queued == [] and [rows for _, rows in passes] == [200]
+        assert splits == [] and [rows for _, rows in passes] == [200]
         backward(conv, batch, step=lambda k: None)
-        assert queued == [nets._gradient_pass]  # the second half, one task
+        assert splits == [[100, 100]]  # the two halves, one call
         backward(conv, random_batch(np.random.default_rng(3), conv, size=99))
-        assert len(queued) == 2
+        assert len(splits) == 2
         use_cpus(monkeypatch, 1)
         backward(conv, batch, step=lambda k: None)
-        assert len(queued) == 2
+        # on one CPU both halves run in line
+        assert passes[-2:] == [(threading.current_thread(), 100)] * 2
+        assert splits == [[100, 100], [49, 50], [100, 100]]
         assert [rows for _, rows in passes] == [200, 100, 100, 49, 50, 100, 100]
         # one row never splits, whatever the gate
         monkeypatch.setattr(nets, "HANDOFF_MIN_MACS", 0)
@@ -1048,20 +1058,32 @@ class TestHandOff:
         assert results[2] == results[1]
         assert all(r == results[1][0] for r in results[1])
 
-    def test_taken_back_tasks_give_the_same_bytes(self, monkeypatch):
+    def test_halves_a_busy_helper_never_took_give_the_same_bytes(self, monkeypatch):
         net, batch = conv_net_and_batch(22)
         use_cpus(monkeypatch, 1)
         ref = stepped_bytes(net, batch)
         use_cpus(monkeypatch, 2)
+        # another caller's two items hold it and the helper until released
+        release, held, waited = threading.Event(), [], []
+
+        def hold(item):
+            held.append(threading.current_thread())
+            waited.append(release.wait(10))
+
+        other = threading.Thread(target=_threads.run_in_order, args=(hold, (0, 1)))
+        other.start()
+        deadline = time.monotonic() + 10
+        while len(held) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
         passes = record_halves(monkeypatch)
-        release = threading.Event()
-        blocker = _threads.queue(release.wait, 10)[0]
         try:
+            assert held[0] is other and held[1] not in (other, threading.current_thread())
             got = stepped_bytes(net, batch)
-            assert not blocker.done()
+            assert waited == [] and other.is_alive()
         finally:
             release.set()
-        assert blocker.result()
+            other.join(10)
+        assert not other.is_alive() and waited == [True, True]
         assert got == ref
         assert passes == [(threading.current_thread(), 100)] * 2
 

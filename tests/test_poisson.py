@@ -5,7 +5,6 @@ import signal
 import sys
 import threading
 import time
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlfas.poisson as poisson
-from mlfas import _threads
 from mlfas.poisson import (
     DatasetFormatError,
     FieldParams,
@@ -468,29 +466,22 @@ class TestParallelGenerate:
 
     def test_interrupted_caller_starts_no_further_chunk(self, monkeypatch):
         count, n, cpus = 14, 4, 2
+        use_cpus(monkeypatch, cpus)
+        # this first run also makes the helper thread, which stays
         index = self.chunk_starts(count, n, seed=4)
         reference = poisson.solve_poisson
         started = threading.Barrier(cpus, timeout=30)
-        stopping = threading.Event()
         calls = []
-
-        class Pool(futures.ThreadPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                # the interrupted caller has stopped handing out chunks
-                stopping.set()
-                super().shutdown(*args, **kwargs)
 
         def stub(kappa, f):
             lo = index[kappa[0].tobytes()]
             calls.append(lo)
             started.wait()
-            if lo == 0:
+            if lo == 0:  # the calling thread's chunk
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            stopping.wait(30)  # the interrupt comes first
+            time.sleep(0.2)  # the interrupt comes first
             return reference(kappa, f)
 
-        use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(_threads.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * n * n)
         monkeypatch.setattr(poisson, "solve_poisson", stub)
         before = threading.active_count()
@@ -499,9 +490,10 @@ class TestParallelGenerate:
         assert sorted(calls) == [0, 2]
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_the_call(self, monkeypatch):
+    def test_calls_add_no_thread_once_the_helpers_exist(self, monkeypatch):
         use_cpus(monkeypatch, 3)
         monkeypatch.setattr(poisson, "_CHUNK_CELLS", 2 * 16)
+        generate_dataset(20, 4, seed=2)  # makes the two helper threads, which stay
         before = threading.active_count()
         generate_dataset(20, 4, seed=2)
         assert threading.active_count() == before
