@@ -32,7 +32,6 @@ from .training import (
     Hierarchy,
     MinibatchScheduler,
     SmootherConfig,
-    StabilityConfig,
     compute_tau,
     sgd_smooth,
     v_cycle,

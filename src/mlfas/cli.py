@@ -28,7 +28,7 @@ from .poisson import (
     read_dataset,
     write_dataset,
 )
-from .training import DivergenceError
+from .training import DivergenceError, Hierarchy
 
 # the format, config and shape errors are ValueErrors
 _KNOWN_ERRORS = (ValueError, OSError, SolverError, DivergenceError)
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     insp = sub.add_parser("inspect-hierarchy",
                           help="report widths and matchings of level checkpoints")
     insp.add_argument("checkpoints", nargs="+", help="per-level checkpoints, fine first")
-    insp.add_argument("--theta", type=float, default=0.1,
+    insp.add_argument("--theta", type=float, default=Hierarchy.theta,
                       help="matching threshold for the aggregate report")
     insp.set_defaults(func=_cmd_inspect)
     return parser

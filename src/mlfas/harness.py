@@ -36,7 +36,7 @@ from .training import (
     Hierarchy,
     MinibatchScheduler,
     SmootherConfig,
-    StabilityConfig,
+    check_settings,
     v_cycle,
 )
 from .transfer import coarsen_network
@@ -48,7 +48,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs for one experiment; see README for the key reference."""
+    """All knobs for one experiment; see README for the key reference.
+
+    ``depth`` and the keys from ``tau_batches`` to ``gamma`` are the method
+    settings: ``Hierarchy`` owns their defaults, ``check_settings`` their checks.
+    """
 
     dataset: str = ""
     arch: str = "dense:128,dense:128"
@@ -58,13 +62,13 @@ class ExperimentConfig:
     weight_decay: float = 0.0
     steps_per_smooth: int = 4
     batch_size: int = 200
-    tau_batches: int = 2
-    rematch_period: int = 50
-    theta: float = 0.1
-    weighted: bool = True
-    eta: float = math.sqrt(2.0)
-    alpha_m: float = 0.2
-    gamma: float = 1.0
+    tau_batches: int = Hierarchy.tau_batches
+    rematch_period: int = Hierarchy.rematch_period
+    theta: float = Hierarchy.theta
+    weighted: bool = Hierarchy.weighted
+    eta: float = Hierarchy.eta
+    alpha_m: float = Hierarchy.alpha_m
+    gamma: float = Hierarchy.gamma
     max_work_units: float = 5000.0
     eval_every: float = 25.0
     seeds: tuple = (0,)
@@ -76,15 +80,12 @@ class ExperimentConfig:
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         # a depth-1 run with no smoothing steps would never charge work
-        for key in ("depth", "steps_per_smooth", "batch_size", "tau_batches",
-                    "rematch_period", "workers"):
+        for key in ("steps_per_smooth", "batch_size", "workers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("eval_every", "max_work_units"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if not -1.0 <= self.theta <= 1.0:
-            raise ConfigError("theta must lie in [-1, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         # a tuple of ints, which a grid's shared keys hash and config_text writes
@@ -95,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {_text(self.seeds)}")
         try:
             self.smoother()
-            self.stability()
+            check_settings(self)
         except ValueError as e:  # their messages name the key
             raise ConfigError(str(e)) from None
 
@@ -107,10 +108,6 @@ class ExperimentConfig:
             weight_decay=self.weight_decay,
             steps_per_smooth=self.steps_per_smooth,
         )
-
-    def stability(self) -> StabilityConfig:
-        """The hierarchy's damping settings."""
-        return StabilityConfig(eta=self.eta, alpha_m=self.alpha_m, gamma=self.gamma)
 
 
 @dataclass
@@ -292,16 +289,15 @@ def dataset_splits(ds: RegressionDataset):
     return xi[:cut], yo[:cut], xi[cut:], yo[cut:]
 
 
-def _start_evaluation_worker(yields: bool) -> None:
-    """Move the evaluation worker off training's CPU and, if it ``yields``,
-    below training's priority."""
+def _start_evaluation_worker() -> None:
+    """Move the evaluation worker off training's CPU and, unless this is a
+    spawned process, below training's priority."""
     _threads.leave_start_cpu()
-    if yields:
+    if multiprocessing.parent_process() is None:
         _threads.lower_priority()
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
-             evaluation_yields: bool = True) -> RunResult:
+def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset) -> RunResult:
     """Train one seed to the work budget, logging metrics per eval interval.
 
     The logged losses are computed on one worker thread, overlapped with
@@ -316,11 +312,12 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
     any error training raised after it, and the rows evaluated before an
     error are kept.
 
-    With ``evaluation_yields`` the worker runs at the lowest priority, so
-    training threads preempt it where they share a CPU; the final
-    evaluation, which the run waits for, still gets an idle one.  Spawned
-    grid workers pass false: there the other workers' training keeps every
-    CPU busy, and a starved evaluation would stall its own run at the next.
+    In a process that no other started, the worker runs at the lowest
+    priority, so training threads preempt it where they share a CPU; the
+    final evaluation, which the run waits for, still gets an idle one.  In
+    a spawned grid worker it keeps its process's priority: there the other
+    workers' training keeps every CPU busy, and a starved evaluation would
+    stall its own run at the next.
     """
     xtr, ytr, xva, yva = dataset_splits(ds)
     if cfg.batch_size > xtr.shape[0]:
@@ -338,14 +335,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
     train_mb = lower_input(net, xtr, ytr)
     val_mb = lower_input(net, xva, yva)
     scheduler = MinibatchScheduler(train_mb, cfg.batch_size, np.random.default_rng([seed, 101]))
-    smoother, stab = cfg.smoother(), cfg.stability()
+    smoother = cfg.smoother()
     hierarchy = Hierarchy.build(
-        net,
-        cfg.depth,
-        rematch_period=cfg.rematch_period,
-        tau_batches=cfg.tau_batches,
-        theta=cfg.theta,
-        weighted=cfg.weighted,
+        net, cfg.depth, rematch_period=cfg.rematch_period, tau_batches=cfg.tau_batches,
+        theta=cfg.theta, weighted=cfg.weighted, eta=cfg.eta, alpha_m=cfg.alpha_m,
+        gamma=cfg.gamma,
     )
 
     records = []
@@ -395,14 +389,13 @@ def run_seed(cfg: ExperimentConfig, seed: int, ds: RegressionDataset, *,
 
     failed = False
     reason = ""
-    pool = ThreadPoolExecutor(max_workers=1, initializer=_start_evaluation_worker,
-                              initargs=(evaluation_yields,))
+    pool = ThreadPoolExecutor(max_workers=1, initializer=_start_evaluation_worker)
     try:
         try:
             evaluate(0)
             next_eval = cfg.eval_every
             while hierarchy.work < cfg.max_work_units:
-                v_cycle(hierarchy, 0, smoother, stab, scheduler)
+                v_cycle(hierarchy, 0, smoother, scheduler)
                 if hierarchy.work >= next_eval:
                     evaluate(hierarchy.cycles_run)
                     next_eval = (hierarchy.work // cfg.eval_every + 1) * cfg.eval_every
@@ -447,7 +440,7 @@ _worker_datasets = {}
 def _run_seed_from_path(cfg: ExperimentConfig, seed: int) -> RunResult:
     if cfg.dataset not in _worker_datasets:
         _worker_datasets[cfg.dataset] = read_dataset(cfg.dataset)
-    return run_seed(cfg, seed, _worker_datasets[cfg.dataset], evaluation_yields=False)
+    return run_seed(cfg, seed, _worker_datasets[cfg.dataset])
 
 
 def _run_in_workers(pairs: list, workers: int) -> list[RunResult]:
@@ -648,7 +641,7 @@ def _hierarchy_signature(net: Network) -> dict:
     return sig | {"input shape": net.interfaces[0], "output size": net.output_size}
 
 
-def inspect_hierarchy(paths, theta: float = 0.1) -> str:
+def inspect_hierarchy(paths, theta: float = Hierarchy.theta) -> str:
     """Text report over a stack of per-level checkpoints (fine first).
 
     Reports widths, parameter counts, per-layer coarsening ratios against

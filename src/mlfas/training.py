@@ -76,32 +76,6 @@ class SmootherConfig:
 ETA_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class StabilityConfig:
-    """Damping knobs for deeper hierarchies.
-
-    The learning rate is divided by ``eta`` per level for the first
-    ``ETA_DEPTH`` levels and then held; ``alpha_m`` damps the momentum's
-    coarse-grid correction, while the parameters take theirs undamped;
-    ``gamma`` scales the tau tilt of the coarse objective: 1 makes it
-    first-order consistent with the fine one at any number of minibatches
-    per epoch, a smaller value blends toward the coarse network's own loss,
-    and 0 leaves it untilted, so no tau is computed.
-    """
-
-    eta: float = math.sqrt(2.0)
-    alpha_m: float = 0.2
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if self.eta < 1.0:
-            raise ValueError("eta must be >= 1")
-        if not 0.0 < self.alpha_m <= 1.0:
-            raise ValueError("alpha_m must lie in (0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-
-
 class MinibatchScheduler:
     """Shuffled cyclic minibatch stream over one lowered split.
 
@@ -252,32 +226,63 @@ class LevelState:
     start: tuple[ParamVector, ParamVector] | None = None
 
 
+def check_settings(s) -> None:
+    """Refuse any method setting of ``s``, a ``Hierarchy`` or an experiment
+    config, that is out of range; each message starts with the key."""
+    if s.depth < 1:
+        raise ValueError("depth must be >= 1")
+    if s.rematch_period < 1:
+        raise ValueError("rematch_period must be >= 1")
+    if s.tau_batches < 1:
+        raise ValueError("tau_batches must be >= 1")
+    if not -1.0 <= s.theta <= 1.0:
+        raise ValueError("theta must lie in [-1, 1]")
+    if s.eta < 1.0:
+        raise ValueError("eta must be >= 1")
+    if not 0.0 < s.alpha_m <= 1.0:
+        raise ValueError("alpha_m must lie in (0, 1]")
+    if not 0.0 <= s.gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+
+
 @dataclass(eq=False)
 class Hierarchy:
-    """Stack of progressively narrower networks plus cycle bookkeeping."""
+    """Stack of progressively narrower networks, the method settings its
+    V-cycles read, and cycle bookkeeping.
+
+    The matchings are rebuilt every ``rematch_period`` cycles, with
+    threshold ``theta`` and, if ``weighted``, row-norm weighted transfers;
+    each tau correction averages ``tau_batches`` minibatches.  The learning
+    rate is divided by ``eta`` per level for the first ``ETA_DEPTH`` levels
+    and then held; ``alpha_m`` damps the momentum's coarse-grid correction,
+    while the parameters take theirs undamped; ``gamma`` scales the tau
+    tilt of the coarse objective: 1 makes it first-order consistent with
+    the fine one at any number of minibatches per epoch, a smaller value
+    blends toward the coarse network's own loss, and 0 leaves it untilted,
+    so no tau is computed.  These defaults are the experiment config's.
+    """
 
     levels: list[LevelState]
     depth: int
-    rematch_period: int = 10
+    rematch_period: int = 50
     tau_batches: int = 2
     theta: float = 0.1
     weighted: bool = True
+    eta: float = math.sqrt(2.0)
+    alpha_m: float = 0.2
+    gamma: float = 1.0
     cycles_run: int = field(default=0, init=False)
     work: float = field(default=0.0, init=False)  # work units charged so far
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.rematch_period < 1:
-            raise ValueError("rematch_period must be positive")
-        if self.tau_batches < 1:
-            raise ValueError("tau_batches must be positive")
+        check_settings(self)
 
     @classmethod
     def build(cls, net: Network, depth: int, **settings) -> "Hierarchy":
         """Hierarchy over ``net`` with its coarse levels matched.
 
-        ``settings`` are the fields from ``rematch_period`` to ``weighted``.
+        ``settings`` are the method settings from ``rematch_period`` to
+        ``gamma``; those not given take their defaults.
         """
         h = cls([LevelState(net=net, momentum=net.params.zeros_like())], depth, **settings)
         h.rematch()
@@ -307,9 +312,9 @@ def _cfg_for(cfgs, level: int) -> SmootherConfig:
     return cfgs[min(level, len(cfgs) - 1)]
 
 
-def _effective_cfg(cfgs, level: int, stab: StabilityConfig) -> SmootherConfig:
+def _effective_cfg(cfgs, level: int, eta: float) -> SmootherConfig:
     cfg = _cfg_for(cfgs, level)
-    scale = stab.eta ** min(level, ETA_DEPTH)
+    scale = eta ** min(level, ETA_DEPTH)
     if scale == 1.0:
         return cfg
     return replace(cfg, learning_rate=cfg.learning_rate / scale)
@@ -340,27 +345,27 @@ def v_cycle(
     h: Hierarchy,
     level: int,
     cfgs,
-    stab: StabilityConfig,
     scheduler: MinibatchScheduler,
     _batches=None,
 ) -> Hierarchy:
     """One V-cycle starting at ``level`` (call with level=0).
 
-    At the entry level the matchings are rebuilt every ``rematch_period``
-    cycles and smoothing consumes the shared batch stream; deeper levels
-    smooth on the tau-group batches handed down by their parent.  The
-    coarsest level degenerates to a single smoothing block, so depth 1 is
-    plain SGD.  Each coarse visit draws its tau group; only at ``gamma > 0``
-    does it compute and charge the tau.  After the visit the parameters take
-    the undamped correction from the visit's ``start`` and the momentum one
-    damped by ``alpha_m``, both in place.
+    The method settings are ``h``'s.  At the entry level the matchings are
+    rebuilt every ``rematch_period`` cycles and smoothing consumes the
+    shared batch stream; deeper levels smooth on the tau-group batches
+    handed down by their parent.  The coarsest level degenerates to a
+    single smoothing block, so depth 1 is plain SGD.  Each coarse visit
+    draws its tau group; only at ``gamma > 0`` does it compute and charge
+    the tau.  After the visit the parameters take the undamped correction
+    from the visit's ``start`` and the momentum one damped by ``alpha_m``,
+    both in place.
     """
     state = h.levels[level]
     if level == 0:
         if h.cycles_run > 0 and h.cycles_run % h.rematch_period == 0:
             h.rematch()
         _batches = iter(scheduler)
-    cfg = _effective_cfg(cfgs, level, stab)
+    cfg = _effective_cfg(cfgs, level, h.eta)
 
     _smooth_level(h, level, cfg, _batches)
 
@@ -377,9 +382,9 @@ def v_cycle(
             np.copyto(coarse.start[0].data, coarse.net.params.data)
             np.copyto(coarse.start[1].data, coarse.momentum.data)
             coarse.tilt = None
-            if stab.gamma != 0.0:
+            if h.gamma != 0.0:
                 coarse.tilt = compute_tau(state.net, coarse.net, t, group)
-                coarse.tilt.data *= stab.gamma
+                coarse.tilt.data *= h.gamma
                 h.work += h.tau_batches * (h.param_ratio(level) + h.param_ratio(level + 1))
         except DivergenceError as e:
             raise DivergenceError(
@@ -388,14 +393,14 @@ def v_cycle(
                 cycle=h.cycles_run,
             ) from e
 
-        v_cycle(h, level + 1, cfgs, stab, scheduler, _batches=itertools.cycle(group))
+        v_cycle(h, level + 1, cfgs, scheduler, _batches=itertools.cycle(group))
 
         # both gradient buffers are free until the post-smoothing, and this
         # level has not moved since its state was restricted into ``start``
         scratch = (coarse.net.grad, state.net.grad)
         start_x, start_m = coarse.start
         coarse_grid_correction(state.net.params, coarse.net.params, t, start_x, 1.0, scratch)
-        coarse_grid_correction(state.momentum, coarse.momentum, t, start_m, stab.alpha_m, scratch)
+        coarse_grid_correction(state.momentum, coarse.momentum, t, start_m, h.alpha_m, scratch)
         _check_finite(h, level, "coarse-grid correction")
 
         _smooth_level(h, level, cfg, _batches)

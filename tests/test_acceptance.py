@@ -47,7 +47,6 @@ from mlfas.training import (
     LevelState,
     MinibatchScheduler,
     SmootherConfig,
-    StabilityConfig,
     compute_tau,
     sgd_smooth,
     v_cycle,
@@ -191,14 +190,15 @@ def test_criterion_5_degenerate_cycle_equivalences():
 
     # (a) identity transfers, gamma 0, alpha 1: one cycle == 3k SGD steps
     fas_net = net.copy()
-    h = Hierarchy.build(fas_net, depth=2, tau_batches=k, weighted=False)
+    h = Hierarchy.build(fas_net, depth=2, tau_batches=k, weighted=False,
+                        eta=1.0, alpha_m=1.0, gamma=0.0)
     t_id = identity_level(fas_net)
     h.levels[0].transfer = t_id
     h.levels[1] = LevelState(net=restrict_network(fas_net, t_id),
                              momentum=flatten(fas_net).zeros_like())
     cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=k)
     sched = MinibatchScheduler(split, 4, np.random.default_rng(99))
-    v_cycle(h, 0, cfg, StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0), sched)
+    v_cycle(h, 0, cfg, sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
     ref_sched = MinibatchScheduler(split, 4, np.random.default_rng(99))
@@ -209,10 +209,11 @@ def test_criterion_5_degenerate_cycle_equivalences():
 
     # (b) zero coarse smoothing steps: the coarse correction is exactly zero
     fas_net = net.copy()
-    h = Hierarchy.build(fas_net, depth=2, tau_batches=k, theta=-1.0)
+    h = Hierarchy.build(fas_net, depth=2, tau_batches=k, theta=-1.0,
+                        eta=2.0, alpha_m=0.4, gamma=0.5)
     cfgs = [cfg, SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=0)]
     sched = MinibatchScheduler(split, 4, np.random.default_rng(7))
-    v_cycle(h, 0, cfgs, StabilityConfig(eta=2.0, alpha_m=0.4, gamma=0.5), sched)
+    v_cycle(h, 0, cfgs, sched)
     ref_net = net.copy()
     momentum = flatten(ref_net).zeros_like()
     ref_sched = MinibatchScheduler(split, 4, np.random.default_rng(7))

@@ -48,7 +48,6 @@ from mlfas.training import (
     Hierarchy,
     MinibatchScheduler,
     SmootherConfig,
-    StabilityConfig,
     sgd_smooth,
     v_cycle,
 )
@@ -104,11 +103,23 @@ class TestConfig:
         assert cfg.dataset == "d.bin"
         assert cfg.seeds == (1, 2)
 
+    # the table names every key once, with the default the code gives it
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Experiment config", 1)[1].split("\n#", 1)[0]
-        keys = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
-        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+                for line in section.splitlines() if line.startswith("| `")]
+        table = dict(rows)
+        assert len(table) == len(rows)
+        assert table.keys() == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        defaults = ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            text, value = table[f.name], getattr(defaults, f.name)
+            if text.endswith("..."):
+                assert repr(value).startswith(text[:-3]), f.name
+            else:
+                text = "" if text in ("(required)", "(empty)") else text
+                assert harness._coerce(f.name, f.type, text) == value, f.name
 
     # all but the first were keys once; a config that still sets them is refused
     @pytest.mark.parametrize(
@@ -162,7 +173,8 @@ class TestConfig:
     # ends, and two runs of one seed write the same files)
     @pytest.mark.parametrize("key, value", [("gamma", 2), ("theta", 3), ("learning_rate", -1),
                                             ("rematch_period", 0), ("tau_batches", 0),
-                                            ("alpha_m", 0), ("seeds", "0,-1"),
+                                            ("alpha_m", 0), ("depth", 0), ("eta", 0.5),
+                                            ("seeds", "0,-1"),
                                             ("learning_rate", "nan"), ("weight_decay", "inf"),
                                             ("eta", "nan"), ("max_work_units", "inf"),
                                             ("eval_every", "nan"), ("seeds", "0,1,0")])
@@ -560,6 +572,24 @@ class TestRunExperiment:
         aux = [r for r in run.records if r.level == 1]
         assert [r.work_units for r in fine] == [r.work_units for r in aux]
 
+    # a method key that run_seed left out would take its default in the
+    # hierarchy and go unnoticed
+    def test_every_method_key_reaches_the_engine(self, tiny_dataset, monkeypatch):
+        settings = dict(depth=3, rematch_period=7, tau_batches=3, theta=0.5, weighted=False,
+                        eta=1.5, alpha_m=0.5, gamma=0.5)
+        assert settings.keys() == {f.name for f in dataclasses.fields(Hierarchy)
+                                   if f.init and f.name != "levels"}
+        defaults = ExperimentConfig()
+        assert all(value != getattr(defaults, key) for key, value in settings.items())
+        seen, real = set(), harness.v_cycle
+        monkeypatch.setattr(harness, "v_cycle", lambda h, *args: seen.add(h) or real(h, *args))
+        ds, path = tiny_dataset
+        run = run_seed(tiny_config(path, arch="dense:12,dense:10", max_work_units=20.0,
+                                   **settings), 0, ds)
+        assert not run.failed
+        [h] = seen
+        assert {key: getattr(h, key) for key in settings} == settings
+
 
 def strip_wall(records):
     """The records' fields without ``wall_s``, which only a serial run pins."""
@@ -581,9 +611,9 @@ def serial_records(cfg, ds, seed=0):
     smoother = SmootherConfig(learning_rate=cfg.learning_rate, momentum_coeff=cfg.momentum,
                               weight_decay=cfg.weight_decay,
                               steps_per_smooth=cfg.steps_per_smooth)
-    stab = StabilityConfig(eta=cfg.eta, alpha_m=cfg.alpha_m, gamma=cfg.gamma)
     h = Hierarchy.build(net, cfg.depth, rematch_period=cfg.rematch_period,
-                        tau_batches=cfg.tau_batches, theta=cfg.theta, weighted=cfg.weighted)
+                        tau_batches=cfg.tau_batches, theta=cfg.theta, weighted=cfg.weighted,
+                        eta=cfg.eta, alpha_m=cfg.alpha_m, gamma=cfg.gamma)
     rows, coarse_nets = [], []
 
     def evaluate():
@@ -596,7 +626,7 @@ def serial_records(cfg, ds, seed=0):
     evaluate()
     next_eval = cfg.eval_every
     while h.work < cfg.max_work_units:
-        v_cycle(h, 0, smoother, stab, sched)
+        v_cycle(h, 0, smoother, sched)
         if h.work >= next_eval:
             evaluate()
             next_eval = (h.work // cfg.eval_every + 1) * cfg.eval_every
@@ -726,6 +756,7 @@ class TestOverlappedEvaluation:
         assert run.reason == "non-finite loss at level 0 (cycle 0)"
         assert run.records == []
 
+    # a spawned grid worker, which has a parent process, keeps its priority
     @pytest.mark.parametrize("yields", [True, False])
     def test_worker_yields_to_training(self, tiny_dataset, monkeypatch, yields):
         if not (hasattr(os, "setpriority") and os.path.exists("/proc/thread-self/stat")):
@@ -742,7 +773,9 @@ class TestOverlappedEvaluation:
         seen = []
         self.spy_loss(monkeypatch, lambda n, v: seen.append(nice()) or v)
         ds, path = tiny_dataset
-        run_seed(tiny_config(path), 0, ds, evaluation_yields=yields)
+        if not yields:
+            monkeypatch.setattr(harness.multiprocessing, "parent_process", lambda: object())
+        run_seed(tiny_config(path), 0, ds)
         assert seen and set(seen) == ({19} if yields else {caller})
         assert nice() == caller
 

@@ -42,7 +42,6 @@ from mlfas.training import (
     LevelState,
     MinibatchScheduler,
     SmootherConfig,
-    StabilityConfig,
     compute_tau,
     sgd_smooth,
     v_cycle,
@@ -294,7 +293,7 @@ class TestComputeTau:
     @pytest.mark.parametrize("n_batches", range(1, 33))
     def test_default_gamma_is_consistent_at_any_n(self, n_batches):
         defect = tau_consistency_defect(n_batches, n_batches, 2, 2, False, True,
-                                        gamma=StabilityConfig().gamma)
+                                        gamma=Hierarchy.gamma)
         assert defect <= 1e-12
 
     @pytest.mark.parametrize("conv", [False, True])
@@ -325,9 +324,9 @@ class TestComputeTau:
 
         monkeypatch.setattr(training, "compute_tau", recording)
         net, split = make_training_setup(61, widths=(10, 64, 48, 8))
-        h = Hierarchy.build(net, depth=3, theta=-1.0)
+        h = Hierarchy.build(net, depth=3, theta=-1.0, gamma=gamma)
         sched = fresh_scheduler(split, 4, seed=61)
-        v_cycle(h, 0, SmootherConfig(learning_rate=0.05), StabilityConfig(gamma=gamma), sched)
+        v_cycle(h, 0, SmootherConfig(learning_rate=0.05), sched)
         assert h.levels[0].tilt is None
         assert len(taus) == (0 if gamma == 0.0 else 2)
         for lvl in h.levels[1:]:
@@ -359,14 +358,15 @@ class TestDescentIdentity:
         errors = []
         for eps in self.EPSILONS:
             fine = net.copy()
-            h = Hierarchy.build(fine, depth=2, tau_batches=1, theta=theta, weighted=weighted)
+            h = Hierarchy.build(fine, depth=2, tau_batches=1, theta=theta, weighted=weighted,
+                                eta=1.0, gamma=1.0)
             sched = MinibatchScheduler(split, len(split), np.random.default_rng(0))
             groups = []
             draw = sched.next_tau_group
             sched.next_tau_group = lambda m: groups.append(draw(m)) or groups[-1]
             cfgs = [SmootherConfig(learning_rate=eps, momentum_coeff=0.0, steps_per_smooth=0),
                     SmootherConfig(learning_rate=eps, momentum_coeff=0.0)]
-            v_cycle(h, 0, cfgs, StabilityConfig(eta=1.0, gamma=1.0), sched)
+            v_cycle(h, 0, cfgs, sched)
             (batch,) = groups[0]
             # the visit refreshed the transfer at the start, where the fine
             # net is still ``net``
@@ -518,10 +518,9 @@ class TestVCycleDegeneracies:
         sgd_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9,
                              weight_decay=1e-4, steps_per_smooth=k)
-        stab = StabilityConfig(eta=1.0, alpha_m=1.0, gamma=0.0)
-        h = identity_hierarchy(net, tau_batches=k)
+        h = identity_hierarchy(net, tau_batches=k, eta=1.0, alpha_m=1.0, gamma=0.0)
         sched = fresh_scheduler(split, 4, seed=21)
-        v_cycle(h, 0, cfg, stab, sched)
+        v_cycle(h, 0, cfg, sched)
 
         ref_sched = fresh_scheduler(split, 4, seed=21)
         momentum = flatten(sgd_net).zeros_like()
@@ -538,10 +537,10 @@ class TestVCycleDegeneracies:
             SmootherConfig(learning_rate=0.03, momentum_coeff=0.9, steps_per_smooth=k),
             SmootherConfig(learning_rate=0.03, momentum_coeff=0.9, steps_per_smooth=0),
         ]
-        stab = StabilityConfig(eta=2.0, alpha_m=0.3, gamma=0.5)
-        h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0)
+        h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0,
+                            eta=2.0, alpha_m=0.3, gamma=0.5)
         sched = fresh_scheduler(split, 4, seed=23)
-        v_cycle(h, 0, cfgs, stab, sched)
+        v_cycle(h, 0, cfgs, sched)
 
         ref_sched = fresh_scheduler(split, 4, seed=23)
         momentum = flatten(ref_net).zeros_like()
@@ -557,15 +556,14 @@ class TestVCycleDegeneracies:
         net, split = make_training_setup(27)
         ref_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
-        stab = StabilityConfig(alpha_m=0.3, gamma=0.0)
-        h = Hierarchy.build(net, depth=2, tau_batches=3, theta=-1.0)
+        h = Hierarchy.build(net, depth=2, tau_batches=3, theta=-1.0, alpha_m=0.3, gamma=0.0)
         sched = fresh_scheduler(split, 4, seed=27)
 
         def refused(*args):
             raise AssertionError("compute_tau called at gamma 0")
 
         monkeypatch.setattr(training, "compute_tau", refused)
-        v_cycle(h, 0, cfg, stab, sched)
+        v_cycle(h, 0, cfg, sched)
         assert h.work == pytest.approx(2 * 1.0 + 2 * h.param_ratio(1) + 2 * 1.0, rel=1e-12)
 
         t = coarsen_network(ref_net, theta=-1.0)
@@ -577,12 +575,12 @@ class TestVCycleDegeneracies:
         coarse = restrict_network(ref_net, t)
         coarse_m = restrict_params(t, momentum)
         start_x, start_m = coarse.params.copy(), coarse_m.copy()
-        coarse_cfg = replace(cfg, learning_rate=cfg.learning_rate / stab.eta)
+        coarse_cfg = replace(cfg, learning_rate=cfg.learning_rate / h.eta)
         sgd_smooth(coarse, coarse_m, coarse_cfg, itertools.cycle(group))
         ref_net.params.data += prolong_params(
             t, ParamVector(coarse.params.data - start_x.data, start_x.layout)).data
         step = prolong_params(t, ParamVector(coarse_m.data - start_m.data, start_m.layout))
-        step.data *= stab.alpha_m
+        step.data *= h.alpha_m
         momentum.data += step.data
         sgd_smooth(ref_net, momentum, cfg, ref_sched)
         np.testing.assert_array_equal(net.params.data, ref_net.params.data)
@@ -592,10 +590,10 @@ class TestVCycleDegeneracies:
         net, split = make_training_setup(25)
         ref_net = net.copy()
         cfg = SmootherConfig(learning_rate=0.02, momentum_coeff=0.9, steps_per_smooth=5)
-        h = Hierarchy.build(net, depth=1)
+        h = Hierarchy.build(net, depth=1, eta=1.0)
         assert h.levels[0].transfer is None and len(h.levels) == 1
         sched = fresh_scheduler(split, 6, seed=25)
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
+        v_cycle(h, 0, cfg, sched)
         ref_sched = fresh_scheduler(split, 6, seed=25)
         momentum = flatten(ref_net).zeros_like()
         sgd_smooth(ref_net, momentum, cfg, iter(ref_sched))
@@ -618,13 +616,13 @@ class TestVCycleHandTrace:
 
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9,
                              weight_decay=0.0, steps_per_smooth=1)
-        stab = StabilityConfig(eta=np.sqrt(2.0), alpha_m=0.2, gamma=0.25)
-        h = Hierarchy.build(net, depth=2, tau_batches=1, theta=0.9, weighted=True)
+        h = Hierarchy.build(net, depth=2, tau_batches=1, theta=0.9, weighted=True,
+                            eta=np.sqrt(2.0), alpha_m=0.2, gamma=0.25)
         split = lower_input(net, inputs, targets)
         sched = MinibatchScheduler(split, 6, np.random.default_rng(0))
         n_batches = sched.batches_per_epoch
         assert n_batches == 1  # full-set batches make the trace order-independent
-        v_cycle(h, 0, cfg, stab, sched)
+        v_cycle(h, 0, cfg, sched)
 
         # ---- hand trace ----
         trace = Network([DenseLayer(w0.copy(), b0.copy()), DenseLayer(w1.copy(), b1.copy())])
@@ -684,14 +682,14 @@ class TestWorkUnits:
     def test_cycle_work_matches_formula(self):
         net, split = make_training_setup(41)
         cfg = SmootherConfig(learning_rate=0.01, momentum_coeff=0.9, steps_per_smooth=2)
-        h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0)
+        h = Hierarchy.build(net, depth=2, tau_batches=2, theta=-1.0, eta=1.0)
         sched = fresh_scheduler(split, 4, seed=41)
         r = h.param_ratio(1)
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
+        v_cycle(h, 0, cfg, sched)
         expected = 2 * 1.0 + 2 * r + 2 * 1.0 + 2 * (1.0 + r)
         assert h.work == pytest.approx(expected, rel=1e-12)
         before = h.work
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
+        v_cycle(h, 0, cfg, sched)
         assert h.work == pytest.approx(2 * before, rel=1e-12)
 
 
@@ -724,7 +722,7 @@ class TestCoarseVisitRestrictions:
         per_cycle = []
         for _ in range(cycles):
             calls[0] = 0
-            v_cycle(h, 0, cfg, StabilityConfig(), sched)
+            v_cycle(h, 0, cfg, sched)
             per_cycle.append(calls[0])
         monkeypatch.undo()
         state = [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes()) for lvl in h.levels]
@@ -762,25 +760,34 @@ class TestGuardsAndRematch:
     def test_divergence_guard_raises_structured_error(self):
         net, split = make_training_setup(43)
         cfg = SmootherConfig(learning_rate=1e30, momentum_coeff=0.9, steps_per_smooth=2)
-        h = Hierarchy.build(net, depth=2, tau_batches=2)
+        h = Hierarchy.build(net, depth=2, tau_batches=2, eta=1.0)
         sched = fresh_scheduler(split, 4, seed=43)
         with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
             for _ in range(5):
-                v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)
+                v_cycle(h, 0, cfg, sched)
         assert err.value.level is not None
         assert err.value.cycle is not None
+
+    # each method setting has its one range check, which making a hierarchy runs
+    @pytest.mark.parametrize("key, value", [("depth", 0), ("rematch_period", 0),
+                                            ("tau_batches", 0), ("theta", 1.5), ("eta", 0.5),
+                                            ("alpha_m", 0.0), ("gamma", -0.1)])
+    def test_setting_out_of_range_is_refused(self, key, value):
+        net, _ = make_training_setup(47)
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            Hierarchy.build(net, **{"depth": 2, key: value})
 
     def test_rematch_cadence(self):
         net, split = make_training_setup(47)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9, steps_per_smooth=2)
-        h = Hierarchy.build(net, depth=2, rematch_period=2, weighted=False)
+        h = Hierarchy.build(net, depth=2, rematch_period=2, weighted=False, eta=1.0)
         sched = fresh_scheduler(split, 4, seed=47)
         t0 = h.levels[0].transfer
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)  # cycle 0
+        v_cycle(h, 0, cfg, sched)  # cycle 0
         assert h.levels[0].transfer is t0
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)  # cycle 1
+        v_cycle(h, 0, cfg, sched)  # cycle 1
         assert h.levels[0].transfer is t0
-        v_cycle(h, 0, cfg, StabilityConfig(eta=1.0), sched)  # cycle 2 starts -> rematch
+        v_cycle(h, 0, cfg, sched)  # cycle 2 starts -> rematch
         assert h.levels[0].transfer is not t0
 
     def test_momentum_uses_same_operators_as_parameters(self):
@@ -821,7 +828,7 @@ class TestTauInLine:
         sched = fresh_scheduler(split, 4, seed=81)
         states = []
         for _ in range(cycles):
-            v_cycle(h, 0, cfg, StabilityConfig(), sched)
+            v_cycle(h, 0, cfg, sched)
             states.append([(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
                             None if lvl.tilt is None else lvl.tilt.data.tobytes())
                            for lvl in h.levels])
@@ -891,7 +898,7 @@ class TestTauInLine:
             monkeypatch.setattr(training, "refresh_weights", refresh_fails)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
         with pytest.raises(RuntimeError if fails == "refresh" else ValueError, match="failed"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(split, 4, 83))
+            v_cycle(h, 0, cfg, fresh_scheduler(split, 4, 83))
         # the refresh comes before both sums, the coarse sum before the fine one
         assert events == {"refresh": ["refresh failed"],
                           "coarse sum": ["coarse sum failed"],
@@ -910,7 +917,7 @@ class TestTauInLine:
         h = Hierarchy.build(net, depth=2)
         cfg = SmootherConfig(learning_rate=0.05, momentum_coeff=0.9)
         with np.errstate(all="raise"):
-            v_cycle(h, 0, cfg, StabilityConfig(), fresh_scheduler(split, 4, 85))
+            v_cycle(h, 0, cfg, fresh_scheduler(split, 4, 85))
         assert seen == ["raise", "raise"]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -953,7 +960,7 @@ class TestOneTrainingThread:
             from mlfas.harness import build_network
             from mlfas.nets import lower_input
             from mlfas.training import (Hierarchy, MinibatchScheduler, SmootherConfig,
-                                        StabilityConfig, sgd_smooth, v_cycle)
+                                        sgd_smooth, v_cycle)
 
             before = threading.active_count()
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9)
@@ -969,7 +976,7 @@ class TestOneTrainingThread:
                 assert _threads.allowed_cpus() == cpus
                 sgd_smooth(net, net.params.zeros_like(), cfg, iter(sched))
                 print(cpus, threading.active_count() - before)
-                v_cycle(Hierarchy.build(net, depth=3), 0, cfg, StabilityConfig(), sched)
+                v_cycle(Hierarchy.build(net, depth=3), 0, cfg, sched)
                 print(cpus, threading.active_count() - before)
             """
         )
@@ -1023,10 +1030,9 @@ class TestConvHandOff:
     def test_depth_three_v_cycle(self, monkeypatch):
         def run():
             net, inputs, targets, rng = self.net_and_data(96, 400)
-            h = Hierarchy.build(net, depth=3)
+            h = Hierarchy.build(net, depth=3, gamma=0.5)
             cfg = SmootherConfig(learning_rate=1e-3, momentum_coeff=0.9, steps_per_smooth=1)
-            v_cycle(h, 0, cfg, StabilityConfig(gamma=0.5),
-                    MinibatchScheduler(lower_input(net, inputs, targets), 200, rng))
+            v_cycle(h, 0, cfg, MinibatchScheduler(lower_input(net, inputs, targets), 200, rng))
             return [(lvl.net.params.data.tobytes(), lvl.momentum.data.tobytes(),
                      lvl.tilt.data.tobytes() if lvl.tilt is not None else None)
                     for lvl in h.levels]
